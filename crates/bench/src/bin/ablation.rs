@@ -1,9 +1,6 @@
 //! Ablation studies of the design choices DESIGN.md calls out:
 //!
 //! * `rollup`  — anchor count `k` sweep: false hits vs. extra `D` scans;
-//! * `memjoin` — Memory-Containment-Join inner strategy (sorted-D binary
-//!   search / in-memory rollup / PBiTree ancestor enumeration / interval
-//!   tree);
 //! * `shcj`    — in-memory vs. Grace crossover as |A| grows past the
 //!   buffer budget;
 //! * `vpj`     — replication/purge/merge/recursion report across dataset
@@ -93,55 +90,6 @@ fn rollup_study(args: &CommonArgs) {
         }
     }
     t.emit(&args.results_dir, "ablation_rollup");
-}
-
-fn memjoin_study(args: &CommonArgs) {
-    let mut t = Table::new(
-        "Ablation: Memory-Containment-Join inner strategy (A resident)",
-        &["dataset", "strategy", "pairs", "elapsed(s)", "cpu(s)"],
-    );
-    // Small A, large D: the interesting Algorithm-6 case.
-    let Some(w) = synthetic_by_name("MSLL", args.scale) else {
-        return;
-    };
-    type Runner = fn(
-        &JoinCtx,
-        &pbitree_storage::HeapFile<pbitree_joins::Element>,
-        &pbitree_storage::HeapFile<pbitree_joins::Element>,
-        &mut dyn pbitree_joins::PairSink,
-    ) -> Result<pbitree_joins::JoinStats, pbitree_joins::JoinError>;
-    let strategies: [(&str, Runner); 3] = [
-        (
-            "algorithm6",
-            pbitree_joins::memjoin::memory_containment_join,
-        ),
-        (
-            "ancestor-enum",
-            pbitree_joins::memjoin::mem_join_ancestor_enum,
-        ),
-        (
-            "interval-tree",
-            pbitree_joins::memjoin::mem_join_interval_tree,
-        ),
-    ];
-    for (name, f) in strategies {
-        let mut args_b = args.clone();
-        args_b.buffer = args.buffer.max(64);
-        let ctx = make_ctx(&w, &args_b);
-        let af = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
-        let df = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
-        ctx.pool.evict_all().unwrap();
-        let mut sink = CountSink::default();
-        let stats = f(&ctx, &af, &df, &mut sink).unwrap();
-        t.row(vec![
-            w.name.clone(),
-            name.into(),
-            stats.pairs.to_string(),
-            fmt_secs(stats.elapsed_secs()),
-            fmt_secs(stats.cpu_ns as f64 / 1e9),
-        ]);
-    }
-    t.emit(&args.results_dir, "ablation_memjoin");
 }
 
 fn shcj_study(args: &CommonArgs) {
@@ -869,9 +817,6 @@ fn main() {
     pbitree_bench::harness::init_trace(&args.trace);
     if args.selected("rollup") {
         rollup_study(&args);
-    }
-    if args.selected("memjoin") {
-        memjoin_study(&args);
     }
     if args.selected("shcj") {
         shcj_study(&args);

@@ -8,8 +8,8 @@
 //! * `fig6` — Figures 6(a)–(h): improvement ratios (synthetic, BENCHMARK,
 //!   DBLP), buffer-size sweeps, scalability curves.
 //! * `ablation` — the design-choice sweeps DESIGN.md lists (rollup anchor
-//!   count, memory-join inner strategy, VPJ merging/purging, SHCJ hash
-//!   crossover).
+//!   count, VPJ merging/purging, SHCJ hash crossover, and the I/O, pruning,
+//!   compression, WAL, shared-scan and sharding panels).
 //!
 //! Every run prints the paper-format table and appends TSV to `results/`.
 //! Timing is simulated-disk time + measured CPU time (see
@@ -17,7 +17,6 @@
 
 pub mod args;
 pub mod harness;
-pub mod microbench;
 pub mod report;
 pub mod workloads;
 

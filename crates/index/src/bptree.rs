@@ -10,7 +10,17 @@
 //! An internal node with `count` keys has `count + 1` children; key `i`
 //! separates child `i` from child `i+1` (keys in child `i+1` are `>= key i`,
 //! keys in child `i` are `< key i` for bulk-loaded trees; duplicate keys are
-//! permitted and preserved on insert).
+//! permitted and preserved on insert). The private `node` module is the
+//! only code that knows these byte offsets.
+//!
+//! A tree is one of two species, fixed at construction:
+//!
+//! * **bulk-loaded** ([`BPlusTree::bulk_load`]) — built bottom-up from
+//!   sorted input, read-only afterwards (the index INLJN/ADB+ build on the
+//!   fly and drop after the join);
+//! * **logged** ([`BPlusTree::new_logged`] / [`BPlusTree::open_logged`]) —
+//!   page 0 is a metadata record and every mutation commits through the
+//!   write-ahead log as one atomic operation.
 //!
 //! Probes go through the pool, so every descent charges realistic random
 //! I/O — the effect the paper's INLJN heuristic (outer = smaller set) is
@@ -22,11 +32,7 @@ use pbitree_storage::{
     BufferPool, FileId, FixedRecord, PageBuf, PageId, PoolError, ScanOptions, Wal, WalOp, PAGE_SIZE,
 };
 
-const HDR: usize = 8;
-const KIND_LEAF: u8 = 0;
-const KIND_INTERNAL: u8 = 1;
-/// "No page" sentinel for leaf chaining.
-const NIL: u32 = u32::MAX;
+use node::{Node, NIL};
 
 /// Page number of a logged tree's metadata page (root / height / len —
 /// the handle state that must survive a crash).
@@ -36,25 +42,9 @@ const META_MAGIC: u32 = 0x5042_5431; // "PBT1"
 /// Bytes of meta payload covered by the trailing checksum.
 const META_LEN: usize = 24;
 
-/// Max entries in a leaf page.
-pub const fn leaf_capacity<K: FixedRecord, V: FixedRecord>() -> usize {
-    (PAGE_SIZE - HDR) / (K::SIZE + V::SIZE)
-}
-
-/// Max keys in an internal page (children = keys + 1; `child0` lives in the
-/// header's last 4 bytes).
-pub const fn internal_capacity<K: FixedRecord>() -> usize {
-    (PAGE_SIZE - HDR) / (K::SIZE + 4)
-}
-
 #[inline]
 fn get_u16(buf: &[u8], off: usize) -> u16 {
     u16::from_le_bytes(buf[off..off + 2].try_into().unwrap())
-}
-
-#[inline]
-fn put_u16(buf: &mut [u8], off: usize, v: u16) {
-    buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
 #[inline]
@@ -62,9 +52,180 @@ fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(buf[off..off + 4].try_into().unwrap())
 }
 
-#[inline]
-fn put_u32(buf: &mut [u8], off: usize, v: u32) {
-    buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
+/// The node codec: the one place that knows the page layout in the module
+/// docs. Reads go through [`Node`], a borrowed view decoding header fields
+/// and entries in place; writes go through [`encode_leaf`] /
+/// [`encode_internal`] into a page image.
+mod node {
+    use super::{get_u16, get_u32, FixedRecord, PhantomData, PAGE_SIZE};
+
+    const HDR: usize = 8;
+    const KIND_LEAF: u8 = 0;
+    const KIND_INTERNAL: u8 = 1;
+    const COUNT_OFF: usize = 2;
+    /// `next_leaf` in a leaf, `child0` in an internal node.
+    const LINK_OFF: usize = 4;
+    /// "No page" sentinel for leaf chaining.
+    pub const NIL: u32 = u32::MAX;
+
+    /// Max `(K, P)` entries in one node page. An internal node's `child0`
+    /// lives in the header, so its capacity counts keys (children - 1).
+    pub const fn capacity<K: FixedRecord, P: FixedRecord>() -> usize {
+        (PAGE_SIZE - HDR) / (K::SIZE + P::SIZE)
+    }
+
+    #[inline]
+    pub fn is_leaf(page: &[u8]) -> bool {
+        page[0] == KIND_LEAF
+    }
+
+    /// Read view over one node page: `count` fixed-width `(key, payload)`
+    /// entries behind the header. A leaf is a `Node<K, V>` (payload =
+    /// value), an internal node a `Node<K, u32>` (payload `i` = child
+    /// `i + 1`).
+    pub struct Node<'a, K, P> {
+        page: &'a [u8],
+        _marker: PhantomData<(K, P)>,
+    }
+
+    impl<'a, K: FixedRecord + Ord, P: FixedRecord> Node<'a, K, P> {
+        const ESZ: usize = K::SIZE + P::SIZE;
+
+        #[inline]
+        fn view(page: &'a [u8], kind: u8) -> Self {
+            debug_assert_eq!(page[0], kind, "node kind mismatch");
+            Node {
+                page,
+                _marker: PhantomData,
+            }
+        }
+
+        #[inline]
+        pub fn leaf(page: &'a [u8]) -> Self {
+            Self::view(page, KIND_LEAF)
+        }
+
+        #[inline]
+        pub fn count(&self) -> usize {
+            get_u16(self.page, COUNT_OFF) as usize
+        }
+
+        /// The next leaf in key order, [`NIL`] at the end of the chain.
+        #[inline]
+        pub fn next(&self) -> u32 {
+            get_u32(self.page, LINK_OFF)
+        }
+
+        #[inline]
+        pub fn key(&self, i: usize) -> K {
+            let off = HDR + i * Self::ESZ;
+            K::read(&self.page[off..off + K::SIZE])
+        }
+
+        #[inline]
+        pub fn value(&self, i: usize) -> P {
+            let off = HDR + i * Self::ESZ + K::SIZE;
+            P::read(&self.page[off..off + P::SIZE])
+        }
+
+        /// All entries, for the write paths that rebuild a node.
+        pub fn entries(&self) -> Vec<(K, P)> {
+            (0..self.count())
+                .map(|i| (self.key(i), self.value(i)))
+                .collect()
+        }
+
+        /// First index whose key is `>= key` (`count` if none).
+        pub fn lower_bound(&self, key: &K) -> usize {
+            self.partition_point(|k| k < key)
+        }
+
+        /// First index whose key is `> key` (`count` if none).
+        pub fn upper_bound(&self, key: &K) -> usize {
+            self.partition_point(|k| k <= key)
+        }
+
+        fn partition_point(&self, pred: impl Fn(&K) -> bool) -> usize {
+            let (mut lo, mut hi) = (0, self.count());
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if pred(&self.key(mid)) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        }
+    }
+
+    impl<'a, K: FixedRecord + Ord> Node<'a, K, u32> {
+        #[inline]
+        pub fn internal(page: &'a [u8]) -> Self {
+            Self::view(page, KIND_INTERNAL)
+        }
+
+        #[inline]
+        pub fn child0(&self) -> u32 {
+            get_u32(self.page, LINK_OFF)
+        }
+
+        /// The child at `branch`: `child0` for branch 0, entry
+        /// `branch - 1`'s child after that.
+        #[inline]
+        pub fn child(&self, branch: usize) -> u32 {
+            if branch == 0 {
+                self.child0()
+            } else {
+                self.value(branch - 1)
+            }
+        }
+    }
+
+    fn encode<K: FixedRecord, P: FixedRecord>(
+        kind: u8,
+        link: u32,
+        entries: &[(K, P)],
+        img: &mut [u8],
+    ) -> usize {
+        let esz = K::SIZE + P::SIZE;
+        img[0] = kind;
+        img[COUNT_OFF..COUNT_OFF + 2].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+        img[LINK_OFF..LINK_OFF + 4].copy_from_slice(&link.to_le_bytes());
+        for (i, (k, p)) in entries.iter().enumerate() {
+            let off = HDR + i * esz;
+            k.write(&mut img[off..off + K::SIZE]);
+            p.write(&mut img[off + K::SIZE..off + esz]);
+        }
+        HDR + entries.len() * esz
+    }
+
+    /// Writes a leaf into `img` and returns the bytes used. Only that
+    /// prefix is meaningful: the count bounds every read, so whatever
+    /// follows is unreachable.
+    pub fn encode_leaf<K: FixedRecord, V: FixedRecord>(
+        next: u32,
+        entries: &[(K, V)],
+        img: &mut [u8],
+    ) -> usize {
+        encode(KIND_LEAF, next, entries, img)
+    }
+
+    /// Writes an internal node into `img` (used prefix as [`encode_leaf`]).
+    pub fn encode_internal<K: FixedRecord>(
+        child0: u32,
+        entries: &[(K, u32)],
+        img: &mut [u8],
+    ) -> usize {
+        encode(KIND_INTERNAL, child0, entries, img)
+    }
+
+    /// The `(offset, bytes)` of a logged page write that repoints a
+    /// leaf's chain pointer.
+    #[inline]
+    pub fn next_patch(next: u32) -> (usize, [u8; 4]) {
+        (LINK_OFF, next.to_le_bytes())
+    }
 }
 
 /// A B+-tree keyed by `K` with values `V`, both fixed-width records.
@@ -74,27 +235,56 @@ pub struct BPlusTree<K: FixedRecord + Ord, V: FixedRecord> {
     root: u32,
     height: u32,
     len: u64,
+    /// Whether page 0 is this tree's meta record, i.e. the tree came from
+    /// [`new_logged`](Self::new_logged) / [`open_logged`](Self::open_logged)
+    /// and may be mutated. A bulk-loaded tree keeps a node on page 0.
+    logged: bool,
     _marker: PhantomData<(K, V)>,
 }
 
-impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
-    /// Creates an empty tree (a single empty leaf as root).
-    pub fn new(pool: &BufferPool) -> Result<Self, PoolError> {
-        let file = pool.create_file();
-        let (root, mut page) = pool.new_page(file)?;
-        init_leaf(&mut page[..]);
-        drop(page);
-        Ok(BPlusTree {
-            file,
-            root,
-            height: 1,
-            len: 0,
-            _marker: PhantomData,
-        })
+/// Bulk-load staging: finished node images queue here and reach the file
+/// through one vectored write-through append per `batch_cap` pages (one
+/// head movement per batch instead of per page). Pages get consecutive
+/// numbers in push order, so a node's page number is known when pushed.
+struct Appender<'p, K> {
+    pool: &'p BufferPool,
+    file: FileId,
+    batch_cap: usize,
+    ready: Vec<(K, Box<PageBuf>)>,
+    /// `(first key, page)` of every node appended since the level began.
+    level: Vec<(K, u32)>,
+    /// Images pushed so far = the page number the next push receives.
+    pushed: u32,
+}
+
+impl<K: Copy> Appender<'_, K> {
+    fn push(&mut self, first_key: K, img: Box<PageBuf>) -> Result<(), PoolError> {
+        self.ready.push((first_key, img));
+        self.pushed += 1;
+        if self.ready.len() >= self.batch_cap {
+            self.flush()?;
+        }
+        Ok(())
     }
 
+    fn flush(&mut self) -> Result<(), PoolError> {
+        if self.ready.is_empty() {
+            return Ok(());
+        }
+        let bufs: Vec<&PageBuf> = self.ready.iter().map(|(_, img)| &**img).collect();
+        let start = self.pool.append_pages_through(self.file, &bufs)?;
+        debug_assert_eq!(start, self.pushed - self.ready.len() as u32);
+        let pages = start..;
+        self.level
+            .extend(self.ready.drain(..).zip(pages).map(|((fk, _), p)| (fk, p)));
+        Ok(())
+    }
+}
+
+impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
     /// Bulk-loads a tree from entries that are **already sorted by key**.
-    /// Leaves are packed to capacity; one sequential pass per level.
+    /// Leaves are packed to capacity; one sequential pass per level. The
+    /// result is read-only.
     ///
     /// # Panics
     /// Debug-asserts the input ordering.
@@ -102,23 +292,16 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
     where
         I: IntoIterator<Item = (K, V)>,
     {
-        Self::bulk_load_fallible(pool, entries.into_iter().map(Ok))
-    }
-
-    /// [`bulk_load`](Self::bulk_load) over a fallible entry stream, so a
-    /// producer reading through the pool (e.g. a heap scan under fault
-    /// injection) propagates its I/O errors instead of panicking.
-    pub fn bulk_load_fallible<I>(pool: &BufferPool, entries: I) -> Result<Self, PoolError>
-    where
-        I: IntoIterator<Item = Result<(K, V), PoolError>>,
-    {
+        let entries = entries.into_iter().map(Ok);
         Self::bulk_load_fallible_with(pool, entries, ScanOptions::default())
     }
 
-    /// [`bulk_load_fallible`](Self::bulk_load_fallible) with explicit
-    /// [`ScanOptions`]: node images are staged in loader-private memory and
-    /// appended with one vectored write-through per `opts.as_write()` batch
-    /// (one head movement per batch instead of per page).
+    /// [`bulk_load`](Self::bulk_load) over a fallible entry stream — a
+    /// producer reading through the pool (e.g. a heap scan under fault
+    /// injection) propagates its I/O errors instead of panicking — with
+    /// explicit [`ScanOptions`]: node images are staged in loader-private
+    /// memory and appended with one vectored write-through per
+    /// `opts.as_write()` batch.
     pub fn bulk_load_fallible_with<I>(
         pool: &BufferPool,
         entries: I,
@@ -128,166 +311,83 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         I: IntoIterator<Item = Result<(K, V), PoolError>>,
     {
         let file = pool.create_file();
-        let lcap = leaf_capacity::<K, V>();
-        let batch_cap = opts.as_write().depth().max(1);
-        // Build the leaf level. Leaves are written *through* the pool
-        // (sequential bulk output, no frame pollution). Bulk-loaded pages
-        // occupy consecutive page numbers assigned at append time, so a
-        // completed leaf's `next_leaf` pointer is its own (predicted)
-        // page number plus one; each leaf is held back until its successor
-        // exists so the chain never points past the file.
-        let mut level: Vec<(K, u32)> = Vec::new(); // (first key, page)
-        let mut len = 0u64;
-        let mut pending: Vec<(K, V)> = Vec::with_capacity(lcap);
-        let mut held: Option<(K, Box<crate::page_image::PageImage>)> = None;
-        // Completed images awaiting one vectored append; their level
-        // entries are pushed at flush time from the returned start page.
-        let mut ready: Vec<(K, Box<crate::page_image::PageImage>)> = Vec::new();
-        let mut next_pno = 0u32;
-        let mut first_key: Option<K> = None;
-        let mut prev_key: Option<K> = None;
-
-        let flush_ready = |pool: &BufferPool,
-                           ready: &mut Vec<(K, Box<crate::page_image::PageImage>)>,
-                           level: &mut Vec<(K, u32)>,
-                           next_pno: &u32|
-         -> Result<(), PoolError> {
-            if ready.is_empty() {
-                return Ok(());
-            }
-            let bufs: Vec<&pbitree_storage::PageBuf> =
-                ready.iter().map(|(_, img)| img.buf()).collect();
-            let start = pool.append_pages_through(file, &bufs)?;
-            debug_assert_eq!(start, *next_pno - ready.len() as u32);
-            for (i, (fk, _)) in ready.iter().enumerate() {
-                level.push((*fk, start + i as u32));
-            }
-            ready.clear();
-            Ok(())
-        };
-
-        let flush_leaf = |pool: &BufferPool,
-                          pending: &mut Vec<(K, V)>,
-                          first_key: &mut Option<K>,
-                          level: &mut Vec<(K, u32)>,
-                          held: &mut Option<(K, Box<crate::page_image::PageImage>)>,
-                          ready: &mut Vec<(K, Box<crate::page_image::PageImage>)>,
-                          next_pno: &mut u32|
-         -> Result<(), PoolError> {
-            if pending.is_empty() {
-                return Ok(());
-            }
-            let mut img = Box::new(crate::page_image::PageImage::zeroed());
-            init_leaf(img.bytes_mut());
-            put_u16(img.bytes_mut(), 2, pending.len() as u16);
-            for (i, (k, v)) in pending.iter().enumerate() {
-                let off = HDR + i * (K::SIZE + V::SIZE);
-                k.write(&mut img.bytes_mut()[off..off + K::SIZE]);
-                v.write(&mut img.bytes_mut()[off + K::SIZE..off + K::SIZE + V::SIZE]);
-            }
-            // The previously held leaf gets its next pointer and joins the
-            // append batch at its predicted page number.
-            if let Some((fk, mut prev_img)) = held.take() {
-                put_u32(prev_img.bytes_mut(), 4, *next_pno + 1);
-                ready.push((fk, prev_img));
-                *next_pno += 1;
-                if ready.len() >= batch_cap {
-                    flush_ready(pool, ready, level, next_pno)?;
-                }
-            }
-            *held = Some((first_key.take().expect("first key set"), img));
-            pending.clear();
-            Ok(())
-        };
-
-        for entry in entries {
-            let (k, v) = entry?;
-            if let Some(pk) = &prev_key {
-                debug_assert!(*pk <= k, "bulk_load input must be sorted");
-            }
-            prev_key = Some(k);
-            if first_key.is_none() {
-                first_key = Some(k);
-            }
-            pending.push((k, v));
-            len += 1;
-            if pending.len() == lcap {
-                flush_leaf(
-                    pool,
-                    &mut pending,
-                    &mut first_key,
-                    &mut level,
-                    &mut held,
-                    &mut ready,
-                    &mut next_pno,
-                )?;
-            }
-        }
-        flush_leaf(
+        let lcap = node::capacity::<K, V>();
+        let mut out = Appender {
             pool,
-            &mut pending,
-            &mut first_key,
-            &mut level,
-            &mut held,
-            &mut ready,
-            &mut next_pno,
-        )?;
-        // The last leaf ends the chain; it joins the final batch.
-        if let Some((fk, img)) = held.take() {
-            ready.push((fk, img));
-            next_pno += 1;
-        }
-        flush_ready(pool, &mut ready, &mut level, &next_pno)?;
-
-        if level.is_empty() {
-            // Empty input: fall back to an empty root leaf.
-            let (root, mut page) = pool.new_page(file)?;
-            init_leaf(&mut page[..]);
-            drop(page);
-            return Ok(BPlusTree {
-                file,
-                root,
-                height: 1,
-                len: 0,
-                _marker: PhantomData,
-            });
-        }
-
-        // Build internal levels until a single root remains, batching node
-        // appends the same way.
-        let icap = internal_capacity::<K>();
-        let mut height = 1;
-        while level.len() > 1 {
-            height += 1;
-            let mut next: Vec<(K, u32)> = Vec::with_capacity(level.len().div_ceil(icap + 1));
-            // Each internal node takes up to icap+1 children.
-            for group in level.chunks(icap + 1) {
-                let mut img = Box::new(crate::page_image::PageImage::zeroed());
-                img.bytes_mut()[0] = KIND_INTERNAL;
-                put_u16(img.bytes_mut(), 2, (group.len() - 1) as u16);
-                put_u32(img.bytes_mut(), 4, group[0].1);
-                for (i, (k, child)) in group.iter().enumerate().skip(1) {
-                    let off = HDR + (i - 1) * (K::SIZE + 4);
-                    k.write(&mut img.bytes_mut()[off..off + K::SIZE]);
-                    put_u32(img.bytes_mut(), off + K::SIZE, *child);
-                }
-                ready.push((group[0].0, img));
-                next_pno += 1;
-                if ready.len() >= batch_cap {
-                    flush_ready(pool, &mut ready, &mut next, &next_pno)?;
+            file,
+            batch_cap: opts.as_write().depth().max(1),
+            ready: Vec::new(),
+            level: Vec::new(),
+            pushed: 0,
+        };
+        // Leaf level, written *through* the pool (sequential bulk output,
+        // no frame pollution). A full leaf is held back until its successor
+        // is full too (or the input ends): only then is it known whether
+        // its chain pointer is its own page number plus one or NIL, so the
+        // chain never points past the file.
+        let leaf = |entries: &[(K, V)], next: u32, out: &mut Appender<'_, K>| {
+            let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
+            node::encode_leaf(next, entries, &mut img[..]);
+            out.push(entries[0].0, img)
+        };
+        let mut held: Option<Vec<(K, V)>> = None;
+        let mut pending: Vec<(K, V)> = Vec::with_capacity(lcap);
+        let mut len = 0u64;
+        let mut entries = entries.into_iter();
+        loop {
+            let entry = entries.next().transpose()?;
+            if let Some((k, v)) = entry {
+                debug_assert!(
+                    pending.last().is_none_or(|(pk, _)| *pk <= k),
+                    "bulk_load input must be sorted"
+                );
+                pending.push((k, v));
+                len += 1;
+            }
+            if pending.len() == lcap || (entry.is_none() && !pending.is_empty()) {
+                let full = std::mem::replace(&mut pending, Vec::with_capacity(lcap));
+                if let Some(prev) = held.replace(full) {
+                    leaf(&prev, out.pushed + 1, &mut out)?;
                 }
             }
-            flush_ready(pool, &mut ready, &mut next, &next_pno)?;
-            level = next;
+            if entry.is_none() {
+                break;
+            }
         }
-        let root = level[0].1;
-        Ok(BPlusTree {
+        let Some(last) = held else {
+            // Empty input: a single empty root leaf.
+            let (root, mut page) = pool.new_page(file)?;
+            node::encode_leaf::<K, V>(NIL, &[], &mut page[..]);
+            return Ok(Self::handle(file, root, 1, 0, false));
+        };
+        leaf(&last, NIL, &mut out)?;
+        out.flush()?;
+
+        // Internal levels until a single root remains, batched the same way.
+        let icap = node::capacity::<K, u32>();
+        let mut height = 1;
+        while out.level.len() > 1 {
+            height += 1;
+            // Each internal node takes up to icap+1 children.
+            for group in std::mem::take(&mut out.level).chunks(icap + 1) {
+                let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
+                node::encode_internal(group[0].1, &group[1..], &mut img[..]);
+                out.push(group[0].0, img)?;
+            }
+            out.flush()?;
+        }
+        Ok(Self::handle(file, out.level[0].1, height, len, false))
+    }
+
+    fn handle(file: FileId, root: u32, height: u32, len: u64, logged: bool) -> Self {
+        BPlusTree {
             file,
             root,
             height,
             len,
+            logged,
             _marker: PhantomData,
-        })
+        }
     }
 
     /// Number of entries.
@@ -319,36 +419,30 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         pool.delete_file(self.file);
     }
 
-    /// Descends to the leaf that may contain `key`; returns its page number.
-    fn find_leaf(&self, pool: &BufferPool, key: &K) -> Result<u32, PoolError> {
-        let mut pno = self.root;
+    #[inline]
+    fn pid(&self, pno: u32) -> PageId {
+        PageId::new(self.file, pno)
+    }
+
+    /// Descends from node `pno` to a leaf, taking the branch `branch_of`
+    /// picks at each internal node and reporting `(node, branch)` to
+    /// `visit`. Returns the leaf's page number.
+    fn descend(
+        &self,
+        pool: &BufferPool,
+        mut pno: u32,
+        branch_of: impl Fn(&Node<'_, K, u32>) -> usize,
+        mut visit: impl FnMut(u32, usize),
+    ) -> Result<u32, PoolError> {
         loop {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            if page[0] == KIND_LEAF {
+            let page = pool.read_page(self.pid(pno))?;
+            if node::is_leaf(&page[..]) {
                 return Ok(pno);
             }
-            let count = get_u16(&page[..], 2) as usize;
-            // Strict comparison: with duplicate keys the descent lands on
-            // the *leftmost* leaf that can hold `key`; the forward leaf
-            // chain covers duplicates that spilled rightward.
-            let mut lo = 0usize;
-            let mut hi = count;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let off = HDR + mid * (K::SIZE + 4);
-                let k = K::read(&page[off..off + K::SIZE]);
-                if k < *key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            pno = if lo == 0 {
-                get_u32(&page[..], 4)
-            } else {
-                let off = HDR + (lo - 1) * (K::SIZE + 4);
-                get_u32(&page[..], off + K::SIZE)
-            };
+            let n = Node::<K, u32>::internal(&page[..]);
+            let branch = branch_of(&n);
+            visit(pno, branch);
+            pno = n.child(branch);
         }
     }
 
@@ -361,222 +455,46 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         }
     }
 
-    /// Whether any entry has the given key.
-    pub fn contains(&self, pool: &BufferPool, key: &K) -> Result<bool, PoolError> {
-        Ok(self.get(pool, key)?.is_some())
-    }
-
     /// Iterates entries with keys `>= key`, in key order, across leaves.
     pub fn range_from<'a>(
         &self,
         pool: &'a BufferPool,
         key: &K,
     ) -> Result<RangeIter<'a, K, V>, PoolError> {
-        let leaf = self.find_leaf(pool, key)?;
-        // Position within the leaf: first entry >= key.
-        let page = pool.read_page(PageId::new(self.file, leaf))?;
-        let count = get_u16(&page[..], 2) as usize;
-        let mut lo = 0usize;
-        let mut hi = count;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let off = HDR + mid * (K::SIZE + V::SIZE);
-            let k = K::read(&page[off..off + K::SIZE]);
-            if k < *key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
+        // Lower bound at every level: with duplicate keys the descent
+        // lands on the *leftmost* leaf that can hold `key`; the forward
+        // leaf chain covers duplicates that spilled rightward.
+        let leaf = self.descend(pool, self.root, |n| n.lower_bound(key), |_, _| ())?;
+        let page = pool.read_page(self.pid(leaf))?;
+        let idx = Node::<K, V>::leaf(&page[..]).lower_bound(key);
         drop(page);
         Ok(RangeIter {
             pool,
             file: self.file,
             leaf,
-            idx: lo,
+            idx,
             _marker: PhantomData,
         })
     }
 
     /// Iterates all entries in key order.
     pub fn iter<'a>(&self, pool: &'a BufferPool) -> Result<RangeIter<'a, K, V>, PoolError> {
-        // Descend along child0 to the leftmost leaf.
-        let mut pno = self.root;
-        loop {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            if page[0] == KIND_LEAF {
-                break;
-            }
-            pno = get_u32(&page[..], 4);
-        }
         Ok(RangeIter {
             pool,
             file: self.file,
-            leaf: pno,
+            leaf: self.descend(pool, self.root, |_| 0, |_, _| ())?,
             idx: 0,
             _marker: PhantomData,
         })
     }
 
-    /// Inserts an entry, splitting nodes as needed. Duplicate keys are
-    /// appended after existing equal keys.
-    pub fn insert(&mut self, pool: &BufferPool, key: K, value: V) -> Result<(), PoolError> {
-        if let Some((sep, right)) = self.insert_rec(pool, self.root, &key, &value)? {
-            // Grow a new root.
-            let (pno, mut page) = pool.new_page(self.file)?;
-            page[0] = KIND_INTERNAL;
-            put_u16(&mut page[..], 2, 1);
-            put_u32(&mut page[..], 4, self.root);
-            sep.write(&mut page[HDR..HDR + K::SIZE]);
-            put_u32(&mut page[..], HDR + K::SIZE, right);
-            drop(page);
-            self.root = pno;
-            self.height += 1;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    fn insert_rec(
-        &self,
-        pool: &BufferPool,
-        pno: u32,
-        key: &K,
-        value: &V,
-    ) -> Result<Option<(K, u32)>, PoolError> {
-        let kind = {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            page[0]
-        };
-        if kind == KIND_LEAF {
-            return self.insert_into_leaf(pool, pno, key, value);
-        }
-        // Internal: find branch, recurse, then maybe absorb a split.
-        let (child, branch) = {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            let count = get_u16(&page[..], 2) as usize;
-            let mut lo = 0usize;
-            let mut hi = count;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let off = HDR + mid * (K::SIZE + 4);
-                let k = K::read(&page[off..off + K::SIZE]);
-                if k < *key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let child = if lo == 0 {
-                get_u32(&page[..], 4)
-            } else {
-                let off = HDR + (lo - 1) * (K::SIZE + 4);
-                get_u32(&page[..], off + K::SIZE)
-            };
-            (child, lo)
-        };
-        let Some((sep, right)) = self.insert_rec(pool, child, key, value)? else {
-            return Ok(None);
-        };
-        self.insert_into_internal(pool, pno, branch, sep, right)
-    }
-
-    /// Inserts separator `sep` / child `right` at branch position `pos`
-    /// of internal node `pno`, splitting it if full.
-    fn insert_into_internal(
-        &self,
-        pool: &BufferPool,
-        pno: u32,
-        pos: usize,
-        sep: K,
-        right: u32,
-    ) -> Result<Option<(K, u32)>, PoolError> {
-        let icap = internal_capacity::<K>();
-        let esz = K::SIZE + 4;
-        let mut entries: Vec<(K, u32)> = Vec::with_capacity(icap + 1);
-        let child0;
-        {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            let count = get_u16(&page[..], 2) as usize;
-            child0 = get_u32(&page[..], 4);
-            for i in 0..count {
-                let off = HDR + i * esz;
-                entries.push((
-                    K::read(&page[off..off + K::SIZE]),
-                    get_u32(&page[..], off + K::SIZE),
-                ));
-            }
-        }
-        entries.insert(pos, (sep, right));
-        if entries.len() <= icap {
-            write_internal(pool, self.file, pno, child0, &entries)?;
-            return Ok(None);
-        }
-        // Split: left keeps half the keys, the middle key moves up.
-        let mid = entries.len() / 2;
-        let (up_key, up_child) = entries[mid];
-        let right_entries: Vec<(K, u32)> = entries[mid + 1..].to_vec();
-        entries.truncate(mid);
-        write_internal(pool, self.file, pno, child0, &entries)?;
-        let (rpno, mut rpage) = pool.new_page(self.file)?;
-        rpage[0] = KIND_INTERNAL;
-        drop(rpage);
-        write_internal(pool, self.file, rpno, up_child, &right_entries)?;
-        Ok(Some((up_key, rpno)))
-    }
-
-    fn insert_into_leaf(
-        &self,
-        pool: &BufferPool,
-        pno: u32,
-        key: &K,
-        value: &V,
-    ) -> Result<Option<(K, u32)>, PoolError> {
-        let lcap = leaf_capacity::<K, V>();
-        let esz = K::SIZE + V::SIZE;
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(lcap + 1);
-        let next;
-        {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            let count = get_u16(&page[..], 2) as usize;
-            next = get_u32(&page[..], 4);
-            for i in 0..count {
-                let off = HDR + i * esz;
-                entries.push((
-                    K::read(&page[off..off + K::SIZE]),
-                    V::read(&page[off + K::SIZE..off + esz]),
-                ));
-            }
-        }
-        // Upper bound: after existing duplicates.
-        let pos = entries.partition_point(|(k, _)| k <= key);
-        entries.insert(pos, (*key, *value));
-        if entries.len() <= lcap {
-            write_leaf(pool, self.file, pno, next, &entries)?;
-            return Ok(None);
-        }
-        let mid = entries.len() / 2;
-        let right_entries: Vec<(K, V)> = entries[mid..].to_vec();
-        entries.truncate(mid);
-        let (rpno, rpage) = pool.new_page(self.file)?;
-        drop(rpage);
-        write_leaf(pool, self.file, pno, rpno, &entries)?;
-        write_leaf(pool, self.file, rpno, next, &right_entries)?;
-        Ok(Some((right_entries[0].0, rpno)))
-    }
-
-    // ----- durable (write-ahead-logged) trees --------------------------
+    // ----- logged trees ------------------------------------------------
     //
-    // A *logged* tree reserves page 0 of its file for a metadata record
-    // (root, height, len) and routes every structural change — leaf and
-    // internal page rewrites, splits, root growth, the meta update —
-    // through one atomic [`WalOp`]. After a crash, [`recover`] replays
-    // the committed operations and [`open_logged`] reconstructs the
-    // handle from the meta page; un-committed operations never happened.
-    // Logged trees are built empty and grown by `insert_logged`; bulk
-    // loading stays on the unlogged fast path (rebuild on failure).
-    //
-    // [`recover`]: pbitree_storage::wal::recover
+    // Every structural change — leaf and internal page rewrites, splits,
+    // root growth, the meta update — goes through one atomic [`WalOp`].
+    // After a crash, `wal::recover` replays the committed operations and
+    // `open_logged` reconstructs the handle from the meta page;
+    // un-committed operations never happened.
 
     /// Creates an empty *logged* tree: meta page plus an empty root leaf,
     /// committed as one operation through `wal`.
@@ -588,22 +506,10 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         op.alloc(PageId::new(file, meta));
         let root = pool.allocate_page(file)?;
         op.alloc(PageId::new(file, root));
-        let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
-        init_leaf(&mut img[..]);
-        op.page_write(PageId::new(file, root), 0, &img[..HDR]);
-        op.page_write(
-            PageId::new(file, META_PAGE),
-            0,
-            &meta_record::<K, V>(root, 1, 0),
-        );
-        wal.commit(pool, op)?;
-        Ok(BPlusTree {
-            file,
-            root,
-            height: 1,
-            len: 0,
-            _marker: PhantomData,
-        })
+        log_leaf::<K, V>(&mut op, PageId::new(file, root), NIL, &[]);
+        let mut tree = Self::handle(file, root, 1, 0, true);
+        tree.commit(pool, wal, op, root, 1, 0)?;
+        Ok(tree)
     }
 
     /// Reconstructs the handle of a logged tree from its meta page — the
@@ -627,20 +533,46 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         if root >= pool.num_pages(file) {
             return Err(corrupt("logged-tree meta root beyond file"));
         }
-        Ok(BPlusTree {
-            file,
-            root,
-            height: get_u32(&page[..], 8),
-            len: u64::from_le_bytes(page[12..20].try_into().unwrap()),
-            _marker: PhantomData,
+        let len = u64::from_le_bytes(page[12..20].try_into().unwrap());
+        Ok(Self::handle(file, root, get_u32(&page[..], 8), len, true))
+    }
+
+    /// Adds the meta record for the new handle state to `op`, commits it,
+    /// and only then moves the handle: a failed commit leaves it as it was.
+    fn commit(
+        &mut self,
+        pool: &BufferPool,
+        wal: &Wal,
+        mut op: WalOp,
+        root: u32,
+        height: u32,
+        len: u64,
+    ) -> Result<(), PoolError> {
+        let meta = meta_record::<K, V>(root, height, len);
+        op.page_write(self.pid(META_PAGE), 0, &meta);
+        wal.commit(pool, op)?;
+        (self.root, self.height, self.len) = (root, height, len);
+        Ok(())
+    }
+
+    /// Mutations commit a meta record to page 0, which only a logged tree
+    /// reserves; on a bulk-loaded tree that page is a live node.
+    fn require_logged(&self) -> Result<(), PoolError> {
+        if self.logged {
+            return Ok(());
+        }
+        Err(PoolError::Corrupt {
+            pid: self.pid(META_PAGE),
+            reason: "bulk-loaded tree is read-only: it has no meta page to log against",
         })
     }
 
-    /// [`insert`](Self::insert) through the write-ahead log: every page
-    /// the insert rewrites (leaf, split siblings, ancestors, a grown
-    /// root) plus the meta page commits as one atomic [`WalOp`]. On an
-    /// I/O error the tree must be considered failed and recovered before
-    /// further use.
+    /// Inserts an entry through the write-ahead log, splitting nodes as
+    /// needed; a duplicate key goes after its equals. Every page the
+    /// insert rewrites (leaf, split siblings, ancestors, a grown root)
+    /// plus the meta page commits as one atomic [`WalOp`]. On an I/O
+    /// error the tree must be considered failed and recovered before
+    /// further use. A bulk-loaded tree refuses with an error.
     pub fn insert_logged(
         &mut self,
         pool: &BufferPool,
@@ -648,28 +580,70 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         key: K,
         value: V,
     ) -> Result<(), PoolError> {
+        self.require_logged()?;
         let mut op = WalOp::new();
         let mut root = self.root;
         let mut height = self.height;
-        if let Some((sep, right)) =
-            self.insert_rec_logged(pool, wal, &mut op, self.root, &key, &value)?
-        {
+        if let Some((sep, right)) = self.insert_rec(pool, wal, &mut op, self.root, &key, &value)? {
             let pno = alloc_tree_page(pool, wal, &mut op, self.file)?;
-            let entries = [(sep, right)];
-            log_internal(&mut op, PageId::new(self.file, pno), self.root, &entries);
+            log_internal(&mut op, self.pid(pno), self.root, &[(sep, right)]);
             root = pno;
             height += 1;
         }
-        op.page_write(
-            PageId::new(self.file, META_PAGE),
-            0,
-            &meta_record::<K, V>(root, height, self.len + 1),
-        );
-        wal.commit(pool, op)?;
-        self.root = root;
-        self.height = height;
-        self.len += 1;
-        Ok(())
+        self.commit(pool, wal, op, root, height, self.len + 1)
+    }
+
+    /// Stages the insert below node `pno` into `op`. Returns the
+    /// `(separator, new right sibling)` the parent must absorb when `pno`
+    /// split.
+    fn insert_rec(
+        &self,
+        pool: &BufferPool,
+        wal: &Wal,
+        op: &mut WalOp,
+        pno: u32,
+        key: &K,
+        value: &V,
+    ) -> Result<Option<(K, u32)>, PoolError> {
+        let (child, branch) = {
+            let page = pool.read_page(self.pid(pno))?;
+            if node::is_leaf(&page[..]) {
+                let leaf = Node::<K, V>::leaf(&page[..]);
+                let (next, mut entries) = (leaf.next(), leaf.entries());
+                // Upper bound: after existing duplicates.
+                entries.insert(leaf.upper_bound(key), (*key, *value));
+                drop(page);
+                if entries.len() <= node::capacity::<K, V>() {
+                    log_leaf(op, self.pid(pno), next, &entries);
+                    return Ok(None);
+                }
+                let (left, right) = entries.split_at(entries.len() / 2);
+                let rpno = alloc_tree_page(pool, wal, op, self.file)?;
+                log_leaf(op, self.pid(pno), rpno, left);
+                log_leaf(op, self.pid(rpno), next, right);
+                return Ok(Some((right[0].0, rpno)));
+            }
+            let n = Node::<K, u32>::internal(&page[..]);
+            let branch = n.lower_bound(key);
+            (n.child(branch), branch)
+        };
+        let Some((sep, right)) = self.insert_rec(pool, wal, op, child, key, value)? else {
+            return Ok(None);
+        };
+        // Absorb the child split.
+        let (child0, mut entries) = self.read_internal(pool, pno)?;
+        entries.insert(branch, (sep, right));
+        if entries.len() <= node::capacity::<K, u32>() {
+            log_internal(op, self.pid(pno), child0, &entries);
+            return Ok(None);
+        }
+        // Split: left keeps half the keys, the middle key moves up.
+        let mid = entries.len() / 2;
+        let (up_key, up_child) = entries[mid];
+        log_internal(op, self.pid(pno), child0, &entries[..mid]);
+        let rpno = alloc_tree_page(pool, wal, op, self.file)?;
+        log_internal(op, self.pid(rpno), up_child, &entries[mid + 1..]);
+        Ok(Some((up_key, rpno)))
     }
 
     /// Deletes the **first** entry with the given key, through the
@@ -683,47 +657,27 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
     /// with dead leaves. No merging of *underfull* (non-empty) nodes
     /// occurs — the PBiTree workload deletes are sparse ejections from a
     /// code index, not bulk retractions. Returns whether an entry was
-    /// removed.
+    /// removed. A bulk-loaded tree refuses with an error.
     pub fn delete_logged(
         &mut self,
         pool: &BufferPool,
         wal: &Wal,
         key: &K,
     ) -> Result<bool, PoolError> {
-        let esz = K::SIZE + V::SIZE;
-        // Descend as `find_leaf` does, but record the parent path —
+        self.require_logged()?;
+        // Descend as `range_from` does, recording the parent path —
         // `(internal page, branch taken)` per level — so an emptied leaf
         // knows its parent and its chain predecessor.
         let mut path: Vec<(u32, usize)> = Vec::new();
-        let mut pno = self.root;
+        let record = |p, b| path.push((p, b));
+        let mut pno = self.descend(pool, self.root, |n| n.lower_bound(key), record)?;
         loop {
-            let (child0, entries) = {
-                let page = pool.read_page(PageId::new(self.file, pno))?;
-                if page[0] == KIND_LEAF {
-                    break;
-                }
-                self.read_internal(pool, pno)?
-            };
-            let branch = entries.partition_point(|(k, _)| k < key);
-            path.push((pno, branch));
-            pno = child_at(child0, &entries, branch);
-        }
-        loop {
-            let mut entries: Vec<(K, V)> = Vec::new();
-            let next;
-            {
-                let page = pool.read_page(PageId::new(self.file, pno))?;
-                let count = get_u16(&page[..], 2) as usize;
-                next = get_u32(&page[..], 4);
-                for i in 0..count {
-                    let off = HDR + i * esz;
-                    entries.push((
-                        K::read(&page[off..off + K::SIZE]),
-                        V::read(&page[off + K::SIZE..off + esz]),
-                    ));
-                }
-            }
-            if let Some(pos) = entries.iter().position(|(k, _)| k == key) {
+            let page = pool.read_page(self.pid(pno))?;
+            let leaf = Node::<K, V>::leaf(&page[..]);
+            let (count, next, pos) = (leaf.count(), leaf.next(), leaf.lower_bound(key));
+            if pos < count && leaf.key(pos) == *key {
+                let mut entries = leaf.entries();
+                drop(page);
                 entries.remove(pos);
                 let mut op = WalOp::new();
                 let (root, height) = if entries.is_empty() && pno != self.root {
@@ -731,23 +685,16 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
                 } else {
                     // The root leaf may sit empty — an empty tree keeps
                     // its root — and a non-empty leaf is just rewritten.
-                    log_leaf(&mut op, PageId::new(self.file, pno), next, &entries);
+                    log_leaf(&mut op, self.pid(pno), next, &entries);
                     (self.root, self.height)
                 };
-                op.page_write(
-                    PageId::new(self.file, META_PAGE),
-                    0,
-                    &meta_record::<K, V>(root, height, self.len - 1),
-                );
-                wal.commit(pool, op)?;
-                self.root = root;
-                self.height = height;
-                self.len -= 1;
+                self.commit(pool, wal, op, root, height, self.len - 1)?;
                 return Ok(true);
             }
+            drop(page);
             // Duplicates of a key can spill into following leaves; stop
             // once a larger key (or the end of the chain) proves absence.
-            if entries.iter().any(|(k, _)| k > key) || next == NIL {
+            if pos < count || next == NIL {
                 return Ok(false);
             }
             // Step the recorded path one leaf to the right alongside the
@@ -755,33 +702,22 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
             let stepped = self.advance_right(pool, &mut path)?;
             debug_assert_eq!(stepped, Some(next), "leaf chain diverged from tree order");
             pno = stepped.ok_or(PoolError::Corrupt {
-                pid: PageId::new(self.file, pno),
+                pid: self.pid(pno),
                 reason: "leaf chain points past the tree's last leaf",
             })?;
         }
     }
 
     /// Reads an internal node's first child and `(separator, child)`
-    /// entries.
+    /// entries, for the write paths that rebuild it.
     fn read_internal(
         &self,
         pool: &BufferPool,
         pno: u32,
     ) -> Result<(u32, Vec<(K, u32)>), PoolError> {
-        let page = pool.read_page(PageId::new(self.file, pno))?;
-        debug_assert_eq!(page[0], KIND_INTERNAL);
-        let count = get_u16(&page[..], 2) as usize;
-        let child0 = get_u32(&page[..], 4);
-        let esz = K::SIZE + 4;
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = HDR + i * esz;
-            entries.push((
-                K::read(&page[off..off + K::SIZE]),
-                get_u32(&page[..], off + K::SIZE),
-            ));
-        }
-        Ok((child0, entries))
+        let page = pool.read_page(self.pid(pno))?;
+        let n = Node::<K, u32>::internal(&page[..]);
+        Ok((n.child0(), n.entries()))
     }
 
     /// Advances a recorded descent path to the next leaf in tree order:
@@ -793,18 +729,15 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         path: &mut Vec<(u32, usize)>,
     ) -> Result<Option<u32>, PoolError> {
         while let Some((pno, branch)) = path.pop() {
-            let (child0, entries) = self.read_internal(pool, pno)?;
-            if branch < entries.len() {
+            let child = {
+                let page = pool.read_page(self.pid(pno))?;
+                let n = Node::<K, u32>::internal(&page[..]);
+                (branch < n.count()).then(|| n.child(branch + 1))
+            };
+            if let Some(child) = child {
                 path.push((pno, branch + 1));
-                let mut child = child_at(child0, &entries, branch + 1);
-                loop {
-                    let page = pool.read_page(PageId::new(self.file, child))?;
-                    if page[0] == KIND_LEAF {
-                        return Ok(Some(child));
-                    }
-                    path.push((child, 0));
-                    child = get_u32(&page[..], 4);
-                }
+                let leaf = self.descend(pool, child, |_| 0, |p, b| path.push((p, b)))?;
+                return Ok(Some(leaf));
             }
         }
         Ok(None)
@@ -818,27 +751,15 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         pool: &BufferPool,
         path: &[(u32, usize)],
     ) -> Result<Option<u32>, PoolError> {
-        for &(pno, branch) in path.iter().rev() {
-            if branch == 0 {
-                continue;
-            }
-            let (child0, entries) = self.read_internal(pool, pno)?;
-            let mut pno = child_at(child0, &entries, branch - 1);
-            loop {
-                let page = pool.read_page(PageId::new(self.file, pno))?;
-                if page[0] == KIND_LEAF {
-                    return Ok(Some(pno));
-                }
-                let count = get_u16(&page[..], 2) as usize;
-                pno = if count == 0 {
-                    get_u32(&page[..], 4)
-                } else {
-                    let off = HDR + (count - 1) * (K::SIZE + 4);
-                    get_u32(&page[..], off + K::SIZE)
-                };
-            }
-        }
-        Ok(None)
+        let Some(&(pno, branch)) = path.iter().rev().find(|&&(_, branch)| branch > 0) else {
+            return Ok(None);
+        };
+        let sibling = {
+            let page = pool.read_page(self.pid(pno))?;
+            Node::<K, u32>::internal(&page[..]).child(branch - 1)
+        };
+        self.descend(pool, sibling, |n| n.count(), |_, _| ())
+            .map(Some)
     }
 
     /// Stages the structural removal of the emptied non-root leaf `pno`
@@ -858,48 +779,39 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         path: &[(u32, usize)],
     ) -> Result<(u32, u32), PoolError> {
         if let Some(pred) = self.left_neighbor_leaf(pool, path)? {
-            op.page_write(PageId::new(self.file, pred), 4, &next.to_le_bytes());
+            let (off, bytes) = node::next_patch(next);
+            op.page_write(self.pid(pred), off, &bytes);
         }
-        op.free(PageId::new(self.file, pno));
-        let mut i = path.len();
-        loop {
-            if i == 0 {
-                // Every ancestor up to the root was single-child. The
-                // root invariant (collapsed after every delete) makes
-                // this unreachable in a well-formed tree.
-                return Err(PoolError::Corrupt {
-                    pid: PageId::new(self.file, self.root),
-                    reason: "logged-tree root lost its last child",
-                });
-            }
-            i -= 1;
-            let (parent, branch) = path[i];
-            let (child0, entries) = self.read_internal(pool, parent)?;
+        op.free(self.pid(pno));
+        for (i, &(parent, branch)) in path.iter().enumerate().rev() {
+            let (mut child0, mut entries) = self.read_internal(pool, parent)?;
             if entries.is_empty() {
                 // A single-child node loses its only child: it goes too,
                 // and its own parent sheds an entry in turn.
                 debug_assert_eq!(branch, 0);
-                op.free(PageId::new(self.file, parent));
+                op.free(self.pid(parent));
                 continue;
             }
-            let (new_child0, mut new_entries) = (child0, entries);
             if branch == 0 {
                 // `child0` goes: promote the first entry's child, whose
                 // key range absorbs the emptied child's (empty) range.
-                let promoted = new_entries.remove(0).1;
-                if i == 0 && new_entries.is_empty() && self.height > 1 {
-                    return self.collapse_root(pool, op, parent, promoted);
-                }
-                log_internal(op, PageId::new(self.file, parent), promoted, &new_entries);
+                child0 = entries.remove(0).1;
             } else {
-                new_entries.remove(branch - 1);
-                if i == 0 && new_entries.is_empty() && self.height > 1 {
-                    return self.collapse_root(pool, op, parent, new_child0);
-                }
-                log_internal(op, PageId::new(self.file, parent), new_child0, &new_entries);
+                entries.remove(branch - 1);
             }
+            if i == 0 && entries.is_empty() && self.height > 1 {
+                return self.collapse_root(pool, op, parent, child0);
+            }
+            log_internal(op, self.pid(parent), child0, &entries);
             return Ok((self.root, self.height));
         }
+        // Every ancestor up to the root was single-child. The root
+        // invariant (collapsed after every delete) makes this unreachable
+        // in a well-formed tree.
+        Err(PoolError::Corrupt {
+            pid: self.pid(self.root),
+            reason: "logged-tree root lost its last child",
+        })
     }
 
     /// Stages the root collapse: the old root (internal, down to one
@@ -912,145 +824,22 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         old_root: u32,
         child: u32,
     ) -> Result<(u32, u32), PoolError> {
-        op.free(PageId::new(self.file, old_root));
+        op.free(self.pid(old_root));
         let mut root = child;
         let mut height = self.height - 1;
         loop {
-            let page = pool.read_page(PageId::new(self.file, root))?;
-            if page[0] == KIND_LEAF || get_u16(&page[..], 2) != 0 {
+            let page = pool.read_page(self.pid(root))?;
+            if node::is_leaf(&page[..]) {
                 return Ok((root, height));
             }
-            let only = get_u32(&page[..], 4);
-            op.free(PageId::new(self.file, root));
-            root = only;
+            let n = Node::<K, u32>::internal(&page[..]);
+            if n.count() != 0 {
+                return Ok((root, height));
+            }
+            op.free(self.pid(root));
+            root = n.child0();
             height -= 1;
         }
-    }
-
-    fn insert_rec_logged(
-        &self,
-        pool: &BufferPool,
-        wal: &Wal,
-        op: &mut WalOp,
-        pno: u32,
-        key: &K,
-        value: &V,
-    ) -> Result<Option<(K, u32)>, PoolError> {
-        let kind = {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            page[0]
-        };
-        if kind == KIND_LEAF {
-            return self.insert_into_leaf_logged(pool, wal, op, pno, key, value);
-        }
-        let (child, branch) = {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            let count = get_u16(&page[..], 2) as usize;
-            let mut lo = 0usize;
-            let mut hi = count;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let off = HDR + mid * (K::SIZE + 4);
-                let k = K::read(&page[off..off + K::SIZE]);
-                if k < *key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let child = if lo == 0 {
-                get_u32(&page[..], 4)
-            } else {
-                let off = HDR + (lo - 1) * (K::SIZE + 4);
-                get_u32(&page[..], off + K::SIZE)
-            };
-            (child, lo)
-        };
-        let Some((sep, right)) = self.insert_rec_logged(pool, wal, op, child, key, value)? else {
-            return Ok(None);
-        };
-        // Absorb the child split, mirroring `insert_into_internal` with
-        // logged writes.
-        let icap = internal_capacity::<K>();
-        let esz = K::SIZE + 4;
-        let mut entries: Vec<(K, u32)> = Vec::with_capacity(icap + 1);
-        let child0;
-        {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            let count = get_u16(&page[..], 2) as usize;
-            child0 = get_u32(&page[..], 4);
-            for i in 0..count {
-                let off = HDR + i * esz;
-                entries.push((
-                    K::read(&page[off..off + K::SIZE]),
-                    get_u32(&page[..], off + K::SIZE),
-                ));
-            }
-        }
-        entries.insert(branch, (sep, right));
-        if entries.len() <= icap {
-            log_internal(op, PageId::new(self.file, pno), child0, &entries);
-            return Ok(None);
-        }
-        let mid = entries.len() / 2;
-        let (up_key, up_child) = entries[mid];
-        let right_entries: Vec<(K, u32)> = entries[mid + 1..].to_vec();
-        entries.truncate(mid);
-        log_internal(op, PageId::new(self.file, pno), child0, &entries);
-        let rpno = alloc_tree_page(pool, wal, op, self.file)?;
-        log_internal(op, PageId::new(self.file, rpno), up_child, &right_entries);
-        Ok(Some((up_key, rpno)))
-    }
-
-    fn insert_into_leaf_logged(
-        &self,
-        pool: &BufferPool,
-        wal: &Wal,
-        op: &mut WalOp,
-        pno: u32,
-        key: &K,
-        value: &V,
-    ) -> Result<Option<(K, u32)>, PoolError> {
-        let lcap = leaf_capacity::<K, V>();
-        let esz = K::SIZE + V::SIZE;
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(lcap + 1);
-        let next;
-        {
-            let page = pool.read_page(PageId::new(self.file, pno))?;
-            let count = get_u16(&page[..], 2) as usize;
-            next = get_u32(&page[..], 4);
-            for i in 0..count {
-                let off = HDR + i * esz;
-                entries.push((
-                    K::read(&page[off..off + K::SIZE]),
-                    V::read(&page[off + K::SIZE..off + esz]),
-                ));
-            }
-        }
-        let pos = entries.partition_point(|(k, _)| k <= key);
-        entries.insert(pos, (*key, *value));
-        if entries.len() <= lcap {
-            log_leaf(op, PageId::new(self.file, pno), next, &entries);
-            return Ok(None);
-        }
-        let mid = entries.len() / 2;
-        let right_entries: Vec<(K, V)> = entries[mid..].to_vec();
-        entries.truncate(mid);
-        let rpno = alloc_tree_page(pool, wal, op, self.file)?;
-        log_leaf(op, PageId::new(self.file, pno), rpno, &entries);
-        log_leaf(op, PageId::new(self.file, rpno), next, &right_entries);
-        Ok(Some((right_entries[0].0, rpno)))
-    }
-}
-
-/// The child page an internal node holds at `branch`: `child0` for
-/// branch 0, `entries[branch - 1].1` after that.
-#[inline]
-fn child_at<K>(child0: u32, entries: &[(K, u32)], branch: usize) -> u32 {
-    if branch == 0 {
-        child0
-    } else {
-        entries[branch - 1].1
     }
 }
 
@@ -1104,81 +893,17 @@ fn log_leaf<K: FixedRecord, V: FixedRecord>(
     next: u32,
     entries: &[(K, V)],
 ) {
-    let esz = K::SIZE + V::SIZE;
-    let used = HDR + entries.len() * esz;
     let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
-    img[0] = KIND_LEAF;
-    put_u16(&mut img[..], 2, entries.len() as u16);
-    put_u32(&mut img[..], 4, next);
-    for (i, (k, v)) in entries.iter().enumerate() {
-        let off = HDR + i * esz;
-        k.write(&mut img[off..off + K::SIZE]);
-        v.write(&mut img[off + K::SIZE..off + esz]);
-    }
+    let used = node::encode_leaf(next, entries, &mut img[..]);
     op.page_write(pid, 0, &img[..used]);
 }
 
 /// Logs a full internal-node rewrite (occupied prefix only, as
 /// [`log_leaf`]).
 fn log_internal<K: FixedRecord>(op: &mut WalOp, pid: PageId, child0: u32, entries: &[(K, u32)]) {
-    let esz = K::SIZE + 4;
-    let used = HDR + entries.len() * esz;
     let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
-    img[0] = KIND_INTERNAL;
-    put_u16(&mut img[..], 2, entries.len() as u16);
-    put_u32(&mut img[..], 4, child0);
-    for (i, (k, child)) in entries.iter().enumerate() {
-        let off = HDR + i * esz;
-        k.write(&mut img[off..off + K::SIZE]);
-        put_u32(&mut img[..], off + K::SIZE, *child);
-    }
+    let used = node::encode_internal(child0, entries, &mut img[..]);
     op.page_write(pid, 0, &img[..used]);
-}
-
-fn init_leaf(page: &mut [u8]) {
-    page[0] = KIND_LEAF;
-    put_u16(page, 2, 0);
-    put_u32(page, 4, NIL);
-}
-
-fn write_leaf<K: FixedRecord, V: FixedRecord>(
-    pool: &BufferPool,
-    file: FileId,
-    pno: u32,
-    next: u32,
-    entries: &[(K, V)],
-) -> Result<(), PoolError> {
-    let esz = K::SIZE + V::SIZE;
-    let mut page = pool.write_page(PageId::new(file, pno))?;
-    page[0] = KIND_LEAF;
-    put_u16(&mut page[..], 2, entries.len() as u16);
-    put_u32(&mut page[..], 4, next);
-    for (i, (k, v)) in entries.iter().enumerate() {
-        let off = HDR + i * esz;
-        k.write(&mut page[off..off + K::SIZE]);
-        v.write(&mut page[off + K::SIZE..off + esz]);
-    }
-    Ok(())
-}
-
-fn write_internal<K: FixedRecord>(
-    pool: &BufferPool,
-    file: FileId,
-    pno: u32,
-    child0: u32,
-    entries: &[(K, u32)],
-) -> Result<(), PoolError> {
-    let esz = K::SIZE + 4;
-    let mut page = pool.write_page(PageId::new(file, pno))?;
-    page[0] = KIND_INTERNAL;
-    put_u16(&mut page[..], 2, entries.len() as u16);
-    put_u32(&mut page[..], 4, child0);
-    for (i, (k, child)) in entries.iter().enumerate() {
-        let off = HDR + i * esz;
-        k.write(&mut page[off..off + K::SIZE]);
-        put_u32(&mut page[..], off + K::SIZE, *child);
-    }
-    Ok(())
 }
 
 /// Forward iterator over leaf entries starting at a lower bound.
@@ -1193,23 +918,17 @@ pub struct RangeIter<'a, K: FixedRecord + Ord, V: FixedRecord> {
 impl<K: FixedRecord + Ord, V: FixedRecord> RangeIter<'_, K, V> {
     /// Next entry in key order, or `None` past the last leaf.
     pub fn next_entry(&mut self) -> Result<Option<(K, V)>, PoolError> {
-        let esz = K::SIZE + V::SIZE;
-        loop {
-            if self.leaf == NIL {
-                return Ok(None);
-            }
+        while self.leaf != NIL {
             let page = self.pool.read_page(PageId::new(self.file, self.leaf))?;
-            let count = get_u16(&page[..], 2) as usize;
-            if self.idx < count {
-                let off = HDR + self.idx * esz;
-                let k = K::read(&page[off..off + K::SIZE]);
-                let v = V::read(&page[off + K::SIZE..off + esz]);
+            let leaf = Node::<K, V>::leaf(&page[..]);
+            if self.idx < leaf.count() {
                 self.idx += 1;
-                return Ok(Some((k, v)));
+                return Ok(Some((leaf.key(self.idx - 1), leaf.value(self.idx - 1))));
             }
-            self.leaf = get_u32(&page[..], 4);
+            self.leaf = leaf.next();
             self.idx = 0;
         }
+        Ok(None)
     }
 }
 
@@ -1282,36 +1001,13 @@ mod tests {
     }
 
     #[test]
-    fn inserts_match_btreemap_model() {
-        let p = pool(32);
-        let mut t = BPlusTree::<u64, u64>::new(&p).unwrap();
-        let mut model = std::collections::BTreeMap::new();
-        let mut x = 0xDEADBEEFu64;
-        for i in 0..20_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let k = x % 50_000;
-            t.insert(&p, k, i).unwrap();
-            model.entry(k).or_insert(i); // first insert wins in `get`
-        }
-        assert_eq!(t.len(), 20_000);
-        for k in (0..50_000).step_by(97) {
-            assert_eq!(t.get(&p, &k).unwrap(), model.get(&k).copied(), "key {k}");
-        }
-        // Global order maintained.
-        let all: Vec<u64> = t.iter(&p).unwrap().map(|(k, _)| k).collect();
-        assert!(all.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(all.len(), 20_000);
-    }
-
-    #[test]
     fn duplicates_are_preserved() {
         let p = pool(16);
-        let mut t = BPlusTree::<u64, u64>::new(&p).unwrap();
+        let wal = Wal::create(&p);
+        let mut t = BPlusTree::<u64, u64>::new_logged(&p, &wal).unwrap();
         for i in 0..500 {
-            t.insert(&p, 7, i).unwrap();
-            t.insert(&p, 9, i).unwrap();
+            t.insert_logged(&p, &wal, 7, i).unwrap();
+            t.insert_logged(&p, &wal, 9, i).unwrap();
         }
         let sevens: Vec<u64> = t
             .range_from(&p, &7)
@@ -1324,17 +1020,18 @@ mod tests {
     }
 
     #[test]
-    fn mixed_bulk_then_insert() {
+    fn bulk_loaded_tree_rejects_logged_mutation() {
+        // Page 0 of a bulk-loaded tree is its first leaf, not a meta
+        // record: a logged mutation would overwrite it.
         let p = pool(32);
-        let mut t = BPlusTree::bulk_load(&p, (0u64..5000).map(|i| (i * 2, i))).unwrap();
-        for i in 0..5000u64 {
-            t.insert(&p, i * 2 + 1, i).unwrap();
-        }
-        let keys: Vec<u64> = t.iter(&p).unwrap().map(|(k, _)| k).collect();
-        assert_eq!(keys.len(), 10_000);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(keys[0], 0);
-        assert_eq!(keys[9999], 9999);
+        let wal = Wal::create(&p);
+        let mut t = BPlusTree::bulk_load(&p, (0u64..5000).map(|i| (i, i))).unwrap();
+        assert!(t.insert_logged(&p, &wal, 5000, 5000).is_err());
+        assert!(t.delete_logged(&p, &wal, &17).is_err());
+        assert_eq!(t.len(), 5000);
+        assert_eq!(t.get(&p, &0).unwrap(), Some(0));
+        assert_eq!(t.get(&p, &17).unwrap(), Some(17));
+        assert_eq!(t.iter(&p).unwrap().count(), 5000);
     }
 
     #[test]
@@ -1416,7 +1113,7 @@ mod tests {
         // Value type of a different width must be refused.
         assert!(BPlusTree::<u64, u32>::open_logged(&p, t.file_id()).is_err());
         // A file that never held a logged tree must be refused.
-        let plain = BPlusTree::<u64, u64>::new(&p).unwrap();
+        let plain = BPlusTree::<u64, u64>::bulk_load(&p, std::iter::empty()).unwrap();
         assert!(BPlusTree::<u64, u64>::open_logged(&p, plain.file_id()).is_err());
     }
 

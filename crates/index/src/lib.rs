@@ -1,21 +1,13 @@
-//! # pbitree-index — access methods for the containment-join framework
+//! # pbitree-index — the access method of the containment-join framework
 //!
-//! Two index structures back the "indexed" rows of the paper's Table 1:
-//!
-//! * [`bptree`] — a paged B+-tree over the storage engine's buffer pool,
-//!   with bulk loading (used by INLJN/ADB+ when an index must be built on
-//!   the fly after an external sort), point/range probes, and incremental
-//!   inserts. Keys and values are fixed-width records, so the same tree
-//!   serves `code -> payload` and `start-order` layouts alike.
-//! * [`interval`] — an in-memory centered interval tree answering stabbing
-//!   queries ("all intervals containing point p"), the region-code way to
-//!   probe an ancestor set with a descendant (the paper cites disk-based
-//!   priority search trees \[7\]; see DESIGN.md substitution 4 for why the
-//!   PBiTree-adapted disk path uses ancestor enumeration instead).
+//! [`bptree`] is a paged B+-tree over the storage engine's buffer pool,
+//! backing the "indexed" rows of the paper's Table 1. It comes in two
+//! species: *bulk-loaded* (built by INLJN/ADB+ on the fly after an
+//! external sort, read-only, probed by point and range) and *logged*
+//! (grown and shrunk incrementally, every mutation one atomic WAL
+//! operation). Keys and values are fixed-width records, so the same tree
+//! serves `code -> payload` and `start-order` layouts alike.
 
 pub mod bptree;
-pub mod interval;
-pub mod page_image;
 
 pub use bptree::BPlusTree;
-pub use interval::IntervalTree;

@@ -1,10 +1,9 @@
-//! Property-style tests: the B+-tree must agree with `BTreeMap`, the
-//! interval tree with a naive scan, under arbitrary inputs. Cases are
-//! drawn from a deterministic xorshift stream so every failure reproduces
-//! by seed without external dependencies.
+//! Property-style tests: the B+-tree must agree with `BTreeMap` under
+//! arbitrary inputs. Cases are drawn from a deterministic xorshift stream
+//! so every failure reproduces by seed without external dependencies.
 
-use pbitree_index::{interval::Interval, BPlusTree, IntervalTree};
-use pbitree_storage::{BufferPool, Disk};
+use pbitree_index::BPlusTree;
+use pbitree_storage::{BufferPool, Disk, Wal};
 use std::collections::BTreeMap;
 
 fn pool() -> BufferPool {
@@ -47,19 +46,20 @@ fn bulk_load_matches_btreemap() {
     }
 }
 
-/// Incremental inserts agree with the model, including duplicates.
+/// Incremental (logged) inserts agree with the model, including duplicates.
 #[test]
 fn inserts_match_model() {
     for seed in 1..=12u64 {
         let mut x = seed.wrapping_mul(0xC2B2AE3D27D4EB4F) | 1;
         let n = (xorshift(&mut x) % 1500) as usize;
         let p = pool();
-        let mut t = BPlusTree::<u64, u64>::new(&p).unwrap();
+        let wal = Wal::create(&p);
+        let mut t = BPlusTree::<u64, u64>::new_logged(&p, &wal).unwrap();
         let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for _ in 0..n {
             let k = xorshift(&mut x) % (u16::MAX as u64 + 1);
             let v = xorshift(&mut x);
-            t.insert(&p, k, v).unwrap();
+            t.insert_logged(&p, &wal, k, v).unwrap();
             model.entry(k).or_default().push(v);
         }
         let total: usize = model.values().map(|v| v.len()).sum();
@@ -103,39 +103,5 @@ fn range_from_matches_model() {
         let got: Vec<u64> = t.range_from(&p, &bound).unwrap().map(|(k, _)| k).collect();
         let expect: Vec<u64> = sorted.iter().copied().filter(|&k| k >= bound).collect();
         assert_eq!(got, expect, "seed {seed} bound {bound}");
-    }
-}
-
-/// Interval tree stabbing equals a linear scan.
-#[test]
-fn interval_tree_matches_naive() {
-    for seed in 1..=16u64 {
-        let mut x = seed.wrapping_mul(0xA0761D6478BD642F) | 1;
-        let n = (xorshift(&mut x) % 400) as usize;
-        let ivs: Vec<Interval> = (0..n)
-            .map(|i| {
-                let s = xorshift(&mut x) % 5000;
-                let len = xorshift(&mut x) % 300;
-                Interval {
-                    start: s,
-                    end: s + len,
-                    payload: i as u64,
-                }
-            })
-            .collect();
-        let nprobes = 1 + (xorshift(&mut x) % 40) as usize;
-        let probes: Vec<u64> = (0..nprobes).map(|_| xorshift(&mut x) % 6000).collect();
-        let t = IntervalTree::build(ivs.clone());
-        for p in probes {
-            let mut got: Vec<u64> = t.stab_collect(p).iter().map(|i| i.payload).collect();
-            got.sort_unstable();
-            let mut expect: Vec<u64> = ivs
-                .iter()
-                .filter(|i| i.start <= p && p <= i.end)
-                .map(|i| i.payload)
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "seed {seed} point {p}");
-        }
     }
 }

@@ -510,9 +510,7 @@ impl JoinCtxBuilder {
 
     /// Declares region-range sharding for the context. Plain operators
     /// ignore the knob; [`crate::sharded::ShardedStore::from_ctx`] sizes
-    /// its per-shard pools from it, and the planner's
-    /// [`execute_sharded`](crate::planner::execute_sharded) path requires
-    /// it.
+    /// its per-shard pools from it.
     pub fn sharding(mut self, sharding: crate::sharded::Sharding) -> Self {
         self.ctx.sharding = Some(sharding);
         self

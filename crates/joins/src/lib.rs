@@ -61,12 +61,9 @@ pub mod vpj;
 pub use context::{JoinCtx, JoinCtxBuilder, JoinError, JoinStats, PhaseStat};
 pub use element::Element;
 pub use planner::{
-    choose_algorithm, execute, execute_sharded, plan_and_execute, plan_and_execute_sharded,
-    Algorithm, InputState,
+    choose_algorithm, execute, plan_and_execute, plan_and_execute_sharded, Algorithm, InputState,
 };
-pub use sharded::{
-    ShardRole, ShardedElementStore, ShardedFile, ShardedIndex, ShardedStats, ShardedStore, Sharding,
-};
+pub use sharded::{ShardRole, ShardedFile, ShardedStats, ShardedStore, Sharding};
 pub use shared::QueryBatch;
 pub use sink::{
     CollectSink, CountSink, Counted, HeapSink, MultiSink, PairSink, ResultPair, SinkExt,

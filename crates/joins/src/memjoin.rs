@@ -10,14 +10,7 @@
 //!   resident: roll every ancestor to the topmost occupied height, build a
 //!   hash multimap on the rolled code, stream `D`, filter false hits with
 //!   Lemma 1.
-//!
-//! Two PBiTree-native alternates are provided for the ablation study:
-//! probing an in-memory ancestor *hash* by enumerating each descendant's
-//! `<= H` ancestor codes (no false hits, pure equality probes), and
-//! probing an ancestor *interval tree* with region stabbing (the
-//! region-code way).
 
-use pbitree_index::{interval::Interval, IntervalTree};
 use pbitree_storage::util::FxHashMap;
 use pbitree_storage::HeapFile;
 
@@ -168,82 +161,6 @@ pub(crate) fn mem_join_inner(
     }
 }
 
-/// Ablation variant: `A` resident as a plain code hash; each descendant
-/// enumerates its `<= H - height` ancestor codes (Property 1) and probes.
-/// No false hits, no rolling — unique to PBiTree codes.
-pub fn mem_join_ancestor_enum(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    sink: &mut dyn PairSink,
-) -> Result<JoinStats, JoinError> {
-    ctx.measure_op("memjoin_enum", || {
-        let map = ctx.phase("load", || {
-            let mut map: FxHashMap<u64, Element> = FxHashMap::default();
-            let mut scan = a.scan_with(&ctx.pool, ctx.read_opts());
-            while let Some(e) = scan.next_record()? {
-                map.insert(e.code.get(), e);
-            }
-            Ok(map)
-        })?;
-        ctx.phase_counted("probe", || {
-            let mut pairs = 0u64;
-            let mut scan = d.scan_with(&ctx.pool, ctx.read_opts());
-            while let Some(de) = scan.next_record()? {
-                for anc in ctx.shape.ancestors(de.code) {
-                    if let Some(ae) = map.get(&anc.get()) {
-                        pairs += 1;
-                        sink.emit(*ae, de);
-                    }
-                }
-            }
-            Ok((pairs, 0))
-        })
-    })
-}
-
-/// Ablation variant: `A` resident as a centered interval tree over region
-/// codes; each descendant stabs with its code. This is what a region-code
-/// system without `F` would do.
-pub fn mem_join_interval_tree(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    sink: &mut dyn PairSink,
-) -> Result<JoinStats, JoinError> {
-    ctx.measure_op("memjoin_ivtree", || {
-        let (elems, tree) = ctx.phase("load", || {
-            let elems = a.read_all_with(&ctx.pool, ctx.read_opts())?;
-            let tree = IntervalTree::build(
-                elems
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| Interval {
-                        start: e.start(),
-                        end: e.end(),
-                        payload: i as u64,
-                    })
-                    .collect(),
-            );
-            Ok((elems, tree))
-        })?;
-        ctx.phase_counted("probe", || {
-            let mut pairs = 0u64;
-            let mut scan = d.scan_with(&ctx.pool, ctx.read_opts());
-            while let Some(de) = scan.next_record()? {
-                tree.stab(de.code.get(), |iv| {
-                    let ae = elems[iv.payload as usize];
-                    if ae.code != de.code {
-                        pairs += 1;
-                        sink.emit(ae, de);
-                    }
-                });
-            }
-            Ok((pairs, 0))
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,25 +277,6 @@ mod tests {
             memory_containment_join(&c, &a, &d, &mut sink),
             Err(JoinError::NeitherSideFits { .. })
         ));
-    }
-
-    #[test]
-    fn ancestor_enum_variant_matches() {
-        let c = ctx(32);
-        let (a, d, expect) = fixture(&c);
-        let mut got = CollectSink::default();
-        let stats = mem_join_ancestor_enum(&c, &a, &d, &mut got).unwrap();
-        assert_eq!(got.canonical(), expect);
-        assert_eq!(stats.false_hits, 0);
-    }
-
-    #[test]
-    fn interval_tree_variant_matches() {
-        let c = ctx(32);
-        let (a, d, expect) = fixture(&c);
-        let mut got = CollectSink::default();
-        mem_join_interval_tree(&c, &a, &d, &mut got).unwrap();
-        assert_eq!(got.canonical(), expect);
     }
 
     #[test]

@@ -161,22 +161,6 @@ pub fn execute(
     }
 }
 
-/// [`execute`] fork-join across the shards of a
-/// [`ShardedStore`](crate::sharded::ShardedStore): every shard runs the
-/// same `algo` over its slice through its own pool, outputs merge in
-/// ascending shard order, and the merged pair set is identical to the
-/// single-pool plan (see [`crate::sharded`]).
-pub fn execute_sharded(
-    store: &crate::sharded::ShardedStore,
-    algo: Algorithm,
-    a: &crate::sharded::ShardedFile,
-    d: &crate::sharded::ShardedFile,
-    policy: SortPolicy,
-    sink: &mut dyn PairSink,
-) -> Result<crate::sharded::ShardedStats, JoinError> {
-    store.join_with(a, d, sink, |_, _, _, _| (algo, policy))
-}
-
 /// [`plan_and_execute`] per shard: each shard consults Table 1 with its
 /// *own* slice sizes and carved budget, so shards may legitimately run
 /// different algorithms (the chosen row per shard is reported in

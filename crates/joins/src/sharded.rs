@@ -1,7 +1,7 @@
 //! Region-range sharding: independent buffer pools joined fork-join style.
 //!
 //! [`ShardedStore`] range-partitions element heap files (and their zone
-//! maps and B+-tree indexes) by PBiTree region start across `N`
+//! maps) by PBiTree region start across `N`
 //! independent [`BufferPool`]s — each over its **own simulated disk with
 //! its own cost-model clock** — so the simulated time of a sharded join
 //! is the *max* over shards, not the sum: the model of `N` spindles (or
@@ -28,16 +28,11 @@
 //! [`crate::JoinCtxBuilder::sharding`]; [`ShardedStore::from_ctx`] builds
 //! the per-shard pools from that prototype context (inheriting its I/O
 //! options, pruning, compression and tracer), and the planner's
-//! [`crate::planner::execute_sharded`] /
-//! [`crate::planner::plan_and_execute_sharded`] run any Table-1 algorithm
-//! per shard. [`ShardedElementStore`] extends the durable write path:
-//! one global code allocator, with each logged heap write routed to the
-//! owning shard's pool **and that shard's own WAL**.
+//! [`crate::planner::plan_and_execute_sharded`] consults Table 1 per
+//! shard.
 
-use pbitree_core::{Code, CodeAllocator, PBiTreeShape};
-use pbitree_index::BPlusTree;
 use pbitree_storage::{
-    BufferPool, Disk, HeapFile, MemBackend, PoolError, ShardPlan, StatsSnapshot, Wal,
+    BufferPool, Disk, HeapFile, MemBackend, PoolError, ShardPlan, StatsSnapshot,
 };
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
@@ -46,7 +41,6 @@ use crate::parallel::{run_tasks_on, TaskOutput};
 use crate::planner::Algorithm;
 use crate::sink::{CollectSink, MultiSink, PairSink};
 use crate::stacktree::SortPolicy;
-use crate::update::StoreError;
 
 /// Declarative sharding config, threaded through
 /// [`crate::JoinCtxBuilder::sharding`] to [`ShardedStore::from_ctx`].
@@ -441,191 +435,10 @@ impl ShardedStore {
         }
     }
 
-    /// Bulk-builds one code-keyed B+-tree per shard over a sharded file
-    /// (fork-join, each through its shard's pool): the range-partitioned
-    /// index. Keys shard exactly like the elements they index, so probes
-    /// route by [`ShardPlan::shard_of`] of the code's region start.
-    pub fn build_index(&self, f: &ShardedFile) -> Result<ShardedIndex, JoinError> {
-        assert_eq!(f.files.len(), self.shards(), "file sharded elsewhere");
-        let outs = run_tasks_on(
-            self.threads,
-            (0..self.shards()).collect(),
-            |i| self.worker(i),
-            |wctx, i: usize, _buf| {
-                let mut entries: Vec<(u64, u32)> = f.files[i]
-                    .read_all_with(&wctx.pool, wctx.read_opts())?
-                    .into_iter()
-                    .map(|e| (e.code.get(), e.tag))
-                    .collect();
-                entries.sort_unstable();
-                Ok(BPlusTree::bulk_load_fallible_with(
-                    &wctx.pool,
-                    entries.into_iter().map(Ok),
-                    wctx.write_opts(1),
-                )?)
-            },
-        );
-        let mut trees = Vec::with_capacity(self.shards());
-        let mut err: Option<JoinError> = None;
-        for (i, out) in outs.into_iter().enumerate() {
-            match out {
-                Ok(TaskOutput { result, .. }) if err.is_none() => trees.push(result),
-                Ok(TaskOutput { result, .. }) => result.drop_file(&self.ctxs[i].pool),
-                Err(e) => err = err.or(Some(e)),
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(ShardedIndex { trees }),
-        }
-    }
-
     /// Shard `i`'s task context: a sequential worker view over the
     /// shard's own pool at its full budget.
     fn worker(&self, i: usize) -> JoinCtx {
         self.ctxs[i].worker(self.ctxs[i].budget())
-    }
-}
-
-/// A B+-tree per shard, keyed by code — the range-partitioned index.
-pub struct ShardedIndex {
-    trees: Vec<BPlusTree<u64, u32>>,
-}
-
-impl ShardedIndex {
-    /// Shard `i`'s tree.
-    #[inline]
-    pub fn tree(&self, i: usize) -> &BPlusTree<u64, u32> {
-        &self.trees[i]
-    }
-
-    /// Entries across all shards.
-    pub fn len(&self) -> u64 {
-        self.trees.iter().map(|t| t.len()).sum()
-    }
-
-    /// Whether the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Point lookup routed to the owning shard.
-    pub fn get(&self, store: &ShardedStore, code: Code) -> Result<Option<u32>, PoolError> {
-        let i = store.plan.shard_of(code.region_start());
-        self.trees[i].get(&store.ctxs[i].pool, &code.get())
-    }
-
-    /// Drops every shard's tree file.
-    pub fn drop_files(self, store: &ShardedStore) {
-        for (i, t) in self.trees.into_iter().enumerate() {
-            t.drop_file(&store.ctxs[i].pool);
-        }
-    }
-}
-
-/// The durable write path, sharded: **one global [`CodeAllocator`]**
-/// (codes are global — a shard boundary never constrains allocation)
-/// with one heap file and **one WAL per shard**, so every logged write
-/// routes to the owning shard's pool and log. Recovery is per shard:
-/// each shard's WAL replays against its own pool independently.
-pub struct ShardedElementStore {
-    alloc: CodeAllocator,
-    heaps: Vec<HeapFile<Element>>,
-    wals: Vec<Wal>,
-}
-
-impl ShardedElementStore {
-    /// Creates an empty store: one fresh heap file and WAL per shard.
-    pub fn create(store: &ShardedStore, shape: PBiTreeShape) -> Self {
-        let heaps = store
-            .ctxs
-            .iter()
-            .map(|c| HeapFile::create(&c.pool))
-            .collect();
-        let wals = store.ctxs.iter().map(|c| Wal::create(&c.pool)).collect();
-        ShardedElementStore {
-            alloc: CodeAllocator::from_codes(shape, []),
-            heaps,
-            wals,
-        }
-    }
-
-    /// Shard `i`'s heap file.
-    #[inline]
-    pub fn heap(&self, i: usize) -> &HeapFile<Element> {
-        &self.heaps[i]
-    }
-
-    /// Shard `i`'s write-ahead log.
-    #[inline]
-    pub fn wal(&self, i: usize) -> &Wal {
-        &self.wals[i]
-    }
-
-    /// Stored elements across all shards.
-    pub fn len(&self) -> u64 {
-        self.heaps.iter().map(|h| h.records()).sum()
-    }
-
-    /// Whether the store holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether a code is occupied (allocator state is global).
-    pub fn contains(&self, code: Code) -> bool {
-        self.alloc.contains(code)
-    }
-
-    /// The shard owning `code`'s element.
-    #[inline]
-    pub fn owner(&self, store: &ShardedStore, code: Code) -> usize {
-        store.plan.shard_of(code.region_start())
-    }
-
-    /// Inserts a new element in a free virtual slot strictly below
-    /// `parent`: the code is allocated globally, then the heap append is
-    /// committed through the **owning shard's** pool and WAL. On a
-    /// storage error the reservation rolls back, as in
-    /// [`crate::ElementStore`].
-    pub fn insert_under(
-        &mut self,
-        store: &ShardedStore,
-        parent: Code,
-        tag: u32,
-    ) -> Result<Code, StoreError> {
-        let code = self.alloc.insert_child(parent)?;
-        let i = self.owner(store, code);
-        let elem = Element { code, tag };
-        if let Err(e) = self.heaps[i].insert_logged(&store.ctxs[i].pool, &self.wals[i], elem) {
-            self.alloc.remove(code);
-            return Err(e.into());
-        }
-        Ok(code)
-    }
-
-    /// Deletes the element with the given code (any tag), committing the
-    /// mutation through the owning shard's pool and WAL. Returns whether
-    /// an element was removed.
-    pub fn remove(
-        &mut self,
-        store: &ShardedStore,
-        code: Code,
-        tag: u32,
-    ) -> Result<bool, StoreError> {
-        if !self.alloc.contains(code) {
-            return Ok(false);
-        }
-        let i = self.owner(store, code);
-        let removed = self.heaps[i].delete_logged(
-            &store.ctxs[i].pool,
-            &self.wals[i],
-            &Element { code, tag },
-        )?;
-        if removed {
-            self.alloc.remove(code);
-        }
-        Ok(removed)
     }
 }
 
@@ -635,6 +448,7 @@ mod tests {
     use crate::planner::{execute, plan_and_execute_sharded, InputState};
     use crate::sink::CollectSink;
     use crate::JoinCtxBuilder;
+    use pbitree_core::PBiTreeShape;
 
     const H: u32 = 18;
 
@@ -805,54 +619,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sharded_index_routes_point_lookups() {
-        let descs = uniform_codes(1200, &[0, 1, 3], 0x1DE);
-        let store = ShardedStore::from_ctx(&proto(4, 2, 64));
-        let d = store
-            .load(ShardRole::Descendant, descs.iter().copied())
-            .unwrap();
-        let idx = store.build_index(&d).unwrap();
-        assert_eq!(idx.len(), descs.len() as u64);
-        for e in &descs {
-            assert_eq!(idx.get(&store, e.code).unwrap(), Some(e.tag));
-        }
-        assert_eq!(idx.get(&store, shape().root()).unwrap(), None);
-        idx.drop_files(&store);
-        d.drop_files(&store);
-    }
-
-    #[test]
-    fn sharded_element_store_routes_writes_to_owners() {
-        let store = ShardedStore::from_ctx(&proto(4, 1, 64));
-        let mut es = ShardedElementStore::create(&store, shape());
-        let root = shape().root();
-        let mut codes = Vec::new();
-        for i in 0..400u32 {
-            codes.push(es.insert_under(&store, root, i).unwrap());
-        }
-        assert_eq!(es.len(), 400);
-        // Every element sits in the heap of its owning shard.
-        for i in 0..4 {
-            let (lo, hi) = store.plan().range(i);
-            for e in es.heap(i).read_all(&store.ctx(i).pool).unwrap() {
-                assert!(
-                    lo <= e.start() && e.start() <= hi,
-                    "shard {i} holds a stray"
-                );
-            }
-        }
-        // Removes route the same way; slots free up globally.
-        for (i, c) in codes.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
-            assert!(es.remove(&store, *c, i as u32).unwrap());
-        }
-        assert_eq!(es.len(), 200);
-        assert!(!es.contains(codes[0]));
-        let refill = es.insert_under(&store, root, 9999).unwrap();
-        assert!(shape().contains(refill));
-        assert_eq!(es.len(), 201);
-        assert_eq!(store.pinned_frames(), 0);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`QueryService`] owns an XMark corpus (generated at construction,
 //! encoded, and bulk-loaded into per-tag element heap files on one shared
-//! sharded [`BufferPool`]) and executes `//a//b`-style descendant paths
+//! lock-striped [`BufferPool`]) and executes `//a//b`-style descendant paths
 //! against it through the planner framework. Concurrency control is the
 //! admission layer: each query asks the [`AdmissionController`] for its
 //! whole frame budget up front, runs on a [`JoinCtx::worker`] sized to
@@ -150,12 +150,25 @@ struct TagSet {
     single_height: bool,
 }
 
+/// A query-private heap file, deleted from the pool when the query lets
+/// go of it — on success and on every error exit alike.
+struct TempFile<'a> {
+    file: HeapFile<Element>,
+    pool: &'a BufferPool,
+}
+
+impl Drop for TempFile<'_> {
+    fn drop(&mut self) {
+        self.pool.delete_file(self.file.file_id());
+    }
+}
+
 /// One join input in the step chain: a shared corpus tag file or a
 /// query-private intermediate/predicate file.
 enum StepInput<'a> {
     Corpus(&'a TagSet),
     Owned {
-        file: HeapFile<Element>,
+        file: TempFile<'a>,
         single_height: bool,
     },
     Empty,
@@ -165,7 +178,7 @@ impl StepInput<'_> {
     fn file(&self) -> Option<&HeapFile<Element>> {
         match self {
             StepInput::Corpus(t) => Some(&t.file),
-            StepInput::Owned { file, .. } => Some(file),
+            StepInput::Owned { file, .. } => Some(&file.file),
             StepInput::Empty => None,
         }
     }
@@ -177,6 +190,12 @@ impl StepInput<'_> {
             StepInput::Empty => true,
         }
     }
+}
+
+/// One position of a batch: answered, or parsed and still to run.
+enum BatchSlot {
+    Done(Result<QueryOutcome, ServiceError>),
+    Pending(DescendantPath),
 }
 
 /// The corpus range-partitioned across `shards` independent pools: the
@@ -382,47 +401,35 @@ impl QueryService {
         let want = budget.unwrap_or(self.default_budget);
         let grant = self.admission.admit(want)?;
         let ctx = self.ctx.worker_with_threads(grant.frames(), self.threads);
-        let mut out: Vec<Option<Result<QueryOutcome, ServiceError>>> =
-            paths.iter().map(|_| None).collect();
-        let mut parsed: Vec<Option<DescendantPath>> = Vec::with_capacity(paths.len());
-        for (i, p) in paths.iter().enumerate() {
-            match DescendantPath::parse(p) {
-                Ok(d) => parsed.push(Some(d)),
-                Err(e) => {
-                    out[i] = Some(Err(ServiceError::Parse(e.to_string())));
-                    parsed.push(None);
-                }
-            }
-        }
+        let mut slots: Vec<BatchSlot> = paths
+            .iter()
+            .map(|p| match DescendantPath::parse(p) {
+                Ok(path) => BatchSlot::Pending(path),
+                Err(e) => BatchSlot::Done(Err(ServiceError::Parse(e.to_string()))),
+            })
+            .collect();
 
         // Group the shareable queries by their descendant tag file.
-        let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (i, d) in parsed.iter().enumerate() {
-            if let Some(path) = d {
+        let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, slot) in slots.iter().enumerate() {
+            if let BatchSlot::Pending(path) = slot {
                 if self.shareable(path, raw) {
-                    groups.entry(&path.steps[1].tag).or_default().push(i);
+                    groups.entry(path.steps[1].tag.clone()).or_default().push(i);
                 }
             }
         }
         for (dtag, members) in groups {
-            if let Some(sc) = &self.sharded {
-                self.run_shared_group_sharded(&ctx, sc, dtag, &members, &parsed, &mut out);
-            } else {
-                self.run_shared_group(&ctx, dtag, &members, &parsed, &mut out);
-            }
+            self.run_shared_group(&ctx, &dtag, &members, &mut slots);
         }
 
         // Serial fallback under the same grant: non-shareable queries,
         // plus any shareable ones the group pass left unanswered.
-        for (i, d) in parsed.iter().enumerate() {
-            if out[i].is_none() {
-                let path = d.as_ref().expect("unparsed queries were answered");
-                out[i] = Some(self.run_chain(path, raw, &grant));
-            }
-        }
-        let outcomes: Vec<Result<QueryOutcome, ServiceError>> = out
+        let outcomes: Vec<Result<QueryOutcome, ServiceError>> = slots
             .into_iter()
-            .map(|o| o.expect("every query answered"))
+            .map(|slot| match slot {
+                BatchSlot::Done(outcome) => outcome,
+                BatchSlot::Pending(path) => self.run_chain(&path, raw, &grant),
+            })
             .collect();
         let served = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
         self.queries.fetch_add(served, Ordering::Relaxed);
@@ -437,95 +444,39 @@ impl QueryService {
             && path.steps.iter().all(|s| self.tags.contains_key(&s.tag))
     }
 
-    /// Answers one shareable group with a single [`QueryBatch`] scan of
-    /// the group's descendant tag file. Best-effort: a query whose
-    /// ancestor set cannot be held within the grant — or the whole group,
-    /// if the scan itself fails — is simply left unanswered for the
-    /// serial fallback, which reports any real error per query.
+    /// Answers one shareable group with a single shared scan of the
+    /// group's descendant tag file: one [`QueryBatch`] pass through the
+    /// shared pool, or — with a sharded corpus — one
+    /// [`ShardedStore::shared_scan`], where every shard makes one pass
+    /// over *its* slice through its own pool, so the group's simulated
+    /// disk time is the max over shards. Per-query results are identical
+    /// either way. Best-effort: a query whose ancestor set cannot be held
+    /// within the grant — or the whole group, if the scan itself fails —
+    /// is simply left pending for the serial fallback, which reports any
+    /// real error per query.
     fn run_shared_group(
         &self,
         ctx: &JoinCtx,
         dtag: &str,
         members: &[usize],
-        parsed: &[Option<DescendantPath>],
-        out: &mut [Option<Result<QueryOutcome, ServiceError>>],
+        slots: &mut [BatchSlot],
     ) {
-        let dfile = &self.tags[dtag].file;
         // The grant must hold every batched ancestor set at once, with a
         // margin for the scan and the operator's working frame.
-        let cap = ctx.elements_per_pages(ctx.budget().saturating_sub(2).max(1));
-        let mut held = 0usize;
-        let mut qb = QueryBatch::new();
-        let mut routed: Vec<usize> = Vec::with_capacity(members.len());
-        for &i in members {
-            let path = parsed[i].as_ref().expect("shareable queries parsed");
-            let afile = &self.tags[&path.steps[0].tag].file;
-            let n = afile.records() as usize;
-            if held + n > cap {
-                continue; // falls back to the serial chain
-            }
-            if qb.add_file(ctx, afile).is_err() {
-                continue;
-            }
-            held += n;
-            routed.push(i);
-        }
-        let mut collect: Vec<CollectSink> =
-            (0..routed.len()).map(|_| CollectSink::default()).collect();
-        {
-            let mut sinks = MultiSink::new();
-            for s in &mut collect {
-                sinks.push(s);
-            }
-            if qb.execute(ctx, dfile, &mut sinks).is_err() {
-                return; // whole group falls back to the serial chain
-            }
-        }
-        for (route, &i) in routed.iter().enumerate() {
-            let mut codes: Vec<u64> = collect[route]
-                .pairs
-                .iter()
-                .map(|(_, d)| d.code.get())
-                .collect();
-            codes.sort_unstable();
-            codes.dedup();
-            out[i] = Some(Ok(QueryOutcome {
-                codes,
-                algorithms: vec![Algorithm::SharedScan],
-                budget: ctx.budget(),
-            }));
-        }
-    }
-
-    /// [`run_shared_group`](QueryService::run_shared_group), fork-join
-    /// across the sharded corpus: each member's ancestor set is read into
-    /// memory once (same grant-capacity cap), and one
-    /// [`ShardedStore::shared_scan`] answers the whole group — every
-    /// shard makes one pass over *its* slice of the descendant tag file
-    /// through its own pool, so the simulated disk time of the group is
-    /// the max over shards. Per-query results are identical to the
-    /// unsharded scan; unanswered queries fall back to the serial chain.
-    fn run_shared_group_sharded(
-        &self,
-        ctx: &JoinCtx,
-        sc: &ShardedCorpus,
-        dtag: &str,
-        members: &[usize],
-        parsed: &[Option<DescendantPath>],
-        out: &mut [Option<Result<QueryOutcome, ServiceError>>],
-    ) {
         let cap = ctx.elements_per_pages(ctx.budget().saturating_sub(2).max(1));
         let mut held = 0usize;
         let mut queries: Vec<Vec<Element>> = Vec::with_capacity(members.len());
         let mut routed: Vec<usize> = Vec::with_capacity(members.len());
         for &i in members {
-            let path = parsed[i].as_ref().expect("shareable queries parsed");
+            let BatchSlot::Pending(path) = &slots[i] else {
+                continue;
+            };
             let afile = &self.tags[&path.steps[0].tag].file;
             let n = afile.records() as usize;
             if held + n > cap {
                 continue; // falls back to the serial chain
             }
-            let Ok(ancs) = afile.read_all(&self.ctx.pool) else {
+            let Ok(ancs) = afile.read_all_with(&ctx.pool, ctx.read_opts()) else {
                 continue;
             };
             held += n;
@@ -539,23 +490,28 @@ impl QueryService {
             for s in &mut collect {
                 sinks.push(s);
             }
-            if sc
-                .store
-                .shared_scan(&queries, &sc.tags[dtag], &mut sinks)
-                .is_err()
-            {
+            let scanned = match &self.sharded {
+                Some(sc) => sc
+                    .store
+                    .shared_scan(&queries, &sc.tags[dtag], &mut sinks)
+                    .is_ok(),
+                None => {
+                    let mut qb = QueryBatch::new();
+                    for ancs in queries {
+                        qb.add(ancs);
+                    }
+                    qb.execute(ctx, &self.tags[dtag].file, &mut sinks).is_ok()
+                }
+            };
+            if !scanned {
                 return; // whole group falls back to the serial chain
             }
         }
-        for (route, &i) in routed.iter().enumerate() {
-            let mut codes: Vec<u64> = collect[route]
-                .pairs
-                .iter()
-                .map(|(_, d)| d.code.get())
-                .collect();
+        for (sink, &i) in collect.iter().zip(&routed) {
+            let mut codes: Vec<u64> = sink.pairs.iter().map(|(_, d)| d.code.get()).collect();
             codes.sort_unstable();
             codes.dedup();
-            out[i] = Some(Ok(QueryOutcome {
+            slots[i] = BatchSlot::Done(Ok(QueryOutcome {
                 codes,
                 algorithms: vec![Algorithm::SharedScan],
                 budget: ctx.budget(),
@@ -580,12 +536,10 @@ impl QueryService {
         let mut current = self.step_input(&ctx, path, 0)?;
         for i in 1..path.steps.len() {
             let next = self.step_input(&ctx, path, i)?;
-            if matches!(current, StepInput::Empty) || matches!(next, StepInput::Empty) {
+            let (Some(af), Some(df)) = (current.file(), next.file()) else {
                 current = StepInput::Empty;
                 continue;
-            }
-            let af = current.file().expect("non-empty input has a file");
-            let df = next.file().expect("non-empty input has a file");
+            };
             let mut sink = CollectSink::default();
             let (algo, _stats) = plan_and_execute(
                 &ctx,
@@ -604,15 +558,8 @@ impl QueryService {
                 StepInput::Empty
             } else if i + 1 < path.steps.len() {
                 // Materialize the distinct descendants as the next step's
-                // ancestor input, in document order like every corpus file.
-                let mut items: Vec<(u64, u32)> = codes.iter().map(|&c| (c, 0)).collect();
-                sort_doc_order(&mut items);
-                let single_height = all_same_height(&items);
-                let file = element_file_with(&ctx.pool, self.load_opts, items.iter().copied())?;
-                StepInput::Owned {
-                    file,
-                    single_height,
-                }
+                // ancestor input.
+                self.owned_input(&ctx, codes)?
             } else {
                 return Ok(QueryOutcome {
                     codes,
@@ -626,7 +573,7 @@ impl QueryService {
         let codes = match &current {
             StepInput::Empty => Vec::new(),
             StepInput::Corpus(t) => file_codes(&self.ctx.pool, &t.file)?,
-            StepInput::Owned { file, .. } => file_codes(&self.ctx.pool, file)?,
+            StepInput::Owned { file, .. } => file_codes(&self.ctx.pool, &file.file)?,
         };
         Ok(QueryOutcome {
             codes,
@@ -653,12 +600,21 @@ impl QueryService {
         if codes.is_empty() {
             return Ok(StepInput::Empty);
         }
-        let mut items: Vec<(u64, u32)> = codes.iter().map(|c| (c.get(), 0)).collect();
+        self.owned_input(ctx, codes.iter().map(|c| c.get()).collect())
+    }
+
+    /// Writes `codes` as a query-private join input, in document order
+    /// like every corpus file. The file lives as long as the input does.
+    fn owned_input(&self, ctx: &JoinCtx, codes: Vec<u64>) -> Result<StepInput<'_>, ServiceError> {
+        let mut items: Vec<(u64, u32)> = codes.into_iter().map(|c| (c, 0)).collect();
         sort_doc_order(&mut items);
         let single_height = all_same_height(&items);
         let file = element_file_with(&ctx.pool, self.load_opts, items.iter().copied())?;
         Ok(StepInput::Owned {
-            file,
+            file: TempFile {
+                file,
+                pool: &self.ctx.pool,
+            },
             single_height,
         })
     }
@@ -793,6 +749,37 @@ mod tests {
             err,
             Err(ServiceError::Admission(AdmissionError::TooLarge { .. }))
         ));
+    }
+
+    #[test]
+    fn queries_leave_no_files_behind() {
+        // Multi-step chains materialize intermediates and predicate steps
+        // extract private inputs; none may outlive its query, whether the
+        // query succeeds, drains to empty mid-chain, or is refused.
+        let svc = tiny();
+        let before = svc.pool().live_files();
+        let paths = [
+            "//site//open_auction//bidder",
+            "//person[name=p]//emailaddress",
+            "//site//person[name=p]//emailaddress",
+            "//site//people//person//emailaddress",
+            "//site//no_such_tag//bidder",
+            "//person[name=nobody]//emailaddress",
+            "//site//person[name=nobody]//emailaddress",
+        ];
+        let mut errors = 0;
+        for round in 0..50 {
+            let path = paths[round % paths.len()];
+            let raw = round % 2 == 1;
+            svc.execute(path, raw, None).unwrap();
+            errors += svc.execute(path, raw, Some(10_000)).is_err() as usize;
+            errors += svc.execute("//person[name", raw, None).is_err() as usize;
+            let batch = [path.to_string(), "//[".to_string(), paths[0].to_string()];
+            let outcomes = svc.execute_batch(&batch, raw, None).unwrap();
+            errors += outcomes.iter().filter(|o| o.is_err()).count();
+            assert_eq!(svc.pool().live_files(), before, "round {round}: {path}");
+        }
+        assert_eq!(errors, 150, "the erroring queries really errored");
     }
 
     #[test]

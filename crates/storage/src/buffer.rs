@@ -12,12 +12,12 @@
 //! over worker threads sharing one frame budget:
 //!
 //! * The page table (pid → frame) is **lock-striped** into
-//!   [`SHARD_COUNT`] shards, each behind its own mutex, so concurrent
+//!   [`STRIPE_COUNT`] stripes, each behind its own mutex, so concurrent
 //!   lookups of unrelated pages do not serialize.
 //! * The **frames themselves form one global arena** — deliberately *not*
-//!   partitioned per shard. Operators such as the external-sort merge
+//!   partitioned per stripe. Operators such as the external-sort merge
 //!   legitimately pin up to `b - 1` arbitrary pages at once; hashing pins
-//!   into fixed per-shard quotas would make `NoFreeFrames` fire spuriously.
+//!   into fixed per-stripe quotas would make `NoFreeFrames` fire spuriously.
 //!   The budget `b` therefore bounds the *total* pinned frames across all
 //!   threads: there are exactly `b` frames and a pin occupies one.
 //! * Each frame has a tiny mutex for its metadata (pid, pin count, dirty,
@@ -28,9 +28,9 @@
 //!   the moment a freshly loaded frame is published. A thread that loses a
 //!   load race (two threads miss on the same page; one wins the table slot)
 //!   counts nothing and retries, then counts a single hit.
-//! * Lock order is `shard → frame meta` and `clock hand → frame meta`,
+//! * Lock order is `stripe → frame meta` and `clock hand → frame meta`,
 //!   with the disk mutex taken last and alone; eviction never holds a
-//!   frame-meta lock while taking a shard lock (it *claims* the frame,
+//!   frame-meta lock while taking a stripe lock (it *claims* the frame,
 //!   releases the meta lock, and works on the claimed frame, which no other
 //!   thread will pin).
 //!
@@ -74,11 +74,11 @@ use crate::zone::FileZones;
 /// vectored write. Bounds how long the run's frame latches are held.
 const FLUSH_RUN_MAX: usize = 64;
 
-/// Number of page-table shards. Sixteen keeps striping overhead trivial for
+/// Number of page-table lock stripes. Sixteen keeps striping overhead trivial for
 /// the tiny pools tests use while comfortably exceeding the worker counts
-/// the partition scheduler spawns (a shard mutex is only contended when two
+/// the partition scheduler spawns (a stripe mutex is only contended when two
 /// workers touch pages hashing to the same stripe at the same instant).
-pub const SHARD_COUNT: usize = 16;
+pub const STRIPE_COUNT: usize = 16;
 
 /// Errors surfaced by the buffer pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -358,7 +358,7 @@ pub struct BufferPool {
     /// lock so `io_stats()` never serializes against worker transfers.
     io: Arc<AtomicIoStats>,
     /// Lock-striped page table: pid → frame index.
-    shards: Vec<Mutex<HashMap<PageId, usize>>>,
+    stripes: Vec<Mutex<HashMap<PageId, usize>>>,
     /// Per-frame metadata. Sized at construction, never resized.
     meta: Vec<Mutex<FrameMeta>>,
     /// Per-frame page images, same indexing as `meta`.
@@ -398,8 +398,8 @@ impl BufferPool {
         BufferPool {
             disk: Mutex::new(disk),
             io,
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::with_capacity(capacity / SHARD_COUNT + 1)))
+            stripes: (0..STRIPE_COUNT)
+                .map(|_| Mutex::new(HashMap::with_capacity(capacity / STRIPE_COUNT + 1)))
                 .collect(),
             meta: (0..capacity)
                 .map(|_| Mutex::new(FrameMeta::EMPTY))
@@ -448,11 +448,11 @@ impl BufferPool {
     }
 
     #[inline]
-    fn shard_of(&self, pid: PageId) -> &Mutex<HashMap<PageId, usize>> {
-        // Fibonacci hash of (file, page); shards are a power of two.
+    fn stripe_of(&self, pid: PageId) -> &Mutex<HashMap<PageId, usize>> {
+        // Fibonacci hash of (file, page); stripes are a power of two.
         let key = ((pid.file.0 as u64) << 32) | pid.page as u64;
         let h = key.wrapping_mul(0x9E3779B97F4A7C15);
-        &self.shards[(h >> 32) as usize & (SHARD_COUNT - 1)]
+        &self.stripes[(h >> 32) as usize & (STRIPE_COUNT - 1)]
     }
 
     /// Number of frames.
@@ -564,8 +564,8 @@ impl BufferPool {
     /// Panics if any page of the file is still pinned.
     pub fn delete_file(&self, file: FileId) {
         self.zones.lock().unwrap().remove(&file);
-        for shard in &self.shards {
-            let mut table = shard.lock().unwrap();
+        for stripe in &self.stripes {
+            let mut table = stripe.lock().unwrap();
             table.retain(|pid, &mut f| {
                 if pid.file != file {
                     return true;
@@ -703,8 +703,8 @@ impl BufferPool {
             assert!(!m.claimed, "evict_all while a fetch is in flight");
             *m = FrameMeta::EMPTY;
         }
-        for shard in &self.shards {
-            shard.lock().unwrap().clear();
+        for stripe in &self.stripes {
+            stripe.lock().unwrap().clear();
         }
         *self.hand.lock().unwrap() = 0;
         Ok(())
@@ -840,7 +840,7 @@ impl BufferPool {
         loop {
             // Hit path: resident and not mid-eviction.
             {
-                let table = self.shard_of(pid).lock().unwrap();
+                let table = self.stripe_of(pid).lock().unwrap();
                 if let Some(&f) = table.get(&pid) {
                     let mut m = self.meta[f].lock().unwrap();
                     if m.claimed {
@@ -896,14 +896,14 @@ impl BufferPool {
                         }
                     }
                 }
-                let mut table = self.shard_of(old_pid).lock().unwrap();
+                let mut table = self.stripe_of(old_pid).lock().unwrap();
                 if table.get(&old_pid) == Some(&victim) {
                     table.remove(&old_pid);
                 }
             }
 
             {
-                let mut table = self.shard_of(pid).lock().unwrap();
+                let mut table = self.stripe_of(pid).lock().unwrap();
                 if table.contains_key(&pid) {
                     // Lost the load race: another thread published this page
                     // while we were evicting. Return the claimed frame and
@@ -925,7 +925,7 @@ impl BufferPool {
                 // Undo the publication: remove the mapping (threads parked
                 // on the claimed frame will fall through to their own disk
                 // read and surface the same fault) and free the frame.
-                let mut table = self.shard_of(pid).lock().unwrap();
+                let mut table = self.stripe_of(pid).lock().unwrap();
                 if table.get(&pid) == Some(&victim) {
                     table.remove(&pid);
                 }
@@ -970,7 +970,7 @@ impl BufferPool {
         let mut staged: Vec<ClaimedVictim> = Vec::with_capacity(want);
         for i in 0..want {
             let pid = PageId::new(file, start + i as u32);
-            if self.shard_of(pid).lock().unwrap().contains_key(&pid) {
+            if self.stripe_of(pid).lock().unwrap().contains_key(&pid) {
                 break;
             }
             match self.try_claim_victim() {
@@ -1048,7 +1048,7 @@ impl BufferPool {
         // a miss on an old page may now read the fresh disk copy).
         for &(frame, old) in &staged {
             if let Some((old_pid, _, _)) = old {
-                let mut table = self.shard_of(old_pid).lock().unwrap();
+                let mut table = self.stripe_of(old_pid).lock().unwrap();
                 if table.get(&old_pid) == Some(&frame) {
                     table.remove(&old_pid);
                 }
@@ -1061,7 +1061,7 @@ impl BufferPool {
         let mut n = staged.len();
         for (i, &(frame, _)) in staged.iter().enumerate() {
             let pid = PageId::new(file, start + i as u32);
-            let mut table = self.shard_of(pid).lock().unwrap();
+            let mut table = self.stripe_of(pid).lock().unwrap();
             if table.contains_key(&pid) {
                 n = i;
                 break;
@@ -1103,7 +1103,7 @@ impl BufferPool {
                 };
             } else {
                 let pid = PageId::new(file, start + i as u32);
-                let mut table = self.shard_of(pid).lock().unwrap();
+                let mut table = self.stripe_of(pid).lock().unwrap();
                 if table.get(&pid) == Some(&frame) {
                     table.remove(&pid);
                 }

@@ -22,7 +22,7 @@
 //!   keyed by 8-byte codes, where SipHash would dominate CPU cost.
 //!
 //! The buffer pool is thread-safe (`Send + Sync`): the page table is
-//! lock-striped across shards, frame metadata sits behind per-frame
+//! lock-striped, frame metadata sits behind per-frame
 //! mutexes, counters are atomic, and page guards are `Send`, so the join
 //! layer can fan partition work out over scoped threads sharing one frame
 //! budget. Single-threaded use (the default, `threads = 1`) behaves
@@ -46,7 +46,7 @@ pub mod zone;
 
 pub use access::{compress_default, AccessPattern, ScanOptions, DEFAULT_IO_DEPTH};
 pub use buffer::{
-    BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, SHARD_COUNT,
+    BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, STRIPE_COUNT,
 };
 pub use codec::{transfer_bytes, PACKED_FLAG, PACKED_HEADER};
 pub use disk::{

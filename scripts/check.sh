@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: what CI runs, in the same order. Fails fast.
+# The full gate, local and CI alike (CI runs this script as its one step).
+# Fails fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,5 +118,10 @@ echo "== sharded fork-join smoke (identical pairs at 1/2/4/8 shards, 4-shard sim
 # for MHCJ+Rollup and VPJ at threads 1 and 4, packed pages off and on.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study shard --fast \
     --results /tmp/ab_shard
+
+echo "== perf harness smoke (all four benchmark workloads at 5 % scale, oracles on)"
+# Builds the standalone perf/ package against the crates and runs each
+# workload once; exits non-zero if any op's output differs from its oracle.
+perf/run.sh --smoke
 
 echo "OK"
