@@ -25,12 +25,13 @@
 //! ```
 
 use pbitree_bench::args::{io_options, CommonArgs};
-use pbitree_bench::harness::{run_algo, Algo, ExpConfig};
+use pbitree_bench::harness::{run_algo, ExpConfig};
 use pbitree_bench::report::{fmt_secs, Table};
 use pbitree_bench::workloads::{synthetic_by_name, synthetic_multi};
 use pbitree_joins::element::element_file;
 use pbitree_joins::rollup::RollupOptions;
 use pbitree_joins::stacktree::{stack_tree_desc, SortPolicy};
+use pbitree_joins::Algorithm;
 use pbitree_joins::{CollectSink, CountSink, Element, JoinCtx, MultiSink, QueryBatch};
 use pbitree_storage::{BufferPool, Disk, MemBackend, SharedBackend, Wal};
 
@@ -197,7 +198,7 @@ fn io_study(args: &CommonArgs) {
         let Some(w) = synthetic_by_name(name, args.scale) else {
             continue;
         };
-        for algo in [Algo::StackTree, Algo::MhcjRollup] {
+        for algo in [Algorithm::StackTree, Algorithm::MhcjRollup] {
             let mut base_pairs: Option<u64> = None;
             for depth in [1usize, 2, 4, 8, 16] {
                 let cfg = ExpConfig {
@@ -210,15 +211,14 @@ fn io_study(args: &CommonArgs) {
                 match base_pairs {
                     None => base_pairs = Some(m.stats.pairs),
                     Some(p) => assert_eq!(
-                        p,
-                        m.stats.pairs,
+                        p, m.stats.pairs,
                         "{name}/{}: read-ahead depth {depth} changed the result",
-                        algo.name()
+                        algo
                     ),
                 }
                 t.row(vec![
                     w.name.clone(),
-                    algo.name().into(),
+                    algo.to_string(),
                     depth.to_string(),
                     m.stats.pairs.to_string(),
                     fmt_secs(m.stats.io.sim_secs()),
@@ -293,7 +293,7 @@ fn prune_study(args: &CommonArgs) {
         ],
     );
     let (shape, a, d) = skewed_workload(args.scale);
-    for algo in [Algo::Mhcj, Algo::MhcjRollup, Algo::Vpj] {
+    for algo in [Algorithm::Mhcj, Algorithm::MhcjRollup, Algorithm::Vpj] {
         for threads in [1usize, 4] {
             let mut baseline: Option<(u64, u64)> = None;
             for prune in [false, true] {
@@ -310,20 +310,19 @@ fn prune_study(args: &CommonArgs) {
                     None => baseline = Some((m.stats.pairs, reads)),
                     Some((pairs0, reads0)) => {
                         assert_eq!(
-                            pairs0,
-                            m.stats.pairs,
+                            pairs0, m.stats.pairs,
                             "{}/t{threads}: pruning changed the result",
-                            algo.name()
+                            algo
                         );
                         assert!(
                             reads < reads0,
                             "{}/t{threads}: pruning saved no reads ({reads} vs {reads0})",
-                            algo.name()
+                            algo
                         );
                     }
                 }
                 t.row(vec![
-                    algo.name().into(),
+                    algo.to_string(),
                     threads.to_string(),
                     prune.to_string(),
                     m.stats.pairs.to_string(),
@@ -364,7 +363,7 @@ fn compress_study(args: &CommonArgs) {
         ],
     );
     let (shape, a, d) = skewed_workload(args.scale);
-    for algo in [Algo::Mhcj, Algo::MhcjRollup, Algo::Vpj] {
+    for algo in [Algorithm::Mhcj, Algorithm::MhcjRollup, Algorithm::Vpj] {
         for threads in [1usize, 4] {
             let mut baseline: Option<(u64, u64)> = None;
             for compression in [false, true] {
@@ -385,25 +384,24 @@ fn compress_study(args: &CommonArgs) {
                     None => baseline = Some((m.stats.pairs, reads)),
                     Some((pairs0, reads0)) => {
                         assert_eq!(
-                            pairs0,
-                            m.stats.pairs,
+                            pairs0, m.stats.pairs,
                             "{}/t{threads}: compression changed the result",
-                            algo.name()
+                            algo
                         );
                         assert!(
                             reads < reads0,
                             "{}/t{threads}: compression saved no reads ({reads} vs {reads0})",
-                            algo.name()
+                            algo
                         );
                         assert!(
                             packed.packed_post_bytes < packed.packed_pre_bytes,
                             "{}/t{threads}: packing did not shrink bytes",
-                            algo.name()
+                            algo
                         );
                     }
                 }
                 t.row(vec![
-                    algo.name().into(),
+                    algo.to_string(),
                     threads.to_string(),
                     compression.to_string(),
                     m.stats.pairs.to_string(),

@@ -14,20 +14,21 @@
 
 use pbitree_bench::args::CommonArgs;
 use pbitree_bench::harness::{
-    improvement_ratio, min_rgn_secs, run_algo, run_competitors, Algo, ExpConfig,
+    improvement_ratio, min_rgn_secs, run_algo, run_competitors, ExpConfig, RGN_BASELINES,
 };
 use pbitree_bench::report::{fmt_pct, fmt_secs, Table};
 use pbitree_bench::workloads::{
     dblp_workloads, scalability, synthetic_by_name, synthetic_multi, synthetic_single,
     xmark_workloads, Workload,
 };
+use pbitree_joins::Algorithm;
 
 /// Improvement-ratio panel: `pbitree_algo` vs MIN_RGN per workload.
 fn ratio_panel(
     title: &str,
     file: &str,
     sets: &[Workload],
-    first: Algo,
+    first: Algorithm,
     args: &CommonArgs,
     cfg: &ExpConfig,
 ) {
@@ -37,19 +38,19 @@ fn ratio_panel(
         &[
             "dataset",
             "MIN_RGN(s)",
-            &format!("{}(s)", first.name()),
+            &format!("{first}(s)"),
             "VPJ(s)",
-            &format!("impr {}", first.name()),
+            &format!("impr {first}"),
             "impr VPJ",
-            &format!("phases {}", first.name()),
+            &format!("phases {first}"),
             "phases VPJ",
         ],
     );
     for w in sets {
-        let base = run_competitors(w.shape, &w.a, &w.d, cfg, &Algo::rgn_baselines());
+        let base = run_competitors(w.shape, &w.a, &w.d, cfg, &RGN_BASELINES);
         let min_rgn = min_rgn_secs(&base).unwrap();
         let x = run_algo(w.shape, &w.a, &w.d, cfg, first);
-        let v = run_algo(w.shape, &w.a, &w.d, cfg, Algo::Vpj);
+        let v = run_algo(w.shape, &w.a, &w.d, cfg, Algorithm::Vpj);
         t.row(vec![
             w.name.clone(),
             fmt_secs(min_rgn),
@@ -65,7 +66,7 @@ fn ratio_panel(
 }
 
 /// Buffer sweep panel (e)/(f): elapsed time at P% of the smaller set.
-fn buffer_panel(name: &str, file: &str, first: Algo, args: &CommonArgs) {
+fn buffer_panel(name: &str, file: &str, first: Algorithm, args: &CommonArgs) {
     let Some(w) = synthetic_by_name(name, args.scale) else {
         eprintln!("unknown dataset {name}");
         return;
@@ -74,7 +75,7 @@ fn buffer_panel(name: &str, file: &str, first: Algo, args: &CommonArgs) {
     let min_pages = (w.a.len().min(w.d.len()) as f64 / 341.0).ceil();
     let mut t = Table::new(
         &format!("Figure 6 buffer sweep: {name} (elapsed seconds)"),
-        &["P%", "buffer_pages", "MIN_RGN", first.name(), "VPJ"],
+        &["P%", "buffer_pages", "MIN_RGN", &first.to_string(), "VPJ"],
     );
     for p in [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0] {
         let pages = ((min_pages * p / 100.0).round() as usize).max(3);
@@ -82,10 +83,10 @@ fn buffer_panel(name: &str, file: &str, first: Algo, args: &CommonArgs) {
             buffer_pages: pages,
             ..ExpConfig::default()
         };
-        let base = run_competitors(w.shape, &w.a, &w.d, &cfg, &Algo::rgn_baselines());
+        let base = run_competitors(w.shape, &w.a, &w.d, &cfg, &RGN_BASELINES);
         let min_rgn = min_rgn_secs(&base).unwrap();
         let x = run_algo(w.shape, &w.a, &w.d, &cfg, first);
-        let v = run_algo(w.shape, &w.a, &w.d, &cfg, Algo::Vpj);
+        let v = run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::Vpj);
         t.row(vec![
             format!("{p}"),
             pages.to_string(),
@@ -173,21 +174,32 @@ fn speedup_panel(args: &CommonArgs) {
 
 /// Scalability panel (g)/(h): time per algorithm vs dataset size.
 fn scalability_panel(multi: bool, file: &str, args: &CommonArgs, cfg: &ExpConfig) {
-    let first = if multi { Algo::MhcjRollup } else { Algo::Shcj };
+    let first = if multi {
+        Algorithm::MhcjRollup
+    } else {
+        Algorithm::Shcj
+    };
     let mut t = Table::new(
         &format!(
             "Figure 6 scalability ({}-height): elapsed seconds",
             if multi { "multi" } else { "single" }
         ),
-        &["size", "INLJN", "STACKTREE", "ADB+", first.name(), "VPJ"],
+        &[
+            "size",
+            "INLJN",
+            "STACKTREE",
+            "ADB+",
+            &first.to_string(),
+            "VPJ",
+        ],
     );
     for (size, w) in scalability(multi, args.scale) {
         let algos = [
-            Algo::InlJn,
-            Algo::StackTree,
-            Algo::AncDesBPlus,
+            Algorithm::InlJn,
+            Algorithm::StackTree,
+            Algorithm::AncDesBPlus,
             first,
-            Algo::Vpj,
+            Algorithm::Vpj,
         ];
         let runs = run_competitors(w.shape, &w.a, &w.d, cfg, &algos);
         let mut row = vec![size.to_string()];
@@ -207,7 +219,7 @@ fn main() {
             "Figure 6(a): improvement over MIN_RGN, single-height synthetic",
             "fig6a",
             &synthetic_single(args.scale),
-            Algo::Shcj,
+            Algorithm::Shcj,
             &args,
             &cfg,
         );
@@ -217,7 +229,7 @@ fn main() {
             "Figure 6(b): improvement over MIN_RGN, multi-height synthetic",
             "fig6b",
             &synthetic_multi(args.scale),
-            Algo::MhcjRollup,
+            Algorithm::MhcjRollup,
             &args,
             &cfg,
         );
@@ -227,7 +239,7 @@ fn main() {
             "Figure 6(c): improvement over MIN_RGN, BENCHMARK B1-B10",
             "fig6c",
             &xmark_workloads(args.sf, 0xE0),
-            Algo::MhcjRollup,
+            Algorithm::MhcjRollup,
             &args,
             &cfg,
         );
@@ -237,16 +249,16 @@ fn main() {
             "Figure 6(d): improvement over MIN_RGN, DBLP D1-D10",
             "fig6d",
             &dblp_workloads(args.sf, 0xD0),
-            Algo::MhcjRollup,
+            Algorithm::MhcjRollup,
             &args,
             &cfg,
         );
     }
     if args.selected("e") {
-        buffer_panel("SLLL", "fig6e", Algo::Shcj, &args);
+        buffer_panel("SLLL", "fig6e", Algorithm::Shcj, &args);
     }
     if args.selected("f") {
-        buffer_panel("MLLL", "fig6f", Algo::MhcjRollup, &args);
+        buffer_panel("MLLL", "fig6f", Algorithm::MhcjRollup, &args);
     }
     if args.selected("g") {
         scalability_panel(false, "fig6g", &args, &cfg);

@@ -8,9 +8,10 @@
 //! ```
 
 use pbitree_bench::args::CommonArgs;
-use pbitree_bench::harness::{min_rgn_secs, run_algo, run_competitors, Algo};
+use pbitree_bench::harness::{min_rgn_secs, run_algo, run_competitors, RGN_BASELINES};
 use pbitree_bench::report::{fmt_secs, Table};
 use pbitree_bench::workloads::{dblp_workloads, synthetic_multi, synthetic_single, Workload};
+use pbitree_joins::Algorithm;
 
 fn stats_table(title: &str, file: &str, sets: &[Workload], args: &CommonArgs) {
     let mut t = Table::new(
@@ -79,10 +80,10 @@ fn main() {
             ],
         );
         for w in &sets {
-            let base = run_competitors(w.shape, &w.a, &w.d, &cfg, &Algo::rgn_baselines());
+            let base = run_competitors(w.shape, &w.a, &w.d, &cfg, &RGN_BASELINES);
             let min_rgn = min_rgn_secs(&base).unwrap();
-            let shcj = run_algo(w.shape, &w.a, &w.d, &cfg, Algo::Shcj);
-            let vpj = run_algo(w.shape, &w.a, &w.d, &cfg, Algo::Vpj);
+            let shcj = run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::Shcj);
+            let vpj = run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::Vpj);
             t.row(vec![
                 w.name.clone(),
                 fmt_secs(min_rgn),
@@ -103,7 +104,7 @@ fn main() {
             &["dataset", "#false hits", "#results"],
         );
         for w in &sets {
-            let m = run_algo(w.shape, &w.a, &w.d, &cfg, Algo::MhcjRollup);
+            let m = run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::MhcjRollup);
             t.row(vec![
                 w.name.clone(),
                 m.stats.false_hits.to_string(),

@@ -5,9 +5,10 @@ use std::sync::{Arc, OnceLock};
 
 use pbitree_core::PBiTreeShape;
 use pbitree_joins::element::element_file_with;
+use pbitree_joins::planner::execute;
 use pbitree_joins::stacktree::SortPolicy;
 use pbitree_joins::trace::Tracer;
-use pbitree_joins::{CountSink, JoinCtx, JoinStats};
+use pbitree_joins::{Algorithm, CountSink, JoinCtx, JoinStats};
 use pbitree_storage::CostModel;
 
 /// Process-global tracer, installed once when a binary gets `--trace`;
@@ -46,44 +47,12 @@ pub fn finish_trace(path: &Option<std::path::PathBuf>) {
     }
 }
 
-/// The algorithms the experiments compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algo {
-    /// Index nested loop, index built on the fly.
-    InlJn,
-    /// Stack-Tree-Desc, sorted on the fly.
-    StackTree,
-    /// Anc_Des_B+, sorted and indexed on the fly.
-    AncDesBPlus,
-    /// Single-height containment join.
-    Shcj,
-    /// MHCJ without rollup.
-    Mhcj,
-    /// MHCJ with rollup to the top height.
-    MhcjRollup,
-    /// Vertical-partitioning join.
-    Vpj,
-}
-
-impl Algo {
-    /// Short display name as used in the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::InlJn => "INLJN",
-            Algo::StackTree => "STACKTREE",
-            Algo::AncDesBPlus => "ADB+",
-            Algo::Shcj => "SHCJ",
-            Algo::Mhcj => "MHCJ",
-            Algo::MhcjRollup => "MHCJ+Rollup",
-            Algo::Vpj => "VPJ",
-        }
-    }
-
-    /// The three region-code baselines behind `MIN_RGN`.
-    pub fn rgn_baselines() -> [Algo; 3] {
-        [Algo::InlJn, Algo::StackTree, Algo::AncDesBPlus]
-    }
-}
+/// The three region-code baselines behind `MIN_RGN`.
+pub const RGN_BASELINES: [Algorithm; 3] = [
+    Algorithm::InlJn,
+    Algorithm::StackTree,
+    Algorithm::AncDesBPlus,
+];
 
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy)]
@@ -128,7 +97,7 @@ impl Default for ExpConfig {
 #[derive(Debug, Clone)]
 pub struct Measured {
     /// Which algorithm ran.
-    pub algo: Algo,
+    pub algo: Algorithm,
     /// Its stats (pairs, false hits, I/O, time).
     pub stats: JoinStats,
     /// Buffer-pool delta over the run (hits/misses and the zone-map
@@ -153,7 +122,7 @@ pub fn run_algo(
     a: &[(u64, u32)],
     d: &[(u64, u32)],
     cfg: &ExpConfig,
-    algo: Algo,
+    algo: Algorithm,
 ) -> Measured {
     let mut builder = JoinCtx::builder(
         pbitree_storage::BufferPool::new(
@@ -178,30 +147,8 @@ pub fn run_algo(
     ctx.pool.evict_all().unwrap();
     let pool0 = ctx.pool.pool_stats();
     let mut sink = CountSink::default();
-    let stats = match algo {
-        Algo::InlJn => pbitree_joins::inljn::inljn(&ctx, &af, &df, &mut sink),
-        Algo::StackTree => pbitree_joins::stacktree::stack_tree_desc(
-            &ctx,
-            &af,
-            &df,
-            SortPolicy::SortOnTheFly,
-            &mut sink,
-        ),
-        Algo::AncDesBPlus => {
-            pbitree_joins::adb::anc_des_bplus(&ctx, &af, &df, SortPolicy::SortOnTheFly, &mut sink)
-        }
-        Algo::Shcj => pbitree_joins::shcj::shcj(&ctx, &af, &df, &mut sink),
-        Algo::Mhcj => pbitree_joins::mhcj::mhcj(&ctx, &af, &df, &mut sink),
-        Algo::MhcjRollup => pbitree_joins::rollup::mhcj_rollup(
-            &ctx,
-            &af,
-            &df,
-            pbitree_joins::rollup::RollupOptions::default(),
-            &mut sink,
-        ),
-        Algo::Vpj => pbitree_joins::vpj::vpj(&ctx, &af, &df, &mut sink).map(|(s, _)| s),
-    }
-    .expect("join run failed");
+    let stats = execute(&ctx, algo, &af, &df, SortPolicy::SortOnTheFly, &mut sink)
+        .expect("join run failed");
     debug_assert_eq!(stats.pairs, sink.count);
     let pool = ctx.pool.pool_stats().since(&pool0);
     Measured {
@@ -220,7 +167,7 @@ pub fn run_competitors(
     a: &[(u64, u32)],
     d: &[(u64, u32)],
     cfg: &ExpConfig,
-    algos: &[Algo],
+    algos: &[Algorithm],
 ) -> Vec<Measured> {
     algos
         .iter()
@@ -231,7 +178,7 @@ pub fn run_competitors(
 /// The minimum elapsed time among the region-code baselines in `runs`.
 pub fn min_rgn_secs(runs: &[Measured]) -> Option<f64> {
     runs.iter()
-        .filter(|m| Algo::rgn_baselines().contains(&m.algo))
+        .filter(|m| RGN_BASELINES.contains(&m.algo))
         .map(|m| m.secs())
         .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.min(s))))
 }
@@ -260,12 +207,12 @@ mod tests {
             ..ExpConfig::default()
         };
         let algos = [
-            Algo::InlJn,
-            Algo::StackTree,
-            Algo::AncDesBPlus,
-            Algo::Shcj,
-            Algo::MhcjRollup,
-            Algo::Vpj,
+            Algorithm::InlJn,
+            Algorithm::StackTree,
+            Algorithm::AncDesBPlus,
+            Algorithm::Shcj,
+            Algorithm::MhcjRollup,
+            Algorithm::Vpj,
         ];
         let runs = run_competitors(ds.shape, &ds.a, &ds.d, &cfg, &algos);
         let pairs: Vec<u64> = runs.iter().map(|m| m.stats.pairs).collect();

@@ -20,6 +20,6 @@ pub mod harness;
 pub mod report;
 pub mod workloads;
 
-pub use harness::{run_algo, run_competitors, Algo, ExpConfig, Measured};
+pub use harness::{run_algo, run_competitors, ExpConfig, Measured};
 pub use report::Table;
 pub use workloads::Workload;

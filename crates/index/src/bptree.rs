@@ -29,7 +29,8 @@
 use std::marker::PhantomData;
 
 use pbitree_storage::{
-    BufferPool, FileId, FixedRecord, PageBuf, PageId, PoolError, ScanOptions, Wal, WalOp, PAGE_SIZE,
+    BufferPool, FileId, FixedRecord, PageBuf, PageId, PoolError, ScanOptions, TempFile, Wal, WalOp,
+    PAGE_SIZE,
 };
 
 use node::{Node, NIL};
@@ -311,6 +312,8 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         I: IntoIterator<Item = Result<(K, V), PoolError>>,
     {
         let file = pool.create_file();
+        // A load that fails part-way deletes its half-built file.
+        let guard = TempFile::new(pool, file, ());
         let lcap = node::capacity::<K, V>();
         let mut out = Appender {
             pool,
@@ -358,6 +361,7 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
             // Empty input: a single empty root leaf.
             let (root, mut page) = pool.new_page(file)?;
             node::encode_leaf::<K, V>(NIL, &[], &mut page[..]);
+            guard.keep();
             return Ok(Self::handle(file, root, 1, 0, false));
         };
         leaf(&last, NIL, &mut out)?;
@@ -376,6 +380,7 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
             }
             out.flush()?;
         }
+        guard.keep();
         Ok(Self::handle(file, out.level[0].1, height, len, false))
     }
 

@@ -30,7 +30,7 @@
 //! the join when the inputs arrive unsorted/unindexed, per §4.
 
 use pbitree_index::{bptree::RangeIter, BPlusTree};
-use pbitree_storage::{FileZones, HeapFile, HeapScan, ScanPos};
+use pbitree_storage::{FileZones, HeapFile, HeapScan, ScanPos, TempFile};
 
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ use crate::batch::ElementBatch;
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::sink::PairSink;
-use crate::stacktree::{sort_doc_order, SortPolicy};
+use crate::stacktree::{sorted_inputs, SortPolicy};
 
 /// A cursor over a doc-order B+-tree that can be repositioned by probes.
 struct IndexCursor<'a> {
@@ -258,30 +258,21 @@ pub fn anc_des_bplus(
         if a.is_empty() || d.is_empty() {
             return Ok((0, 0));
         }
-        let (sa, sd, owned) = ctx.phase("sort", || match policy {
-            SortPolicy::AssumeSorted => Ok((*a, *d, false)),
-            SortPolicy::SortOnTheFly => {
-                Ok((sort_doc_order(ctx, a)?, sort_doc_order(ctx, d)?, true))
-            }
-        })?;
+        let sorted = sorted_inputs(ctx, a, d, policy)?;
+        let (sa, sd) = sorted.as_ref().map_or((a, d), |(sa, sd)| (sa, sd));
         let a_tree = ctx.phase("build", || {
-            Ok(BPlusTree::bulk_load_fallible_with(
+            let tree = BPlusTree::bulk_load_fallible_with(
                 &ctx.pool,
                 sa.scan_with(&ctx.pool, ctx.read_opts())
                     .results()
                     .map(|r| r.map(|e| (e.doc_key(), e.tag))),
                 ctx.write_opts(1),
-            )?)
+            )?;
+            Ok(TempFile::new(&ctx.pool, tree.file_id(), tree))
         })?;
-        let pairs = ctx.phase_counted("merge", || {
-            merge_with_skips(ctx, &a_tree, &sd, sink).map(|p| (p, 0))
-        })?;
-        a_tree.drop_file(&ctx.pool);
-        if owned {
-            sa.drop_file(&ctx.pool);
-            sd.drop_file(&ctx.pool);
-        }
-        Ok(pairs)
+        ctx.phase_counted("merge", || {
+            merge_with_skips(ctx, &a_tree, sd, sink).map(|p| (p, 0))
+        })
     })
 }
 
@@ -382,6 +373,7 @@ mod tests {
     use crate::element::element_file;
     use crate::naive::block_nested_loop;
     use crate::sink::{CollectSink, CountSink};
+    use crate::stacktree::sort_doc_order;
     use pbitree_core::PBiTreeShape;
 
     fn ctx(b: usize) -> JoinCtx {

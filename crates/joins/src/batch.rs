@@ -3,14 +3,14 @@
 //! [`ElementBatch`] refills from a [`HeapScan`] one page at a time
 //! ([`HeapScan::next_batch`] is page-aligned), decoding each page **once**
 //! and splitting every element's Lemma-3 region into struct-of-arrays
-//! `starts` / `ends` columns. The merge operators (MPMGJN, Stack-Tree)
+//! `starts` / `ends` columns. The merge operators (Stack-Tree, ADB+)
 //! then advance by *galloping* over the sorted `starts` column instead of
 //! branching per record, and test containment with a branch-free mask over
 //! the columns ([`ElementBatch::for_each_contained`]).
 //!
 //! Batches track the [`ScanPos`] of their first element so record-granular
 //! marks inside a batch ([`ElementBatch::pos_of`]) can seed a later rescan
-//! — MPMGJN's mark/rescan protocol. Position tracking assumes an
+//! or tell a seeking cursor which page it is on. Position tracking assumes an
 //! **unfiltered** scan: a pushdown filter drops records between the page
 //! offsets and the batch indices, so the mapping `batch[i] = (page,
 //! base_idx + i)` would no longer hold (debug-asserted in
@@ -488,7 +488,7 @@ mod tests {
         let i = b.len() / 2;
         let mark = b.pos_of(i);
         let expect = b.get(i);
-        let mut resumed = f.scan_at(&c.pool, mark);
+        let mut resumed = f.scan_at_with(&c.pool, mark, pbitree_storage::ScanOptions::default());
         assert_eq!(resumed.next_record().unwrap(), Some(expect));
     }
 

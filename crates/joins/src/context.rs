@@ -4,7 +4,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use pbitree_core::PBiTreeShape;
-use pbitree_storage::{records_per_page, BufferPool, IoStats, PoolError, PoolStats, ScanOptions};
+use pbitree_storage::{
+    records_per_page, BufferPool, FixedRecord, HeapFile, IoStats, PoolError, PoolStats,
+    ScanOptions, TempFile,
+};
 
 use crate::element::Element;
 use crate::trace::Tracer;
@@ -140,9 +143,9 @@ pub struct JoinStats {
     /// sorting or index building.
     pub io: IoStats,
     /// Measured wall-clock time of the operator on its calling thread,
-    /// nanoseconds. Under `threads > 1` this is the scheduler span —
-    /// worker times overlap inside it and are *not* summed here (they
-    /// live in the trace as task spans; see [`crate::trace`]).
+    /// nanoseconds. Fork-join workers run inside this span — their times
+    /// overlap and are *not* summed here (they live in the trace as task
+    /// spans; see [`crate::trace`]).
     pub cpu_ns: u64,
     /// Per-phase breakdown, populated when a [`Tracer`] is attached to
     /// the context; empty otherwise. The phases tile the run: their I/O
@@ -415,8 +418,14 @@ impl JoinCtx {
     /// [`elements_per_pages`](JoinCtx::elements_per_pages) for an arbitrary
     /// record type (rollup tuples are wider than plain elements).
     #[inline]
-    pub fn elements_per_pages_of<R: pbitree_storage::FixedRecord>(&self, pages: usize) -> usize {
+    pub fn elements_per_pages_of<R: FixedRecord>(&self, pages: usize) -> usize {
         pages * records_per_page::<R>()
+    }
+
+    /// Takes ownership of an operator-private file: it is deleted from
+    /// the pool when the returned guard drops (see [`TempFile`]).
+    pub(crate) fn temp<R: FixedRecord>(&self, f: HeapFile<R>) -> TempFile<'_, HeapFile<R>> {
+        TempFile::new(&self.pool, f.file_id(), f)
     }
 
     /// Runs `op`, measuring its I/O delta and wall time into a

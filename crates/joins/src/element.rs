@@ -176,17 +176,6 @@ where
     )
 }
 
-/// Builds an element heap file from codes, with tag 0.
-pub fn element_file_from_codes<I>(
-    pool: &BufferPool,
-    codes: I,
-) -> Result<HeapFile<Element>, PoolError>
-where
-    I: IntoIterator<Item = Code>,
-{
-    HeapFile::from_iter(pool, codes.into_iter().map(|c| Element { code: c, tag: 0 }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

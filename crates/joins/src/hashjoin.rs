@@ -20,7 +20,7 @@ use std::hash::{BuildHasher, Hash};
 
 use pbitree_storage::util::FxBuildHasher;
 use pbitree_storage::util::FxHashMap;
-use pbitree_storage::{FixedRecord, HeapFile, HeapWriter, ScanOptions};
+use pbitree_storage::{FixedRecord, HeapFile, HeapWriter, ScanOptions, TempFile};
 
 use crate::context::{JoinCtx, JoinError};
 
@@ -33,36 +33,10 @@ const RESERVE: usize = 2;
 /// to skip descendants at or above the ancestor height, whichever side
 /// they are on). `on_match` receives every `(build, probe)` pair with
 /// equal keys.
-pub fn hash_equijoin<B, P, KB, KP, M>(
-    ctx: &JoinCtx,
-    build: &HeapFile<B>,
-    probe: &HeapFile<P>,
-    build_key: KB,
-    probe_key: KP,
-    on_match: M,
-) -> Result<(), JoinError>
-where
-    B: FixedRecord,
-    P: FixedRecord,
-    KB: Fn(&B) -> Option<u64>,
-    KP: Fn(&P) -> Option<u64>,
-    M: FnMut(&B, &P),
-{
-    hash_equijoin_with(
-        ctx,
-        build,
-        probe,
-        ctx.read_opts(),
-        ctx.read_opts(),
-        build_key,
-        probe_key,
-        on_match,
-    )
-}
-
-/// [`hash_equijoin`] with explicit per-side [`ScanOptions`], the carrier
-/// for pushdown [`pbitree_storage::ScanFilter`]s (SHCJ clips the
-/// descendant side by the ancestor set's zone). The filters must be
+///
+/// The per-side [`ScanOptions`] carry pushdown
+/// [`pbitree_storage::ScanFilter`]s (SHCJ clips the descendant side by the
+/// ancestor set's zone; pass `ctx.read_opts()` for none). The filters must be
 /// *necessary conditions* for the key extractors producing a match — the
 /// join assumes a record its side's filter rejects cannot pair with
 /// anything. They apply to the initial scans, including the first Grace
@@ -146,7 +120,6 @@ where
         let parts = partition_count(ctx, build.pages());
         let build_parts = partition_file(ctx, build, build_opts, parts, depth, build_key)?;
         let probe_parts = partition_file(ctx, probe, probe_opts, parts, depth, probe_key)?;
-        let mut result = Ok(());
         for (bp, pp) in build_parts.iter().zip(&probe_parts) {
             if bp.is_empty() || pp.is_empty() {
                 continue;
@@ -160,7 +133,7 @@ where
             };
             // Filtered records never entered the partitions, so recursion
             // scans them unfiltered.
-            result = equijoin_rec(
+            equijoin_rec(
                 ctx,
                 bp,
                 pp,
@@ -170,18 +143,9 @@ where
                 probe_key,
                 on_match,
                 next_depth,
-            );
-            if result.is_err() {
-                break;
-            }
+            )?;
         }
-        for f in build_parts {
-            f.drop_file(&ctx.pool);
-        }
-        for f in probe_parts {
-            f.drop_file(&ctx.pool);
-        }
-        result
+        Ok(())
     }
 }
 
@@ -200,14 +164,14 @@ fn partition_count(ctx: &JoinCtx, build_pages: u32) -> usize {
 /// Hash-partitions `input` into `parts` heap files on the key's hash;
 /// tuples with `None` keys are dropped. `level` salts the hash so each
 /// recursion level splits differently.
-fn partition_file<R, K>(
-    ctx: &JoinCtx,
+fn partition_file<'a, R, K>(
+    ctx: &'a JoinCtx,
     input: &HeapFile<R>,
     opts: ScanOptions,
     parts: usize,
     level: u32,
     key: K,
-) -> Result<Vec<HeapFile<R>>, JoinError>
+) -> Result<Vec<TempFile<'a, HeapFile<R>>>, JoinError>
 where
     R: FixedRecord,
     K: Fn(&R) -> Option<u64>,
@@ -228,7 +192,7 @@ where
     }
     writers
         .into_iter()
-        .map(|w| w.finish().map_err(JoinError::from))
+        .map(|w| Ok(ctx.temp(w.finish()?)))
         .collect()
 }
 
@@ -397,10 +361,12 @@ mod tests {
         let bf = HeapFile::from_iter(&ctx.pool, build.iter().copied()).unwrap();
         let pf = HeapFile::from_iter(&ctx.pool, probe.iter().copied()).unwrap();
         let mut out = Vec::new();
-        hash_equijoin(
+        hash_equijoin_with(
             ctx,
             &bf,
             &pf,
+            ctx.read_opts(),
+            ctx.read_opts(),
             |b| Some(*b % 1000),
             |p| Some(*p % 1000),
             |b, p| out.push((*b, *p)),
@@ -455,10 +421,12 @@ mod tests {
         let bf = HeapFile::from_iter(&c.pool, 0u64..100).unwrap();
         let pf = HeapFile::from_iter(&c.pool, 0u64..100).unwrap();
         let mut n = 0u64;
-        hash_equijoin(
+        hash_equijoin_with(
             &c,
             &bf,
             &pf,
+            c.read_opts(),
+            c.read_opts(),
             |b| Some(*b),
             |p| if *p % 2 == 0 { Some(*p) } else { None },
             |_, _| n += 1,
@@ -484,7 +452,18 @@ mod tests {
         c.pool.flush_all().unwrap();
         let before = c.pool.io_stats();
         let mut n = 0u64;
-        hash_equijoin(&c, &bf, &pf, |b| Some(*b), |p| Some(*p), |_, _| n += 1).unwrap();
+        let opts = c.read_opts();
+        hash_equijoin_with(
+            &c,
+            &bf,
+            &pf,
+            opts,
+            opts,
+            |b| Some(*b),
+            |p| Some(*p),
+            |_, _| n += 1,
+        )
+        .unwrap();
         let delta = c.pool.io_stats().since(&before);
         assert_eq!(n, 40_000);
         let total_pages = (bf.pages() + pf.pages()) as u64;

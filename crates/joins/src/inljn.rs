@@ -14,7 +14,7 @@
 //!   footnote of Table 1 made concrete.
 
 use pbitree_index::BPlusTree;
-use pbitree_storage::{external_sort_with, HeapFile};
+use pbitree_storage::{external_sort_with, HeapFile, TempFile};
 
 use crate::batch::ElementBatch;
 use crate::context::{JoinCtx, JoinError, JoinStats};
@@ -36,13 +36,20 @@ pub fn inljn(
     }
 }
 
-/// Builds a code-keyed B+-tree over an element file (sort + bulk load).
-fn build_code_index(
-    ctx: &JoinCtx,
+/// Builds a code-keyed B+-tree over an element file (sort + bulk load);
+/// the index file is deleted when the returned guard drops.
+fn build_code_index<'a>(
+    ctx: &'a JoinCtx,
     f: &HeapFile<Element>,
-) -> Result<BPlusTree<u64, u32>, JoinError> {
+) -> Result<TempFile<'a, BPlusTree<u64, u32>>, JoinError> {
     let budget = ctx.budget().saturating_sub(2).max(3);
-    let sorted = external_sort_with(&ctx.pool, f, budget, ctx.read_opts(), |e| e.code.get())?;
+    let sorted = ctx.temp(external_sort_with(
+        &ctx.pool,
+        f,
+        budget,
+        ctx.read_opts(),
+        |e| e.code.get(),
+    )?);
     // Stream the sorted file straight into the bulk loader: one scan frame
     // plus the loader's output frame — no staging in memory.
     let tree = BPlusTree::bulk_load_fallible_with(
@@ -53,8 +60,8 @@ fn build_code_index(
             .map(|r| r.map(|e| (e.code.get(), e.tag))),
         ctx.write_opts(1),
     )?;
-    sorted.drop_file(&ctx.pool);
-    Ok(tree)
+    drop(sorted);
+    Ok(TempFile::new(&ctx.pool, tree.file_id(), tree))
 }
 
 /// Outer = A: for each ancestor, one range scan over the descendant index.
@@ -69,7 +76,7 @@ pub fn inljn_probe_descendants(
             return Ok((0, 0));
         }
         let index = ctx.phase("build", || build_code_index(ctx, d))?;
-        let pairs = ctx.phase_counted("probe", || {
+        ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
             // Index range scans interleave with the outer scan: halve the
             // outer read-ahead so index leaves are not evicted mid-probe.
@@ -95,9 +102,7 @@ pub fn inljn_probe_descendants(
                 }
             }
             Ok((pairs, 0))
-        })?;
-        index.drop_file(&ctx.pool);
-        Ok(pairs)
+        })
     })
 }
 
@@ -114,7 +119,7 @@ pub fn inljn_probe_ancestors(
             return Ok((0, 0));
         }
         let index = ctx.phase("build", || build_code_index(ctx, a))?;
-        let pairs = ctx.phase_counted("probe", || {
+        ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
             let mut scan = d.scan_with(&ctx.pool, ctx.read_opts().shared(2));
             let mut batch = ElementBatch::new();
@@ -150,9 +155,7 @@ pub fn inljn_probe_ancestors(
                 }
             }
             Ok((pairs, 0))
-        })?;
-        index.drop_file(&ctx.pool);
-        Ok(pairs)
+        })
     })
 }
 

@@ -13,16 +13,17 @@
 //! | [`vpj`] | vertical-partitioning join | Alg. 5 | nothing |
 //! | [`memjoin`] | Memory-Containment-Join | Alg. 6 | one side fits in memory |
 //! | [`inljn`] | index nested loop (B+-tree, built on the fly) | \[20\] adapted | index (built) |
-//! | [`stacktree`] | Stack-Tree-Desc and Stack-Tree-Anc (sorted on the fly) | \[1\] adapted | sorted inputs |
-//! | [`mpmgjn`] | Multi-Predicate Merge Join | \[20\] adapted | sorted inputs |
+//! | [`stacktree`] | Stack-Tree-Desc (sorted on the fly) | \[1\] adapted | sorted inputs |
 //! | [`adb`] | Anc_Des_B+ with skip probes | \[4\] adapted | sorted + indexed |
 //! | [`planner`] | the Table-1 algorithm-selection framework | Table 1 | — |
-//! | [`parallel`] | partition scheduler: MHCJ/VPJ fan-out over threads | — | `threads > 1` |
+//! | [`parallel`] | the fork-join scheduler behind MHCJ, VPJ and sharded joins | — | — |
 //!
-//! Set [`JoinCtx::threads`] above 1 and [`mhcj::mhcj`] / [`vpj::vpj`]
-//! fan their partitions out over scoped worker threads sharing the one
-//! buffer pool, with the frame budget carved across workers and outputs
-//! merged deterministically (see [`parallel`]).
+//! [`mhcj::mhcj`] and [`vpj::vpj`] are unions of independent sub-joins and
+//! run them through one fork-join scheduler ([`parallel`]):
+//! [`JoinCtx::threads`] is its worker count. One worker runs the tasks in
+//! order on the calling thread; more fan them out over scoped threads
+//! sharing the one buffer pool, with the frame budget carved across
+//! workers and outputs merged deterministically.
 //!
 //! Every algorithm reports [`JoinStats`]: result pairs, rollup false hits,
 //! and the I/O delta (page counts + simulated disk time) measured across
@@ -43,7 +44,6 @@ pub mod hashjoin;
 pub mod inljn;
 pub mod memjoin;
 pub mod mhcj;
-pub mod mpmgjn;
 pub mod naive;
 pub mod parallel;
 pub mod planner;

@@ -7,19 +7,20 @@
 //! partitions, and why [`crate::rollup`] exists to shrink `k`.
 
 use pbitree_storage::util::FxHashMap;
-use pbitree_storage::{HeapFile, HeapWriter};
+use pbitree_storage::{HeapFile, HeapWriter, TempFile};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
+use crate::parallel::fork_join_carved;
 use crate::shcj::shcj_inner;
 use crate::sink::PairSink;
 
-/// Partitions `a` by node height. Returns `(height, partition)` pairs in
-/// ascending height order.
-pub(crate) fn partition_by_height(
-    ctx: &JoinCtx,
+/// Partitions `a` by node height. Returns the partitions in ascending
+/// height order; each deletes its file when dropped.
+pub(crate) fn partition_by_height<'a>(
+    ctx: &'a JoinCtx,
     a: &HeapFile<Element>,
-) -> Result<Vec<(u32, HeapFile<Element>)>, JoinError> {
+) -> Result<Vec<TempFile<'a, HeapFile<Element>>>, JoinError> {
     let mut writers: FxHashMap<u32, HeapWriter<'_, Element>> = FxHashMap::default();
     // Height fan-out is small (real sets hold a handful of heights), so
     // each writer keeps the full write-batch depth; batches live in
@@ -36,12 +37,12 @@ pub(crate) fn partition_by_height(
                 .push(e)?,
         }
     }
-    let mut parts: Vec<(u32, HeapFile<Element>)> = writers
+    let mut parts = writers
         .into_iter()
-        .map(|(h, w)| w.finish().map(|f| (h, f)))
-        .collect::<Result<_, _>>()?;
+        .map(|(h, w)| Ok((h, ctx.temp(w.finish()?))))
+        .collect::<Result<Vec<_>, JoinError>>()?;
     parts.sort_by_key(|(h, _)| *h);
-    Ok(parts)
+    Ok(parts.into_iter().map(|(_, part)| part).collect())
 }
 
 /// The number of distinct ancestor heights (the `k` of the cost formula).
@@ -54,33 +55,34 @@ pub fn height_count(ctx: &JoinCtx, a: &HeapFile<Element>) -> Result<usize, JoinE
     Ok(seen.iter().filter(|&&b| b).count())
 }
 
-/// MHCJ: horizontal (height) partitioning, one SHCJ per partition.
+/// MHCJ: horizontal (height) partitioning, then one SHCJ task per
+/// partition fork-joined over `ctx.threads` workers (a single partition is
+/// Algorithm 3's line 2: SHCJ directly).
 pub fn mhcj(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
-    if ctx.threads > 1 {
-        return crate::parallel::mhcj_parallel(ctx, a, d, sink);
-    }
     ctx.measure_op("mhcj", || {
+        // Partitioning is one sequential input pass; the joins behind it
+        // dominate (`5‖A‖ + 3k‖D‖`).
         let parts = ctx.phase("partition", || partition_by_height(ctx, a))?;
-        let mut pairs = 0u64;
-        if let [(_, single)] = parts.as_slice() {
-            // Route to SHCJ directly (Algorithm 3, line 2).
-            let (p, _) = shcj_inner(ctx, single, d, sink)?;
-            pairs = p;
-        } else {
-            for (_, part) in &parts {
-                let (p, _) = shcj_inner(ctx, part, d, sink)?;
-                pairs += p;
-            }
-        }
-        for (_, part) in parts {
-            part.drop_file(&ctx.pool);
-        }
-        Ok((pairs, 0))
+        // The scheduling thread blocks inside the fork-join, so every
+        // worker's I/O lands inside this phase's counter interval.
+        ctx.phase_counted("probe", || {
+            let mut pairs = 0u64;
+            fork_join_carved(
+                ctx,
+                ctx.threads,
+                parts.iter().collect(),
+                sink,
+                |wctx, part, out| shcj_inner(wctx, part, d, out).map(|(p, _)| p),
+                |p| pairs += p,
+            )?;
+            Ok((pairs, 0))
+        })
+        // `parts` drop here, after the last task, on success and error.
     })
 }
 

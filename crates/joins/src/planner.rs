@@ -71,6 +71,9 @@ pub enum Algorithm {
     AncDesBPlus,
     /// Single-height containment join (Algorithm 2).
     Shcj,
+    /// Plain MHCJ (Algorithm 3). Never chosen by Table 1 — rollup
+    /// dominates it — but experiments measure it.
+    Mhcj,
     /// MHCJ with rollup (Algorithm 4).
     MhcjRollup,
     /// Vertical-partitioning join (Algorithm 5).
@@ -83,6 +86,22 @@ pub enum Algorithm {
     SharedScan,
 }
 
+impl Algorithm {
+    /// The seven stand-alone join operators: everything [`execute`] runs
+    /// on arbitrary inputs under [`SortPolicy::SortOnTheFly`] (SHCJ
+    /// additionally needs a single-height ancestor set). `SharedScan` is
+    /// not listed: it presumes a document-ordered descendant side.
+    pub const ALL: [Algorithm; 7] = [
+        Algorithm::InlJn,
+        Algorithm::StackTree,
+        Algorithm::AncDesBPlus,
+        Algorithm::Shcj,
+        Algorithm::Mhcj,
+        Algorithm::MhcjRollup,
+        Algorithm::Vpj,
+    ];
+}
+
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -90,6 +109,7 @@ impl std::fmt::Display for Algorithm {
             Algorithm::StackTree => "STACKTREE",
             Algorithm::AncDesBPlus => "ADB+",
             Algorithm::Shcj => "SHCJ",
+            Algorithm::Mhcj => "MHCJ",
             Algorithm::MhcjRollup => "MHCJ+Rollup",
             Algorithm::Vpj => "VPJ",
             Algorithm::SharedScan => "SHARED",
@@ -147,6 +167,7 @@ pub fn execute(
         Algorithm::StackTree => crate::stacktree::stack_tree_desc(ctx, a, d, policy, sink),
         Algorithm::AncDesBPlus => crate::adb::anc_des_bplus(ctx, a, d, policy, sink),
         Algorithm::Shcj => crate::shcj::shcj(ctx, a, d, sink),
+        Algorithm::Mhcj => crate::mhcj::mhcj(ctx, a, d, sink),
         Algorithm::MhcjRollup => {
             crate::rollup::mhcj_rollup(ctx, a, d, crate::rollup::RollupOptions::default(), sink)
         }

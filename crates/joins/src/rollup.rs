@@ -20,7 +20,6 @@
 //! materialized once, as plain elements, and each anchor's equijoin still
 //! computes keys on the fly. The ablation bench sweeps this knob.
 
-use pbitree_core::Code;
 use pbitree_storage::{HeapFile, HeapWriter};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
@@ -111,11 +110,11 @@ pub fn mhcj_rollup(
             }
             writers
                 .into_iter()
-                .map(|w| w.finish().map_err(JoinError::from))
-                .collect::<Result<Vec<HeapFile<Element>>, _>>()
+                .map(|w| Ok(ctx.temp(w.finish()?)))
+                .collect::<Result<Vec<_>, JoinError>>()
         })?;
 
-        let (pairs, false_hits) = ctx.phase_counted("probe", || {
+        ctx.phase_counted("probe", || {
             let (mut pairs, mut false_hits) = (0u64, 0u64);
             for (anchor, part) in anchors.iter().copied().zip(&parts) {
                 let (p, f) = anchored_equijoin(ctx, part, d, anchor, sink)?;
@@ -123,11 +122,7 @@ pub fn mhcj_rollup(
                 false_hits += f;
             }
             Ok((pairs, false_hits))
-        })?;
-        for part in parts {
-            part.drop_file(&ctx.pool);
-        }
-        Ok((pairs, false_hits))
+        })
     })
 }
 
@@ -176,12 +171,6 @@ fn anchored_equijoin(
         hash_equijoin_with(ctx, d, a, d_opts, a_opts, d_key, a_key, |b, p| check(p, b))?;
     }
     Ok((pairs, false_hits))
-}
-
-/// The rolled-up key of an element for a given anchor height — exposed for
-/// diagnostics and tests.
-pub fn rolled_key(code: Code, anchor: u32) -> u64 {
-    code.ancestor_at_height(anchor).get()
 }
 
 #[cfg(test)]

@@ -18,11 +18,12 @@
 //! ancestor is present wherever such a descendant is owned — and because
 //! the descendant is owned by exactly one shard, every result pair
 //! materializes in **exactly one** shard. The merge therefore needs no
-//! dedup: shard outputs are replayed in ascending shard order through the
-//! [`crate::parallel`] scheduler's buffered-task machinery
-//! (`run_tasks_on` — same atomic-counter claiming,
-//! same deterministic ordered merge, same lowest-index-error semantics),
-//! and the merged pair *set* is byte-identical to the single-pool plan.
+//! dedup: a sharded join is `parallel::fork_join` over one task
+//! per shard, each in its shard's own context — the scheduler MHCJ and VPJ
+//! use, with its ascending-order merge and lowest-index-error rule — and
+//! the merged pair *set* is byte-identical to the single-pool plan. With
+//! one shard and one thread it *is* the single-pool plan: the shard's
+//! operator runs on the calling thread and emits into the caller's sink.
 //!
 //! Sharding is declared with [`Sharding`] through
 //! [`crate::JoinCtxBuilder::sharding`]; [`ShardedStore::from_ctx`] builds
@@ -32,14 +33,14 @@
 //! shard.
 
 use pbitree_storage::{
-    BufferPool, Disk, HeapFile, MemBackend, PoolError, ShardPlan, StatsSnapshot,
+    BufferPool, Disk, HeapFile, MemBackend, PoolError, ShardPlan, StatsSnapshot, TempFile,
 };
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
-use crate::parallel::{run_tasks_on, TaskOutput};
+use crate::parallel::fork_join;
 use crate::planner::Algorithm;
-use crate::sink::{CollectSink, MultiSink, PairSink};
+use crate::sink::{CollectSink, CountSink, MultiSink, PairSink};
 use crate::stacktree::SortPolicy;
 
 /// Declarative sharding config, threaded through
@@ -115,13 +116,6 @@ impl ShardedFile {
     pub fn replicated(&self) -> u64 {
         self.replicated
     }
-
-    /// Drops every shard's file.
-    pub fn drop_files(self, store: &ShardedStore) {
-        for (i, f) in self.files.into_iter().enumerate() {
-            f.drop_file(&store.ctxs[i].pool);
-        }
-    }
 }
 
 /// What a sharded join cost and produced: per-shard [`JoinStats`] (each
@@ -140,6 +134,14 @@ pub struct ShardedStats {
 }
 
 impl ShardedStats {
+    /// Appends the next shard's outcome (shards report in ascending order).
+    fn push(&mut self, algo: Algorithm, shard: JoinStats) {
+        self.pairs += shard.pairs;
+        self.false_hits += shard.false_hits;
+        self.per_shard.push(shard);
+        self.algos.push(algo);
+    }
+
     /// Simulated disk time of the sharded run: the **max** over the
     /// shards' independent disk clocks — the fork-join completion time.
     pub fn sim_disk_max_secs(&self) -> f64 {
@@ -280,13 +282,14 @@ impl ShardedStore {
                 }
             }
         }
+        // Guarded until every shard's file exists: a later shard's write
+        // error deletes the earlier shards' files.
         let mut files = Vec::with_capacity(n);
-        for (i, bucket) in buckets.into_iter().enumerate() {
-            let c = &self.ctxs[i];
-            files.push(HeapFile::from_iter_with(&c.pool, c.write_opts(1), bucket)?);
+        for (c, bucket) in self.ctxs.iter().zip(buckets) {
+            files.push(c.temp(HeapFile::from_iter_with(&c.pool, c.write_opts(1), bucket)?));
         }
         Ok(ShardedFile {
-            files,
+            files: files.into_iter().map(TempFile::keep).collect(),
             role,
             records,
             replicated,
@@ -326,40 +329,20 @@ impl ShardedStore {
     {
         assert_eq!(a.files.len(), self.shards(), "file sharded elsewhere");
         assert_eq!(d.files.len(), self.shards(), "file sharded elsewhere");
-        let outs = run_tasks_on(
+        let mut stats = ShardedStats::default();
+        fork_join(
             self.threads,
             (0..self.shards()).collect(),
-            |i| self.worker(i),
-            |wctx, i: usize, buf| {
+            |i| &self.ctxs[i],
+            sink,
+            |wctx, i: usize, out| {
                 let (af, df) = (&a.files[i], &d.files[i]);
                 let (algo, policy) = choose(wctx, i, af, df);
-                crate::planner::execute(wctx, algo, af, df, policy, buf).map(|stats| (algo, stats))
+                crate::planner::execute(wctx, algo, af, df, policy, out).map(|stats| (algo, stats))
             },
-        );
-        let mut stats = ShardedStats::default();
-        let mut err: Option<JoinError> = None;
-        for out in outs {
-            match out {
-                Ok(TaskOutput {
-                    pairs,
-                    result: (algo, shard),
-                }) if err.is_none() => {
-                    for (ae, de) in pairs {
-                        sink.emit(ae, de);
-                    }
-                    stats.pairs += shard.pairs;
-                    stats.false_hits += shard.false_hits;
-                    stats.per_shard.push(shard);
-                    stats.algos.push(algo);
-                }
-                Ok(_) => {}
-                Err(e) => err = err.or(Some(e)),
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
+            |(algo, shard)| stats.push(algo, shard),
+        )?;
+        Ok(stats)
     }
 
     /// Runs a [`crate::QueryBatch`]-style shared multi-query scan
@@ -377,11 +360,15 @@ impl ShardedStore {
     ) -> Result<ShardedStats, JoinError> {
         assert_eq!(sinks.len(), queries.len(), "one sink per batched query");
         assert_eq!(d.files.len(), self.shards(), "file sharded elsewhere");
-        let outs = run_tasks_on(
+        let mut stats = ShardedStats::default();
+        // Pairs travel per query inside the task results; the scheduler's
+        // own (single) sink stays unused.
+        fork_join(
             self.threads,
             (0..self.shards()).collect(),
-            |i| self.worker(i),
-            |wctx, i: usize, _buf| {
+            |i| &self.ctxs[i],
+            &mut CountSink::default(),
+            |wctx, i: usize, _out| {
                 let (lo, hi) = self.plan.range(i);
                 let mut qb = crate::QueryBatch::new();
                 for q in queries {
@@ -396,49 +383,24 @@ impl ShardedStore {
                 }
                 let mut collected: Vec<CollectSink> =
                     (0..queries.len()).map(|_| CollectSink::default()).collect();
-                let stats = {
-                    let mut ms = MultiSink::new();
-                    for s in &mut collected {
-                        ms.push(s);
-                    }
-                    qb.execute(wctx, &d.files[i], &mut ms)?
-                };
-                let per_query: Vec<Vec<(Element, Element)>> =
-                    collected.into_iter().map(|s| s.pairs).collect();
-                Ok((stats, per_query))
-            },
-        );
-        let mut stats = ShardedStats::default();
-        let mut err: Option<JoinError> = None;
-        for out in outs {
-            match out {
-                Ok(TaskOutput {
-                    result: (shard, per_query),
-                    ..
-                }) if err.is_none() => {
-                    for (q, pairs) in per_query.into_iter().enumerate() {
-                        for (ae, de) in pairs {
-                            sinks.emit_to(q, ae, de);
-                        }
-                    }
-                    stats.pairs += shard.pairs;
-                    stats.per_shard.push(shard);
-                    stats.algos.push(Algorithm::SharedScan);
+                let mut ms = MultiSink::new();
+                for s in &mut collected {
+                    ms.push(s);
                 }
-                Ok(_) => {}
-                Err(e) => err = err.or(Some(e)),
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
-    }
-
-    /// Shard `i`'s task context: a sequential worker view over the
-    /// shard's own pool at its full budget.
-    fn worker(&self, i: usize) -> JoinCtx {
-        self.ctxs[i].worker(self.ctxs[i].budget())
+                let shard = qb.execute(wctx, &d.files[i], &mut ms)?;
+                drop(ms);
+                Ok((shard, collected))
+            },
+            |(shard, per_query)| {
+                for (q, collected) in per_query.into_iter().enumerate() {
+                    for (ae, de) in collected.pairs {
+                        sinks.emit_to(q, ae, de);
+                    }
+                }
+                stats.push(Algorithm::SharedScan, shard);
+            },
+        )?;
+        Ok(stats)
     }
 }
 
@@ -484,14 +446,21 @@ mod tests {
             .build()
     }
 
-    /// The reference result: the algorithm run unsharded on one pool.
-    fn unsharded(algo: Algorithm, ancs: &[Element], descs: &[Element]) -> Vec<(u64, u64)> {
+    /// The reference run: the algorithm unsharded on one 64-frame pool.
+    /// Returns the emitted pair sequence and the pool's I/O counters.
+    fn unsharded(
+        algo: Algorithm,
+        ancs: &[Element],
+        descs: &[Element],
+    ) -> (CollectSink, pbitree_storage::IoStats) {
         let ctx = JoinCtxBuilder::in_memory_free(shape(), 64).build();
-        let a = HeapFile::from_iter(&ctx.pool, ancs.iter().copied()).unwrap();
-        let d = HeapFile::from_iter(&ctx.pool, descs.iter().copied()).unwrap();
+        let load = |items: &[Element]| {
+            HeapFile::from_iter_with(&ctx.pool, ctx.write_opts(1), items.iter().copied()).unwrap()
+        };
+        let (a, d) = (load(ancs), load(descs));
         let mut sink = CollectSink::default();
         execute(&ctx, algo, &a, &d, SortPolicy::SortOnTheFly, &mut sink).unwrap();
-        sink.canonical()
+        (sink, ctx.pool.io_stats())
     }
 
     #[test]
@@ -499,7 +468,8 @@ mod tests {
         let ancs = uniform_codes(300, &[4, 6, 9], 0xA11CE);
         let descs = doc_sorted(uniform_codes(3000, &[0, 1, 2], 0xD0C5));
         for algo in [Algorithm::MhcjRollup, Algorithm::Vpj, Algorithm::StackTree] {
-            let expect = unsharded(algo, &ancs, &descs);
+            let (reference, reference_io) = unsharded(algo, &ancs, &descs);
+            let expect = reference.canonical();
             assert!(!expect.is_empty(), "workload must produce matches");
             for shards in [1usize, 2, 4, 8] {
                 for threads in [1usize, 4] {
@@ -520,6 +490,16 @@ mod tests {
                     assert_eq!(stats.pairs as usize, expect.len());
                     assert_eq!(stats.per_shard.len(), shards);
                     assert_eq!(store.pinned_frames(), 0);
+                    if (shards, threads) == (1, 1) {
+                        // One shard on one worker *is* the single-pool
+                        // plan: same emission order, same page I/O.
+                        assert_eq!(sink.pairs, reference.pairs, "{algo}: 1x1 pair order");
+                        assert_eq!(
+                            store.ctx(0).pool.io_stats(),
+                            reference_io,
+                            "{algo}: 1x1 I/O counters"
+                        );
+                    }
                 }
             }
         }
@@ -551,7 +531,9 @@ mod tests {
     fn planner_plans_per_shard_and_matches() {
         let ancs = uniform_codes(200, &[5, 7], 0xFACE);
         let descs = doc_sorted(uniform_codes(1500, &[0, 1], 0xF00D));
-        let expect = unsharded(Algorithm::MhcjRollup, &ancs, &descs);
+        let expect = unsharded(Algorithm::MhcjRollup, &ancs, &descs)
+            .0
+            .canonical();
         let store = ShardedStore::from_ctx(&proto(4, 2, 64));
         let a = store
             .load(ShardRole::Ancestor, ancs.iter().copied())

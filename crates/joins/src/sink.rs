@@ -188,15 +188,10 @@ pub struct HeapSink<'a> {
 }
 
 impl<'a> HeapSink<'a> {
-    /// Starts a sink writing to a fresh heap file with the default
-    /// write-once batching depth.
-    pub fn create(pool: &'a BufferPool) -> Result<Self, PoolError> {
-        Self::create_with(pool, ScanOptions::default())
-    }
-
-    /// Starts a sink with explicit [`ScanOptions`] — pass the operator's
-    /// write options (e.g. `ctx.write_opts(1)`) so the materialized output
-    /// batches at the declared depth.
+    /// Starts a sink writing to a fresh heap file under explicit
+    /// [`ScanOptions`] — pass the operator's write options (e.g.
+    /// `ctx.write_opts(1)`) so the materialized output batches at the
+    /// declared depth.
     pub fn create_with(pool: &'a BufferPool, opts: ScanOptions) -> Result<Self, PoolError> {
         Ok(HeapSink {
             writer: Some(HeapWriter::create_with(pool, opts)?),

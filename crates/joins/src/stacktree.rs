@@ -10,7 +10,7 @@
 //! operator sorts them with the external merge sort first and its cost is
 //! charged to the join, exactly like the MIN_RGN baselines in the paper.
 
-use pbitree_storage::{external_sort_with, HeapFile};
+use pbitree_storage::{external_sort_with, HeapFile, TempFile};
 
 use crate::batch::ElementBatch;
 use crate::context::{JoinCtx, JoinError, JoinStats};
@@ -27,19 +27,34 @@ pub enum SortPolicy {
     SortOnTheFly,
 }
 
-/// Sorts an element file into document order (helper shared with ADB+).
-pub(crate) fn sort_doc_order(
-    ctx: &JoinCtx,
+/// A document-ordered copy of an input, deleted when dropped.
+pub(crate) type Sorted<'a> = TempFile<'a, HeapFile<Element>>;
+
+/// Sorts an element file into document order.
+pub(crate) fn sort_doc_order<'a>(
+    ctx: &'a JoinCtx,
     f: &HeapFile<Element>,
-) -> Result<HeapFile<Element>, JoinError> {
+) -> Result<Sorted<'a>, JoinError> {
     let budget = ctx.budget().saturating_sub(2).max(3);
-    Ok(external_sort_with(
-        &ctx.pool,
-        f,
-        budget,
-        ctx.read_opts(),
-        |e| e.doc_key(),
-    )?)
+    let sorted = external_sort_with(&ctx.pool, f, budget, ctx.read_opts(), |e| e.doc_key())?;
+    Ok(ctx.temp(sorted))
+}
+
+/// The `"sort"` phase every sort-merge operator opens with: under
+/// [`SortPolicy::SortOnTheFly`] both inputs are sorted into operator-owned
+/// copies (the cost lands in the calling operator's run); under
+/// [`SortPolicy::AssumeSorted`] there is nothing to do and the caller
+/// merges `a` and `d` themselves.
+pub(crate) fn sorted_inputs<'a>(
+    ctx: &'a JoinCtx,
+    a: &HeapFile<Element>,
+    d: &HeapFile<Element>,
+    policy: SortPolicy,
+) -> Result<Option<(Sorted<'a>, Sorted<'a>)>, JoinError> {
+    ctx.phase("sort", || match policy {
+        SortPolicy::AssumeSorted => Ok(None),
+        SortPolicy::SortOnTheFly => Ok(Some((sort_doc_order(ctx, a)?, sort_doc_order(ctx, d)?))),
+    })
 }
 
 /// Stack-Tree-Desc: merge the two document-ordered streams with a stack of
@@ -52,20 +67,11 @@ pub fn stack_tree_desc(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("stack_tree_desc", || {
-        let (sa, sd, owned) = ctx.phase("sort", || match policy {
-            SortPolicy::AssumeSorted => Ok((*a, *d, false)),
-            SortPolicy::SortOnTheFly => {
-                Ok((sort_doc_order(ctx, a)?, sort_doc_order(ctx, d)?, true))
-            }
-        })?;
-        let pairs = ctx.phase_counted("merge", || {
-            merge_with_stack(ctx, &sa, &sd, sink).map(|p| (p, 0))
-        })?;
-        if owned {
-            sa.drop_file(&ctx.pool);
-            sd.drop_file(&ctx.pool);
-        }
-        Ok(pairs)
+        let sorted = sorted_inputs(ctx, a, d, policy)?;
+        let (sa, sd) = sorted.as_ref().map_or((a, d), |(sa, sd)| (sa, sd));
+        ctx.phase_counted("merge", || {
+            merge_with_stack(ctx, sa, sd, sink).map(|p| (p, 0))
+        })
     })
 }
 
@@ -150,156 +156,6 @@ fn merge_with_stack(
             }
         }
         di = hi;
-    }
-    Ok(pairs)
-}
-
-/// Stack-Tree-Anc: same merge, but output grouped and ordered by
-/// **ancestor** document order — the variant \[1\] provides for pipelines
-/// whose next operator needs ancestor-sorted input.
-///
-/// Pairs cannot be emitted the moment they are found (an open ancestor
-/// deeper in the stack sorts *later* than one below it, yet its matches
-/// arrive first), so each stack entry buffers a self-list and inherits the
-/// lists of the descendants popped above it; everything under a bottom
-/// entry is emitted, fully ordered, when that entry pops. Buffer space is
-/// O(output under the deepest open chain), the trade-off the original
-/// paper documents.
-pub fn stack_tree_anc(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    policy: SortPolicy,
-    sink: &mut dyn PairSink,
-) -> Result<JoinStats, JoinError> {
-    ctx.measure_op("stack_tree_anc", || {
-        let (sa, sd, owned) = ctx.phase("sort", || match policy {
-            SortPolicy::AssumeSorted => Ok((*a, *d, false)),
-            SortPolicy::SortOnTheFly => {
-                Ok((sort_doc_order(ctx, a)?, sort_doc_order(ctx, d)?, true))
-            }
-        })?;
-        let pairs =
-            ctx.phase_counted("merge", || merge_anc(ctx, &sa, &sd, sink).map(|p| (p, 0)))?;
-        if owned {
-            sa.drop_file(&ctx.pool);
-            sd.drop_file(&ctx.pool);
-        }
-        Ok(pairs)
-    })
-}
-
-struct AncEntry {
-    node: Element,
-    /// (node, d) pairs, in d order.
-    self_list: Vec<(Element, Element)>,
-    /// Ordered pairs inherited from popped deeper entries.
-    inherit_list: Vec<(Element, Element)>,
-}
-
-fn merge_anc(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    sink: &mut dyn PairSink,
-) -> Result<u64, JoinError> {
-    // Two concurrent merge streams: split the read-ahead depth so they do
-    // not evict each other's prefetched frames.
-    let opts = ctx.read_opts().shared(2);
-    let mut sa = a.scan_with(&ctx.pool, opts);
-    let mut sd = d.scan_with(&ctx.pool, opts);
-    // Same batched merge skeleton as `merge_with_stack`.
-    let mut ab = ElementBatch::new();
-    let mut db = ElementBatch::new();
-    ab.refill(&mut sa)?;
-    db.refill(&mut sd)?;
-    let (mut ai, mut di) = (0usize, 0usize);
-    let mut stack: Vec<AncEntry> = Vec::with_capacity(ctx.shape.height() as usize);
-    let mut pairs = 0u64;
-
-    // Pops the top entry, emitting (stack empty) or splicing into the new
-    // top's inherit list (self first: the popped node sorts after its
-    // parent, and the parent's own pairs were placed before). A pop on an
-    // empty stack is a no-op (callers guard on `last()`).
-    fn pop(stack: &mut Vec<AncEntry>, sink: &mut dyn PairSink, pairs: &mut u64) {
-        let Some(e) = stack.pop() else {
-            return;
-        };
-        match stack.last_mut() {
-            None => {
-                for (x, y) in e.self_list.into_iter().chain(e.inherit_list) {
-                    *pairs += 1;
-                    sink.emit(x, y);
-                }
-            }
-            Some(parent) => {
-                parent.inherit_list.extend(e.self_list);
-                parent.inherit_list.extend(e.inherit_list);
-            }
-        }
-    }
-
-    loop {
-        if di == db.len() {
-            di = 0;
-            if !db.refill(&mut sd)? {
-                break;
-            }
-        }
-        if ai == ab.len() {
-            ai = 0;
-            ab.refill(&mut sa)?; // stays empty once A is exhausted
-        }
-        let d_el = db.get(di);
-        let a_key = (ai < ab.len()).then(|| ab.get(ai).doc_key());
-        if a_key.is_some_and(|k| k <= d_el.doc_key()) {
-            let a_el = ab.get(ai);
-            while stack.last().is_some_and(|t| t.node.end() < a_el.start()) {
-                pop(&mut stack, sink, &mut pairs);
-            }
-            stack.push(AncEntry {
-                node: a_el,
-                self_list: Vec::new(),
-                inherit_list: Vec::new(),
-            });
-            ai += 1;
-            continue;
-        }
-        while stack.last().is_some_and(|t| t.node.end() < d_el.start()) {
-            pop(&mut stack, sink, &mut pairs);
-        }
-        let Some(top) = stack.last() else {
-            match a_key {
-                // Nothing open, nothing buffered (the stack drained as it
-                // popped), nothing pending: done.
-                None => break,
-                // Unmatched descendants before the next ancestor: skip the
-                // run in one gallop.
-                Some(k) => {
-                    di = db.gallop_key_ge(di, k);
-                    continue;
-                }
-            }
-        };
-        // The stable-stack run, as in `merge_with_stack`: every descendant
-        // before the next ancestor that stays inside the stack top buffers
-        // against the same entries.
-        let mut hi = db.upper_bound_start(di, top.node.end());
-        if let Some(k) = a_key {
-            hi = hi.min(db.gallop_key_ge(di, k));
-        }
-        for i in di..hi {
-            let de = db.get(i);
-            for e in stack.iter_mut() {
-                if e.node.code != de.code {
-                    e.self_list.push((e.node, de));
-                }
-            }
-        }
-        di = hi;
-    }
-    while !stack.is_empty() {
-        pop(&mut stack, sink, &mut pairs);
     }
     Ok(pairs)
 }
@@ -424,73 +280,6 @@ mod tests {
         // 24 contains 20; 20 does not contain itself.
         assert_eq!(stats.pairs, 1);
         assert_eq!(got.canonical(), vec![(24, 20)]);
-    }
-
-    #[test]
-    fn anc_variant_matches_and_orders_by_ancestor() {
-        let c = ctx(8);
-        let a = element_file(
-            &c.pool,
-            mixed_codes(400, &[4, 7, 10], 171)
-                .into_iter()
-                .map(|v| (v, 0)),
-        )
-        .unwrap();
-        let d = element_file(
-            &c.pool,
-            mixed_codes(1200, &[0, 1, 2], 173)
-                .into_iter()
-                .map(|v| (v, 1)),
-        )
-        .unwrap();
-        let mut anc = CollectSink::default();
-        let s1 = stack_tree_anc(&c, &a, &d, SortPolicy::SortOnTheFly, &mut anc).unwrap();
-        let mut desc = CollectSink::default();
-        let s2 = stack_tree_desc(&c, &a, &d, SortPolicy::SortOnTheFly, &mut desc).unwrap();
-        assert_eq!(s1.pairs, s2.pairs);
-        assert_eq!(anc.canonical(), desc.canonical());
-        // Output ordered by ancestor doc order (non-decreasing keys), and
-        // within one ancestor by descendant order.
-        assert!(anc
-            .pairs
-            .windows(2)
-            .all(|w| w[0].0.doc_key() <= w[1].0.doc_key()));
-        assert!(anc
-            .pairs
-            .windows(2)
-            .all(|w| w[0].0 != w[1].0 || w[0].1.doc_key() <= w[1].1.doc_key()));
-    }
-
-    #[test]
-    fn anc_variant_deep_nesting() {
-        // Nested ancestors: the inherit-list splicing must interleave
-        // parent pairs before child pairs.
-        let c = ctx(8);
-        let a = element_file(&c.pool, [(1u64 << 10, 0), (1u64 << 6, 0), (1u64 << 3, 0)]).unwrap();
-        let d = element_file(&c.pool, [(1u64, 1), (5, 1), (33, 1), (1025, 1)]).unwrap();
-        let mut anc = CollectSink::default();
-        stack_tree_anc(&c, &a, &d, SortPolicy::SortOnTheFly, &mut anc).unwrap();
-        // 1<<10 region [1,2047] holds all four; 1<<6 region [1,127] holds
-        // 1, 5, 33; 1<<3 region [1,15] holds 1, 5.
-        let got: Vec<(u64, u64)> = anc
-            .pairs
-            .iter()
-            .map(|(x, y)| (x.code.get(), y.code.get()))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                (1024, 1),
-                (1024, 5),
-                (1024, 33),
-                (1024, 1025),
-                (64, 1),
-                (64, 5),
-                (64, 33),
-                (8, 1),
-                (8, 5),
-            ]
-        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! to whole runs. This module adds that attribution without any external
 //! dependency: a [`Tracer`] collects [`SpanRecord`]s, operators wrap their
 //! phases in [`JoinCtx::phase`] / [`JoinCtx::phase_counted`], and the
-//! parallel scheduler records one span per partition task.
+//! fork-join scheduler records one span per task — at every worker count,
+//! so a trace has one shape whatever `threads` is.
 //!
 //! # Span model
 //!
@@ -21,14 +22,17 @@
 //!   consecutive intervals of the run, and `measure_op` closes the run
 //!   with a synthetic `"other"` phase holding the remainder, so the
 //!   per-phase I/O deltas of a run's tiled phases sum *exactly* to the
-//!   run's total I/O delta — including under `threads > 1`, because all
-//!   snapshots diff the same monotone global counters on one thread.
-//! * **task** — one partition task executed by a scheduler worker. Carries
-//!   the worker-measured CPU time and pairs buffered by that task. Its
+//!   run's total I/O delta — at any worker count, because all snapshots
+//!   diff the same monotone global counters on one thread.
+//! * **task** — one task of a `parallel::fork_join`, on whichever
+//!   worker ran it (the calling thread when there is one worker). Carries
+//!   the worker-measured CPU time and the pairs the task emitted. Its
 //!   counter deltas are global (concurrent tasks overlap), so task spans
 //!   are never tiled and never enter a [`JoinStats`] phase breakdown;
 //!   they exist so per-worker times survive in the trace instead of being
-//!   mis-summed into the operator's wall-clock.
+//!   mis-summed into the operator's wall-clock. A fork-join nested inside
+//!   a task (VPJ's recursion) records no spans of its own: its work is
+//!   part of the enclosing task's span.
 //!
 //! # Overhead
 //!
@@ -67,6 +71,7 @@ use std::time::Instant;
 use pbitree_storage::{IoStats, PoolStats, StatsSnapshot};
 
 use crate::context::{JoinCtx, JoinError, JoinStats, PhaseStat};
+use crate::sink::{PairSink, SinkExt};
 
 /// Version stamped into every JSONL line as `"v"`.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -295,11 +300,23 @@ thread_local! {
     static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The run the current thread is inside, if any. The parallel scheduler
-/// captures this *on the scheduling thread* and hands it to workers so
-/// their task spans attach to the right run.
-pub(crate) fn current_run() -> Option<u64> {
+/// The run the current thread is inside, if any.
+fn current_run() -> Option<u64> {
     FRAMES.with(|f| f.borrow().last().map(|fr| fr.run))
+}
+
+/// The run a fork-join started on this thread attaches its task spans to:
+/// the current run, unless the thread is already inside a task (a nested
+/// fork-join is part of that task's span). The scheduler captures this
+/// *on the scheduling thread* and hands it to its workers.
+pub(crate) fn task_parent() -> Option<u64> {
+    FRAMES.with(|f| {
+        let frames = f.borrow();
+        frames
+            .last()
+            .filter(|fr| fr.task.is_none())
+            .map(|fr| fr.run)
+    })
 }
 
 fn push_frame(run: u64, task: Option<u64>) {
@@ -346,10 +363,10 @@ impl JoinCtx {
     /// breakdown tiles the run exactly.
     ///
     /// `cpu_ns` of the result is the wall-clock of this call on the
-    /// calling thread. Under `threads > 1` the workers run *inside* that
-    /// interval; their per-task times are task spans in the trace and are
-    /// deliberately not summed here (summing would double-count overlapped
-    /// time — see `DESIGN.md`, Observability).
+    /// calling thread. Fork-join workers run *inside* that interval; their
+    /// per-task times are task spans in the trace and are deliberately not
+    /// summed here (summing would double-count overlapped time — see
+    /// `DESIGN.md`, Observability).
     pub fn measure_op<F>(&self, op: &'static str, body: F) -> Result<JoinStats, JoinError>
     where
         F: FnOnce() -> Result<(u64, u64), JoinError>,
@@ -496,24 +513,26 @@ impl JoinCtx {
     }
 }
 
-/// Runs one partition task body under a task span attached to `parent`
-/// (the run id captured on the scheduling thread). Establishes the frame
-/// so spans recorded inside the task nest correctly, then records the
-/// task span with the worker-measured time and `pairs_of(&result)`.
+/// Runs one fork-join task body under a task span attached to `parent`
+/// (see [`task_parent`]). Establishes the frame so spans recorded inside
+/// the task nest correctly, then records the task span with the
+/// worker-measured time and the pairs the body emitted into `sink`.
+/// Untraced (or with no parent run) this is exactly `f(sink)`.
 pub(crate) fn in_task<T>(
     ctx: &JoinCtx,
     parent: Option<u64>,
     task: u64,
-    pairs_of: impl FnOnce(&T) -> u64,
-    f: impl FnOnce() -> T,
+    sink: &mut dyn PairSink,
+    f: impl FnOnce(&mut dyn PairSink) -> T,
 ) -> T {
     let (Some(tracer), Some(run)) = (ctx.tracer(), parent) else {
-        return f();
+        return f(sink);
     };
+    let mut sink = sink.counted();
     push_frame(run, Some(task));
     let before = ctx.pool.stats_snapshot();
     let t0 = Instant::now();
-    let out = f();
+    let out = f(&mut sink);
     let cpu_ns = t0.elapsed().as_nanos() as u64;
     let delta = ctx.pool.stats_snapshot().since(&before);
     pop_frame();
@@ -525,7 +544,7 @@ pub(crate) fn in_task<T>(
         task: Some(task),
         tiled: false,
         name: "task",
-        pairs: pairs_of(&out),
+        pairs: sink.count,
         false_hits: 0,
         cpu_ns,
         io: delta.io,

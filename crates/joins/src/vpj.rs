@@ -27,12 +27,21 @@
 //! memory join recurses with a strictly deeper level; if the level bottoms
 //! out (same-subtree skew), MHCJ+Rollup — which has no memory
 //! precondition — finishes the job.
+//!
+//! **One body at every thread count.** A partitioning level never joins
+//! its groups itself: it returns them as `VpjTask`s, and
+//! `parallel::fork_join` runs them — over `ctx.threads` workers at
+//! the top level, on one worker inside a recursing task. The sequential
+//! plan is that scheduler's one-worker schedule.
 
-use pbitree_storage::{HeapFile, HeapWriter};
+use std::collections::btree_map::{BTreeMap, Entry};
+
+use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::memjoin::{RolledAncestors, SortedDescendants};
+use crate::parallel::fork_join_carved;
 use crate::rollup;
 use crate::sink::PairSink;
 
@@ -58,8 +67,8 @@ pub struct VpjReport {
 }
 
 impl VpjReport {
-    /// Folds a worker's partial report into this one (all counters add).
-    pub(crate) fn absorb(&mut self, o: &VpjReport) {
+    /// Folds a task's partial report into this one (all counters add).
+    fn absorb(&mut self, o: &VpjReport) {
         self.replicated_tuples += o.replicated_tuples;
         self.partitions += o.partitions;
         self.purged += o.purged;
@@ -69,11 +78,14 @@ impl VpjReport {
     }
 }
 
-/// A unit of deferred top-level work for the parallel scheduler
-/// ([`crate::parallel`]): either a merged group ready for a memory join,
-/// or a dense partition that must recurse. Tasks own their heap files;
-/// [`execute_task`] drops them.
-pub(crate) enum VpjTask {
+/// A partition file: deleted when its owner — a partition map, a task, or
+/// an error unwinding past either — drops it.
+type Part<'a> = TempFile<'a, HeapFile<Element>>;
+
+/// One unit of work a partitioning level leaves behind, in the order the
+/// plan executes them. Tasks own their files: a task that ran, failed or
+/// was never claimed deletes them all the same.
+pub(crate) enum VpjTask<'a> {
     /// A merged group satisfying the memory-join precondition.
     Group {
         /// Partitioning level the group was formed at.
@@ -81,73 +93,32 @@ pub(crate) enum VpjTask {
         /// Member partition indices, ascending.
         members: Vec<u64>,
         /// Ancestor-side files, parallel to `members`.
-        ga: Vec<HeapFile<Element>>,
+        ga: Vec<Part<'a>>,
         /// Descendant-side files, parallel to `members`.
-        gd: Vec<HeapFile<Element>>,
+        gd: Vec<Part<'a>>,
     },
-    /// A lone dense partition: recurse one level deeper.
+    /// A lone dense partition: recurse one level deeper, confined to the
+    /// partition's subtree code range `window`.
     Recurse {
-        a: HeapFile<Element>,
-        d: HeapFile<Element>,
+        a: Part<'a>,
+        d: Part<'a>,
         window: (u64, u64),
         min_level: u32,
         depth: u32,
     },
 }
 
-/// Runs the top-level partitioning pass with group joins and recursions
-/// *deferred*: base cases (memory-join fit, rollup fallback) still execute
-/// inline into `sink`, everything else comes back as [`VpjTask`]s in the
-/// exact order the sequential plan would have executed them.
-pub(crate) fn collect_top_tasks(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    sink: &mut dyn PairSink,
-    pairs: &mut u64,
-    false_hits: &mut u64,
-    report: &mut VpjReport,
-) -> Result<Vec<VpjTask>, JoinError> {
-    let mut tasks = Vec::new();
-    let window = (1u64, ctx.shape.node_count());
-    vpj_rec(
-        ctx,
-        Side {
-            file: *a,
-            owned: false,
-        },
-        Side {
-            file: *d,
-            owned: false,
-        },
-        window,
-        0,
-        0,
-        sink,
-        pairs,
-        false_hits,
-        report,
-        Some(&mut tasks),
-    )?;
-    Ok(tasks)
-}
-
-/// Executes one deferred task, emitting into `sink` and dropping the
-/// task's files. Returns `(pairs, false_hits)`.
+/// Executes one task, emitting into `sink`. Returns `(pairs, false_hits)`.
 pub(crate) fn execute_task(
     ctx: &JoinCtx,
-    task: VpjTask,
+    task: VpjTask<'_>,
     sink: &mut dyn PairSink,
     report: &mut VpjReport,
 ) -> Result<(u64, u64), JoinError> {
     match task {
         VpjTask::Group { l, members, ga, gd } => {
             report.groups += 1;
-            let out = join_group(ctx, l, &members, &ga, &gd, sink);
-            for f in ga.into_iter().chain(gd) {
-                f.drop_file(&ctx.pool);
-            }
-            out
+            join_group(ctx, l, &members, &ga, &gd, sink)
         }
         VpjTask::Recurse {
             a,
@@ -157,29 +128,45 @@ pub(crate) fn execute_task(
             depth,
         } => {
             report.recursions += 1;
-            let (mut p, mut fh) = (0u64, 0u64);
-            vpj_rec(
-                ctx,
-                Side {
-                    file: a,
-                    owned: true,
-                },
-                Side {
-                    file: d,
-                    owned: true,
-                },
-                window,
-                min_level,
-                depth,
-                sink,
-                &mut p,
-                &mut fh,
-                report,
-                None,
-            )?;
-            Ok((p, fh))
+            let (base, tasks) = vpj_rec(ctx, &a, &d, window, min_level, depth, sink, report)?;
+            // The partition is spent once its own partitions exist.
+            drop((a, d));
+            run_tasks(ctx, 1, base, tasks, sink, report)
         }
     }
+}
+
+/// Fork-joins one level's tasks over `threads` workers, adding their
+/// counts to the level's inline `base` counts and their reports to
+/// `report`.
+fn run_tasks(
+    ctx: &JoinCtx,
+    threads: usize,
+    base: (u64, u64),
+    tasks: Vec<VpjTask<'_>>,
+    sink: &mut dyn PairSink,
+    report: &mut VpjReport,
+) -> Result<(u64, u64), JoinError> {
+    let (p, f) = ctx.phase_counted("probe", || {
+        let (mut p, mut f) = (0u64, 0u64);
+        fork_join_carved(
+            ctx,
+            threads,
+            tasks,
+            sink,
+            |wctx, task, out| {
+                let mut rep = VpjReport::default();
+                execute_task(wctx, task, out, &mut rep).map(|(p, f)| (p, f, rep))
+            },
+            |(tp, tf, rep)| {
+                p += tp;
+                f += tf;
+                report.absorb(&rep);
+            },
+        )?;
+        Ok((p, f))
+    })?;
+    Ok((base.0 + p, base.1 + f))
 }
 
 /// VPJ: vertical partitioning with purge/merge/recurse, returning its
@@ -190,50 +177,13 @@ pub fn vpj(
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<(JoinStats, VpjReport), JoinError> {
-    if ctx.threads > 1 {
-        return crate::parallel::vpj_parallel(ctx, a, d, sink);
-    }
     let mut report = VpjReport::default();
     let stats = ctx.measure_op("vpj", || {
-        let mut pairs = 0u64;
-        let mut false_hits = 0u64;
         let window = (1u64, ctx.shape.node_count());
-        vpj_rec(
-            ctx,
-            Side {
-                file: *a,
-                owned: false,
-            },
-            Side {
-                file: *d,
-                owned: false,
-            },
-            window,
-            0,
-            0,
-            sink,
-            &mut pairs,
-            &mut false_hits,
-            &mut report,
-            None,
-        )?;
-        Ok((pairs, false_hits))
+        let (base, tasks) = vpj_rec(ctx, a, d, window, 0, 0, sink, &mut report)?;
+        run_tasks(ctx, ctx.threads, base, tasks, sink, &mut report)
     })?;
     Ok((stats, report))
-}
-
-/// A heap file we may or may not be responsible for deleting.
-struct Side {
-    file: HeapFile<Element>,
-    owned: bool,
-}
-
-impl Side {
-    fn release(self, ctx: &JoinCtx) {
-        if self.owned {
-            self.file.drop_file(&ctx.pool);
-        }
-    }
 }
 
 /// `(lo, hi)` global partition-index range of `code` at tree level `l`.
@@ -250,41 +200,38 @@ fn partition_range(code: pbitree_core::Code, shape_h: u32, l: u32) -> (u64, u64)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn vpj_rec(
-    ctx: &JoinCtx,
-    a: Side,
-    d: Side,
+/// One partitioning level over `a ⊲ d`. Base cases (a zone-map proof of
+/// emptiness, a memory-join fit, the rollup fallback) join inline into
+/// `sink` and return their `(pairs, false_hits)` with no tasks; otherwise
+/// both inputs are partitioned at a level below `min_level` and the
+/// surviving partitions come back as tasks. Never deletes `a` or `d`.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn vpj_rec<'a>(
+    ctx: &'a JoinCtx,
+    a: &HeapFile<Element>,
+    d: &HeapFile<Element>,
     window: (u64, u64),
     min_level: u32,
     depth: u32,
     sink: &mut dyn PairSink,
-    pairs: &mut u64,
-    false_hits: &mut u64,
     report: &mut VpjReport,
-    mut defer: Option<&mut Vec<VpjTask>>,
-) -> Result<(), JoinError> {
+) -> Result<((u64, u64), Vec<VpjTask<'a>>), JoinError> {
     let budget = ctx.budget().saturating_sub(RESERVE).max(1);
+    let fits = |pa: u32, pd: u32| (pa as usize) <= budget || (pd as usize) <= budget;
     // Zone short-circuit: a pair requires the descendant's region inside
     // the ancestor's, so disjoint catalog envelopes prove the whole
     // pairing empty — no scan, no partitioning pass. Counted as a purge
     // (it is one, at subtree granularity).
-    if ctx.prune() && envelopes_disjoint(&a.file, &d.file) {
+    if ctx.prune() && envelopes_disjoint(a, d) {
         report.purged += 1;
-        a.release(ctx);
-        d.release(ctx);
-        return Ok(());
+        return Ok(((0, 0), Vec::new()));
     }
     // Base case (a): one side already fits -> I/O-optimal memory join. Its
     // own `load`/`probe` phases double as this operator's.
-    if (a.file.pages() as usize) <= budget || (d.file.pages() as usize) <= budget {
-        let (p, f) = crate::memjoin::mem_join_inner(ctx, &a.file, &d.file, sink)?;
-        *pairs += p;
-        *false_hits += f;
+    if fits(a.pages(), d.pages()) {
         report.groups += 1;
-        a.release(ctx);
-        d.release(ctx);
-        return Ok(());
+        let counts = crate::memjoin::mem_join_inner(ctx, a, d, sink)?;
+        return Ok((counts, Vec::new()));
     }
 
     let h = ctx.shape.height();
@@ -297,11 +244,7 @@ fn vpj_rec(
     // the smaller side and collapses O(depth) recursion passes into one.)
     // Element files carry their region bounds as free catalog statistics;
     // scanning is only the fallback for files built elsewhere.
-    let scan_side = if a.file.pages() <= d.file.pages() {
-        &a.file
-    } else {
-        &d.file
-    };
+    let scan_side = if a.pages() <= d.pages() { a } else { d };
     let (lo, hi) = match scan_side.bounds() {
         Some(b) => b,
         None => {
@@ -328,7 +271,7 @@ fn vpj_rec(
     // Over-partition 2x: partition boundaries rarely align with the data,
     // and merging small partitions back (below) is free, while an uneven
     // minimal split forces a recursion that rewrites both inputs.
-    let min_pages = a.file.pages().min(d.file.pages()) as usize;
+    let min_pages = a.pages().min(d.pages()) as usize;
     let k0 = (min_pages.div_ceil(budget) * 2).max(2);
     let wanted_delta = (k0 as u64).next_power_of_two().trailing_zeros();
     let max_delta = (ctx.budget().saturating_sub(RESERVE).max(2) as u64)
@@ -341,13 +284,8 @@ fn vpj_rec(
         // The subtree cannot be split further (or pathological recursion):
         // MHCJ+Rollup has no memory precondition.
         report.fallbacks += 1;
-        let (p, f) =
-            ctx.phase_counted("fallback", || rollup_fallback(ctx, &a.file, &d.file, sink))?;
-        *pairs += p;
-        *false_hits += f;
-        a.release(ctx);
-        d.release(ctx);
-        return Ok(());
+        let counts = ctx.phase_counted("fallback", || rollup_fallback(ctx, a, d, sink))?;
+        return Ok((counts, Vec::new()));
     }
 
     // Index window of this subtree at level l. At the top (min_level == 0)
@@ -361,23 +299,15 @@ fn vpj_rec(
     // envelope necessary for every pair, so pages the zone map proves
     // irrelevant are never read and their records never partitioned (or
     // replicated) at all.
-    let a_popts = side_opts(ctx, d.file.bounds());
-    let d_popts = side_opts(ctx, a.file.bounds());
+    let a_popts = ctx.overlap_opts(d.bounds());
+    let d_popts = ctx.overlap_opts(a.bounds());
     let parts_a = ctx.phase("partition", || {
-        partition_pass(
-            ctx,
-            &a.file,
-            l,
-            window,
-            PartitionRole::Ancestor,
-            report,
-            a_popts,
-        )
+        partition_pass(ctx, a, l, window, PartitionRole::Ancestor, report, a_popts)
     })?;
-    let parts_d = ctx.phase("partition", || {
+    let mut parts_d = ctx.phase("partition", || {
         partition_pass(
             ctx,
-            &d.file,
+            d,
             l,
             window,
             PartitionRole::Descendant,
@@ -385,192 +315,62 @@ fn vpj_rec(
             d_popts,
         )
     })?;
-    a.release(ctx);
-    d.release(ctx);
 
-    // Purge: keep only indices where both sides are non-empty — and, with
-    // pruning on, where the two sides' catalog envelopes overlap (an
-    // ancestor partition whose regions all end before the descendant
-    // partition's begin provably joins to nothing).
-    let mut indices: Vec<u64> = parts_a
-        .keys()
-        .filter(|i| parts_d.contains_key(i))
-        .copied()
-        .collect();
-    indices.sort_unstable();
-    let mut purged: Vec<HeapFile<Element>> = Vec::new();
-    for (i, f) in &parts_a {
-        if !parts_d.contains_key(i) {
-            purged.push(*f);
-            report.purged += 1;
-        }
-    }
-    for (i, f) in &parts_d {
-        if !parts_a.contains_key(i) {
-            purged.push(*f);
-            report.purged += 1;
-        }
-    }
-    if ctx.prune() {
-        indices.retain(|i| {
-            let empty = match (parts_a.get(i), parts_d.get(i)) {
-                (Some(fa), Some(fd)) => envelopes_disjoint(fa, fd),
-                _ => false,
-            };
-            if empty {
-                purged.push(parts_a[i]);
-                purged.push(parts_d[i]);
+    // Purge, then greedily merge into groups satisfying the memory-join
+    // precondition. A partition survives only where both sides are
+    // non-empty — and, with pruning on, where the two sides' catalog
+    // envelopes overlap (an ancestor partition whose regions all end
+    // before the descendant partition's begin provably joins to nothing).
+    // A survivor joins the open group while the group still fits; one too
+    // dense to fit even alone recurses alone.
+    let mut tasks: Vec<VpjTask<'a>> = Vec::new();
+    let (mut sum_a, mut sum_d) = (0u32, 0u32); // pages of the open group
+    for (idx, fa) in parts_a {
+        let fd = match parts_d.remove(&idx) {
+            Some(fd) if !(ctx.prune() && envelopes_disjoint(&fa, &fd)) => fd,
+            _ => {
                 report.purged += 1;
+                continue;
             }
-            !empty
-        });
-    }
-    for f in purged {
-        f.drop_file(&ctx.pool);
-    }
-
-    // Greedy merge into groups satisfying the memory-join precondition.
-    let mut group: Vec<u64> = Vec::new();
-    let mut sum_a = 0u32;
-    let mut sum_d = 0u32;
-    let flush = |ctx: &JoinCtx,
-                 group: &mut Vec<u64>,
-                 sum_a: &mut u32,
-                 sum_d: &mut u32,
-                 sink: &mut dyn PairSink,
-                 pairs: &mut u64,
-                 false_hits: &mut u64,
-                 report: &mut VpjReport,
-                 defer: &mut Option<&mut Vec<VpjTask>>|
-     -> Result<(), JoinError> {
-        if group.is_empty() {
-            return Ok(());
-        }
-        // Every group member came out of both partition maps (the purge
-        // kept only shared indices); a missing entry means the bookkeeping
-        // was corrupted, not a joinable state.
-        let lookup = |parts: &std::collections::BTreeMap<u64, HeapFile<Element>>|
-         -> Result<Vec<HeapFile<Element>>, JoinError> {
-            group
-                .iter()
-                .map(|i| {
-                    parts
-                        .get(i)
-                        .copied()
-                        .ok_or_else(|| JoinError::corrupt("group member missing from partition map"))
-                })
-                .collect()
         };
-        let ga: Vec<HeapFile<Element>> = lookup(&parts_a)?;
-        let gd: Vec<HeapFile<Element>> = lookup(&parts_d)?;
-        let fits = (*sum_a as usize) <= ctx.budget().saturating_sub(RESERVE).max(1)
-            || (*sum_d as usize) <= ctx.budget().saturating_sub(RESERVE).max(1);
-        if let Some(tasks) = defer.as_mut() {
-            // Parallel mode: hand the work to the scheduler instead of
-            // executing it; task order is exactly the sequential order.
-            if fits {
-                tasks.push(VpjTask::Group {
-                    l,
-                    members: std::mem::take(group),
-                    ga,
-                    gd,
-                });
-            } else {
-                debug_assert_eq!(group.len(), 1);
-                let idx = group[0];
-                let hl = ctx.shape.height() - 1 - l;
-                let child_window = (
+        let (pa, pd) = (fa.pages(), fd.pages());
+        if !fits(pa, pd) {
+            let hl = h - 1 - l;
+            tasks.push(VpjTask::Recurse {
+                a: fa,
+                d: fd,
+                window: (
                     ((idx << (hl + 1)) + 1).max(window.0),
                     (((idx + 1) << (hl + 1)) - 1).min(window.1),
-                );
-                tasks.push(VpjTask::Recurse {
-                    a: ga[0],
-                    d: gd[0],
-                    window: child_window,
-                    min_level: l,
-                    depth: depth + 1,
+                ),
+                min_level: l,
+                depth: depth + 1,
+            });
+            continue;
+        }
+        match tasks.last_mut() {
+            Some(VpjTask::Group {
+                members, ga, gd, ..
+            }) if fits(sum_a + pa, sum_d + pd) => {
+                members.push(idx);
+                ga.push(fa);
+                gd.push(fd);
+                sum_a += pa;
+                sum_d += pd;
+            }
+            _ => {
+                tasks.push(VpjTask::Group {
+                    l,
+                    members: vec![idx],
+                    ga: vec![fa],
+                    gd: vec![fd],
                 });
-                group.clear();
+                (sum_a, sum_d) = (pa, pd);
             }
-            *sum_a = 0;
-            *sum_d = 0;
-            return Ok(());
-        }
-        if fits {
-            report.groups += 1;
-            let (p, f) =
-                ctx.phase_counted("probe", || join_group(ctx, l, group, &ga, &gd, sink))?;
-            *pairs += p;
-            *false_hits += f;
-            for f in ga.into_iter().chain(gd) {
-                f.drop_file(&ctx.pool);
-            }
-        } else {
-            // A lone dense partition: recurse one level deeper, confined
-            // to that partition's subtree code range.
-            debug_assert_eq!(group.len(), 1);
-            report.recursions += 1;
-            let idx = group[0];
-            let hl = ctx.shape.height() - 1 - l;
-            let child_window = (
-                ((idx << (hl + 1)) + 1).max(window.0),
-                (((idx + 1) << (hl + 1)) - 1).min(window.1),
-            );
-            vpj_rec(
-                ctx,
-                Side {
-                    file: ga[0],
-                    owned: true,
-                },
-                Side {
-                    file: gd[0],
-                    owned: true,
-                },
-                child_window,
-                l,
-                depth + 1,
-                sink,
-                pairs,
-                false_hits,
-                report,
-                None,
-            )?;
-        }
-        group.clear();
-        *sum_a = 0;
-        *sum_d = 0;
-        Ok(())
-    };
-
-    for idx in indices {
-        let (pa, pd) = match (parts_a.get(&idx), parts_d.get(&idx)) {
-            (Some(fa), Some(fd)) => (fa.pages(), fd.pages()),
-            _ => return Err(JoinError::corrupt("purged index survived into merge loop")),
-        };
-        let fits_alone = (pa as usize) <= budget || (pd as usize) <= budget;
-        let fits_merged = !group.is_empty()
-            && ((sum_a + pa) as usize <= budget || (sum_d + pd) as usize <= budget);
-        if !group.is_empty() && !fits_merged {
-            flush(
-                ctx, &mut group, &mut sum_a, &mut sum_d, sink, pairs, false_hits, report,
-                &mut defer,
-            )?;
-        }
-        group.push(idx);
-        sum_a += pa;
-        sum_d += pd;
-        if !fits_alone && group.len() == 1 {
-            // Dense partition: flush immediately so it recurses alone.
-            flush(
-                ctx, &mut group, &mut sum_a, &mut sum_d, sink, pairs, false_hits, report,
-                &mut defer,
-            )?;
         }
     }
-    flush(
-        ctx, &mut group, &mut sum_a, &mut sum_d, sink, pairs, false_hits, report, &mut defer,
-    )?;
-    Ok(())
+    report.purged += parts_d.len() as u64; // descendant partitions no ancestor reaches
+    Ok(((0, 0), tasks))
 }
 
 /// Whether two element files' catalog region envelopes provably cannot
@@ -587,7 +387,7 @@ fn envelopes_disjoint(a: &HeapFile<Element>, d: &HeapFile<Element>) -> bool {
 
 /// The merged `(min start, max end)` envelope of a group's files, `None`
 /// when any member lacks bounds (no pruning information).
-fn group_envelope(files: &[HeapFile<Element>]) -> Option<(u64, u64)> {
+fn group_envelope(files: &[Part<'_>]) -> Option<(u64, u64)> {
     let mut acc: Option<(u64, u64)> = None;
     for f in files {
         let (lo, hi) = f.bounds()?;
@@ -597,14 +397,6 @@ fn group_envelope(files: &[HeapFile<Element>]) -> Option<(u64, u64)> {
         });
     }
     acc
-}
-
-/// Scan options for loading/streaming one side of a group join, clipped —
-/// when pruning is on — by the *other* side's envelope. Containment makes
-/// region overlap with the opposite envelope a necessary condition on both
-/// sides, so the filter is result-preserving whichever side it lands on.
-fn side_opts(ctx: &JoinCtx, other: Option<(u64, u64)>) -> pbitree_storage::ScanOptions {
-    ctx.overlap_opts(other)
 }
 
 enum PartitionRole {
@@ -619,20 +411,19 @@ enum PartitionRole {
 /// materialize. `opts` carries the caller's pushdown filter (the opposite
 /// side's envelope), so pruned records never reach a writer.
 #[allow(clippy::too_many_arguments)]
-fn partition_pass(
-    ctx: &JoinCtx,
+fn partition_pass<'a>(
+    ctx: &'a JoinCtx,
     input: &HeapFile<Element>,
     l: u32,
     window: (u64, u64),
     role: PartitionRole,
     report: &mut VpjReport,
-    opts: pbitree_storage::ScanOptions,
-) -> Result<std::collections::BTreeMap<u64, HeapFile<Element>>, JoinError> {
+    opts: ScanOptions,
+) -> Result<BTreeMap<u64, Part<'a>>, JoinError> {
     let h = ctx.shape.height();
     let shift = h - l; // hl + 1
     let (wlo, whi) = (window.0 >> shift, window.1 >> shift);
-    let mut writers: std::collections::BTreeMap<u64, HeapWriter<'_, Element>> =
-        std::collections::BTreeMap::new();
+    let mut writers: BTreeMap<u64, HeapWriter<'_, Element>> = BTreeMap::new();
     // Partition fan-out can be large, but write batches live in
     // writer-private memory (not pool frames), so each writer keeps the
     // full batch depth.
@@ -660,8 +451,8 @@ fn partition_pass(
             }
             first = false;
             match writers.entry(idx) {
-                std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().push(e)?,
-                std::collections::btree_map::Entry::Vacant(v) => v
+                Entry::Occupied(mut o) => o.get_mut().push(e)?,
+                Entry::Vacant(v) => v
                     .insert(HeapWriter::create_with(&ctx.pool, wopts)?)
                     .push(e)?,
             }
@@ -670,7 +461,7 @@ fn partition_pass(
     report.partitions += writers.len() as u64;
     writers
         .into_iter()
-        .map(|(i, w)| w.finish().map(|f| (i, f)).map_err(JoinError::from))
+        .map(|(i, w)| Ok((i, ctx.temp(w.finish()?))))
         .collect()
 }
 
@@ -682,8 +473,8 @@ fn join_group(
     ctx: &JoinCtx,
     l: u32,
     members: &[u64],
-    ga: &[HeapFile<Element>],
-    gd: &[HeapFile<Element>],
+    ga: &[Part<'_>],
+    gd: &[Part<'_>],
     sink: &mut dyn PairSink,
 ) -> Result<(u64, u64), JoinError> {
     let h = ctx.shape.height();
@@ -712,8 +503,8 @@ fn join_group(
     // replica dropped by the filter is dropped from *every* member scan
     // identically, so the keep() dedup stays consistent — a surviving
     // replica is still kept in exactly one member.
-    let a_opts = side_opts(ctx, group_envelope(gd));
-    let d_opts = side_opts(ctx, group_envelope(ga));
+    let a_opts = ctx.overlap_opts(group_envelope(gd));
+    let d_opts = ctx.overlap_opts(group_envelope(ga));
     if (sum_d as usize) <= budget || sum_d <= sum_a {
         // Load D (no replication on that side), stream deduped A.
         let mut dvec = Vec::new();

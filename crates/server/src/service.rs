@@ -23,7 +23,7 @@
 //!
 //! [`BufferPool`]: pbitree_storage::BufferPool
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,6 +36,7 @@ use pbitree_joins::{
 };
 use pbitree_storage::{
     compress_default, BufferPool, CostModel, Disk, HeapFile, MemBackend, PoolError, ScanOptions,
+    TempFile,
 };
 use pbitree_xml::{DescendantPath, EncodedDocument};
 
@@ -150,25 +151,14 @@ struct TagSet {
     single_height: bool,
 }
 
-/// A query-private heap file, deleted from the pool when the query lets
-/// go of it — on success and on every error exit alike.
-struct TempFile<'a> {
-    file: HeapFile<Element>,
-    pool: &'a BufferPool,
-}
-
-impl Drop for TempFile<'_> {
-    fn drop(&mut self) {
-        self.pool.delete_file(self.file.file_id());
-    }
-}
-
 /// One join input in the step chain: a shared corpus tag file or a
 /// query-private intermediate/predicate file.
 enum StepInput<'a> {
     Corpus(&'a TagSet),
     Owned {
-        file: TempFile<'a>,
+        /// Deleted from the pool when the query lets go of it — on
+        /// success and on every error exit alike.
+        file: TempFile<'a, HeapFile<Element>>,
         single_height: bool,
     },
     Empty,
@@ -178,7 +168,7 @@ impl StepInput<'_> {
     fn file(&self) -> Option<&HeapFile<Element>> {
         match self {
             StepInput::Corpus(t) => Some(&t.file),
-            StepInput::Owned { file, .. } => Some(&file.file),
+            StepInput::Owned { file, .. } => Some(file),
             StepInput::Empty => None,
         }
     }
@@ -256,8 +246,11 @@ impl QueryService {
         .build();
         let load_opts = ScanOptions::default().with_compress(cfg.compression);
 
-        // Group the coded nodes by tag, then bulk-load one file per tag.
-        let mut by_tag: HashMap<u32, Vec<(u64, u32)>> = HashMap::new();
+        // Group the coded nodes by tag, then bulk-load one file per tag in
+        // tag-id order: a `HashMap` here loaded them in a per-process random
+        // order, so file ids and the heap layout (peak RSS ± 15 %) differed
+        // from one run of the same corpus to the next.
+        let mut by_tag: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
         for (code, tag) in doc.all_coded_nodes() {
             by_tag.entry(tag).or_default().push((code.get(), tag));
         }
@@ -573,7 +566,7 @@ impl QueryService {
         let codes = match &current {
             StepInput::Empty => Vec::new(),
             StepInput::Corpus(t) => file_codes(&self.ctx.pool, &t.file)?,
-            StepInput::Owned { file, .. } => file_codes(&self.ctx.pool, &file.file)?,
+            StepInput::Owned { file, .. } => file_codes(&self.ctx.pool, file)?,
         };
         Ok(QueryOutcome {
             codes,
@@ -611,10 +604,7 @@ impl QueryService {
         let single_height = all_same_height(&items);
         let file = element_file_with(&ctx.pool, self.load_opts, items.iter().copied())?;
         Ok(StepInput::Owned {
-            file: TempFile {
-                file,
-                pool: &self.ctx.pool,
-            },
+            file: TempFile::new(&self.ctx.pool, file.file_id(), file),
             single_height,
         })
     }

@@ -1188,6 +1188,50 @@ impl BufferPool {
     }
 }
 
+/// A pool file deleted when the guard drops — the ownership rule for every
+/// operator-private file (partitions, sort runs and outputs, on-the-fly
+/// indexes, query intermediates): whoever holds the guard owns the file,
+/// and any exit, `?` included, frees its frames and disk space. Derefs to
+/// the handle `T` it wraps; [`keep`](TempFile::keep) hands the handle out
+/// and cancels the deletion.
+pub struct TempFile<'a, T> {
+    pool: &'a BufferPool,
+    id: FileId,
+    /// `Some` until `keep` takes it.
+    inner: Option<T>,
+}
+
+impl<'a, T> TempFile<'a, T> {
+    /// Guards file `id` of `pool`, addressed through `inner`.
+    pub fn new(pool: &'a BufferPool, id: FileId, inner: T) -> Self {
+        TempFile {
+            pool,
+            id,
+            inner: Some(inner),
+        }
+    }
+
+    /// Releases the file to the caller undeleted.
+    pub fn keep(mut self) -> T {
+        self.inner.take().expect("handle present until keep")
+    }
+}
+
+impl<T> std::ops::Deref for TempFile<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.inner.as_ref().expect("handle present until keep")
+    }
+}
+
+impl<T> Drop for TempFile<'_, T> {
+    fn drop(&mut self) {
+        if self.inner.is_some() {
+            self.pool.delete_file(self.id);
+        }
+    }
+}
+
 /// A pinned, read-only page. Unpins on drop. `Send`: workers may hand
 /// pinned pages across thread boundaries.
 pub struct PageRef<'a> {

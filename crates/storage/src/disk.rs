@@ -8,21 +8,22 @@
 //!
 //! # Vectored transfers
 //!
-//! Backends also expose multi-page ops ([`DiskBackend::read_pages`],
-//! [`DiskBackend::write_pages`]) over a run of consecutive pages in one
-//! file. The default implementations loop the single-page ops; the
-//! file-backed backend issues one seek and streams the run, and the fault
-//! backend injects faults *inside* batches (a torn batch is a partial
-//! success: [`BatchError::done`] pages transferred, the rest untouched).
-//! [`Disk`] charges a successful batch as one head movement plus `N - 1`
-//! sequential transfers — each page is still counted exactly once.
+//! There is one transfer primitive per direction, end to end:
+//! [`DiskBackend::read_pages`] / [`DiskBackend::write_pages`] move a run of
+//! consecutive pages of one file, and a single-page transfer is the run of
+//! length one. The file-backed backend issues one seek and streams the
+//! run, and the fault backend injects faults *inside* batches (a torn
+//! batch is a partial success: [`BatchError::done`] pages transferred, the
+//! rest untouched). [`Disk`] charges a successful batch as one head
+//! movement plus `N - 1` sequential transfers — each page is still counted
+//! exactly once.
 //!
 //! # Error model
 //!
-//! Page transfers are fallible: `read_page`/`write_page`/`allocate_page`
-//! return [`IoError`] carrying the failing [`PageId`] and a fault kind.
+//! Page transfers are fallible: the transfer ops and `allocate_page`
+//! return [`IoError`] (inside a [`BatchError`] for runs) carrying the failing [`PageId`] and a fault kind.
 //! Errors flagged [`IoError::transient`] model a device that recovers on
-//! retry; [`Disk`] retries those up to its retry limit before giving up,
+//! retry; [`Disk`] retries those up to [`DEFAULT_RETRY_LIMIT`] before giving up,
 //! so short transient blips never surface to the engine. Accessing a file
 //! that was never created (or a page that was never allocated) is a caller
 //! logic error and still panics — only *device* failure is an error value.
@@ -130,47 +131,36 @@ pub trait DiskBackend: Send {
     fn num_pages(&self, file: FileId) -> u32;
     /// Files currently live (created and not deleted), ascending.
     fn live_files(&self) -> Vec<FileId>;
-    /// Reads page `pid` into `buf`.
-    fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError>;
-    /// Writes `buf` to page `pid`.
-    fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError>;
-
     /// Reads `bufs.len()` consecutive pages of `file` starting at `start`,
     /// one page per buffer. On failure the prefix [`BatchError::done`] is
     /// valid and pages past the failing one were not attempted.
-    ///
-    /// The default loops [`read_page`](DiskBackend::read_page); backends
-    /// with a cheaper native path (one seek + a streamed run) override it.
     fn read_pages(
         &mut self,
         file: FileId,
         start: u32,
         bufs: &mut [&mut PageBuf],
-    ) -> Result<(), BatchError> {
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            self.read_page(PageId::new(file, start + i as u32), buf)
-                .map_err(|error| BatchError { done: i, error })?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), BatchError>;
 
     /// Writes `bufs.len()` consecutive pages of `file` starting at `start`.
     /// On failure the prefix [`BatchError::done`] reached the device and
     /// pages past the failing one were not attempted (a *torn batch*).
-    ///
-    /// The default loops [`write_page`](DiskBackend::write_page); backends
-    /// with a cheaper native path override it.
     fn write_pages(
         &mut self,
         file: FileId,
         start: u32,
         bufs: &[&PageBuf],
-    ) -> Result<(), BatchError> {
-        for (i, buf) in bufs.iter().enumerate() {
-            self.write_page(PageId::new(file, start + i as u32), buf)
-                .map_err(|error| BatchError { done: i, error })?;
-        }
-        Ok(())
+    ) -> Result<(), BatchError>;
+
+    /// Reads page `pid` into `buf`: the one-page [`read_pages`](Self::read_pages).
+    fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError> {
+        self.read_pages(pid.file, pid.page, &mut [buf])
+            .map_err(|e| e.error)
+    }
+
+    /// Writes `buf` to page `pid`: the one-page [`write_pages`](Self::write_pages).
+    fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError> {
+        self.write_pages(pid.file, pid.page, &[buf])
+            .map_err(|e| e.error)
     }
 }
 
@@ -238,13 +228,29 @@ impl DiskBackend for MemBackend {
             .collect()
     }
 
-    fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError> {
-        buf.copy_from_slice(&self.file(pid.file)[pid.page as usize][..]);
+    fn read_pages(
+        &mut self,
+        file: FileId,
+        start: u32,
+        bufs: &mut [&mut PageBuf],
+    ) -> Result<(), BatchError> {
+        let pages = &self.file(file)[start as usize..start as usize + bufs.len()];
+        for (buf, page) in bufs.iter_mut().zip(pages) {
+            buf.copy_from_slice(&page[..]);
+        }
         Ok(())
     }
 
-    fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError> {
-        self.file_mut(pid.file)[pid.page as usize].copy_from_slice(buf);
+    fn write_pages(
+        &mut self,
+        file: FileId,
+        start: u32,
+        bufs: &[&PageBuf],
+    ) -> Result<(), BatchError> {
+        let pages = &mut self.file_mut(file)[start as usize..start as usize + bufs.len()];
+        for (buf, page) in bufs.iter().zip(pages) {
+            page.copy_from_slice(&buf[..]);
+        }
         Ok(())
     }
 }
@@ -300,14 +306,6 @@ impl<B: DiskBackend> DiskBackend for SharedBackend<B> {
 
     fn live_files(&self) -> Vec<FileId> {
         self.inner.lock().unwrap().live_files()
-    }
-
-    fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError> {
-        self.inner.lock().unwrap().read_page(pid, buf)
-    }
-
-    fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError> {
-        self.inner.lock().unwrap().write_page(pid, buf)
     }
 
     fn read_pages(
@@ -410,30 +408,6 @@ impl DiskBackend for FileBackend {
             .collect()
     }
 
-    fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError> {
-        let (f, n) = self.entry_mut(pid.file);
-        assert!(pid.page < *n, "read past end of file {pid}");
-        f.seek(SeekFrom::Start(pid.page as u64 * PAGE_SIZE as u64))
-            .and_then(|_| f.read_exact(buf))
-            .map_err(|_| IoError {
-                pid,
-                kind: IoErrorKind::Read,
-                transient: false,
-            })
-    }
-
-    fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError> {
-        let (f, n) = self.entry_mut(pid.file);
-        assert!(pid.page < *n, "write past end of file {pid}");
-        f.seek(SeekFrom::Start(pid.page as u64 * PAGE_SIZE as u64))
-            .and_then(|_| f.write_all(buf))
-            .map_err(|_| IoError {
-                pid,
-                kind: IoErrorKind::Write,
-                transient: false,
-            })
-    }
-
     /// Native batch: one seek, then the run streams with `read_exact` per
     /// page — no per-page seek syscalls.
     fn read_pages(
@@ -518,8 +492,29 @@ pub struct Disk {
     /// pay a seek per page, while a vectored batch pays one seek and then
     /// `N - 1` sequential transfers.
     head: Option<PageId>,
-    /// Max automatic retries of a transient transfer error.
-    retry_limit: u32,
+}
+
+/// The buffers of one vectored transfer, either direction.
+enum Run<'a, 'b> {
+    Read(&'a mut [&'b mut PageBuf]),
+    Write(&'a [&'b PageBuf]),
+}
+
+impl Run<'_, '_> {
+    fn len(&self) -> usize {
+        match self {
+            Run::Read(bufs) => bufs.len(),
+            Run::Write(bufs) => bufs.len(),
+        }
+    }
+
+    /// Wire bytes of the run's `i`-th page (valid once it transferred).
+    fn bytes(&self, i: usize) -> usize {
+        match self {
+            Run::Read(bufs) => crate::codec::transfer_bytes(&bufs[i][..]),
+            Run::Write(bufs) => crate::codec::transfer_bytes(&bufs[i][..]),
+        }
+    }
 }
 
 impl Disk {
@@ -530,7 +525,6 @@ impl Disk {
             cost,
             stats: Arc::new(AtomicIoStats::default()),
             head: None,
-            retry_limit: DEFAULT_RETRY_LIMIT,
         }
     }
 
@@ -542,12 +536,6 @@ impl Disk {
     /// An in-memory disk that only counts pages (no simulated time).
     pub fn in_memory_free() -> Self {
         Disk::new(Box::new(MemBackend::new()), CostModel::free())
-    }
-
-    /// Sets the transient-error retry limit (0 disables retries).
-    pub fn with_retry_limit(mut self, retries: u32) -> Self {
-        self.retry_limit = retries;
-        self
     }
 
     /// Current cumulative counters.
@@ -584,22 +572,6 @@ impl Disk {
             .record(is_read, seq, self.cost.transfer_ns(seq, bytes));
     }
 
-    /// Charges a run of pages of `file` starting at `start`, one wire
-    /// size per page: the first page is classified against the head, the
-    /// rest are sequential by construction. Each page is counted exactly
-    /// once.
-    fn charge_batch<I: IntoIterator<Item = usize>>(
-        &mut self,
-        file: FileId,
-        start: u32,
-        sizes: I,
-        is_read: bool,
-    ) {
-        for (i, bytes) in sizes.into_iter().enumerate() {
-            self.charge(PageId::new(file, start + i as u32), is_read, bytes);
-        }
-    }
-
     /// See [`DiskBackend::create_file`].
     pub fn create_file(&mut self) -> FileId {
         self.backend.create_file()
@@ -629,77 +601,47 @@ impl Disk {
         self.backend.live_files()
     }
 
-    /// Reads a page, charging the cost model on success. Transient errors
-    /// are retried up to the retry limit.
-    pub fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.backend.read_page(pid, buf) {
-                Ok(()) => {
-                    self.charge(pid, true, crate::codec::transfer_bytes(&buf[..]));
-                    return Ok(());
-                }
-                Err(e) if e.transient && attempts < self.retry_limit => attempts += 1,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Writes a page, charging the cost model on success. Transient errors
-    /// are retried up to the retry limit.
-    pub fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.backend.write_page(pid, buf) {
-                Ok(()) => {
-                    self.charge(pid, false, crate::codec::transfer_bytes(&buf[..]));
-                    return Ok(());
-                }
-                Err(e) if e.transient && attempts < self.retry_limit => attempts += 1,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Reads a run of consecutive pages, charging the cost model exactly
-    /// once per transferred page: the batch costs one head movement (random
-    /// unless the head already sits at `start`) plus sequential transfers.
+    /// The one transfer loop: moves `run` between the backend and the
+    /// run's buffers, charging the cost model exactly once per transferred
+    /// page — the first page of each backend call is classified against
+    /// the head, the rest are sequential by construction.
     ///
-    /// A transient fault resumes the batch at the failing page (transferred
-    /// prefix pages are charged and kept — they are *done*); a persistent
-    /// fault returns a [`BatchError`] whose [`done`](BatchError::done)
-    /// prefix was transferred and charged, so accounting stays accurate for
-    /// torn batches.
-    pub fn read_pages(
+    /// A transient fault resumes the run at the failing page (transferred
+    /// prefix pages are charged and kept — they are *done*), up to
+    /// [`DEFAULT_RETRY_LIMIT`] attempts per page; a persistent fault
+    /// returns a [`BatchError`] whose [`done`](BatchError::done) prefix was
+    /// transferred and charged, so accounting stays accurate for torn
+    /// batches.
+    fn transfer(
         &mut self,
         file: FileId,
         start: u32,
-        bufs: &mut [&mut PageBuf],
+        mut run: Run<'_, '_>,
     ) -> Result<(), BatchError> {
+        let is_read = matches!(run, Run::Read(_));
         let mut done = 0usize;
         let mut attempts = 0u32;
-        while done < bufs.len() {
+        while done < run.len() {
             let s = start + done as u32;
-            match self.backend.read_pages(file, s, &mut bufs[done..]) {
-                Ok(()) => {
-                    let sizes: Vec<usize> = bufs[done..]
-                        .iter()
-                        .map(|b| crate::codec::transfer_bytes(&b[..]))
-                        .collect();
-                    self.charge_batch(file, s, sizes, true);
-                    return Ok(());
-                }
-                Err(BatchError { done: d, error }) => {
-                    if d > 0 {
-                        let sizes: Vec<usize> = bufs[done..done + d]
-                            .iter()
-                            .map(|b| crate::codec::transfer_bytes(&b[..]))
-                            .collect();
-                        self.charge_batch(file, s, sizes, true);
-                        done += d;
+            let res = match &mut run {
+                Run::Read(bufs) => self.backend.read_pages(file, s, &mut bufs[done..]),
+                Run::Write(bufs) => self.backend.write_pages(file, s, &bufs[done..]),
+            };
+            let moved = match &res {
+                Ok(()) => run.len() - done,
+                Err(e) => e.done,
+            };
+            for i in done..done + moved {
+                self.charge(PageId::new(file, start + i as u32), is_read, run.bytes(i));
+            }
+            done += moved;
+            match res {
+                Ok(()) => break,
+                Err(BatchError { error, .. }) => {
+                    if moved > 0 {
                         attempts = 0;
                     }
-                    if error.transient && attempts < self.retry_limit {
+                    if error.transient && attempts < DEFAULT_RETRY_LIMIT {
                         attempts += 1;
                     } else {
                         return Err(BatchError { done, error });
@@ -708,6 +650,17 @@ impl Disk {
             }
         }
         Ok(())
+    }
+
+    /// Reads a run of consecutive pages: one head movement (random unless
+    /// the head already sits at `start`) plus sequential transfers.
+    pub fn read_pages(
+        &mut self,
+        file: FileId,
+        start: u32,
+        bufs: &mut [&mut PageBuf],
+    ) -> Result<(), BatchError> {
+        self.transfer(file, start, Run::Read(bufs))
     }
 
     /// Writes a run of consecutive pages; the charging, resume and
@@ -718,38 +671,19 @@ impl Disk {
         start: u32,
         bufs: &[&PageBuf],
     ) -> Result<(), BatchError> {
-        let mut done = 0usize;
-        let mut attempts = 0u32;
-        while done < bufs.len() {
-            let s = start + done as u32;
-            match self.backend.write_pages(file, s, &bufs[done..]) {
-                Ok(()) => {
-                    let sizes: Vec<usize> = bufs[done..]
-                        .iter()
-                        .map(|b| crate::codec::transfer_bytes(&b[..]))
-                        .collect();
-                    self.charge_batch(file, s, sizes, false);
-                    return Ok(());
-                }
-                Err(BatchError { done: d, error }) => {
-                    if d > 0 {
-                        let sizes: Vec<usize> = bufs[done..done + d]
-                            .iter()
-                            .map(|b| crate::codec::transfer_bytes(&b[..]))
-                            .collect();
-                        self.charge_batch(file, s, sizes, false);
-                        done += d;
-                        attempts = 0;
-                    }
-                    if error.transient && attempts < self.retry_limit {
-                        attempts += 1;
-                    } else {
-                        return Err(BatchError { done, error });
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.transfer(file, start, Run::Write(bufs))
+    }
+
+    /// Reads one page: the one-page [`read_pages`](Disk::read_pages).
+    pub fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError> {
+        self.read_pages(pid.file, pid.page, &mut [buf])
+            .map_err(|e| e.error)
+    }
+
+    /// Writes one page: the one-page [`write_pages`](Disk::write_pages).
+    pub fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError> {
+        self.write_pages(pid.file, pid.page, &[buf])
+            .map_err(|e| e.error)
     }
 }
 

@@ -260,39 +260,9 @@ impl<B: DiskBackend> DiskBackend for FaultBackend<B> {
         self.backend.live_files()
     }
 
-    fn read_page(&mut self, pid: PageId, buf: &mut PageBuf) -> Result<(), IoError> {
-        if let Some(mut e) = self.inner.lock().unwrap().attempt(true) {
-            e.pid = pid;
-            return Err(e);
-        }
-        self.backend.read_page(pid, buf)
-    }
-
-    fn write_page(&mut self, pid: PageId, buf: &PageBuf) -> Result<(), IoError> {
-        let (fault, torn) = {
-            let mut g = self.inner.lock().unwrap();
-            let torn = g.config.torn_writes;
-            (g.attempt(false), torn)
-        };
-        if let Some(mut e) = fault {
-            e.pid = pid;
-            if torn {
-                // Tear the page: the first half of the new image lands,
-                // the rest keeps whatever the backend held before.
-                let mut img: PageBuf = [0u8; PAGE_SIZE];
-                self.backend.read_page(pid, &mut img)?;
-                img[..PAGE_SIZE / 2].copy_from_slice(&buf[..PAGE_SIZE / 2]);
-                self.backend.write_page(pid, &img)?;
-                e.kind = IoErrorKind::TornWrite;
-            }
-            return Err(e);
-        }
-        self.backend.write_page(pid, buf)
-    }
-
-    /// Native batch: each page consumes one read attempt, in order, and the
-    /// batch stops at the first injected fault — attempt indices past the
-    /// failing page are *not* consumed, so an armed index always names one
+    /// Each page consumes one read attempt, in order, and the batch stops
+    /// at the first injected fault — attempt indices past the failing page
+    /// are *not* consumed, so an armed index always names one
     /// concrete page whether it is reached page-at-a-time or mid-batch.
     fn read_pages(
         &mut self,
@@ -313,10 +283,11 @@ impl<B: DiskBackend> DiskBackend for FaultBackend<B> {
         Ok(())
     }
 
-    /// Native batch; see [`read_pages`](FaultBackend::read_pages) for the
-    /// attempt discipline. An injected fault tears the *batch* at the
-    /// failing page (its prefix reached the device); with
-    /// [`FaultConfig::torn_writes`] the failing page itself is also torn.
+    /// See [`read_pages`](FaultBackend::read_pages) for the attempt
+    /// discipline. An injected fault tears the *batch* at the failing page
+    /// (its prefix reached the device); with [`FaultConfig::torn_writes`]
+    /// the failing page itself is also torn: the first half of the new
+    /// image lands, the rest keeps whatever the backend held before.
     fn write_pages(
         &mut self,
         file: FileId,

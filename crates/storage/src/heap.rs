@@ -17,7 +17,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::access::ScanOptions;
-use crate::buffer::{BufferPool, PageRef, PoolError};
+use crate::buffer::{BufferPool, PageRef, PoolError, TempFile};
 use crate::codec::{parse_packed_header, PackedHeader, PackedPageBuilder};
 use crate::page::{FileId, PageBuf, PageId, PAGE_SIZE};
 use crate::record::FixedRecord;
@@ -158,7 +158,7 @@ impl<R: FixedRecord> HeapFile<R> {
     /// ([`crate::access::DEFAULT_IO_DEPTH`]); use
     /// [`scan_with`](HeapFile::scan_with) to tune or disable read-ahead.
     pub fn scan<'a>(&self, pool: &'a BufferPool) -> HeapScan<'a, R> {
-        self.scan_at(pool, ScanPos::START)
+        self.scan_with(pool, ScanOptions::default())
     }
 
     /// [`scan`](HeapFile::scan) with explicit [`ScanOptions`] — operators
@@ -169,12 +169,7 @@ impl<R: FixedRecord> HeapFile<R> {
     }
 
     /// Starts a scan at a previously captured [`ScanPos`] — the rescan
-    /// primitive tree-merge joins (MPMGJN) need.
-    pub fn scan_at<'a>(&self, pool: &'a BufferPool, pos: ScanPos) -> HeapScan<'a, R> {
-        self.scan_at_with(pool, pos, ScanOptions::default())
-    }
-
-    /// [`scan_at`](HeapFile::scan_at) with explicit [`ScanOptions`].
+    /// primitive — under explicit [`ScanOptions`].
     pub fn scan_at_with<'a>(
         &self,
         pool: &'a BufferPool,
@@ -483,12 +478,16 @@ fn exact_zone<R: FixedRecord>(recs: &[R]) -> Option<ZoneEntry> {
 /// Append writer for a heap file. Buffers page images in its own memory
 /// (no pool frames consumed) and appends them with vectored write-through,
 /// coalescing up to the declared [`AccessPattern::WriteOnce`] batch depth
-/// per disk-arm movement.
+/// per disk-arm movement. A writer dropped before [`finish`] deletes its
+/// half-written file.
 ///
 /// [`AccessPattern::WriteOnce`]: crate::access::AccessPattern::WriteOnce
+/// [`finish`]: HeapWriter::finish
 pub struct HeapWriter<'a, R: FixedRecord> {
     pool: &'a BufferPool,
     file: FileId,
+    /// Owns `file` until `finish` hands it to the caller.
+    guard: TempFile<'a, ()>,
     pages: u32,
     records: u64,
     bounds: Option<(u64, u64)>,
@@ -517,20 +516,15 @@ pub struct HeapWriter<'a, R: FixedRecord> {
 }
 
 impl<'a, R: FixedRecord> HeapWriter<'a, R> {
-    /// Starts writing a brand-new heap file, batching appends at the
-    /// default write-once depth; use [`create_with`](HeapWriter::create_with)
-    /// to tune or disable batching.
-    pub fn create(pool: &'a BufferPool) -> Result<Self, PoolError> {
-        Self::create_with(pool, ScanOptions::default())
-    }
-
     /// Starts writing a brand-new heap file with explicit [`ScanOptions`]
     /// (the write-once counterpart of the declared depth is used, so
     /// passing an operator's read options directly does the right thing).
     pub fn create_with(pool: &'a BufferPool, opts: ScanOptions) -> Result<Self, PoolError> {
+        let file = pool.create_file();
         Ok(HeapWriter {
             pool,
-            file: pool.create_file(),
+            file,
+            guard: TempFile::new(pool, file, ()),
             pages: 0,
             records: 0,
             bounds: None,
@@ -619,13 +613,6 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
         self.records
     }
 
-    /// The id of the file being written. Lets callers (e.g. the external
-    /// sort) register the file for cleanup before the writer finishes.
-    #[inline]
-    pub fn file_id(&self) -> FileId {
-        self.file
-    }
-
     fn spill(&mut self) -> Result<(), PoolError> {
         if self.in_buf == 0 {
             return Ok(());
@@ -676,6 +663,7 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
             self.pool
                 .register_zones(self.file, std::mem::take(&mut self.zones));
         }
+        self.guard.keep();
         Ok(HeapFile {
             file: self.file,
             pages: self.pages,
@@ -736,7 +724,7 @@ pub struct HeapScan<'a, R: FixedRecord> {
     next_page: u32,
     cur: Option<PageRef<'a>>,
     idx: usize,
-    /// Intra-page offset to apply when the first page loads (scan_at).
+    /// Intra-page offset to apply when the first page loads (scan_at_with).
     skip_on_load: usize,
     in_page: usize,
     /// Declared access pattern, forwarded to the pool on every page fetch.
@@ -762,7 +750,7 @@ pub struct HeapScan<'a, R: FixedRecord> {
 
 impl<'a, R: FixedRecord> HeapScan<'a, R> {
     /// The position of the *next* record this scan would return; feed it
-    /// to [`HeapFile::scan_at`] to resume here later.
+    /// to [`HeapFile::scan_at_with`] to resume here later.
     pub fn position(&self) -> ScanPos {
         match &self.cur {
             Some(_) => ScanPos {
@@ -1151,7 +1139,7 @@ mod tests {
         let rest: Vec<u64> = std::iter::from_fn(|| s.next_record().unwrap()).collect();
         assert_eq!(rest, data[700..]);
         // Resume from the captured position.
-        let mut s2 = hf.scan_at(&p, pos);
+        let mut s2 = hf.scan_at_with(&p, pos, ScanOptions::default());
         let resumed: Vec<u64> = std::iter::from_fn(|| s2.next_record().unwrap()).collect();
         assert_eq!(resumed, data[700..]);
         // Position at page boundaries round-trips too.
@@ -1161,10 +1149,10 @@ mod tests {
             s3.next_record().unwrap().unwrap();
         }
         let pos = s3.position();
-        let mut s4 = hf.scan_at(&p, pos);
+        let mut s4 = hf.scan_at_with(&p, pos, ScanOptions::default());
         assert_eq!(s4.next_record().unwrap(), Some(per_page as u64));
         // START equals a plain scan.
-        let mut s5 = hf.scan_at(&p, ScanPos::START);
+        let mut s5 = hf.scan_at_with(&p, ScanPos::START, ScanOptions::default());
         assert_eq!(s5.next_record().unwrap(), Some(0));
     }
 
@@ -1517,7 +1505,7 @@ mod tests {
         assert_eq!(pos.page(), 1);
         assert_eq!(pos.idx(), 0);
         let rest = {
-            let mut s2 = hf.scan_at(&p, pos);
+            let mut s2 = hf.scan_at_with(&p, pos, ScanOptions::default());
             let mut out = Vec::new();
             while s2.next_batch(&mut out).unwrap() > 0 {}
             out
@@ -1653,7 +1641,7 @@ mod tests {
         let pos = s.position();
         assert_eq!(pos.page(), 0, "page 0 should outlast raw capacity");
         assert!(pos.idx() > per_raw);
-        let mut resumed = hf.scan_at(&p, pos);
+        let mut resumed = hf.scan_at_with(&p, pos, ScanOptions::default());
         let rest: Vec<PSpan> = std::iter::from_fn(|| resumed.next_record().unwrap()).collect();
         assert_eq!(rest, data[consumed..]);
         // read_all_with under explicit options agrees with the scan.

@@ -17,7 +17,7 @@
 //!   ([`record::FixedRecord`]) with append writers and sequential scanners.
 //! * [`sort`] — external multiway merge sort (run formation + k-way merge)
 //!   operating entirely through the buffer pool, used by the "sort on the
-//!   fly" baselines (MPMGJN/StackTree/ADB+ over unsorted inputs).
+//!   fly" baselines (StackTree/ADB+/INLJN over unsorted inputs).
 //! * [`util::hash`] — an FxHash-style integer hasher; join hash tables are
 //!   keyed by 8-byte codes, where SipHash would dominate CPU cost.
 //!
@@ -46,7 +46,8 @@ pub mod zone;
 
 pub use access::{compress_default, AccessPattern, ScanOptions, DEFAULT_IO_DEPTH};
 pub use buffer::{
-    BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, STRIPE_COUNT,
+    BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, TempFile,
+    STRIPE_COUNT,
 };
 pub use codec::{transfer_bytes, PACKED_FLAG, PACKED_HEADER};
 pub use disk::{

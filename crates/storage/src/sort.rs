@@ -11,10 +11,21 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::access::ScanOptions;
-use crate::buffer::{BufferPool, PoolError};
+use crate::buffer::{BufferPool, PoolError, TempFile};
 use crate::heap::{records_per_page, HeapFile, HeapScan, HeapWriter};
-use crate::page::FileId;
 use crate::record::FixedRecord;
+
+/// A sorted run the sort owns: deleted when merged away — or when an error
+/// unwinds past it, so a failed sort leaks no disk space.
+type Run<'a, R> = TempFile<'a, HeapFile<R>>;
+
+fn finish_run<'a, R: FixedRecord>(
+    pool: &'a BufferPool,
+    w: HeapWriter<'a, R>,
+) -> Result<Run<'a, R>, PoolError> {
+    let f = w.finish()?;
+    Ok(TempFile::new(pool, f.file_id(), f))
+}
 
 /// Sorts `input` by `key`, using at most `budget` pages of working memory,
 /// and returns a new heap file with the sorted records. The input file is
@@ -25,8 +36,7 @@ use crate::record::FixedRecord;
 ///
 /// On error (pool exhaustion or an I/O fault — the latter carries the
 /// failing page in [`PoolError::failing_page`]) every temporary file the
-/// sort created is deleted before the error is returned, so a failed sort
-/// leaks no disk space.
+/// sort created is deleted before the error is returned.
 pub fn external_sort<R, K, F>(
     pool: &BufferPool,
     input: &HeapFile<R>,
@@ -58,42 +68,13 @@ where
     K: Ord,
     F: Fn(&R) -> K,
 {
-    // Every file the sort creates is registered here the moment it exists,
-    // so the error path can always delete the full set. Mid-sort passes
-    // delete spent runs eagerly as before; re-deleting those here is a
-    // documented no-op (file ids are never reused).
-    let mut temps: Vec<FileId> = Vec::new();
-    match sort_inner(pool, input, budget, opts, &key, &mut temps) {
-        Ok(out) => Ok(out),
-        Err(e) => {
-            for f in temps {
-                pool.delete_file(f);
-            }
-            Err(e)
-        }
-    }
-}
-
-fn sort_inner<R, K, F>(
-    pool: &BufferPool,
-    input: &HeapFile<R>,
-    budget: usize,
-    opts: ScanOptions,
-    key: &F,
-    temps: &mut Vec<FileId>,
-) -> Result<HeapFile<R>, PoolError>
-where
-    R: FixedRecord,
-    K: Ord,
-    F: Fn(&R) -> K,
-{
     let budget = budget.max(3);
     let run_capacity = budget * records_per_page::<R>();
     // Read-ahead may use at most half the sort's own page budget.
     let read = opts.clamped(budget);
 
     // Phase 1: run formation.
-    let mut runs: Vec<HeapFile<R>> = Vec::new();
+    let mut runs: Vec<Run<'_, R>> = Vec::new();
     {
         let mut scan = input.scan_with(pool, read);
         let mut chunk: Vec<R> = Vec::with_capacity(run_capacity.min(1 << 20));
@@ -103,13 +84,12 @@ where
                 chunk.push(r);
             }
             if chunk.len() == run_capacity || (item.is_none() && !chunk.is_empty()) {
-                chunk.sort_by_key(key);
+                chunk.sort_by_key(&key);
                 let mut w = HeapWriter::create_with(pool, read.as_write())?;
-                temps.push(w.file_id());
                 for r in chunk.drain(..) {
                     w.push(r)?;
                 }
-                runs.push(w.finish()?);
+                runs.push(finish_run(pool, w)?);
             }
             if item.is_none() {
                 break;
@@ -124,28 +104,24 @@ where
     // Phase 2: merge passes of fan-in (budget - 1).
     let fan_in = (budget - 1).max(2);
     while runs.len() > 1 {
-        let mut next: Vec<HeapFile<R>> = Vec::with_capacity(runs.len().div_ceil(fan_in));
+        let mut next: Vec<Run<'_, R>> = Vec::with_capacity(runs.len().div_ceil(fan_in));
         for group in runs.chunks(fan_in) {
-            next.push(merge_runs(pool, group, read, key, temps)?);
-        }
-        for run in runs {
-            run.drop_file(pool);
+            next.push(merge_runs(pool, group, read, &key)?);
         }
         runs = next;
     }
-    Ok(runs.pop().expect("at least one run"))
+    Ok(runs.pop().expect("at least one run").keep())
 }
 
 /// Merges a group of sorted runs into one sorted heap file. `opts` is the
 /// budget-clamped option set; each input stream gets a `1/k` share of its
 /// depth so the group's combined read-ahead stays within it.
-fn merge_runs<R, K, F>(
-    pool: &BufferPool,
-    runs: &[HeapFile<R>],
+fn merge_runs<'a, R, K, F>(
+    pool: &'a BufferPool,
+    runs: &[Run<'a, R>],
     opts: ScanOptions,
     key: &F,
-    temps: &mut Vec<FileId>,
-) -> Result<HeapFile<R>, PoolError>
+) -> Result<Run<'a, R>, PoolError>
 where
     R: FixedRecord,
     K: Ord,
@@ -155,12 +131,11 @@ where
         // Copy-through keeps ownership discipline simple (caller drops all
         // inputs); single-run groups are rare (only the last group).
         let mut w = HeapWriter::create_with(pool, opts.as_write())?;
-        temps.push(w.file_id());
         let mut s = runs[0].scan_with(pool, opts);
         while let Some(r) = s.next_record()? {
             w.push(r)?;
         }
-        return w.finish();
+        return finish_run(pool, w);
     }
     let per_stream = opts.shared(runs.len());
     let mut scans: Vec<HeapScan<'_, R>> =
@@ -177,7 +152,6 @@ where
         heads.push(head);
     }
     let mut out = HeapWriter::create_with(pool, opts.as_write())?;
-    temps.push(out.file_id());
     while let Some(Reverse((_, i))) = heap.pop() {
         let r = heads[i].take().expect("head present for heap entry");
         out.push(r)?;
@@ -186,7 +160,7 @@ where
             heads[i] = Some(nxt);
         }
     }
-    out.finish()
+    finish_run(pool, out)
 }
 
 #[cfg(test)]

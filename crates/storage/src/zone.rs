@@ -17,8 +17,6 @@
 //! filter from, while everything admitted is still checked by the caller.
 //! Pruning therefore never changes a join's result, only its cost.
 
-use crate::page::PAGE_SIZE;
-
 /// Summary of the records in one page (or one whole file): the envelope
 /// `[lo, hi]` of their key intervals and the range of their heights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,13 +140,6 @@ impl FileZones {
             }
         }
         acc
-    }
-
-    /// Approximate in-memory footprint of the map, in pages — kept tiny
-    /// relative to the file it summarizes (one entry per [`PAGE_SIZE`]
-    /// bytes of data).
-    pub fn footprint_pages(&self) -> usize {
-        (self.pages.len() * std::mem::size_of::<Option<ZoneEntry>>()).div_ceil(PAGE_SIZE)
     }
 }
 

@@ -1,6 +1,6 @@
 //! The parsed document: a labelled tree plus tag and text tables.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pbitree_core::{DataTree, NodeId};
 
@@ -19,7 +19,10 @@ pub struct Document {
     tag_names: Vec<String>,
     tag_ids: HashMap<String, TagId>,
     /// Text content, present for `#text` nodes and attribute nodes.
-    texts: HashMap<NodeId, String>,
+    /// Ordered, so dropping a document frees its strings in the order it
+    /// allocated them: hash order left the heap fragmented differently in
+    /// every process.
+    texts: BTreeMap<NodeId, String>,
 }
 
 impl Document {
@@ -29,7 +32,7 @@ impl Document {
             tree: DataTree::new(0),
             tag_names: Vec::new(),
             tag_ids: HashMap::new(),
-            texts: HashMap::new(),
+            texts: BTreeMap::new(),
         };
         let id = doc.intern(root_tag);
         debug_assert_eq!(id, 0);
@@ -101,12 +104,6 @@ impl Document {
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The tag id of a node.
-    #[inline]
-    pub fn node_tag(&self, n: NodeId) -> TagId {
-        self.tree.label(n)
     }
 
     /// The tag name of a node.

@@ -1,7 +1,6 @@
 //! PBiTree encoding of documents and element-set extraction.
 
 use crate::document::{Document, TagId};
-use pbitree_core::binarize::binarize_tree_with_height;
 use pbitree_core::{binarize_tree, Code, CodeError, EncodedTree};
 
 /// A document together with the PBiTree codes of all its nodes — the unit
@@ -17,12 +16,6 @@ impl EncodedDocument {
     /// Binarizes `doc` into the minimal PBiTree.
     pub fn encode(doc: Document) -> Result<Self, CodeError> {
         let enc = binarize_tree(doc.tree())?;
-        Ok(EncodedDocument { doc, enc })
-    }
-
-    /// Binarizes into a taller PBiTree (reserving code space for updates).
-    pub fn encode_with_height(doc: Document, height: u32) -> Result<Self, CodeError> {
-        let enc = binarize_tree_with_height(doc.tree(), height)?;
         Ok(EncodedDocument { doc, enc })
     }
 

@@ -9,7 +9,8 @@
 //! * return `Err` (never panic or abort) whenever a fault was actually
 //!   injected, with the failing [`PageId`] attached,
 //! * leave the pool with **zero pinned frames** (error unwinds release
-//!   every guard), and
+//!   every guard) and **no files but the two inputs** (operator-private
+//!   partitions, runs and indexes are deleted on every exit), and
 //! * leave the fault-free I/O statistics untouched — a subsequent
 //!   fault-free rerun on a fresh pool reproduces the baseline counters
 //!   and the baseline result exactly.
@@ -24,6 +25,7 @@
 
 use pbitree_containment::joins::element::{element_file, element_file_with};
 use pbitree_containment::joins::sink::CollectSink;
+use pbitree_containment::joins::stacktree::{stack_tree_desc, SortPolicy};
 use pbitree_containment::joins::{mhcj, rollup, shcj, vpj, JoinCtx, JoinError, JoinStats};
 use pbitree_containment::storage::{
     BufferPool, CostModel, Disk, FaultBackend, FaultConfig, FaultHandle, HeapFile, IoStats,
@@ -51,6 +53,9 @@ const ALGORITHMS: &[(&str, JoinFn)] = &[
     ("vpj", |c, a, d, s| vpj::vpj(c, a, d, s).map(|(st, _)| st)),
     ("rollup", |c, a, d, s| {
         rollup::mhcj_rollup(c, a, d, rollup::RollupOptions::default(), s)
+    }),
+    ("stacktree", |c, a, d, s| {
+        stack_tree_desc(c, a, d, SortPolicy::SortOnTheFly, s)
     }),
 ];
 
@@ -141,12 +146,20 @@ fn run_once(
     let mut sink = CollectSink::default();
     let res = join(&ctx, &a, &d, &mut sink);
     handle.set_config(FaultConfig::none());
-    assert_eq!(
-        ctx.pool.pinned_frames(),
-        0,
-        "{name}/t{threads}: leaked pins after {res:?}"
-    );
+    assert_clean(&ctx, &a, &d, &format!("{name}/t{threads} after {res:?}"));
     (res, sink.canonical(), ctx.pool.io_stats(), handle.faults())
+}
+
+/// What every run — faulted or not — must leave behind: no pinned frame
+/// (error unwinds release every guard) and no file but the two inputs
+/// (operator-private files are deleted on every exit).
+fn assert_clean(ctx: &JoinCtx, a: &HeapFile<Element>, d: &HeapFile<Element>, what: &str) {
+    assert_eq!(ctx.pool.pinned_frames(), 0, "{what}: leaked pins");
+    assert_eq!(
+        ctx.pool.live_files(),
+        [a.file_id(), d.file_id()],
+        "{what}: leaked temp files"
+    );
 }
 
 /// Fault-free baseline: result pairs, I/O stats, and attempt counts.
@@ -366,7 +379,7 @@ fn run_skewed(join: JoinFn, prune: bool, cfg: FaultConfig) -> RunOutcome {
     let mut sink = CollectSink::default();
     let res = join(&ctx, &a, &d, &mut sink);
     handle.set_config(FaultConfig::none());
-    assert_eq!(ctx.pool.pinned_frames(), 0, "pruned run leaked pins");
+    assert_clean(&ctx, &a, &d, "pruned run");
     (res, sink.canonical(), ctx.pool.io_stats(), handle.reads())
 }
 
@@ -378,8 +391,10 @@ fn run_skewed(join: JoinFn, prune: bool, cfg: FaultConfig) -> RunOutcome {
 #[test]
 fn faults_on_pruned_pages_are_invisible() {
     for &(name, join) in ALGORITHMS {
-        if name == "shcj" {
-            continue; // needs a single-height A; the skewed set is mixed
+        if name == "shcj" || name == "stacktree" {
+            // SHCJ needs a single-height A (the skewed set is mixed);
+            // Stack-Tree pushes no zone filter into its scans.
+            continue;
         }
         let (res0, pairs0, _, reads0) = run_skewed(join, false, FaultConfig::none());
         res0.unwrap_or_else(|e| panic!("{name}: unpruned baseline failed: {e}"));
@@ -458,7 +473,7 @@ fn run_mode(join: JoinFn, compress: bool, cfg: FaultConfig) -> RunOutcome {
     let mut sink = CollectSink::default();
     let res = join(&ctx, &a, &d, &mut sink);
     handle.set_config(FaultConfig::none());
-    assert_eq!(ctx.pool.pinned_frames(), 0, "packed run leaked pins");
+    assert_clean(&ctx, &a, &d, &format!("packed run after {res:?}"));
     (res, sink.canonical(), ctx.pool.io_stats(), handle.faults())
 }
 
@@ -529,7 +544,7 @@ const SHARDS: usize = 4;
 /// Compression is pinned off so the spill guarantee survives a
 /// `PBITREE_COMPRESS=1` run (packed slices would fit the 4 frames; the
 /// packed fault path is covered by `fault_sweep_packed_pages`).
-fn sharded_build() -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>) {
+fn sharded_build(threads: usize) -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>) {
     let proto = JoinCtx::builder(
         BufferPool::new(
             Disk::new(Box::new(MemBackend::new()), CostModel::free()),
@@ -537,6 +552,7 @@ fn sharded_build() -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>)
         ),
         PBiTreeShape::new(H).unwrap(),
     )
+    .threads(threads)
     .io(strict_io())
     .compression(false)
     .sharding(Sharding::new(SHARDS).frames_per_shard(4))
@@ -580,8 +596,8 @@ type ShardedOutcome = (
     usize,
 );
 
-fn sharded_run(arm: &[(usize, FaultConfig)]) -> ShardedOutcome {
-    let (store, a, d, handles) = sharded_build();
+fn sharded_run(threads: usize, arm: &[(usize, FaultConfig)]) -> ShardedOutcome {
+    let (store, a, d, handles) = sharded_build(threads);
     for &(s, cfg) in arm {
         handles[s].set_config(cfg);
     }
@@ -593,6 +609,13 @@ fn sharded_run(arm: &[(usize, FaultConfig)]) -> ShardedOutcome {
     let faults = handles.iter().map(|h| h.faults()).collect();
     let writes = handles.iter().map(|h| h.writes()).collect();
     let pinned = store.pinned_frames();
+    for i in 0..SHARDS {
+        assert_eq!(
+            store.ctx(i).pool.live_files(),
+            [a.file(i).file_id(), d.file(i).file_id()],
+            "shard {i} leaked temp files after {res:?}"
+        );
+    }
     (res, sink.canonical(), faults, writes, pinned)
 }
 
@@ -606,10 +629,16 @@ fn io_kind(err: &JoinError) -> Option<IoErrorKind> {
 
 #[test]
 fn fault_sweep_sharded_fork_join() {
+    for threads in [1, SHARDS] {
+        sharded_sweep(threads);
+    }
+}
+
+fn sharded_sweep(threads: usize) {
     // Fault-free baseline: the fork-join result must equal the
     // single-pool run of the same algorithm on the same workload.
     let (pairs_ref, _, _, _) = baseline("vpj", ALGORITHMS[2].1, 1, strict_io());
-    let (res0, pairs0, faults0, writes0, pinned0) = sharded_run(&[]);
+    let (res0, pairs0, faults0, writes0, pinned0) = sharded_run(threads, &[]);
     let stats0 = res0.expect("fault-free sharded baseline failed");
     assert_eq!(stats0.per_shard.len(), SHARDS);
     assert_eq!(pinned0, 0);
@@ -624,7 +653,7 @@ fn fault_sweep_sharded_fork_join() {
     // with the failing page, fault confined to that shard's disk, and no
     // pinned frame left on *any* shard's pool.
     for shard in 0..SHARDS {
-        let (res, _, faults, _, pinned) = sharded_run(&[(shard, FaultConfig::read_at(0))]);
+        let (res, _, faults, _, pinned) = sharded_run(threads, &[(shard, FaultConfig::read_at(0))]);
         assert!(faults[shard] > 0, "shard {shard}: read fault never fired");
         assert!(
             faults
@@ -643,17 +672,24 @@ fn fault_sweep_sharded_fork_join() {
 
     // Two shards fault with distinguishable kinds: the surfaced error is
     // the *lowest* faulting shard's, per the scheduler's merge order.
-    let (res, _, faults, _, _) =
-        sharded_run(&[(1, FaultConfig::read_at(0)), (3, FaultConfig::write_at(0))]);
-    assert!(faults[1] > 0 && faults[3] > 0, "both faults must fire");
+    // Several workers run every shard, so both faults fire; one worker
+    // stops at the first failing shard and never reaches the second.
+    let both_fired = |faults: &[u64]| faults[1] > 0 && (faults[3] > 0) == (threads > 1);
+    let (res, _, faults, _, _) = sharded_run(
+        threads,
+        &[(1, FaultConfig::read_at(0)), (3, FaultConfig::write_at(0))],
+    );
+    assert!(both_fired(&faults), "t{threads}: fired {faults:?}");
     assert_eq!(
         io_kind(&res.expect_err("two-shard fault swallowed")),
         Some(IoErrorKind::Read),
         "lowest shard's (read) error must win"
     );
-    let (res, _, faults, _, _) =
-        sharded_run(&[(1, FaultConfig::write_at(0)), (3, FaultConfig::read_at(0))]);
-    assert!(faults[1] > 0 && faults[3] > 0, "both faults must fire");
+    let (res, _, faults, _, _) = sharded_run(
+        threads,
+        &[(1, FaultConfig::write_at(0)), (3, FaultConfig::read_at(0))],
+    );
+    assert!(both_fired(&faults), "t{threads}: fired {faults:?}");
     assert_eq!(
         io_kind(&res.expect_err("two-shard fault swallowed")),
         Some(IoErrorKind::Write),
@@ -661,7 +697,7 @@ fn fault_sweep_sharded_fork_join() {
     );
 
     // Exactly-once: a fresh fault-free rerun is byte-identical.
-    let (res, pairs, faults, _, pinned) = sharded_run(&[]);
+    let (res, pairs, faults, _, pinned) = sharded_run(threads, &[]);
     res.expect("fault-free sharded rerun failed");
     assert!(faults.iter().all(|&f| f == 0));
     assert_eq!(pairs, pairs0, "fault-free sharded rerun drifted");

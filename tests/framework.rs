@@ -2,7 +2,7 @@
 //! planner choices execute correctly at scale, and the harness machinery
 //! (cold runs, MIN_RGN, workload assembly) is coherent end to end.
 
-use pbitree_bench::harness::{min_rgn_secs, run_algo, run_competitors, Algo, ExpConfig};
+use pbitree_bench::harness::{min_rgn_secs, run_algo, run_competitors, ExpConfig, RGN_BASELINES};
 use pbitree_bench::workloads::{synthetic_by_name, synthetic_single};
 use pbitree_containment::joins::element::element_file;
 use pbitree_containment::joins::{
@@ -92,8 +92,8 @@ fn planner_prefers_vpj_for_two_large_raw_inputs() {
 fn harness_cold_runs_are_reproducible_in_io() {
     let w = synthetic_by_name("SSSL", 0.3).unwrap();
     let c = cfg(16);
-    let x = run_algo(w.shape, &w.a, &w.d, &c, Algo::Vpj);
-    let y = run_algo(w.shape, &w.a, &w.d, &c, Algo::Vpj);
+    let x = run_algo(w.shape, &w.a, &w.d, &c, Algorithm::Vpj);
+    let y = run_algo(w.shape, &w.a, &w.d, &c, Algorithm::Vpj);
     // I/O counters are deterministic; wall time of course is not.
     assert_eq!(x.stats.io.total(), y.stats.io.total());
     assert_eq!(x.stats.pairs, y.stats.pairs);
@@ -103,7 +103,7 @@ fn harness_cold_runs_are_reproducible_in_io() {
 fn min_rgn_takes_the_best_baseline() {
     let w = synthetic_by_name("SSSH", 0.2).unwrap();
     let c = cfg(8);
-    let runs = run_competitors(w.shape, &w.a, &w.d, &c, &Algo::rgn_baselines());
+    let runs = run_competitors(w.shape, &w.a, &w.d, &c, &RGN_BASELINES);
     let min = min_rgn_secs(&runs).unwrap();
     for m in &runs {
         assert!(min <= m.secs() + 1e-12);
@@ -121,10 +121,10 @@ fn partitioning_joins_beat_min_rgn_on_asymmetric_large_sets() {
         cost: CostModel::default(),
         ..ExpConfig::default()
     };
-    let base = run_competitors(w.shape, &w.a, &w.d, &c, &Algo::rgn_baselines());
+    let base = run_competitors(w.shape, &w.a, &w.d, &c, &RGN_BASELINES);
     let min_rgn = min_rgn_secs(&base).unwrap();
-    let shcj = run_algo(w.shape, &w.a, &w.d, &c, Algo::Shcj);
-    let vpj = run_algo(w.shape, &w.a, &w.d, &c, Algo::Vpj);
+    let shcj = run_algo(w.shape, &w.a, &w.d, &c, Algorithm::Shcj);
+    let vpj = run_algo(w.shape, &w.a, &w.d, &c, Algorithm::Vpj);
     assert!(
         shcj.secs() < min_rgn && vpj.secs() < min_rgn,
         "SHCJ {:.3}s / VPJ {:.3}s vs MIN_RGN {:.3}s",
@@ -141,7 +141,7 @@ fn partitioning_joins_beat_min_rgn_on_asymmetric_large_sets() {
 fn single_height_workloads_run_shcj_without_error() {
     for w in synthetic_single(0.01) {
         let c = cfg(8);
-        let m = run_algo(w.shape, &w.a, &w.d, &c, Algo::Shcj);
+        let m = run_algo(w.shape, &w.a, &w.d, &c, Algorithm::Shcj);
         assert_eq!(m.stats.pairs, w.exact_results(), "{}", w.name);
     }
 }
