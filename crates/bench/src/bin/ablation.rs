@@ -10,8 +10,10 @@
 //!   strictly fewer page reads for the partition joins;
 //! * `compress` — packed element pages off vs on (prune on in both):
 //!   identical pairs, strictly fewer page reads, smaller on-disk bytes;
-//! * `wal`     — durable insert throughput through the write-ahead log,
-//!   base file packed off vs on, with a crash-shaped recovery check;
+//! * `wal`     — durable inserts and deletes through the write-ahead log
+//!   (heap + logged code index), base file packed off vs on: pool requests
+//!   per delete and log bytes per index insert bounded in-binary, with a
+//!   crash-shaped recovery check;
 //! * `shared`  — the batched-query scan: k serial Stack-Tree passes over
 //!   the same document side vs one `QueryBatch` pass answering all k —
 //!   identical pairs, page reads near-flat in k instead of linear;
@@ -420,14 +422,19 @@ fn compress_study(args: &CommonArgs) {
 }
 
 fn wal_study(args: &CommonArgs) {
+    use pbitree_index::BPlusTree;
+    use pbitree_storage::HeapFile;
     let mut t = Table::new(
-        "Ablation: durable insert throughput (WAL'd path, base packed off vs on)",
+        "Ablation: durable update cost (WAL'd heap + logged code index, base packed off vs on)",
         &[
             "compress",
             "base",
             "inserts",
+            "deletes",
             "elapsed(s)",
             "inserts_per_s",
+            "requests_per_delete",
+            "log_bytes_per_index_insert",
             "wal_frames",
             "wal_commits",
             "log_page_writes",
@@ -435,8 +442,13 @@ fn wal_study(args: &CommonArgs) {
             "recovered_ops",
         ],
     );
-    let base_n = ((20_000.0 * args.scale) as usize).max(500);
-    let inserts = ((4_000.0 * args.scale) as usize).max(200);
+    // Floors keep the two asserted costs meaningful at `--fast`: the base
+    // must span enough pages that a delete scanning for its record could
+    // not stay under the request bound, and the index must fill its leaves
+    // far enough that logging whole leaf prefixes could not stay under the
+    // byte bound.
+    let base_n = ((20_000.0 * args.scale) as usize).max(20_000);
+    let inserts = ((4_000.0 * args.scale) as usize).max(2_000);
     let h = 24u32;
     for compress in [false, true] {
         let backend = SharedBackend::new(MemBackend::new());
@@ -454,47 +466,96 @@ fn wal_study(args: &CommonArgs) {
         while base.len() < base_n {
             base.insert(rng.gen_range(1u64..(1 << h)));
         }
-        let mut heap = pbitree_storage::HeapFile::from_iter_with(
-            &pool,
-            opts,
-            base.iter().map(|&c| pbitree_joins::Element::new(c, 0)),
-        )
-        .unwrap();
+        let mut heap =
+            HeapFile::from_iter_with(&pool, opts, base.iter().map(|&c| Element::new(c, 0)))
+                .unwrap();
         pool.flush_all().unwrap();
         let wal = Wal::create(&pool);
+        let mut index = BPlusTree::<u64, u32>::new_logged(&pool, &wal).unwrap();
+        // Insert leg: every new element goes into the heap and the code
+        // index. An index insert that splits nothing is four frames (node
+        // header, leaf suffix, meta record, commit marker); its log bytes
+        // are what the slot-delta logging bounds.
+        let added: Vec<Element> = (0..inserts)
+            .map(|i| Element::new(1 + rng.gen_range(0u64..(1 << h) - 1), i as u32))
+            .collect();
+        let (mut unsplit, mut unsplit_bytes) = (0u64, 0u64);
         let start = std::time::Instant::now();
-        for i in 0..inserts {
-            let c = 1 + rng.gen_range(0u64..(1 << h) - 1);
-            heap.insert_logged(&pool, &wal, pbitree_joins::Element::new(c, i as u32))
+        for e in &added {
+            heap.insert_logged(&pool, &wal, *e).unwrap();
+            let before = wal.stats();
+            index
+                .insert_logged(&pool, &wal, e.code.get(), e.tag)
                 .unwrap();
+            let after = wal.stats();
+            if after.frames - before.frames == 4 {
+                unsplit += 1;
+                unsplit_bytes += after.bytes - before.bytes;
+            }
         }
         wal.flush(&pool).unwrap();
         let elapsed = start.elapsed().as_secs_f64();
+        // Delete leg: every other inserted element (out of document order,
+        // on the tail pages) and as many base elements (in order, on the
+        // bulk pages); the pool requests of the heap delete alone.
+        let victims: Vec<Element> = (added.iter().copied().step_by(2))
+            .chain((base.iter().step_by(2 * base_n / inserts)).map(|&c| Element::new(c, 0)))
+            .collect();
+        let mut requests = 0u64;
+        for e in &victims {
+            let before = pool.pool_stats().requests();
+            assert!(heap.delete_logged(&pool, &wal, e).unwrap(), "{e:?} stored");
+            requests += pool.pool_stats().requests() - before;
+        }
+        for e in added.iter().step_by(2) {
+            assert!(index.delete_logged(&pool, &wal, &e.code.get()).unwrap());
+        }
+        wal.flush(&pool).unwrap();
+        let requests_per_delete = requests as f64 / victims.len() as f64;
+        let bytes_per_insert = unsplit_bytes as f64 / unsplit.max(1) as f64;
+        assert!(
+            requests_per_delete <= 8.0,
+            "compress {compress}: {requests_per_delete:.1} pool requests per delete \
+             — the zone map no longer locates the record's page"
+        );
+        assert!(
+            unsplit > 0 && bytes_per_insert < pbitree_storage::PAGE_SIZE as f64 / 2.0,
+            "compress {compress}: {bytes_per_insert:.0} log bytes per non-splitting index \
+             insert — leaf updates are logging more than header + suffix"
+        );
         let ws = wal.stats();
-        let expect = heap.records();
+        let expect = (heap.records(), index.len());
         let wal_file = wal.file();
-        let heap_file = heap.file_id();
+        let (heap_file, index_file) = (heap.file_id(), index.file_id());
         // Crash-shaped restart: recovery at bench scale must reproduce
-        // every committed insert.
-        drop((heap, wal, pool));
+        // every committed insert and delete, in the heap and in the index.
+        drop((heap, index, wal, pool));
         let pool = BufferPool::new(
             Disk::new(Box::new(backend), pbitree_storage::CostModel::default()),
             args.buffer,
         );
         let (_wal, report) = pbitree_storage::recover(&pool, wal_file).unwrap();
-        let reopened =
-            pbitree_storage::HeapFile::<pbitree_joins::Element>::open(&pool, heap_file).unwrap();
+        let reopened = HeapFile::<Element>::open(&pool, heap_file).unwrap();
+        let reindexed = BPlusTree::<u64, u32>::open_logged(&pool, index_file).unwrap();
         assert_eq!(
-            reopened.records(),
+            (reopened.records(), reindexed.len()),
             expect,
-            "compress {compress}: recovery lost inserts"
+            "compress {compress}: recovery lost updates"
+        );
+        assert_eq!(
+            reindexed.iter(&pool).unwrap().count() as u64,
+            expect.1,
+            "compress {compress}: recovered index chain disagrees with its meta record"
         );
         t.row(vec![
             compress.to_string(),
             base_n.to_string(),
             inserts.to_string(),
+            victims.len().to_string(),
             fmt_secs(elapsed),
             format!("{:.0}", inserts as f64 / elapsed.max(1e-9)),
+            format!("{requests_per_delete:.2}"),
+            format!("{bytes_per_insert:.0}"),
             ws.frames.to_string(),
             ws.commits.to_string(),
             ws.page_writes.to_string(),

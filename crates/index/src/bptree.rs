@@ -227,6 +227,35 @@ mod node {
     pub fn next_patch(next: u32) -> (usize, [u8; 4]) {
         (LINK_OFF, next.to_le_bytes())
     }
+
+    /// A one-slot edit of the node in `page` as the `(offset, bytes)` page
+    /// writes it amounts to: the header with the new count and `link`, and
+    /// the occupied area from slot `pos` on — `insert`, if any, followed by
+    /// the old entries behind the `remove` dropped at `pos`. Entries before
+    /// `pos` keep their bytes, so nothing is decoded and only what moved
+    /// is logged.
+    pub fn splice<K: FixedRecord, P: FixedRecord>(
+        page: &[u8],
+        link: u32,
+        pos: usize,
+        remove: usize,
+        insert: Option<(&K, &P)>,
+    ) -> [(usize, Vec<u8>); 2] {
+        let esz = K::SIZE + P::SIZE;
+        let count = get_u16(page, COUNT_OFF) as usize;
+        let new_count = count - remove + usize::from(insert.is_some());
+        let mut header = page[..HDR].to_vec();
+        header[COUNT_OFF..COUNT_OFF + 2].copy_from_slice(&(new_count as u16).to_le_bytes());
+        header[LINK_OFF..LINK_OFF + 4].copy_from_slice(&link.to_le_bytes());
+        let mut tail = Vec::with_capacity((new_count - pos) * esz);
+        if let Some((k, p)) = insert {
+            tail.resize(esz, 0);
+            k.write(&mut tail[..K::SIZE]);
+            p.write(&mut tail[K::SIZE..]);
+        }
+        tail.extend_from_slice(&page[HDR + (pos + remove) * esz..HDR + count * esz]);
+        [(0, header), (HDR + pos * esz, tail)]
+    }
 }
 
 /// A B+-tree keyed by `K` with values `V`, both fixed-width records.
@@ -495,11 +524,16 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
 
     // ----- logged trees ------------------------------------------------
     //
-    // Every structural change — leaf and internal page rewrites, splits,
-    // root growth, the meta update — goes through one atomic [`WalOp`].
-    // After a crash, `wal::recover` replays the committed operations and
-    // `open_logged` reconstructs the handle from the meta page;
-    // un-committed operations never happened.
+    // Every structural change — slot edits of leaves and internal nodes,
+    // splits, root growth, the meta update — goes through one atomic
+    // [`WalOp`]. A node that keeps its page logs only the bytes the edit
+    // moves ([`node::splice`]: header + the occupied area from the touched
+    // slot on); pages a split or a new root creates log their whole
+    // occupied prefix. Either way a record is absolute bytes at an absolute
+    // offset, so replaying the log from its start any number of times
+    // lands every page in the same state. After a crash, `wal::recover`
+    // replays the committed operations and `open_logged` reconstructs the
+    // handle from the meta page; un-committed operations never happened.
 
     /// Creates an empty *logged* tree: meta page plus an empty root leaf,
     /// committed as one operation through `wal`.
@@ -614,14 +648,16 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
             let page = pool.read_page(self.pid(pno))?;
             if node::is_leaf(&page[..]) {
                 let leaf = Node::<K, V>::leaf(&page[..]);
-                let (next, mut entries) = (leaf.next(), leaf.entries());
                 // Upper bound: after existing duplicates.
-                entries.insert(leaf.upper_bound(key), (*key, *value));
-                drop(page);
-                if entries.len() <= node::capacity::<K, V>() {
-                    log_leaf(op, self.pid(pno), next, &entries);
+                let (next, pos) = (leaf.next(), leaf.upper_bound(key));
+                if leaf.count() < node::capacity::<K, V>() {
+                    let edit = node::splice(&page[..], next, pos, 0, Some((key, value)));
+                    log_patches(op, self.pid(pno), edit);
                     return Ok(None);
                 }
+                let mut entries = leaf.entries();
+                drop(page);
+                entries.insert(pos, (*key, *value));
                 let (left, right) = entries.split_at(entries.len() / 2);
                 let rpno = alloc_tree_page(pool, wal, op, self.file)?;
                 log_leaf(op, self.pid(pno), rpno, left);
@@ -636,13 +672,18 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
             return Ok(None);
         };
         // Absorb the child split.
-        let (child0, mut entries) = self.read_internal(pool, pno)?;
-        entries.insert(branch, (sep, right));
-        if entries.len() <= node::capacity::<K, u32>() {
-            log_internal(op, self.pid(pno), child0, &entries);
+        let page = pool.read_page(self.pid(pno))?;
+        let n = Node::<K, u32>::internal(&page[..]);
+        let child0 = n.child0();
+        if n.count() < node::capacity::<K, u32>() {
+            let edit = node::splice(&page[..], child0, branch, 0, Some((&sep, &right)));
+            log_patches(op, self.pid(pno), edit);
             return Ok(None);
         }
         // Split: left keeps half the keys, the middle key moves up.
+        let mut entries = n.entries();
+        drop(page);
+        entries.insert(branch, (sep, right));
         let mid = entries.len() / 2;
         let (up_key, up_child) = entries[mid];
         log_internal(op, self.pid(pno), child0, &entries[..mid]);
@@ -681,16 +722,16 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
             let leaf = Node::<K, V>::leaf(&page[..]);
             let (count, next, pos) = (leaf.count(), leaf.next(), leaf.lower_bound(key));
             if pos < count && leaf.key(pos) == *key {
-                let mut entries = leaf.entries();
-                drop(page);
-                entries.remove(pos);
                 let mut op = WalOp::new();
-                let (root, height) = if entries.is_empty() && pno != self.root {
+                let (root, height) = if count == 1 && pno != self.root {
+                    drop(page);
                     self.unlink_empty_leaf(pool, &mut op, pno, next, &path)?
                 } else {
                     // The root leaf may sit empty — an empty tree keeps
-                    // its root — and a non-empty leaf is just rewritten.
-                    log_leaf(&mut op, self.pid(pno), next, &entries);
+                    // its root — and a non-empty leaf just closes the gap.
+                    let edit = node::splice::<K, V>(&page[..], next, pos, 1, None);
+                    drop(page);
+                    log_patches(&mut op, self.pid(pno), edit);
                     (self.root, self.height)
                 };
                 self.commit(pool, wal, op, root, height, self.len - 1)?;
@@ -711,18 +752,6 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
                 reason: "leaf chain points past the tree's last leaf",
             })?;
         }
-    }
-
-    /// Reads an internal node's first child and `(separator, child)`
-    /// entries, for the write paths that rebuild it.
-    fn read_internal(
-        &self,
-        pool: &BufferPool,
-        pno: u32,
-    ) -> Result<(u32, Vec<(K, u32)>), PoolError> {
-        let page = pool.read_page(self.pid(pno))?;
-        let n = Node::<K, u32>::internal(&page[..]);
-        Ok((n.child0(), n.entries()))
     }
 
     /// Advances a recorded descent path to the next leaf in tree order:
@@ -789,25 +818,27 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         }
         op.free(self.pid(pno));
         for (i, &(parent, branch)) in path.iter().enumerate().rev() {
-            let (mut child0, mut entries) = self.read_internal(pool, parent)?;
-            if entries.is_empty() {
+            let page = pool.read_page(self.pid(parent))?;
+            let n = Node::<K, u32>::internal(&page[..]);
+            if n.count() == 0 {
                 // A single-child node loses its only child: it goes too,
                 // and its own parent sheds an entry in turn.
                 debug_assert_eq!(branch, 0);
                 op.free(self.pid(parent));
                 continue;
             }
-            if branch == 0 {
-                // `child0` goes: promote the first entry's child, whose
-                // key range absorbs the emptied child's (empty) range.
-                child0 = entries.remove(0).1;
-            } else {
-                entries.remove(branch - 1);
-            }
-            if i == 0 && entries.is_empty() && self.height > 1 {
+            // When `child0` goes, the first entry's child is promoted: its
+            // key range absorbs the emptied child's (empty) range.
+            let (child0, slot) = match branch {
+                0 => (n.value(0), 0),
+                _ => (n.child0(), branch - 1),
+            };
+            if i == 0 && n.count() == 1 && self.height > 1 {
+                drop(page);
                 return self.collapse_root(pool, op, parent, child0);
             }
-            log_internal(op, self.pid(parent), child0, &entries);
+            let edit = node::splice::<K, u32>(&page[..], child0, slot, 1, None);
+            log_patches(op, self.pid(parent), edit);
             return Ok((self.root, self.height));
         }
         // Every ancestor up to the root was single-child. The root
@@ -889,9 +920,16 @@ fn alloc_tree_page(
     Ok(pg)
 }
 
-/// Logs a full leaf rewrite: only the occupied prefix is logged (the
-/// entry count in the header bounds every read, so trailing stale bytes
-/// are unreachable).
+/// Logs the page writes of a one-slot node edit ([`node::splice`]).
+fn log_patches(op: &mut WalOp, pid: PageId, patches: [(usize, Vec<u8>); 2]) {
+    for (off, bytes) in patches {
+        op.page_write(pid, off, &bytes);
+    }
+}
+
+/// Logs a whole leaf, for a page a split (or a new tree) creates: only the
+/// occupied prefix is logged (the entry count in the header bounds every
+/// read, so trailing stale bytes are unreachable).
 fn log_leaf<K: FixedRecord, V: FixedRecord>(
     op: &mut WalOp,
     pid: PageId,
@@ -903,8 +941,8 @@ fn log_leaf<K: FixedRecord, V: FixedRecord>(
     op.page_write(pid, 0, &img[..used]);
 }
 
-/// Logs a full internal-node rewrite (occupied prefix only, as
-/// [`log_leaf`]).
+/// Logs a whole internal node, for a page a split or a new root creates
+/// (occupied prefix only, as [`log_leaf`]).
 fn log_internal<K: FixedRecord>(op: &mut WalOp, pid: PageId, child0: u32, entries: &[(K, u32)]) {
     let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
     let used = node::encode_internal(child0, entries, &mut img[..]);
@@ -1071,27 +1109,105 @@ mod tests {
 
     #[test]
     fn logged_inserts_match_btreemap_model_across_splits() {
+        // Log bytes of one write frame around its payload, and of a commit
+        // marker (`storage::wal` frame format).
+        const WRITE_FRAME: u64 = 29;
+        const COMMIT_FRAME: u64 = 25;
         let p = pool(64);
         let wal = Wal::create(&p);
         let mut t = BPlusTree::<u64, u64>::new_logged(&p, &wal).unwrap();
-        let mut model = std::collections::BTreeMap::new();
+        // Key -> its values, kept sorted: a duplicate lands after its
+        // equals in the leftmost leaf that can hold the key, so a chain
+        // spanning leaves is ordered by key only.
+        let mut model = std::collections::BTreeMap::<u64, Vec<u64>>::new();
+        let check = |t: &BPlusTree<u64, u64>, model: &std::collections::BTreeMap<u64, Vec<u64>>| {
+            let mut all: Vec<(u64, u64)> = t.iter(&p).unwrap().collect();
+            assert!(all.windows(2).all(|w| w[0].0 <= w[1].0));
+            all.sort_unstable();
+            let want: Vec<(u64, u64)> = model
+                .iter()
+                .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
+                .collect();
+            assert_eq!(all, want);
+            assert_eq!(t.len(), want.len() as u64);
+        };
         let mut x = 0x1234_5678u64;
+        let mut unsplit = 0u64;
         for i in 0..8_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let k = x % 20_000;
-            t.insert_logged(&p, &wal, k, i).unwrap();
-            model.entry(k).or_insert(i);
+            // Every 4th op lands on one of two hot keys, whose duplicate
+            // chains outgrow a leaf.
+            let k = if i % 4 == 0 {
+                5_000 * (1 + x % 2)
+            } else {
+                x % 20_000
+            };
+            if i % 5 == 4 {
+                // The delete takes the first entry with the key — the one
+                // `get` returns.
+                let first = t.get(&p, &k).unwrap();
+                assert_eq!(t.delete_logged(&p, &wal, &k).unwrap(), first.is_some());
+                if let Some(v) = first {
+                    let vs = model.get_mut(&k).expect("tree held a key the model lacks");
+                    vs.remove(vs.binary_search(&v).expect("value of another key"));
+                    if vs.is_empty() {
+                        model.remove(&k);
+                    }
+                }
+            } else {
+                // Where the insert will land, read the way it descends.
+                let leaf = t.descend(&p, t.root, |n| n.lower_bound(&k), |_, _| ());
+                let (count, pos) = {
+                    let page = p.read_page(t.pid(leaf.unwrap())).unwrap();
+                    let leaf = Node::<u64, u64>::leaf(&page[..]);
+                    (leaf.count(), leaf.upper_bound(&k))
+                };
+                let before = wal.stats().bytes;
+                t.insert_logged(&p, &wal, k, i).unwrap();
+                model.entry(k).or_default().push(i);
+                if count < node::capacity::<u64, u64>() {
+                    // No split: the log holds the node header, the leaf
+                    // from the new slot on, the meta record and a commit
+                    // marker — not the leaf's whole prefix.
+                    let suffix = ((count - pos + 1) * 16) as u64;
+                    let logged = wal.stats().bytes - before;
+                    let writes = 3 + suffix / pbitree_storage::wal::MAX_CHUNK as u64;
+                    assert_eq!(
+                        logged,
+                        8 + suffix + 28 + writes * WRITE_FRAME + COMMIT_FRAME,
+                        "insert {i} at slot {pos} of {count}"
+                    );
+                    unsplit += 1;
+                }
+            }
+            if i % 1_000 == 999 {
+                check(&t, &model);
+            }
         }
-        assert_eq!(t.len(), 8_000);
         assert!(t.height() >= 2, "splits must have grown the tree");
+        assert!(unsplit > 6_000, "most inserts do not split ({unsplit})");
+        assert!(
+            model
+                .values()
+                .any(|vs| vs.len() > node::capacity::<u64, u64>()),
+            "a duplicate chain must span leaves"
+        );
+        check(&t, &model);
         for k in (0..20_000).step_by(83) {
-            assert_eq!(t.get(&p, &k).unwrap(), model.get(&k).copied(), "key {k}");
+            let found = t.get(&p, &k).unwrap();
+            assert_eq!(found.is_some(), model.contains_key(&k), "key {k}");
+            assert!(found.is_none_or(|v| model[&k].contains(&v)), "key {k}");
         }
-        let all: Vec<u64> = t.iter(&p).unwrap().map(|(k, _)| k).collect();
-        assert!(all.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(all.len(), 8_000);
+        // Drain the hot keys: their chains empty leaf by leaf.
+        for k in [5_000u64, 10_000] {
+            for _ in 0..model.remove(&k).map_or(0, |vs| vs.len()) {
+                assert!(t.delete_logged(&p, &wal, &k).unwrap());
+            }
+            assert!(!t.delete_logged(&p, &wal, &k).unwrap());
+        }
+        check(&t, &model);
     }
 
     #[test]

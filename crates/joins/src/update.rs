@@ -11,7 +11,8 @@
 //! 2. the heap file logs and applies the page writes
 //!    ([`HeapFile::insert_logged`] / [`HeapFile::delete_logged`]), with
 //!    the zone map widened (insert) or recomputed (delete) so scan
-//!    pushdown stays exact;
+//!    pushdown stays exact — and so the next delete can find its page
+//!    from the map instead of scanning for it;
 //! 3. on an I/O error the in-memory reservation is rolled back, so the
 //!    allocator never leaks slots the disk state does not hold.
 //!
@@ -101,10 +102,17 @@ impl ElementStore {
     }
 
     /// Reopens a store after a crash: rebuilds the heap handle (pages,
-    /// record count, zone map) and the allocator from the recovered file.
+    /// record count, zone map) and the allocator from the recovered file,
+    /// in one scan of it.
     pub fn open(pool: &BufferPool, file: FileId, shape: PBiTreeShape) -> Result<Self, PoolError> {
-        let heap = HeapFile::<Element>::open(pool, file)?;
-        Self::from_heap(pool, heap, shape)
+        let mut codes = Vec::new();
+        let heap = HeapFile::<Element>::open_each(pool, file, |page| {
+            codes.extend(page.iter().map(|e| e.code))
+        })?;
+        Ok(ElementStore {
+            heap,
+            alloc: CodeAllocator::from_codes(shape, codes),
+        })
     }
 
     /// The underlying heap file — join operators take it by reference.
@@ -178,9 +186,13 @@ impl ElementStore {
         Ok(code)
     }
 
-    /// Deletes the element with the given code (any tag), committing the
-    /// heap mutation through `wal`. The slot becomes allocatable again.
-    /// Returns whether an element was removed.
+    /// Deletes the element stored as exactly `(code, tag)`, committing the
+    /// heap mutation through `wal`; a stored element with this code but
+    /// another tag does not match and nothing is removed. The slot becomes
+    /// allocatable again. The heap locates the element's page through the
+    /// file's zone map ([`HeapFile::delete_logged`]), so a remove reads the
+    /// pages that can hold the code, not the file. Returns whether an
+    /// element was removed.
     pub fn remove(
         &mut self,
         pool: &BufferPool,
@@ -318,25 +330,17 @@ mod tests {
             .file_zones(store.heap().file_id())
             .expect("element files keep zone maps");
         let mut scan = store.heap().scan(pool);
-        loop {
+        while let Some(e) = scan.next_record().unwrap() {
+            // Once a record is out, the scan's position is on its page.
             let page = scan.position().page();
-            match scan.next_record().unwrap() {
-                Some(e) => {
-                    let z = zones
-                        .page(page)
-                        .unwrap_or_else(|| panic!("page {page} lost its zone entry"));
-                    let (lo, hi) = (e.code.region_start(), e.code.region_end());
-                    assert!(
-                        z.lo <= lo && hi <= z.hi,
-                        "zone [{}, {}] of page {page} excludes record [{lo}, {hi}]",
-                        z.lo,
-                        z.hi
-                    );
-                    let h = e.code.height();
-                    assert!(z.min_h <= h && h <= z.max_h);
-                }
-                None => break,
-            }
+            let z = zones
+                .page(page)
+                .unwrap_or_else(|| panic!("page {page} lost its zone entry"));
+            let (lo, hi) = (e.code.region_start(), e.code.region_end());
+            assert!(
+                z.covers(lo, hi, e.code.height()),
+                "zone {z:?} of page {page} excludes record [{lo}, {hi}]"
+            );
         }
     }
 

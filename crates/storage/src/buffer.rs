@@ -524,6 +524,21 @@ impl BufferPool {
         self.zones.lock().unwrap().get(&file).cloned()
     }
 
+    /// Edits `file`'s registered zone map in place, under the registry
+    /// lock — the logged heap path's per-mutation upkeep, O(1) unless a
+    /// scan still holds the previous snapshot (which then keeps it: the
+    /// map is copied on write). A file without a map gets an empty one
+    /// first when `create` is set and is left alone otherwise.
+    pub fn edit_zones(&self, file: FileId, create: bool, edit: impl FnOnce(&mut FileZones)) {
+        let mut registry = self.zones.lock().unwrap();
+        if create {
+            registry.entry(file).or_default();
+        }
+        if let Some(zones) = registry.get_mut(&file) {
+            edit(Arc::make_mut(zones));
+        }
+    }
+
     /// Disk transfer counters (the headline experiment metric). Lock-free:
     /// safe to call while workers are running.
     pub fn io_stats(&self) -> IoStats {

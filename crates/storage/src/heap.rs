@@ -1,4 +1,7 @@
-//! Heap files: unordered, append-only files of fixed-width records.
+//! Heap files: unordered files of fixed-width records, bulk-written by
+//! [`HeapWriter`] and afterwards mutable one record at a time through the
+//! write-ahead log ([`HeapFile::insert_logged`] /
+//! [`HeapFile::delete_logged`]).
 //!
 //! Page layout: a 4-byte little-endian record count followed by densely
 //! packed records. `‖R‖` — the page count the paper's cost formulas are
@@ -6,12 +9,14 @@
 //!
 //! Writers additionally maintain **region zone maps** (see [`crate::zone`]):
 //! one `(min start, max end, min/max height)` summary per sealed page,
-//! registered with the pool at [`HeapWriter::finish`]. A scan given a
+//! registered with the pool at [`HeapWriter::finish`] and kept exact or
+//! wider by every logged mutation. A scan given a
 //! [`crate::zone::ScanFilter`] consults the map before each page fetch and skips pages
 //! that provably hold no qualifying record — at zero I/O cost, counted in
 //! [`crate::buffer::PoolStats::pages_skipped`]. No page is ever pinned
 //! across a skipped range: the scan releases its current page before the
-//! zone check runs.
+//! zone check runs. The same map is the logged delete's locator: only pages
+//! whose entry covers the record are read.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -231,6 +236,18 @@ impl<R: FixedRecord> HeapFile<R> {
     /// restores the pages, `open` restores the in-memory catalog state
     /// a never-crashed writer would hold.
     pub fn open(pool: &BufferPool, file: FileId) -> Result<Self, PoolError> {
+        Self::open_each(pool, file, |_| ())
+    }
+
+    /// [`open`](HeapFile::open) that also hands every page's decoded
+    /// records to `visit`, in page order — a caller that rebuilds its own
+    /// state from the contents shares the one scan instead of making a
+    /// second.
+    pub fn open_each(
+        pool: &BufferPool,
+        file: FileId,
+        mut visit: impl FnMut(&[R]),
+    ) -> Result<Self, PoolError> {
         let pages = pool.num_pages(file);
         let mut hf = HeapFile {
             file,
@@ -260,6 +277,7 @@ impl<R: FixedRecord> HeapFile<R> {
                 }
             }
             zones.push(exact_zone(&recs));
+            visit(&recs);
         }
         if zones.any() {
             pool.register_zones(file, zones);
@@ -332,8 +350,9 @@ impl<R: FixedRecord> HeapFile<R> {
                 Some((l0, h0)) => (l0.min(h), h0.max(h)),
             });
         }
-        self.rezone(pool, bounds.zip(height).is_some(), |zones| {
-            match (bounds.zip(height), fresh) {
+        let hints = bounds.zip(height);
+        pool.edit_zones(self.file, fresh && hints.is_some(), |zones| {
+            match (hints, fresh) {
                 // A fresh or recycled page holds exactly this record, so its
                 // zone is set outright — widening would wrongly inherit the
                 // `None` an emptied page leaves behind.
@@ -355,11 +374,25 @@ impl<R: FixedRecord> HeapFile<R> {
     /// in the file with a zero record count until an insert recycles it.
     /// The page's zone map entry is recomputed exactly from the surviving
     /// records. Returns whether a record was found.
+    ///
+    /// The file's zone map locates the record: a page whose entry does not
+    /// cover `r`'s hints cannot hold it and is not read. Pages without an
+    /// entry, and records without hints, fall back to being read; the walk
+    /// is in ascending page order either way, so "first" means the same
+    /// with and without a map.
     pub fn delete_logged(&mut self, pool: &BufferPool, wal: &Wal, r: &R) -> Result<bool, PoolError>
     where
         R: PartialEq,
     {
+        let hints = r.bounds_hint().zip(r.height_hint());
+        let zones = hints.and_then(|_| pool.file_zones(self.file));
         for pg in 0..self.pages {
+            if let (Some(((lo, hi), h)), Some(z)) = (hints, zones.as_ref().and_then(|z| z.page(pg)))
+            {
+                if !z.covers(lo, hi, h) {
+                    continue;
+                }
+            }
             let pid = PageId::new(self.file, pg);
             let (mut recs, packed) = read_page_records::<R>(pool, pid)?;
             let Some(idx) = recs.iter().position(|x| x == r) else {
@@ -382,9 +415,10 @@ impl<R: FixedRecord> HeapFile<R> {
                 let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
                 let mut b = PackedPageBuilder::default();
                 for rec in &recs {
-                    let parts = rec
-                        .to_parts()
-                        .expect("records decoded from a packed page re-pack");
+                    let parts = rec.to_parts().ok_or(PoolError::Corrupt {
+                        pid,
+                        reason: "record decoded from a packed page has no packed form",
+                    })?;
                     debug_assert!(b.fits(&parts), "removal never grows a packed page");
                     b.push(parts);
                 }
@@ -405,29 +439,20 @@ impl<R: FixedRecord> HeapFile<R> {
                 recs.clear();
             }
             let exact = exact_zone(&recs);
-            let had_hints = exact.is_some();
-            self.rezone(pool, had_hints, |zones| zones.set_page(pg, exact));
+            // Let go of the snapshot first, or the in-place edit would have
+            // to copy the map it is shared with.
+            drop(zones);
+            pool.edit_zones(self.file, exact.is_some(), |zones| {
+                zones.set_page(pg, exact)
+            });
             return Ok(true);
         }
         Ok(false)
     }
-
-    /// Clones, edits and re-registers the file's zone map. When the file
-    /// has no map and the triggering record carries no hints there is
-    /// nothing to maintain and nothing is registered.
-    fn rezone(&self, pool: &BufferPool, hints: bool, edit: impl FnOnce(&mut FileZones)) {
-        let mut zones = match pool.file_zones(self.file) {
-            Some(arc) => (*arc).clone(),
-            None if hints => FileZones::default(),
-            None => return,
-        };
-        edit(&mut zones);
-        pool.register_zones(self.file, zones);
-    }
 }
 
 /// Reads and fully decodes one heap page, reporting whether it used the
-/// packed layout — the shared primitive of [`HeapFile::open`] and
+/// packed layout — the shared primitive of [`HeapFile::open_each`] and
 /// [`HeapFile::delete_logged`].
 fn read_page_records<R: FixedRecord>(
     pool: &BufferPool,
@@ -1026,6 +1051,7 @@ impl<R: FixedRecord> Iterator for HeapScan<'_, R> {
 mod tests {
     use super::*;
     use crate::disk::Disk;
+    use crate::util::rng::Rng;
     use crate::zone::ScanFilter;
 
     fn pool(frames: usize) -> BufferPool {
@@ -1909,6 +1935,271 @@ mod tests {
         let zones = p.file_zones(hf.file_id()).unwrap();
         assert_eq!(zones.len(), hf.pages() as usize);
         assert!(zones.page(0).is_some());
+    }
+
+    /// The file's records page by page, in slot order — the physical
+    /// layout the logged-mutation model test compares across one op.
+    fn layout<R: FixedRecord>(p: &BufferPool, hf: &HeapFile<R>) -> Vec<Vec<R>> {
+        let mut pages = vec![Vec::new(); hf.pages() as usize];
+        let mut scan = hf.scan(p);
+        // Once a record is out, the scan's position is on that record's page.
+        while let Some(r) = scan.next_record().unwrap() {
+            pages[scan.position().page() as usize].push(r);
+        }
+        pages
+    }
+
+    /// Every registered page zone covers every record on its page (exact
+    /// or wider, never narrower) and no zoned page holds a hint-less
+    /// record. With `always_hinted`, non-empty pages must also *have* a
+    /// zone, so the delete locator cannot pass by never engaging.
+    fn assert_zones_cover<R: FixedRecord>(
+        p: &BufferPool,
+        hf: &HeapFile<R>,
+        pages: &[Vec<R>],
+        always_hinted: bool,
+    ) {
+        let zones = p.file_zones(hf.file_id());
+        for (pg, recs) in pages.iter().enumerate() {
+            let zone = zones.as_ref().and_then(|z| z.page(pg as u32));
+            assert!(
+                zone.is_some() || recs.is_empty() || !always_hinted,
+                "page {pg} lost its zone entry"
+            );
+            let Some(z) = zone else { continue };
+            for r in recs {
+                let ((lo, hi), h) = r
+                    .bounds_hint()
+                    .zip(r.height_hint())
+                    .unwrap_or_else(|| panic!("zoned page {pg} holds a hint-less record"));
+                assert!(z.covers(lo, hi, h), "zone of page {pg} excludes a record");
+            }
+        }
+    }
+
+    /// Sorted copy, for multiset comparison of records without `Ord`.
+    fn sorted<R: FixedRecord>(recs: &[R]) -> Vec<Vec<u8>> {
+        let mut v: Vec<Vec<u8>> = recs
+            .iter()
+            .map(|r| {
+                let mut b = vec![0u8; R::SIZE];
+                r.write(&mut b);
+                b
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    /// One logged delete checked against the physical layout around it:
+    /// the page that changed is the *first* page holding an equal record,
+    /// it lost exactly one such record, and no other page moved.
+    fn checked_delete<R: FixedRecord + PartialEq + std::fmt::Debug>(
+        p: &BufferPool,
+        wal: &Wal,
+        hf: &mut HeapFile<R>,
+        model: &mut Vec<R>,
+        victim: &R,
+        always_hinted: bool,
+    ) {
+        let before = layout(p, hf);
+        let found = hf.delete_logged(p, wal, victim).unwrap();
+        let after = layout(p, hf);
+        match before.iter().position(|recs| recs.contains(victim)) {
+            None => {
+                assert!(!found, "deleted a record the file did not hold");
+                assert_eq!(before, after);
+            }
+            Some(first) => {
+                assert!(found, "missed {victim:?} on page {first}");
+                for (pg, (b, a)) in before.iter().zip(&after).enumerate() {
+                    if pg != first {
+                        assert_eq!(b, a, "delete of {victim:?} touched page {pg}, not {first}");
+                    }
+                }
+                let mut expect = before[first].clone();
+                expect.remove(expect.iter().position(|x| x == victim).unwrap());
+                assert_eq!(sorted(&after[first]), sorted(&expect));
+                model.remove(model.iter().position(|x| x == victim).unwrap());
+            }
+        }
+        assert_eq!(hf.records(), model.len() as u64);
+        assert_zones_cover(p, hf, &after, always_hinted);
+    }
+
+    /// Seeded interleaving of logged inserts and deletes over a bulk-loaded
+    /// `base`, against a `Vec` model: exact duplicates and near-duplicates
+    /// (from `fresh`, which may return a stored record), one page emptied
+    /// to the free list and recycled, every delete checked by
+    /// [`checked_delete`].
+    fn logged_model_run<R: FixedRecord + PartialEq + std::fmt::Debug>(
+        opts: ScanOptions,
+        base: Vec<R>,
+        mut fresh: impl FnMut(&mut Rng, &[R]) -> R,
+        always_hinted: bool,
+    ) {
+        let p = pool(8);
+        let mut hf = HeapFile::from_iter_with(&p, opts, base.iter().copied()).unwrap();
+        assert!(hf.pages() >= 3, "base must span pages");
+        let wal = Wal::create(&p);
+        let mut model = base;
+        let mut rng = Rng::seed_from_u64(0xDE1E7E);
+        let insert = |hf: &mut HeapFile<R>, model: &mut Vec<R>, r: R| {
+            hf.insert_logged(&p, &wal, r).unwrap();
+            model.push(r);
+            assert_zones_cover(&p, hf, &layout(&p, hf), always_hinted);
+        };
+        for round in 0..240 {
+            if round == 80 {
+                // Empty page 1 outright: it reaches the free list, and the
+                // inserts that follow recycle it before growing the file.
+                for victim in layout(&p, &hf)[1].clone() {
+                    checked_delete(&p, &wal, &mut hf, &mut model, &victim, always_hinted);
+                }
+                assert_eq!(wal.free_pages_of(hf.file_id()), vec![1]);
+                let pages = hf.pages();
+                while wal.freelist_len() > 0 {
+                    let r = fresh(&mut rng, &model);
+                    insert(&mut hf, &mut model, r);
+                }
+                assert_eq!(hf.pages(), pages, "recycling must not grow the file");
+                assert!(!layout(&p, &hf)[1].is_empty());
+            }
+            if rng.gen_bool(0.45) {
+                let r = fresh(&mut rng, &model);
+                insert(&mut hf, &mut model, r);
+            } else if rng.gen_bool(0.1) {
+                // A record that was never stored: nothing may change.
+                let ghost = fresh(&mut rng, &[]);
+                if !model.contains(&ghost) {
+                    checked_delete(&p, &wal, &mut hf, &mut model, &ghost, always_hinted);
+                }
+            } else {
+                let victim = model[rng.gen_range(0..model.len())];
+                checked_delete(&p, &wal, &mut hf, &mut model, &victim, always_hinted);
+            }
+        }
+        assert_eq!(sorted(&hf.read_all(&p).unwrap()), sorted(&model));
+    }
+
+    #[test]
+    fn logged_mutations_match_model_and_delete_first_equal_record() {
+        // Inserts re-use stored records (exact duplicates), stored codes
+        // under a new tag (must not match on delete), or new spans.
+        let fresh = |rng: &mut Rng, stored: &[PSpan]| match (stored.len(), rng.gen_range(0..3u32)) {
+            (n, 0) if n > 0 => stored[rng.gen_range(0..n)],
+            (n, 1) if n > 0 => PSpan {
+                tag: 1000 + rng.gen_range(0..9u32),
+                ..stored[rng.gen_range(0..n)]
+            },
+            _ => PSpan {
+                start: rng.gen_range(0..40_000u64),
+                h: rng.gen_range(0..4u32),
+                tag: rng.gen_range(0..7u32),
+            },
+        };
+        // Raw base pages, then packed ones (the decode/re-seal delete).
+        logged_model_run(
+            ScanOptions::default().with_compress(false),
+            pspans(1_000),
+            fresh,
+            true,
+        );
+        logged_model_run(compressed(), pspans(4_000), fresh, true);
+    }
+
+    #[test]
+    fn logged_delete_without_hints_falls_back_to_the_scan() {
+        // `u64` reports no hints: no zone map exists and every delete walks
+        // the pages, still removing the first equal record.
+        let fresh = |rng: &mut Rng, stored: &[u64]| match stored.len() {
+            n if n > 0 && rng.gen_bool(0.5) => stored[rng.gen_range(0..n)],
+            _ => rng.gen_range(0..5_000u64),
+        };
+        logged_model_run(ScanOptions::default(), (0..1_600).collect(), fresh, false);
+        // Optional hints: pages a hint-less record poisons lose their zone
+        // and are read by every delete; the rest stay zone-guided.
+        let all = spans(3_000);
+        let fresh = |rng: &mut Rng, stored: &[MaybeSpan]| match stored.len() {
+            n if n > 0 && rng.gen_bool(0.4) => stored[rng.gen_range(0..n)],
+            _ => MaybeSpan(all[rng.gen_range(0..all.len())], rng.gen_bool(0.8)),
+        };
+        let base = all[..700]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| MaybeSpan(s, i % 97 != 5))
+            .collect();
+        logged_model_run(ScanOptions::default(), base, fresh, false);
+    }
+
+    #[test]
+    fn hinted_insert_never_narrows_an_unmapped_page() {
+        // Every bulk page holds a hint-less record, so the file registers
+        // no map. A hinted insert onto the half-full tail page must not
+        // invent a zone covering only itself: the records already there
+        // would vanish from pruning scans and zone-guided deletes.
+        let p = pool(4);
+        let per = records_per_page::<MaybeSpan>() as u64;
+        let data: Vec<MaybeSpan> = spans(per + 10)
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| MaybeSpan(s, !(i as u64).is_multiple_of(per)))
+            .collect();
+        let mut hf = HeapFile::from_iter(&p, data.iter().copied()).unwrap();
+        assert!(p.file_zones(hf.file_id()).is_none());
+        let wal = Wal::create(&p);
+        let far = MaybeSpan(
+            Span {
+                lo: 900_000,
+                hi: 900_001,
+                h: 9,
+            },
+            true,
+        );
+        hf.insert_logged(&p, &wal, far).unwrap();
+        assert_eq!(hf.pages(), 2, "the insert lands on the tail page");
+        let window = ScanFilter::RegionOverlap {
+            start: 900_000,
+            end: 900_001,
+        };
+        let got = hf
+            .read_all_with(&p, ScanOptions::default().with_filter(window))
+            .unwrap();
+        assert!(
+            got.contains(&data[per as usize]),
+            "hint-less neighbour pruned"
+        );
+        assert!(hf.delete_logged(&p, &wal, &data[per as usize + 3]).unwrap());
+    }
+
+    #[test]
+    fn zone_guided_delete_reads_the_records_page_not_the_file() {
+        for (opts, n) in [
+            (ScanOptions::default().with_compress(false), 50 * 255u64),
+            (compressed(), 80_000),
+        ] {
+            let p = pool(8);
+            let data = pspans(n);
+            let mut hf = HeapFile::from_iter_with(&p, opts, data.iter().copied()).unwrap();
+            assert!(hf.pages() >= 50, "{} pages", hf.pages());
+            let wal = Wal::create(&p);
+            let mut rng = Rng::seed_from_u64(7);
+            for _ in 0..200 {
+                let victim = data[rng.gen_range(0..data.len())];
+                let before = p.pool_stats().requests();
+                let found = hf.delete_logged(&p, &wal, &victim).unwrap();
+                let requests = p.pool_stats().requests() - before;
+                // The located page, then the logged writes applied to it.
+                assert!(requests <= 4, "{requests} pool requests for one delete");
+                assert!(found || !hf.read_all(&p).unwrap().contains(&victim));
+            }
+            // Already-deleted victims: the map rules out every other page.
+            let before = p.pool_stats().requests();
+            assert!(!hf
+                .delete_logged(&p, &wal, &PSpan { tag: 99, ..data[0] })
+                .unwrap());
+            assert!(p.pool_stats().requests() - before <= 1);
+        }
     }
 
     #[test]

@@ -62,6 +62,9 @@ impl CostModel {
 pub struct WalStats {
     /// Log frames appended (record and commit-marker frames).
     pub frames: u64,
+    /// Bytes those frames occupy in the log (headers, payloads, checksums;
+    /// not end-of-page padding) — what a mutation costs in log space.
+    pub bytes: u64,
     /// Logical operations committed.
     pub commits: u64,
     /// Log pages written to disk (appends plus tail rewrites).

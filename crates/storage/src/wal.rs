@@ -217,6 +217,7 @@ impl WalState {
         buf[need - FRAME_TRAILER..].copy_from_slice(&sum.to_le_bytes());
         self.used += need;
         self.stats.frames += 1;
+        self.stats.bytes += need as u64;
         lsn
     }
 

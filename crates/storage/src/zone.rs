@@ -52,6 +52,15 @@ impl ZoneEntry {
         self.max_h = self.max_h.max(h);
     }
 
+    /// Whether a record with hints `(lo, hi, h)` could sit on a page with
+    /// this zone — the point-lookup counterpart of
+    /// [`ScanFilter::admits_zone`], used by logged deletes to locate their
+    /// record's page without reading the others.
+    #[inline]
+    pub fn covers(&self, lo: u64, hi: u64, h: u32) -> bool {
+        self.lo <= lo && hi <= self.hi && self.min_h <= h && h <= self.max_h
+    }
+
     /// Widens this zone to also cover everything `other` covers.
     #[inline]
     pub fn merge(&mut self, other: &ZoneEntry) {
@@ -114,17 +123,13 @@ impl FileZones {
     }
 
     /// Widens page `page`'s zone to also cover `(lo, hi, h)` — the
-    /// insert-side zone maintenance. A page that never had a zone stays
-    /// without one (it already admits everything), but a page beyond the
-    /// recorded length gets a fresh exact zone.
+    /// insert-side zone maintenance for a page that already holds records.
+    /// A page without a zone, recorded or beyond the recorded length, stays
+    /// without one: the records already on it are unknown here, and an
+    /// entry narrower than the page's contents would make pruning scans
+    /// and zone-guided deletes miss them.
     pub fn widen(&mut self, page: u32, lo: u64, hi: u64, h: u32) {
-        let idx = page as usize;
-        if idx >= self.pages.len() {
-            self.pages.resize(idx + 1, None);
-            self.pages[idx] = Some(ZoneEntry::of(lo, hi, h));
-            return;
-        }
-        if let Some(z) = &mut self.pages[idx] {
+        if let Some(Some(z)) = self.pages.get_mut(page as usize) {
             z.fold(lo, hi, h);
         }
     }
@@ -345,6 +350,10 @@ mod tests {
         let mut a = ZoneEntry::of(100, 200, 1);
         a.merge(&z);
         assert_eq!(a, zone(5, 200, 1, 7));
+        // Covering is containment in both dimensions, ends included.
+        assert!(a.covers(5, 200, 1) && a.covers(50, 60, 7));
+        assert!(!a.covers(4, 60, 3) && !a.covers(50, 201, 3));
+        assert!(!a.covers(50, 60, 0) && !a.covers(50, 60, 8));
     }
 
     #[test]
@@ -369,12 +378,13 @@ mod tests {
         // Widening an existing zone folds the new record in.
         fz.widen(0, 5, 25, 4);
         assert_eq!(*fz.page(0).unwrap(), zone(5, 25, 2, 4));
-        // Widening past the recorded length grows the map with an exact
-        // zone for the new page; the gap pages stay untracked.
+        // A page past the recorded length holds records the map never
+        // saw: widening must not invent a zone narrower than its contents.
         fz.widen(3, 100, 200, 1);
+        assert!(fz.page(3).is_none());
+        fz.set_page(3, Some(ZoneEntry::of(100, 200, 1)));
         assert_eq!(fz.len(), 4);
         assert!(fz.page(1).is_none());
-        assert_eq!(*fz.page(3).unwrap(), zone(100, 200, 1, 1));
         // A page whose zone was cleared (hintless record) stays cleared
         // under further widening: no information, no pruning.
         fz.set_page(0, None);

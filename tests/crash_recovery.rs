@@ -3,13 +3,17 @@
 //! answers containment joins exactly like a never-crashed twin.
 //!
 //! The workload drives an [`ElementStore`] (code allocator + WAL'd heap
-//! mutations) over a checkpointed base file: a deterministic script of
-//! inserts (under the root or an existing element), sibling inserts,
-//! deletes, and explicit WAL flushes. The harness:
+//! mutations) over a checkpointed base file, with a logged [`BPlusTree`]
+//! code index over the script-inserted elements kept in step with it: a
+//! deterministic script of inserts (under the root or an existing
+//! element), sibling inserts, deletes, and explicit WAL flushes. A
+//! mutation is two commits — store, then index — so a crash can fall
+//! between them. The harness:
 //!
 //! 1. runs the script fault-free on a twin, recording the write count
 //!    `W`, the per-step cumulative committed-operation counts, and the
-//!    twin's final logical state (sorted elements + MHCJ self-join);
+//!    twin's final logical state (sorted elements, index entries, MHCJ
+//!    self-join);
 //! 2. for each write index `k < W`, reruns the script with a
 //!    non-transient *torn* write fault armed at `k` (first half of the
 //!    page reaches disk, the rest keeps stale bytes — the classic
@@ -18,16 +22,22 @@
 //!    is dropped, a fresh pool opens over the same disk image,
 //!    [`recover`] replays the committed prefix of the log and truncates
 //!    the torn tail;
-//! 4. resumes the script from the first step whose operation did not
-//!    survive (the log's `last_op` names the durable prefix; allocator
-//!    decisions are a deterministic function of the occupied-code set,
-//!    so the resumed run re-makes exactly the choices the twin made);
-//! 5. asserts the resumed store equals the twin element-by-element and
-//!    answers the containment self-join identically.
+//! 4. checks the recovered index against the recovered store — equal,
+//!    or one entry apart exactly when the log's `last_op` says the crash
+//!    fell between a step's two commits, in which case the index half is
+//!    redone — and resumes the script from the first step whose
+//!    operations did not survive (allocator decisions are a deterministic
+//!    function of the occupied-code set, so the resumed run re-makes
+//!    exactly the choices the twin made);
+//! 5. asserts the resumed store **and index** equal the twin's
+//!    element-by-element and the store answers the containment self-join
+//!    identically.
 //!
 //! Sweeps run at `threads` 1 and 4 (parallel join verification) and with
 //! page compression on and off (packed base pages exercise the
-//! decode/re-seal delete path). The scripted sweep is pinned to seed 42;
+//! decode/re-seal delete path). The index's leaf updates are logged as
+//! header + slot-suffix byte ranges, so every kill index also lands a
+//! torn write between, inside or after those ranges. The scripted sweep is pinned to seed 42;
 //! `CRASH_SWEEP_SEED` arms an extra randomized leg whose seed is printed
 //! on failure, and a seed-loop property test crashes at pseudo-random
 //! write indices under fresh random scripts.
@@ -44,12 +54,20 @@ use pbitree_containment::storage::{
     ScanOptions, SharedBackend, Wal,
 };
 use pbitree_core::{Code, PBiTreeShape};
+use pbitree_index::BPlusTree;
 use pbitree_joins::element::{element_file_with, Element};
 
 const H: u32 = 18;
 const BUDGET: usize = 6;
 const BASE_ELEMS: usize = 3000;
 const STEPS: usize = 150;
+/// Script tags start here; base tags stay below. The code index holds
+/// exactly the elements tagged at or above it.
+const SCRIPT_TAG: u32 = 10_000;
+
+/// The code index kept in step with the store: code -> tag of every
+/// script-inserted element.
+type Index = BPlusTree<u64, u32>;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StepKind {
@@ -83,7 +101,7 @@ fn script(seed: u64) -> Vec<Step> {
             Step {
                 kind,
                 sel: rng.next_u64(),
-                tag: 10_000 + i as u32,
+                tag: SCRIPT_TAG + i as u32,
             }
         })
         .collect()
@@ -114,12 +132,15 @@ fn model_of(pool: &BufferPool, store: &ElementStore) -> Model {
         .collect()
 }
 
-/// Applies one step. Returns the number of operations it committed (0
-/// for flushes and deterministic allocator rejections).
+/// Applies one step to the store and, for script-tagged elements, to the
+/// index after it. Returns the number of operations it committed (0 for
+/// flushes and deterministic allocator rejections, 2 for a mutation that
+/// also touches the index).
 fn apply_step(
     pool: &BufferPool,
     wal: &Wal,
     store: &mut ElementStore,
+    index: &mut Index,
     model: &mut Model,
     shape: PBiTreeShape,
     step: Step,
@@ -142,7 +163,8 @@ fn apply_step(
             match store.insert_under(pool, wal, parent, step.tag) {
                 Ok(code) => {
                     model.insert(code.get(), step.tag);
-                    Ok(1)
+                    index.insert_logged(pool, wal, code.get(), step.tag)?;
+                    Ok(2)
                 }
                 Err(StoreError::Update(_)) => Ok(0),
                 Err(e) => Err(e),
@@ -157,7 +179,8 @@ fn apply_step(
             match store.insert_sibling_after(pool, wal, root, node, step.tag) {
                 Ok(code) => {
                     model.insert(code.get(), step.tag);
-                    Ok(1)
+                    index.insert_logged(pool, wal, code.get(), step.tag)?;
+                    Ok(2)
                 }
                 Err(StoreError::Update(_)) => Ok(0),
                 Err(e) => Err(e),
@@ -172,7 +195,11 @@ fn apply_step(
             let removed = store.remove(pool, wal, Code::from_raw_unchecked(code), tag)?;
             assert!(removed, "model said code {code:#x} was stored");
             model.remove(&code);
-            Ok(1)
+            if tag < SCRIPT_TAG {
+                return Ok(1);
+            }
+            assert!(index.delete_logged(pool, wal, &code)?, "{code:#x} indexed");
+            Ok(2)
         }
         StepKind::Flush => {
             wal.flush(pool)?;
@@ -193,9 +220,14 @@ struct Setup {
     pool: BufferPool,
     wal: Wal,
     store: ElementStore,
+    index: Index,
     model: Model,
     shape: PBiTreeShape,
 }
+
+/// Operations the log holds before the script's first: the index's
+/// creation, made durable by [`build`].
+const SETUP_OPS: u64 = 1;
 
 fn io_opts(compress: bool) -> ScanOptions {
     ScanOptions::sequential(1).with_compress(compress)
@@ -226,6 +258,9 @@ fn build(seed: u64, compress: bool) -> Setup {
     pool.flush_all().unwrap();
     let wal = Wal::create(&pool);
     let store = ElementStore::from_heap(&pool, base, shape).unwrap();
+    let index = Index::new_logged(&pool, &wal).unwrap();
+    // The empty index belongs to the checkpointed base too.
+    wal.flush(&pool).unwrap();
     let model = model_of(&pool, &store);
     handle.reset();
     Setup {
@@ -234,9 +269,24 @@ fn build(seed: u64, compress: bool) -> Setup {
         pool,
         wal,
         store,
+        index,
         model,
         shape,
     }
+}
+
+/// The index's entries in key order.
+fn entries_of(pool: &BufferPool, index: &Index) -> Vec<(u64, u32)> {
+    index.iter(pool).unwrap().collect()
+}
+
+/// What the index must hold for a store in state `model`.
+fn indexed(model: &Model) -> Vec<(u64, u32)> {
+    model
+        .iter()
+        .map(|(&c, &t)| (c, t))
+        .filter(|&(_, t)| t >= SCRIPT_TAG)
+        .collect()
 }
 
 struct Twin {
@@ -246,6 +296,8 @@ struct Twin {
     cum_ops: Vec<u64>,
     /// Final logical state, sorted.
     elements: Vec<Element>,
+    /// Final entries of the code index, in key order.
+    index: Vec<(u64, u32)>,
     /// Containment self-join cardinality of the final state.
     pairs: u64,
 }
@@ -269,10 +321,18 @@ fn self_join_pairs(
 fn run_twin(seed: u64, compress: bool, threads: usize) -> Twin {
     let mut s = build(seed, compress);
     let mut cum_ops = Vec::with_capacity(STEPS);
-    let mut ops = 0u64;
+    let mut ops = SETUP_OPS;
     for step in script(seed) {
-        ops += apply_step(&s.pool, &s.wal, &mut s.store, &mut s.model, s.shape, step)
-            .expect("fault-free twin must not fail");
+        ops += apply_step(
+            &s.pool,
+            &s.wal,
+            &mut s.store,
+            &mut s.index,
+            &mut s.model,
+            s.shape,
+            step,
+        )
+        .expect("fault-free twin must not fail");
         cum_ops.push(ops);
     }
     // Snapshot the write count before the final read-back: reading evicts
@@ -280,11 +340,14 @@ fn run_twin(seed: u64, compress: bool, threads: usize) -> Twin {
     let writes = s.handle.writes();
     let mut elements = s.store.heap().read_all(&s.pool).unwrap();
     elements.sort();
+    let index = entries_of(&s.pool, &s.index);
+    assert_eq!(index, indexed(&s.model), "twin index out of step");
     let pairs = self_join_pairs(s.pool, &s.store, s.shape, threads);
     Twin {
         writes,
         cum_ops,
         elements,
+        index,
         pairs,
     }
 }
@@ -300,10 +363,20 @@ fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
     });
     let wal_file = s.wal.file();
     let heap_file = s.store.heap().file_id();
+    let index_file = s.index.file_id();
     let steps = script(seed);
     let mut died = false;
     for step in steps.iter().copied() {
-        if apply_step(&s.pool, &s.wal, &mut s.store, &mut s.model, s.shape, step).is_err() {
+        let applied = apply_step(
+            &s.pool,
+            &s.wal,
+            &mut s.store,
+            &mut s.index,
+            &mut s.model,
+            s.shape,
+            step,
+        );
+        if applied.is_err() {
             died = true;
             break;
         }
@@ -320,9 +393,10 @@ fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
         pool,
         wal,
         store,
+        index,
         ..
     } = s;
-    drop((pool, wal, store));
+    drop((pool, wal, store, index));
     handle.set_config(FaultConfig::none());
     let pool = BufferPool::new(Disk::new(Box::new(backend), CostModel::free()), BUDGET);
     let (wal, report) = recover(&pool, wal_file).expect("recovery must succeed");
@@ -335,10 +409,34 @@ fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
     );
     let mut store = ElementStore::open(&pool, heap_file, PBiTreeShape::new(H).unwrap())
         .expect("recovered heap must reopen cleanly");
+    let mut index =
+        Index::open_logged(&pool, index_file).expect("recovered index must reopen cleanly");
     let mut model = model_of(&pool, &store);
+    // The recovered index mirrors the recovered store, except when the
+    // durable prefix ends between a step's store commit and its index
+    // commit: then it is exactly that one entry behind, and redoing the
+    // index half completes the step.
+    let done = resume_from
+        .checked_sub(1)
+        .map_or(SETUP_OPS, |i| twin.cum_ops[i]);
+    let (have, want) = (entries_of(&pool, &index), indexed(&model));
+    let stale: Vec<_> = have.iter().filter(|e| !want.contains(e)).collect();
+    let missing: Vec<_> = want.iter().filter(|e| !have.contains(e)).collect();
+    assert_eq!(
+        (stale.len() + missing.len()) as u64,
+        n - done,
+        "seed {seed} k {k}: index {stale:?} stale, {missing:?} missing after {n} ops ({done} in whole steps)"
+    );
+    for &&(code, _) in &stale {
+        assert!(index.delete_logged(&pool, &wal, &code).unwrap());
+    }
+    for &&(code, tag) in &missing {
+        index.insert_logged(&pool, &wal, code, tag).unwrap();
+    }
+    let resume_from = resume_from + usize::from(n > done);
     let shape = PBiTreeShape::new(H).unwrap();
     for step in steps[resume_from..].iter().copied() {
-        apply_step(&pool, &wal, &mut store, &mut model, shape, step)
+        apply_step(&pool, &wal, &mut store, &mut index, &mut model, shape, step)
             .expect("resumed run is fault-free");
     }
     let mut got = store.heap().read_all(&pool).unwrap();
@@ -347,6 +445,12 @@ fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
         got, twin.elements,
         "seed {seed} k {k}: recovered+resumed elements diverge from the twin"
     );
+    assert_eq!(
+        entries_of(&pool, &index),
+        twin.index,
+        "seed {seed} k {k}: recovered+resumed index diverges from the twin"
+    );
+    assert_eq!(index.len(), twin.index.len() as u64);
     let pairs = self_join_pairs(pool, &store, shape, threads);
     assert_eq!(
         pairs, twin.pairs,
@@ -358,15 +462,20 @@ fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
 fn sweep(seed: u64, compress: bool, threads: usize) {
     let twin = run_twin(seed, compress, threads);
     println!(
-        "crash sweep seed {seed} compress {compress}: {} write indices, {} elements",
+        "crash sweep seed {seed} compress {compress}: {} write indices, {} elements, {} indexed",
         twin.writes,
-        twin.elements.len()
+        twin.elements.len(),
+        twin.index.len()
     );
     assert!(
         twin.writes > 0,
         "workload must write (gate flushes / WAL flushes)"
     );
     assert!(!twin.elements.is_empty() && twin.pairs > 0);
+    assert!(
+        !twin.index.is_empty(),
+        "the script must leave index entries"
+    );
     for k in 0..twin.writes {
         crash_at(seed, compress, threads, k, &twin);
     }
