@@ -20,7 +20,11 @@
 //! * `shard`   — region-range sharding across independent pools: the same
 //!   join fork-joined over 1/2/4/8 shards (total frames constant) —
 //!   identical pairs at every shard count, simulated disk time the max
-//!   over the shards' independent clocks instead of one spindle's sum.
+//!   over the shards' independent clocks instead of one spindle's sum;
+//! * `regret`  — the Table-1 planner against every operator: chosen ÷ best
+//!   on pages, simulated seconds and wall, over the `raw_join` datasets,
+//!   XMark B1–B10 and DBLP D1–D10, cold and resident; multi-height rows
+//!   assert their regret in-binary.
 //!
 //! ```text
 //! cargo run -p pbitree-bench --release --bin ablation -- --study rollup
@@ -29,11 +33,13 @@
 use pbitree_bench::args::{io_options, CommonArgs};
 use pbitree_bench::harness::{run_algo, ExpConfig};
 use pbitree_bench::report::{fmt_secs, Table};
-use pbitree_bench::workloads::{synthetic_by_name, synthetic_multi};
-use pbitree_joins::element::element_file;
+use pbitree_bench::workloads::{
+    dblp_workloads, synthetic_by_name, synthetic_multi, xmark_workloads,
+};
+use pbitree_joins::element::{element_file, element_file_with};
 use pbitree_joins::rollup::RollupOptions;
 use pbitree_joins::stacktree::{stack_tree_desc, SortPolicy};
-use pbitree_joins::Algorithm;
+use pbitree_joins::{Algorithm, InputState};
 use pbitree_joins::{CollectSink, CountSink, Element, JoinCtx, MultiSink, QueryBatch};
 use pbitree_storage::{BufferPool, Disk, MemBackend, SharedBackend, Wal};
 
@@ -871,6 +877,187 @@ fn shard_study(args: &CommonArgs) {
     t.emit(&args.results_dir, "ablation_shard");
 }
 
+/// `chosen / best`, with `0 / 0` a tie.
+fn regret(chosen: f64, best: f64) -> f64 {
+    if best > 0.0 {
+        chosen / best
+    } else if chosen > 0.0 {
+        f64::INFINITY
+    } else {
+        1.0
+    }
+}
+
+/// The planner-regret panel: every operator of `Algorithm::ALL` (SHCJ
+/// only on single-height ancestor sets) on the `raw_join` datasets, XMark
+/// B1–B10 and DBLP D1–D10 as raw inputs, each loaded once per leg and run
+/// cold (pool evicted before every run). The *cold* leg uses
+/// `b = 500 × --scale` (floor 8, `--buffer` is ignored), so the large
+/// synthetic sides never fit at `--fast`; the *resident* leg sizes `b` to
+/// hold both sides. Per row it prints what `choose_algorithm` picks, the
+/// best operator per metric, and chosen ÷ best on pages, simulated seconds
+/// and wall (the minimum of 3 runs). Every operator must return the same
+/// pairs. Multi-height rows assert pages regret ≤ 1.25, and wall regret
+/// ≤ 1.5 where the best wall is ≥ 5 ms (below that, noise decides).
+/// Simulated seconds are printed only: the partition spills still pay a
+/// seek per page. Single-height rows (SHCJ) are printed, not asserted.
+/// The `rollup_*` columns price MHCJ+Rollup, the paper's other pick for
+/// the multi-height bottom row, the same way.
+fn regret_study(args: &CommonArgs) {
+    const REPS: usize = 3;
+    struct Run {
+        algo: Algorithm,
+        pages: f64,
+        sim: f64,
+        wall: f64,
+    }
+    let mut t = Table::new(
+        &format!(
+            "Ablation: planner regret, chosen / best; wall = min of 3 runs \
+             (command: cargo run --release -p pbitree-bench --bin ablation -- {})",
+            std::env::args().skip(1).collect::<Vec<_>>().join(" ")
+        ),
+        &[
+            "dataset",
+            "leg",
+            "b",
+            "h_a",
+            "a_pages",
+            "d_pages",
+            "pairs",
+            "chosen",
+            "best_pages",
+            "pages_regret",
+            "best_sim",
+            "sim_regret",
+            "best_wall",
+            "best_wall_ms",
+            "wall_regret",
+            "rollup_pages_regret",
+            "rollup_wall_regret",
+        ],
+    );
+    let sets = ["MSLH", "SLLL", "MLLL", "MLLH", "MLSH"]
+        .iter()
+        .filter_map(|n| synthetic_by_name(n, args.scale))
+        .chain(xmark_workloads(args.sf, 0xE0))
+        .chain(dblp_workloads(args.sf, 0xD0));
+    let cold_b = ((500.0 * args.scale).round() as usize).max(8);
+    let raw = InputState::raw();
+    let mut failures = Vec::new();
+    for w in sets {
+        let (h_a, expected) = (w.h_a(), w.exact_results());
+        let algos: Vec<Algorithm> = Algorithm::ALL
+            .into_iter()
+            .filter(|&a| a != Algorithm::Shcj || h_a == 1)
+            .collect();
+        let mut b = cold_b;
+        for leg in ["cold", "resident"] {
+            let ctx = make_ctx(
+                &w,
+                &CommonArgs {
+                    buffer: b,
+                    ..args.clone()
+                },
+            );
+            let load = |items: &[(u64, u32)]| {
+                element_file_with(&ctx.pool, ctx.read_opts(), items.iter().copied()).unwrap()
+            };
+            let (af, df) = (load(&w.a), load(&w.d));
+            let chosen = pbitree_joins::choose_algorithm(&ctx, raw, raw, &af, &df, h_a == 1);
+            let runs: Vec<Run> = algos
+                .iter()
+                .map(|&algo| {
+                    let mut wall = f64::INFINITY;
+                    let mut first = None;
+                    for _ in 0..REPS {
+                        ctx.pool.evict_all().unwrap();
+                        let mut sink = CountSink::default();
+                        let stats = pbitree_joins::execute(
+                            &ctx,
+                            algo,
+                            &af,
+                            &df,
+                            SortPolicy::SortOnTheFly,
+                            &mut sink,
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            stats.pairs, expected,
+                            "{}/{leg}: {algo} returned the wrong pairs",
+                            w.name
+                        );
+                        wall = wall.min(stats.cpu_ns as f64 / 1e9);
+                        first.get_or_insert(stats.io);
+                    }
+                    let io = first.unwrap();
+                    Run {
+                        algo,
+                        pages: io.total() as f64,
+                        sim: io.sim_secs(),
+                        wall,
+                    }
+                })
+                .collect();
+            let of = |algo: Algorithm| runs.iter().find(|r| r.algo == algo).unwrap();
+            // A tie goes to the chosen operator.
+            let best = |key: fn(&Run) -> f64| {
+                runs.iter()
+                    .min_by(|x, y| {
+                        (key(x).total_cmp(&key(y)))
+                            .then((x.algo != chosen).cmp(&(y.algo != chosen)))
+                    })
+                    .unwrap()
+            };
+            let (c, rollup) = (of(chosen), of(Algorithm::MhcjRollup));
+            let (bp, bs, bw) = (best(|r| r.pages), best(|r| r.sim), best(|r| r.wall));
+            let (pages_regret, wall_regret) = (regret(c.pages, bp.pages), regret(c.wall, bw.wall));
+            if h_a > 1 && pages_regret > 1.25 {
+                failures.push(format!(
+                    "{}/{leg}: {chosen} moves {} pages, {} {} ({pages_regret:.2}x)",
+                    w.name, c.pages, bp.algo, bp.pages
+                ));
+            }
+            if h_a > 1 && bw.wall >= 0.005 && wall_regret > 1.5 {
+                failures.push(format!(
+                    "{}/{leg}: {chosen} takes {:.1} ms, {} {:.1} ms ({wall_regret:.2}x)",
+                    w.name,
+                    c.wall * 1e3,
+                    bw.algo,
+                    bw.wall * 1e3
+                ));
+            }
+            t.row(vec![
+                w.name.clone(),
+                leg.into(),
+                b.to_string(),
+                h_a.to_string(),
+                af.pages().to_string(),
+                df.pages().to_string(),
+                expected.to_string(),
+                chosen.to_string(),
+                bp.algo.to_string(),
+                format!("{pages_regret:.2}"),
+                bs.algo.to_string(),
+                format!("{:.2}", regret(c.sim, bs.sim)),
+                bw.algo.to_string(),
+                format!("{:.2}", bw.wall * 1e3),
+                format!("{wall_regret:.2}"),
+                format!("{:.2}", regret(rollup.pages, bp.pages)),
+                format!("{:.2}", regret(rollup.wall, bw.wall)),
+            ]);
+            // Resident: every operator's working set fits beside both inputs.
+            b = (af.pages() + df.pages()) as usize + 8;
+        }
+    }
+    t.emit(&args.results_dir, "ablation_regret");
+    assert!(
+        failures.is_empty(),
+        "multi-height planner regret over bound:\n{}",
+        failures.join("\n")
+    );
+}
+
 fn main() {
     let args = CommonArgs::parse("--study");
     pbitree_bench::harness::init_trace(&args.trace);
@@ -900,6 +1087,9 @@ fn main() {
     }
     if args.selected("shard") {
         shard_study(&args);
+    }
+    if args.selected("regret") {
+        regret_study(&args);
     }
     pbitree_bench::harness::finish_trace(&args.trace);
 }

@@ -19,21 +19,52 @@ use crate::element::Element;
 use crate::sink::PairSink;
 
 /// Descendants resident in memory, sorted by code for range probing.
+///
+/// A binary search over a million-element array misses cache at nearly
+/// every level, so probes first look up a directory over the codes' top
+/// bits: `dir[k]` is the first position whose `code >> shift` is at least
+/// `k`, and the search runs inside one bucket. `shift` leaves at most
+/// `n / 4` buckets, so `dir` costs at most about `n` bytes.
 pub(crate) struct SortedDescendants {
     sorted: Vec<Element>,
+    dir: Vec<u32>,
+    shift: u32,
 }
 
 impl SortedDescendants {
     /// Takes ownership of the loaded descendant tuples.
     pub(crate) fn new(mut v: Vec<Element>) -> Self {
         v.sort_unstable_by_key(|e| e.code);
-        SortedDescendants { sorted: v }
+        let max = v.last().map_or(0, |e| e.code.get());
+        let shift = (64 - max.leading_zeros())
+            .saturating_sub((v.len() / 4).max(1).ilog2())
+            .min(63);
+        let mut dir = Vec::with_capacity((max >> shift) as usize + 2);
+        let mut i = 0usize;
+        for k in 0..=(max >> shift) + 1 {
+            while i < v.len() && v[i].code.get() >> shift < k {
+                i += 1;
+            }
+            dir.push(i as u32);
+        }
+        SortedDescendants {
+            sorted: v,
+            dir,
+            shift,
+        }
     }
 
     /// Emits all descendants of `a`; returns the pair count.
     pub(crate) fn probe(&self, a: Element, sink: &mut dyn PairSink) -> u64 {
         let (start, end) = a.code.region();
-        let lo = self.sorted.partition_point(|e| e.code.get() < start);
+        let k = (start >> self.shift) as usize;
+        let lo = match self.dir.get(k..k + 2) {
+            Some(&[first, end_of_bucket]) => {
+                let bucket = &self.sorted[first as usize..end_of_bucket as usize];
+                first as usize + bucket.partition_point(|e| e.code.get() < start)
+            }
+            _ => self.sorted.len(),
+        };
         let mut n = 0u64;
         for e in &self.sorted[lo..] {
             if e.code.get() > end {
@@ -207,6 +238,33 @@ mod tests {
         let mut expect = CollectSink::default();
         block_nested_loop(c, &a, &d, &mut expect).unwrap();
         (a, d, expect.canonical())
+    }
+
+    #[test]
+    fn directory_probe_matches_a_scan() {
+        // Empty, single, duplicated and dense code sets; every ancestor
+        // region is checked against a linear scan of the same set.
+        let sets: [Vec<u64>; 4] = [
+            vec![],
+            vec![1 << 15],
+            vec![6; 40],
+            mixed_codes(3000, &[0, 1, 2, 5], 41),
+        ];
+        for codes in sets {
+            let dd = SortedDescendants::new(codes.iter().map(|&c| Element::new(c, 1)).collect());
+            for a in mixed_codes(500, &[1, 3, 6, 9, 12], 43)
+                .into_iter()
+                .chain([1 << 15])
+            {
+                let a = Element::new(a, 0);
+                let (s, e) = a.code.region();
+                let want = codes
+                    .iter()
+                    .filter(|&&c| (s..=e).contains(&c) && c != a.code.get())
+                    .count() as u64;
+                assert_eq!(dd.probe(a, &mut CountSink::default()), want, "{a:?}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! `raw` declares the query's inputs as neither sorted nor indexed, which
-//! sends the planner into Table 1's bottom row (SHCJ / MHCJ+Rollup / VPJ)
+//! sends the planner into Table 1's bottom row (SHCJ / VPJ)
 //! instead of the sorted-input row — the knob the load generator uses to
 //! exercise both planner rows under load. `budget=N` requests an explicit
 //! per-query frame budget; without it the service default applies. A

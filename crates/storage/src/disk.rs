@@ -3,8 +3,9 @@
 //! A [`DiskBackend`] is a dumb page store: create/delete files, allocate
 //! pages, read and write whole pages. [`Disk`] wraps a backend and is the
 //! only thing the buffer pool talks to; it classifies every transfer as
-//! sequential or random (relative to the previous access in the same file)
-//! and charges the [`CostModel`].
+//! sequential or random (relative to the disk's one head, the last page
+//! transferred in any file — switching files seeks) and charges the
+//! [`CostModel`].
 //!
 //! # Vectored transfers
 //!

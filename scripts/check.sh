@@ -67,6 +67,14 @@ echo "== WAL ablation smoke (durable insert throughput, recovery check in-binary
 cargo run --release -q -p pbitree-bench --bin ablation -- --study wal --fast \
     --results /tmp/ab_wal
 
+echo "== planner-regret smoke (Table 1's pick against every operator)"
+# Runs every operator beside choose_algorithm's pick on the raw_join
+# datasets, XMark B1-B10 and DBLP D1-D10, cold and resident, and asserts
+# (in-binary) on every multi-height row: pages <= 1.25x the best
+# operator's, and wall <= 1.5x where the best run takes >= 5 ms.
+cargo run --release -q -p pbitree-bench --bin ablation -- --study regret --fast \
+    --results /tmp/ab_regret
+
 echo "== trace smoke (--trace writes schema-v1 JSONL)"
 TRACE=$(mktemp /tmp/pbitree-trace-XXXX.jsonl)
 cargo run --release -q -p pbitree-bench --bin fig6 -- --panel s --fast \

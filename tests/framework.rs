@@ -59,7 +59,7 @@ fn every_planner_choice_gives_identical_results() {
     assert_eq!(
         chosen,
         vec![
-            Algorithm::MhcjRollup,
+            Algorithm::Vpj,
             Algorithm::StackTree,
             Algorithm::InlJn,
             Algorithm::AncDesBPlus
@@ -86,6 +86,70 @@ fn planner_prefers_vpj_for_two_large_raw_inputs() {
     .unwrap();
     assert_eq!(algo, Algorithm::Vpj);
     assert_eq!(stats.pairs, w.exact_results());
+}
+
+#[test]
+fn multi_height_bottom_row_is_vpj_in_both_size_regimes() {
+    // MLLL at 2 %: 20 k multi-height ancestors, 20 k descendants. At
+    // b = 256 both sides fit; at b = 8 neither does.
+    let w = synthetic_by_name("MLLL", 0.02).unwrap();
+    assert!(w.h_a() > 1);
+    for b in [256, 8] {
+        let ctx = JoinCtx::in_memory_free(w.shape, b);
+        let a = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
+        let d = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
+        let small = a.pages().min(d.pages()) as usize;
+        assert_eq!(small + 2 <= b, b == 256, "b = {b}: {small} pages");
+        let mut sink = CountSink::default();
+        let (algo, stats) = plan_and_execute(
+            &ctx,
+            InputState::raw(),
+            InputState::raw(),
+            &a,
+            &d,
+            false,
+            &mut sink,
+        )
+        .unwrap();
+        assert_eq!(algo, Algorithm::Vpj, "b = {b}");
+        assert_eq!(stats.pairs, w.exact_results(), "b = {b}");
+    }
+}
+
+#[test]
+fn vpj_reads_each_input_once_when_one_side_fits() {
+    // The premise of the multi-height bottom row: with one side inside
+    // the budget, cold VPJ is Algorithm 6's memory join — it reads A and
+    // D once each and writes nothing, exactly MHCJ+Rollup's I/O.
+    let w = synthetic_by_name("MSLH", 0.05).unwrap();
+    let ctx = JoinCtx::in_memory_free(w.shape, 16);
+    let a = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
+    let d = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
+    assert!(
+        a.pages() + 2 <= 16 && d.pages() > 16,
+        "{} / {}",
+        a.pages(),
+        d.pages()
+    );
+    for algo in [Algorithm::Vpj, Algorithm::MhcjRollup] {
+        ctx.pool.evict_all().unwrap();
+        let mut sink = CountSink::default();
+        let stats = pbitree_containment::joins::execute(
+            &ctx,
+            algo,
+            &a,
+            &d,
+            SortPolicy::SortOnTheFly,
+            &mut sink,
+        )
+        .unwrap();
+        assert_eq!(
+            (stats.io.reads(), stats.io.writes()),
+            (u64::from(a.pages() + d.pages()), 0),
+            "{algo}"
+        );
+        assert_eq!(stats.pairs, w.exact_results(), "{algo}");
+    }
 }
 
 #[test]
