@@ -6,9 +6,8 @@
 //! (sorted-input and `raw`). Clients draw from the mix with a seeded
 //! vendored PRNG, so a run is reproducible from its seed.
 //!
-//! The report is hand-rolled JSON in the shape of the repo's other
-//! `BENCH_*.json` artifacts: overall throughput plus p50/p95/p99 latency,
-//! and a per-query breakdown.
+//! The report is hand-rolled JSON: overall throughput plus p50/p95/p99
+//! latency, and a per-query breakdown.
 
 use pbitree_datagen::queries::xmark_queries;
 

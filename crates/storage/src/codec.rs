@@ -1,6 +1,7 @@
-//! Packed heap-page codec: frame-of-reference + delta + varint coding for
-//! records that decompose into `(start, height, tag)` parts
-//! ([`crate::record::FixedRecord::to_parts`]).
+//! Heap page layout — the one definition of how a heap page holds its
+//! records — and the packed page codec: frame-of-reference + delta +
+//! varint coding for records that decompose into `(start, height, tag)`
+//! parts ([`crate::record::FixedRecord::to_parts`]).
 //!
 //! PBiTree elements are ideal for this: files are overwhelmingly written in
 //! document order, so consecutive region starts differ by small amounts; the
@@ -10,7 +11,33 @@
 //! tripling the records per page — and every operator's `page_reads` drop
 //! proportionally at identical join results.
 //!
-//! # On-disk layout of a packed page
+//! # On-disk layout of a heap page
+//!
+//! Every page opens with a little-endian **count dword**. Its high bit,
+//! [`PACKED_FLAG`], selects the layout: raw counts are bounded by
+//! [`records_per_page`], so they never set it, and raw pages stay
+//! byte-identical to the uncompressed format. `Layout::parse` is the one
+//! reader of the header on both layouts, `Layout::decode` the one record
+//! decoder behind every heap scan, open and logged mutation.
+//!
+//! A **raw page** holds `n ≤ records_per_page::<R>()` fixed-width slots
+//! (`S = R::SIZE`, the bytes of [`crate::record::FixedRecord::write`]):
+//!
+//! ```text
+//! [0..4)                      u32 LE  n
+//! [4 + i·S .. 4 + (i+1)·S)            slot i, for i < n
+//! [4 + n·S .. PAGE_SIZE)              stale tail
+//! ```
+//!
+//! The bulk writer fills one reused page buffer and writes only the count
+//! and the slots it filled, so a partial raw page inherits the tail of
+//! whichever page (raw or packed) the writer sealed before it. No reader
+//! looks past slot `n`, but the bytes are part of the file and
+//! `tests/golden_layout.rs` hashes every one of them: the writer must keep
+//! reusing its buffer, never zero or reallocate it between pages.
+//!
+//! A **packed page** carries a [`PACKED_HEADER`]-byte header table, then
+//! the payload, then zeros:
 //!
 //! ```text
 //! [0..4)    u32 LE  PACKED_FLAG | n        (record count, high bit set)
@@ -22,21 +49,22 @@
 //!     [0..D)        n-1 zigzag varints: start[i] - start[i-1] (wrapping)
 //!     [D..D+H)      6-bit packed heights, H = ceil(6n / 8)
 //!     [D+H..P)      n varint tags
+//! [24+P..PAGE_SIZE) zero
 //! ```
-//!
-//! A raw page's count dword never has [`PACKED_FLAG`] set (raw counts are
-//! bounded by `PAGE_SIZE / R::SIZE`), so the flag alone selects the
-//! encoding and raw pages stay byte-identical to the uncompressed format.
 //!
 //! # Validation
 //!
-//! Decoding trusts nothing: the record count, section lengths, every varint
-//! terminator, the height range, the checksum, and the reassembled records
-//! themselves ([`crate::record::FixedRecord::from_parts`]) are all checked,
-//! and any inconsistency surfaces as [`PoolError::Corrupt`] naming the page
-//! — a torn or bit-flipped packed page can never decode to silently wrong
-//! records. The checksum mixes in `n` and `base` so header and payload
-//! corruption are both caught.
+//! Decoding trusts nothing: the raw count against the page's capacity, the
+//! packed record count, section lengths, every varint terminator, the
+//! height range, the checksum, and the reassembled records themselves
+//! ([`crate::record::FixedRecord::validate`] for raw slots,
+//! [`crate::record::FixedRecord::from_parts`] for packed ones) are all
+//! checked, and any inconsistency surfaces as [`PoolError::Corrupt`] naming
+//! the page — a torn or bit-flipped page can never decode to silently
+//! wrong records. The checksum mixes in `n` and `base` so header and
+//! payload corruption are both caught.
+
+use std::ops::Range;
 
 use crate::buffer::PoolError;
 use crate::page::{PageId, PAGE_SIZE};
@@ -47,6 +75,27 @@ pub const PACKED_FLAG: u32 = 0x8000_0000;
 
 /// Bytes of packed-page header preceding the payload.
 pub const PACKED_HEADER: usize = 24;
+
+/// Bytes of the count dword every page opens with.
+pub(crate) const COUNT: usize = 4;
+
+/// Records of type `R` that fit in one raw page.
+pub const fn records_per_page<R: FixedRecord>() -> usize {
+    (PAGE_SIZE - COUNT) / R::SIZE
+}
+
+/// Byte range of slot `i` on a raw page of `R` records.
+#[inline]
+pub(crate) fn raw_slot<R: FixedRecord>(i: usize) -> Range<usize> {
+    let off = COUNT + i * R::SIZE;
+    off..off + R::SIZE
+}
+
+/// The count dword of a raw page holding `n` records (page offset 0).
+#[inline]
+pub(crate) fn raw_count(n: usize) -> [u8; COUNT] {
+    (n as u32).to_le_bytes()
+}
 
 #[inline]
 fn zigzag(v: i64) -> u64 {
@@ -121,6 +170,11 @@ fn checksum(n: u32, base: u64, payload: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
+#[inline]
+pub(crate) fn corrupt(pid: PageId, reason: &'static str) -> PoolError {
+    PoolError::Corrupt { pid, reason }
+}
+
 /// The bytes a page image actually occupies on the wire: header plus
 /// payload for a structurally plausible packed page, the full
 /// [`PAGE_SIZE`] otherwise. This feeds the disk layer's per-byte
@@ -134,15 +188,189 @@ pub fn transfer_bytes(page: &[u8]) -> usize {
     if page.len() < PACKED_HEADER {
         return page.len();
     }
-    let count = u32::from_le_bytes(page[..4].try_into().unwrap());
-    if count & PACKED_FLAG == 0 || count == PACKED_FLAG {
-        return PAGE_SIZE;
-    }
-    let payload = u32::from_le_bytes(page[4..8].try_into().unwrap()) as usize;
-    if payload > PAGE_SIZE - PACKED_HEADER {
+    let hdr = PackedHeader::read(page);
+    let payload = hdr.payload as usize;
+    if hdr.count & PACKED_FLAG == 0 || hdr.n() == 0 || payload > PAGE_SIZE - PACKED_HEADER {
         return PAGE_SIZE;
     }
     PACKED_HEADER + payload
+}
+
+/// The header table of a packed page, field for field as stored. Its
+/// `read`/`write` pair is the only code that knows the table's offsets,
+/// and `read` is the only decoder of the count dword — raw pages' too.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedHeader {
+    /// The count dword: `PACKED_FLAG | n` on a packed page, `n` on a raw one.
+    count: u32,
+    /// Payload length `P`.
+    payload: u32,
+    /// Checksum over `(n, base, payload)`.
+    checksum: u32,
+    /// The first record's start.
+    base: u64,
+    /// Length `D` of the delta section within the payload.
+    deltas: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedHeader>() == PACKED_HEADER);
+
+impl PackedHeader {
+    fn read(page: &[u8]) -> Self {
+        let dword = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().expect("4 bytes"));
+        PackedHeader {
+            count: dword(0),
+            payload: dword(4),
+            checksum: dword(8),
+            base: u64::from_le_bytes(page[12..20].try_into().expect("8 bytes")),
+            deltas: dword(20),
+        }
+    }
+
+    fn write(&self, page: &mut [u8]) {
+        page[0..4].copy_from_slice(&self.count.to_le_bytes());
+        page[4..8].copy_from_slice(&self.payload.to_le_bytes());
+        page[8..12].copy_from_slice(&self.checksum.to_le_bytes());
+        page[12..20].copy_from_slice(&self.base.to_le_bytes());
+        page[20..24].copy_from_slice(&self.deltas.to_le_bytes());
+    }
+
+    /// The record count, flag stripped.
+    #[inline]
+    fn n(&self) -> usize {
+        (self.count & !PACKED_FLAG) as usize
+    }
+}
+
+/// How one heap page holds its records, as its header says.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Layout {
+    /// `n` fixed-width slots after the count dword.
+    Raw { n: usize },
+    /// A structurally valid, checksum-verified packed header.
+    Packed(PackedHeader),
+}
+
+impl Layout {
+    /// Parses a page's header for records of type `R`: the one header
+    /// check of every heap reader and writer. A raw count beyond
+    /// [`records_per_page`] (a bound only raw pages obey — packed pages
+    /// legitimately hold more), or a flagged header whose sizes, sections
+    /// or checksum do not hold together, is [`PoolError::Corrupt`] naming
+    /// `pid`.
+    pub fn parse<R: FixedRecord>(page: &[u8], pid: PageId) -> Result<Layout, PoolError> {
+        let hdr = PackedHeader::read(page);
+        if hdr.count & PACKED_FLAG == 0 {
+            let n = hdr.count as usize;
+            if n > records_per_page::<R>() {
+                return Err(corrupt(
+                    pid,
+                    "page header record count exceeds page capacity",
+                ));
+            }
+            return Ok(Layout::Raw { n });
+        }
+        let (n, payload) = (hdr.n(), hdr.payload as usize);
+        if n == 0 {
+            return Err(corrupt(pid, "packed page holds no records"));
+        }
+        if payload > PAGE_SIZE - PACKED_HEADER {
+            return Err(corrupt(pid, "packed payload exceeds page size"));
+        }
+        // Every record costs at least one tag byte and 6 height bits; records
+        // after the first cost at least one delta byte. Anything claiming more
+        // records than the payload can hold is corrupt without reading further.
+        let min_payload = (n - 1) + (6 * n).div_ceil(8) + n;
+        if min_payload > payload {
+            return Err(corrupt(pid, "packed record count exceeds payload capacity"));
+        }
+        if hdr.deltas as usize > payload {
+            return Err(corrupt(pid, "packed delta section exceeds payload"));
+        }
+        let body = &page[PACKED_HEADER..PACKED_HEADER + payload];
+        if hdr.checksum != checksum(n as u32, hdr.base, body) {
+            return Err(corrupt(pid, "packed page checksum mismatch"));
+        }
+        Ok(Layout::Packed(hdr))
+    }
+
+    /// Records on the page.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            Layout::Raw { n } => *n,
+            Layout::Packed(hdr) => hdr.n(),
+        }
+    }
+
+    /// Streams records `skip..len()` of the page this layout was parsed
+    /// from through `f`, checking each on the way: a raw slot must pass
+    /// [`FixedRecord::validate`]; a packed record is reassembled from its
+    /// `(start, height, tag)` parts via [`FixedRecord::from_parts`], with
+    /// no intermediate allocation, and the three payload sections must
+    /// hold together. Packed records before `skip` are decoded (the deltas
+    /// chain) but not handed out. The first failure is
+    /// [`PoolError::Corrupt`] naming `pid`; the records before it have
+    /// already reached `f`.
+    pub fn decode<R: FixedRecord>(
+        &self,
+        page: &[u8],
+        pid: PageId,
+        skip: usize,
+        mut f: impl FnMut(R),
+    ) -> Result<(), PoolError> {
+        let hdr = match self {
+            Layout::Raw { n } => {
+                for i in skip..*n {
+                    let bytes = &page[raw_slot::<R>(i)];
+                    R::validate(bytes).map_err(|reason| corrupt(pid, reason))?;
+                    f(R::read(bytes));
+                }
+                return Ok(());
+            }
+            Layout::Packed(hdr) => hdr,
+        };
+        let (n, plen, deltas) = (hdr.n(), hdr.payload as usize, hdr.deltas as usize);
+        let payload = &page[PACKED_HEADER..PACKED_HEADER + plen];
+        let hbytes = (6 * n).div_ceil(8);
+        if deltas + hbytes > plen {
+            return Err(corrupt(pid, "packed height section exceeds payload"));
+        }
+        let heights = &payload[deltas..deltas + hbytes];
+        let mut dcur = 0usize; // cursor in the delta section
+        let mut tcur = deltas + hbytes; // cursor in the tag section
+        let mut start = hdr.base;
+        for i in 0..n {
+            if i > 0 {
+                let raw = get_varint(&payload[..deltas], &mut dcur)
+                    .ok_or_else(|| corrupt(pid, "packed start delta truncated"))?;
+                start = start.wrapping_add(unzigzag(raw) as u64);
+            }
+            let bit = 6 * i;
+            let (byte, shift) = (bit / 8, bit % 8);
+            let mut v = u16::from(heights[byte]) >> shift;
+            if shift > 2 {
+                v |= u16::from(heights[byte + 1]) << (8 - shift);
+            }
+            let height = u32::from(v & 0x3F);
+            let tag64 = get_varint(payload, &mut tcur)
+                .ok_or_else(|| corrupt(pid, "packed tag truncated"))?;
+            let tag =
+                u32::try_from(tag64).map_err(|_| corrupt(pid, "packed tag exceeds 32 bits"))?;
+            let r = R::from_parts(RecordParts { start, height, tag })
+                .map_err(|reason| corrupt(pid, reason))?;
+            if i >= skip {
+                f(r);
+            }
+        }
+        if dcur != deltas {
+            return Err(corrupt(pid, "packed delta section has trailing bytes"));
+        }
+        if tcur != plen {
+            return Err(corrupt(pid, "packed tag section has trailing bytes"));
+        }
+        Ok(())
+    }
 }
 
 /// Incremental encoder for one packed page: buffers record parts and tracks
@@ -233,138 +461,20 @@ impl PackedPageBuilder {
         }
         let plen = payload.len();
         debug_assert_eq!(PACKED_HEADER + plen, self.size());
-        page[..4].copy_from_slice(&(PACKED_FLAG | n as u32).to_le_bytes());
-        page[4..8].copy_from_slice(&(plen as u32).to_le_bytes());
-        page[8..12].copy_from_slice(&checksum(n as u32, base, &payload).to_le_bytes());
-        page[12..20].copy_from_slice(&base.to_le_bytes());
-        page[20..24].copy_from_slice(&(d as u32).to_le_bytes());
+        PackedHeader {
+            count: PACKED_FLAG | n as u32,
+            payload: plen as u32,
+            checksum: checksum(n as u32, base, &payload),
+            base,
+            deltas: d as u32,
+        }
+        .write(page);
         page[PACKED_HEADER..PACKED_HEADER + plen].copy_from_slice(&payload);
         page[PACKED_HEADER + plen..].fill(0);
         self.parts.clear();
         self.delta_bytes = 0;
         self.tag_bytes = 0;
         (n, PACKED_HEADER + plen)
-    }
-}
-
-/// Parsed and checksum-verified header of a packed page.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedHeader {
-    /// Record count (≥ 1).
-    pub n: usize,
-    /// Payload length in bytes.
-    payload: usize,
-    /// First record's start.
-    base: u64,
-    /// Delta-section length within the payload.
-    deltas: usize,
-}
-
-#[inline]
-fn corrupt(pid: PageId, reason: &'static str) -> PoolError {
-    PoolError::Corrupt { pid, reason }
-}
-
-/// Inspects a page's count dword. `Ok(None)` means the page is raw;
-/// `Ok(Some(_))` is a structurally valid, checksum-verified packed header.
-/// Anything else — a flagged page whose sizes, sections or checksum do not
-/// hold together — is [`PoolError::Corrupt`].
-pub(crate) fn parse_packed_header(
-    page: &[u8],
-    pid: PageId,
-) -> Result<Option<PackedHeader>, PoolError> {
-    let count = u32::from_le_bytes(page[..4].try_into().unwrap());
-    if count & PACKED_FLAG == 0 {
-        return Ok(None);
-    }
-    let n = (count & !PACKED_FLAG) as usize;
-    if n == 0 {
-        return Err(corrupt(pid, "packed page holds no records"));
-    }
-    let payload = u32::from_le_bytes(page[4..8].try_into().unwrap()) as usize;
-    if payload > PAGE_SIZE - PACKED_HEADER {
-        return Err(corrupt(pid, "packed payload exceeds page size"));
-    }
-    // Every record costs at least one tag byte and 6 height bits; records
-    // after the first cost at least one delta byte. Anything claiming more
-    // records than the payload can hold is corrupt without reading further.
-    let min_payload = (n - 1) + (6 * n).div_ceil(8) + n;
-    if min_payload > payload {
-        return Err(corrupt(pid, "packed record count exceeds payload capacity"));
-    }
-    let deltas = u32::from_le_bytes(page[20..24].try_into().unwrap()) as usize;
-    if deltas > payload {
-        return Err(corrupt(pid, "packed delta section exceeds payload"));
-    }
-    let base = u64::from_le_bytes(page[12..20].try_into().unwrap());
-    let stored = u32::from_le_bytes(page[8..12].try_into().unwrap());
-    if stored
-        != checksum(
-            n as u32,
-            base,
-            &page[PACKED_HEADER..PACKED_HEADER + payload],
-        )
-    {
-        return Err(corrupt(pid, "packed page checksum mismatch"));
-    }
-    Ok(Some(PackedHeader {
-        n,
-        payload,
-        base,
-        deltas,
-    }))
-}
-
-impl PackedHeader {
-    /// Streams every record of the page through `f`, reassembling each from
-    /// its `(start, height, tag)` parts via
-    /// [`FixedRecord::from_parts`] — no intermediate allocation. The three
-    /// payload sections are walked with independent cursors; any section
-    /// over- or under-run, out-of-range height or part reassembly failure
-    /// is [`PoolError::Corrupt`].
-    pub fn decode_each<R: FixedRecord>(
-        &self,
-        page: &[u8],
-        pid: PageId,
-        mut f: impl FnMut(R),
-    ) -> Result<(), PoolError> {
-        let payload = &page[PACKED_HEADER..PACKED_HEADER + self.payload];
-        let hbytes = (6 * self.n).div_ceil(8);
-        if self.deltas + hbytes > self.payload {
-            return Err(corrupt(pid, "packed height section exceeds payload"));
-        }
-        let heights = &payload[self.deltas..self.deltas + hbytes];
-        let mut dcur = 0usize; // cursor in the delta section
-        let mut tcur = self.deltas + hbytes; // cursor in the tag section
-        let mut start = self.base;
-        for i in 0..self.n {
-            if i > 0 {
-                let raw = get_varint(&payload[..self.deltas], &mut dcur)
-                    .ok_or_else(|| corrupt(pid, "packed start delta truncated"))?;
-                start = start.wrapping_add(unzigzag(raw) as u64);
-            }
-            let bit = 6 * i;
-            let (byte, shift) = (bit / 8, bit % 8);
-            let mut v = u16::from(heights[byte]) >> shift;
-            if shift > 2 {
-                v |= u16::from(heights[byte + 1]) << (8 - shift);
-            }
-            let height = u32::from(v & 0x3F);
-            let tag64 = get_varint(&payload[..self.payload], &mut tcur)
-                .ok_or_else(|| corrupt(pid, "packed tag truncated"))?;
-            let tag =
-                u32::try_from(tag64).map_err(|_| corrupt(pid, "packed tag exceeds 32 bits"))?;
-            let r = R::from_parts(RecordParts { start, height, tag })
-                .map_err(|reason| corrupt(pid, reason))?;
-            f(r);
-        }
-        if dcur != self.deltas {
-            return Err(corrupt(pid, "packed delta section has trailing bytes"));
-        }
-        if tcur != self.payload {
-            return Err(corrupt(pid, "packed tag section has trailing bytes"));
-        }
-        Ok(())
     }
 }
 
@@ -424,10 +534,12 @@ mod tests {
         let (n, used) = b.seal_into(&mut page);
         assert_eq!(n, parts.len());
         assert!(used <= PAGE_SIZE);
-        let hdr = parse_packed_header(&page, pid()).unwrap().unwrap();
-        assert_eq!(hdr.n, parts.len());
+        let layout = Layout::parse::<Part>(&page, pid()).unwrap();
+        assert!(matches!(layout, Layout::Packed(_)));
+        assert_eq!(layout.len(), parts.len());
         let mut got = Vec::new();
-        hdr.decode_each::<Part>(&page, pid(), |r| got.push(r))
+        layout
+            .decode::<Part>(&page, pid(), 0, |r| got.push(r))
             .unwrap();
         assert_eq!(got, parts);
     }
@@ -517,9 +629,9 @@ mod tests {
             assert!(!kept.is_empty(), "case {case}: nothing fit");
             let mut page = [0u8; PAGE_SIZE];
             b.seal_into(&mut page);
-            let hdr = parse_packed_header(&page, pid()).unwrap().unwrap();
             let mut got = Vec::new();
-            hdr.decode_each::<Part>(&page, pid(), |r| got.push(r))
+            Layout::parse::<Part>(&page, pid())
+                .and_then(|l| l.decode::<Part>(&page, pid(), 0, |r| got.push(r)))
                 .unwrap();
             assert_eq!(got, kept, "case {case}");
         }
@@ -528,8 +640,11 @@ mod tests {
     #[test]
     fn raw_counts_are_not_packed() {
         let mut page = [0u8; PAGE_SIZE];
-        page[..4].copy_from_slice(&341u32.to_le_bytes());
-        assert!(parse_packed_header(&page, pid()).unwrap().is_none());
+        page[..COUNT].copy_from_slice(&raw_count(200));
+        assert!(matches!(
+            Layout::parse::<Part>(&page, pid()),
+            Ok(Layout::Raw { n: 200 })
+        ));
     }
 
     #[test]
@@ -576,8 +691,8 @@ mod tests {
         for byte in [1usize, 5, 9, 13, 21, PACKED_HEADER, used - 1] {
             let mut bad = page;
             bad[byte] ^= 0x40;
-            let r = parse_packed_header(&bad, pid())
-                .and_then(|h| h.unwrap().decode_each::<Part>(&bad, pid(), |_| {}));
+            let r = Layout::parse::<Part>(&bad, pid())
+                .and_then(|l| l.decode::<Part>(&bad, pid(), 0, |_| {}));
             assert!(
                 matches!(r, Err(PoolError::Corrupt { .. })),
                 "bit flip at {byte} went undetected"
@@ -586,8 +701,8 @@ mod tests {
         // A torn write (only a prefix of the page made it to disk).
         let mut torn = page;
         torn[used / 2..].fill(0);
-        let r = parse_packed_header(&torn, pid())
-            .and_then(|h| h.unwrap().decode_each::<Part>(&torn, pid(), |_| {}));
+        let r = Layout::parse::<Part>(&torn, pid())
+            .and_then(|l| l.decode::<Part>(&torn, pid(), 0, |_| {}));
         assert!(matches!(r, Err(PoolError::Corrupt { .. })));
     }
 
@@ -598,13 +713,13 @@ mod tests {
         let mut page = [0u8; PAGE_SIZE];
         page[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            parse_packed_header(&page, pid()),
+            Layout::parse::<Part>(&page, pid()),
             Err(PoolError::Corrupt { .. })
         ));
         // Zero records under the flag is equally corrupt.
         page[..4].copy_from_slice(&PACKED_FLAG.to_le_bytes());
         assert!(matches!(
-            parse_packed_header(&page, pid()),
+            Layout::parse::<Part>(&page, pid()),
             Err(PoolError::Corrupt { .. })
         ));
     }

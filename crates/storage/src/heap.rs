@@ -3,9 +3,10 @@
 //! write-ahead log ([`HeapFile::insert_logged`] /
 //! [`HeapFile::delete_logged`]).
 //!
-//! Page layout: a 4-byte little-endian record count followed by densely
-//! packed records. `‖R‖` — the page count the paper's cost formulas are
-//! written in — is exactly [`HeapFile::pages`].
+//! A page is raw (a record count and fixed-width slots) or packed; both
+//! layouts are defined once, in [`crate::codec`], and every reader and
+//! writer here goes through that definition. `‖R‖` — the page count the
+//! paper's cost formulas are written in — is exactly [`HeapFile::pages`].
 //!
 //! Writers additionally maintain **region zone maps** (see [`crate::zone`]):
 //! one `(min start, max end, min/max height)` summary per sealed page,
@@ -23,18 +24,76 @@ use std::sync::Arc;
 
 use crate::access::ScanOptions;
 use crate::buffer::{BufferPool, PageRef, PoolError, TempFile};
-use crate::codec::{parse_packed_header, PackedHeader, PackedPageBuilder};
+use crate::codec::{
+    corrupt, raw_count, raw_slot, records_per_page, Layout, PackedPageBuilder, COUNT,
+};
 use crate::page::{FileId, PageBuf, PageId, PAGE_SIZE};
 use crate::record::FixedRecord;
 use crate::wal::{Wal, WalOp};
-use crate::zone::{FileZones, ZoneEntry};
+use crate::zone::{FileZones, ScanFilter, ZoneEntry};
 
-/// Bytes reserved for the per-page header (record count).
-const HEADER: usize = 4;
+/// Catalog statistics of a file: its record count and the folded
+/// [`FixedRecord::bounds_hint`] / [`FixedRecord::height_hint`] of its
+/// records — free statistics, kept by one fold for the writer, the
+/// reopened handle and logged inserts alike.
+#[derive(Debug, Clone, Copy, Default)]
+struct Catalog {
+    records: u64,
+    bounds: Option<(u64, u64)>,
+    heights: Option<(u32, u32)>,
+}
 
-/// Records of type `R` that fit in one page.
-pub const fn records_per_page<R: FixedRecord>() -> usize {
-    (PAGE_SIZE - HEADER) / R::SIZE
+impl Catalog {
+    /// Counts `r` and folds its hints.
+    fn fold<R: FixedRecord>(&mut self, r: &R) {
+        self.records += 1;
+        if let Some((lo, hi)) = r.bounds_hint() {
+            let (l, h) = self.bounds.unwrap_or((lo, hi));
+            self.bounds = Some((l.min(lo), h.max(hi)));
+        }
+        if let Some(ht) = r.height_hint() {
+            let (l, h) = self.heights.unwrap_or((ht, ht));
+            self.heights = Some((l.min(ht), h.max(ht)));
+        }
+    }
+}
+
+/// One page's zone, folded record by record. A record without hints makes
+/// the page a gap for good: a page with a gap must never be skipped.
+#[derive(Clone, Copy, Default)]
+enum PageZone {
+    #[default]
+    Empty,
+    Exact(ZoneEntry),
+    Gap,
+}
+
+impl PageZone {
+    fn fold<R: FixedRecord>(&mut self, r: &R) {
+        *self = match (*self, r.bounds_hint().zip(r.height_hint())) {
+            (PageZone::Gap, _) | (_, None) => PageZone::Gap,
+            (PageZone::Empty, Some(((lo, hi), h))) => PageZone::Exact(ZoneEntry::of(lo, hi, h)),
+            (PageZone::Exact(mut z), Some(((lo, hi), h))) => {
+                z.fold(lo, hi, h);
+                PageZone::Exact(z)
+            }
+        };
+    }
+
+    /// The page's zone map entry: `None` for an empty page or a gap.
+    fn entry(self) -> Option<ZoneEntry> {
+        match self {
+            PageZone::Exact(z) => Some(z),
+            _ => None,
+        }
+    }
+}
+
+/// The exact zone of a page holding `recs`.
+fn exact_zone<R: FixedRecord>(recs: &[R]) -> Option<ZoneEntry> {
+    let mut zone = PageZone::Empty;
+    recs.iter().for_each(|r| zone.fold(r));
+    zone.entry()
 }
 
 /// A handle to a heap file of `R` records.
@@ -46,13 +105,9 @@ pub const fn records_per_page<R: FixedRecord>() -> usize {
 pub struct HeapFile<R: FixedRecord> {
     file: FileId,
     pages: u32,
-    records: u64,
-    /// Folded [`FixedRecord::bounds_hint`] over all records, when the
-    /// record type provides one — free catalog statistics.
-    bounds: Option<(u64, u64)>,
-    /// Folded [`FixedRecord::height_hint`] over all records — the file
-    /// half of the zone map (per-page entries live in the pool registry).
-    heights: Option<(u32, u32)>,
+    /// Record count and folded hints; the height range is the file half of
+    /// the zone map (per-page entries live in the pool registry).
+    stats: Catalog,
     /// The page incremental inserts are currently filling (a recycled
     /// free-list page keeps receiving records until it is full). `None`
     /// falls back to the file's last page.
@@ -74,9 +129,7 @@ impl<R: FixedRecord> HeapFile<R> {
         HeapFile {
             file: pool.create_file(),
             pages: 0,
-            records: 0,
-            bounds: None,
-            heights: None,
+            stats: Catalog::default(),
             active: None,
             _marker: PhantomData,
         }
@@ -120,34 +173,34 @@ impl<R: FixedRecord> HeapFile<R> {
     /// Number of records, the paper's `|R|`.
     #[inline]
     pub fn records(&self) -> u64 {
-        self.records
+        self.stats.records
     }
 
     /// Whether the file holds no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.records == 0
+        self.stats.records == 0
     }
 
     /// The folded `(lo, hi)` keyspace bounds of the records, if the record
     /// type reports them (see [`FixedRecord::bounds_hint`]).
     #[inline]
     pub fn bounds(&self) -> Option<(u64, u64)> {
-        self.bounds
+        self.stats.bounds
     }
 
     /// The folded `(min, max)` height range of the records, if the record
     /// type reports heights (see [`FixedRecord::height_hint`]).
     #[inline]
     pub fn height_bounds(&self) -> Option<(u32, u32)> {
-        self.heights
+        self.stats.heights
     }
 
     /// The file-level zone (bounds plus height range together), when both
     /// statistics exist — the summary other operators derive pruning
     /// filters from.
     pub fn zone(&self) -> Option<ZoneEntry> {
-        match (self.bounds, self.heights) {
+        match (self.stats.bounds, self.stats.heights) {
             (Some((lo, hi)), Some((min_h, max_h))) => Some(ZoneEntry {
                 lo,
                 hi,
@@ -196,13 +249,12 @@ impl<R: FixedRecord> HeapFile<R> {
             cur: None,
             idx: pos.idx,
             skip_on_load: pos.idx,
-            in_page: 0,
             opts,
             zones,
             pending_filtered: 0,
-            packed: None,
+            layout: Layout::Raw { n: 0 },
             cache: Vec::new(),
-            cache_valid: false,
+            cached: None,
             _marker: PhantomData,
         }
     }
@@ -218,7 +270,7 @@ impl<R: FixedRecord> HeapFile<R> {
     /// their context's read options so a prefetch-off run stays
     /// prefetch-free even through whole-file loads).
     pub fn read_all_with(&self, pool: &BufferPool, opts: ScanOptions) -> Result<Vec<R>, PoolError> {
-        let mut out = Vec::with_capacity(self.records as usize);
+        let mut out = Vec::with_capacity(self.stats.records as usize);
         let mut scan = self.scan_with(pool, opts);
         while let Some(r) = scan.next_record()? {
             out.push(r);
@@ -252,30 +304,14 @@ impl<R: FixedRecord> HeapFile<R> {
         let mut hf = HeapFile {
             file,
             pages,
-            records: 0,
-            bounds: None,
-            heights: None,
+            stats: Catalog::default(),
             active: pages.checked_sub(1),
             _marker: PhantomData,
         };
         let mut zones = FileZones::default();
         for pg in 0..pages {
             let (recs, _) = read_page_records::<R>(pool, PageId::new(file, pg))?;
-            hf.records += recs.len() as u64;
-            for r in &recs {
-                if let Some((lo, hi)) = r.bounds_hint() {
-                    hf.bounds = Some(match hf.bounds {
-                        None => (lo, hi),
-                        Some((l0, h0)) => (l0.min(lo), h0.max(hi)),
-                    });
-                }
-                if let Some(h) = r.height_hint() {
-                    hf.heights = Some(match hf.heights {
-                        None => (h, h),
-                        Some((l0, h0)) => (l0.min(h), h0.max(h)),
-                    });
-                }
-            }
+            recs.iter().for_each(|r| hf.stats.fold(r));
             zones.push(exact_zone(&recs));
             visit(&recs);
         }
@@ -294,6 +330,7 @@ impl<R: FixedRecord> HeapFile<R> {
     /// (bulk-loaded, compressed) tail page is left sealed and the insert
     /// opens a new page instead. Recycled pages come from `wal`'s free
     /// list, lowest page first, and keep receiving inserts until full.
+    /// A fill page whose header is corrupt is [`PoolError::Corrupt`].
     pub fn insert_logged(&mut self, pool: &BufferPool, wal: &Wal, r: R) -> Result<(), PoolError> {
         let mut op = WalOp::new();
         // Find the slot: the active fill page if it still has raw space,
@@ -302,16 +339,14 @@ impl<R: FixedRecord> HeapFile<R> {
         if let Some(cand) = self.active.or_else(|| self.pages.checked_sub(1)) {
             let pid = PageId::new(self.file, cand);
             let page = pool.read_page(pid)?;
-            if parse_packed_header(&page[..], pid)?.is_none() {
-                let n = u32::from_le_bytes(page[..HEADER].try_into().unwrap()) as usize;
-                // A zero count means the page was emptied and released:
-                // it belongs to the free list now and must be re-acquired
-                // through it (with a logged `alloc`), never written to
-                // behind the list's back.
-                if n > 0 && n < records_per_page::<R>() {
-                    target = Some((cand, n));
-                }
-            }
+            // A zero count means the page was emptied and released: it
+            // belongs to the free list now and must be re-acquired through
+            // it (with a logged `alloc`), never written to behind the
+            // list's back.
+            target = match Layout::parse::<R>(&page[..], pid)? {
+                Layout::Raw { n } if n > 0 && n < records_per_page::<R>() => Some((cand, n)),
+                _ => None,
+            };
         }
         let fresh = target.is_none();
         let (pageno, idx) = match target {
@@ -326,31 +361,14 @@ impl<R: FixedRecord> HeapFile<R> {
             }
         };
         let pid = PageId::new(self.file, pageno);
-        let mut slot = vec![0u8; R::SIZE];
-        r.write(&mut slot);
-        op.page_write(pid, HEADER + idx * R::SIZE, &slot);
-        op.page_write(pid, 0, &((idx + 1) as u32).to_le_bytes());
+        log_raw_edit(&mut op, pid, Some((idx, &r)), idx + 1);
         wal.commit(pool, op)?;
 
         // In-memory catalog state follows only after the commit succeeded.
         self.pages = self.pages.max(pageno + 1);
-        self.records += 1;
         self.active = Some(pageno);
-        let bounds = r.bounds_hint();
-        let height = r.height_hint();
-        if let Some((lo, hi)) = bounds {
-            self.bounds = Some(match self.bounds {
-                None => (lo, hi),
-                Some((l0, h0)) => (l0.min(lo), h0.max(hi)),
-            });
-        }
-        if let Some(h) = height {
-            self.heights = Some(match self.heights {
-                None => (h, h),
-                Some((l0, h0)) => (l0.min(h), h0.max(h)),
-            });
-        }
-        let hints = bounds.zip(height);
+        self.stats.fold(&r);
+        let hints = r.bounds_hint().zip(r.height_hint());
         pool.edit_zones(self.file, fresh && hints.is_some(), |zones| {
             match (hints, fresh) {
                 // A fresh or recycled page holds exactly this record, so its
@@ -394,18 +412,19 @@ impl<R: FixedRecord> HeapFile<R> {
                 }
             }
             let pid = PageId::new(self.file, pg);
-            let (mut recs, packed) = read_page_records::<R>(pool, pid)?;
+            let (mut recs, layout) = read_page_records::<R>(pool, pid)?;
             let Some(idx) = recs.iter().position(|x| x == r) else {
                 continue;
             };
             let mut op = WalOp::new();
             let n = recs.len();
             if n == 1 {
-                // The page empties: a zero raw header (which also clears
-                // the packed flag) and a `free` frame.
-                op.page_write(pid, 0, &0u32.to_le_bytes());
+                // The page empties: a zero raw count (which also clears the
+                // packed flag) and a `free` frame.
+                log_raw_edit::<R>(&mut op, pid, None, 0);
                 op.free(pid);
-            } else if packed {
+                recs.clear();
+            } else if let Layout::Packed(_) = layout {
                 // Record order carries the delta encoding: removing record
                 // `i` merges two deltas into their sum, whose zigzag varint
                 // never outgrows the two it replaces (and the record's tag
@@ -415,9 +434,8 @@ impl<R: FixedRecord> HeapFile<R> {
                 let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
                 let mut b = PackedPageBuilder::default();
                 for rec in &recs {
-                    let parts = rec.to_parts().ok_or(PoolError::Corrupt {
-                        pid,
-                        reason: "record decoded from a packed page has no packed form",
+                    let parts = rec.to_parts().ok_or_else(|| {
+                        corrupt(pid, "record decoded from a packed page has no packed form")
                     })?;
                     debug_assert!(b.fits(&parts), "removal never grows a packed page");
                     b.push(parts);
@@ -425,19 +443,12 @@ impl<R: FixedRecord> HeapFile<R> {
                 b.seal_into(&mut img[..]);
                 op.page_image(pid, &img);
             } else {
-                if idx != n - 1 {
-                    let mut last = vec![0u8; R::SIZE];
-                    recs[n - 1].write(&mut last);
-                    op.page_write(pid, HEADER + idx * R::SIZE, &last);
-                }
+                // The page's last slot fills the hole, unless it was the hole.
                 recs.swap_remove(idx);
-                op.page_write(pid, 0, &((n - 1) as u32).to_le_bytes());
+                log_raw_edit(&mut op, pid, recs.get(idx).map(|last| (idx, last)), n - 1);
             }
             wal.commit(pool, op)?;
-            self.records -= 1;
-            if n == 1 {
-                recs.clear();
-            }
+            self.stats.records -= 1;
             let exact = exact_zone(&recs);
             // Let go of the snapshot first, or the in-place edit would have
             // to copy the map it is shared with.
@@ -451,53 +462,29 @@ impl<R: FixedRecord> HeapFile<R> {
     }
 }
 
-/// Reads and fully decodes one heap page, reporting whether it used the
-/// packed layout — the shared primitive of [`HeapFile::open_each`] and
-/// [`HeapFile::delete_logged`].
+/// Logs a raw-page edit into `op`: `slot`'s record into its slot, when
+/// given, then the page's new record count `n` — the one spelling of the
+/// logged insert's and delete's raw writes.
+fn log_raw_edit<R: FixedRecord>(op: &mut WalOp, pid: PageId, slot: Option<(usize, &R)>, n: usize) {
+    if let Some((i, r)) = slot {
+        let mut bytes = vec![0u8; R::SIZE];
+        r.write(&mut bytes);
+        op.page_write(pid, raw_slot::<R>(i).start, &bytes);
+    }
+    op.page_write(pid, 0, &raw_count(n));
+}
+
+/// Reads and fully decodes one heap page, with its layout — the shared
+/// primitive of [`HeapFile::open_each`] and [`HeapFile::delete_logged`].
 fn read_page_records<R: FixedRecord>(
     pool: &BufferPool,
     pid: PageId,
-) -> Result<(Vec<R>, bool), PoolError> {
+) -> Result<(Vec<R>, Layout), PoolError> {
     let page = pool.read_page(pid)?;
-    match parse_packed_header(&page[..], pid)? {
-        Some(hdr) => {
-            let mut v = Vec::with_capacity(hdr.n);
-            hdr.decode_each::<R>(&page[..], pid, |r| v.push(r))?;
-            Ok((v, true))
-        }
-        None => {
-            let n = u32::from_le_bytes(page[..HEADER].try_into().unwrap()) as usize;
-            if n > records_per_page::<R>() {
-                return Err(PoolError::Corrupt {
-                    pid,
-                    reason: "page header record count exceeds page capacity",
-                });
-            }
-            let mut v = Vec::with_capacity(n);
-            for i in 0..n {
-                let off = HEADER + i * R::SIZE;
-                let bytes = &page[off..off + R::SIZE];
-                R::validate(bytes).map_err(|reason| PoolError::Corrupt { pid, reason })?;
-                v.push(R::read(bytes));
-            }
-            Ok((v, false))
-        }
-    }
-}
-
-/// The exact zone of a page holding `recs`: a fold of every record's
-/// hints, or `None` when the page is empty or any record lacks hints
-/// (a page that must always be read).
-fn exact_zone<R: FixedRecord>(recs: &[R]) -> Option<ZoneEntry> {
-    let mut zone: Option<ZoneEntry> = None;
-    for r in recs {
-        let ((lo, hi), h) = r.bounds_hint().zip(r.height_hint())?;
-        match &mut zone {
-            None => zone = Some(ZoneEntry::of(lo, hi, h)),
-            Some(z) => z.fold(lo, hi, h),
-        }
-    }
-    zone
+    let layout = Layout::parse::<R>(&page[..], pid)?;
+    let mut recs = Vec::with_capacity(layout.len());
+    layout.decode(&page[..], pid, 0, |r| recs.push(r))?;
+    Ok((recs, layout))
 }
 
 /// Append writer for a heap file. Buffers page images in its own memory
@@ -514,21 +501,17 @@ pub struct HeapWriter<'a, R: FixedRecord> {
     /// Owns `file` until `finish` hands it to the caller.
     guard: TempFile<'a, ()>,
     pages: u32,
-    records: u64,
-    bounds: Option<(u64, u64)>,
-    heights: Option<(u32, u32)>,
-    /// Records buffered in the (unpinned-between-pushes) current page image.
+    stats: Catalog,
+    /// The current page image, reused (never cleared) from page to page —
+    /// the source of the raw layout's stale tail.
     buf: Vec<u8>,
     in_buf: usize,
     /// Sealed page images awaiting one vectored append.
     pending: Vec<Box<PageBuf>>,
     /// Pages coalesced per append batch (the write-once depth).
     batch: usize,
-    /// Zone of the page being filled; `None` once a record without hints
-    /// lands on it (a page with a gap must never be skipped).
-    page_zone: Option<ZoneEntry>,
-    /// Whether the current page saw a record without zone hints.
-    page_gap: bool,
+    /// Zone of the page being filled.
+    page_zone: PageZone,
     /// Per-page zones of the sealed pages, registered at `finish`.
     zones: FileZones,
     /// Packed-page encoder, engaged when the record type is packable and
@@ -551,15 +534,12 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
             file,
             guard: TempFile::new(pool, file, ()),
             pages: 0,
-            records: 0,
-            bounds: None,
-            heights: None,
+            stats: Catalog::default(),
             buf: vec![0u8; PAGE_SIZE],
             in_buf: 0,
             pending: Vec::new(),
             batch: opts.as_write().depth(),
-            page_zone: None,
-            page_gap: false,
+            page_zone: PageZone::Empty,
             zones: FileZones::default(),
             packer: (R::PACKABLE && opts.compress).then(PackedPageBuilder::default),
             _marker: PhantomData,
@@ -568,74 +548,39 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
 
     /// Appends one record.
     pub fn push(&mut self, r: R) -> Result<(), PoolError> {
-        if let Some(parts) = self.packer.as_ref().and(r.to_parts()) {
-            let full = !self
-                .packer
-                .as_ref()
-                .expect("packer checked above")
-                .fits(&parts);
-            if full {
-                self.spill()?;
+        match self.packer.as_ref().and(r.to_parts()) {
+            Some(parts) => {
+                if !self.packer.as_ref().expect("packer matched").fits(&parts) {
+                    self.spill()?;
+                }
+                self.packer
+                    .as_mut()
+                    .expect("packer survives spills")
+                    .push(parts);
             }
-            self.packer
-                .as_mut()
-                .expect("packer survives spills")
-                .push(parts);
-            self.in_buf += 1;
-            self.fold_stats(&r);
-            return Ok(());
+            None => {
+                if self.packer.is_some() {
+                    // A record the codec cannot represent: seal what is
+                    // buffered and write raw from here on.
+                    self.spill()?;
+                    self.packer = None;
+                }
+                if self.in_buf == records_per_page::<R>() {
+                    self.spill()?;
+                }
+                r.write(&mut self.buf[raw_slot::<R>(self.in_buf)]);
+            }
         }
-        if self.packer.is_some() {
-            // A record the codec cannot represent: seal what is buffered
-            // and write raw from here on.
-            self.spill()?;
-            self.packer = None;
-        }
-        let cap = records_per_page::<R>();
-        if self.in_buf == cap {
-            self.spill()?;
-        }
-        let off = HEADER + self.in_buf * R::SIZE;
-        r.write(&mut self.buf[off..off + R::SIZE]);
         self.in_buf += 1;
-        self.fold_stats(&r);
+        self.stats.fold(&r);
+        self.page_zone.fold(&r);
         Ok(())
-    }
-
-    /// Folds one record's hints into the file and page statistics shared by
-    /// both page layouts.
-    fn fold_stats(&mut self, r: &R) {
-        let bounds = r.bounds_hint();
-        let height = r.height_hint();
-        if let Some((lo, hi)) = bounds {
-            self.bounds = Some(match self.bounds {
-                None => (lo, hi),
-                Some((l0, h0)) => (l0.min(lo), h0.max(hi)),
-            });
-        }
-        if let Some(h) = height {
-            self.heights = Some(match self.heights {
-                None => (h, h),
-                Some((l0, h0)) => (l0.min(h), h0.max(h)),
-            });
-        }
-        match (bounds, height) {
-            (Some((lo, hi)), Some(h)) if !self.page_gap => match &mut self.page_zone {
-                None => self.page_zone = Some(ZoneEntry::of(lo, hi, h)),
-                Some(z) => z.fold(lo, hi, h),
-            },
-            _ => {
-                self.page_gap = true;
-                self.page_zone = None;
-            }
-        }
-        self.records += 1;
     }
 
     /// Number of records pushed so far.
     #[inline]
     pub fn records(&self) -> u64 {
-        self.records
+        self.stats.records
     }
 
     fn spill(&mut self) -> Result<(), PoolError> {
@@ -649,9 +594,7 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
                 self.pool
                     .note_page_packed((n * R::SIZE) as u64, used as u64);
             }
-            None => {
-                self.buf[..HEADER].copy_from_slice(&(self.in_buf as u32).to_le_bytes());
-            }
+            None => self.buf[..COUNT].copy_from_slice(&raw_count(self.in_buf)),
         }
         // Seal the page image; the actual write-through happens in batches
         // (bulk output bypasses the pool, see
@@ -661,8 +604,7 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
         self.pending.push(img);
         self.pages += 1;
         self.in_buf = 0;
-        self.zones.push(self.page_zone.take());
-        self.page_gap = false;
+        self.zones.push(std::mem::take(&mut self.page_zone).entry());
         if self.pending.len() >= self.batch {
             self.flush_pending()?;
         }
@@ -692,9 +634,7 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
         Ok(HeapFile {
             file: self.file,
             pages: self.pages,
-            records: self.records,
-            bounds: self.bounds,
-            heights: self.heights,
+            stats: self.stats,
             active: None,
             _marker: PhantomData,
         })
@@ -751,7 +691,6 @@ pub struct HeapScan<'a, R: FixedRecord> {
     idx: usize,
     /// Intra-page offset to apply when the first page loads (scan_at_with).
     skip_on_load: usize,
-    in_page: usize,
     /// Declared access pattern, forwarded to the pool on every page fetch.
     opts: ScanOptions,
     /// Zone map of the file, when the scan is filtered and one exists.
@@ -759,18 +698,30 @@ pub struct HeapScan<'a, R: FixedRecord> {
     /// Records dropped by the record-level filter since the last flush to
     /// the pool counter (flushed per page, at EOF, and on drop).
     pending_filtered: u64,
-    /// Verified header of the current page when it is packed
-    /// ([`crate::codec`]); `None` for raw pages.
-    packed: Option<PackedHeader>,
-    /// Per-page decode cache for record-at-a-time access to packed pages:
-    /// the page decodes once into this buffer and `next_record` serves
-    /// from it, so `idx`/[`ScanPos`] keep indexing decoded records exactly
-    /// as they index raw slots. Batched access streams the decode instead
-    /// and never touches the cache.
+    /// Parsed header of the current page.
+    layout: Layout,
+    /// Per-page decode cache for record-at-a-time access: `next_record`
+    /// decodes the current page once into this buffer and serves from it,
+    /// so `idx`/[`ScanPos`] index decoded records the same way on either
+    /// layout. Batched access streams the decode instead, and reads this
+    /// cache only when `next_record` already filled it for the page.
     cache: Vec<R>,
-    /// Whether `cache` holds the current page's decoded records.
-    cache_valid: bool,
+    /// How the cache's decode ended; `None` until `next_record` fills the
+    /// cache for the current page. A decode stops at the first corrupt
+    /// record: the records before it are served, then its error.
+    cached: Option<Result<(), PoolError>>,
     _marker: PhantomData<R>,
+}
+
+/// A scan's record-level filter check: whether `filter` admits `r`,
+/// counting a rejection into `pending`.
+#[inline]
+fn admit<R: FixedRecord>(filter: &ScanFilter, pending: &mut u64, r: &R) -> bool {
+    let ok = filter.is_all() || filter.admits_record(r.bounds_hint(), r.height_hint());
+    if !ok {
+        *pending += 1;
+    }
+    ok
 }
 
 impl<'a, R: FixedRecord> HeapScan<'a, R> {
@@ -805,40 +756,30 @@ impl<'a, R: FixedRecord> HeapScan<'a, R> {
     /// count beyond page capacity, malformed packed bytes, or a record
     /// [`FixedRecord::validate`] rejects surface as [`PoolError::Corrupt`]
     /// naming the page, instead of a slice panic or silently decoded
-    /// garbage. Packed pages decode once into a per-page cache and are
-    /// served from it, so positions and resume offsets index decoded
-    /// records on either layout.
+    /// garbage. Each page decodes once into a per-page cache and is served
+    /// from it (the page stays pinned meanwhile), so positions and resume
+    /// offsets index decoded records on either layout.
     pub fn next_record(&mut self) -> Result<Option<R>, PoolError> {
-        let filtering = !self.opts.filter.is_all();
         loop {
-            if self.cur.is_some() {
-                if self.packed.is_some() && !self.cache_valid {
-                    self.fill_cache()?;
-                }
-                let page = self.cur.as_ref().expect("page pinned");
-                while self.idx < self.in_page {
-                    let r = if self.packed.is_some() {
-                        self.cache[self.idx]
-                    } else {
-                        let off = HEADER + self.idx * R::SIZE;
-                        let bytes = &page[off..off + R::SIZE];
-                        R::validate(bytes).map_err(|reason| PoolError::Corrupt {
-                            pid: PageId::new(self.file, self.next_page - 1),
-                            reason,
-                        })?;
-                        R::read(bytes)
-                    };
-                    self.idx += 1;
-                    if filtering
-                        && !self
-                            .opts
-                            .filter
-                            .admits_record(r.bounds_hint(), r.height_hint())
-                    {
-                        self.pending_filtered += 1;
-                        continue;
+            if let Some(page) = &self.cur {
+                if self.cached.is_none() {
+                    let pid = PageId::new(self.file, self.next_page - 1);
+                    self.cache.clear();
+                    let cache = &mut self.cache;
+                    let end = self.layout.decode(&page[..], pid, 0, |r| cache.push(r));
+                    if end.is_ok() && matches!(self.layout, Layout::Packed(_)) {
+                        self.pool.note_packed_decode();
                     }
-                    return Ok(Some(r));
+                    self.cached = Some(end);
+                }
+                while let Some(&r) = self.cache.get(self.idx) {
+                    self.idx += 1;
+                    if admit(&self.opts.filter, &mut self.pending_filtered, &r) {
+                        return Ok(Some(r));
+                    }
+                }
+                if let Some(Err(e)) = &self.cached {
+                    return Err(e.clone());
                 }
                 // Release the pin *before* looking at the next page's zone:
                 // skipped ranges are crossed with no page held.
@@ -849,20 +790,6 @@ impl<'a, R: FixedRecord> HeapScan<'a, R> {
                 return Ok(None);
             }
         }
-    }
-
-    /// Decodes the current packed page into the per-page cache (exactly
-    /// once per page), counting one packed decode.
-    fn fill_cache(&mut self) -> Result<(), PoolError> {
-        let hdr = self.packed.expect("packed page");
-        let page = self.cur.as_ref().expect("page pinned");
-        let pid = PageId::new(self.file, self.next_page - 1);
-        self.cache.clear();
-        let cache = &mut self.cache;
-        hdr.decode_each::<R>(&page[..], pid, |r| cache.push(r))?;
-        self.pool.note_packed_decode();
-        self.cache_valid = true;
-        Ok(())
     }
 
     /// Decodes the remainder of the current page (loading and zone-skipping
@@ -887,72 +814,36 @@ impl<'a, R: FixedRecord> HeapScan<'a, R> {
     /// **directly into the visitor** — columnar consumers split each record
     /// into their own SoA columns with no intermediate record vector.
     pub fn next_batch_each(&mut self, mut f: impl FnMut(R)) -> Result<usize, PoolError> {
-        let filtering = !self.opts.filter.is_all();
-        let mut emitted = 0usize;
         loop {
             if self.cur.is_none() && !self.load_next_page()? {
                 return Ok(0);
             }
             let page = self.cur.as_ref().expect("page loaded");
             let pid = PageId::new(self.file, self.next_page - 1);
-            if let Some(hdr) = self.packed {
-                if self.cache_valid {
-                    // `next_record` already decoded this page: serve the
-                    // cache rather than decoding twice.
-                    for &r in &self.cache[self.idx..self.in_page] {
-                        if filtering
-                            && !self
-                                .opts
-                                .filter
-                                .admits_record(r.bounds_hint(), r.height_hint())
-                        {
-                            self.pending_filtered += 1;
-                            continue;
-                        }
-                        f(r);
-                        emitted += 1;
-                    }
-                } else {
-                    let skip = self.idx;
-                    let pending = &mut self.pending_filtered;
-                    let opts = &self.opts;
-                    let mut seen = 0usize;
-                    hdr.decode_each::<R>(&page[..], pid, |r| {
-                        seen += 1;
-                        if seen <= skip {
-                            return;
-                        }
-                        if filtering && !opts.filter.admits_record(r.bounds_hint(), r.height_hint())
-                        {
-                            *pending += 1;
-                            return;
-                        }
-                        f(r);
-                        emitted += 1;
-                    })?;
-                    self.pool.note_packed_decode();
-                }
-                self.idx = self.in_page;
-            } else {
-                while self.idx < self.in_page {
-                    let off = HEADER + self.idx * R::SIZE;
-                    let bytes = &page[off..off + R::SIZE];
-                    R::validate(bytes).map_err(|reason| PoolError::Corrupt { pid, reason })?;
-                    let r = R::read(bytes);
-                    self.idx += 1;
-                    if filtering
-                        && !self
-                            .opts
-                            .filter
-                            .admits_record(r.bounds_hint(), r.height_hint())
-                    {
-                        self.pending_filtered += 1;
-                        continue;
-                    }
+            let (filter, pending) = (&self.opts.filter, &mut self.pending_filtered);
+            let mut emitted = 0usize;
+            let mut emit = |r: R| {
+                if admit(filter, pending, &r) {
                     f(r);
                     emitted += 1;
                 }
+            };
+            match &self.cached {
+                // `next_record` already decoded this page: serve the cache
+                // rather than decoding twice.
+                Some(end) => {
+                    let rest = self.cache.get(self.idx..).unwrap_or_default();
+                    rest.iter().for_each(|&r| emit(r));
+                    end.clone()?;
+                }
+                None => {
+                    self.layout.decode(&page[..], pid, self.idx, &mut emit)?;
+                    if let Layout::Packed(_) = self.layout {
+                        self.pool.note_packed_decode();
+                    }
+                }
             }
+            self.idx = self.layout.len();
             self.cur = None;
             self.flush_filtered();
             if emitted > 0 {
@@ -992,25 +883,8 @@ impl<'a, R: FixedRecord> HeapScan<'a, R> {
         let pid = PageId::new(self.file, self.next_page);
         let page = self.pool.read_page_with(pid, self.opts)?;
         self.next_page += 1;
-        // The page header selects the layout: a verified packed header, or
-        // the raw record count (whose capacity bound only applies to the
-        // raw layout — packed pages legitimately hold more records than
-        // `PAGE_SIZE / R::SIZE`).
-        self.packed = parse_packed_header(&page[..], pid)?;
-        self.cache_valid = false;
-        match &self.packed {
-            Some(hdr) => self.in_page = hdr.n,
-            None => {
-                let in_page = u32::from_le_bytes(page[..HEADER].try_into().unwrap()) as usize;
-                if in_page > records_per_page::<R>() {
-                    return Err(PoolError::Corrupt {
-                        pid,
-                        reason: "page header record count exceeds page capacity",
-                    });
-                }
-                self.in_page = in_page;
-            }
-        }
+        self.layout = Layout::parse::<R>(&page[..], pid)?;
+        self.cached = None;
         self.idx = self.skip_on_load;
         self.skip_on_load = 0;
         self.cur = Some(page);
@@ -1182,28 +1056,6 @@ mod tests {
         assert_eq!(s5.next_record().unwrap(), Some(0));
     }
 
-    #[test]
-    fn corrupt_header_count_surfaces_as_error() {
-        let p = pool(4);
-        let hf = HeapFile::from_iter(&p, 0..1000u64).unwrap();
-        let pid = PageId::new(hf.file_id(), 1);
-        {
-            let mut page = p.write_page(pid).unwrap();
-            // A count beyond page capacity would index past the page.
-            page[..HEADER].copy_from_slice(&u32::MAX.to_le_bytes());
-        }
-        let mut s = hf.scan(&p);
-        let err = loop {
-            match s.next_record() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("corruption not detected"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.failing_page(), Some(pid));
-        assert!(matches!(err, PoolError::Corrupt { .. }));
-    }
-
     /// A record type that rejects a zero payload, exercising
     /// [`FixedRecord::validate`].
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1234,8 +1086,7 @@ mod tests {
         {
             let mut page = p.write_page(pid).unwrap();
             // Zero one record in the middle of page 0.
-            let off = HEADER + 5 * 8;
-            page[off..off + 8].fill(0);
+            page[raw_slot::<NonZero>(5)].fill(0);
         }
         let mut s = hf.scan(&p);
         for _ in 0..5 {
@@ -1487,37 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_decode_matches_record_at_a_time() {
-        let p = pool(4);
-        let data = spans(3000);
-        let hf = HeapFile::from_iter(&p, data.iter().copied()).unwrap();
-        for filter in [
-            ScanFilter::All,
-            ScanFilter::RegionOverlap {
-                start: 7_000,
-                end: 21_000,
-            },
-        ] {
-            let opts = ScanOptions::default().with_filter(filter);
-            let expect = hf.read_all_with(&p, opts).unwrap();
-            let mut scan = hf.scan_with(&p, opts);
-            let mut got = Vec::new();
-            let mut batches = 0;
-            loop {
-                let n = scan.next_batch(&mut got).unwrap();
-                if n == 0 {
-                    break;
-                }
-                batches += 1;
-                // The batch left no page pinned behind it.
-                assert_eq!(p.pinned_frames(), 0);
-            }
-            assert_eq!(got, expect, "filter {filter:?}");
-            assert!(batches > 1);
-        }
-    }
-
-    #[test]
     fn batch_resumes_from_position() {
         let p = pool(4);
         let data = spans(2000);
@@ -1678,35 +1498,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_batch_matches_record_at_a_time() {
-        let p = pool(4);
-        let data = pspans(8_000);
-        let hf = HeapFile::from_iter_with(&p, compressed(), data.iter().copied()).unwrap();
-        for filter in [
-            ScanFilter::All,
-            ScanFilter::RegionOverlap {
-                start: 7_000,
-                end: 21_000,
-            },
-            ScanFilter::HeightRange { min: 2, max: 3 },
-        ] {
-            let opts = ScanOptions::default().with_filter(filter);
-            let expect = hf.read_all_with(&p, opts).unwrap();
-            let mut scan = hf.scan_with(&p, opts);
-            let mut got = Vec::new();
-            while scan.next_batch(&mut got).unwrap() > 0 {
-                assert_eq!(p.pinned_frames(), 0);
-            }
-            assert_eq!(got, expect, "filter {filter:?}");
-            // Visitor form sees the identical stream.
-            let mut scan = hf.scan_with(&p, opts);
-            let mut visited = Vec::new();
-            while scan.next_batch_each(|r| visited.push(r)).unwrap() > 0 {}
-            assert_eq!(visited, expect, "filter {filter:?}");
-        }
-    }
-
-    #[test]
     fn packed_pages_keep_zone_tiling() {
         let p = pool(4);
         let data = pspans(20_000);
@@ -1757,38 +1548,103 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_packed_page_surfaces_as_error() {
+    fn every_reader_returns_the_same_records_on_every_layout() {
         let p = pool(4);
-        let data = pspans(5_000);
-        let hf = HeapFile::from_iter_with(&p, compressed(), data.iter().copied()).unwrap();
-        assert!(hf.pages() >= 3);
-        let pid = PageId::new(hf.file_id(), 1);
-        {
-            let mut page = p.write_page(pid).unwrap();
-            // Torn write: the tail of the page never hit the disk.
-            page[PAGE_SIZE / 2..].fill(0);
+        // Raw, packed, and packed with a raw tail (heights above 63 have no
+        // packed form).
+        let mut mixed = pspans(2_000);
+        mixed[1_000].h = 64;
+        mixed[1_500].h = 200;
+        let raw = ScanOptions::default().with_compress(false);
+        for (opts, data) in [
+            (raw, pspans(3_000)),
+            (compressed(), pspans(8_000)),
+            (compressed(), mixed),
+        ] {
+            let hf = HeapFile::from_iter_with(&p, opts, data.iter().copied()).unwrap();
+            let mut opened = Vec::new();
+            HeapFile::<PSpan>::open_each(&p, hf.file_id(), |r| opened.extend_from_slice(r))
+                .unwrap();
+            assert_eq!(opened, data);
+            for filter in [
+                ScanFilter::All,
+                ScanFilter::RegionOverlap {
+                    start: 7_000,
+                    end: 21_000,
+                },
+                ScanFilter::HeightRange { min: 2, max: 3 },
+            ] {
+                let opts = ScanOptions::default().with_filter(filter);
+                let expect: Vec<PSpan> = data
+                    .iter()
+                    .copied()
+                    .filter(|r| filter.admits_record(r.bounds_hint(), r.height_hint()))
+                    .collect();
+                assert_eq!(hf.read_all_with(&p, opts).unwrap(), expect, "{filter:?}");
+                let decodes = || p.pool_stats().packed_decodes;
+                let d0 = decodes();
+                let mut scan = hf.scan_with(&p, opts);
+                let mut got = Vec::new();
+                while scan.next_batch(&mut got).unwrap() > 0 {
+                    assert_eq!(p.pinned_frames(), 0, "a batch left its page pinned");
+                }
+                assert_eq!(got, expect, "{filter:?}");
+                let per_scan = decodes() - d0;
+                // Record at a time into a page, then the visitor form
+                // finishes that page from `next_record`'s cache: no page
+                // decodes twice.
+                let mut scan = hf.scan_with(&p, opts);
+                let mut got: Vec<PSpan> =
+                    (0..50).map_while(|_| scan.next_record().unwrap()).collect();
+                let pos = scan.position();
+                while scan.next_batch_each(|r| got.push(r)).unwrap() > 0 {}
+                assert_eq!(got, expect, "{filter:?}");
+                assert_eq!(decodes() - d0, 2 * per_scan, "{filter:?}");
+                // A batched resume inside that page skips to the same rest.
+                let (mut resumed, mut rest) = (hf.scan_at_with(&p, pos, opts), Vec::new());
+                while resumed.next_batch(&mut rest).unwrap() > 0 {}
+                assert_eq!(rest, expect[expect.len().min(50)..], "{filter:?}");
+            }
         }
-        let mut s = hf.scan(&p);
-        let err = loop {
-            match s.next_record() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("packed corruption not detected"),
-                Err(e) => break e,
+    }
+
+    #[test]
+    fn corrupt_page_surfaces_as_error_on_every_path() {
+        for compress in [false, true] {
+            let p = pool(8);
+            let data = pspans(5_000);
+            let opts = ScanOptions::default().with_compress(compress);
+            let mut hf = HeapFile::from_iter_with(&p, opts, data.iter().copied()).unwrap();
+            let pid = PageId::new(hf.file_id(), hf.pages() - 1);
+            {
+                let mut page = p.write_page(pid).unwrap();
+                if compress {
+                    page[crate::codec::PACKED_HEADER] ^= 0x40; // checksum mismatch
+                } else {
+                    // A count past capacity would index past the page.
+                    page[..COUNT].copy_from_slice(&raw_count(records_per_page::<PSpan>() + 1));
+                }
             }
-        };
-        assert_eq!(err.failing_page(), Some(pid));
-        assert!(matches!(err, PoolError::Corrupt { .. }));
-        // The batched path refuses it identically.
-        let mut s = hf.scan(&p);
-        let mut sink = Vec::new();
-        let err = loop {
-            match s.next_batch(&mut sink) {
-                Ok(0) => panic!("packed corruption not detected by batch"),
-                Ok(_) => continue,
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.failing_page(), Some(pid));
+            let is_corrupt =
+                |e: PoolError| matches!(e, PoolError::Corrupt { pid: q, .. } if q == pid);
+            let mut s = hf.scan(&p);
+            let err = std::iter::from_fn(|| s.next_record().transpose()).find_map(Result::err);
+            assert!(err.is_some_and(is_corrupt), "next_record");
+            let (mut s, mut sink) = (hf.scan(&p), Vec::new());
+            let err = std::iter::from_fn(|| Some(s.next_batch(&mut sink)).filter(|r| r != &Ok(0)))
+                .find_map(Result::err);
+            assert!(err.is_some_and(is_corrupt), "next_batch");
+            assert!(is_corrupt(
+                HeapFile::<PSpan>::open(&p, hf.file_id()).unwrap_err()
+            ));
+            let wal = Wal::create(&p);
+            assert!(is_corrupt(
+                hf.delete_logged(&p, &wal, &data[4_999]).unwrap_err()
+            ));
+            // The insert's fill page is the corrupt last page: no silent
+            // skip to a fresh one.
+            assert!(is_corrupt(hf.insert_logged(&p, &wal, data[0]).unwrap_err()));
+        }
     }
 
     #[test]

@@ -49,13 +49,13 @@ pub use buffer::{
     BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, TempFile,
     STRIPE_COUNT,
 };
-pub use codec::{transfer_bytes, PACKED_FLAG, PACKED_HEADER};
+pub use codec::records_per_page;
 pub use disk::{
     BatchError, Disk, DiskBackend, FileBackend, IoError, IoErrorKind, MemBackend, SharedBackend,
 };
 pub use fault::{FaultBackend, FaultConfig, FaultHandle};
 pub use freelist::FreeList;
-pub use heap::{records_per_page, HeapFile, HeapScan, HeapWriter, ScanPos};
+pub use heap::{HeapFile, HeapScan, HeapWriter, ScanPos};
 pub use page::{FileId, PageBuf, PageId, PAGE_SIZE};
 pub use record::{FixedRecord, RecordParts};
 pub use shard::ShardPlan;

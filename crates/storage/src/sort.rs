@@ -12,7 +12,8 @@ use std::collections::BinaryHeap;
 
 use crate::access::ScanOptions;
 use crate::buffer::{BufferPool, PoolError, TempFile};
-use crate::heap::{records_per_page, HeapFile, HeapScan, HeapWriter};
+use crate::codec::records_per_page;
+use crate::heap::{HeapFile, HeapScan, HeapWriter};
 use crate::record::FixedRecord;
 
 /// A sorted run the sort owns: deleted when merged away — or when an error
