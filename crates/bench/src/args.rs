@@ -24,8 +24,6 @@ pub struct CommonArgs {
     pub sf: f64,
     /// Buffer pool pages (paper default 500).
     pub buffer: usize,
-    /// Worker threads for the partition joins (default 1 = sequential).
-    pub threads: usize,
     /// Results directory.
     pub results_dir: std::path::PathBuf,
     /// Write a JSONL span trace of every measured run to this file.
@@ -44,7 +42,6 @@ impl Default for CommonArgs {
             scale: 1.0,
             sf: 1.0,
             buffer: 500,
-            threads: 1,
             results_dir: "results".into(),
             trace: None,
             readahead: pbitree_storage::DEFAULT_IO_DEPTH,
@@ -58,7 +55,7 @@ impl CommonArgs {
     pub fn usage(select_flag: &str) -> String {
         format!(
             "options: {select_flag} <sel> --scale <f> --sf <f> --buffer <pages> \
-             --threads <n> --readahead <depth> --results <dir> --trace <file> --fast"
+             --readahead <depth> --results <dir> --trace <file> --fast"
         )
     }
 
@@ -89,11 +86,6 @@ impl CommonArgs {
                     args.buffer = take("--buffer")?
                         .parse()
                         .map_err(|_| "--buffer needs an integer value".to_string())?
-                }
-                "--threads" => {
-                    args.threads = take("--threads")?
-                        .parse()
-                        .map_err(|_| "--threads needs an integer value".to_string())?
                 }
                 "--readahead" => {
                     args.readahead = take("--readahead")?
@@ -135,7 +127,6 @@ impl CommonArgs {
     pub fn config(&self) -> ExpConfig {
         ExpConfig {
             buffer_pages: self.buffer,
-            threads: self.threads,
             io: io_options(self.readahead),
             ..ExpConfig::default()
         }
@@ -166,8 +157,6 @@ mod tests {
                 "0.5",
                 "--buffer",
                 "128",
-                "--threads",
-                "4",
                 "--results",
                 "/tmp/r",
                 "--trace",
@@ -178,7 +167,6 @@ mod tests {
         assert_eq!(a.select, "e");
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.buffer, 128);
-        assert_eq!(a.threads, 4);
         assert_eq!(a.results_dir, std::path::PathBuf::from("/tmp/r"));
         assert_eq!(a.trace, Some(std::path::PathBuf::from("/tmp/t.jsonl")));
         assert!(!a.help);

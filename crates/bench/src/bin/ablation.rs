@@ -17,10 +17,6 @@
 //! * `shared`  — the batched-query scan: k serial Stack-Tree passes over
 //!   the same document side vs one `QueryBatch` pass answering all k —
 //!   identical pairs, page reads near-flat in k instead of linear;
-//! * `shard`   — region-range sharding across independent pools: the same
-//!   join fork-joined over 1/2/4/8 shards (total frames constant) —
-//!   identical pairs at every shard count, simulated disk time the max
-//!   over the shards' independent clocks instead of one spindle's sum;
 //! * `regret`  — the Table-1 planner against every operator: chosen ÷ best
 //!   on pages, simulated seconds and wall, over the `raw_join` datasets,
 //!   XMark B1–B10 and DBLP D1–D10, cold and resident; multi-height rows
@@ -211,7 +207,6 @@ fn io_study(args: &CommonArgs) {
             for depth in [1usize, 2, 4, 8, 16] {
                 let cfg = ExpConfig {
                     buffer_pages: args.buffer,
-                    threads: args.threads,
                     io: io_options(depth),
                     ..ExpConfig::default()
                 };
@@ -280,9 +275,9 @@ fn skewed_workload(scale: f64) -> SkewedWorkload {
 }
 
 /// The zone-map pruning panel: prune off (baseline) against prune on,
-/// across the partition joins and thread counts. Pair counts must be
-/// identical — the pushdown filters are necessary conditions only — while
-/// page reads drop strictly: MHCJ/Rollup clip their `D` scans by each
+/// across the partition joins. Pair counts must be identical — the
+/// pushdown filters are necessary conditions only — while page reads
+/// drop strictly: MHCJ/Rollup clip their `D` scans by each
 /// A-partition's zone, and VPJ clips both partitioning passes by the
 /// opposite side's envelope.
 fn prune_study(args: &CommonArgs) {
@@ -290,7 +285,6 @@ fn prune_study(args: &CommonArgs) {
         "Ablation: zone-map scan pushdown (prune off vs on)",
         &[
             "algo",
-            "threads",
             "prune",
             "pairs",
             "reads",
@@ -302,53 +296,44 @@ fn prune_study(args: &CommonArgs) {
     );
     let (shape, a, d) = skewed_workload(args.scale);
     for algo in [Algorithm::Mhcj, Algorithm::MhcjRollup, Algorithm::Vpj] {
-        for threads in [1usize, 4] {
-            let mut baseline: Option<(u64, u64)> = None;
-            for prune in [false, true] {
-                let cfg = ExpConfig {
-                    buffer_pages: args.buffer,
-                    threads,
-                    io: io_options(args.readahead),
-                    prune,
-                    ..ExpConfig::default()
-                };
-                let m = run_algo(shape, &a, &d, &cfg, algo);
-                let reads = m.stats.io.reads();
-                match baseline {
-                    None => baseline = Some((m.stats.pairs, reads)),
-                    Some((pairs0, reads0)) => {
-                        assert_eq!(
-                            pairs0, m.stats.pairs,
-                            "{}/t{threads}: pruning changed the result",
-                            algo
-                        );
-                        assert!(
-                            reads < reads0,
-                            "{}/t{threads}: pruning saved no reads ({reads} vs {reads0})",
-                            algo
-                        );
-                    }
+        let mut baseline: Option<(u64, u64)> = None;
+        for prune in [false, true] {
+            let cfg = ExpConfig {
+                buffer_pages: args.buffer,
+                io: io_options(args.readahead),
+                prune,
+                ..ExpConfig::default()
+            };
+            let m = run_algo(shape, &a, &d, &cfg, algo);
+            let reads = m.stats.io.reads();
+            match baseline {
+                None => baseline = Some((m.stats.pairs, reads)),
+                Some((pairs0, reads0)) => {
+                    assert_eq!(pairs0, m.stats.pairs, "{algo}: pruning changed the result");
+                    assert!(
+                        reads < reads0,
+                        "{algo}: pruning saved no reads ({reads} vs {reads0})"
+                    );
                 }
-                t.row(vec![
-                    algo.to_string(),
-                    threads.to_string(),
-                    prune.to_string(),
-                    m.stats.pairs.to_string(),
-                    reads.to_string(),
-                    m.pool.pages_skipped.to_string(),
-                    m.pool.records_filtered.to_string(),
-                    fmt_secs(m.stats.io.sim_secs()),
-                    fmt_secs(m.stats.elapsed_secs()),
-                ]);
             }
+            t.row(vec![
+                algo.to_string(),
+                prune.to_string(),
+                m.stats.pairs.to_string(),
+                reads.to_string(),
+                m.pool.pages_skipped.to_string(),
+                m.pool.records_filtered.to_string(),
+                fmt_secs(m.stats.io.sim_secs()),
+                fmt_secs(m.stats.elapsed_secs()),
+            ]);
         }
     }
     t.emit(&args.results_dir, "ablation_prune");
 }
 
 /// The compressed-pages panel: packed element pages off (baseline)
-/// against on, across the partition joins and thread counts, composed
-/// with pruning (both runs prune — compression must stack with the
+/// against on, across the partition joins, composed with pruning
+/// (both runs prune — compression must stack with the
 /// pushdown, not replace it). Pair counts must be identical — packing is
 /// a pure layout change validated at decode — while page reads drop
 /// strictly (roughly 3x the records per page) and the on-disk footprint
@@ -358,7 +343,6 @@ fn compress_study(args: &CommonArgs) {
         "Ablation: compressed element pages (packed off vs on, prune on)",
         &[
             "algo",
-            "threads",
             "compress",
             "pairs",
             "reads",
@@ -372,56 +356,49 @@ fn compress_study(args: &CommonArgs) {
     );
     let (shape, a, d) = skewed_workload(args.scale);
     for algo in [Algorithm::Mhcj, Algorithm::MhcjRollup, Algorithm::Vpj] {
-        for threads in [1usize, 4] {
-            let mut baseline: Option<(u64, u64)> = None;
-            for compression in [false, true] {
-                let cfg = ExpConfig {
-                    buffer_pages: args.buffer,
-                    threads,
-                    io: io_options(args.readahead),
-                    prune: true,
-                    compression,
-                    ..ExpConfig::default()
-                };
-                let m = run_algo(shape, &a, &d, &cfg, algo);
-                let reads = m.stats.io.reads();
-                // Packing counters over input load *and* join-time spills.
-                let mut packed = m.load;
-                packed.absorb(&m.pool);
-                match baseline {
-                    None => baseline = Some((m.stats.pairs, reads)),
-                    Some((pairs0, reads0)) => {
-                        assert_eq!(
-                            pairs0, m.stats.pairs,
-                            "{}/t{threads}: compression changed the result",
-                            algo
-                        );
-                        assert!(
-                            reads < reads0,
-                            "{}/t{threads}: compression saved no reads ({reads} vs {reads0})",
-                            algo
-                        );
-                        assert!(
-                            packed.packed_post_bytes < packed.packed_pre_bytes,
-                            "{}/t{threads}: packing did not shrink bytes",
-                            algo
-                        );
-                    }
+        let mut baseline: Option<(u64, u64)> = None;
+        for compression in [false, true] {
+            let cfg = ExpConfig {
+                buffer_pages: args.buffer,
+                io: io_options(args.readahead),
+                prune: true,
+                compression,
+                ..ExpConfig::default()
+            };
+            let m = run_algo(shape, &a, &d, &cfg, algo);
+            let reads = m.stats.io.reads();
+            // Packing counters over input load *and* join-time spills.
+            let mut packed = m.load;
+            packed.absorb(&m.pool);
+            match baseline {
+                None => baseline = Some((m.stats.pairs, reads)),
+                Some((pairs0, reads0)) => {
+                    assert_eq!(
+                        pairs0, m.stats.pairs,
+                        "{algo}: compression changed the result"
+                    );
+                    assert!(
+                        reads < reads0,
+                        "{algo}: compression saved no reads ({reads} vs {reads0})"
+                    );
+                    assert!(
+                        packed.packed_post_bytes < packed.packed_pre_bytes,
+                        "{algo}: packing did not shrink bytes"
+                    );
                 }
-                t.row(vec![
-                    algo.to_string(),
-                    threads.to_string(),
-                    compression.to_string(),
-                    m.stats.pairs.to_string(),
-                    reads.to_string(),
-                    packed.pages_packed.to_string(),
-                    packed.packed_pre_bytes.to_string(),
-                    packed.packed_post_bytes.to_string(),
-                    packed.packed_decodes.to_string(),
-                    fmt_secs(m.stats.io.sim_secs()),
-                    fmt_secs(m.stats.elapsed_secs()),
-                ]);
             }
+            t.row(vec![
+                algo.to_string(),
+                compression.to_string(),
+                m.stats.pairs.to_string(),
+                reads.to_string(),
+                packed.pages_packed.to_string(),
+                packed.packed_pre_bytes.to_string(),
+                packed.packed_post_bytes.to_string(),
+                packed.packed_decodes.to_string(),
+                fmt_secs(m.stats.io.sim_secs()),
+                fmt_secs(m.stats.elapsed_secs()),
+            ]);
         }
     }
     t.emit(&args.results_dir, "ablation_compress");
@@ -729,154 +706,6 @@ fn shared_study(args: &CommonArgs) {
     t.emit(&args.results_dir, "ablation_shared");
 }
 
-/// Uniform workload for the sharding panel: mixed-height ancestors and
-/// low descendants spread evenly over the whole code span, so every
-/// region-range shard receives a comparable slice. (The skewed pruning
-/// workload would land every ancestor on shard 0 and measure nothing.)
-///
-/// Sized so page *transfers* dominate the simulated time: every shard
-/// pays a fixed floor of two random first-page reads (~20 ms under the
-/// default cost model), so scaling only shows once the per-shard
-/// sequential transfer volume dwarfs that floor — even packed 3x.
-fn uniform_workload(scale: f64) -> SkewedWorkload {
-    use std::collections::BTreeSet;
-    let h = 20u32;
-    let shape = pbitree_core::PBiTreeShape::new(h).unwrap();
-    let n_a = ((6_000.0 * scale) as usize).clamp(2_000, 20_000);
-    // Clamped above by the number of height-0/1 slots (~786k at H=20).
-    let n_d = ((500_000.0 * scale) as usize).clamp(500_000, 600_000);
-    let mut x = 0x5EED_F00Du64;
-    let mut a = BTreeSet::new();
-    while a.len() < n_a {
-        let r = xorshift(&mut x);
-        let hh = 3 + (r % 5) as u32;
-        let alpha = (r >> 8) % (1u64 << (h - hh - 1));
-        a.insert((1 + 2 * alpha) << hh);
-    }
-    let mut d = BTreeSet::new();
-    while d.len() < n_d {
-        let r = xorshift(&mut x);
-        let hh = (r % 2) as u32;
-        let alpha = (r >> 8) % (1u64 << (h - hh - 1));
-        d.insert((1 + 2 * alpha) << hh);
-    }
-    (
-        shape,
-        a.into_iter().map(|c| (c, 0)).collect(),
-        d.into_iter().map(|c| (c, 1)).collect(),
-    )
-}
-
-/// The region-range sharding panel: MHCJ+Rollup and VPJ fork-joined over
-/// 1/2/4/8 shards with the *total* frame count held constant (each shard
-/// pool gets `buffer / shards` frames over its own simulated disk), at
-/// 1/4 worker threads and packed pages off/on. Asserts the merged pair
-/// set is byte-identical at every shard count, and that 4 shards cut the
-/// simulated disk time — the max over the shards' independent clocks —
-/// to at most half the single-shard time.
-fn shard_study(args: &CommonArgs) {
-    use pbitree_joins::{Algorithm, ShardRole, ShardedStore, Sharding};
-    let mut t = Table::new(
-        "Ablation: region-range sharding (fork-join over independent pools, total frames constant)",
-        &[
-            "algo",
-            "threads",
-            "compress",
-            "shards",
-            "pairs",
-            "replicated",
-            "reads",
-            "writes",
-            "sim_max(s)",
-            "sim_sum(s)",
-            "wall(s)",
-        ],
-    );
-    let (shape, a, d) = uniform_workload(args.scale);
-    // Shard pools split one frame budget; floor it so even the 8-shard
-    // split runs with real pools (the panel measures disk-time scaling,
-    // not pool thrash — the `shcj` panel covers budget starvation).
-    let buffer = args.buffer.max(256);
-    for algo in [Algorithm::MhcjRollup, Algorithm::Vpj] {
-        for threads in [1usize, 4] {
-            for compress in [false, true] {
-                // Per-combination baseline: the 1-shard (single pool) run.
-                let mut base: Option<(Vec<(u64, u64)>, f64)> = None;
-                for shards in [1usize, 2, 4, 8] {
-                    let mut builder = JoinCtx::builder(
-                        BufferPool::new(
-                            Disk::new(
-                                Box::new(MemBackend::new()),
-                                pbitree_storage::CostModel::default(),
-                            ),
-                            buffer,
-                        ),
-                        shape,
-                    )
-                    .io(io_options(args.readahead))
-                    .compression(compress)
-                    .threads(threads)
-                    .sharding(Sharding::new(shards));
-                    if let Some(tr) = pbitree_bench::harness::tracer() {
-                        builder = builder.tracer(tr);
-                    }
-                    let store = ShardedStore::from_ctx(&builder.build());
-                    let af = store
-                        .load(
-                            ShardRole::Ancestor,
-                            a.iter().map(|&(c, tg)| Element::new(c, tg)),
-                        )
-                        .unwrap();
-                    let df = store
-                        .load(
-                            ShardRole::Descendant,
-                            d.iter().map(|&(c, tg)| Element::new(c, tg)),
-                        )
-                        .unwrap();
-                    store.evict_all().unwrap();
-                    let start = std::time::Instant::now();
-                    let mut sink = CollectSink::default();
-                    let stats = store.join(algo, &af, &df, &mut sink).unwrap();
-                    let wall = start.elapsed().as_secs_f64();
-                    let pairs = sink.canonical();
-                    let sim_max = stats.sim_disk_max_secs();
-                    match &base {
-                        None => base = Some((pairs, sim_max)),
-                        Some((pairs0, sim1)) => {
-                            assert_eq!(
-                                &pairs, pairs0,
-                                "{algo}/t{threads}/compress={compress}: \
-                                 {shards} shards changed the result"
-                            );
-                            if shards == 4 {
-                                assert!(
-                                    sim_max <= 0.5 * sim1,
-                                    "{algo}/t{threads}/compress={compress}: 4-shard sim \
-                                     {sim_max:.6}s > 0.5x the 1-shard {sim1:.6}s"
-                                );
-                            }
-                        }
-                    }
-                    t.row(vec![
-                        algo.to_string(),
-                        threads.to_string(),
-                        compress.to_string(),
-                        shards.to_string(),
-                        stats.pairs.to_string(),
-                        af.replicated().to_string(),
-                        stats.reads().to_string(),
-                        stats.writes().to_string(),
-                        fmt_secs(sim_max),
-                        fmt_secs(stats.sim_disk_sum_secs()),
-                        fmt_secs(wall),
-                    ]);
-                }
-            }
-        }
-    }
-    t.emit(&args.results_dir, "ablation_shard");
-}
-
 /// `chosen / best`, with `0 / 0` a tie.
 fn regret(chosen: f64, best: f64) -> f64 {
     if best > 0.0 {
@@ -1084,9 +913,6 @@ fn main() {
     }
     if args.selected("shared") {
         shared_study(&args);
-    }
-    if args.selected("shard") {
-        shard_study(&args);
     }
     if args.selected("regret") {
         regret_study(&args);

@@ -4,8 +4,7 @@
 //!   the single/multi-height synthetic datasets;
 //! * (c)/(d) the same on the BENCHMARK (XMark-like) and DBLP workloads;
 //! * (e)/(f) elapsed time vs. relative buffer size `P` on SLLL and MLLL;
-//! * (g)/(h) scalability with dataset size (single/multi-height);
-//! * (s) extension: partition-scheduler speedup vs `--threads`.
+//! * (g)/(h) scalability with dataset size (single/multi-height).
 //!
 //! ```text
 //! cargo run -p pbitree-bench --release --bin fig6 -- --panel a
@@ -96,80 +95,6 @@ fn buffer_panel(name: &str, file: &str, first: Algorithm, args: &CommonArgs) {
         ]);
     }
     t.emit(&args.results_dir, file);
-}
-
-/// Parallel-speedup panel (extension, not in the paper): MHCJ/VPJ wall
-/// time vs the `--threads` fan-out of the partition scheduler. The pool
-/// holds the workload resident while the sizing budget stays at the
-/// paper's scale, so the partitioning plan is unchanged and the curve
-/// isolates CPU scaling (bounded by the host's core count).
-fn speedup_panel(args: &CommonArgs) {
-    use pbitree_joins::element::element_file;
-    use pbitree_joins::{CountSink, JoinCtx};
-    use pbitree_storage::{BufferPool, CostModel, Disk, MemBackend};
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut t = Table::new(
-        &format!("Figure 6 extension: partition-scheduler speedup ({cores} core(s))"),
-        &["algo/dataset", "budget", "threads", "wall(s)", "speedup"],
-    );
-    type JoinFn = fn(
-        &JoinCtx,
-        &pbitree_storage::HeapFile<pbitree_joins::Element>,
-        &pbitree_storage::HeapFile<pbitree_joins::Element>,
-        &mut dyn pbitree_joins::PairSink,
-    ) -> Result<pbitree_joins::JoinStats, pbitree_joins::JoinError>;
-    let runners: [(&str, &str, usize, JoinFn); 2] = [
-        ("MHCJ", "MLLL", 2048, |c, a, d, s| {
-            pbitree_joins::mhcj::mhcj(c, a, d, s)
-        }),
-        ("VPJ", "SLLL", 512, |c, a, d, s| {
-            pbitree_joins::vpj::vpj(c, a, d, s).map(|(st, _)| st)
-        }),
-    ];
-    for (rname, wname, budget, f) in runners {
-        let Some(w) = synthetic_by_name(wname, args.scale.min(0.25)) else {
-            continue;
-        };
-        let mut base = 0.0f64;
-        for threads in [1usize, 2, 4, 8] {
-            let mut builder = JoinCtx::builder(
-                BufferPool::new(
-                    Disk::new(Box::new(MemBackend::new()), CostModel::free()),
-                    8192,
-                ),
-                w.shape,
-            )
-            .threads(threads)
-            .budget(budget);
-            if let Some(t) = pbitree_bench::harness::tracer() {
-                builder = builder.tracer(t);
-            }
-            let ctx = builder.build();
-            let af = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
-            let df = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
-            // Warm pass faults everything resident, then best of three.
-            let mut secs = f64::INFINITY;
-            for _ in 0..4 {
-                let mut sink = CountSink::default();
-                let stats = f(&ctx, &af, &df, &mut sink).expect("join run failed");
-                secs = secs.min(stats.cpu_ns as f64 / 1e9);
-            }
-            if threads == 1 {
-                base = secs;
-            }
-            t.row(vec![
-                format!("{rname}/{wname}"),
-                budget.to_string(),
-                threads.to_string(),
-                fmt_secs(secs),
-                format!("{:.2}x", base / secs),
-            ]);
-        }
-    }
-    t.emit(&args.results_dir, "fig6s");
 }
 
 /// Scalability panel (g)/(h): time per algorithm vs dataset size.
@@ -265,9 +190,6 @@ fn main() {
     }
     if args.selected("h") {
         scalability_panel(true, "fig6h", &args, &cfg);
-    }
-    if args.selected("s") {
-        speedup_panel(&args);
     }
     pbitree_bench::harness::finish_trace(&args.trace);
 }

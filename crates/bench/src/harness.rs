@@ -62,9 +62,6 @@ pub struct ExpConfig {
     pub buffer_pages: usize,
     /// Disk cost model (defaults to the year-2000 HDD).
     pub cost: CostModel,
-    /// Worker threads for the partition joins (1 = sequential, the
-    /// paper's setting; MHCJ/VPJ fan partitions out above that).
-    pub threads: usize,
     /// Declared access pattern for operator scans — `sequential(1)`
     /// disables read-ahead and write batching (the ablation baseline).
     pub io: pbitree_storage::ScanOptions,
@@ -85,7 +82,6 @@ impl Default for ExpConfig {
         ExpConfig {
             buffer_pages: 500,
             cost: CostModel::default(),
-            threads: 1,
             io: pbitree_storage::ScanOptions::default(),
             prune: true,
             compression: pbitree_storage::compress_default(),
@@ -131,7 +127,6 @@ pub fn run_algo(
         ),
         shape,
     )
-    .threads(cfg.threads)
     .io(cfg.io)
     .prune(cfg.prune)
     .compression(cfg.compression);

@@ -142,10 +142,9 @@ pub struct JoinStats {
     /// Page-I/O delta over the whole operator, including any on-the-fly
     /// sorting or index building.
     pub io: IoStats,
-    /// Measured wall-clock time of the operator on its calling thread,
-    /// nanoseconds. Fork-join workers run inside this span — their times
-    /// overlap and are *not* summed here (they live in the trace as task
-    /// spans; see [`crate::trace`]).
+    /// Measured wall-clock time of the operator, nanoseconds. Its tasks
+    /// run inside this interval; the trace breaks it down per task (see
+    /// [`crate::trace`]).
     pub cpu_ns: u64,
     /// Per-phase breakdown, populated when a [`Tracer`] is attached to
     /// the context; empty otherwise. The phases tile the run: their I/O
@@ -194,21 +193,18 @@ impl fmt::Display for JoinStats {
 /// The execution context: a buffer pool (whose capacity is the paper's `b`)
 /// and the PBiTree shape all codes come from.
 ///
-/// The pool is shared (`Arc`) so the partition scheduler in
-/// [`crate::parallel`] can hand the same frame arena to several workers,
-/// each with a *carved* sizing budget: worker contexts report a smaller
-/// [`budget`](JoinCtx::budget) than the pool's capacity, so the sum of all
-/// workers' in-flight pins stays within the global `b`.
+/// The pool is shared (`Arc`) so concurrent queries can run over one frame
+/// arena, each in a [`worker`](JoinCtx::worker) view whose
+/// [`budget`](JoinCtx::budget) is its admission grant: the sum of all
+/// queries' in-flight pins stays within the global `b`.
 pub struct JoinCtx {
     /// The buffer pool; its capacity is the global page budget.
     pub pool: Arc<BufferPool>,
     /// Shape (height `H`) of the PBiTree behind the element codes.
     pub shape: PBiTreeShape,
-    /// Worker threads partition joins may fan out over (1 = sequential,
-    /// exactly the classic behavior).
-    pub threads: usize,
     /// Effective frame budget operators size against. Equals the pool
-    /// capacity except in carved worker contexts.
+    /// capacity except in worker views and under
+    /// [`JoinCtxBuilder::budget`].
     budget: usize,
     /// Span collector, when phase tracing is enabled. `None` (the
     /// default) keeps instrumentation at a single branch per site.
@@ -229,14 +225,12 @@ pub struct JoinCtx {
 }
 
 impl JoinCtx {
-    /// Creates a context over `pool` using its full capacity as the budget
-    /// and `threads = 1`.
+    /// Creates a context over `pool` using its full capacity as the budget.
     pub fn new(pool: BufferPool, shape: PBiTreeShape) -> Self {
         let budget = pool.capacity();
         JoinCtx {
             pool: Arc::new(pool),
             shape,
-            threads: 1,
             budget,
             tracer: None,
             io_opts: ScanOptions::default(),
@@ -265,7 +259,7 @@ impl JoinCtx {
 
     /// Starts a [`JoinCtxBuilder`] over `pool` — the one construction path
     /// for a configured context:
-    /// `JoinCtx::builder(pool, shape).budget(64).threads(4).build()`.
+    /// `JoinCtx::builder(pool, shape).budget(64).prune(false).build()`.
     pub fn builder(pool: BufferPool, shape: PBiTreeShape) -> JoinCtxBuilder {
         JoinCtxBuilder {
             ctx: JoinCtx::new(pool, shape),
@@ -273,7 +267,7 @@ impl JoinCtx {
     }
 
     /// Attaches a span tracer; every operator run through this context
-    /// (and its workers) records phase spans into it.
+    /// (and its worker views) records phase spans into it.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -289,7 +283,7 @@ impl JoinCtx {
     /// enabled for files this context's operators write — partition
     /// files, sort runs, rescan spools. The flag lives on the context's
     /// [`ScanOptions`], so it reaches writers through
-    /// [`write_opts`](JoinCtx::write_opts) and survives worker carving;
+    /// [`write_opts`](JoinCtx::write_opts) and into worker views;
     /// reading is always layout-agnostic (the page header selects the
     /// decode), so flipping it never changes results, only page counts.
     /// Defaults to the once-per-process `PBITREE_COMPRESS` snapshot
@@ -329,9 +323,9 @@ impl JoinCtx {
     }
 
     /// The context's declared I/O options, clamped to its frame budget:
-    /// what operators pass to the scans they open. Carved worker contexts
-    /// clamp against their own (smaller) budget, so per-worker read-ahead
-    /// never outgrows the worker's share of the pool.
+    /// what operators pass to the scans they open. A worker view clamps
+    /// against its own (smaller) budget, so a query's read-ahead never
+    /// outgrows its grant.
     #[inline]
     pub fn read_opts(&self) -> ScanOptions {
         self.io_opts.clamped(self.budget)
@@ -351,21 +345,14 @@ impl JoinCtx {
         self.tracer.as_ref()
     }
 
-    /// A worker view of this context: same pool, shape and tracer,
-    /// sequential, with the given carved frame budget (at least 3 pages —
-    /// the floor any operator needs for an input scan plus reserve).
+    /// A worker view of this context: same pool, shape, tracer and knobs,
+    /// with the given frame budget (at least 3 pages — the floor any
+    /// operator needs for an input scan plus reserve). The query service
+    /// runs each admitted query in one sized to its grant.
     pub fn worker(&self, budget: usize) -> JoinCtx {
-        self.worker_with_threads(budget, 1)
-    }
-
-    /// [`worker`](JoinCtx::worker) with an explicit thread knob — for
-    /// carved contexts that still fan partition joins out (the query
-    /// service sizes a per-grant context this way).
-    pub fn worker_with_threads(&self, budget: usize, threads: usize) -> JoinCtx {
         JoinCtx {
             pool: Arc::clone(&self.pool),
             shape: self.shape,
-            threads: threads.max(1),
             budget: budget.max(3),
             tracer: self.tracer.clone(),
             io_opts: self.io_opts,
@@ -374,17 +361,24 @@ impl JoinCtx {
         }
     }
 
+    /// [`worker`](JoinCtx::worker); the thread count is ignored, since
+    /// every operator runs its tasks on the calling thread.
+    #[doc(hidden)]
+    #[deprecated(note = "operators run their tasks on the calling thread; use `worker`")]
+    pub fn worker_with_threads(&self, budget: usize, _threads: usize) -> JoinCtx {
+        self.worker(budget)
+    }
+
     /// A context over a *different* pool inheriting every knob of `self`
-    /// except the thread and sharding ones: same shape, tracer, I/O
-    /// options and pruning, sequential, with the new pool's full capacity
-    /// as the budget. This is how [`crate::sharded::ShardedStore`] derives
-    /// one per-shard context per independent pool/disk pair.
+    /// except sharding: same shape, tracer, I/O options and pruning, with
+    /// the new pool's full capacity as the budget. This is how
+    /// [`crate::sharded::ShardedStore`] derives one per-shard context per
+    /// independent pool/disk pair.
     pub fn for_pool(&self, pool: BufferPool) -> JoinCtx {
         let budget = pool.capacity();
         JoinCtx {
             pool: Arc::new(pool),
             shape: self.shape,
-            threads: 1,
             budget,
             tracer: self.tracer.clone(),
             io_opts: self.io_opts,
@@ -401,8 +395,8 @@ impl JoinCtx {
     }
 
     /// The frame budget `b` operators size hash tables, sort fan-in and
-    /// partition counts against. The pool capacity, except in carved
-    /// worker contexts where it is the worker's share.
+    /// partition counts against. The pool capacity, except in worker views
+    /// and under [`JoinCtxBuilder::budget`].
     #[inline]
     pub fn budget(&self) -> usize {
         self.budget
@@ -451,7 +445,6 @@ impl JoinCtx {
 /// let shape = PBiTreeShape::new(18).unwrap();
 /// let ctx = JoinCtxBuilder::in_memory(shape, 64)
 ///     .budget(32)
-///     .threads(4)
 ///     .compression(false)
 ///     .build();
 /// assert_eq!(ctx.budget(), 32);
@@ -477,12 +470,6 @@ impl JoinCtxBuilder {
         }
     }
 
-    /// Worker threads partition joins may fan out over (clamped to ≥ 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.ctx.threads = threads.max(1);
-        self
-    }
-
     /// Sizing budget `b` independent of the pool capacity, clamped to
     /// `3..=capacity` — a pool larger than `b` models spare page cache.
     pub fn budget(mut self, budget: usize) -> Self {
@@ -491,7 +478,7 @@ impl JoinCtxBuilder {
     }
 
     /// Attaches a span tracer; every operator run through the built
-    /// context (and its workers) records phase spans into it.
+    /// context (and its worker views) records phase spans into it.
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.ctx.tracer = Some(tracer);
         self
@@ -555,13 +542,11 @@ mod tests {
         let shape = PBiTreeShape::new(10).unwrap();
         let ctx = JoinCtxBuilder::in_memory_free(shape, 16)
             .budget(8)
-            .threads(4)
             .prune(false)
             .compression(true)
             .io(ScanOptions::sequential(2))
             .build();
         assert_eq!(ctx.budget(), 8);
-        assert_eq!(ctx.threads, 4);
         assert!(!ctx.prune());
         // `.io(..)` replaces the options wholesale, like `with_io` did —
         // a compression choice made before it reverts to the fresh

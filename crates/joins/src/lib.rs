@@ -16,14 +16,12 @@
 //! | [`stacktree`] | Stack-Tree-Desc (sorted on the fly) | \[1\] adapted | sorted inputs |
 //! | [`adb`] | Anc_Des_B+ with skip probes | \[4\] adapted | sorted + indexed |
 //! | [`planner`] | the Table-1 algorithm-selection framework | Table 1 | — |
-//! | [`parallel`] | the fork-join scheduler behind MHCJ, VPJ and sharded joins | — | — |
+//! | [`sharded`] | one join task per region-range shard, each over its own pool | — | — |
 //!
-//! [`mhcj::mhcj`] and [`vpj::vpj`] are unions of independent sub-joins and
-//! run them through one fork-join scheduler ([`parallel`]):
-//! [`JoinCtx::threads`] is its worker count. One worker runs the tasks in
-//! order on the calling thread; more fan them out over scoped threads
-//! sharing the one buffer pool, with the frame budget carved across
-//! workers and outputs merged deterministically.
+//! [`mhcj::mhcj`], [`vpj::vpj`] and sharded joins are unions of
+//! independent sub-joins. They run them as tasks of one loop: in index
+//! order on the calling thread, each under a task span ([`trace`]),
+//! emitting straight into the caller's sink.
 //!
 //! Every algorithm reports [`JoinStats`]: result pairs, rollup false hits,
 //! and the I/O delta (page counts + simulated disk time) measured across
@@ -45,7 +43,6 @@ pub mod inljn;
 pub mod memjoin;
 pub mod mhcj;
 pub mod naive;
-pub mod parallel;
 pub mod planner;
 pub mod rollup;
 pub mod sharded;

@@ -11,9 +11,9 @@ use pbitree_storage::{HeapFile, HeapWriter, TempFile};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
-use crate::parallel::fork_join_carved;
 use crate::shcj::shcj_inner;
 use crate::sink::PairSink;
+use crate::trace::for_each_task;
 
 /// Partitions `a` by node height. Returns the partitions in ascending
 /// height order; each deletes its file when dropped.
@@ -56,8 +56,8 @@ pub fn height_count(ctx: &JoinCtx, a: &HeapFile<Element>) -> Result<usize, JoinE
 }
 
 /// MHCJ: horizontal (height) partitioning, then one SHCJ task per
-/// partition fork-joined over `ctx.threads` workers (a single partition is
-/// Algorithm 3's line 2: SHCJ directly).
+/// partition in ascending height order (a single partition is Algorithm
+/// 3's line 2: SHCJ directly).
 pub fn mhcj(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
@@ -68,18 +68,13 @@ pub fn mhcj(
         // Partitioning is one sequential input pass; the joins behind it
         // dominate (`5‖A‖ + 3k‖D‖`).
         let parts = ctx.phase("partition", || partition_by_height(ctx, a))?;
-        // The scheduling thread blocks inside the fork-join, so every
-        // worker's I/O lands inside this phase's counter interval.
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
-            fork_join_carved(
-                ctx,
-                ctx.threads,
-                parts.iter().collect(),
-                sink,
-                |wctx, part, out| shcj_inner(wctx, part, d, out).map(|(p, _)| p),
-                |p| pairs += p,
-            )?;
+            for_each_task(parts.iter().map(|part| (ctx, part)), |ctx, part| {
+                let (p, _) = shcj_inner(ctx, part, d, sink)?;
+                pairs += p;
+                Ok(p)
+            })?;
             Ok((pairs, 0))
         })
         // `parts` drop here, after the last task, on success and error.

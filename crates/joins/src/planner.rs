@@ -181,7 +181,7 @@ pub fn execute(
 }
 
 /// [`plan_and_execute`] per shard: each shard consults Table 1 with its
-/// *own* slice sizes and carved budget, so shards may legitimately run
+/// *own* slice sizes and pool budget, so shards may legitimately run
 /// different algorithms (the chosen row per shard is reported in
 /// [`ShardedStats::algos`](crate::sharded::ShardedStats::algos)); the
 /// result set is the same under any choice.

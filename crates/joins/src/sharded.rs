@@ -1,11 +1,13 @@
-//! Region-range sharding: independent buffer pools joined fork-join style.
+//! Region-range sharding: independent buffer pools, one join task per
+//! shard.
 //!
 //! [`ShardedStore`] range-partitions element heap files (and their zone
 //! maps) by PBiTree region start across `N`
 //! independent [`BufferPool`]s — each over its **own simulated disk with
 //! its own cost-model clock** — so the simulated time of a sharded join
 //! is the *max* over shards, not the sum: the model of `N` spindles (or
-//! machines) working in parallel.
+//! machines) working side by side. The shards execute one after another;
+//! the clocks, not the schedule, model the spindles.
 //!
 //! The placement discipline mirrors VPJ's one-sided replication:
 //!
@@ -18,12 +20,11 @@
 //! ancestor is present wherever such a descendant is owned — and because
 //! the descendant is owned by exactly one shard, every result pair
 //! materializes in **exactly one** shard. The merge therefore needs no
-//! dedup: a sharded join is `parallel::fork_join` over one task
-//! per shard, each in its shard's own context — the scheduler MHCJ and VPJ
-//! use, with its ascending-order merge and lowest-index-error rule — and
-//! the merged pair *set* is byte-identical to the single-pool plan. With
-//! one shard and one thread it *is* the single-pool plan: the shard's
-//! operator runs on the calling thread and emits into the caller's sink.
+//! dedup: a sharded join runs one task per shard in ascending shard
+//! order, each in its shard's own context and emitting straight into the
+//! caller's sink — the task loop MHCJ and VPJ use, with its
+//! first-error-wins rule — and the merged pair *set* is byte-identical to
+//! the single-pool plan. With one shard it *is* the single-pool plan.
 //!
 //! Sharding is declared with [`Sharding`] through
 //! [`crate::JoinCtxBuilder::sharding`]; [`ShardedStore::from_ctx`] builds
@@ -38,10 +39,10 @@ use pbitree_storage::{
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
-use crate::parallel::fork_join;
 use crate::planner::Algorithm;
-use crate::sink::{CollectSink, CountSink, MultiSink, PairSink};
+use crate::sink::{MultiSink, PairSink};
 use crate::stacktree::SortPolicy;
+use crate::trace::for_each_task;
 
 /// Declarative sharding config, threaded through
 /// [`crate::JoinCtxBuilder::sharding`] to [`ShardedStore::from_ctx`].
@@ -143,7 +144,8 @@ impl ShardedStats {
     }
 
     /// Simulated disk time of the sharded run: the **max** over the
-    /// shards' independent disk clocks — the fork-join completion time.
+    /// shards' independent disk clocks — the completion time of `N`
+    /// spindles working side by side.
     pub fn sim_disk_max_secs(&self) -> f64 {
         self.per_shard
             .iter()
@@ -174,8 +176,6 @@ pub struct ShardedStore {
     /// One context per shard: own pool over its own disk/clock, same
     /// shape / I/O options / pruning / tracer as the prototype.
     ctxs: Vec<JoinCtx>,
-    /// Fork-join worker threads (the prototype's `threads` knob).
-    threads: usize,
 }
 
 impl ShardedStore {
@@ -210,11 +210,7 @@ impl ShardedStore {
             .into_iter()
             .map(|d| proto.for_pool(BufferPool::new(d, frames)))
             .collect();
-        ShardedStore {
-            plan,
-            ctxs,
-            threads: proto.threads,
-        }
+        ShardedStore { plan, ctxs }
     }
 
     /// Number of shards.
@@ -296,12 +292,11 @@ impl ShardedStore {
         })
     }
 
-    /// Runs one containment join fork-join across the shards: shard `i`
-    /// executes `algo` over its slice of `a` and `d` through its own
-    /// pool, outputs are replayed into `sink` in ascending shard order,
-    /// and the first (lowest-shard-index) error wins, exactly like the
-    /// single-pool partition scheduler. The merged pair set is identical
-    /// to running `algo` unsharded.
+    /// Runs one containment join across the shards: shard `i` executes
+    /// `algo` over its slice of `a` and `d` through its own pool, in
+    /// ascending shard order, emitting into `sink`; the first failing
+    /// shard's error is returned and later shards do not run. The merged
+    /// pair set is identical to running `algo` unsharded.
     pub fn join(
         &self,
         algo: Algorithm,
@@ -324,34 +319,28 @@ impl ShardedStore {
         choose: C,
     ) -> Result<ShardedStats, JoinError>
     where
-        C: Fn(&JoinCtx, usize, &HeapFile<Element>, &HeapFile<Element>) -> (Algorithm, SortPolicy)
-            + Sync,
+        C: Fn(&JoinCtx, usize, &HeapFile<Element>, &HeapFile<Element>) -> (Algorithm, SortPolicy),
     {
         assert_eq!(a.files.len(), self.shards(), "file sharded elsewhere");
         assert_eq!(d.files.len(), self.shards(), "file sharded elsewhere");
         let mut stats = ShardedStats::default();
-        fork_join(
-            self.threads,
-            (0..self.shards()).collect(),
-            |i| &self.ctxs[i],
-            sink,
-            |wctx, i: usize, out| {
-                let (af, df) = (&a.files[i], &d.files[i]);
-                let (algo, policy) = choose(wctx, i, af, df);
-                crate::planner::execute(wctx, algo, af, df, policy, out).map(|stats| (algo, stats))
-            },
-            |(algo, shard)| stats.push(algo, shard),
-        )?;
+        for_each_task(self.ctxs.iter().zip(0..), |ctx, i| {
+            let (af, df) = (&a.files[i], &d.files[i]);
+            let (algo, policy) = choose(ctx, i, af, df);
+            let shard = crate::planner::execute(ctx, algo, af, df, policy, sink)?;
+            let pairs = shard.pairs;
+            stats.push(algo, shard);
+            Ok(pairs)
+        })?;
         Ok(stats)
     }
 
-    /// Runs a [`crate::QueryBatch`]-style shared multi-query scan
-    /// fork-join across the shards: each shard builds a batch from the
-    /// queries' ancestors clipped to its region range and makes **one**
-    /// pass over its shard of the (doc-ordered, descendant-role) file
-    /// `d`; per-query outputs merge in ascending shard order through
-    /// `sinks`. Every query's pair set is identical to the unsharded
-    /// batch (and to its serial run).
+    /// Runs a [`crate::QueryBatch`]-style shared multi-query scan across
+    /// the shards: each shard builds a batch from the queries' ancestors
+    /// clipped to its region range and makes **one** pass over its shard
+    /// of the (doc-ordered, descendant-role) file `d`, emitting into
+    /// `sinks` in ascending shard order. Every query's pair set is
+    /// identical to the unsharded batch (and to its serial run).
     pub fn shared_scan(
         &self,
         queries: &[Vec<Element>],
@@ -361,45 +350,24 @@ impl ShardedStore {
         assert_eq!(sinks.len(), queries.len(), "one sink per batched query");
         assert_eq!(d.files.len(), self.shards(), "file sharded elsewhere");
         let mut stats = ShardedStats::default();
-        // Pairs travel per query inside the task results; the scheduler's
-        // own (single) sink stays unused.
-        fork_join(
-            self.threads,
-            (0..self.shards()).collect(),
-            |i| &self.ctxs[i],
-            &mut CountSink::default(),
-            |wctx, i: usize, _out| {
-                let (lo, hi) = self.plan.range(i);
-                let mut qb = crate::QueryBatch::new();
-                for q in queries {
-                    // Clip each ancestor set to the shard's envelope —
-                    // the in-memory equivalent of ancestor replication.
-                    qb.add(
-                        q.iter()
-                            .filter(|e| e.end() >= lo && e.start() <= hi)
-                            .copied()
-                            .collect(),
-                    );
-                }
-                let mut collected: Vec<CollectSink> =
-                    (0..queries.len()).map(|_| CollectSink::default()).collect();
-                let mut ms = MultiSink::new();
-                for s in &mut collected {
-                    ms.push(s);
-                }
-                let shard = qb.execute(wctx, &d.files[i], &mut ms)?;
-                drop(ms);
-                Ok((shard, collected))
-            },
-            |(shard, per_query)| {
-                for (q, collected) in per_query.into_iter().enumerate() {
-                    for (ae, de) in collected.pairs {
-                        sinks.emit_to(q, ae, de);
-                    }
-                }
-                stats.push(Algorithm::SharedScan, shard);
-            },
-        )?;
+        for_each_task(self.ctxs.iter().zip(0..), |ctx, i| {
+            let (lo, hi) = self.plan.range(i);
+            let mut qb = crate::QueryBatch::new();
+            for q in queries {
+                // Clip each ancestor set to the shard's envelope — the
+                // in-memory equivalent of ancestor replication.
+                qb.add(
+                    q.iter()
+                        .filter(|e| e.end() >= lo && e.start() <= hi)
+                        .copied()
+                        .collect(),
+                );
+            }
+            let shard = qb.execute(ctx, &d.files[i], sinks)?;
+            let pairs = shard.pairs;
+            stats.push(Algorithm::SharedScan, shard);
+            Ok(pairs)
+        })?;
         Ok(stats)
     }
 }
@@ -439,9 +407,8 @@ mod tests {
         v
     }
 
-    fn proto(shards: usize, threads: usize, b: usize) -> JoinCtx {
+    fn proto(shards: usize, b: usize) -> JoinCtx {
         JoinCtxBuilder::in_memory_free(shape(), b)
-            .threads(threads)
             .sharding(Sharding::new(shards))
             .build()
     }
@@ -472,42 +439,89 @@ mod tests {
             let expect = reference.canonical();
             assert!(!expect.is_empty(), "workload must produce matches");
             for shards in [1usize, 2, 4, 8] {
-                for threads in [1usize, 4] {
-                    let store = ShardedStore::from_ctx(&proto(shards, threads, 64));
-                    let a = store
-                        .load(ShardRole::Ancestor, ancs.iter().copied())
-                        .unwrap();
-                    let d = store
-                        .load(ShardRole::Descendant, descs.iter().copied())
-                        .unwrap();
-                    let mut sink = CollectSink::default();
-                    let stats = store.join(algo, &a, &d, &mut sink).unwrap();
+                let store = ShardedStore::from_ctx(&proto(shards, 64));
+                let a = store
+                    .load(ShardRole::Ancestor, ancs.iter().copied())
+                    .unwrap();
+                let d = store
+                    .load(ShardRole::Descendant, descs.iter().copied())
+                    .unwrap();
+                let mut sink = CollectSink::default();
+                let stats = store.join(algo, &a, &d, &mut sink).unwrap();
+                assert_eq!(
+                    sink.canonical(),
+                    expect,
+                    "{algo} diverged at {shards} shards"
+                );
+                assert_eq!(stats.pairs as usize, expect.len());
+                assert_eq!(stats.per_shard.len(), shards);
+                assert_eq!(store.pinned_frames(), 0);
+                if shards == 1 {
+                    // One shard *is* the single-pool plan: same emission
+                    // order, same page I/O.
+                    assert_eq!(sink.pairs, reference.pairs, "{algo}: 1-shard pair order");
                     assert_eq!(
-                        sink.canonical(),
-                        expect,
-                        "{algo} diverged at {shards} shards / {threads} threads"
+                        store.ctx(0).pool.io_stats(),
+                        reference_io,
+                        "{algo}: 1-shard I/O counters"
                     );
-                    assert_eq!(stats.pairs as usize, expect.len());
-                    assert_eq!(stats.per_shard.len(), shards);
-                    assert_eq!(store.pinned_frames(), 0);
-                    if (shards, threads) == (1, 1) {
-                        // One shard on one worker *is* the single-pool
-                        // plan: same emission order, same page I/O.
-                        assert_eq!(sink.pairs, reference.pairs, "{algo}: 1x1 pair order");
-                        assert_eq!(
-                            store.ctx(0).pool.io_stats(),
-                            reference_io,
-                            "{algo}: 1x1 I/O counters"
-                        );
-                    }
                 }
+            }
+        }
+    }
+
+    /// The `N`-spindle model on the default cost model: with the total
+    /// frame count held constant, 4 shards finish the join's disk work —
+    /// the max over the shards' independent clocks — in at most half the
+    /// single-shard time, packed pages off and on.
+    #[test]
+    fn four_shards_at_most_halve_simulated_disk_time() {
+        // Every shard pays two first-page seeks (20 ms); the descendant
+        // scan must dwarf that even packed, hence H = 20 and 400k leaves
+        // spread evenly over the span, under 2000 ancestors at heights 3-7.
+        let shape = PBiTreeShape::new(20).unwrap();
+        let (leaves, n) = (1u64 << 19, 400_000u64);
+        let descs: Vec<Element> = (0..n)
+            .map(|i| Element::new(2 * (i * leaves / n) + 1, 1))
+            .collect();
+        let ancs: Vec<Element> = (3..8u32)
+            .flat_map(|h| {
+                let slots = 1u64 << (19 - h);
+                (0..400).map(move |j| Element::new((2 * (j * slots / 400) + 1) << h, 0))
+            })
+            .collect();
+        for compress in [false, true] {
+            let load = |shards| {
+                let store = ShardedStore::from_ctx(
+                    &JoinCtxBuilder::in_memory(shape, 256)
+                        .compression(compress)
+                        .sharding(Sharding::new(shards))
+                        .build(),
+                );
+                let a = store.load(ShardRole::Ancestor, ancs.iter().copied());
+                let d = store.load(ShardRole::Descendant, descs.iter().copied());
+                (store, a.unwrap(), d.unwrap())
+            };
+            let (one, four) = (load(1), load(4));
+            for algo in [Algorithm::MhcjRollup, Algorithm::Vpj] {
+                let sim = |(store, a, d): &(ShardedStore, ShardedFile, ShardedFile)| {
+                    store.evict_all().unwrap();
+                    let mut sink = crate::sink::CountSink::default();
+                    let stats = store.join(algo, a, d, &mut sink).unwrap();
+                    stats.sim_disk_max_secs()
+                };
+                let (one, four) = (sim(&one), sim(&four));
+                assert!(
+                    four <= 0.5 * one,
+                    "{algo} compress={compress}: 4-shard sim {four:.4}s > 0.5x the 1-shard {one:.4}s"
+                );
             }
         }
     }
 
     #[test]
     fn descendants_are_stored_once_ancestors_replicate_on_overlap() {
-        let store = ShardedStore::from_ctx(&proto(4, 1, 64));
+        let store = ShardedStore::from_ctx(&proto(4, 64));
         let descs = doc_sorted(uniform_codes(2000, &[0, 1], 0xBEE));
         let d = store
             .load(ShardRole::Descendant, descs.iter().copied())
@@ -534,7 +548,7 @@ mod tests {
         let expect = unsharded(Algorithm::MhcjRollup, &ancs, &descs)
             .0
             .canonical();
-        let store = ShardedStore::from_ctx(&proto(4, 2, 64));
+        let store = ShardedStore::from_ctx(&proto(4, 64));
         let a = store
             .load(ShardRole::Ancestor, ancs.iter().copied())
             .unwrap();
@@ -579,7 +593,7 @@ mod tests {
             qb.execute(&ctx, &d1, &mut ms).unwrap();
         }
         for shards in [2usize, 4] {
-            let store = ShardedStore::from_ctx(&proto(shards, 4, 64));
+            let store = ShardedStore::from_ctx(&proto(shards, 64));
             let d = store
                 .load(ShardRole::Descendant, descs.iter().copied())
                 .unwrap();

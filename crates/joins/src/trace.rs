@@ -4,9 +4,8 @@
 //! algorithm — partitioning, sorting, building, probing, merging — not just
 //! to whole runs. This module adds that attribution without any external
 //! dependency: a [`Tracer`] collects [`SpanRecord`]s, operators wrap their
-//! phases in [`JoinCtx::phase`] / [`JoinCtx::phase_counted`], and the
-//! fork-join scheduler records one span per task — at every worker count,
-//! so a trace has one shape whatever `threads` is.
+//! phases in [`JoinCtx::phase`] / [`JoinCtx::phase_counted`], and the task
+//! loop behind MHCJ, VPJ and sharded joins records one span per task.
 //!
 //! # Span model
 //!
@@ -16,23 +15,21 @@
 //!   the operator name, its total I/O / pool / CPU deltas, and the id of
 //!   the enclosing run when operators nest (VPJ's rollup fallback runs
 //!   MHCJ+Rollup as a sub-operator).
-//! * **phase** — a named section of a run, recorded on the thread that
-//!   opened the run. Phases recorded directly under the run (not inside a
-//!   worker task, not nested in another phase) are **tiled**: they are
-//!   consecutive intervals of the run, and `measure_op` closes the run
-//!   with a synthetic `"other"` phase holding the remainder, so the
-//!   per-phase I/O deltas of a run's tiled phases sum *exactly* to the
-//!   run's total I/O delta — at any worker count, because all snapshots
-//!   diff the same monotone global counters on one thread.
-//! * **task** — one task of a `parallel::fork_join`, on whichever
-//!   worker ran it (the calling thread when there is one worker). Carries
-//!   the worker-measured CPU time and the pairs the task emitted. Its
-//!   counter deltas are global (concurrent tasks overlap), so task spans
-//!   are never tiled and never enter a [`JoinStats`] phase breakdown;
-//!   they exist so per-worker times survive in the trace instead of being
-//!   mis-summed into the operator's wall-clock. A fork-join nested inside
-//!   a task (VPJ's recursion) records no spans of its own: its work is
-//!   part of the enclosing task's span.
+//! * **phase** — a named section of a run. Phases recorded directly under
+//!   the run (not inside a task, not nested in another phase) are
+//!   **tiled**: they are consecutive intervals of the run, and
+//!   `measure_op` closes the run with a synthetic `"other"` phase holding
+//!   the remainder, so the per-phase I/O deltas of a run's tiled phases
+//!   sum *exactly* to the run's total I/O delta, because all snapshots
+//!   diff the same monotone counters on the run's thread.
+//! * **task** — one task of an operator's task loop (`for_each_task`):
+//!   an MHCJ height partition, a VPJ group or recursion, one shard of a
+//!   sharded join. Carries the task's CPU time and the pairs it emitted.
+//!   Tasks run inside their operator's `probe` phase, so task spans are
+//!   never tiled and never enter a [`JoinStats`] phase breakdown; they
+//!   break that phase down per task. A task loop nested inside a task
+//!   (VPJ's recursion) records no spans of its own: its work is part of
+//!   the enclosing task's span.
 //!
 //! # Overhead
 //!
@@ -71,7 +68,6 @@ use std::time::Instant;
 use pbitree_storage::{IoStats, PoolStats, StatsSnapshot};
 
 use crate::context::{JoinCtx, JoinError, JoinStats, PhaseStat};
-use crate::sink::{PairSink, SinkExt};
 
 /// Version stamped into every JSONL line as `"v"`.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -94,7 +90,7 @@ pub enum SpanKind {
     Run,
     /// A named section of a run.
     Phase,
-    /// One partition task on a scheduler worker.
+    /// One task of an operator's task loop.
     Task,
 }
 
@@ -305,11 +301,10 @@ fn current_run() -> Option<u64> {
     FRAMES.with(|f| f.borrow().last().map(|fr| fr.run))
 }
 
-/// The run a fork-join started on this thread attaches its task spans to:
-/// the current run, unless the thread is already inside a task (a nested
-/// fork-join is part of that task's span). The scheduler captures this
-/// *on the scheduling thread* and hands it to its workers.
-pub(crate) fn task_parent() -> Option<u64> {
+/// The run a task loop attaches its task spans to: the current run,
+/// unless the loop itself runs inside a task (a nested loop is part of
+/// that task's span).
+fn task_parent() -> Option<u64> {
     FRAMES.with(|f| {
         let frames = f.borrow();
         frames
@@ -362,11 +357,9 @@ impl JoinCtx {
     /// `"other"` phase for whatever the named phases did not cover, so the
     /// breakdown tiles the run exactly.
     ///
-    /// `cpu_ns` of the result is the wall-clock of this call on the
-    /// calling thread. Fork-join workers run *inside* that interval; their
-    /// per-task times are task spans in the trace and are deliberately not
-    /// summed here (summing would double-count overlapped time — see
-    /// `DESIGN.md`, Observability).
+    /// `cpu_ns` of the result is the wall-clock of this call. The
+    /// operator's tasks run inside that interval; their task spans break
+    /// it down and are never added to it.
     pub fn measure_op<F>(&self, op: &'static str, body: F) -> Result<JoinStats, JoinError>
     where
         F: FnOnce() -> Result<(u64, u64), JoinError>,
@@ -499,8 +492,8 @@ impl JoinCtx {
             run,
             parent: None,
             task,
-            // Only top-level phases on the run's own (scheduling) thread
-            // tile the run; see the module docs.
+            // Only top-level phases outside any task tile the run; see
+            // the module docs.
             tiled: task.is_none() && depth == 0,
             name,
             pairs,
@@ -513,26 +506,41 @@ impl JoinCtx {
     }
 }
 
-/// Runs one fork-join task body under a task span attached to `parent`
-/// (see [`task_parent`]). Establishes the frame so spans recorded inside
-/// the task nest correctly, then records the task span with the
-/// worker-measured time and the pairs the body emitted into `sink`.
-/// Untraced (or with no parent run) this is exactly `f(sink)`.
-pub(crate) fn in_task<T>(
+/// Runs `tasks` in index order on the calling thread: each runs
+/// `run(ctx, task)` under its task span, emits into whatever sink `run`
+/// captured, and returns the pairs it emitted. The first error stops the
+/// loop and is returned; tasks before it have delivered their pairs, and
+/// the tasks after it are dropped (with their files) unrun. MHCJ's height
+/// partitions, VPJ's groups and a sharded store's shards all run here.
+pub(crate) fn for_each_task<'c, T>(
+    tasks: impl IntoIterator<Item = (&'c JoinCtx, T)>,
+    mut run: impl FnMut(&'c JoinCtx, T) -> Result<u64, JoinError>,
+) -> Result<(), JoinError> {
+    let parent = task_parent();
+    for (i, (ctx, task)) in tasks.into_iter().enumerate() {
+        in_task(ctx, parent, i as u64, || run(ctx, task))?;
+    }
+    Ok(())
+}
+
+/// Runs one task body under a task span attached to `parent` (see
+/// [`task_parent`]). Establishes the frame so spans recorded inside the
+/// task nest correctly, then records the task span with its time and the
+/// pair count the body returned. Untraced (or with no parent run) this is
+/// exactly `f()`.
+fn in_task(
     ctx: &JoinCtx,
     parent: Option<u64>,
     task: u64,
-    sink: &mut dyn PairSink,
-    f: impl FnOnce(&mut dyn PairSink) -> T,
-) -> T {
+    f: impl FnOnce() -> Result<u64, JoinError>,
+) -> Result<u64, JoinError> {
     let (Some(tracer), Some(run)) = (ctx.tracer(), parent) else {
-        return f(sink);
+        return f();
     };
-    let mut sink = sink.counted();
     push_frame(run, Some(task));
     let before = ctx.pool.stats_snapshot();
     let t0 = Instant::now();
-    let out = f(&mut sink);
+    let out = f();
     let cpu_ns = t0.elapsed().as_nanos() as u64;
     let delta = ctx.pool.stats_snapshot().since(&before);
     pop_frame();
@@ -544,7 +552,7 @@ pub(crate) fn in_task<T>(
         task: Some(task),
         tiled: false,
         name: "task",
-        pairs: sink.count,
+        pairs: *out.as_ref().unwrap_or(&0),
         false_hits: 0,
         cpu_ns,
         io: delta.io,
@@ -663,6 +671,53 @@ mod tests {
         assert_eq!(outer.parent, None);
         assert_eq!(inner.parent, Some(outer.run));
         assert_ne!(inner.run, outer.run);
+    }
+
+    /// The degenerate schedules are inputs of the same loop: 0 tasks, 1
+    /// task, several, and an error mid-list — one delivered-prefix rule.
+    #[test]
+    fn every_schedule_delivers_the_same_ordered_prefix() {
+        use crate::element::Element;
+        use crate::sink::{CollectSink, PairSink};
+        let c = JoinCtx::in_memory_free(PBiTreeShape::new(12).unwrap(), 16);
+        // Runs `n` tasks that each emit their index; tasks at `fail_from`
+        // and beyond fail with their index. Returns the emitted indices,
+        // how many task bodies ran, and the loop's result.
+        let schedule = |n: u64, fail_from: u64| {
+            let mut sink = CollectSink::default();
+            let mut ran = 0u64;
+            let res = for_each_task((0..n).map(|i| (&c, i)), |_, i| {
+                ran += 1;
+                if i >= fail_from {
+                    return Err(JoinError::NotSingleHeight {
+                        expected: 0,
+                        found: i as u32,
+                    });
+                }
+                sink.emit(Element::new(2 * i + 16, 0), Element::new(1, 1));
+                Ok(1)
+            });
+            let emitted = sink.pairs.iter().map(|(a, _)| (a.code.get() - 16) / 2);
+            (emitted.collect::<Vec<_>>(), ran, res)
+        };
+        for n in [0u64, 1, 3, 8] {
+            let (emitted, ran, res) = schedule(n, u64::MAX);
+            assert_eq!(res, Ok(()), "n={n}");
+            assert_eq!(emitted, (0..n).collect::<Vec<_>>(), "n={n}: sink order");
+            assert_eq!(ran, n);
+        }
+        // Tasks 3.. fail: 0..3 are delivered, task 3's error is returned,
+        // and the tasks after it never run.
+        let (emitted, ran, res) = schedule(6, 3);
+        assert_eq!(emitted, [0, 1, 2]);
+        assert_eq!(ran, 4);
+        assert_eq!(
+            res,
+            Err(JoinError::NotSingleHeight {
+                expected: 0,
+                found: 3
+            })
+        );
     }
 
     #[test]

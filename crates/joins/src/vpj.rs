@@ -28,11 +28,10 @@
 //! out (same-subtree skew), MHCJ+Rollup — which has no memory
 //! precondition — finishes the job.
 //!
-//! **One body at every thread count.** A partitioning level never joins
-//! its groups itself: it returns them as `VpjTask`s, and
-//! `parallel::fork_join` runs them — over `ctx.threads` workers at
-//! the top level, on one worker inside a recursing task. The sequential
-//! plan is that scheduler's one-worker schedule.
+//! **Tasks.** A partitioning level never joins its groups itself: it
+//! returns them as `VpjTask`s, and the task loop
+//! (`trace::for_each_task`) runs them in order, each under its task span.
+//! A recursing task runs its own level's tasks through the same loop.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -41,9 +40,9 @@ use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::memjoin::{RolledAncestors, SortedDescendants};
-use crate::parallel::fork_join_carved;
 use crate::rollup;
 use crate::sink::PairSink;
+use crate::trace::for_each_task;
 
 /// Frames reserved for scan/output while a memory join holds one side.
 const RESERVE: usize = 2;
@@ -66,26 +65,14 @@ pub struct VpjReport {
     pub fallbacks: u64,
 }
 
-impl VpjReport {
-    /// Folds a task's partial report into this one (all counters add).
-    fn absorb(&mut self, o: &VpjReport) {
-        self.replicated_tuples += o.replicated_tuples;
-        self.partitions += o.partitions;
-        self.purged += o.purged;
-        self.groups += o.groups;
-        self.recursions += o.recursions;
-        self.fallbacks += o.fallbacks;
-    }
-}
-
 /// A partition file: deleted when its owner — a partition map, a task, or
 /// an error unwinding past either — drops it.
 type Part<'a> = TempFile<'a, HeapFile<Element>>;
 
 /// One unit of work a partitioning level leaves behind, in the order the
 /// plan executes them. Tasks own their files: a task that ran, failed or
-/// was never claimed deletes them all the same.
-pub(crate) enum VpjTask<'a> {
+/// never ran deletes them all the same.
+enum VpjTask<'a> {
     /// A merged group satisfying the memory-join precondition.
     Group {
         /// Partitioning level the group was formed at.
@@ -109,7 +96,7 @@ pub(crate) enum VpjTask<'a> {
 }
 
 /// Executes one task, emitting into `sink`. Returns `(pairs, false_hits)`.
-pub(crate) fn execute_task(
+fn execute_task(
     ctx: &JoinCtx,
     task: VpjTask<'_>,
     sink: &mut dyn PairSink,
@@ -131,17 +118,15 @@ pub(crate) fn execute_task(
             let (base, tasks) = vpj_rec(ctx, &a, &d, window, min_level, depth, sink, report)?;
             // The partition is spent once its own partitions exist.
             drop((a, d));
-            run_tasks(ctx, 1, base, tasks, sink, report)
+            run_tasks(ctx, base, tasks, sink, report)
         }
     }
 }
 
-/// Fork-joins one level's tasks over `threads` workers, adding their
-/// counts to the level's inline `base` counts and their reports to
-/// `report`.
+/// Runs one level's tasks in order, adding their counts to the level's
+/// inline `base` counts.
 fn run_tasks(
     ctx: &JoinCtx,
-    threads: usize,
     base: (u64, u64),
     tasks: Vec<VpjTask<'_>>,
     sink: &mut dyn PairSink,
@@ -149,21 +134,12 @@ fn run_tasks(
 ) -> Result<(u64, u64), JoinError> {
     let (p, f) = ctx.phase_counted("probe", || {
         let (mut p, mut f) = (0u64, 0u64);
-        fork_join_carved(
-            ctx,
-            threads,
-            tasks,
-            sink,
-            |wctx, task, out| {
-                let mut rep = VpjReport::default();
-                execute_task(wctx, task, out, &mut rep).map(|(p, f)| (p, f, rep))
-            },
-            |(tp, tf, rep)| {
-                p += tp;
-                f += tf;
-                report.absorb(&rep);
-            },
-        )?;
+        for_each_task(tasks.into_iter().map(|task| (ctx, task)), |ctx, task| {
+            let (tp, tf) = execute_task(ctx, task, sink, report)?;
+            p += tp;
+            f += tf;
+            Ok(tp)
+        })?;
         Ok((p, f))
     })?;
     Ok((base.0 + p, base.1 + f))
@@ -181,7 +157,7 @@ pub fn vpj(
     let stats = ctx.measure_op("vpj", || {
         let window = (1u64, ctx.shape.node_count());
         let (base, tasks) = vpj_rec(ctx, a, d, window, 0, 0, sink, &mut report)?;
-        run_tasks(ctx, ctx.threads, base, tasks, sink, &mut report)
+        run_tasks(ctx, base, tasks, sink, &mut report)
     })?;
     Ok((stats, report))
 }
@@ -480,7 +456,6 @@ fn join_group(
     let h = ctx.shape.height();
     let budget = ctx.budget().saturating_sub(RESERVE).max(1);
     let sum_d: u32 = gd.iter().map(|f| f.pages()).sum();
-    let sum_a: u32 = ga.iter().map(|f| f.pages()).sum();
     let keep = |member_pos: usize, e: &Element| -> bool {
         let (lo, _) = partition_range(e.code, h, l);
         let prev = if member_pos == 0 {
@@ -493,19 +468,15 @@ fn join_group(
             Some(p) => lo > p,
         }
     };
-    // Group formation guarantees the *minimum* side fits the budget the
-    // group was built against, so sequentially `sum_d > budget` implies A is
-    // the resident side. A carved worker budget can fail the fit check for
-    // both sides; falling back to the smaller side keeps the work identical
-    // to the sequential plan (loading D costs a binary search per ancestor,
-    // loading A an ancestor enumeration per descendant — pick by size).
-    // Each side's scans are clipped by the opposite side's envelope. A
-    // replica dropped by the filter is dropped from *every* member scan
-    // identically, so the keep() dedup stays consistent — a surviving
-    // replica is still kept in exactly one member.
+    // Group formation guarantees one side fits the budget, so
+    // `sum_d > budget` implies A is the resident side. Each side's scans
+    // are clipped by the opposite side's envelope. A replica dropped by
+    // the filter is dropped from *every* member scan identically, so the
+    // keep() dedup stays consistent — a surviving replica is still kept in
+    // exactly one member.
     let a_opts = ctx.overlap_opts(group_envelope(gd));
     let d_opts = ctx.overlap_opts(group_envelope(ga));
-    if (sum_d as usize) <= budget || sum_d <= sum_a {
+    if (sum_d as usize) <= budget {
         // Load D (no replication on that side), stream deduped A.
         let mut dvec = Vec::new();
         for f in gd {
@@ -732,6 +703,60 @@ mod tests {
         assert_eq!(report.partitions, 0, "no partitioning pass expected");
         // 256's region is [1, 511]: contains 1, 3, 255.
         assert_eq!(stats.pairs, 3);
+    }
+
+    #[test]
+    fn empty_inputs_ok() {
+        let c = ctx(16, 8);
+        let a = element_file(&c.pool, std::iter::empty()).unwrap();
+        let d = element_file(&c.pool, [(1u64, 1), (3u64, 1)]).unwrap();
+        let mut sink = CountSink::default();
+        assert_eq!(vpj(&c, &a, &d, &mut sink).unwrap().0.pairs, 0);
+    }
+
+    /// Containment-join bugs hide in empty and single-element partitions:
+    /// an empty height partition and a one-element vertical group go
+    /// through the task loop like any other task.
+    #[test]
+    fn empty_and_single_element_partitions_are_ordinary_tasks() {
+        use pbitree_storage::TempFile;
+        let c = ctx(12, 16);
+        let d = element_file(&c.pool, (1u64..=63).map(|v| (v, 1))).unwrap();
+        // Height partitions of A: one empty, one holding node 16 (height
+        // 4, region [1, 31]).
+        let parts = [
+            element_file(&c.pool, std::iter::empty()).unwrap(),
+            element_file(&c.pool, [(16u64, 0)]).unwrap(),
+        ];
+        let mut sink = CollectSink::default();
+        let mut pairs = 0;
+        for_each_task(parts.iter().map(|part| (&c, part)), |c, part| {
+            let (p, _) = crate::shcj::shcj_inner(c, part, &d, &mut sink)?;
+            pairs += p;
+            Ok(p)
+        })
+        .unwrap();
+        assert_eq!(pairs, 30, "16 contains 1..=31 minus itself");
+        assert_eq!(sink.pairs.len(), 30);
+
+        // A vertical group of one ancestor and one descendant.
+        let temp = |code, tag| {
+            let f = element_file(&c.pool, [(code, tag)]).unwrap();
+            TempFile::new(&c.pool, f.file_id(), f)
+        };
+        let live = c.pool.live_files().len();
+        let group = VpjTask::Group {
+            l: 1,
+            members: vec![0],
+            ga: vec![temp(16, 0)],
+            gd: vec![temp(3, 1)],
+        };
+        let mut sink = CollectSink::default();
+        let mut report = VpjReport::default();
+        run_tasks(&c, (0, 0), vec![group], &mut sink, &mut report).unwrap();
+        assert_eq!(sink.canonical(), [(16, 3)]);
+        assert_eq!(report.groups, 1);
+        assert_eq!(c.pool.live_files().len(), live, "group files are freed");
     }
 
     #[test]

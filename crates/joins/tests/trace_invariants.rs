@@ -3,12 +3,12 @@
 //! * the JSONL schema matches the checked-in golden file and every
 //!   emitted line keeps the schema-v1 key order;
 //! * the tiled per-phase I/O / pool deltas of a run sum *exactly* to the
-//!   run's totals, at any worker count of the fork-join scheduler;
-//! * the run's `cpu_ns` is the scheduling thread's wall-clock and
-//!   per-task times appear only as (untiled) task spans — the same span
-//!   shape at `threads = 1` and `threads = 4`;
+//!   run's totals;
+//! * the run's `cpu_ns` is the operator's wall-clock and per-task times
+//!   appear only as (untiled) task spans, one per task, accounting for
+//!   every pair;
 //! * a corrupt page surfaces as `JoinError::Corrupt` through whole
-//!   operators, including across scheduler workers.
+//!   operators, including out of an operator's task.
 
 use std::sync::Arc;
 
@@ -46,14 +46,8 @@ fn mixed_codes(n: usize, heights: &[u32], seed: u64) -> Vec<u64> {
 
 /// Runs one operator under a fresh tracer and returns its stats plus
 /// every span the tracer captured.
-fn run_traced(
-    f: JoinFn,
-    a: &[u64],
-    d: &[u64],
-    buffer: usize,
-    threads: usize,
-) -> (JoinStats, Vec<SpanRecord>) {
-    let (stats, spans, _) = run_traced_io(f, a, d, buffer, threads, ScanOptions::default());
+fn run_traced(f: JoinFn, a: &[u64], d: &[u64], buffer: usize) -> (JoinStats, Vec<SpanRecord>) {
+    let (stats, spans, _) = run_traced_io(f, a, d, buffer, ScanOptions::default());
     (stats, spans)
 }
 
@@ -64,12 +58,10 @@ fn run_traced_io(
     a: &[u64],
     d: &[u64],
     buffer: usize,
-    threads: usize,
     io: ScanOptions,
 ) -> (JoinStats, Vec<SpanRecord>, u64) {
     let tracer = Arc::new(Tracer::new());
     let ctx = JoinCtxBuilder::in_memory_free(PBiTreeShape::new(H).unwrap(), buffer)
-        .threads(threads)
         .io(io)
         .tracer(Arc::clone(&tracer))
         .build();
@@ -163,11 +155,11 @@ fn operators() -> Vec<(&'static str, JoinFn, &'static [u32])> {
 /// Asserts the core tiling invariant for one traced run: at least two
 /// named phases, and the field-wise sum of the tiled phase deltas equals
 /// the run's total delta exactly.
-fn assert_tiles_exactly(op: &str, threads: usize, stats: &JoinStats, spans: &[SpanRecord]) {
+fn assert_tiles_exactly(op: &str, stats: &JoinStats, spans: &[SpanRecord]) {
     let run = top_run(spans);
-    assert_eq!(run.cpu_ns, stats.cpu_ns, "{op} t={threads}: run cpu_ns");
-    assert_eq!(run.io, stats.io, "{op} t={threads}: run io");
-    assert_eq!(run.pairs, stats.pairs, "{op} t={threads}: run pairs");
+    assert_eq!(run.cpu_ns, stats.cpu_ns, "{op}: run cpu_ns");
+    assert_eq!(run.io, stats.io, "{op}: run io");
+    assert_eq!(run.pairs, stats.pairs, "{op}: run pairs");
     let named: Vec<_> = stats
         .phases
         .iter()
@@ -176,7 +168,7 @@ fn assert_tiles_exactly(op: &str, threads: usize, stats: &JoinStats, spans: &[Sp
         .collect();
     assert!(
         named.len() >= 2,
-        "{op} t={threads}: expected >=2 named phases, got {named:?}"
+        "{op}: expected >=2 named phases, got {named:?}"
     );
     let mut io = IoStats::default();
     let mut pool = PoolStats::default();
@@ -186,15 +178,12 @@ fn assert_tiles_exactly(op: &str, threads: usize, stats: &JoinStats, spans: &[Sp
         pool.absorb(&p.pool);
         cpu += p.cpu_ns;
     }
-    assert_eq!(io, stats.io, "{op} t={threads}: phase io must tile the run");
+    assert_eq!(io, stats.io, "{op}: phase io must tile the run");
     // Field-wise over *all* pool counters, the packed-page ones included.
-    assert_eq!(
-        pool, run.pool,
-        "{op} t={threads}: phase pool deltas must tile the run"
-    );
+    assert_eq!(pool, run.pool, "{op}: phase pool deltas must tile the run");
     // The synthetic "other" phase absorbs total - covered, so the
     // breakdown accounts for the whole run's clock as well.
-    assert_eq!(cpu, stats.cpu_ns, "{op} t={threads}: phase cpu_ns");
+    assert_eq!(cpu, stats.cpu_ns, "{op}: phase cpu_ns");
     // Phases recorded as tiled in the trace are exactly the breakdown's
     // source: none may carry a task id.
     for s in spans.iter().filter(|s| s.tiled) {
@@ -356,13 +345,13 @@ fn every_operator_tiles_exactly_sequential() {
         // memjoin needs one side within the budget; everyone else gets a
         // buffer small enough to force real partitioning/spill phases.
         let buffer = if op == "memjoin" { 256 } else { 12 };
-        let (stats, spans) = run_traced(f, &a, &d, buffer, 1);
-        assert_tiles_exactly(op, 1, &stats, &spans);
+        let (stats, spans) = run_traced(f, &a, &d, buffer);
+        assert_tiles_exactly(op, &stats, &spans);
     }
 }
 
 #[test]
-fn parallel_runs_tile_exactly_with_task_spans() {
+fn partitioned_runs_tile_exactly_with_task_spans() {
     for (op, f, heights) in operators()
         .into_iter()
         .filter(|(op, _, _)| matches!(*op, "mhcj" | "vpj"))
@@ -387,39 +376,31 @@ fn parallel_runs_tile_exactly_with_task_spans() {
                 ScanOptions::default(),
             )
         };
-        // One worker is a schedule of the same scheduler, not a second
-        // operator body: the trace has the same shape at both counts.
-        let mut task_counts = Vec::new();
-        for threads in [1usize, 4] {
-            let (stats, spans, _) = run_traced_io(f, &a, &d, buffer, threads, io);
-            assert_tiles_exactly(op, threads, &stats, &spans);
-            let run = top_run(&spans);
-            let tasks: Vec<_> = spans
-                .iter()
-                .filter(|s| s.kind == SpanKind::Task && s.run == run.run)
-                .collect();
-            assert!(!tasks.is_empty(), "{op} t={threads}: no task spans");
-            for t in &tasks {
-                assert!(!t.tiled, "{op}: task spans never tile");
-            }
-            // Per-task times live only in task spans; the run's cpu_ns is
-            // the scheduling thread's wall-clock, not their sum (checked
-            // above against stats.cpu_ns). The run's tasks are numbered
-            // 0..n, each once, and account for every pair.
-            let mut idx: Vec<u64> = tasks.iter().map(|t| t.task.unwrap()).collect();
-            idx.sort_unstable();
-            assert_eq!(idx, (0..tasks.len() as u64).collect::<Vec<_>>(), "{op}");
-            let in_tasks: u64 = tasks.iter().map(|t| t.pairs).sum();
-            assert_eq!(in_tasks, stats.pairs, "{op} t={threads}: task pairs");
-            task_counts.push(tasks.len());
+        let (stats, spans, _) = run_traced_io(f, &a, &d, buffer, io);
+        assert_tiles_exactly(op, &stats, &spans);
+        let run = top_run(&spans);
+        let tasks: Vec<_> = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Task && s.run == run.run)
+            .collect();
+        assert!(!tasks.is_empty(), "{op}: no task spans");
+        for t in &tasks {
+            assert!(!t.tiled, "{op}: task spans never tile");
         }
-        assert_eq!(task_counts[0], task_counts[1], "{op}: task count moved");
+        // Per-task times live only in task spans; the run's cpu_ns is the
+        // operator's wall-clock, not their sum (checked above against
+        // stats.cpu_ns). The run's tasks are numbered 0..n in run order
+        // and account for every pair.
+        let idx: Vec<u64> = tasks.iter().map(|t| t.task.unwrap()).collect();
+        assert_eq!(idx, (0..tasks.len() as u64).collect::<Vec<_>>(), "{op}");
+        let in_tasks: u64 = tasks.iter().map(|t| t.pairs).sum();
+        assert_eq!(in_tasks, stats.pairs, "{op}: task pairs");
     }
 }
 
 /// Satellite of the vectored-I/O change: with read-ahead enabled (and at
 /// a depth past the default), phase deltas must still tile the run
-/// exactly at threads 1 and 4. Speculative reads are charged to whichever
+/// exactly. Speculative reads are charged to whichever
 /// phase issued them and the `prefetched` counter lives *outside*
 /// `PoolStats`, so `hits + misses == requests` and the field-wise tiling
 /// identity both survive prefetching.
@@ -431,25 +412,18 @@ fn readahead_runs_tile_exactly() {
     {
         let a = mixed_codes(700, heights, 41);
         let d = mixed_codes(2500, &[0, 1], 43);
-        for threads in [1usize, 4] {
-            let (stats, spans, prefetched) =
-                run_traced_io(f, &a, &d, 64, threads, ScanOptions::sequential(16));
-            assert!(
-                prefetched > 0,
-                "{op} t={threads}: depth-16 run never prefetched"
-            );
-            assert_tiles_exactly(op, threads, &stats, &spans);
+        let (stats, spans, prefetched) = run_traced_io(f, &a, &d, 64, ScanOptions::sequential(16));
+        assert!(prefetched > 0, "{op}: depth-16 run never prefetched");
+        assert_tiles_exactly(op, &stats, &spans);
 
-            // Prefetch must not change the answer: the same workload with
-            // read-ahead pinned off yields identical pairs.
-            let (base, _, off_prefetched) =
-                run_traced_io(f, &a, &d, 64, threads, ScanOptions::sequential(1));
-            assert_eq!(off_prefetched, 0, "{op}: depth-1 run prefetched");
-            assert_eq!(
-                base.pairs, stats.pairs,
-                "{op} t={threads}: read-ahead changed the result"
-            );
-        }
+        // Prefetch must not change the answer: the same workload with
+        // read-ahead pinned off yields identical pairs.
+        let (base, _, off_prefetched) = run_traced_io(f, &a, &d, 64, ScanOptions::sequential(1));
+        assert_eq!(off_prefetched, 0, "{op}: depth-1 run prefetched");
+        assert_eq!(
+            base.pairs, stats.pairs,
+            "{op}: read-ahead changed the result"
+        );
     }
 }
 
@@ -473,10 +447,8 @@ fn corrupt_page_fails_shcj_with_page_id() {
 }
 
 #[test]
-fn corrupt_page_fails_parallel_mhcj() {
-    let ctx = JoinCtxBuilder::in_memory_free(PBiTreeShape::new(H).unwrap(), 16)
-        .threads(4)
-        .build();
+fn corrupt_page_fails_mhcj_task() {
+    let ctx = JoinCtx::in_memory_free(PBiTreeShape::new(H).unwrap(), 16);
     let a = mixed_codes(700, &[3, 5, 8], 59);
     let d = mixed_codes(2000, &[0, 1], 61);
     let af = element_file(&ctx.pool, a.iter().map(|&v| (v, 0))).unwrap();
@@ -489,7 +461,7 @@ fn corrupt_page_fails_parallel_mhcj() {
         let mut page = ctx.pool.write_page(pid).unwrap();
         page[..4].copy_from_slice(&u32::MAX.to_le_bytes());
     }
-    // The error unwinds through a scheduler worker, not a panic.
+    // The error unwinds out of a height-partition task, not a panic.
     let mut sink = CountSink::default();
     let err = pbitree_joins::mhcj::mhcj(&ctx, &af, &df, &mut sink).unwrap_err();
     assert!(matches!(err, JoinError::Corrupt { .. }), "{err}");

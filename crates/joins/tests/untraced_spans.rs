@@ -15,9 +15,8 @@ const H: u32 = 16;
 
 #[test]
 fn untraced_joins_record_no_spans() {
-    let run = |threads: usize, tracer: Option<Arc<Tracer>>| {
-        let mut b =
-            JoinCtxBuilder::in_memory_free(PBiTreeShape::new(H).unwrap(), 12).threads(threads);
+    let run = |tracer: Option<Arc<Tracer>>| {
+        let mut b = JoinCtxBuilder::in_memory_free(PBiTreeShape::new(H).unwrap(), 12);
         if let Some(t) = tracer {
             b = b.tracer(t);
         }
@@ -39,10 +38,9 @@ fn untraced_joins_record_no_spans() {
             assert!(stats.pairs > 0, "{algo} must do real work");
         }
     };
-    run(1, None);
-    run(4, None);
+    run(None);
     assert_eq!(spans_recorded(), 0, "untraced runs recorded trace spans");
     // The counter is live: the same joins with a tracer attached move it.
-    run(1, Some(Arc::new(Tracer::new())));
+    run(Some(Arc::new(Tracer::new())));
     assert!(spans_recorded() > 0);
 }

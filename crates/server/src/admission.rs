@@ -1,10 +1,8 @@
 //! Frame-budget admission control for concurrent queries.
 //!
-//! The parallel scheduler (`pbitree_joins::parallel`) carves one context's
-//! frame budget across its *worker threads*; the query service generalizes
-//! the same rule across *whole queries*: every admitted query receives a
-//! private slice of the shared buffer pool and sizes all of its operator
-//! state against that slice (via [`JoinCtx::worker`]).
+//! The query service shares one buffer pool across *whole queries*: every
+//! admitted query receives a private slice of the pool's frames and sizes
+//! all of its operator state against that slice (via [`JoinCtx::worker`]).
 //!
 //! The controller's one structural guarantee is deadlock freedom, and it
 //! comes from the grant discipline rather than from timeouts: a query
@@ -27,9 +25,9 @@
 use std::sync::{Arc, Condvar, Mutex};
 
 /// The smallest budget any query runs with — the same floor
-/// [`JoinCtxBuilder::budget`](pbitree_joins::JoinCtxBuilder::budget) and the
-/// parallel scheduler's per-worker carve apply (one page per input stream
-/// plus one for output).
+/// [`JoinCtxBuilder::budget`](pbitree_joins::JoinCtxBuilder::budget) and
+/// [`JoinCtx::worker`](pbitree_joins::JoinCtx::worker) apply (one page per
+/// input stream plus one for output).
 pub const MIN_QUERY_FRAMES: usize = 3;
 
 /// Why a request was not admitted.
@@ -243,7 +241,7 @@ mod tests {
 
     #[test]
     fn whole_budget_grants_never_oversubscribe() {
-        // 8 threads each take 10 of 16 frames: at most one grant can be
+        // 8 clients each take 10 of 16 frames: at most one grant can be
         // out at a time, and a tracked high-water mark proves it.
         let ctl = AdmissionController::new(16, 64);
         let in_flight = Arc::new(AtomicUsize::new(0));

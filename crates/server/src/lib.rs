@@ -5,11 +5,11 @@
 //! budget stops being a per-run constant and becomes a resource to
 //! schedule:
 //!
-//! * [`admission`] — FIFO frame-budget admission control. Generalizes the
-//!   parallel scheduler's per-worker budget carve to whole queries: each
-//!   query's entire budget is granted up front (no hold-and-wait, so no
-//!   budget deadlock), over-budget arrivals queue in FIFO order, and
-//!   impossible or queue-overflowing requests are rejected.
+//! * [`admission`] — FIFO frame-budget admission control. Each query's
+//!   entire budget, a slice of the shared pool, is granted up front (no
+//!   hold-and-wait, so no budget deadlock), over-budget arrivals queue in
+//!   FIFO order, and impossible or queue-overflowing requests are
+//!   rejected.
 //! * [`service`] — the query engine: an XMark corpus bulk-loaded into
 //!   per-tag element heap files on one shared [`BufferPool`], descendant
 //!   paths parsed by `pbitree_xml` and decomposed into containment-join

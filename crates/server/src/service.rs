@@ -6,9 +6,8 @@
 //! against it through the planner framework. Concurrency control is the
 //! admission layer: each query asks the [`AdmissionController`] for its
 //! whole frame budget up front, runs on a [`JoinCtx::worker`] sized to
-//! exactly that grant, and releases the frames when its result is out —
-//! the per-worker carve of the parallel scheduler generalized to whole
-//! queries (see `crates/server/src/admission.rs` for the deadlock-freedom
+//! exactly that grant, and releases the frames when its result is out
+//! (see `crates/server/src/admission.rs` for the deadlock-freedom
 //! argument).
 //!
 //! Multi-step paths decompose into a chain of containment joins exactly as
@@ -62,16 +61,21 @@ pub struct ServiceConfig {
     pub cost: CostModel,
     /// Whether element pages are written packed.
     pub compression: bool,
-    /// Worker threads each admitted query's context fans out over.
+    /// Ignored: every query runs its operators on the thread that serves
+    /// it. Kept so struct literals that still name the field compile.
+    #[doc(hidden)]
+    #[deprecated(note = "ignored: queries run their operators on the serving thread")]
     pub threads: usize,
     /// Region-range shards for the shared-scan path: above 1, the corpus
     /// tag files are additionally partitioned across this many
     /// independent pools (each with its own simulated disk clock) and
-    /// shareable batch groups run fork-join across them. `STATS` then
-    /// reports per-shard pool counters.
+    /// shareable batch groups run one shared-scan task per shard. `STATS`
+    /// then reports per-shard pool counters.
     pub shards: usize,
 }
 
+// The one place allowed to name the deprecated `threads` field.
+#[allow(deprecated)]
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
@@ -191,7 +195,7 @@ enum BatchSlot {
 /// The corpus range-partitioned across `shards` independent pools: the
 /// [`ShardedStore`] plus one descendant-role [`ShardedFile`] per tag.
 /// Present only when [`ServiceConfig::shards`] > 1; shareable batch
-/// groups then run their shared scan fork-join across the shards.
+/// groups then run their shared scan shard by shard.
 struct ShardedCorpus {
     store: ShardedStore,
     tags: HashMap<String, ShardedFile>,
@@ -207,7 +211,6 @@ pub struct QueryService {
     admission: Arc<AdmissionController>,
     default_budget: usize,
     load_opts: ScanOptions,
-    threads: usize,
     queries: AtomicU64,
 }
 
@@ -306,7 +309,6 @@ impl QueryService {
             admission,
             default_budget,
             load_opts,
-            threads: cfg.threads.max(1),
             queries: AtomicU64::new(0),
         })
     }
@@ -393,7 +395,7 @@ impl QueryService {
     ) -> Result<Vec<Result<QueryOutcome, ServiceError>>, ServiceError> {
         let want = budget.unwrap_or(self.default_budget);
         let grant = self.admission.admit(want)?;
-        let ctx = self.ctx.worker_with_threads(grant.frames(), self.threads);
+        let ctx = self.ctx.worker(grant.frames());
         let mut slots: Vec<BatchSlot> = paths
             .iter()
             .map(|p| match DescendantPath::parse(p) {
@@ -402,12 +404,18 @@ impl QueryService {
             })
             .collect();
 
-        // Group the shareable queries by their descendant tag file.
-        let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
+        // Group the shareable queries by their descendant tag file, in
+        // first-appearance order: groups share the pool, so the order they
+        // run in decides which pages are still resident for the next one.
+        let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
         for (i, slot) in slots.iter().enumerate() {
             if let BatchSlot::Pending(path) = slot {
                 if self.shareable(path, raw) {
-                    groups.entry(path.steps[1].tag.clone()).or_default().push(i);
+                    let dtag = &path.steps[1].tag;
+                    match groups.iter_mut().find(|(t, _)| t == dtag) {
+                        Some((_, members)) => members.push(i),
+                        None => groups.push((dtag.clone(), vec![i])),
+                    }
                 }
             }
         }
@@ -519,7 +527,7 @@ impl QueryService {
         raw: bool,
         grant: &Grant,
     ) -> Result<QueryOutcome, ServiceError> {
-        let ctx = self.ctx.worker_with_threads(grant.frames(), self.threads);
+        let ctx = self.ctx.worker(grant.frames());
         let state = if raw {
             InputState::raw()
         } else {

@@ -2,8 +2,8 @@
 //! performance construct. Every response in a batch — result codes over
 //! the in-process API, exact response bytes over TCP — must be identical
 //! to what the same query would have produced through a lone `QUERY`,
-//! across worker-thread counts and page-compression modes, for shareable
-//! and unshareable queries alike.
+//! across page-compression modes, for shareable and unshareable queries
+//! alike — and a multi-group batch moves the same pages every time.
 
 use pbitree_server::proto::Response;
 use pbitree_server::{spawn, Algorithm, Client, QueryService, ServiceConfig};
@@ -25,7 +25,7 @@ const TAGS: &[&str] = &[
     "emailaddress",
 ];
 
-fn service(compression: bool, threads: usize) -> QueryService {
+fn service(compression: bool) -> QueryService {
     QueryService::new(ServiceConfig {
         sf: 0.002,
         buffer_pages: 128,
@@ -33,7 +33,6 @@ fn service(compression: bool, threads: usize) -> QueryService {
         default_budget: 48,
         cost: CostModel::free(),
         compression,
-        threads,
         ..ServiceConfig::default()
     })
     .unwrap()
@@ -59,39 +58,36 @@ fn random_chains(k: usize, seed: u64) -> Vec<String> {
 }
 
 /// The property: a batch of k random two-step chains returns, position
-/// by position, exactly the codes k serial queries return — at worker
-/// threads 1 and 4, compression off and on — and the shared-scan
-/// operator actually answered them.
+/// by position, exactly the codes k serial queries return — compression
+/// off and on — and the shared-scan operator actually answered them.
 #[test]
-fn batch_matches_serial_across_threads_and_compression() {
+fn batch_matches_serial_across_compression() {
     for compression in [false, true] {
-        for threads in [1usize, 4] {
-            let svc = service(compression, threads);
-            let paths = random_chains(16, 0xB0B + threads as u64);
-            let serial: Vec<Vec<u64>> = paths
-                .iter()
-                .map(|p| svc.execute(p, false, None).unwrap().codes)
-                .collect();
-            let batch = svc.execute_batch(&paths, false, None).unwrap();
-            assert_eq!(batch.len(), paths.len());
-            let mut shared = 0;
-            for (i, out) in batch.iter().enumerate() {
-                let out = out.as_ref().unwrap();
-                assert_eq!(
-                    out.codes, serial[i],
-                    "{} diverged (threads={threads} compression={compression})",
-                    paths[i]
-                );
-                if out.algorithms == [Algorithm::SharedScan] {
-                    shared += 1;
-                }
-            }
+        let svc = service(compression);
+        let paths = random_chains(16, 0xB0C);
+        let serial: Vec<Vec<u64>> = paths
+            .iter()
+            .map(|p| svc.execute(p, false, None).unwrap().codes)
+            .collect();
+        let batch = svc.execute_batch(&paths, false, None).unwrap();
+        assert_eq!(batch.len(), paths.len());
+        let mut shared = 0;
+        for (i, out) in batch.iter().enumerate() {
+            let out = out.as_ref().unwrap();
             assert_eq!(
-                shared,
-                paths.len(),
-                "every two-step chain over known tags should ride the shared scan"
+                out.codes, serial[i],
+                "{} diverged (compression={compression})",
+                paths[i]
             );
+            if out.algorithms == [Algorithm::SharedScan] {
+                shared += 1;
+            }
         }
+        assert_eq!(
+            shared,
+            paths.len(),
+            "every two-step chain over known tags should ride the shared scan"
+        );
     }
 }
 
@@ -100,7 +96,7 @@ fn batch_matches_serial_across_threads_and_compression() {
 /// serial path does, errors included.
 #[test]
 fn mixed_batch_falls_back_per_query() {
-    let svc = service(false, 1);
+    let svc = service(false);
     let paths: Vec<String> = [
         "//person//creditcard",
         "//site//open_auction//bidder",   // three steps: serial chain
@@ -135,7 +131,7 @@ fn mixed_batch_falls_back_per_query() {
 /// One batch takes one admission grant, however many queries it carries.
 #[test]
 fn batch_admits_once() {
-    let svc = service(false, 1);
+    let svc = service(false);
     let before = svc.admission().stats().admitted;
     let served_before = svc.queries_served();
     let paths = random_chains(12, 0xFACE);
@@ -151,7 +147,7 @@ fn batch_admits_once() {
 /// responses for the same paths, one frame per sub-query, in order.
 #[test]
 fn tcp_batch_responses_byte_identical_to_serial() {
-    let svc = Arc::new(service(false, 1));
+    let svc = Arc::new(service(false));
     let handle = spawn(svc, "127.0.0.1:0").unwrap();
     let addr = handle.addr();
 
@@ -191,4 +187,58 @@ fn tcp_batch_responses_byte_identical_to_serial() {
     c.shutdown().unwrap();
     drop(c);
     handle.join().unwrap();
+}
+
+/// Shareable groups share the pool, so the order a batch runs them in
+/// decides which pages the next group still finds resident. A batch runs
+/// its groups in first-appearance order: from a cold pool too small for
+/// their inputs, the same batch moves the same pages every time — exactly
+/// the pages of its groups issued as consecutive single-group batches.
+#[test]
+fn batch_groups_run_in_first_appearance_order() {
+    let svc = QueryService::new(ServiceConfig {
+        sf: 0.05,
+        buffer_pages: 24,
+        reserve_frames: 4,
+        default_budget: 20,
+        compression: false,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    // Three groups (descendant tags listitem, text, keyword), chained so
+    // one group's descendant file is the next group's ancestor file; their
+    // inputs span about twice the pool.
+    let groups: Vec<Vec<String>> = [
+        &["//item//listitem", "//description//listitem"][..],
+        &["//listitem//text", "//parlist//text"],
+        &["//text//keyword"],
+    ]
+    .iter()
+    .map(|g| g.iter().map(|p| p.to_string()).collect())
+    .collect();
+    let batch: Vec<String> = [
+        &groups[0][0],
+        &groups[1][0],
+        &groups[2][0],
+        &groups[0][1],
+        &groups[1][1],
+    ]
+    .map(String::clone)
+    .to_vec();
+    let cold_io = |batches: &[Vec<String>]| {
+        svc.pool().evict_all().unwrap();
+        let before = svc.pool().io_stats();
+        for b in batches {
+            for out in svc.execute_batch(b, false, None).unwrap() {
+                assert_eq!(out.unwrap().algorithms, [Algorithm::SharedScan]);
+            }
+        }
+        svc.pool().io_stats().since(&before)
+    };
+    let first = cold_io(std::slice::from_ref(&batch));
+    assert!(first.reads() > 24, "inputs fit the pool: {first}");
+    for run in 1..20 {
+        assert_eq!(cold_io(std::slice::from_ref(&batch)), first, "run {run}");
+    }
+    assert_eq!(cold_io(&groups), first, "consecutive single-group batches");
 }

@@ -8,8 +8,8 @@
 //!
 //! # Concurrency
 //!
-//! The pool is thread-safe (`Send + Sync`) so partition joins can fan out
-//! over worker threads sharing one frame budget:
+//! The pool is thread-safe (`Send + Sync`) so concurrent queries (the
+//! query service's connection handlers) can share one frame budget:
 //!
 //! * The page table (pid → frame) is **lock-striped** into
 //!   [`STRIPE_COUNT`] stripes, each behind its own mutex, so concurrent
@@ -19,14 +19,14 @@
 //!   legitimately pin up to `b - 1` arbitrary pages at once; hashing pins
 //!   into fixed per-stripe quotas would make `NoFreeFrames` fire spuriously.
 //!   The budget `b` therefore bounds the *total* pinned frames across all
-//!   threads: there are exactly `b` frames and a pin occupies one.
+//!   callers: there are exactly `b` frames and a pin occupies one.
 //! * Each frame has a tiny mutex for its metadata (pid, pin count, dirty,
 //!   referenced, claimed) and an atomic reader-writer latch for its data,
 //!   so page guards are `Send` (std lock guards are not).
 //! * Hit/miss counters are atomics, incremented **exactly once per
 //!   request**: a hit at the moment of pinning a resident frame, a miss at
-//!   the moment a freshly loaded frame is published. A thread that loses a
-//!   load race (two threads miss on the same page; one wins the table slot)
+//!   the moment a freshly loaded frame is published. A caller that loses a
+//!   load race (two callers miss on the same page; one wins the table slot)
 //!   counts nothing and retries, then counts a single hit.
 //! * Lock order is `stripe → frame meta` and `clock hand → frame meta`,
 //!   with the disk mutex taken last and alone; eviction never holds a
@@ -34,9 +34,10 @@
 //!   releases the meta lock, and works on the claimed frame, which no other
 //!   thread will pin).
 //!
-//! Single-threaded use is the common case and behaves exactly like the
-//! classic sequential pool: the clock sweep, second-chance semantics and
-//! hit/miss accounting are unchanged, so runs remain deterministic.
+//! A single caller — every join runs its tasks on one thread — sees
+//! exactly the classic sequential pool: the clock sweep, second-chance
+//! semantics and hit/miss accounting are unchanged, so runs remain
+//! deterministic.
 //!
 //! # Read-ahead and write coalescing
 //!
@@ -937,7 +938,7 @@ impl BufferPool {
             if fresh {
                 buf.fill(0);
             } else if let Err(e) = self.disk.lock().unwrap().read_page(pid, buf) {
-                // Undo the publication: remove the mapping (threads parked
+                // Undo the publication: remove the mapping (callers parked
                 // on the claimed frame will fall through to their own disk
                 // read and surface the same fault) and free the frame.
                 let mut table = self.stripe_of(pid).lock().unwrap();
@@ -1159,7 +1160,7 @@ impl BufferPool {
                 return Ok((i, m.pid.map(|p| (p, m.dirty, m.lsn))));
             }
             drop(hand);
-            // Frames claimed by in-flight fetches on other threads are
+            // Frames claimed by other callers' in-flight fetches are
             // transient; give them a bounded chance to resolve before
             // declaring the pool exhausted.
             if !saw_claimed || spins >= 1_000 {

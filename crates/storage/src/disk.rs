@@ -115,7 +115,8 @@ impl fmt::Display for BatchError {
 impl std::error::Error for BatchError {}
 
 /// A page-granular storage device. Backends must be [`Send`]: the buffer
-/// pool wraps the disk in a mutex and hands it to scoped worker threads.
+/// pool wraps the disk in a mutex, and the pool is shared by concurrent
+/// queries.
 ///
 /// Transfers return [`IoError`] on device failure. Addressing a file that
 /// was never created, or a page that was never allocated, is a *caller*

@@ -23,10 +23,9 @@
 //!
 //! The buffer pool is thread-safe (`Send + Sync`): the page table is
 //! lock-striped, frame metadata sits behind per-frame
-//! mutexes, counters are atomic, and page guards are `Send`, so the join
-//! layer can fan partition work out over scoped threads sharing one frame
-//! budget. Single-threaded use (the default, `threads = 1`) behaves
-//! exactly like the classic sequential pool and stays deterministic.
+//! mutexes, counters are atomic, and page guards are `Send`, so the query
+//! service's concurrent queries share one frame budget. A single caller
+//! sees exactly the classic sequential pool, and stays deterministic.
 
 pub mod access;
 pub mod buffer;

@@ -49,15 +49,14 @@ cargo run --release -q -p pbitree-bench --bin ablation -- --study io --fast \
 
 echo "== zone-map pruning ablation smoke (identical pairs, strictly fewer reads)"
 # The panel asserts (in-binary) that pruned pair counts match the unpruned
-# baseline while MHCJ/MHCJ+Rollup/VPJ read strictly fewer pages, at
-# threads 1 and 4.
+# baseline while MHCJ/MHCJ+Rollup/VPJ read strictly fewer pages.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study prune --fast \
     --results /tmp/ab_prune
 
 echo "== compressed-page ablation smoke (identical pairs, fewer reads, smaller bytes)"
 # The panel asserts (in-binary) that packed pair counts match the raw
 # baseline while MHCJ/MHCJ+Rollup/VPJ read strictly fewer pages and the
-# packed byte footprint shrinks, at threads 1 and 4, with pruning on.
+# packed byte footprint shrinks, with pruning on.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study compress --fast \
     --results /tmp/ab_compress
 
@@ -77,7 +76,7 @@ cargo run --release -q -p pbitree-bench --bin ablation -- --study regret --fast 
 
 echo "== trace smoke (--trace writes schema-v1 JSONL)"
 TRACE=$(mktemp /tmp/pbitree-trace-XXXX.jsonl)
-cargo run --release -q -p pbitree-bench --bin fig6 -- --panel s --fast \
+cargo run --release -q -p pbitree-bench --bin table2 -- --part e --fast \
     --results /tmp/results --trace "$TRACE"
 head -1 "$TRACE" | grep -q '"v":1' || { echo "trace smoke failed: bad first line"; exit 1; }
 rm -f "$TRACE"
@@ -115,14 +114,6 @@ cargo run --release -q -p pbitree-bench --bin ablation -- --study shared --fast 
     --batch 4 --seed 3 --out /tmp/batch_report.json
 grep -q '"errors": 0' /tmp/batch_report.json || { echo "batch smoke failed: loadgen errors"; exit 1; }
 grep -q '"mismatches": 0' /tmp/batch_report.json || { echo "batch smoke failed: batched responses diverged"; exit 1; }
-
-echo "== sharded fork-join smoke (identical pairs at 1/2/4/8 shards, 4-shard sim <= 0.5x)"
-# The panel asserts (in-binary) that every shard count produces the
-# byte-identical pair set of the 1-shard plan and that the 4-shard
-# max-over-shards simulated disk time is at most half the 1-shard time,
-# for MHCJ+Rollup and VPJ at threads 1 and 4, packed pages off and on.
-cargo run --release -q -p pbitree-bench --bin ablation -- --study shard --fast \
-    --results /tmp/ab_shard
 
 echo "== perf harness smoke (all four benchmark workloads at 5 % scale, oracles on)"
 # Builds the standalone perf/ package against the crates and runs each

@@ -33,9 +33,8 @@
 //!    element-by-element and the store answers the containment self-join
 //!    identically.
 //!
-//! Sweeps run at `threads` 1 and 4 (parallel join verification) and with
-//! page compression on and off (packed base pages exercise the
-//! decode/re-seal delete path). The index's leaf updates are logged as
+//! Sweeps run with page compression on and off (packed base pages
+//! exercise the decode/re-seal delete path). The index's leaf updates are logged as
 //! header + slot-suffix byte ranges, so every kill index also lands a
 //! torn write between, inside or after those ranges. The scripted sweep is pinned to seed 42;
 //! `CRASH_SWEEP_SEED` arms an extra randomized leg whose seed is printed
@@ -302,23 +301,15 @@ struct Twin {
     pairs: u64,
 }
 
-fn self_join_pairs(
-    pool: BufferPool,
-    store: &ElementStore,
-    shape: PBiTreeShape,
-    threads: usize,
-) -> u64 {
-    let ctx = JoinCtx::builder(pool, shape)
-        .threads(threads)
-        .io(io_opts(false))
-        .build();
+fn self_join_pairs(pool: BufferPool, store: &ElementStore, shape: PBiTreeShape) -> u64 {
+    let ctx = JoinCtx::builder(pool, shape).io(io_opts(false)).build();
     let mut sink = CountSink::default();
     mhcj::mhcj(&ctx, store.heap(), store.heap(), &mut sink)
         .unwrap()
         .pairs
 }
 
-fn run_twin(seed: u64, compress: bool, threads: usize) -> Twin {
+fn run_twin(seed: u64, compress: bool) -> Twin {
     let mut s = build(seed, compress);
     let mut cum_ops = Vec::with_capacity(STEPS);
     let mut ops = SETUP_OPS;
@@ -342,7 +333,7 @@ fn run_twin(seed: u64, compress: bool, threads: usize) -> Twin {
     elements.sort();
     let index = entries_of(&s.pool, &s.index);
     assert_eq!(index, indexed(&s.model), "twin index out of step");
-    let pairs = self_join_pairs(s.pool, &s.store, s.shape, threads);
+    let pairs = self_join_pairs(s.pool, &s.store, s.shape);
     Twin {
         writes,
         cum_ops,
@@ -355,7 +346,7 @@ fn run_twin(seed: u64, compress: bool, threads: usize) -> Twin {
 /// One crash at write index `k`: run until the armed fault kills the
 /// workload, restart over the surviving disk image, recover, resume, and
 /// compare against the twin.
-fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
+fn crash_at(seed: u64, compress: bool, k: u64, twin: &Twin) {
     let mut s = build(seed, compress);
     s.handle.set_config(FaultConfig {
         torn_writes: true,
@@ -451,7 +442,7 @@ fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
         "seed {seed} k {k}: recovered+resumed index diverges from the twin"
     );
     assert_eq!(index.len(), twin.index.len() as u64);
-    let pairs = self_join_pairs(pool, &store, shape, threads);
+    let pairs = self_join_pairs(pool, &store, shape);
     assert_eq!(
         pairs, twin.pairs,
         "seed {seed} k {k}: containment self-join diverges after recovery"
@@ -459,8 +450,8 @@ fn crash_at(seed: u64, compress: bool, threads: usize, k: u64, twin: &Twin) {
 }
 
 /// Kills the disk at every write index of the workload.
-fn sweep(seed: u64, compress: bool, threads: usize) {
-    let twin = run_twin(seed, compress, threads);
+fn sweep(seed: u64, compress: bool) {
+    let twin = run_twin(seed, compress);
     println!(
         "crash sweep seed {seed} compress {compress}: {} write indices, {} elements, {} indexed",
         twin.writes,
@@ -477,28 +468,18 @@ fn sweep(seed: u64, compress: bool, threads: usize) {
         "the script must leave index entries"
     );
     for k in 0..twin.writes {
-        crash_at(seed, compress, threads, k, &twin);
+        crash_at(seed, compress, k, &twin);
     }
 }
 
 #[test]
 fn crash_sweep_raw_sequential() {
-    sweep(42, false, 1);
-}
-
-#[test]
-fn crash_sweep_raw_parallel_join() {
-    sweep(42, false, 4);
+    sweep(42, false);
 }
 
 #[test]
 fn crash_sweep_compressed_sequential() {
-    sweep(42, true, 1);
-}
-
-#[test]
-fn crash_sweep_compressed_parallel_join() {
-    sweep(42, true, 4);
+    sweep(42, true);
 }
 
 /// CI's randomized leg: `CRASH_SWEEP_SEED` (unset = skipped beyond the
@@ -513,8 +494,8 @@ fn crash_sweep_randomized_seed() {
         return;
     };
     println!("crash_sweep_randomized_seed: CRASH_SWEEP_SEED={seed}");
-    sweep(seed, false, 1);
-    sweep(seed, true, 4);
+    sweep(seed, false);
+    sweep(seed, true);
 }
 
 /// Satellite property test: random interleavings of
@@ -528,11 +509,11 @@ fn random_interleavings_recover_to_logical_history() {
     for round in 0..12u64 {
         let seed = 1000 + round * 77;
         let compress = round % 2 == 1;
-        let twin = run_twin(seed, compress, 1);
+        let twin = run_twin(seed, compress);
         // A handful of crash points per script, spread over the run.
         for _ in 0..4 {
             let k = pick.gen_range(0..twin.writes);
-            crash_at(seed, compress, 1, k, &twin);
+            crash_at(seed, compress, k, &twin);
         }
     }
 }

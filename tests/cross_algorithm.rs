@@ -75,39 +75,16 @@ fn skewed_sets_agree() {
     }
 }
 
-/// The parallel MHCJ/VPJ paths agree with the sequential algorithms too.
-#[test]
-fn parallel_paths_agree_with_naive() {
-    use pbitree_containment::joins::{mhcj::mhcj, naive::block_nested_loop, vpj::vpj, CollectSink};
-    for seed in 0..10u64 {
-        let (a, d) = arb_sets(12, seed.wrapping_mul(0xC2B2AE3D27D4EB4F) + 3);
-        let shape = PBiTreeShape::new(12).unwrap();
-        let ctx = pbitree_containment::joins::JoinCtxBuilder::in_memory_free(shape, 8)
-            .threads(4)
-            .build();
-        let af = element_file(&ctx.pool, a.iter().map(|&c| (c, 0))).unwrap();
-        let df = element_file(&ctx.pool, d.iter().map(|&c| (c, 1))).unwrap();
-        let mut expect = CollectSink::default();
-        block_nested_loop(&ctx, &af, &df, &mut expect).unwrap();
-        let mut got_m = CollectSink::default();
-        mhcj(&ctx, &af, &df, &mut got_m).unwrap();
-        assert_eq!(got_m.canonical(), expect.canonical(), "mhcj seed {seed}");
-        let mut got_v = CollectSink::default();
-        vpj(&ctx, &af, &df, &mut got_v).unwrap();
-        assert_eq!(got_v.canonical(), expect.canonical(), "vpj seed {seed}");
-    }
-}
-
 /// Transient device faults under the disk's retry budget are invisible to
-/// the parallel paths: a `threads = 4` run with recover-after-N faults
-/// armed must produce results byte-identical to a fault-free sequential
-/// run. Sweeps a transient window over every read index of the workload,
-/// then runs a seeded probabilistic transient plan.
+/// MHCJ and VPJ: a run with recover-after-N faults armed must produce
+/// results byte-identical to a fault-free run. Sweeps a transient window
+/// over every read index of the workload, then runs a seeded
+/// probabilistic transient plan.
 #[test]
-fn parallel_runs_under_transient_faults_match_sequential() {
+fn transient_faults_match_fault_free_run() {
     use pbitree_containment::joins::{mhcj::mhcj, vpj::vpj, CollectSink, JoinStats};
     use pbitree_containment::storage::{
-        BufferPool, CostModel, Disk, FaultBackend, FaultConfig, FaultHandle, MemBackend,
+        BufferPool, CostModel, Disk, FaultBackend, FaultConfig, MemBackend,
     };
     use pbitree_joins::element::Element;
     use pbitree_joins::sink::PairSink;
@@ -127,18 +104,11 @@ fn parallel_runs_under_transient_faults_match_sequential() {
 
     // One faulted run: fresh fault-instrumented context, cold pool, `cfg`
     // armed for the join itself. Returns canonical pairs and the handle.
-    let run = |join: JoinFn,
-               a: &[u64],
-               d: &[u64],
-               threads: usize,
-               cfg: FaultConfig|
-     -> (Vec<(u64, u64)>, FaultHandle) {
+    let run = |join: JoinFn, a: &[u64], d: &[u64], cfg: FaultConfig| {
         let backend = FaultBackend::new(MemBackend::new(), FaultConfig::none());
         let handle = backend.handle();
         let pool = BufferPool::new(Disk::new(Box::new(backend), CostModel::free()), 8);
-        let ctx = JoinCtx::builder(pool, PBiTreeShape::new(12).unwrap())
-            .threads(threads)
-            .build();
+        let ctx = JoinCtx::new(pool, PBiTreeShape::new(12).unwrap());
         let af = element_file(&ctx.pool, a.iter().map(|&c| (c, 0))).unwrap();
         let df = element_file(&ctx.pool, d.iter().map(|&c| (c, 1))).unwrap();
         ctx.pool.evict_all().unwrap();
@@ -159,23 +129,22 @@ fn parallel_runs_under_transient_faults_match_sequential() {
             continue;
         }
         for &(name, join) in algos {
-            // Fault-free sequential baseline, and its read-attempt count.
-            let (expect, handle) = run(join, &a, &d, 1, FaultConfig::none());
+            // Fault-free baseline, and its read-attempt count.
+            let (expect, handle) = run(join, &a, &d, FaultConfig::none());
             let reads = handle.reads();
             assert!(reads > 0, "{name} seed {seed}: no reads to fault");
 
             // Transient recover-after-2 window at every read index.
             for idx in 0..reads {
                 let cfg = FaultConfig::read_at(idx).transient().lasting(2);
-                let (pairs, h) = run(join, &a, &d, 4, cfg);
+                let (pairs, h) = run(join, &a, &d, cfg);
                 assert_eq!(
                     pairs, expect,
                     "{name} seed {seed}: transient read fault at {idx} changed the result"
                 );
-                // Under threads=4 scheduling the window may fall past the
-                // run's attempt count, but when it fired it must have been
-                // retried through, never surfaced.
-                assert!(h.faults() <= 2, "{name}: window wider than armed");
+                // The window fires on both attempts and is retried
+                // through, never surfaced.
+                assert_eq!(h.faults(), 2, "{name}: read {idx} window did not fire");
             }
 
             // Seeded probabilistic transient faults across the whole run.
@@ -186,7 +155,7 @@ fn parallel_runs_under_transient_faults_match_sequential() {
                 transient: true,
                 ..FaultConfig::default()
             };
-            let (pairs, h) = run(join, &a, &d, 4, cfg);
+            let (pairs, h) = run(join, &a, &d, cfg);
             assert_eq!(
                 pairs, expect,
                 "{name} seed {seed}: probabilistic transient faults changed the result"

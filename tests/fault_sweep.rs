@@ -15,10 +15,6 @@
 //!   fault-free rerun on a fresh pool reproduces the baseline counters
 //!   and the baseline result exactly.
 //!
-//! With `threads = 4` the attempt indices shift with scheduling, so the
-//! sweep only asserts `Err` for runs where the handle reports an injected
-//! fault; the no-panic and no-leaked-pin properties are asserted always.
-//!
 //! Seeds: the workload is fixed, but the sweep also runs a probabilistic
 //! fault plan whose seed comes from `FAULT_SWEEP_SEED` (default 42); CI
 //! runs a pinned seed plus one randomized seed, printing it on failure.
@@ -106,14 +102,12 @@ fn descendants() -> Vec<u64> {
 /// setup, so armed indices address join-time I/O only.
 fn build(
     name: &str,
-    threads: usize,
     io: ScanOptions,
 ) -> (JoinCtx, HeapFile<Element>, HeapFile<Element>, FaultHandle) {
     let backend = FaultBackend::new(MemBackend::new(), FaultConfig::none());
     let handle = backend.handle();
     let pool = BufferPool::new(Disk::new(Box::new(backend), CostModel::free()), BUDGET);
     let ctx = JoinCtx::builder(pool, PBiTreeShape::new(H).unwrap())
-        .threads(threads)
         .io(io)
         .build();
     let a = element_file(
@@ -134,19 +128,13 @@ fn build(
 type RunOutcome = (Result<JoinStats, JoinError>, Vec<(u64, u64)>, IoStats, u64);
 
 /// One run under `cfg`.
-fn run_once(
-    name: &str,
-    join: JoinFn,
-    threads: usize,
-    cfg: FaultConfig,
-    io: ScanOptions,
-) -> RunOutcome {
-    let (ctx, a, d, handle) = build(name, threads, io);
+fn run_once(name: &str, join: JoinFn, cfg: FaultConfig, io: ScanOptions) -> RunOutcome {
+    let (ctx, a, d, handle) = build(name, io);
     handle.set_config(cfg);
     let mut sink = CollectSink::default();
     let res = join(&ctx, &a, &d, &mut sink);
     handle.set_config(FaultConfig::none());
-    assert_clean(&ctx, &a, &d, &format!("{name}/t{threads} after {res:?}"));
+    assert_clean(&ctx, &a, &d, &format!("{name} after {res:?}"));
     (res, sink.canonical(), ctx.pool.io_stats(), handle.faults())
 }
 
@@ -163,13 +151,8 @@ fn assert_clean(ctx: &JoinCtx, a: &HeapFile<Element>, d: &HeapFile<Element>, wha
 }
 
 /// Fault-free baseline: result pairs, I/O stats, and attempt counts.
-fn baseline(
-    name: &str,
-    join: JoinFn,
-    threads: usize,
-    io: ScanOptions,
-) -> (Vec<(u64, u64)>, IoStats, u64, u64) {
-    let (ctx, a, d, handle) = build(name, threads, io);
+fn baseline(name: &str, join: JoinFn, io: ScanOptions) -> (Vec<(u64, u64)>, IoStats, u64, u64) {
+    let (ctx, a, d, handle) = build(name, io);
     let mut sink = CollectSink::default();
     join(&ctx, &a, &d, &mut sink).unwrap_or_else(|e| panic!("{name} baseline failed: {e}"));
     assert_eq!(ctx.pool.pinned_frames(), 0);
@@ -181,9 +164,10 @@ fn baseline(
     )
 }
 
-fn sweep(threads: usize) {
+#[test]
+fn fault_sweep_sequential() {
     for &(name, join) in ALGORITHMS {
-        let (pairs0, io0, reads, writes) = baseline(name, join, threads, strict_io());
+        let (pairs0, io0, reads, writes) = baseline(name, join, strict_io());
         assert!(reads > 0, "{name}: workload did no reads");
         assert!(
             !pairs0.is_empty(),
@@ -191,65 +175,40 @@ fn sweep(threads: usize) {
         );
 
         for idx in 0..reads {
-            let (res, _, _, faults) =
-                run_once(name, join, threads, FaultConfig::read_at(idx), strict_io());
-            check_fault_outcome(name, threads, "read", idx, res, faults);
+            let (res, _, _, faults) = run_once(name, join, FaultConfig::read_at(idx), strict_io());
+            check_fault_outcome(name, "read", idx, res, faults);
         }
         for idx in 0..writes {
-            let (res, _, _, faults) =
-                run_once(name, join, threads, FaultConfig::write_at(idx), strict_io());
-            check_fault_outcome(name, threads, "write", idx, res, faults);
+            let (res, _, _, faults) = run_once(name, join, FaultConfig::write_at(idx), strict_io());
+            check_fault_outcome(name, "write", idx, res, faults);
         }
 
         // Exactly-once stats: a fresh fault-free run reproduces the
         // baseline counters and pairs bit for bit.
-        let (res, pairs, io, faults) =
-            run_once(name, join, threads, FaultConfig::none(), strict_io());
+        let (res, pairs, io, faults) = run_once(name, join, FaultConfig::none(), strict_io());
         res.unwrap_or_else(|e| panic!("{name}: fault-free rerun failed: {e}"));
         assert_eq!(faults, 0);
-        assert_eq!(
-            pairs, pairs0,
-            "{name}/t{threads}: fault-free result drifted"
-        );
-        if threads == 1 {
-            assert_eq!(io, io0, "{name}: fault-free I/O stats drifted");
-        }
+        assert_eq!(pairs, pairs0, "{name}: fault-free result drifted");
+        assert_eq!(io, io0, "{name}: fault-free I/O stats drifted");
     }
 }
 
 fn check_fault_outcome(
     name: &str,
-    threads: usize,
     kind: &str,
     idx: u64,
     res: Result<JoinStats, JoinError>,
     faults: u64,
 ) {
-    if faults == 0 {
-        // Threaded interleaving did fewer ops than the baseline before
-        // other workers finished; nothing was injected, so the run may
-        // legitimately succeed.
-        assert!(threads > 1, "{name}: {kind} fault at {idx} never fired");
-        return;
-    }
+    assert!(faults > 0, "{name}: {kind} fault at {idx} never fired");
     let err = match res {
         Err(e) => e,
-        Ok(s) => panic!("{name}/t{threads}: {kind} fault at {idx} was swallowed ({s})"),
+        Ok(s) => panic!("{name}: {kind} fault at {idx} was swallowed ({s})"),
     };
     assert!(
         err.failing_page().is_some(),
-        "{name}/t{threads}: {kind} fault at {idx} lost its page: {err}"
+        "{name}: {kind} fault at {idx} lost its page: {err}"
     );
-}
-
-#[test]
-fn fault_sweep_sequential() {
-    sweep(1);
-}
-
-#[test]
-fn fault_sweep_threads_4() {
-    sweep(4);
 }
 
 /// Probabilistic plan at the CI-provided seed: whatever indices fault, the
@@ -262,20 +221,18 @@ fn fault_sweep_probabilistic_seed() {
         .unwrap_or(42);
     println!("fault_sweep_probabilistic_seed: FAULT_SWEEP_SEED={seed}");
     for &(name, join) in ALGORITHMS {
-        for threads in [1, 4] {
-            let cfg = FaultConfig {
-                seed,
-                read_fault_prob: 0.05,
-                write_fault_prob: 0.05,
-                ..FaultConfig::default()
-            };
-            let (res, _, _, faults) = run_once(name, join, threads, cfg, strict_io());
-            if faults > 0 {
-                let err = res.expect_err("faults injected but run succeeded");
-                assert!(err.failing_page().is_some(), "{name}: {err}");
-            } else {
-                res.unwrap_or_else(|e| panic!("{name} (seed {seed}): {e}"));
-            }
+        let cfg = FaultConfig {
+            seed,
+            read_fault_prob: 0.05,
+            write_fault_prob: 0.05,
+            ..FaultConfig::default()
+        };
+        let (res, _, _, faults) = run_once(name, join, cfg, strict_io());
+        if faults > 0 {
+            let err = res.expect_err("faults injected but run succeeded");
+            assert!(err.failing_page().is_some(), "{name}: {err}");
+        } else {
+            res.unwrap_or_else(|e| panic!("{name} (seed {seed}): {e}"));
         }
     }
 }
@@ -286,12 +243,12 @@ fn fault_sweep_probabilistic_seed() {
 #[test]
 fn transient_faults_recover_invisibly() {
     for &(name, join) in ALGORITHMS {
-        let (pairs0, io0, reads, _) = baseline(name, join, 1, strict_io());
+        let (pairs0, io0, reads, _) = baseline(name, join, strict_io());
         // A transient window of 2 at an arbitrary mid-workload read index:
         // the disk retries past it ("recover after 2").
         let idx = reads / 2;
         let cfg = FaultConfig::read_at(idx).transient().lasting(2);
-        let (res, pairs, io, faults) = run_once(name, join, 1, cfg, strict_io());
+        let (res, pairs, io, faults) = run_once(name, join, cfg, strict_io());
         res.unwrap_or_else(|e| panic!("{name}: transient fault surfaced: {e}"));
         assert_eq!(faults, 2, "{name}: expected both window attempts to fault");
         assert_eq!(pairs, pairs0, "{name}: transient recovery changed result");
@@ -309,14 +266,14 @@ fn transient_faults_recover_invisibly() {
 fn fault_sweep_with_readahead() {
     let io = ScanOptions::default();
     for &(name, join) in ALGORITHMS {
-        let (pairs0, _, reads, writes) = baseline(name, join, 1, io);
+        let (pairs0, _, reads, writes) = baseline(name, join, io);
         assert!(reads > 0, "{name}: readahead workload did no reads");
         for idx in 0..reads {
-            let (res, pairs, _, _) = run_once(name, join, 1, FaultConfig::read_at(idx), io);
+            let (res, pairs, _, _) = run_once(name, join, FaultConfig::read_at(idx), io);
             check_readahead_outcome(name, "read", idx, res, pairs, &pairs0);
         }
         for idx in 0..writes {
-            let (res, pairs, _, _) = run_once(name, join, 1, FaultConfig::write_at(idx), io);
+            let (res, pairs, _, _) = run_once(name, join, FaultConfig::write_at(idx), io);
             check_readahead_outcome(name, "write", idx, res, pairs, &pairs0);
         }
     }
@@ -433,7 +390,7 @@ fn workload_generates_real_io() {
         10
     };
     for &(name, join) in ALGORITHMS {
-        let (_, io, reads, writes) = baseline(name, join, 1, strict_io());
+        let (_, io, reads, writes) = baseline(name, join, strict_io());
         println!("{name}: reads={reads} writes={writes} io={io}");
         assert!(
             reads >= floor,
@@ -506,13 +463,13 @@ fn fault_sweep_packed_pages() {
     );
     for idx in 0..reads {
         let (res, _, _, faults) = run_mode(join, true, FaultConfig::read_at(idx));
-        check_fault_outcome(name, 1, "packed-read", idx, res, faults);
+        check_fault_outcome(name, "packed-read", idx, res, faults);
     }
     for idx in 0..writes {
         let mut cfg = FaultConfig::write_at(idx);
         cfg.torn_writes = true;
         let (res, _, _, faults) = run_mode(join, true, cfg);
-        check_fault_outcome(name, 1, "packed-torn-write", idx, res, faults);
+        check_fault_outcome(name, "packed-torn-write", idx, res, faults);
     }
     // Exactly-once: a fresh fault-free packed run reproduces the pairs.
     let (res, pairs, _, faults) = run_mode(join, true, FaultConfig::none());
@@ -525,11 +482,11 @@ fn fault_sweep_packed_pages() {
 //
 // Region-range sharding spreads the workload across independent pools,
 // each over its own (fault-instrumented) disk. A fault on one shard's
-// disk must surface as one clean `Err` from the fork-join — carrying the
-// failing page, chosen by the *lowest* faulting shard index, exactly like
-// the partition scheduler — while every other shard's pool ends the run
-// with zero pinned frames, and a fresh fault-free rerun reproduces the
-// single-pool result byte for byte.
+// disk must surface as one clean `Err` from the sharded join — carrying
+// the failing page, from the *lowest* faulting shard, whose error stops
+// the shard loop — while every shard's pool ends the run with zero pinned
+// frames, and a fresh fault-free rerun reproduces the single-pool result
+// byte for byte.
 
 use pbitree_containment::storage::{IoErrorKind, PoolError};
 use pbitree_joins::{Algorithm, ShardRole, ShardedFile, ShardedStats, ShardedStore, Sharding};
@@ -544,7 +501,7 @@ const SHARDS: usize = 4;
 /// Compression is pinned off so the spill guarantee survives a
 /// `PBITREE_COMPRESS=1` run (packed slices would fit the 4 frames; the
 /// packed fault path is covered by `fault_sweep_packed_pages`).
-fn sharded_build(threads: usize) -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>) {
+fn sharded_build() -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>) {
     let proto = JoinCtx::builder(
         BufferPool::new(
             Disk::new(Box::new(MemBackend::new()), CostModel::free()),
@@ -552,7 +509,6 @@ fn sharded_build(threads: usize) -> (ShardedStore, ShardedFile, ShardedFile, Vec
         ),
         PBiTreeShape::new(H).unwrap(),
     )
-    .threads(threads)
     .io(strict_io())
     .compression(false)
     .sharding(Sharding::new(SHARDS).frames_per_shard(4))
@@ -585,7 +541,7 @@ fn sharded_build(threads: usize) -> (ShardedStore, ShardedFile, ShardedFile, Vec
     (store, a, d, handles)
 }
 
-/// One sharded fork-join run with the given per-shard fault plans armed.
+/// One sharded run with the given per-shard fault plans armed.
 /// Returns the result, canonical pairs, per-shard injected-fault counts,
 /// per-shard join-time write attempts, and total pinned frames.
 type ShardedOutcome = (
@@ -596,8 +552,8 @@ type ShardedOutcome = (
     usize,
 );
 
-fn sharded_run(threads: usize, arm: &[(usize, FaultConfig)]) -> ShardedOutcome {
-    let (store, a, d, handles) = sharded_build(threads);
+fn sharded_run(arm: &[(usize, FaultConfig)]) -> ShardedOutcome {
+    let (store, a, d, handles) = sharded_build();
     for &(s, cfg) in arm {
         handles[s].set_config(cfg);
     }
@@ -629,16 +585,10 @@ fn io_kind(err: &JoinError) -> Option<IoErrorKind> {
 
 #[test]
 fn fault_sweep_sharded_fork_join() {
-    for threads in [1, SHARDS] {
-        sharded_sweep(threads);
-    }
-}
-
-fn sharded_sweep(threads: usize) {
-    // Fault-free baseline: the fork-join result must equal the
-    // single-pool run of the same algorithm on the same workload.
-    let (pairs_ref, _, _, _) = baseline("vpj", ALGORITHMS[2].1, 1, strict_io());
-    let (res0, pairs0, faults0, writes0, pinned0) = sharded_run(threads, &[]);
+    // Fault-free baseline: the sharded result must equal the single-pool
+    // run of the same algorithm on the same workload.
+    let (pairs_ref, _, _, _) = baseline("vpj", ALGORITHMS[2].1, strict_io());
+    let (res0, pairs0, faults0, writes0, pinned0) = sharded_run(&[]);
     let stats0 = res0.expect("fault-free sharded baseline failed");
     assert_eq!(stats0.per_shard.len(), SHARDS);
     assert_eq!(pinned0, 0);
@@ -653,7 +603,7 @@ fn sharded_sweep(threads: usize) {
     // with the failing page, fault confined to that shard's disk, and no
     // pinned frame left on *any* shard's pool.
     for shard in 0..SHARDS {
-        let (res, _, faults, _, pinned) = sharded_run(threads, &[(shard, FaultConfig::read_at(0))]);
+        let (res, _, faults, _, pinned) = sharded_run(&[(shard, FaultConfig::read_at(0))]);
         assert!(faults[shard] > 0, "shard {shard}: read fault never fired");
         assert!(
             faults
@@ -671,25 +621,20 @@ fn sharded_sweep(threads: usize) {
     }
 
     // Two shards fault with distinguishable kinds: the surfaced error is
-    // the *lowest* faulting shard's, per the scheduler's merge order.
-    // Several workers run every shard, so both faults fire; one worker
-    // stops at the first failing shard and never reaches the second.
-    let both_fired = |faults: &[u64]| faults[1] > 0 && (faults[3] > 0) == (threads > 1);
-    let (res, _, faults, _, _) = sharded_run(
-        threads,
-        &[(1, FaultConfig::read_at(0)), (3, FaultConfig::write_at(0))],
-    );
-    assert!(both_fired(&faults), "t{threads}: fired {faults:?}");
+    // the *lowest* faulting shard's, and the loop stops there, so the
+    // second armed shard never runs.
+    let first_only = |faults: &[u64]| faults[1] > 0 && faults[3] == 0;
+    let (res, _, faults, _, _) =
+        sharded_run(&[(1, FaultConfig::read_at(0)), (3, FaultConfig::write_at(0))]);
+    assert!(first_only(&faults), "fired {faults:?}");
     assert_eq!(
         io_kind(&res.expect_err("two-shard fault swallowed")),
         Some(IoErrorKind::Read),
         "lowest shard's (read) error must win"
     );
-    let (res, _, faults, _, _) = sharded_run(
-        threads,
-        &[(1, FaultConfig::write_at(0)), (3, FaultConfig::read_at(0))],
-    );
-    assert!(both_fired(&faults), "t{threads}: fired {faults:?}");
+    let (res, _, faults, _, _) =
+        sharded_run(&[(1, FaultConfig::write_at(0)), (3, FaultConfig::read_at(0))]);
+    assert!(first_only(&faults), "fired {faults:?}");
     assert_eq!(
         io_kind(&res.expect_err("two-shard fault swallowed")),
         Some(IoErrorKind::Write),
@@ -697,7 +642,7 @@ fn sharded_sweep(threads: usize) {
     );
 
     // Exactly-once: a fresh fault-free rerun is byte-identical.
-    let (res, pairs, faults, _, pinned) = sharded_run(threads, &[]);
+    let (res, pairs, faults, _, pinned) = sharded_run(&[]);
     res.expect("fault-free sharded rerun failed");
     assert!(faults.iter().all(|&f| f == 0));
     assert_eq!(pairs, pairs0, "fault-free sharded rerun drifted");
