@@ -266,7 +266,7 @@ pub fn anc_des_bplus(
                 sa.scan_with(&ctx.pool, ctx.read_opts())
                     .results()
                     .map(|r| r.map(|e| (e.doc_key(), e.tag))),
-                ctx.write_opts(1),
+                ctx.write_opts(),
             )?;
             Ok(TempFile::new(&ctx.pool, tree.file_id(), tree))
         })?;

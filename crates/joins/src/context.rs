@@ -331,12 +331,16 @@ impl JoinCtx {
         self.io_opts.clamped(self.budget)
     }
 
-    /// Write-side options for `streams` concurrent output writers (e.g. a
-    /// partition fan-out): the budget-clamped depth, split across the
-    /// streams, as a write-once pattern.
+    /// Write-side options for every output writer — a lone sink or spool,
+    /// or each writer of a partition fan-out: the budget-clamped depth as
+    /// a write-once pattern. Fan-out writers are not split: a write batch
+    /// lives in writer-private memory ([`pbitree_storage::HeapWriter`]),
+    /// not in pool frames, so dividing the depth by the fan-out would save
+    /// no frame and only cost a seek per spilled page (DESIGN.md
+    /// "Substitutions", item 6, bounds that memory).
     #[inline]
-    pub fn write_opts(&self, streams: usize) -> ScanOptions {
-        self.read_opts().shared(streams).as_write()
+    pub fn write_opts(&self) -> ScanOptions {
+        self.read_opts().as_write()
     }
 
     /// The attached tracer, if phase tracing is enabled.

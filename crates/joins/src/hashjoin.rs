@@ -177,9 +177,7 @@ where
     K: Fn(&R) -> Option<u64>,
 {
     let hasher = FxBuildHasher::default();
-    // Fan-out writers share the declared write depth; the input scan keeps
-    // the full (budget-clamped) read-ahead.
-    let wopts = ctx.write_opts(parts);
+    let wopts = ctx.write_opts();
     let mut writers: Vec<HeapWriter<'_, R>> = (0..parts)
         .map(|_| HeapWriter::create_with(&ctx.pool, wopts))
         .collect::<Result<_, _>>()?;
@@ -443,29 +441,37 @@ mod tests {
     }
 
     #[test]
-    fn grace_io_is_about_three_passes() {
+    fn grace_io_is_three_passes_with_one_seek_per_write_batch() {
+        // Costed disk, one head: the fan-out writers interleave, so each
+        // partition's write batch (not each spilled page) moves the head.
         let c = JoinCtx::in_memory(PBiTreeShape::new(30).unwrap(), 16);
-        let build: Vec<u64> = (0..40_000).collect();
-        let probe: Vec<u64> = (0..40_000).collect();
-        let bf = HeapFile::from_iter(&c.pool, build.iter().copied()).unwrap();
-        let pf = HeapFile::from_iter(&c.pool, probe.iter().copied()).unwrap();
+        let keys: Vec<u64> = (0..40_000).collect();
+        let bf = HeapFile::from_iter(&c.pool, keys.iter().copied()).unwrap();
+        let pf = HeapFile::from_iter(&c.pool, keys.iter().copied()).unwrap();
+        let (opts, key) = (c.read_opts(), |k: &u64| Some(*k));
+        let parts = partition_count(&c, bf.pages());
+        assert!(parts >= 4, "only {parts} Grace partitions");
+        // Replay the join's level-0 split to learn each partition's size.
+        let depth = c.write_opts().depth() as u64;
+        assert!(depth > 1, "write depth {depth}");
+        let mut batches = 0u64;
+        for f in [&bf, &pf] {
+            for part in partition_file(&c, f, opts, parts, 0, key).unwrap() {
+                batches += (part.pages() as u64).div_ceil(depth);
+            }
+        }
         c.pool.flush_all().unwrap();
         let before = c.pool.io_stats();
         let mut n = 0u64;
-        let opts = c.read_opts();
-        hash_equijoin_with(
-            &c,
-            &bf,
-            &pf,
-            opts,
-            opts,
-            |b| Some(*b),
-            |p| Some(*p),
-            |_, _| n += 1,
-        )
-        .unwrap();
+        hash_equijoin_with(&c, &bf, &pf, opts, opts, key, key, |_, _| n += 1).unwrap();
         let delta = c.pool.io_stats().since(&before);
         assert_eq!(n, 40_000);
+        assert!(
+            delta.rand_writes <= batches,
+            "{} seeking writes for {batches} write batches ({} pages written)",
+            delta.rand_writes,
+            delta.writes()
+        );
         let total_pages = (bf.pages() + pf.pages()) as u64;
         // 3 passes (read, write partitions, read partitions) plus slack.
         assert!(

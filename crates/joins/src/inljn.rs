@@ -58,7 +58,7 @@ fn build_code_index<'a>(
             .scan_with(&ctx.pool, ctx.read_opts())
             .results()
             .map(|r| r.map(|e| (e.code.get(), e.tag))),
-        ctx.write_opts(1),
+        ctx.write_opts(),
     )?;
     drop(sorted);
     Ok(TempFile::new(&ctx.pool, tree.file_id(), tree))

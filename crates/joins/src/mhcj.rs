@@ -22,10 +22,7 @@ pub(crate) fn partition_by_height<'a>(
     a: &HeapFile<Element>,
 ) -> Result<Vec<TempFile<'a, HeapFile<Element>>>, JoinError> {
     let mut writers: FxHashMap<u32, HeapWriter<'_, Element>> = FxHashMap::default();
-    // Height fan-out is small (real sets hold a handful of heights), so
-    // each writer keeps the full write-batch depth; batches live in
-    // writer-private memory, not pool frames.
-    let wopts = ctx.write_opts(1);
+    let wopts = ctx.write_opts();
     let mut scan = a.scan_with(&ctx.pool, ctx.read_opts());
     while let Some(e) = scan.next_record()? {
         let h = e.code.height();

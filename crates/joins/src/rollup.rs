@@ -91,7 +91,7 @@ pub fn mhcj_rollup(
         // Several anchors: one partition pass over A (plain elements), one
         // equijoin per anchor.
         let parts = ctx.phase("partition", || {
-            let wopts = ctx.write_opts(anchors.len());
+            let wopts = ctx.write_opts();
             let mut writers: Vec<HeapWriter<'_, Element>> = anchors
                 .iter()
                 .map(|_| HeapWriter::create_with(&ctx.pool, wopts))

@@ -282,7 +282,7 @@ impl ShardedStore {
         // error deletes the earlier shards' files.
         let mut files = Vec::with_capacity(n);
         for (c, bucket) in self.ctxs.iter().zip(buckets) {
-            files.push(c.temp(HeapFile::from_iter_with(&c.pool, c.write_opts(1), bucket)?));
+            files.push(c.temp(HeapFile::from_iter_with(&c.pool, c.write_opts(), bucket)?));
         }
         Ok(ShardedFile {
             files: files.into_iter().map(TempFile::keep).collect(),
@@ -422,7 +422,7 @@ mod tests {
     ) -> (CollectSink, pbitree_storage::IoStats) {
         let ctx = JoinCtxBuilder::in_memory_free(shape(), 64).build();
         let load = |items: &[Element]| {
-            HeapFile::from_iter_with(&ctx.pool, ctx.write_opts(1), items.iter().copied()).unwrap()
+            HeapFile::from_iter_with(&ctx.pool, ctx.write_opts(), items.iter().copied()).unwrap()
         };
         let (a, d) = (load(ancs), load(descs));
         let mut sink = CollectSink::default();

@@ -190,7 +190,7 @@ pub struct HeapSink<'a> {
 impl<'a> HeapSink<'a> {
     /// Starts a sink writing to a fresh heap file under explicit
     /// [`ScanOptions`] — pass the operator's write options (e.g.
-    /// `ctx.write_opts(1)`) so the materialized output batches at the
+    /// `ctx.write_opts()`) so the materialized output batches at the
     /// declared depth.
     pub fn create_with(pool: &'a BufferPool, opts: ScanOptions) -> Result<Self, PoolError> {
         Ok(HeapSink {
@@ -312,7 +312,7 @@ mod tests {
         let mut expect = CollectSink::default();
         crate::naive::block_nested_loop(&ctx, &a, &d, &mut expect).unwrap();
 
-        let mut sink = HeapSink::create_with(&ctx.pool, ctx.write_opts(1)).unwrap();
+        let mut sink = HeapSink::create_with(&ctx.pool, ctx.write_opts()).unwrap();
         crate::naive::block_nested_loop(&ctx, &a, &d, &mut sink).unwrap();
         assert_eq!(sink.count, expect.pairs.len() as u64);
         let file = sink.finish().unwrap();

@@ -400,10 +400,7 @@ fn partition_pass<'a>(
     let shift = h - l; // hl + 1
     let (wlo, whi) = (window.0 >> shift, window.1 >> shift);
     let mut writers: BTreeMap<u64, HeapWriter<'_, Element>> = BTreeMap::new();
-    // Partition fan-out can be large, but write batches live in
-    // writer-private memory (not pool frames), so each writer keeps the
-    // full batch depth.
-    let wopts = ctx.write_opts(1);
+    let wopts = ctx.write_opts();
     let mut scan = input.scan_with(&ctx.pool, opts);
     while let Some(e) = scan.next_record()? {
         let (lo, hi) = partition_range(e.code, h, l);

@@ -148,9 +148,10 @@ impl ScanOptions {
         self.with_depth(self.depth().min((budget / 2).max(1)))
     }
 
-    /// Splits the depth across `streams` concurrent streams of one budget
-    /// (interleaved sort-merge inputs, partition fan-out writers), so their
-    /// combined appetite stays within the single-stream depth.
+    /// Splits the depth across `streams` concurrent read streams of one
+    /// budget (interleaved sort-merge inputs, a merge join's two sides), so
+    /// their combined read-ahead stays within the single-stream depth of
+    /// pool frames.
     pub fn shared(self, streams: usize) -> Self {
         self.with_depth(self.depth() / streams.max(1))
     }

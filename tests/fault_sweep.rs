@@ -266,8 +266,17 @@ fn transient_faults_recover_invisibly() {
 fn fault_sweep_with_readahead() {
     let io = ScanOptions::default();
     for &(name, join) in ALGORITHMS {
-        let (pairs0, _, reads, writes) = baseline(name, join, io);
+        let (pairs0, io0, reads, writes) = baseline(name, join, io);
         assert!(reads > 0, "{name}: readahead workload did no reads");
+        // SHCJ writes nothing but its Grace spills. Multi-page batches
+        // (depth 4 at this budget) mean some write index below lands
+        // inside a spill batch, tearing it after a written prefix.
+        if name == "shcj" {
+            assert!(
+                io0.seq_writes > 0,
+                "shcj: Grace spills wrote no multi-page batch ({io0:?})"
+            );
+        }
         for idx in 0..reads {
             let (res, pairs, _, _) = run_once(name, join, FaultConfig::read_at(idx), io);
             check_readahead_outcome(name, "read", idx, res, pairs, &pairs0);
