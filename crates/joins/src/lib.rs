@@ -63,7 +63,8 @@ pub use planner::{
 pub use sharded::{ShardRole, ShardedFile, ShardedStats, ShardedStore, Sharding};
 pub use shared::QueryBatch;
 pub use sink::{
-    CollectSink, CountSink, Counted, HeapSink, MultiSink, PairSink, ResultPair, SinkExt,
+    CollectSink, CountSink, Counted, DistinctDescendants, HeapSink, MultiSink, PairSink,
+    ResultPair, SinkExt,
 };
 pub use stacktree::SortPolicy;
 pub use update::{ElementStore, StoreError};

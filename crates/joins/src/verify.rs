@@ -7,13 +7,15 @@ use pbitree_storage::HeapFile;
 use crate::context::{JoinCtx, JoinError};
 use crate::element::Element;
 use crate::planner::{execute, Algorithm};
-use crate::sink::CollectSink;
+use crate::sink::{CollectSink, DistinctDescendants};
 use crate::stacktree::SortPolicy;
 
 /// Runs every applicable algorithm of [`Algorithm::ALL`] on `(a, d)` and
 /// returns the canonical result set after asserting they all agree with
-/// the naive join. SHCJ applies only to single-height ancestor sets and is
-/// skipped when it says so.
+/// the naive join — pair for pair through a [`CollectSink`], and as the
+/// distinct descendant set through a [`DistinctDescendants`] the operator
+/// emits into directly. SHCJ applies only to single-height ancestor sets
+/// and is skipped when it says so.
 ///
 /// # Panics
 /// Panics (with the offending algorithm named) on any disagreement —
@@ -26,6 +28,9 @@ pub fn check_all_agree(
     let mut reference = CollectSink::default();
     crate::naive::block_nested_loop(ctx, a, d, &mut reference)?;
     let expect = reference.canonical();
+    let mut expect_desc: Vec<u64> = expect.iter().map(|&(_, d)| d).collect();
+    expect_desc.sort_unstable();
+    expect_desc.dedup();
     for algo in Algorithm::ALL {
         let mut sink = CollectSink::default();
         match execute(ctx, algo, a, d, SortPolicy::SortOnTheFly, &mut sink) {
@@ -33,6 +38,13 @@ pub fn check_all_agree(
             res => res?,
         };
         assert_eq!(sink.canonical(), expect, "{algo} disagrees with naive join");
+        let mut desc = DistinctDescendants::default();
+        execute(ctx, algo, a, d, SortPolicy::SortOnTheFly, &mut desc)?;
+        assert_eq!(
+            desc.finish(),
+            expect_desc,
+            "{algo}'s distinct descendants disagree with naive join"
+        );
     }
     Ok(expect)
 }

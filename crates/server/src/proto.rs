@@ -170,17 +170,48 @@ fn push_options(s: &mut String, raw: bool, budget: Option<usize>) {
     }
 }
 
-/// Writes a successful query response: `OK <n>` then one code per line.
+/// Writes a successful query response: `OK <n>` then one code per line,
+/// rendered into one buffer and handed to `w` in one `write_all`.
 pub fn write_ok<W: Write>(w: &mut W, codes: &[u64]) -> io::Result<()> {
-    let mut buf = String::with_capacity(8 + codes.len() * 12);
-    buf.push_str("OK ");
-    buf.push_str(&codes.len().to_string());
-    buf.push('\n');
-    for c in codes {
-        buf.push_str(&c.to_string());
-        buf.push('\n');
+    let mut buf = Vec::with_capacity(24 + codes.len() * 12);
+    buf.extend_from_slice(b"OK ");
+    push_decimal_line(&mut buf, codes.len() as u64);
+    for &c in codes {
+        push_decimal_line(&mut buf, c);
     }
-    w.write_all(buf.as_bytes())
+    w.write_all(&buf)
+}
+
+/// Appends `n` in decimal and a newline, formatting the digits back to
+/// front in a stack buffer.
+fn push_decimal_line(out: &mut Vec<u8>, mut n: u64) {
+    // 20 digits hold `u64::MAX`; one more byte holds the newline.
+    let mut line = [b'\n'; 21];
+    let mut start = 20;
+    loop {
+        start -= 1;
+        line[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&line[start..]);
+}
+
+/// Parses an unsigned decimal: ASCII digits only, at least one, and no
+/// value past `u64::MAX`.
+fn parse_decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(d))
+    })
 }
 
 /// Writes an error response. The message is flattened to one line.
@@ -203,45 +234,52 @@ pub enum Response {
     Err(String),
 }
 
-/// Reads one query response off `r`.
+/// Most codes [`read_response`] reserves room for before it has read
+/// them: the count comes off the wire.
+const MAX_RESERVE: usize = 1 << 16;
+
+/// Reads one query response off `r`. Every line is appended straight to
+/// the response's `bytes` and its digits parsed in place there.
+///
+/// A code line must be ASCII digits ending in `\n` that fit a `u64`
+/// (`InvalidData` otherwise); a stream that ends before the last one does
+/// is `UnexpectedEof`.
 pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
-    let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    let invalid = |what: &str, line: &[u8]| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("bad {what} {:?}", String::from_utf8_lossy(line)),
+        )
+    };
+    let mut bytes = Vec::new();
+    if r.read_until(b'\n', &mut bytes)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-response",
         ));
     }
-    if let Some(msg) = header.strip_prefix("ERR ") {
+    if let Some(msg) = bytes.strip_prefix(b"ERR ") {
+        let msg = std::str::from_utf8(msg).map_err(|_| invalid("error line", &bytes))?;
         return Ok(Response::Err(msg.trim_end().to_owned()));
     }
-    let n: usize = header
-        .strip_prefix("OK ")
-        .and_then(|s| s.trim_end().parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad response header {header:?}"),
-            )
-        })?;
-    let mut bytes = header.into_bytes();
-    let mut codes = Vec::with_capacity(n);
+    let n = bytes
+        .strip_prefix(b"OK ")
+        .map(<[u8]>::trim_ascii_end)
+        .and_then(parse_decimal)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| invalid("response header", &bytes))?;
+    let mut codes = Vec::with_capacity(n.min(MAX_RESERVE));
     for _ in 0..n {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
+        let start = bytes.len();
+        r.read_until(b'\n', &mut bytes)?;
+        let line = &bytes[start..];
+        let Some(digits) = line.strip_suffix(b"\n") else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-body",
             ));
-        }
-        let c: u64 = line.trim_end().parse().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad code line {line:?}"),
-            )
-        })?;
-        codes.push(c);
-        bytes.extend_from_slice(line.as_bytes());
+        };
+        codes.push(parse_decimal(digits).ok_or_else(|| invalid("code line", line))?);
     }
     Ok(Response::Ok { codes, bytes })
 }
@@ -338,6 +376,98 @@ mod tests {
         assert_eq!(
             read_response(&mut ebuf.as_slice()).unwrap(),
             Response::Err("bad thing".into())
+        );
+    }
+
+    /// The wire bytes pinned against `std`'s formatter, not against the
+    /// renderer under test: the benchmark's oracle renders its expected
+    /// bytes with `write_ok` itself.
+    #[test]
+    fn write_ok_matches_std_formatting() {
+        let mut codes: Vec<u64> = vec![0, 1, 9, 10, 99, 100, u64::MAX - 1, u64::MAX];
+        let mut p = 1u64;
+        while let Some(next) = p.checked_mul(10) {
+            codes.extend([next - 1, next, next + 1]);
+            p = next;
+        }
+        let mut x = 0xC0DEu64;
+        for _ in 0..1_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            codes.push(x >> (x % 64));
+        }
+        for set in [&codes[..0], &codes[..1], &codes[..]] {
+            let mut want = format!("OK {}\n", set.len());
+            for c in set {
+                want.push_str(&format!("{c}\n"));
+            }
+            let mut got = Vec::new();
+            write_ok(&mut got, set).unwrap();
+            assert_eq!(String::from_utf8(got).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn read_response_rejects_malformed_bodies() {
+        for (body, kind) in [
+            ("OK 1\n\n", io::ErrorKind::InvalidData),
+            ("OK 1\n12a\n", io::ErrorKind::InvalidData),
+            ("OK 1\n-5\n", io::ErrorKind::InvalidData),
+            ("OK 1\n18446744073709551616\n", io::ErrorKind::InvalidData),
+            ("OK 2\n3\n", io::ErrorKind::UnexpectedEof),
+            ("OK 2\n3\n4", io::ErrorKind::UnexpectedEof),
+            ("OK x\n", io::ErrorKind::InvalidData),
+            ("", io::ErrorKind::UnexpectedEof),
+        ] {
+            let err = read_response(&mut body.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), kind, "{body:?}: {err}");
+        }
+        let max = read_response(&mut "OK 1\n18446744073709551615\n".as_bytes()).unwrap();
+        assert!(matches!(max, Response::Ok { codes, .. } if codes == [u64::MAX]));
+    }
+
+    /// A reader that hands out one byte per call, so every line of the
+    /// response crosses a `BufReader` refill.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl io::Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&b, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            if buf.is_empty() {
+                return Ok(0);
+            }
+            buf[0] = b;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn large_response_round_trips_one_byte_at_a_time() {
+        let codes: Vec<u64> = (0..20_000u64).map(|i| i * i * 7919 + i).collect();
+        let mut wire = Vec::new();
+        write_ok(&mut wire, &codes).unwrap();
+        write_ok(&mut wire, &[42]).unwrap();
+        let mut r = io::BufReader::new(OneByte(&wire));
+        let first = read_response(&mut r).unwrap();
+        let second = read_response(&mut r).unwrap();
+        let split = wire.len() - b"OK 1\n42\n".len();
+        assert_eq!(
+            first,
+            Response::Ok {
+                codes,
+                bytes: wire[..split].to_vec()
+            }
+        );
+        assert_eq!(
+            second,
+            Response::Ok {
+                codes: vec![42],
+                bytes: wire[split..].to_vec()
+            }
         );
     }
 }

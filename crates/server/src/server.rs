@@ -111,6 +111,11 @@ fn handle_connection(
     stop: &AtomicBool,
     addr: SocketAddr,
 ) -> io::Result<()> {
+    // Responses are buffered here and flushed once per request, so Nagle
+    // only delays: a batch's responses leave as several writes, and a
+    // small one held behind an unacknowledged one waits for the peer's
+    // delayed ACK (~40 ms).
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();

@@ -30,8 +30,8 @@ use pbitree_core::Code;
 use pbitree_datagen::xmark::{self, XMarkSpec};
 use pbitree_joins::element::element_file_with;
 use pbitree_joins::{
-    plan_and_execute, Algorithm, CollectSink, Element, InputState, JoinCtx, JoinError, MultiSink,
-    QueryBatch, ShardRole, ShardedFile, ShardedStore, Sharding,
+    plan_and_execute, Algorithm, DistinctDescendants, Element, InputState, JoinCtx, JoinError,
+    MultiSink, QueryBatch, ShardRole, ShardedFile, ShardedStore, Sharding,
 };
 use pbitree_storage::{
     compress_default, BufferPool, CostModel, Disk, HeapFile, MemBackend, PoolError, ScanOptions,
@@ -484,11 +484,12 @@ impl QueryService {
             queries.push(ancs);
             routed.push(i);
         }
-        let mut collect: Vec<CollectSink> =
-            (0..routed.len()).map(|_| CollectSink::default()).collect();
+        let mut distinct: Vec<DistinctDescendants> = (0..routed.len())
+            .map(|_| DistinctDescendants::default())
+            .collect();
         {
             let mut sinks = MultiSink::new();
-            for s in &mut collect {
+            for s in &mut distinct {
                 sinks.push(s);
             }
             let scanned = match &self.sharded {
@@ -508,19 +509,18 @@ impl QueryService {
                 return; // whole group falls back to the serial chain
             }
         }
-        for (sink, &i) in collect.iter().zip(&routed) {
-            let mut codes: Vec<u64> = sink.pairs.iter().map(|(_, d)| d.code.get()).collect();
-            codes.sort_unstable();
-            codes.dedup();
+        for (sink, &i) in distinct.into_iter().zip(&routed) {
             slots[i] = BatchSlot::Done(Ok(QueryOutcome {
-                codes,
+                codes: sink.finish(),
                 algorithms: vec![Algorithm::SharedScan],
                 budget: ctx.budget(),
             }));
         }
     }
 
-    /// The containment-join chain over the parsed path.
+    /// The containment-join chain over the parsed path. Each step's join
+    /// emits into a [`DistinctDescendants`]: the next step needs only the
+    /// distinct descendants, never the pairs.
     fn run_chain(
         &self,
         path: &DescendantPath,
@@ -541,7 +541,7 @@ impl QueryService {
                 current = StepInput::Empty;
                 continue;
             };
-            let mut sink = CollectSink::default();
+            let mut sink = DistinctDescendants::default();
             let (algo, _stats) = plan_and_execute(
                 &ctx,
                 state,
@@ -552,9 +552,7 @@ impl QueryService {
                 &mut sink,
             )?;
             algorithms.push(algo);
-            let mut codes: Vec<u64> = sink.canonical().into_iter().map(|(_, d)| d).collect();
-            codes.sort_unstable();
-            codes.dedup();
+            let codes = sink.finish();
             current = if codes.is_empty() {
                 StepInput::Empty
             } else if i + 1 < path.steps.len() {

@@ -2,14 +2,15 @@
 
 use std::sync::Arc;
 
-use pbitree_server::proto::Response;
+use pbitree_server::proto::{write_ok, Response};
 use pbitree_server::server::Client;
 use pbitree_server::{spawn, QueryService, ServiceConfig};
 use pbitree_storage::CostModel;
+use pbitree_xml::DescendantPath;
 
-fn service() -> QueryService {
+fn service(sf: f64) -> QueryService {
     QueryService::new(ServiceConfig {
-        sf: 0.002,
+        sf,
         buffer_pages: 128,
         reserve_frames: 16,
         default_budget: 24,
@@ -21,7 +22,7 @@ fn service() -> QueryService {
 
 #[test]
 fn tcp_round_trip_matches_in_process_results() {
-    let svc = Arc::new(service());
+    let svc = Arc::new(service(0.002));
     let handle = spawn(svc.clone(), "127.0.0.1:0").unwrap();
 
     let mut c = Client::connect(handle.addr()).unwrap();
@@ -51,11 +52,50 @@ fn tcp_round_trip_matches_in_process_results() {
 
     c.shutdown().unwrap();
     handle.join().unwrap();
+
+    // Answers of thousands of codes, alone and batched: each response
+    // spans many `BufReader` refills on both ends of the socket. The
+    // corpus is larger here, so the paths have that many answers.
+    let big = Arc::new(service(0.05));
+    let handle = spawn(big.clone(), "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let paths = ["//site//#text", "//description//#text"];
+    let check = |path: &str, raw: bool, resp: Response| {
+        let Response::Ok { codes, bytes } = resp else {
+            panic!("{path} raw={raw}: {resp:?}");
+        };
+        let mut want = Vec::new();
+        write_ok(&mut want, &big.execute(path, raw, None).unwrap().codes).unwrap();
+        assert!(
+            bytes == want,
+            "{path} raw={raw}: bytes differ from in process"
+        );
+        let naive: Vec<u64> = DescendantPath::parse(path)
+            .unwrap()
+            .evaluate_naive(big.document())
+            .into_iter()
+            .map(|c| c.get())
+            .collect();
+        assert!(naive.len() >= 5_000, "{path}: only {} codes", naive.len());
+        assert_eq!(codes, naive, "{path} raw={raw}");
+    };
+    for path in paths {
+        for raw in [false, true] {
+            check(path, raw, c.query(path, raw, None).unwrap());
+        }
+    }
+    let batch = c.query_batch(&paths, false, None).unwrap();
+    assert_eq!(batch.len(), paths.len());
+    for (path, resp) in paths.into_iter().zip(batch) {
+        check(path, false, resp);
+    }
+    c.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 #[test]
 fn many_clients_identical_responses_and_clean_shutdown() {
-    let svc = Arc::new(service());
+    let svc = Arc::new(service(0.002));
     let handle = spawn(svc.clone(), "127.0.0.1:0").unwrap();
     let addr = handle.addr();
 

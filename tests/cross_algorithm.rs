@@ -7,7 +7,7 @@
 use pbitree_containment::joins::element::element_file;
 use pbitree_containment::joins::verify::check_all_agree;
 use pbitree_containment::joins::JoinCtx;
-use pbitree_core::PBiTreeShape;
+use pbitree_core::{Code, PBiTreeShape};
 
 fn xorshift(x: &mut u64) -> u64 {
     *x ^= *x << 13;
@@ -35,16 +35,35 @@ fn arb_sets(h: u32, seed: u64) -> (Vec<u64>, Vec<u64>) {
     (a.into_iter().collect(), d.into_iter().collect())
 }
 
+/// Every algorithm, on inputs stored in document order ("sorted") and in
+/// a seeded shuffle ("raw"): the order decides the order pairs are emitted
+/// in, so both the pair set and the distinct-descendant set
+/// `check_all_agree` compares are checked under both.
 #[test]
 fn all_algorithms_agree() {
     for seed in 0..40u64 {
-        let (a, d) = arb_sets(12, seed.wrapping_mul(0x9E3779B97F4A7C15) + 1);
+        let (mut a, mut d) = arb_sets(12, seed.wrapping_mul(0x9E3779B97F4A7C15) + 1);
         let b = 3 + (seed as usize) % 7;
         let shape = PBiTreeShape::new(12).unwrap();
         let ctx = JoinCtx::in_memory_free(shape, b);
-        let af = element_file(&ctx.pool, a.iter().map(|&c| (c, 0))).unwrap();
-        let df = element_file(&ctx.pool, d.iter().map(|&c| (c, 1))).unwrap();
-        check_all_agree(&ctx, &af, &df).unwrap_or_else(|e| panic!("seed {seed} b {b}: {e:?}"));
+        for sorted in [true, false] {
+            if sorted {
+                for v in [&mut a, &mut d] {
+                    v.sort_unstable_by_key(|&c| Code::from_raw_unchecked(c).doc_order_key());
+                }
+            } else {
+                let mut x = seed | 1;
+                for v in [&mut a, &mut d] {
+                    for i in (1..v.len()).rev() {
+                        v.swap(i, (xorshift(&mut x) % (i as u64 + 1)) as usize);
+                    }
+                }
+            }
+            let af = element_file(&ctx.pool, a.iter().map(|&c| (c, 0))).unwrap();
+            let df = element_file(&ctx.pool, d.iter().map(|&c| (c, 1))).unwrap();
+            check_all_agree(&ctx, &af, &df)
+                .unwrap_or_else(|e| panic!("seed {seed} b {b} sorted {sorted}: {e:?}"));
+        }
     }
 }
 
