@@ -360,9 +360,8 @@ fn compress_study(args: &CommonArgs) {
         for compression in [false, true] {
             let cfg = ExpConfig {
                 buffer_pages: args.buffer,
-                io: io_options(args.readahead),
+                io: io_options(args.readahead).with_compress(compression),
                 prune: true,
-                compression,
                 ..ExpConfig::default()
             };
             let m = run_algo(shape, &a, &d, &cfg, algo);

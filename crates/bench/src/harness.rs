@@ -64,17 +64,12 @@ pub struct ExpConfig {
     pub cost: CostModel,
     /// Declared access pattern for operator scans — `sequential(1)`
     /// disables read-ahead and write batching (the ablation baseline).
+    /// Its `compress` flag (off by default) packs the loaded inputs *and*
+    /// every file the operators spill.
     pub io: pbitree_storage::ScanOptions,
     /// Whether operators may push zone-map filters into their scans
     /// (on by default; the prune ablation turns it off for a baseline).
     pub prune: bool,
-    /// Whether element pages are written packed (delta/varint codec) —
-    /// applies to the loaded inputs *and* every file the operators spill.
-    /// Defaults to the once-per-process `PBITREE_COMPRESS` snapshot
-    /// ([`pbitree_storage::compress_default`]), so every experiment in a
-    /// run sees the same layout regardless of when it constructs its
-    /// config.
-    pub compression: bool,
 }
 
 impl Default for ExpConfig {
@@ -84,7 +79,6 @@ impl Default for ExpConfig {
             cost: CostModel::default(),
             io: pbitree_storage::ScanOptions::default(),
             prune: true,
-            compression: pbitree_storage::compress_default(),
         }
     }
 }
@@ -128,16 +122,14 @@ pub fn run_algo(
         shape,
     )
     .io(cfg.io)
-    .prune(cfg.prune)
-    .compression(cfg.compression);
+    .prune(cfg.prune);
     if let Some(t) = tracer() {
         builder = builder.tracer(t);
     }
     let ctx = builder.build();
-    let load_opts = cfg.io.with_compress(cfg.compression);
     let load0 = ctx.pool.pool_stats();
-    let af = element_file_with(&ctx.pool, load_opts, a.iter().copied()).expect("load A");
-    let df = element_file_with(&ctx.pool, load_opts, d.iter().copied()).expect("load D");
+    let af = element_file_with(&ctx.pool, cfg.io, a.iter().copied()).expect("load A");
+    let df = element_file_with(&ctx.pool, cfg.io, d.iter().copied()).expect("load D");
     let load = ctx.pool.pool_stats().since(&load0);
     ctx.pool.evict_all().unwrap();
     let pool0 = ctx.pool.pool_stats();

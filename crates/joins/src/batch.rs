@@ -471,14 +471,8 @@ mod tests {
         let per_page = records_per_page::<Element>();
         let n = per_page * 3 + 7; // several pages plus a partial tail
         let codes: Vec<u64> = (0..n as u64).map(|i| (i << 1) | 1).collect();
-        // Raw layout pinned: the page-count math above assumes fixed-width
-        // records (packed pages would fold this file into a single page).
-        let f = element_file_with(
-            &c.pool,
-            pbitree_storage::ScanOptions::default().with_compress(false),
-            codes.iter().map(|&v| (v, 0)),
-        )
-        .unwrap();
+        // The page-count math above assumes fixed-width raw records.
+        let f = element_file(&c.pool, codes.iter().map(|&v| (v, 0))).unwrap();
         // Mark an element in the middle of the second page via its batch
         // index, then resume there and check the stream lines up.
         let mut s = f.scan(&c.pool);

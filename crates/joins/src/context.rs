@@ -286,8 +286,7 @@ impl JoinCtx {
     /// [`write_opts`](JoinCtx::write_opts) and into worker views;
     /// reading is always layout-agnostic (the page header selects the
     /// decode), so flipping it never changes results, only page counts.
-    /// Defaults to the once-per-process `PBITREE_COMPRESS` snapshot
-    /// ([`pbitree_storage::compress_default`]); set it per context with
+    /// Off by default; set it per context with
     /// [`JoinCtxBuilder::compression`].
     #[inline]
     pub fn compression(&self) -> bool {
@@ -501,8 +500,8 @@ impl JoinCtxBuilder {
         self
     }
 
-    /// Packed element pages for every file the context's operators write.
-    /// Defaults to the once-per-process `PBITREE_COMPRESS` snapshot.
+    /// Packed element pages for every file the context's operators write
+    /// (off by default).
     pub fn compression(mut self, compress: bool) -> Self {
         self.ctx.io_opts = self.ctx.io_opts.with_compress(compress);
         self
@@ -554,8 +553,8 @@ mod tests {
         assert!(!ctx.prune());
         // `.io(..)` replaces the options wholesale, like `with_io` did —
         // a compression choice made before it reverts to the fresh
-        // options' setting (the PBITREE_COMPRESS env default).
-        assert_eq!(ctx.compression(), ScanOptions::sequential(2).compress);
+        // options' setting (off).
+        assert!(!ctx.compression());
         let ctx = JoinCtxBuilder::in_memory_free(shape, 16)
             .io(ScanOptions::sequential(2))
             .compression(true)

@@ -281,10 +281,8 @@ mod tests {
     fn a_in_memory_path() {
         // Budget fits A (1 page) but not D: force the rollup branch by
         // making D larger than the pool. The branch choice depends on raw
-        // page geometry, so pin the layout (packed D would fit the pool).
-        let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(16).unwrap(), 3)
-            .compression(false)
-            .build();
+        // page geometry (packed D would fit the pool).
+        let c = ctx(3);
         let a = element_file_with(
             &c.pool,
             c.read_opts(),

@@ -614,12 +614,8 @@ mod tests {
     fn replication_produces_no_duplicates() {
         // Ancestors high in the tree (heavily replicated) with descendants
         // spread across partitions; both sides also share spanning nodes.
-        // Tiny budget forces real partitioning; raw layout pinned so the
-        // fit thresholds (page counts) stay below the budget regardless of
-        // the process-wide compression default.
-        let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(18).unwrap(), 4)
-            .compression(false)
-            .build();
+        // Tiny budget forces real partitioning.
+        let c = ctx(18, 4);
         // The root and its children sit at/above any partition level, so
         // they are guaranteed to span partitions and be replicated.
         let mut high: Vec<u64> = vec![1 << 17, 1 << 16, 3 << 16];
@@ -652,11 +648,9 @@ mod tests {
     #[test]
     fn dense_partition_recurses() {
         // All data concentrated under one level-1 subtree: the first
-        // partitioning is useless, recursion must go deeper. Raw layout
-        // pinned — packed partitions would fit the budget without recursing.
-        let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(18).unwrap(), 4)
-            .compression(false)
-            .build();
+        // partitioning is useless, recursion must go deeper (on raw pages:
+        // packed partitions would fit the budget without recursing).
+        let c = ctx(18, 4);
         // Confine everything to the leftmost quarter of the code space.
         let a: Vec<u64> = mixed_codes(16, 2500, &[2, 4], 111); // codes < 2^16
         let d: Vec<u64> = mixed_codes(16, 2500, &[0, 1], 113);

@@ -44,14 +44,8 @@ fn mixed_codes(n: usize, heights: &[u32], seed: u64) -> Vec<u64> {
     out.into_iter().collect()
 }
 
-/// Runs one operator under a fresh tracer and returns its stats plus
-/// every span the tracer captured.
-fn run_traced(f: JoinFn, a: &[u64], d: &[u64], buffer: usize) -> (JoinStats, Vec<SpanRecord>) {
-    let (stats, spans, _) = run_traced_io(f, a, d, buffer, ScanOptions::default());
-    (stats, spans)
-}
-
-/// [`run_traced`] with explicit I/O options; also returns the pool's
+/// Runs one operator under a fresh tracer with the given I/O options and
+/// returns its stats, every span the tracer captured, and the pool's
 /// speculative-read counter so callers can assert prefetch really ran.
 fn run_traced_io(
     f: JoinFn,
@@ -65,8 +59,8 @@ fn run_traced_io(
         .io(io)
         .tracer(Arc::clone(&tracer))
         .build();
-    // Inputs are built under the run's own options so a caller pinning the
-    // page layout (e.g. compression off) governs the whole run.
+    // Inputs are built under the run's own options, so the page layout
+    // it names governs the whole run.
     let af = element_file_with(&ctx.pool, ctx.read_opts(), a.iter().map(|&v| (v, 0))).unwrap();
     let df = element_file_with(&ctx.pool, ctx.read_opts(), d.iter().map(|&v| (v, 1))).unwrap();
     let mut sink = CountSink::default();
@@ -337,16 +331,21 @@ fn emitted_lines_keep_key_order() {
     }
 }
 
+/// Raw and packed pages alike: the packed-page pool counters (pages
+/// packed, decodes, bytes) must tile the run like every other field.
 #[test]
 fn every_operator_tiles_exactly_sequential() {
-    for (op, f, heights) in operators() {
-        let a = mixed_codes(400, heights, 23);
-        let d = mixed_codes(1200, &[0, 1], 29);
-        // memjoin needs one side within the budget; everyone else gets a
-        // buffer small enough to force real partitioning/spill phases.
-        let buffer = if op == "memjoin" { 256 } else { 12 };
-        let (stats, spans) = run_traced(f, &a, &d, buffer);
-        assert_tiles_exactly(op, &stats, &spans);
+    for compress in [false, true] {
+        for (op, f, heights) in operators() {
+            let a = mixed_codes(400, heights, 23);
+            let d = mixed_codes(1200, &[0, 1], 29);
+            // memjoin needs one side within the budget; everyone else gets a
+            // buffer small enough to force real partitioning/spill phases.
+            let buffer = if op == "memjoin" { 256 } else { 12 };
+            let io = ScanOptions::default().with_compress(compress);
+            let (stats, spans, _) = run_traced_io(f, &a, &d, buffer, io);
+            assert_tiles_exactly(&format!("{op} compress={compress}"), &stats, &spans);
+        }
     }
 }
 
@@ -358,25 +357,21 @@ fn partitioned_runs_tile_exactly_with_task_spans() {
     {
         // MHCJ leaves one task per height; VPJ leaves its vertical groups
         // as tasks only when neither input fits the budget, so it gets
-        // bigger inputs over a tiny buffer — with the raw layout pinned,
-        // since "fits" is a page-count test and packed pages would fold
-        // these inputs under the budget.
-        let (a, d, buffer, io) = if op == "vpj" {
+        // bigger inputs over a tiny buffer.
+        let (a, d, buffer) = if op == "vpj" {
             (
                 mixed_codes(1500, &[2, 4], 61),
                 mixed_codes(3000, &[0, 1], 63),
                 4,
-                ScanOptions::default().with_compress(false),
             )
         } else {
             (
                 mixed_codes(700, heights, 41),
                 mixed_codes(2500, &[0, 1, 2], 43),
                 16,
-                ScanOptions::default(),
             )
         };
-        let (stats, spans, _) = run_traced_io(f, &a, &d, buffer, io);
+        let (stats, spans, _) = run_traced_io(f, &a, &d, buffer, ScanOptions::default());
         assert_tiles_exactly(op, &stats, &spans);
         let run = top_run(&spans);
         let tasks: Vec<_> = spans

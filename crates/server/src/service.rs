@@ -34,8 +34,7 @@ use pbitree_joins::{
     MultiSink, QueryBatch, ShardRole, ShardedFile, ShardedStore, Sharding,
 };
 use pbitree_storage::{
-    compress_default, BufferPool, CostModel, Disk, HeapFile, MemBackend, PoolError, ScanOptions,
-    TempFile,
+    BufferPool, CostModel, Disk, HeapFile, MemBackend, PoolError, ScanOptions, TempFile,
 };
 use pbitree_xml::{DescendantPath, EncodedDocument};
 
@@ -59,7 +58,7 @@ pub struct ServiceConfig {
     pub max_queue: usize,
     /// Simulated disk cost model.
     pub cost: CostModel,
-    /// Whether element pages are written packed.
+    /// Whether element pages are written packed (off by default).
     pub compression: bool,
     /// Ignored: every query runs its operators on the thread that serves
     /// it. Kept so struct literals that still name the field compile.
@@ -86,7 +85,7 @@ impl Default for ServiceConfig {
             default_budget: 64,
             max_queue: 4096,
             cost: CostModel::default(),
-            compression: compress_default(),
+            compression: false,
             threads: 1,
             shards: 1,
         }

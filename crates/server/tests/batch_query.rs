@@ -194,6 +194,8 @@ fn tcp_batch_responses_byte_identical_to_serial() {
 /// its groups in first-appearance order: from a cold pool too small for
 /// their inputs, the same batch moves the same pages every time — exactly
 /// the pages of its groups issued as consecutive single-group batches.
+/// Every seeded permutation of the batch repeats its own page counts,
+/// and answers each query with the codes a lone `QUERY` returns.
 #[test]
 fn batch_groups_run_in_first_appearance_order() {
     let svc = QueryService::new(ServiceConfig {
@@ -201,7 +203,6 @@ fn batch_groups_run_in_first_appearance_order() {
         buffer_pages: 24,
         reserve_frames: 4,
         default_budget: 20,
-        compression: false,
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -225,20 +226,40 @@ fn batch_groups_run_in_first_appearance_order() {
     ]
     .map(String::clone)
     .to_vec();
+    let serial: Vec<Vec<u64>> = batch
+        .iter()
+        .map(|p| svc.execute(p, false, None).unwrap().codes)
+        .collect();
     let cold_io = |batches: &[Vec<String>]| {
         svc.pool().evict_all().unwrap();
         let before = svc.pool().io_stats();
         for b in batches {
-            for out in svc.execute_batch(b, false, None).unwrap() {
-                assert_eq!(out.unwrap().algorithms, [Algorithm::SharedScan]);
+            for (p, out) in b.iter().zip(svc.execute_batch(b, false, None).unwrap()) {
+                let out = out.unwrap();
+                assert_eq!(out.algorithms, [Algorithm::SharedScan], "{p}");
+                let i = batch.iter().position(|q| q == p).unwrap();
+                assert_eq!(out.codes, serial[i], "{p} differs from its lone QUERY");
             }
         }
         svc.pool().io_stats().since(&before)
     };
     let first = cold_io(std::slice::from_ref(&batch));
     assert!(first.reads() > 24, "inputs fit the pool: {first}");
-    for run in 1..20 {
-        assert_eq!(cold_io(std::slice::from_ref(&batch)), first, "run {run}");
-    }
     assert_eq!(cold_io(&groups), first, "consecutive single-group batches");
+    // Permutation 0 is the batch as written.
+    let mut x = 0x5EED_u64;
+    for perm in 0..6 {
+        let mut order = batch.clone();
+        for i in (1..order.len()).rev().filter(|_| perm > 0) {
+            order.swap(i, (xorshift(&mut x) % (i as u64 + 1)) as usize);
+        }
+        let own = cold_io(std::slice::from_ref(&order));
+        for run in 1..5 {
+            assert_eq!(
+                cold_io(std::slice::from_ref(&order)),
+                own,
+                "permutation {perm} {order:?}, run {run}"
+            );
+        }
+    }
 }

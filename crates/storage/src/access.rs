@@ -57,8 +57,8 @@ pub struct ScanOptions {
     /// [packable](crate::record::FixedRecord::PACKABLE) records with the
     /// delta/varint codec ([`crate::codec`]). Scans ignore it — the page
     /// header, not the option, selects the decode path, so compressed and
-    /// raw files are always readable. Defaults to the `PBITREE_COMPRESS`
-    /// environment variable (any value but `0` enables it; unset disables).
+    /// raw files are always readable. Off in every constructor; callers
+    /// opt in with [`ScanOptions::with_compress`].
     pub compress: bool,
 }
 
@@ -68,25 +68,13 @@ impl Default for ScanOptions {
     }
 }
 
-/// Process-wide compression default: the `PBITREE_COMPRESS` environment
-/// variable (any value but `0` enables, unset disables), **snapshotted
-/// exactly once per process** on first use. Every construction site —
-/// [`ScanOptions`] constructors, join contexts, the bench harness —
-/// funnels through this one snapshot, so a mid-run change to the
-/// environment can never flip the knob between two writers of one
-/// workload and produce mixed-layout files.
-pub fn compress_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("PBITREE_COMPRESS").is_some_and(|v| v != *"0"))
-}
-
 impl ScanOptions {
     /// Point-lookup access: no read-ahead, no write batching.
     pub fn random() -> Self {
         ScanOptions {
             pattern: AccessPattern::Random,
             filter: ScanFilter::All,
-            compress: compress_default(),
+            compress: false,
         }
     }
 
@@ -98,7 +86,7 @@ impl ScanOptions {
                 readahead: readahead.max(1),
             },
             filter: ScanFilter::All,
-            compress: compress_default(),
+            compress: false,
         }
     }
 
@@ -110,7 +98,7 @@ impl ScanOptions {
                 batch: batch.max(1),
             },
             filter: ScanFilter::All,
-            compress: compress_default(),
+            compress: false,
         }
     }
 
@@ -188,16 +176,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compress_default_is_a_process_snapshot() {
-        // Whatever the first read observed is locked in: flipping the
-        // environment mid-process must not change the default, so one
-        // workload can never mix page layouts across its writers.
-        let first = compress_default();
-        std::env::set_var("PBITREE_COMPRESS", if first { "0" } else { "1" });
-        assert_eq!(compress_default(), first);
-        assert_eq!(ScanOptions::default().compress, first);
-        assert_eq!(ScanOptions::random().compress, first);
-        assert_eq!(ScanOptions::write_once(4).compress, first);
+    fn compression_is_off_until_asked_for() {
+        assert!(!ScanOptions::default().compress);
+        assert!(!ScanOptions::random().compress);
+        assert!(!ScanOptions::write_once(4).compress);
+        let packed = ScanOptions::sequential(4).with_compress(true);
+        assert!(packed.as_write().compress && packed.with_depth(2).compress);
     }
 
     #[test]

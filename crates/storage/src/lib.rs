@@ -43,7 +43,7 @@ pub mod util;
 pub mod wal;
 pub mod zone;
 
-pub use access::{compress_default, AccessPattern, ScanOptions, DEFAULT_IO_DEPTH};
+pub use access::{AccessPattern, ScanOptions, DEFAULT_IO_DEPTH};
 pub use buffer::{
     BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, TempFile,
     STRIPE_COUNT,

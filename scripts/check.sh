@@ -16,18 +16,15 @@ cargo build --release --workspace --all-targets
 echo "== cargo doc (no deps, warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== cargo test (workspace)"
+echo "== cargo test (workspace; raw and packed pages are explicit test axes)"
 cargo test --workspace -q
 
-echo "== cargo test (workspace, compressed pages default-on)"
-PBITREE_COMPRESS=1 cargo test --workspace -q
-
-echo "== fault sweep, one randomized seed (the pinned seed 42 ran in both workspace legs)"
+echo "== fault lattice, one randomized seed (the pinned seed 42 ran in the workspace leg)"
 RAND_SEED=$((RANDOM * 32768 + RANDOM))
 echo "randomized FAULT_SWEEP_SEED=$RAND_SEED (re-run with this env var to reproduce)"
-FAULT_SWEEP_SEED=$RAND_SEED cargo test -q --test fault_sweep fault_sweep_probabilistic_seed -- --nocapture
+FAULT_SWEEP_SEED=$RAND_SEED cargo test -q --test lattice probabilistic_faults_fail_cleanly -- --nocapture
 
-echo "== crash-recovery sweep, one randomized seed (pinned seed 42: both workspace legs)"
+echo "== crash-recovery sweep, one randomized seed (pinned seed 42: the workspace leg)"
 # Kills the WAL'd update workload at every write index (torn writes on),
 # recovers, and asserts the recovered store answers every containment
 # join identically to a never-crashed twin.

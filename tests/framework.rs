@@ -20,54 +20,6 @@ fn cfg(b: usize) -> ExpConfig {
 }
 
 #[test]
-fn every_planner_choice_gives_identical_results() {
-    let w = synthetic_by_name("MSSL", 0.2).unwrap();
-    let ctx = JoinCtx::in_memory_free(w.shape, 8);
-    let a = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
-    let d = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
-
-    let states = [
-        (InputState::raw(), InputState::raw()),
-        (InputState::sorted(), InputState::sorted()),
-        (InputState::indexed(), InputState::indexed()),
-        (
-            InputState::sorted_and_indexed(),
-            InputState::sorted_and_indexed(),
-        ),
-    ];
-    let mut counts = Vec::new();
-    let mut chosen = Vec::new();
-    for (sa, sd) in states {
-        let mut sink = CountSink::default();
-        // Inputs are physically unsorted, so execute with sort-on-the-fly
-        // regardless of the declared state (the planner's claim is about
-        // which algorithm wins, not about skipping work it cannot skip).
-        let algo = pbitree_containment::joins::choose_algorithm(&ctx, sa, sd, &a, &d, false);
-        let stats = pbitree_containment::joins::execute(
-            &ctx,
-            algo,
-            &a,
-            &d,
-            SortPolicy::SortOnTheFly,
-            &mut sink,
-        )
-        .unwrap();
-        counts.push(stats.pairs);
-        chosen.push(algo);
-    }
-    assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
-    assert_eq!(
-        chosen,
-        vec![
-            Algorithm::Vpj,
-            Algorithm::StackTree,
-            Algorithm::InlJn,
-            Algorithm::AncDesBPlus
-        ]
-    );
-}
-
-#[test]
 fn planner_prefers_vpj_for_two_large_raw_inputs() {
     let w = synthetic_by_name("SLLL", 0.05).unwrap();
     let ctx = JoinCtx::in_memory_free(w.shape, 8);
