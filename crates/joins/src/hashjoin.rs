@@ -197,7 +197,8 @@ where
 #[inline]
 fn hash_u64(hasher: &FxBuildHasher, k: u64, level: u32) -> u64 {
     // Salt by level so recursive repartitioning uses an independent split;
-    // `% parts` uses low bits, the in-memory map mixes its own.
+    // `% parts` reads the low bits, which the hasher's finalizer fills even
+    // for codes with many trailing zeros.
     let mut h = hasher.build_hasher();
     (k ^ ((level as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))).hash(&mut h);
     std::hash::Hasher::finish(&h)
@@ -257,7 +258,7 @@ where
     M: FnMut(&B, &P),
 {
     let mut table: FxHashMap<u64, SmallGroup<B>> =
-        FxHashMap::with_capacity_and_hasher(build.records() as usize * 2, Default::default());
+        FxHashMap::with_capacity_and_hasher(build.records() as usize, Default::default());
     let mut scan = build.scan_with(&ctx.pool, build_opts);
     while let Some(r) = scan.next_record()? {
         if let Some(k) = build_key(&r) {
@@ -291,7 +292,7 @@ where
     let mut build_scan = build.scan_with(&ctx.pool, build_opts);
     loop {
         let mut table: FxHashMap<u64, SmallGroup<B>> =
-            FxHashMap::with_capacity_and_hasher(chunk_len * 2, Default::default());
+            FxHashMap::with_capacity_and_hasher(chunk_len, Default::default());
         let mut n = 0usize;
         while n < chunk_len {
             match build_scan.next_record()? {
@@ -480,5 +481,47 @@ mod tests {
             delta.total()
         );
         assert!(delta.total() >= 2 * total_pages, "suspiciously little I/O");
+    }
+
+    #[test]
+    fn grace_partitions_single_height_codes_evenly() {
+        // Height-h codes `(2i+1) << h` share h trailing zero bits. Grace's
+        // `hash % parts` must still split them evenly over a power-of-two
+        // fan-out, or one bucket takes the chunked fallback and rescans
+        // the probe side once per chunk.
+        let c = JoinCtx::in_memory(PBiTreeShape::new(30).unwrap(), 16);
+        let (opts, key) = (c.read_opts(), |k: &u64| Some(*k));
+        for h in [1u32, 5, 21] {
+            let keys: Vec<u64> = (0..45_000u64).map(|i| (2 * i + 1) << h).collect();
+            let bf = HeapFile::from_iter(&c.pool, keys.iter().copied()).unwrap();
+            let pf = HeapFile::from_iter(&c.pool, keys.iter().rev().copied()).unwrap();
+            let parts = partition_count(&c, bf.pages());
+            assert_eq!(parts, 8, "height {h}: want a power-of-two fan-out");
+            let fair = bf.records().div_ceil(parts as u64);
+            for (i, part) in partition_file(&c, &bf, opts, parts, 0, key)
+                .unwrap()
+                .iter()
+                .enumerate()
+            {
+                assert!(
+                    part.records() <= 2 * fair,
+                    "height {h}: partition {i} holds {} of {} records ({parts} parts)",
+                    part.records(),
+                    bf.records()
+                );
+            }
+            c.pool.flush_all().unwrap();
+            let before = c.pool.io_stats();
+            let mut n = 0u64;
+            hash_equijoin_with(&c, &bf, &pf, opts, opts, key, key, |_, _| n += 1).unwrap();
+            let delta = c.pool.io_stats().since(&before);
+            assert_eq!(n, keys.len() as u64);
+            let total_pages = (bf.pages() + pf.pages()) as u64;
+            assert!(
+                delta.total() <= 3 * total_pages + 64,
+                "height {h}: Grace I/O {} vs 3x{total_pages}",
+                delta.total()
+            );
+        }
     }
 }

@@ -90,7 +90,7 @@ impl RolledAncestors {
     pub(crate) fn new(v: Vec<Element>) -> Self {
         let anchor = v.iter().map(|e| e.code.height()).max().unwrap_or(0);
         let mut map: FxHashMap<u64, Vec<Element>> =
-            FxHashMap::with_capacity_and_hasher(v.len() * 2, Default::default());
+            FxHashMap::with_capacity_and_hasher(v.len(), Default::default());
         for e in v {
             map.entry(e.code.ancestor_at_height(anchor).get())
                 .or_default()

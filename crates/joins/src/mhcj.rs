@@ -6,7 +6,6 @@
 //! which is why the cost grows as `5‖A‖ + 3k‖D‖` with `k` height
 //! partitions, and why [`crate::rollup`] exists to shrink `k`.
 
-use pbitree_storage::util::FxHashMap;
 use pbitree_storage::{HeapFile, HeapWriter, TempFile};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
@@ -21,25 +20,23 @@ pub(crate) fn partition_by_height<'a>(
     ctx: &'a JoinCtx,
     a: &HeapFile<Element>,
 ) -> Result<Vec<TempFile<'a, HeapFile<Element>>>, JoinError> {
-    let mut writers: FxHashMap<u32, HeapWriter<'_, Element>> = FxHashMap::default();
+    // One writer slot per height (codes have at most 64), created on the
+    // height's first element and finished in ascending height order.
+    let mut writers: Vec<Option<HeapWriter<'_, Element>>> = (0..64).map(|_| None).collect();
     let wopts = ctx.write_opts();
     let mut scan = a.scan_with(&ctx.pool, ctx.read_opts());
     while let Some(e) = scan.next_record()? {
-        let h = e.code.height();
-        // At most 63 heights exist, so the writer map stays tiny.
-        match writers.entry(h) {
-            std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().push(e)?,
-            std::collections::hash_map::Entry::Vacant(v) => v
-                .insert(HeapWriter::create_with(&ctx.pool, wopts)?)
-                .push(e)?,
-        }
+        let w = match &mut writers[e.code.height() as usize] {
+            Some(w) => w,
+            slot @ None => slot.insert(HeapWriter::create_with(&ctx.pool, wopts)?),
+        };
+        w.push(e)?;
     }
-    let mut parts = writers
+    writers
         .into_iter()
-        .map(|(h, w)| Ok((h, ctx.temp(w.finish()?))))
-        .collect::<Result<Vec<_>, JoinError>>()?;
-    parts.sort_by_key(|(h, _)| *h);
-    Ok(parts.into_iter().map(|(_, part)| part).collect())
+        .flatten()
+        .map(|w| Ok(ctx.temp(w.finish()?)))
+        .collect()
 }
 
 /// The number of distinct ancestor heights (the `k` of the cost formula).

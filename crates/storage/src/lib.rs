@@ -18,8 +18,11 @@
 //! * [`sort`] — external multiway merge sort (run formation + k-way merge)
 //!   operating entirely through the buffer pool, used by the "sort on the
 //!   fly" baselines (StackTree/ADB+/INLJN over unsorted inputs).
-//! * [`util::hash`] — an FxHash-style integer hasher; join hash tables are
-//!   keyed by 8-byte codes, where SipHash would dominate CPU cost.
+//! * [`util::hash`] — an FxHash-style integer hasher for the join hash
+//!   tables, which are keyed by 8-byte codes (SipHash would dominate CPU
+//!   cost). A height-`h` code ends in `h` zero bits and std's tables pick
+//!   buckets from the low bits, so `finish` mixes every bit into every
+//!   other (`fmix64`); tables are sized at the `n` entries they will hold.
 //!
 //! The buffer pool is thread-safe (`Send + Sync`): the page table is
 //! lock-striped, frame metadata sits behind per-frame

@@ -1,18 +1,33 @@
-//! An FxHash-style integer hasher.
+//! An FxHash-style integer hasher with a full-avalanche finalizer.
 //!
 //! Join hash tables are keyed by 8-byte PBiTree codes; the standard
 //! library's SipHash would dominate the CPU profile of in-memory probes
-//! (see the Rust Performance Book's hashing chapter). This is the classic
-//! Firefox/rustc multiply-rotate hash: low quality, very fast, plenty for
-//! code-valued keys — and HashDoS is not a concern for a local query
-//! engine's intermediate state.
+//! (see the Rust Performance Book's hashing chapter), and HashDoS is not a
+//! concern for a local query engine's intermediate state. So words are
+//! absorbed with the classic Firefox/rustc multiply-rotate step.
+//!
+//! That step alone is not enough for codes. A node at height `h` has code
+//! `(2α+1)·2^h`: its low `h` bits are zero, and a multiply only carries
+//! bits *upward*, so the product keeps those `h` trailing zeros. The
+//! standard library's SwissTable picks the bucket from the hash's low bits
+//! (and Grace partitioning takes `hash % parts`), so every key of a
+//! single-height set — exactly what SHCJ builds on — would share one
+//! bucket and one probe chain. [`FxHasher::finish`] therefore runs
+//! MurmurHash3's `fmix64` over the state: two xor-shift/multiply rounds
+//! after which every output bit depends on every input bit, low bits and
+//! the table's 7-bit top tag included. A rotate alone (rustc-hash 2's fix)
+//! still collapses high codes, whose only set bits sit near the top.
+//!
+//! Tables keyed this way are created with capacity `n` for `n` expected
+//! entries, not `2n`: the table applies its own 7/8 load factor when it
+//! sizes the bucket array, so doubling only halves cache density.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// Multiply-rotate hasher for integer-ish keys.
+/// Multiply-rotate hasher for integer-ish keys, finished with `fmix64`.
 #[derive(Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -26,9 +41,16 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// MurmurHash3's `fmix64`: spreads the trailing zeros of a code's
+    /// product over every bit of the result.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let mut x = self.hash;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
     }
 
     #[inline]
@@ -100,6 +122,47 @@ mod tests {
             "only {} distinct buckets",
             buckets.len()
         );
+    }
+
+    #[test]
+    fn codes_spread_at_every_height() {
+        // A height-h code is (2i+1) << h: h trailing zeros that a bare
+        // multiply keeps. Bucket index (low bits), SwissTable tag (top 7
+        // bits) and Grace's `% parts` must all see every key.
+        let h = |v: u64| {
+            let mut hasher = FxHasher::default();
+            hasher.write_u64(v);
+            hasher.finish()
+        };
+        for height in 0..=61u32 {
+            let n = (1u64 << (62 - height)).min(16_384);
+            let hashes: Vec<u64> = (0..n).map(|i| h((2 * i + 1) << height)).collect();
+            let mask = (2 * n).next_power_of_two() - 1;
+            let buckets: HashSet<u64> = hashes.iter().map(|x| x & mask).collect();
+            assert!(
+                buckets.len() as u64 >= n / 2,
+                "height {height}: {n} codes in {} of {} buckets",
+                buckets.len(),
+                mask + 1
+            );
+            // Half the keys (or of the 128 tags), as for buckets: n random
+            // draws from 128 values are rarely all distinct.
+            let tags: HashSet<u64> = hashes.iter().map(|x| x >> 57).collect();
+            assert!(
+                tags.len() as u64 >= (n / 2).min(64),
+                "height {height}: {n} codes share {} tags",
+                tags.len()
+            );
+            for p in (2..=64u64).filter(|p| n >= 8 * p) {
+                let used = hashes.iter().fold(0u64, |m, x| m | 1 << (x % p));
+                assert_eq!(
+                    used.count_ones() as u64,
+                    p,
+                    "height {height}: {n} codes use {} of {p} partitions",
+                    used.count_ones()
+                );
+            }
+        }
     }
 
     #[test]
