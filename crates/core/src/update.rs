@@ -25,7 +25,6 @@
 
 use std::collections::HashSet;
 
-use crate::binarize::EncodedTree;
 use crate::code::{Code, PBiTreeShape};
 
 /// Errors raised by the update allocator.
@@ -71,14 +70,6 @@ pub struct CodeAllocator {
 }
 
 impl CodeAllocator {
-    /// Builds an allocator over an existing encoding.
-    pub fn from_encoded(enc: &EncodedTree) -> Self {
-        CodeAllocator {
-            shape: enc.shape(),
-            used: enc.codes().iter().map(|c| c.get()).collect(),
-        }
-    }
-
     /// An allocator over explicit occupied codes (e.g. loaded from a
     /// catalog).
     pub fn from_codes<I: IntoIterator<Item = Code>>(shape: PBiTreeShape, codes: I) -> Self {
@@ -182,7 +173,7 @@ mod tests {
         t.add_child(a, 3);
         t.add_child(a, 4);
         let enc = binarize_tree_with_height(&t, 10).unwrap();
-        let alloc = CodeAllocator::from_encoded(&enc);
+        let alloc = CodeAllocator::from_codes(enc.shape(), enc.codes().iter().copied());
         (alloc, enc.code(a))
     }
 

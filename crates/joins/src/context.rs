@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use pbitree_core::PBiTreeShape;
 use pbitree_storage::{
-    records_per_page, BufferPool, FixedRecord, HeapFile, IoStats, PoolError, PoolStats,
+    records_per_page, BufferPool, FixedRecord, HeapFile, HeapScan, IoStats, PoolError, PoolStats,
     ScanOptions, TempFile,
 };
 
@@ -75,6 +75,26 @@ impl From<PoolError> for JoinError {
             other => JoinError::Pool(other),
         }
     }
+}
+
+/// Streams every record `scan` admits through a fallible `f`, one decoded
+/// page at a time ([`HeapScan::next_batch_each`]: the page stays pinned
+/// while `f` runs, as it does under `next_record`). The first error `f`
+/// returns skips the rest of its page and ends the scan.
+pub(crate) fn try_for_each<R: FixedRecord>(
+    scan: &mut HeapScan<'_, R>,
+    mut f: impl FnMut(R) -> Result<(), JoinError>,
+) -> Result<(), JoinError> {
+    let mut failed = Ok(());
+    while scan.next_batch_each(|r| {
+        if failed.is_ok() {
+            failed = f(r);
+        }
+    })? > 0
+    {
+        std::mem::replace(&mut failed, Ok(()))?;
+    }
+    Ok(())
 }
 
 impl fmt::Display for JoinError {

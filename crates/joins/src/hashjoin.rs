@@ -22,7 +22,7 @@ use pbitree_storage::util::FxBuildHasher;
 use pbitree_storage::util::FxHashMap;
 use pbitree_storage::{FixedRecord, HeapFile, HeapWriter, ScanOptions, TempFile};
 
-use crate::context::{JoinCtx, JoinError};
+use crate::context::{try_for_each, JoinCtx, JoinError};
 
 /// Pages reserved for the scan + output frames inside a budget.
 const RESERVE: usize = 2;
@@ -182,12 +182,13 @@ where
         .map(|_| HeapWriter::create_with(&ctx.pool, wopts))
         .collect::<Result<_, _>>()?;
     let mut scan = input.scan_with(&ctx.pool, opts);
-    while let Some(r) = scan.next_record()? {
+    try_for_each(&mut scan, |r| {
         if let Some(k) = key(&r) {
             let idx = (hash_u64(&hasher, k, level) as usize) % parts;
             writers[idx].push(r)?;
         }
-    }
+        Ok(())
+    })?;
     writers
         .into_iter()
         .map(|w| Ok(ctx.temp(w.finish()?)))
@@ -260,11 +261,12 @@ where
     let mut table: FxHashMap<u64, SmallGroup<B>> =
         FxHashMap::with_capacity_and_hasher(build.records() as usize, Default::default());
     let mut scan = build.scan_with(&ctx.pool, build_opts);
-    while let Some(r) = scan.next_record()? {
+    while scan.next_batch_each(|r| {
         if let Some(k) = build_key(&r) {
             table.entry(k).or_default().push(r);
         }
-    }
+    })? > 0
+    {}
     probe_batched(ctx, &table, probe, probe_opts, probe_key, on_match)
 }
 

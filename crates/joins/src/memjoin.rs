@@ -170,9 +170,7 @@ pub(crate) fn mem_join_inner(
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
             let mut scan = a.scan_with(&ctx.pool, a_opts);
-            while let Some(ae) = scan.next_record()? {
-                pairs += dd.probe(ae, sink);
-            }
+            while scan.next_batch_each(|ae| pairs += dd.probe(ae, sink))? > 0 {}
             Ok((pairs, 0))
         })
     } else {
@@ -182,11 +180,12 @@ pub(crate) fn mem_join_inner(
         ctx.phase_counted("probe", || {
             let (mut pairs, mut false_hits) = (0u64, 0u64);
             let mut scan = d.scan_with(&ctx.pool, d_opts);
-            while let Some(de) = scan.next_record()? {
+            while scan.next_batch_each(|de| {
                 let (p, f) = aa.probe(de, sink);
                 pairs += p;
                 false_hits += f;
-            }
+            })? > 0
+            {}
             Ok((pairs, false_hits))
         })
     }

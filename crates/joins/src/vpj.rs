@@ -33,11 +33,9 @@
 //! (`trace::for_each_task`) runs them in order, each under its task span.
 //! A recursing task runs its own level's tasks through the same loop.
 
-use std::collections::btree_map::{BTreeMap, Entry};
-
 use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
 
-use crate::context::{JoinCtx, JoinError, JoinStats};
+use crate::context::{try_for_each, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::memjoin::{RolledAncestors, SortedDescendants};
 use crate::rollup;
@@ -253,7 +251,8 @@ fn vpj_rec<'a>(
     let max_delta = (ctx.budget().saturating_sub(RESERVE).max(2) as u64)
         .next_power_of_two()
         .trailing_zeros();
-    let l = (lca_level + wanted_delta.min(max_delta))
+    let delta = wanted_delta.min(max_delta);
+    let l = (lca_level + delta)
         .max(min_level + 1)
         .min(h.saturating_sub(1));
     if l <= min_level || depth >= 32 {
@@ -264,12 +263,20 @@ fn vpj_rec<'a>(
         return Ok((counts, Vec::new()));
     }
 
-    // Index window of this subtree at level l. At the top (min_level == 0)
-    // that is the whole level; in recursion the caller's partition confines
-    // the range, but computing it from the data is unnecessary: indices
-    // outside the window simply never occur, so we map sparse indices via a
-    // hash of written partitions instead of preallocating 2^l writers.
-    //
+    // Partition slots: the smaller side's index span at level l, inside
+    // this subtree's window. A partition outside it has an empty smaller
+    // side and would be purged, so neither side writes one. The span's
+    // bounds are the envelope `lca_level` was derived from, so it holds at
+    // most 2^delta <= next_power_of_two(b - 2) slots however wide the
+    // larger side is.
+    let shift = h - l; // hl + 1
+    let (wlo, whi) = (window.0 >> shift, window.1 >> shift);
+    let span = ((lo >> shift).max(wlo), (hi >> shift).min(whi));
+    debug_assert!(
+        span.1.saturating_add(1).saturating_sub(span.0) <= 1u64 << delta,
+        "slot span {span:?} exceeds 2^{delta}"
+    );
+
     // Each side's partitioning scan is clipped by the *other* side's
     // catalog envelope: containment makes overlap with the opposite
     // envelope necessary for every pair, so pages the zone map proves
@@ -278,18 +285,12 @@ fn vpj_rec<'a>(
     let a_popts = ctx.overlap_opts(d.bounds());
     let d_popts = ctx.overlap_opts(a.bounds());
     let parts_a = ctx.phase("partition", || {
-        partition_pass(ctx, a, l, window, PartitionRole::Ancestor, report, a_popts)
+        let role = PartitionRole::Ancestor;
+        partition_pass(ctx, a, l, window, span, role, report, a_popts)
     })?;
-    let mut parts_d = ctx.phase("partition", || {
-        partition_pass(
-            ctx,
-            d,
-            l,
-            window,
-            PartitionRole::Descendant,
-            report,
-            d_popts,
-        )
+    let parts_d = ctx.phase("partition", || {
+        let role = PartitionRole::Descendant;
+        partition_pass(ctx, d, l, window, span, role, report, d_popts)
     })?;
 
     // Purge, then greedily merge into groups satisfying the memory-join
@@ -301,9 +302,10 @@ fn vpj_rec<'a>(
     // dense to fit even alone recurses alone.
     let mut tasks: Vec<VpjTask<'a>> = Vec::new();
     let (mut sum_a, mut sum_d) = (0u32, 0u32); // pages of the open group
-    for (idx, fa) in parts_a {
-        let fd = match parts_d.remove(&idx) {
-            Some(fd) if !(ctx.prune() && envelopes_disjoint(&fa, &fd)) => fd,
+    for (idx, slot) in (span.0..).zip(parts_a.into_iter().zip(parts_d)) {
+        let (fa, fd) = match slot {
+            (Some(fa), Some(fd)) if !(ctx.prune() && envelopes_disjoint(&fa, &fd)) => (fa, fd),
+            (None, None) => continue,
             _ => {
                 report.purged += 1;
                 continue;
@@ -311,13 +313,12 @@ fn vpj_rec<'a>(
         };
         let (pa, pd) = (fa.pages(), fd.pages());
         if !fits(pa, pd) {
-            let hl = h - 1 - l;
             tasks.push(VpjTask::Recurse {
                 a: fa,
                 d: fd,
                 window: (
-                    ((idx << (hl + 1)) + 1).max(window.0),
-                    (((idx + 1) << (hl + 1)) - 1).min(window.1),
+                    ((idx << shift) + 1).max(window.0),
+                    (((idx + 1) << shift) - 1).min(window.1),
                 ),
                 min_level: l,
                 depth: depth + 1,
@@ -345,7 +346,6 @@ fn vpj_rec<'a>(
             }
         }
     }
-    report.purged += parts_d.len() as u64; // descendant partitions no ancestor reaches
     Ok(((0, 0), tasks))
 }
 
@@ -383,26 +383,37 @@ enum PartitionRole {
 }
 
 /// Splits `input` by partition index at level `l` into per-index heap
-/// files. Sparse map keyed by global index — only occupied partitions
-/// materialize. `opts` carries the caller's pushdown filter (the opposite
-/// side's envelope), so pruned records never reach a writer.
+/// files, one slot per index of `span` (the smaller side's index range at
+/// level `l`, already inside the window, at most
+/// `next_power_of_two(b − 2)` indices): the returned vector's entry `i`
+/// holds partition `span.0 + i`, `None` where no record landed. Writers
+/// open at their first record, so only occupied partitions materialize.
+/// An ancestor replicates over its range clipped to `span`; a descendant
+/// whose home index falls outside `span` is dropped — either way only
+/// records of partitions the smaller side leaves empty, which the purge
+/// would discard. `opts` carries the caller's pushdown filter (the
+/// opposite side's envelope), so pruned records never reach a writer.
 #[allow(clippy::too_many_arguments)]
 fn partition_pass<'a>(
     ctx: &'a JoinCtx,
     input: &HeapFile<Element>,
     l: u32,
     window: (u64, u64),
+    span: (u64, u64),
     role: PartitionRole,
     report: &mut VpjReport,
     opts: ScanOptions,
-) -> Result<BTreeMap<u64, Part<'a>>, JoinError> {
+) -> Result<Vec<Option<Part<'a>>>, JoinError> {
     let h = ctx.shape.height();
     let shift = h - l; // hl + 1
     let (wlo, whi) = (window.0 >> shift, window.1 >> shift);
-    let mut writers: BTreeMap<u64, HeapWriter<'_, Element>> = BTreeMap::new();
+    let (s_lo, s_hi) = span;
+    let slots = s_hi.saturating_add(1).saturating_sub(s_lo) as usize;
+    let mut writers: Vec<Option<HeapWriter<'_, Element>>> = Vec::new();
+    writers.resize_with(slots, || None);
     let wopts = ctx.write_opts();
     let mut scan = input.scan_with(&ctx.pool, opts);
-    while let Some(e) = scan.next_record()? {
+    try_for_each(&mut scan, |e| {
         let (lo, hi) = partition_range(e.code, h, l);
         // Clip spanning nodes to this subtree's index window: replicas
         // outside it would pair only with descendants that live in sibling
@@ -413,9 +424,10 @@ fn partition_pass<'a>(
         if lo > hi {
             return Err(JoinError::corrupt("element outside its subtree window"));
         }
-        let targets: std::ops::RangeInclusive<u64> = match role {
-            PartitionRole::Ancestor => lo..=hi,
-            PartitionRole::Descendant => lo..=lo,
+        let targets = match role {
+            PartitionRole::Ancestor => lo.max(s_lo)..=hi.min(s_hi),
+            PartitionRole::Descendant if (s_lo..=s_hi).contains(&lo) => lo..=lo,
+            PartitionRole::Descendant => return Ok(()),
         };
         let mut first = true;
         for idx in targets {
@@ -423,18 +435,20 @@ fn partition_pass<'a>(
                 report.replicated_tuples += 1;
             }
             first = false;
-            match writers.entry(idx) {
-                Entry::Occupied(mut o) => o.get_mut().push(e)?,
-                Entry::Vacant(v) => v
+            let slot = &mut writers[(idx - s_lo) as usize];
+            match slot {
+                Some(w) => w.push(e)?,
+                None => slot
                     .insert(HeapWriter::create_with(&ctx.pool, wopts)?)
                     .push(e)?,
             }
         }
-    }
-    report.partitions += writers.len() as u64;
+        Ok(())
+    })?;
+    report.partitions += writers.iter().flatten().count() as u64;
     writers
         .into_iter()
-        .map(|(i, w)| Ok((i, ctx.temp(w.finish()?))))
+        .map(|w| w.map(|w| Ok(ctx.temp(w.finish()?))).transpose())
         .collect()
 }
 
@@ -484,11 +498,12 @@ fn join_group(
         let mut pairs = 0u64;
         for (pos, f) in ga.iter().enumerate() {
             let mut scan = f.scan_with(&ctx.pool, a_opts);
-            while let Some(ae) = scan.next_record()? {
+            while scan.next_batch_each(|ae| {
                 if keep(pos, &ae) {
                     pairs += dd.probe(ae, sink);
                 }
-            }
+            })? > 0
+            {}
         }
         Ok((pairs, 0))
     } else {
@@ -496,11 +511,12 @@ fn join_group(
         let mut avec = Vec::new();
         for (pos, f) in ga.iter().enumerate() {
             let mut scan = f.scan_with(&ctx.pool, a_opts);
-            while let Some(ae) = scan.next_record()? {
+            while scan.next_batch_each(|ae| {
                 if keep(pos, &ae) {
                     avec.push(ae);
                 }
-            }
+            })? > 0
+            {}
         }
         let aa = RolledAncestors::new(avec);
         let (mut pairs, mut false_hits) = (0u64, 0u64);
@@ -543,6 +559,7 @@ mod tests {
     use crate::element::{element_file, element_file_with};
     use crate::naive::block_nested_loop;
     use crate::sink::{CollectSink, CountSink};
+    use crate::JoinCtxBuilder;
     use pbitree_core::{Code, PBiTreeShape};
 
     fn ctx(h: u32, b: usize) -> JoinCtx {
@@ -643,6 +660,62 @@ mod tests {
         block_nested_loop(&big, &af2, &df2, &mut expect).unwrap();
         assert_eq!(got.canonical(), expect.canonical());
         assert_eq!(stats.pairs as usize, n);
+    }
+
+    #[test]
+    fn partition_slots_stay_within_the_smaller_side() {
+        // H = 20; the smaller side lives in the level-5 subtree covering
+        // codes [5·2^15, 6·2^15), the larger side spans the whole tree,
+        // its highest nodes included (spanning replicas on the A side,
+        // spanning descendants on the D side).
+        let shape = PBiTreeShape::new(20).unwrap();
+        let dense = |heights: &[u32], seed| -> Vec<u64> {
+            let base = 5u64 << 15;
+            let codes = mixed_codes(15, 2500, heights, seed);
+            codes.into_iter().map(|v| base + v).collect()
+        };
+        let wide = |heights: &[u32], seed| -> Vec<u64> {
+            let mut codes = vec![1 << 19, 1 << 18, 3 << 18, 5 << 17];
+            codes.extend(mixed_codes(20, 8000, heights, seed));
+            codes
+        };
+        let cases = [
+            ("smaller A", dense(&[2, 4], 141), wide(&[0, 1], 143)),
+            ("smaller D", wide(&[2, 4], 145), dense(&[0, 1], 147)),
+        ];
+        for (name, a, d) in &cases {
+            let big = ctx(20, 256);
+            let af = element_file(&big.pool, a.iter().map(|&v| (v, 0))).unwrap();
+            let df = element_file(&big.pool, d.iter().map(|&v| (v, 1))).unwrap();
+            let mut expect = CollectSink::default();
+            block_nested_loop(&big, &af, &df, &mut expect).unwrap();
+            let expect = expect.canonical();
+            assert!(!expect.is_empty(), "{name}: workload should join");
+            for b in [4usize, 8] {
+                for prune in [true, false] {
+                    let c = JoinCtxBuilder::in_memory_free(shape, b)
+                        .prune(prune)
+                        .build();
+                    let af = element_file(&c.pool, a.iter().map(|&v| (v, 0))).unwrap();
+                    let df = element_file(&c.pool, d.iter().map(|&v| (v, 1))).unwrap();
+                    let mut got = CollectSink::default();
+                    let (_, report) = vpj(&c, &af, &df, &mut got).unwrap();
+                    let at = format!("{name}, b = {b}, prune = {prune}");
+                    assert_eq!(got.canonical(), expect, "{at}");
+                    // One partitioning pass per level: the top one plus one
+                    // per recursion, each writing at most one file per slot
+                    // and side.
+                    let slots = (b as u64 - RESERVE as u64).next_power_of_two();
+                    let passes = 1 + report.recursions;
+                    assert!(report.partitions > 0, "{at}: no partitioning pass");
+                    assert!(
+                        report.partitions <= 2 * slots * passes,
+                        "{at}: {} partitions over {passes} passes of {slots} slots",
+                        report.partitions
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -189,13 +189,6 @@ impl<R: FixedRecord> HeapFile<R> {
         self.stats.bounds
     }
 
-    /// The folded `(min, max)` height range of the records, if the record
-    /// type reports heights (see [`FixedRecord::height_hint`]).
-    #[inline]
-    pub fn height_bounds(&self) -> Option<(u32, u32)> {
-        self.stats.heights
-    }
-
     /// The file-level zone (bounds plus height range together), when both
     /// statistics exist — the summary other operators derive pruning
     /// filters from.
@@ -1161,7 +1154,6 @@ mod tests {
         let data = spans(2000);
         let hf = HeapFile::from_iter(&p, data.iter().copied()).unwrap();
         assert_eq!(hf.bounds(), Some((0, 10 * 1999 + 5)));
-        assert_eq!(hf.height_bounds(), Some((0, 3)));
         let z = hf.zone().unwrap();
         assert_eq!((z.lo, z.hi, z.min_h, z.max_h), (0, 19_995, 0, 3));
         let zones = p.file_zones(hf.file_id()).unwrap();
@@ -1781,7 +1773,8 @@ mod tests {
         let reopened = HeapFile::<Span>::open(&p, hf.file_id()).unwrap();
         assert_eq!(reopened.pages(), hf.pages());
         assert_eq!(reopened.records(), hf.records());
-        assert_eq!(reopened.height_bounds(), hf.height_bounds());
+        let heights = |f: &HeapFile<Span>| f.zone().map(|z| (z.min_h, z.max_h));
+        assert_eq!(heights(&reopened), heights(&hf));
         let mut a = hf.read_all(&p).unwrap();
         let mut b = reopened.read_all(&p).unwrap();
         a.sort_by_key(|s| s.lo);

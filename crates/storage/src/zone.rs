@@ -133,19 +133,6 @@ impl FileZones {
             z.fold(lo, hi, h);
         }
     }
-
-    /// The file-level zone: the merge of every page zone. `None` when no
-    /// page has one.
-    pub fn file_zone(&self) -> Option<ZoneEntry> {
-        let mut acc: Option<ZoneEntry> = None;
-        for z in self.pages.iter().flatten() {
-            match &mut acc {
-                None => acc = Some(*z),
-                Some(a) => a.merge(z),
-            }
-        }
-        acc
-    }
 }
 
 /// A pushdown predicate evaluated against zone maps (page granularity) and
@@ -364,8 +351,6 @@ mod tests {
         fz.push(Some(ZoneEntry::of(1, 5, 6)));
         assert_eq!(fz.len(), 3);
         assert!(fz.any());
-        let f = fz.file_zone().unwrap();
-        assert_eq!((f.lo, f.hi, f.min_h, f.max_h), (1, 20, 2, 6));
         assert!(fz.page(1).is_none());
         assert_eq!(fz.page(0).unwrap().lo, 10);
         assert!(fz.page(9).is_none());

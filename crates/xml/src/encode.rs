@@ -47,26 +47,6 @@ impl EncodedDocument {
             .collect()
     }
 
-    /// Codes of nodes with tag `name` whose string value satisfies `pred`
-    /// (value predicates like `Title = "Introduction"`).
-    pub fn element_set_where<F: Fn(&str) -> bool>(&self, name: &str, pred: F) -> Vec<Code> {
-        self.doc
-            .nodes_with_tag(name)
-            .into_iter()
-            .filter(|&n| pred(&self.doc.string_value(n)))
-            .map(|n| self.enc.code(n))
-            .collect()
-    }
-
-    /// Codes of all nodes with the given interned tag id.
-    pub fn element_set_by_id(&self, id: TagId) -> Vec<Code> {
-        let tree = self.doc.tree();
-        tree.preorder(tree.root())
-            .filter(|&n| tree.label(n) == id)
-            .map(|n| self.enc.code(n))
-            .collect()
-    }
-
     /// `(code, tag)` pairs for every node — the bulk-load feed for a
     /// storage engine.
     pub fn all_coded_nodes(&self) -> impl Iterator<Item = (Code, TagId)> + '_ {
@@ -103,25 +83,6 @@ mod tests {
         let s = e.element_set("section")[0];
         assert!(s.is_ancestor_of(figures[0]));
         assert!(!s.is_ancestor_of(figures[1]));
-    }
-
-    #[test]
-    fn value_predicate_extraction() {
-        let e = encoded(
-            "<doc><sec><title>Introduction</title><fig/></sec>\
-             <sec><title>Results</title><fig/></sec></doc>",
-        );
-        let intro = e.element_set_where("title", |v| v == "Introduction");
-        assert_eq!(intro.len(), 1);
-        let all = e.element_set("title");
-        assert_eq!(all.len(), 2);
-    }
-
-    #[test]
-    fn element_set_by_id_matches_by_name() {
-        let e = encoded("<r><x/><y><x/></y></r>");
-        let id = e.document().tag_id("x").unwrap();
-        assert_eq!(e.element_set_by_id(id), e.element_set("x"));
     }
 
     #[test]
