@@ -16,21 +16,17 @@
 //!   regions from one PBiTree form a laminar family, any skipped element
 //!   provably had `end < d.start` (no lost matches).
 //!
-//! Only the *ancestor* side needs an index (its skips are point probes by
-//! enumerated code). The descendant side's skips are one-directional
-//! lower-bound seeks over a doc-ordered stream, and a sorted heap file
-//! already supports those: `BatchCursor` reads the sorted `D` file
-//! through columnar [`ElementBatch`]es and seeks by binary-searching the
-//! file's zone map (page-first starts are non-decreasing in a doc-ordered
-//! file), then galloping within the batch. That drops the `D`-side
-//! B+-tree build — the bulk of the old setup cost — entirely, and packed
-//! pages decode straight into the batch columns.
-//!
-//! Index construction for `A` (external sort + bulk load) is charged to
-//! the join when the inputs arrive unsorted/unindexed, per §4.
+//! Neither side needs an index. Both cursors' skips are forward seeks over
+//! a doc-ordered stream (the ancestor probes ascend, see
+//! `skip_ancestor_cursor`), and a sorted heap file's zone map is a sparse
+//! clustered index on that order: page `p`'s `lo` is its first element's
+//! region start, non-decreasing across pages. `BatchCursor` reads each
+//! sorted file through columnar [`ElementBatch`]es and seeks by binary
+//! search over the zone map, so skipped pages are never fetched and, on
+//! sorted inputs, the operator writes nothing. Unsorted inputs are sorted
+//! first, and the sort is charged to the join, per §4.
 
-use pbitree_index::{bptree::RangeIter, BPlusTree};
-use pbitree_storage::{FileZones, HeapFile, HeapScan, ScanPos, TempFile};
+use pbitree_storage::{FileZones, HeapFile, HeapScan, ScanOptions, ScanPos};
 
 use std::sync::Arc;
 
@@ -40,56 +36,17 @@ use crate::element::Element;
 use crate::sink::PairSink;
 use crate::stacktree::{sorted_inputs, SortPolicy};
 
-/// A cursor over a doc-order B+-tree that can be repositioned by probes.
-struct IndexCursor<'a> {
-    tree: &'a BPlusTree<u128, u32>,
-    iter: RangeIter<'a, u128, u32>,
-    cur: Option<Element>,
-}
-
-impl<'a> IndexCursor<'a> {
-    /// Decodes one index entry; a key that does not name a tree node
-    /// (corrupted leaf page) surfaces as [`JoinError::Corrupt`].
-    fn decode(entry: Option<(u128, u32)>) -> Result<Option<Element>, JoinError> {
-        entry
-            .map(|(k, t)| Element::try_from_doc_key(k, t).map_err(JoinError::corrupt))
-            .transpose()
-    }
-
-    fn start(ctx: &'a JoinCtx, tree: &'a BPlusTree<u128, u32>) -> Result<Self, JoinError> {
-        let mut iter = tree.iter(&ctx.pool)?;
-        let cur = Self::decode(iter.next_entry()?)?;
-        Ok(IndexCursor { tree, iter, cur })
-    }
-
-    fn advance(&mut self) -> Result<(), JoinError> {
-        self.cur = Self::decode(self.iter.next_entry()?)?;
-        Ok(())
-    }
-
-    /// Repositions to the first entry with key `>= lb`. Returns the probed
-    /// first entry (also stored in `cur`).
-    fn seek(&mut self, ctx: &'a JoinCtx, lb: u128) -> Result<Option<Element>, JoinError> {
-        self.iter = self.tree.range_from(&ctx.pool, &lb)?;
-        self.cur = Self::decode(self.iter.next_entry()?)?;
-        Ok(self.cur)
-    }
-}
-
-/// A forward-only cursor over a doc-order-sorted element heap file,
-/// reading through columnar batches and seeking via the file's zone map.
-///
-/// Seeks only ever move forward (the merge's skip targets are monotone),
-/// so a seek binary-searches the per-page `lo` bounds — in a doc-ordered
-/// file, page `p`'s `lo` is its first element's region start, and those
-/// are non-decreasing — jumps the scan to the chosen page, and gallops
-/// within the decoded batch. Pages between the old and new position are
-/// never fetched. When the file has no zone map the seek degrades to
-/// galloping through successive batches (still forward-only).
+/// A forward-only cursor over a doc-order-sorted element heap file; the
+/// merge reads both `A` and `D` through one. A seek binary-searches the
+/// zone map's page `lo`s, jumps the scan to the chosen page and gallops
+/// within the decoded batch; without a zone map it gallops through
+/// successive batches. A target behind the cursor leaves it in place
+/// (see [`skip_ancestor_cursor`]).
 struct BatchCursor<'a> {
     ctx: &'a JoinCtx,
     file: &'a HeapFile<Element>,
     zones: Option<Arc<FileZones>>,
+    opts: ScanOptions,
     scan: HeapScan<'a, Element>,
     batch: ElementBatch,
     i: usize,
@@ -97,12 +54,17 @@ struct BatchCursor<'a> {
 }
 
 impl<'a> BatchCursor<'a> {
-    fn start(ctx: &'a JoinCtx, file: &'a HeapFile<Element>) -> Result<Self, JoinError> {
+    fn start(
+        ctx: &'a JoinCtx,
+        file: &'a HeapFile<Element>,
+        opts: ScanOptions,
+    ) -> Result<Self, JoinError> {
         let mut c = BatchCursor {
             ctx,
             file,
             zones: ctx.pool.file_zones(file.file_id()),
-            scan: file.scan_with(&ctx.pool, ctx.read_opts()),
+            opts,
+            scan: file.scan_with(&ctx.pool, opts),
             batch: ElementBatch::new(),
             i: 0,
             cur: None,
@@ -121,8 +83,22 @@ impl<'a> BatchCursor<'a> {
             }
             self.i = 0;
         }
-        self.cur = Some(self.batch.get(self.i));
+        self.land();
         Ok(())
+    }
+
+    /// Makes batch element `i` current. Doc keys never decrease along the
+    /// cursor, so an unsorted input under `AssumeSorted` trips the check.
+    fn land(&mut self) -> Option<Element> {
+        let next = self.batch.get(self.i);
+        debug_assert!(
+            self.cur.is_none_or(|c| c.doc_key() <= next.doc_key()),
+            "input not in document order: {:?} after {:?}",
+            next.code,
+            self.cur.map(|c| c.code)
+        );
+        self.cur = Some(next);
+        self.cur
     }
 
     fn advance(&mut self) -> Result<(), JoinError> {
@@ -216,11 +192,9 @@ impl<'a> BatchCursor<'a> {
         }
         if let (Some(target), Some(here)) = (self.seek_page(lb), self.page()) {
             if target > here {
-                self.scan = self.file.scan_at_with(
-                    &self.ctx.pool,
-                    ScanPos::at(target, 0),
-                    self.ctx.read_opts(),
-                );
+                self.scan =
+                    self.file
+                        .scan_at_with(&self.ctx.pool, ScanPos::at(target, 0), self.opts);
                 self.batch = ElementBatch::new();
                 self.i = 0;
                 if !self.batch.refill(&mut self.scan)? {
@@ -232,8 +206,7 @@ impl<'a> BatchCursor<'a> {
         loop {
             self.i = self.batch.gallop_key_ge(self.i, lb);
             if self.i < self.batch.len() {
-                self.cur = Some(self.batch.get(self.i));
-                return Ok(self.cur);
+                return Ok(self.land());
             }
             if !self.batch.refill(&mut self.scan)? {
                 self.cur = None;
@@ -245,8 +218,8 @@ impl<'a> BatchCursor<'a> {
 }
 
 /// Anc_Des_B+ join. With `SortPolicy::SortOnTheFly` the inputs are sorted
-/// and the ancestor index bulk-loaded inside the measured operator; the
-/// descendant side merges straight off its sorted heap file.
+/// inside the measured operator; either way both sides merge straight off
+/// their sorted heap files.
 pub fn anc_des_bplus(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
@@ -260,30 +233,23 @@ pub fn anc_des_bplus(
         }
         let sorted = sorted_inputs(ctx, a, d, policy)?;
         let (sa, sd) = sorted.as_ref().map_or((a, d), |(sa, sd)| (sa, sd));
-        let a_tree = ctx.phase("build", || {
-            let tree = BPlusTree::bulk_load_fallible_with(
-                &ctx.pool,
-                sa.scan_with(&ctx.pool, ctx.read_opts())
-                    .results()
-                    .map(|r| r.map(|e| (e.doc_key(), e.tag))),
-                ctx.write_opts(),
-            )?;
-            Ok(TempFile::new(&ctx.pool, tree.file_id(), tree))
-        })?;
         ctx.phase_counted("merge", || {
-            merge_with_skips(ctx, &a_tree, sd, sink).map(|p| (p, 0))
+            merge_with_skips(ctx, sa, sd, sink).map(|p| (p, 0))
         })
     })
 }
 
 fn merge_with_skips(
     ctx: &JoinCtx,
-    a_tree: &BPlusTree<u128, u32>,
+    a_file: &HeapFile<Element>,
     d_file: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<u64, JoinError> {
-    let mut ac = IndexCursor::start(ctx, a_tree)?;
-    let mut dc = BatchCursor::start(ctx, d_file)?;
+    // Two concurrent merge streams, as in Stack-Tree: split the read-ahead
+    // depth so they do not evict each other's prefetched frames.
+    let opts = ctx.read_opts().shared(2);
+    let mut ac = BatchCursor::start(ctx, a_file, opts)?;
+    let mut dc = BatchCursor::start(ctx, d_file, opts)?;
     let mut stack: Vec<Element> = Vec::with_capacity(ctx.shape.height() as usize);
     let mut pairs = 0u64;
 
@@ -333,9 +299,14 @@ fn merge_with_skips(
 /// after `dead` that can still matter for `d_el` or anything later —
 /// an ancestor of `d_el` present in `A`, or the first element with
 /// `start >= d_el.start()`.
-fn skip_ancestor_cursor<'a>(
-    ctx: &'a JoinCtx,
-    ac: &mut IndexCursor<'a>,
+///
+/// Candidate keys ascend, so every probe is a forward seek. A candidate
+/// may still lie behind the cursor when the previous probe landed on a
+/// dead element nested inside its region; that probe proved `A` holds
+/// nothing in `[cand_key, found_key)`, so staying put is the lower bound.
+fn skip_ancestor_cursor(
+    ctx: &JoinCtx,
+    ac: &mut BatchCursor<'_>,
     dead: Element,
     d_el: Element,
 ) -> Result<(), JoinError> {
@@ -348,7 +319,7 @@ fn skip_ancestor_cursor<'a>(
         if cand_key <= cur_key {
             continue; // already behind the cursor
         }
-        match ac.seek(ctx, cand_key)? {
+        match ac.seek(cand_key)? {
             None => return Ok(()), // A exhausted; cur = None ends the merge
             Some(found) => {
                 if found.code == cand || found.end() >= d_el.start() {
@@ -363,14 +334,14 @@ fn skip_ancestor_cursor<'a>(
     }
     // No enumerated ancestor is present: jump to the first a starting at
     // or after d.
-    ac.seek(ctx, (d_el.start() as u128) << 8)?;
+    ac.seek((d_el.start() as u128) << 8)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::element_file;
+    use crate::element::{element_file, element_file_with};
     use crate::naive::block_nested_loop;
     use crate::sink::{CollectSink, CountSink};
     use crate::stacktree::sort_doc_order;
@@ -398,6 +369,12 @@ mod tests {
             out.insert((1 + 2 * alpha) << h);
         }
         out.into_iter().collect()
+    }
+
+    fn sorted_codes(n: usize, heights: &[u32], seed: u64) -> Vec<u64> {
+        let mut codes = mixed_codes(n, heights, seed);
+        codes.sort_by_key(|&v| pbitree_core::Code::new(v).unwrap().doc_order_key());
+        codes
     }
 
     #[test]
@@ -458,7 +435,7 @@ mod tests {
     #[test]
     fn skips_save_leaf_reads_on_sparse_matches() {
         // A huge descendant set of which only a tiny prefix region matches:
-        // ADB+ must not read every leaf of D's index.
+        // ADB+ must not read every page of the sorted D.
         let c = JoinCtx::in_memory_free(PBiTreeShape::new(22).unwrap(), 16);
         // One ancestor near the start of the code space.
         let a = element_file(&c.pool, [((1u64 << 8), 0)]).unwrap();
@@ -468,44 +445,105 @@ mod tests {
         let stats = anc_des_bplus(&c, &a, &d, SortPolicy::SortOnTheFly, &mut sink).unwrap();
         // Matches: descendants with code in [1, 511]: i<<6|1 <= 511 => i < 8.
         assert_eq!(stats.pairs, 8);
-        // After A is exhausted the merge stops: I/O must be far below a
-        // full leaf scan of D's index on top of the build cost. The build
-        // (sort + bulk load) dominates; the merge adds O(height) pages.
-        let build_only = {
+        // After A is exhausted the merge stops: the two sorts are the
+        // whole cost, and the merge reads at most one read-ahead window of
+        // each sorted file on top of them.
+        let sort_only = {
             let c2 = JoinCtx::in_memory_free(PBiTreeShape::new(22).unwrap(), 16);
+            let a2 = element_file(&c2.pool, [((1u64 << 8), 0)]).unwrap();
             let d2 = element_file(&c2.pool, (0..50_000u64).map(|i| ((i << 6) | 1, 1))).unwrap();
             let before = c2.pool.io_stats();
-            let s = sort_doc_order(&c2, &d2).unwrap();
-            let t = BPlusTree::bulk_load(
-                &c2.pool,
-                s.scan(&c2.pool).map(|e: Element| (e.doc_key(), e.tag)),
-            )
-            .unwrap();
-            let _ = t;
+            drop((sort_doc_order(&c2, &a2), sort_doc_order(&c2, &d2)));
             c2.pool.io_stats().since(&before).total()
         };
         assert!(
-            stats.io.total() < build_only + 200,
-            "merge phase should be skip-cheap: {} vs build {}",
+            stats.io.total() <= sort_only + 2 * c.read_opts().depth() as u64,
+            "merge phase should be skip-cheap: {} vs sort {}",
             stats.io.total(),
-            build_only
+            sort_only
         );
     }
 
     #[test]
     fn presorted_inputs_still_correct() {
+        let (ac, dc) = (
+            sorted_codes(300, &[5, 9], 191),
+            sorted_codes(900, &[0, 2], 193),
+        );
+        assert!(check_sorted(&ac, &dc) > 0);
+    }
+
+    #[test]
+    fn sorted_inputs_build_nothing() {
+        let c = JoinCtx::in_memory(PBiTreeShape::new(18).unwrap(), 8);
+        let (ac, dc) = (
+            sorted_codes(3000, &[5, 8], 161),
+            sorted_codes(3000, &[0, 1], 163),
+        );
+        let a = element_file(&c.pool, ac.iter().map(|&v| (v, 0))).unwrap();
+        let d = element_file(&c.pool, dc.iter().map(|&v| (v, 1))).unwrap();
+        c.pool.evict_all().unwrap();
+        let mut sink = CountSink::default();
+        let stats = anc_des_bplus(&c, &a, &d, SortPolicy::AssumeSorted, &mut sink).unwrap();
+        assert!(stats.pairs > 0);
+        // No index, no temp file: at most one pass over each input.
+        assert_eq!(stats.io.writes(), 0);
+        assert!(stats.io.reads() <= (a.pages() + d.pages()) as u64);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not in document order")]
+    fn unsorted_input_under_assume_sorted_trips_the_order_check() {
         let c = ctx(8);
-        let mut acodes = mixed_codes(300, &[5, 9], 191);
-        let mut dcodes = mixed_codes(900, &[0, 2], 193);
-        acodes.sort_by_key(|&v| pbitree_core::Code::new(v).unwrap().doc_order_key());
-        dcodes.sort_by_key(|&v| pbitree_core::Code::new(v).unwrap().doc_order_key());
-        let a = element_file(&c.pool, acodes.iter().map(|&v| (v, 0))).unwrap();
-        let d = element_file(&c.pool, dcodes.iter().map(|&v| (v, 1))).unwrap();
-        let mut got = CollectSink::default();
-        anc_des_bplus(&c, &a, &d, SortPolicy::AssumeSorted, &mut got).unwrap();
-        let mut expect = CollectSink::default();
-        block_nested_loop(&c, &a, &d, &mut expect).unwrap();
-        assert_eq!(got.canonical(), expect.canonical());
+        // Region [8193, 16383] stored before region [1, 7].
+        let a = element_file(&c.pool, [(3u64 << 12, 0), (4, 0)]).unwrap();
+        let d = element_file(&c.pool, [(9001u64, 1)]).unwrap();
+        let mut sink = CountSink::default();
+        let _ = anc_des_bplus(&c, &a, &d, SortPolicy::AssumeSorted, &mut sink);
+    }
+
+    /// Runs ADB+ on doc-ordered `acodes`/`dcodes` over raw and packed
+    /// pages, checks it against the naive join, and returns the pairs.
+    fn check_sorted(acodes: &[u64], dcodes: &[u64]) -> u64 {
+        let mut pairs = 0;
+        for compress in [false, true] {
+            let c = ctx(8);
+            let opts = c.read_opts().with_compress(compress);
+            let a = element_file_with(&c.pool, opts, acodes.iter().map(|&v| (v, 0))).unwrap();
+            let d = element_file_with(&c.pool, opts, dcodes.iter().map(|&v| (v, 1))).unwrap();
+            let mut got = CollectSink::default();
+            pairs = anc_des_bplus(&c, &a, &d, SortPolicy::AssumeSorted, &mut got)
+                .unwrap()
+                .pairs;
+            let mut expect = CollectSink::default();
+            block_nested_loop(&c, &a, &d, &mut expect).unwrap();
+            assert_eq!(got.canonical(), expect.canonical(), "compress={compress}");
+        }
+        pairs
+    }
+
+    #[test]
+    fn ancestor_probe_behind_cursor() {
+        // d = leaf 18177. Its ancestors at heights 13..9 start at 16385
+        // (h13..h10) and 17409 (h9, code 17920); h8 is 18176, region
+        // [17921, 18431]. The skip starts on the dead leaf 11 and probes
+        // h13, landing on the dead leaf 17409 — nested inside the regions
+        // of h12..h9, whose keys therefore lie behind the cursor. The
+        // h8 probe then moves forward again. Filler leaves spread A over
+        // several pages so the probes seek through the zone map.
+        let filler = (13..16_384u64).step_by(2);
+        let head = [2u64, 11];
+        let mut acodes: Vec<u64> = head.into_iter().chain(filler).collect();
+        acodes.push(17_409);
+        let dcodes = [1u64, 9, 18_177, 18_179];
+        // Case 1: the h8 probe finds an ancestor of d that starts before
+        // d, so jumping straight to `d.start` would lose it.
+        let mut with_h8 = acodes.clone();
+        with_h8.push(18_176);
+        assert_eq!(check_sorted(&with_h8, &dcodes), 3);
+        // Case 2: A runs out at the h8 probe, mid-skip.
+        assert_eq!(check_sorted(&acodes, &dcodes), 1);
     }
 
     #[test]

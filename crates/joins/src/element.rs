@@ -39,34 +39,6 @@ impl Element {
     pub fn doc_key(&self) -> u128 {
         self.code.doc_order_key()
     }
-
-    /// Recovers an element from its document-order key plus tag (used by
-    /// index-resident iterators: the key encodes start and height, which
-    /// determine the code).
-    ///
-    /// # Panics
-    /// Panics on a malformed key. Index iterators decoding keys read back
-    /// from disk use [`try_from_doc_key`](Element::try_from_doc_key).
-    pub fn from_doc_key(key: u128, tag: u32) -> Self {
-        Self::try_from_doc_key(key, tag).expect("valid doc key")
-    }
-
-    /// Fallible [`from_doc_key`](Element::from_doc_key): a key whose
-    /// height byte or code is out of range (corrupted index page) comes
-    /// back as `Err` instead of a panic.
-    pub fn try_from_doc_key(key: u128, tag: u32) -> Result<Self, &'static str> {
-        let start = (key >> 8) as u64;
-        let inv = (key & 0xFF) as u32;
-        if inv > 63 {
-            return Err("doc key height byte out of range");
-        }
-        let height = 63 - inv;
-        let raw = start
-            .checked_add((1u64 << height) - 1)
-            .ok_or("doc key start out of range")?;
-        let code = Code::new(raw).map_err(|_| "doc key decodes to code zero")?;
-        Ok(Element { code, tag })
-    }
 }
 
 impl FixedRecord for Element {
@@ -186,14 +158,6 @@ mod tests {
         let mut buf = [0u8; 12];
         e.write(&mut buf);
         assert_eq!(Element::read(&buf), e);
-    }
-
-    #[test]
-    fn doc_key_round_trip() {
-        for raw in [1u64, 16, 18, 20, 24, 31, 1 << 40] {
-            let e = Element::new(raw, 3);
-            assert_eq!(Element::from_doc_key(e.doc_key(), 3), e);
-        }
     }
 
     #[test]

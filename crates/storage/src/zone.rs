@@ -60,15 +60,6 @@ impl ZoneEntry {
     pub fn covers(&self, lo: u64, hi: u64, h: u32) -> bool {
         self.lo <= lo && hi <= self.hi && self.min_h <= h && h <= self.max_h
     }
-
-    /// Widens this zone to also cover everything `other` covers.
-    #[inline]
-    pub fn merge(&mut self, other: &ZoneEntry) {
-        self.lo = self.lo.min(other.lo);
-        self.hi = self.hi.max(other.hi);
-        self.min_h = self.min_h.min(other.min_h);
-        self.max_h = self.max_h.max(other.max_h);
-    }
 }
 
 /// The zone map of one heap file: one optional [`ZoneEntry`] per page, in
@@ -330,12 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn zone_fold_and_merge_widen() {
+    fn zone_fold_widens() {
         let mut z = ZoneEntry::of(10, 20, 3);
         z.fold(5, 12, 7);
         assert_eq!(z, zone(5, 20, 3, 7));
         let mut a = ZoneEntry::of(100, 200, 1);
-        a.merge(&z);
+        a.fold(z.lo, z.hi, z.min_h);
+        a.fold(z.lo, z.hi, z.max_h);
         assert_eq!(a, zone(5, 200, 1, 7));
         // Covering is containment in both dimensions, ends included.
         assert!(a.covers(5, 200, 1) && a.covers(50, 60, 7));
