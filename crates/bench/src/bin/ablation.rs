@@ -26,6 +26,8 @@
 //! cargo run -p pbitree-bench --release --bin ablation -- --study rollup
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pbitree_bench::args::{io_options, CommonArgs};
 use pbitree_bench::harness::{run_algo, ExpConfig};
 use pbitree_bench::report::{fmt_secs, Table};

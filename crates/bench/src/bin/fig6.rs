@@ -11,6 +11,8 @@
 //! cargo run -p pbitree-bench --release --bin fig6 -- --fast
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pbitree_bench::args::CommonArgs;
 use pbitree_bench::harness::{
     improvement_ratio, min_rgn_secs, run_algo, run_competitors, ExpConfig, RGN_BASELINES,

@@ -7,6 +7,8 @@
 //! cargo run -p pbitree-bench --release --bin table2 -- --fast
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pbitree_bench::args::CommonArgs;
 use pbitree_bench::harness::{min_rgn_secs, run_algo, run_competitors, RGN_BASELINES};
 use pbitree_bench::report::{fmt_secs, Table};

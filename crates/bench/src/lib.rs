@@ -15,6 +15,8 @@
 //! Timing is simulated-disk time + measured CPU time (see
 //! `pbitree-storage::stats`); raw page counts are reported alongside.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod harness;
 pub mod report;

@@ -39,6 +39,8 @@
 //! assert_eq!(n.region(), (17, 19));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod binarize;
 pub mod code;
 pub mod error;

@@ -16,6 +16,8 @@
 //! populations and height distributions (see DESIGN.md, substitution 3).
 //! All generators are deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod dblp;
 pub mod queries;
 pub mod rng;

@@ -16,8 +16,8 @@
 //! A tree is one of two species, fixed at construction:
 //!
 //! * **bulk-loaded** ([`BPlusTree::bulk_load`]) — built bottom-up from
-//!   sorted input, read-only afterwards (the index INLJN/ADB+ build on the
-//!   fly and drop after the join);
+//!   sorted input, read-only afterwards (the index INLJN builds on the fly
+//!   and drops after the join);
 //! * **logged** ([`BPlusTree::new_logged`] / [`BPlusTree::open_logged`]) —
 //!   page 0 is a metadata record and every mutation commits through the
 //!   write-ahead log as one atomic operation.

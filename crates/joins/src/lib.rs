@@ -34,6 +34,8 @@
 //! Correctness of all algorithms is cross-checked against the naive join
 //! and against each other by the test suite (`verify` module).
 
+#![forbid(unsafe_code)]
+
 pub mod adb;
 pub mod batch;
 pub mod context;

@@ -27,6 +27,8 @@
 //! batched query's recorded latency is its batch's round-trip: that is
 //! what the caller actually waited.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::process::exit;
 use std::sync::Arc;

@@ -12,6 +12,8 @@
 //! `SHUTDOWN`. On exit it prints the service's STATS JSON and, with
 //! `--trace`, saves the schema-v1 span trace of every query run.
 
+#![forbid(unsafe_code)]
+
 use std::process::exit;
 use std::sync::Arc;
 

@@ -25,6 +25,8 @@
 //!
 //! [`BufferPool`]: pbitree_storage::BufferPool
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod proto;
 pub mod report;

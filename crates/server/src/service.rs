@@ -2,7 +2,7 @@
 //!
 //! A [`QueryService`] owns an XMark corpus (generated at construction,
 //! encoded, and bulk-loaded into per-tag element heap files on one shared
-//! lock-striped [`BufferPool`]) and executes `//a//b`-style descendant paths
+//! [`BufferPool`]) and executes `//a//b`-style descendant paths
 //! against it through the planner framework. Concurrency control is the
 //! admission layer: each query asks the [`AdmissionController`] for its
 //! whole frame budget up front, runs on a [`JoinCtx::worker`] sized to

@@ -8,31 +8,39 @@
 //!
 //! # Concurrency
 //!
-//! The pool is thread-safe (`Send + Sync`) so concurrent queries (the
-//! query service's connection handlers) can share one frame budget:
+//! The pool is `Send + Sync` so concurrent queries (the query service's
+//! connection handlers) can share one frame budget. Page guards hold std
+//! lock guards and stay on the thread that created them (`!Send`).
 //!
-//! * The page table (pid → frame) is **lock-striped** into
-//!   [`STRIPE_COUNT`] stripes, each behind its own mutex, so concurrent
-//!   lookups of unrelated pages do not serialize.
-//! * The **frames themselves form one global arena** — deliberately *not*
-//!   partitioned per stripe. Operators such as the external-sort merge
-//!   legitimately pin up to `b - 1` arbitrary pages at once; hashing pins
-//!   into fixed per-stripe quotas would make `NoFreeFrames` fire spuriously.
-//!   The budget `b` therefore bounds the *total* pinned frames across all
-//!   callers: there are exactly `b` frames and a pin occupies one.
-//! * Each frame has a tiny mutex for its metadata (pid, pin count, dirty,
-//!   referenced, claimed) and an atomic reader-writer latch for its data,
-//!   so page guards are `Send` (std lock guards are not).
+//! * One mutex guards the page table (pid → frame). It is held for table
+//!   lookups and edits only, never across disk I/O.
+//! * The frames form one arena: `b` frames, and a pin occupies one, so the
+//!   budget bounds the total pinned frames across all callers. Operators
+//!   such as the external-sort merge pin up to `b - 1` arbitrary pages at
+//!   once, so no caller gets a fixed quota.
+//! * Each frame has a small mutex for its metadata (pid, pin count, dirty,
+//!   referenced, claimed) and a [`RwLock`] latch for its bytes. A guard
+//!   holds the latch for its lifetime and releases it *before* it unpins,
+//!   so a pin-0 frame's latch is free unless a flush holds it. A writer's
+//!   unpin marks its frame dirty, so a flush that ran before the write
+//!   cannot leave it clean.
+//! * A miss *claims* a victim off the clock: the claim sets `claimed` and
+//!   takes the frame's write latch with `try_write`, skipping a frame whose
+//!   latch is busy. A claimed frame is invisible to hits (they park until
+//!   the load is published) and to the clock, and all of its I/O —
+//!   write-back, load, read-ahead — goes through the claim's own latch.
 //! * Hit/miss counters are atomics, incremented **exactly once per
 //!   request**: a hit at the moment of pinning a resident frame, a miss at
 //!   the moment a freshly loaded frame is published. A caller that loses a
 //!   load race (two callers miss on the same page; one wins the table slot)
 //!   counts nothing and retries, then counts a single hit.
-//! * Lock order is `stripe → frame meta` and `clock hand → frame meta`,
-//!   with the disk mutex taken last and alone; eviction never holds a
-//!   frame-meta lock while taking a stripe lock (it *claims* the frame,
-//!   releases the meta lock, and works on the claimed frame, which no other
-//!   thread will pin).
+//! * Lock order: `page table → frame meta`; `frame latch → page table,
+//!   frame meta, WAL gate, disk`; `clock hand → frame meta → frame latch`,
+//!   the last edge by `try_write` only, so it never waits. Only
+//!   [`BufferPool::flush_all`] blocks on more than one frame latch: it
+//!   takes them, then their metas, in ascending frame index. Claims never
+//!   wait on a latch, so misses and read-ahead cannot join a cycle with a
+//!   flush.
 //!
 //! A single caller — every join runs its tasks on one thread — sees
 //! exactly the classic sequential pool: the clock sweep, second-chance
@@ -58,12 +66,11 @@
 //! prefetch batch and by [`BufferPool::flush_all`] are themselves grouped
 //! into contiguous runs and written with vectored [`Disk::write_pages`].
 
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use crate::access::{AccessPattern, ScanOptions};
 use crate::disk::{BatchError, Disk, IoError};
@@ -72,14 +79,10 @@ use crate::stats::{AtomicIoStats, IoStats};
 use crate::zone::FileZones;
 
 /// Longest contiguous run [`BufferPool::flush_all`] coalesces into one
-/// vectored write. Bounds how long the run's frame latches are held.
+/// vectored write. A flush holds the run's shared latches through the
+/// write, so this bounds how long a writer guard (or a miss that wants one
+/// of those frames) can wait behind it.
 const FLUSH_RUN_MAX: usize = 64;
-
-/// Number of page-table lock stripes. Sixteen keeps striping overhead trivial for
-/// the tiny pools tests use while comfortably exceeding the worker counts
-/// the partition scheduler spawns (a stripe mutex is only contended when two
-/// workers touch pages hashing to the same stripe at the same instant).
-pub const STRIPE_COUNT: usize = 16;
 
 /// Errors surfaced by the buffer pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -264,11 +267,26 @@ impl FrameMeta {
         claimed: false,
         lsn: 0,
     };
+
+    /// A freshly loaded, clean resident of `pid` holding `pin` pins.
+    fn loaded(pid: PageId, pin: u32) -> FrameMeta {
+        FrameMeta {
+            pid: Some(pid),
+            pin,
+            referenced: true,
+            ..FrameMeta::EMPTY
+        }
+    }
 }
 
-/// A frame index claimed off the clock, with the evicted resident's
-/// `(pid, dirty, lsn)` if one must be written back first.
-type ClaimedVictim = (usize, Option<(PageId, bool, u64)>);
+/// A frame claimed off the clock. The claim holds the frame's write latch
+/// until it is published or released, so its I/O never waits.
+struct ClaimedVictim<'a> {
+    frame: usize,
+    buf: RwLockWriteGuard<'a, Box<PageBuf>>,
+    /// The evicted resident's `(pid, dirty, lsn)`, if the frame held one.
+    old: Option<(PageId, bool, u64)>,
+}
 
 /// The write-ahead log's side of the WAL-before-page protocol. The pool
 /// calls [`LsnGate::flush_up_to`] before any dirty frame stamped with an
@@ -283,87 +301,19 @@ pub trait LsnGate: Send + Sync {
     fn flush_up_to(&self, pool: &BufferPool, lsn: u64) -> Result<(), PoolError>;
 }
 
-/// A spinning reader-writer latch over a frame's data. `std::sync::RwLock`
-/// guards are `!Send`, and join workers must be able to carry pinned pages
-/// across `thread::scope` boundaries, so the pool rolls its own: the low 31
-/// bits count readers, the high bit marks a writer. Frames are latched for
-/// the duration of a guard only; contention is rare (two guards on one page
-/// at once) and short, so spin + yield beats parking.
-struct RwLatch(AtomicU32);
-
-const WRITER: u32 = 1 << 31;
-
-impl RwLatch {
-    const fn new() -> Self {
-        RwLatch(AtomicU32::new(0))
-    }
-
-    fn lock_shared(&self) {
-        loop {
-            let s = self.0.load(Ordering::Relaxed);
-            if s & WRITER == 0
-                && self
-                    .0
-                    .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return;
-            }
-            std::hint::spin_loop();
-            if s & WRITER != 0 {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    fn lock_exclusive(&self) {
-        loop {
-            if self
-                .0
-                .compare_exchange_weak(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
-
-    fn unlock_shared(&self) {
-        self.0.fetch_sub(1, Ordering::Release);
-    }
-
-    fn unlock_exclusive(&self) {
-        self.0.store(0, Ordering::Release);
-    }
-}
-
-/// One frame's data cell. Access discipline: shared through the latch for
-/// guards; lock-free for a thread that holds the frame *claimed* (no guard
-/// exists on a claimed frame and none can be created).
-struct FrameData {
-    latch: RwLatch,
-    buf: UnsafeCell<Box<PageBuf>>,
-}
-
-// SAFETY: all access to `buf` goes through the latch or through claim
-// ownership (mutually exclusive by construction, see `FrameData` docs).
-unsafe impl Sync for FrameData {}
-
 /// A clock-replacement buffer pool over a [`Disk`]. `Send + Sync`; see the
 /// module docs for the locking protocol.
 pub struct BufferPool {
     disk: Mutex<Disk>,
     /// Live I/O counters, shared with the disk; readable without the disk
-    /// lock so `io_stats()` never serializes against worker transfers.
+    /// lock so `io_stats()` never serializes against concurrent transfers.
     io: Arc<AtomicIoStats>,
-    /// Lock-striped page table: pid → frame index.
-    stripes: Vec<Mutex<HashMap<PageId, usize>>>,
+    /// Page table: pid → frame index.
+    table: Mutex<HashMap<PageId, usize>>,
     /// Per-frame metadata. Sized at construction, never resized.
     meta: Vec<Mutex<FrameMeta>>,
-    /// Per-frame page images, same indexing as `meta`.
-    data: Vec<FrameData>,
+    /// Per-frame page images behind their latches, same indexing as `meta`.
+    data: Vec<RwLock<Box<PageBuf>>>,
     /// Clock hand. Held for a whole sweep, serializing victim selection.
     hand: Mutex<usize>,
     hits: AtomicU64,
@@ -399,17 +349,12 @@ impl BufferPool {
         BufferPool {
             disk: Mutex::new(disk),
             io,
-            stripes: (0..STRIPE_COUNT)
-                .map(|_| Mutex::new(HashMap::with_capacity(capacity / STRIPE_COUNT + 1)))
-                .collect(),
+            table: Mutex::new(HashMap::with_capacity(capacity)),
             meta: (0..capacity)
                 .map(|_| Mutex::new(FrameMeta::EMPTY))
                 .collect(),
             data: (0..capacity)
-                .map(|_| FrameData {
-                    latch: RwLatch::new(),
-                    buf: UnsafeCell::new(Box::new([0u8; PAGE_SIZE])),
-                })
+                .map(|_| RwLock::new(Box::new([0u8; PAGE_SIZE])))
                 .collect(),
             hand: Mutex::new(0),
             hits: AtomicU64::new(0),
@@ -448,12 +393,15 @@ impl BufferPool {
         }
     }
 
-    #[inline]
-    fn stripe_of(&self, pid: PageId) -> &Mutex<HashMap<PageId, usize>> {
-        // Fibonacci hash of (file, page); stripes are a power of two.
-        let key = ((pid.file.0 as u64) << 32) | pid.page as u64;
-        let h = key.wrapping_mul(0x9E3779B97F4A7C15);
-        &self.stripes[(h >> 32) as usize & (STRIPE_COUNT - 1)]
+    /// Frame `f`'s shared latch. A guard holder that panicked leaves only
+    /// page bytes behind, so poisoning is ignored.
+    fn latch(&self, f: usize) -> RwLockReadGuard<'_, Box<PageBuf>> {
+        self.data[f].read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Frame `f`'s exclusive latch; see [`BufferPool::latch`].
+    fn latch_mut(&self, f: usize) -> RwLockWriteGuard<'_, Box<PageBuf>> {
+        self.data[f].write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of frames.
@@ -541,7 +489,7 @@ impl BufferPool {
     }
 
     /// Disk transfer counters (the headline experiment metric). Lock-free:
-    /// safe to call while workers are running.
+    /// safe to call while other threads use the pool.
     pub fn io_stats(&self) -> IoStats {
         self.io.snapshot()
     }
@@ -580,31 +528,27 @@ impl BufferPool {
     /// Panics if any page of the file is still pinned.
     pub fn delete_file(&self, file: FileId) {
         self.zones.lock().unwrap().remove(&file);
-        for stripe in &self.stripes {
-            let mut table = stripe.lock().unwrap();
-            table.retain(|pid, &mut f| {
-                if pid.file != file {
-                    return true;
-                }
-                let mut m = self.meta[f].lock().unwrap();
-                // A claimed frame is mid-eviction by another thread; it no
-                // longer belongs to this file (the evictor's write-back is
-                // dropped by the deleted-file guard in `load_frame`).
-                if !m.claimed {
-                    assert_eq!(m.pin, 0, "deleting file with pinned page {pid}");
-                    *m = FrameMeta::EMPTY;
-                }
-                false
-            });
-        }
+        self.table.lock().unwrap().retain(|pid, &mut f| {
+            if pid.file != file {
+                return true;
+            }
+            let mut m = self.meta[f].lock().unwrap();
+            // A claimed frame is mid-eviction by another thread; it no
+            // longer belongs to this file (the evictor's write-back is
+            // dropped by the deleted-file guard in `fetch`).
+            if !m.claimed {
+                assert_eq!(m.pin, 0, "deleting file with pinned page {pid}");
+                *m = FrameMeta::EMPTY;
+            }
+            false
+        });
         self.disk.lock().unwrap().delete_file(file);
     }
 
     /// Fetches an existing page for reading.
     pub fn read_page(&self, pid: PageId) -> Result<PageRef<'_>, PoolError> {
-        let (frame, _missed) = self.fetch(pid, false, false)?;
-        self.data[frame].latch.lock_shared();
-        Ok(PageRef { pool: self, frame })
+        let (frame, _missed) = self.fetch(pid, false)?;
+        Ok(PageRef::new(self, frame))
     }
 
     /// Fetches an existing page for reading, declaring the surrounding
@@ -614,9 +558,8 @@ impl BufferPool {
     /// prefetches up to `readahead - 1` following pages with one vectored
     /// read (best-effort; see the module docs).
     pub fn read_page_with(&self, pid: PageId, opts: ScanOptions) -> Result<PageRef<'_>, PoolError> {
-        let (frame, missed) = self.fetch(pid, false, false)?;
-        self.data[frame].latch.lock_shared();
-        let guard = PageRef { pool: self, frame };
+        let (frame, missed) = self.fetch(pid, false)?;
+        let guard = PageRef::new(self, frame);
         if missed {
             if let AccessPattern::Sequential { readahead } = opts.pattern {
                 if readahead > 1 {
@@ -629,11 +572,11 @@ impl BufferPool {
         Ok(guard)
     }
 
-    /// Fetches an existing page for modification; the frame is marked dirty.
+    /// Fetches an existing page for modification; the frame is marked dirty
+    /// when the guard drops.
     pub fn write_page(&self, pid: PageId) -> Result<PageMut<'_>, PoolError> {
-        let (frame, _missed) = self.fetch(pid, true, false)?;
-        self.data[frame].latch.lock_exclusive();
-        Ok(PageMut { pool: self, frame })
+        let (frame, _missed) = self.fetch(pid, false)?;
+        Ok(PageMut::new(self, frame))
     }
 
     /// Appends a full page image to `file`, writing through to disk
@@ -698,9 +641,8 @@ impl BufferPool {
     pub fn new_page(&self, file: FileId) -> Result<(u32, PageMut<'_>), PoolError> {
         let page = self.disk.lock().unwrap().allocate_page(file)?;
         let pid = PageId::new(file, page);
-        let (frame, _missed) = self.fetch(pid, true, true)?;
-        self.data[frame].latch.lock_exclusive();
-        Ok((page, PageMut { pool: self, frame }))
+        let (frame, _missed) = self.fetch(pid, true)?;
+        Ok((page, PageMut::new(self, frame)))
     }
 
     /// Flushes and then discards every unpinned frame — a cold-cache reset
@@ -719,9 +661,7 @@ impl BufferPool {
             assert!(!m.claimed, "evict_all while a fetch is in flight");
             *m = FrameMeta::EMPTY;
         }
-        for stripe in &self.stripes {
-            stripe.lock().unwrap().clear();
-        }
+        self.table.lock().unwrap().clear();
         *self.hand.lock().unwrap() = 0;
         Ok(())
     }
@@ -730,7 +670,8 @@ impl BufferPool {
     /// coalescing page-contiguous runs into vectored writes — one head
     /// movement per run instead of per page. Stops at the first I/O error;
     /// already-flushed frames are clean, the failing frame and the rest
-    /// stay dirty, so a recovered caller can simply flush again.
+    /// stay dirty, so a recovered caller can simply flush again. The flush
+    /// waits on page latches, so its caller must not hold a page guard.
     pub fn flush_all(&self) -> Result<(), PoolError> {
         // Collect dirty residents, then flush in page order for sequential
         // write-back, as a real pool would.
@@ -742,37 +683,25 @@ impl BufferPool {
             }
         }
         dirty.sort_unstable();
-        let mut k = 0;
-        while k < dirty.len() {
-            let mut j = k + 1;
-            while j < dirty.len()
-                && j - k < FLUSH_RUN_MAX
-                && dirty[j].0.file == dirty[k].0.file
-                && dirty[j].0.page == dirty[j - 1].0.page + 1
-            {
-                j += 1;
-            }
-            self.flush_run(&dirty[k..j])?;
-            k = j;
+        for run in dirty
+            .chunk_by(adjacent)
+            .flat_map(|r| r.chunks(FLUSH_RUN_MAX))
+        {
+            self.flush_run(run)?;
         }
         Ok(())
     }
 
     /// Flushes one candidate run of page-contiguous dirty frames. Every
-    /// frame is latched shared and meta-locked in page order (concurrent
-    /// flushers take the same global order, so they cannot deadlock), then
-    /// re-verified: frames evicted, cleaned or re-claimed since collection
-    /// split the run into shorter verified sub-runs, each still contiguous
-    /// and written with one vectored transfer.
+    /// frame is latched shared, then meta-locked, in ascending frame index
+    /// (the module's latch order), then re-verified: frames evicted,
+    /// cleaned or re-claimed since collection split the run into shorter
+    /// verified sub-runs, each still contiguous and written with one
+    /// vectored transfer.
     fn flush_run(&self, run: &[(PageId, usize)]) -> Result<(), PoolError> {
-        for &(_, i) in run {
-            // Waits out any in-flight writer guard on the frame.
-            self.data[i].latch.lock_shared();
-        }
-        let mut metas: Vec<std::sync::MutexGuard<'_, FrameMeta>> = run
-            .iter()
-            .map(|&(_, i)| self.meta[i].lock().unwrap())
-            .collect();
+        // Waits out any writer guard or claim holding a frame's latch.
+        let latches = in_frame_order(run, |f| self.latch(f));
+        let mut metas = in_frame_order(run, |f| self.meta[f].lock().unwrap());
         let ok: Vec<bool> = run
             .iter()
             .zip(&metas)
@@ -800,37 +729,24 @@ impl BufferPool {
             while j < run.len() && ok[j] {
                 j += 1;
             }
-            // SAFETY: shared latches held on the whole run; no exclusive
-            // access exists.
-            let bufs: Vec<&PageBuf> = (k..j)
-                .map(|x| unsafe { &**self.data[run[x].1].buf.get() })
-                .collect();
+            let bufs: Vec<&PageBuf> = latches[k..j].iter().map(|g| &***g).collect();
             let res = self
                 .disk
                 .lock()
                 .unwrap()
                 .write_pages(run[k].0.file, run[k].0.page, &bufs);
-            match res {
-                Ok(()) => (k..j).for_each(|x| {
-                    metas[x].dirty = false;
-                    metas[x].lsn = 0;
-                }),
+            let done = match res {
+                Ok(()) => j - k,
                 Err(BatchError { done, error }) => {
-                    (k..k + done).for_each(|x| {
-                        metas[x].dirty = false;
-                        metas[x].lsn = 0;
-                    });
                     result = Err(error.into());
+                    done
                 }
-            }
-            if result.is_err() {
-                break;
+            };
+            for m in &mut metas[k..k + done] {
+                m.dirty = false;
+                m.lsn = 0;
             }
             k = j;
-        }
-        drop(metas);
-        for &(_, i) in run {
-            self.data[i].latch.unlock_shared();
         }
         result
     }
@@ -851,12 +767,13 @@ impl BufferPool {
 
     /// Core fetch: returns the (pinned) frame index holding `pid` and
     /// whether the request missed (read from disk / claimed a fresh frame).
-    /// `fresh` skips the disk read for newly allocated pages.
-    fn fetch(&self, pid: PageId, for_write: bool, fresh: bool) -> Result<(usize, bool), PoolError> {
+    /// `fresh` skips the disk read for newly allocated pages. The caller
+    /// latches the frame through its guard (a writer's unpin marks it dirty).
+    fn fetch(&self, pid: PageId, fresh: bool) -> Result<(usize, bool), PoolError> {
         loop {
             // Hit path: resident and not mid-eviction.
             {
-                let table = self.stripe_of(pid).lock().unwrap();
+                let table = self.table.lock().unwrap();
                 if let Some(&f) = table.get(&pid) {
                     let mut m = self.meta[f].lock().unwrap();
                     if m.claimed {
@@ -870,7 +787,6 @@ impl BufferPool {
                     debug_assert_eq!(m.pid, Some(pid));
                     m.pin += 1;
                     m.referenced = true;
-                    m.dirty |= for_write;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok((f, false));
                 }
@@ -878,88 +794,74 @@ impl BufferPool {
 
             // Miss path: claim a victim frame, evict its old resident, then
             // race for the table slot.
-            let (victim, old) = self.claim_victim()?;
-            if let Some((old_pid, old_dirty, old_lsn)) = old {
+            let ClaimedVictim {
+                frame,
+                mut buf,
+                old,
+            } = self.claim_victim()?;
+            if let Some((old_pid, true, old_lsn)) = old {
                 // Write back BEFORE removing the table mapping: as long as
                 // the entry exists, a concurrent miss on the old page parks
                 // on the claimed frame instead of reading the (still stale)
                 // disk copy. Removing first would let that miss read data
                 // from before this write-back — a lost update.
-                if old_dirty {
-                    // WAL-before-page: the log must be durable through the
-                    // victim's LSN before its image may reach disk. On a
-                    // log-flush fault, release the claim exactly like a
-                    // failed write-back: nothing was lost, retry later.
-                    if let Err(e) = self.gate_lsn(old_lsn) {
-                        self.meta[victim].lock().unwrap().claimed = false;
-                        return Err(e);
-                    }
-                    // SAFETY: the frame is claimed with pin == 0 — no guard
-                    // exists and none can be created.
-                    let buf = unsafe { &**self.data[victim].buf.get() };
-                    let mut disk = self.disk.lock().unwrap();
-                    // Skip write-back if the file was deleted concurrently
-                    // (its contents are dead anyway).
-                    if disk.num_pages(old_pid.file) > old_pid.page {
-                        if let Err(e) = disk.write_page(old_pid, buf) {
-                            // Release the claim: the old page stays resident
-                            // and dirty (its table entry was never removed),
-                            // so nothing is lost and a retry can evict it
-                            // again once the device recovers.
-                            drop(disk);
-                            self.meta[victim].lock().unwrap().claimed = false;
-                            return Err(e.into());
-                        }
-                    }
+                //
+                // WAL-before-page: the log must be durable through the
+                // victim's LSN before its image may reach disk. On a
+                // log-flush fault, release the claim exactly like a failed
+                // write-back: nothing was lost, retry later.
+                if let Err(e) = self.gate_lsn(old_lsn) {
+                    self.meta[frame].lock().unwrap().claimed = false;
+                    return Err(e);
                 }
-                let mut table = self.stripe_of(old_pid).lock().unwrap();
-                if table.get(&old_pid) == Some(&victim) {
-                    table.remove(&old_pid);
+                let mut disk = self.disk.lock().unwrap();
+                // Skip write-back if the file was deleted concurrently
+                // (its contents are dead anyway).
+                if disk.num_pages(old_pid.file) > old_pid.page {
+                    if let Err(e) = disk.write_page(old_pid, &buf) {
+                        // Release the claim: the old page stays resident
+                        // and dirty (its table entry was never removed),
+                        // so nothing is lost and a retry can evict it
+                        // again once the device recovers.
+                        drop(disk);
+                        self.meta[frame].lock().unwrap().claimed = false;
+                        return Err(e.into());
+                    }
                 }
             }
 
             {
-                let mut table = self.stripe_of(pid).lock().unwrap();
+                let mut table = self.table.lock().unwrap();
+                if let Some((old_pid, _, _)) = old {
+                    unmap(&mut table, old_pid, frame);
+                }
                 if table.contains_key(&pid) {
                     // Lost the load race: another thread published this page
                     // while we were evicting. Return the claimed frame and
                     // retry; the retry pins the winner's frame and counts a
                     // single hit — this request is never double-counted.
                     drop(table);
-                    *self.meta[victim].lock().unwrap() = FrameMeta::EMPTY;
+                    *self.meta[frame].lock().unwrap() = FrameMeta::EMPTY;
                     continue;
                 }
-                table.insert(pid, victim);
+                table.insert(pid, frame);
             }
 
             // Load while claimed (invisible to hits, skipped by the clock).
-            // SAFETY: claimed + pin == 0, sole access as above.
-            let buf = unsafe { &mut **self.data[victim].buf.get() };
             if fresh {
                 buf.fill(0);
-            } else if let Err(e) = self.disk.lock().unwrap().read_page(pid, buf) {
+            } else if let Err(e) = self.disk.lock().unwrap().read_page(pid, &mut buf) {
                 // Undo the publication: remove the mapping (callers parked
                 // on the claimed frame will fall through to their own disk
                 // read and surface the same fault) and free the frame.
-                let mut table = self.stripe_of(pid).lock().unwrap();
-                if table.get(&pid) == Some(&victim) {
-                    table.remove(&pid);
-                }
-                drop(table);
-                *self.meta[victim].lock().unwrap() = FrameMeta::EMPTY;
+                unmap(&mut self.table.lock().unwrap(), pid, frame);
+                *self.meta[frame].lock().unwrap() = FrameMeta::EMPTY;
                 return Err(e.into());
             }
 
-            *self.meta[victim].lock().unwrap() = FrameMeta {
-                pid: Some(pid),
-                pin: 1,
-                dirty: for_write,
-                referenced: true,
-                claimed: false,
-                lsn: 0,
-            };
+            *self.meta[frame].lock().unwrap() = FrameMeta::loaded(pid, 1);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((victim, true));
+            return Ok((frame, true));
         }
     }
 
@@ -981,15 +883,17 @@ impl BufferPool {
             .saturating_sub(start) as usize;
         let want = count.min(avail);
 
-        // Stage: one claimed victim frame per page. `try_claim_victim`
-        // never waits, so a loaded pool simply prefetches less.
-        let mut staged: Vec<ClaimedVictim> = Vec::with_capacity(want);
+        // Stage: one claimed victim frame per page, one sweep each. Prefetch
+        // does not retry, so a loaded pool simply prefetches less — and it
+        // already holds claims itself, so waiting on claimed frames could
+        // self-deadlock.
+        let mut staged: Vec<ClaimedVictim<'_>> = Vec::with_capacity(want);
         for i in 0..want {
             let pid = PageId::new(file, start + i as u32);
-            if self.stripe_of(pid).lock().unwrap().contains_key(&pid) {
+            if self.table.lock().unwrap().contains_key(&pid) {
                 break;
             }
-            match self.try_claim_victim() {
+            match self.sweep().0 {
                 Some(claim) => staged.push(claim),
                 None => break,
             }
@@ -1003,10 +907,11 @@ impl BufferPool {
         // prefetch: every claim is released, leaving each old page exactly
         // as the fault left it (written-back frames clean, the rest dirty),
         // and the table mappings — never removed yet — still valid.
+        let dirty_old = |c: &ClaimedVictim<'_>| c.old.filter(|&(_, dirty, _)| dirty);
         let mut dirty: Vec<(PageId, usize)> = staged
             .iter()
             .enumerate()
-            .filter_map(|(i, &(_, old))| old.filter(|&(_, d, _)| d).map(|(p, _, _)| (p, i)))
+            .filter_map(|(i, c)| dirty_old(c).map(|(p, _, _)| (p, i)))
             .collect();
         dirty.sort_unstable();
         let mut written = vec![false; staged.len()];
@@ -1015,44 +920,32 @@ impl BufferPool {
         // (claims released, nothing written) — read-ahead is best-effort.
         let max_lsn = staged
             .iter()
-            .filter_map(|&(_, old)| old.filter(|&(_, d, _)| d).map(|(_, _, l)| l))
-            .max()
-            .unwrap_or(0);
-        let mut failed = !dirty.is_empty() && self.gate_lsn(max_lsn).is_err();
-        let mut k = 0;
-        while k < dirty.len() && !failed {
-            let mut j = k + 1;
-            while j < dirty.len()
-                && dirty[j].0.file == dirty[k].0.file
-                && dirty[j].0.page == dirty[j - 1].0.page + 1
-            {
-                j += 1;
+            .filter_map(|c| dirty_old(c).map(|(_, _, l)| l))
+            .max();
+        let mut failed = self.gate_lsn(max_lsn.unwrap_or(0)).is_err();
+        for run in dirty.chunk_by(adjacent) {
+            if failed {
+                break;
             }
-            let run = &dirty[k..j];
-            // SAFETY: each frame is claimed with pin == 0 — sole access.
-            let bufs: Vec<&PageBuf> = run
-                .iter()
-                .map(|&(_, i)| unsafe { &**self.data[staged[i].0].buf.get() })
-                .collect();
+            let bufs: Vec<&PageBuf> = run.iter().map(|&(_, i)| &**staged[i].buf).collect();
             let mut disk = self.disk.lock().unwrap();
             // Victims of a concurrently deleted file (num_pages dropped to
             // zero) need no write-back; their contents are dead.
             if disk.num_pages(run[0].0.file) > 0 {
-                match disk.write_pages(run[0].0.file, run[0].0.page, &bufs) {
-                    Ok(()) => run.iter().for_each(|&(_, i)| written[i] = true),
+                let done = match disk.write_pages(run[0].0.file, run[0].0.page, &bufs) {
+                    Ok(()) => run.len(),
                     Err(BatchError { done, .. }) => {
-                        run[..done].iter().for_each(|&(_, i)| written[i] = true);
                         failed = true;
+                        done
                     }
-                }
+                };
+                run[..done].iter().for_each(|&(_, i)| written[i] = true);
             }
-            drop(disk);
-            k = j;
         }
         if failed {
-            for (i, &(frame, _)) in staged.iter().enumerate() {
-                let mut m = self.meta[frame].lock().unwrap();
-                if written[i] {
+            for (c, written) in staged.iter().zip(written) {
+                let mut m = self.meta[c.frame].lock().unwrap();
+                if written {
                     m.dirty = false;
                 }
                 m.claimed = false;
@@ -1060,34 +953,30 @@ impl BufferPool {
             return;
         }
 
-        // Remove the old residents' table mappings (write-back is done, so
-        // a miss on an old page may now read the fresh disk copy).
-        for &(frame, old) in &staged {
-            if let Some((old_pid, _, _)) = old {
-                let mut table = self.stripe_of(old_pid).lock().unwrap();
-                if table.get(&old_pid) == Some(&frame) {
-                    table.remove(&old_pid);
+        // Remove the old residents' mappings (write-back is done, so a miss
+        // on an old page may now read the fresh disk copy) and publish the
+        // new ones, truncating at the first page another thread published
+        // while we were staging (frames past it return to the free pool).
+        let mut n = staged.len();
+        {
+            let mut table = self.table.lock().unwrap();
+            for c in &staged {
+                if let Some((old_pid, _, _)) = c.old {
+                    unmap(&mut table, old_pid, c.frame);
                 }
             }
-        }
-
-        // Publish the new mappings, truncating at the first page another
-        // thread published while we were staging (frames past it return to
-        // the free pool).
-        let mut n = staged.len();
-        for (i, &(frame, _)) in staged.iter().enumerate() {
-            let pid = PageId::new(file, start + i as u32);
-            let mut table = self.stripe_of(pid).lock().unwrap();
-            if table.contains_key(&pid) {
-                n = i;
-                break;
+            for (i, c) in staged.iter().enumerate() {
+                let pid = PageId::new(file, start + i as u32);
+                if table.contains_key(&pid) {
+                    n = i;
+                    break;
+                }
+                table.insert(pid, c.frame);
             }
-            table.insert(pid, frame);
         }
-        for &(frame, _) in &staged[n..] {
-            *self.meta[frame].lock().unwrap() = FrameMeta::EMPTY;
+        for c in staged.drain(n..) {
+            *self.meta[c.frame].lock().unwrap() = FrameMeta::EMPTY;
         }
-        staged.truncate(n);
         if staged.is_empty() {
             return;
         }
@@ -1096,112 +985,106 @@ impl BufferPool {
         // transferred prefix and free the rest — the fault itself is
         // swallowed (the on-demand path will surface it if it persists).
         let res = {
-            // SAFETY: claimed frames, sole access; frame indices distinct.
-            let mut bufs: Vec<&mut PageBuf> = staged
-                .iter()
-                .map(|&(frame, _)| unsafe { &mut **self.data[frame].buf.get() })
-                .collect();
+            let mut bufs: Vec<&mut PageBuf> = staged.iter_mut().map(|c| &mut **c.buf).collect();
             self.disk.lock().unwrap().read_pages(file, start, &mut bufs)
         };
         let done = match res {
             Ok(()) => staged.len(),
             Err(BatchError { done, .. }) => done,
         };
-        for (i, &(frame, _)) in staged.iter().enumerate() {
-            if i < done {
-                *self.meta[frame].lock().unwrap() = FrameMeta {
-                    pid: Some(PageId::new(file, start + i as u32)),
-                    pin: 0,
-                    dirty: false,
-                    referenced: true,
-                    claimed: false,
-                    lsn: 0,
-                };
+        for (i, c) in staged.iter().enumerate() {
+            let pid = PageId::new(file, start + i as u32);
+            let meta = if i < done {
+                FrameMeta::loaded(pid, 0)
             } else {
-                let pid = PageId::new(file, start + i as u32);
-                let mut table = self.stripe_of(pid).lock().unwrap();
-                if table.get(&pid) == Some(&frame) {
-                    table.remove(&pid);
-                }
-                drop(table);
-                *self.meta[frame].lock().unwrap() = FrameMeta::EMPTY;
-            }
+                unmap(&mut self.table.lock().unwrap(), pid, c.frame);
+                FrameMeta::EMPTY
+            };
+            *self.meta[c.frame].lock().unwrap() = meta;
         }
         self.prefetched.fetch_add(done as u64, Ordering::Relaxed);
     }
 
-    /// Clock sweep: claim an unpinned frame, giving referenced frames a
-    /// second chance. Returns the frame index and, if it held a page, that
-    /// page and its dirty bit. The hand mutex is held for the whole sweep,
-    /// so selection is serialized (and deterministic when single-threaded).
-    #[allow(clippy::type_complexity)]
-    fn claim_victim(&self) -> Result<(usize, Option<(PageId, bool, u64)>), PoolError> {
-        let n = self.meta.len();
-        let mut spins = 0u32;
-        loop {
-            let mut hand = self.hand.lock().unwrap();
-            let mut saw_claimed = false;
-            for _ in 0..2 * n {
-                let i = *hand;
-                *hand = (*hand + 1) % n;
-                let mut m = self.meta[i].lock().unwrap();
-                if m.claimed {
-                    saw_claimed = true;
-                    continue;
-                }
-                if m.pin > 0 {
-                    continue;
-                }
-                if m.referenced {
-                    m.referenced = false;
-                    continue;
-                }
-                m.claimed = true;
-                return Ok((i, m.pid.map(|p| (p, m.dirty, m.lsn))));
-            }
-            drop(hand);
-            // Frames claimed by other callers' in-flight fetches are
-            // transient; give them a bounded chance to resolve before
-            // declaring the pool exhausted.
-            if !saw_claimed || spins >= 1_000 {
-                return Err(PoolError::NoFreeFrames { capacity: n });
-            }
-            spins += 1;
-            std::thread::yield_now();
-        }
-    }
-
-    /// Non-blocking clock sweep for the prefetcher: one pass of up to `2n`
-    /// steps with the usual second-chance semantics, but claimed frames are
-    /// skipped without waiting and exhaustion returns `None` instead of an
-    /// error. Prefetch would rather skip read-ahead than stall — and it may
-    /// already hold claims itself, so waiting on claimed frames here could
-    /// self-deadlock.
-    fn try_claim_victim(&self) -> Option<ClaimedVictim> {
+    /// One second-chance clock sweep of up to `2n` steps: claims the first
+    /// unpinned, unreferenced frame, clearing reference bits on the way,
+    /// and takes its write latch. Frames held transiently by other callers
+    /// — claimed, or latched by a flush — are skipped, and the flag reports
+    /// whether the sweep passed one. The hand mutex is held for the whole
+    /// sweep, so selection is serialized (and deterministic when
+    /// single-threaded).
+    fn sweep(&self) -> (Option<ClaimedVictim<'_>>, bool) {
         let n = self.meta.len();
         let mut hand = self.hand.lock().unwrap();
+        let mut saw_claimed = false;
         for _ in 0..2 * n {
             let i = *hand;
             *hand = (*hand + 1) % n;
             let mut m = self.meta[i].lock().unwrap();
-            if m.claimed || m.pin > 0 {
+            if m.claimed {
+                saw_claimed = true;
+                continue;
+            }
+            if m.pin > 0 {
                 continue;
             }
             if m.referenced {
                 m.referenced = false;
                 continue;
             }
+            let buf = match self.data[i].try_write() {
+                Ok(buf) => buf,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => {
+                    saw_claimed = true;
+                    continue;
+                }
+            };
             m.claimed = true;
-            return Some((i, m.pid.map(|p| (p, m.dirty, m.lsn))));
+            let old = m.pid.map(|p| (p, m.dirty, m.lsn));
+            return (Some(ClaimedVictim { frame: i, buf, old }), saw_claimed);
         }
-        None
+        (None, saw_claimed)
     }
 
-    fn unpin(&self, frame: usize) {
-        let mut m = self.meta[frame].lock().unwrap();
-        debug_assert!(m.pin > 0, "unpin of unpinned frame");
-        m.pin -= 1;
+    /// A miss's victim: sweeps until one is claimed. Frames other callers
+    /// hold are transient, so they get a bounded number of sweeps to free
+    /// up before the pool is declared exhausted.
+    fn claim_victim(&self) -> Result<ClaimedVictim<'_>, PoolError> {
+        for _ in 0..=1_000 {
+            match self.sweep() {
+                (Some(claim), _) => return Ok(claim),
+                (None, false) => break,
+                (None, true) => std::thread::yield_now(),
+            }
+        }
+        Err(PoolError::NoFreeFrames {
+            capacity: self.meta.len(),
+        })
     }
+}
+
+/// Whether `b` is the page after `a` in the same file: one vectored
+/// transfer covers both.
+fn adjacent(a: &(PageId, usize), b: &(PageId, usize)) -> bool {
+    a.0.file == b.0.file && a.0.page + 1 == b.0.page
+}
+
+/// Removes `pid`'s page-table entry if it still maps to `frame`.
+fn unmap(table: &mut HashMap<PageId, usize>, pid: PageId, frame: usize) {
+    if table.get(&pid) == Some(&frame) {
+        table.remove(&pid);
+    }
+}
+
+/// Takes `lock(frame)` for every frame of `run` in ascending frame index —
+/// the module's one order for holding several frames — and returns the
+/// guards in run order.
+fn in_frame_order<G>(run: &[(PageId, usize)], mut lock: impl FnMut(usize) -> G) -> Vec<G> {
+    let mut order: Vec<usize> = (0..run.len()).collect();
+    order.sort_unstable_by_key(|&x| run[x].1);
+    let mut held: Vec<(usize, G)> = order.into_iter().map(|x| (x, lock(run[x].1))).collect();
+    held.sort_unstable_by_key(|&(x, _)| x);
+    held.into_iter().map(|(_, g)| g).collect()
 }
 
 /// A pool file deleted when the guard drops — the ownership rule for every
@@ -1248,79 +1131,98 @@ impl<T> Drop for TempFile<'_, T> {
     }
 }
 
-/// A pinned, read-only page. Unpins on drop. `Send`: workers may hand
-/// pinned pages across thread boundaries.
-pub struct PageRef<'a> {
+/// One pin on a frame, released on drop. A guard declares it after its
+/// latch, and fields drop in declaration order, so the latch is released
+/// first: an evictor never finds a pin-0 frame still latched by a guard.
+///
+/// A writer's pin (`WRITE`) marks the frame dirty as it unpins. Only then:
+/// a flush that latched the frame between the pin and the writer's latch
+/// has written the old image and cleaned the frame, and a dirty bit set
+/// any earlier would be lost with it.
+struct Pin<'a, const WRITE: bool> {
     pool: &'a BufferPool,
     frame: usize,
 }
 
-// SAFETY: the guard only touches the pool through `&BufferPool` (which is
-// `Sync`) and owns a shared data latch + one pin, both released on drop
-// from whichever thread that happens on.
-unsafe impl Send for PageRef<'_> {}
+impl<const WRITE: bool> Drop for Pin<'_, WRITE> {
+    #[inline]
+    fn drop(&mut self) {
+        let mut m = self.pool.meta[self.frame].lock().unwrap();
+        debug_assert!(m.pin > 0, "unpin of unpinned frame");
+        m.pin -= 1;
+        m.dirty |= WRITE;
+    }
+}
+
+/// A pinned, read-only page. Unpins on drop.
+pub struct PageRef<'a> {
+    buf: RwLockReadGuard<'a, Box<PageBuf>>,
+    _pin: Pin<'a, false>,
+}
+
+impl<'a> PageRef<'a> {
+    /// Latches `frame`, which the caller has pinned for this guard.
+    #[inline]
+    fn new(pool: &'a BufferPool, frame: usize) -> Self {
+        let pin = Pin { pool, frame };
+        PageRef {
+            buf: pool.latch(frame),
+            _pin: pin,
+        }
+    }
+}
 
 impl Deref for PageRef<'_> {
     type Target = PageBuf;
 
     #[inline]
     fn deref(&self) -> &PageBuf {
-        // SAFETY: shared latch held for the guard's lifetime.
-        unsafe { &*self.pool.data[self.frame].buf.get() }
+        &self.buf
     }
 }
 
-impl Drop for PageRef<'_> {
-    fn drop(&mut self) {
-        self.pool.data[self.frame].latch.unlock_shared();
-        self.pool.unpin(self.frame);
-    }
-}
-
-/// A pinned, writable page (its frame is marked dirty). Unpins on drop;
-/// the actual disk write happens on eviction or [`BufferPool::flush_all`].
+/// A pinned, writable page. Unpins on drop, marking the frame dirty; the
+/// actual disk write happens on eviction or [`BufferPool::flush_all`].
 pub struct PageMut<'a> {
-    pool: &'a BufferPool,
-    frame: usize,
+    buf: RwLockWriteGuard<'a, Box<PageBuf>>,
+    pin: Pin<'a, true>,
 }
 
-// SAFETY: as for `PageRef`, with an exclusive latch.
-unsafe impl Send for PageMut<'_> {}
-
-impl Deref for PageMut<'_> {
-    type Target = PageBuf;
-
+impl<'a> PageMut<'a> {
+    /// Latches `frame`, which the caller has pinned for this guard.
     #[inline]
-    fn deref(&self) -> &PageBuf {
-        // SAFETY: exclusive latch held for the guard's lifetime.
-        unsafe { &*self.pool.data[self.frame].buf.get() }
+    fn new(pool: &'a BufferPool, frame: usize) -> Self {
+        let pin = Pin { pool, frame };
+        PageMut {
+            buf: pool.latch_mut(frame),
+            pin,
+        }
     }
-}
 
-impl DerefMut for PageMut<'_> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut PageBuf {
-        // SAFETY: exclusive latch held for the guard's lifetime.
-        unsafe { &mut *self.pool.data[self.frame].buf.get() }
-    }
-}
-
-impl PageMut<'_> {
     /// Stamps the frame with the WAL LSN whose log record covers the bytes
     /// this guard wrote. The pool will not write the frame back to disk
     /// before the registered [`LsnGate`] confirms the log is durable
     /// through the highest stamped LSN. Monotonic: a lower stamp never
     /// overwrites a higher one.
     pub fn stamp_lsn(&self, lsn: u64) {
-        let mut m = self.pool.meta[self.frame].lock().unwrap();
+        let mut m = self.pin.pool.meta[self.pin.frame].lock().unwrap();
         m.lsn = m.lsn.max(lsn);
     }
 }
 
-impl Drop for PageMut<'_> {
-    fn drop(&mut self) {
-        self.pool.data[self.frame].latch.unlock_exclusive();
-        self.pool.unpin(self.frame);
+impl Deref for PageMut<'_> {
+    type Target = PageBuf;
+
+    #[inline]
+    fn deref(&self) -> &PageBuf {
+        &self.buf
+    }
+}
+
+impl DerefMut for PageMut<'_> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut PageBuf {
+        &mut self.buf
     }
 }
 
@@ -1335,10 +1237,7 @@ mod tests {
     #[test]
     fn pool_and_guards_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        fn assert_send<T: Send>() {}
         assert_send_sync::<BufferPool>();
-        assert_send::<PageRef<'static>>();
-        assert_send::<PageMut<'static>>();
     }
 
     #[test]
@@ -1623,21 +1522,5 @@ mod tests {
         assert_eq!((d.rand_writes, d.seq_writes), (1, 2));
         let r = p.read_page(PageId::new(f, 2)).unwrap();
         assert_eq!(r[0], 3);
-    }
-
-    #[test]
-    fn guards_can_cross_threads() {
-        let p = pool(4);
-        let f = p.create_file();
-        let (_, mut g) = p.new_page(f).unwrap();
-        g[0] = 5;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                // The guard moved here; mutate and drop on this thread.
-                g[1] = 6;
-            });
-        });
-        let r = p.read_page(PageId::new(f, 0)).unwrap();
-        assert_eq!((r[0], r[1]), (5, 6));
     }
 }

@@ -24,11 +24,14 @@
 //!   buckets from the low bits, so `finish` mixes every bit into every
 //!   other (`fmix64`); tables are sized at the `n` entries they will hold.
 //!
-//! The buffer pool is thread-safe (`Send + Sync`): the page table is
-//! lock-striped, frame metadata sits behind per-frame
-//! mutexes, counters are atomic, and page guards are `Send`, so the query
-//! service's concurrent queries share one frame budget. A single caller
-//! sees exactly the classic sequential pool, and stays deterministic.
+//! The buffer pool is thread-safe (`Send + Sync`): one mutex guards the
+//! page table, frame metadata sits behind per-frame mutexes, each frame's
+//! bytes behind a std `RwLock`, and counters are atomic, so the query
+//! service's concurrent queries share one frame budget. Page guards hold
+//! the std lock guards and stay on their thread. A single caller sees
+//! exactly the classic sequential pool, and stays deterministic.
+
+#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod buffer;
@@ -49,7 +52,6 @@ pub mod zone;
 pub use access::{AccessPattern, ScanOptions, DEFAULT_IO_DEPTH};
 pub use buffer::{
     BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, TempFile,
-    STRIPE_COUNT,
 };
 pub use codec::records_per_page;
 pub use disk::{

@@ -1,12 +1,12 @@
-//! Multi-threaded stress tests for the sharded buffer pool: N threads
+//! Multi-threaded stress tests for the shared buffer pool: N threads
 //! hammering overlapping page sets under a tight frame budget must never
 //! lose a write, never exceed the frame budget, and keep hit/miss and
 //! transfer accounting exactly-once.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use pbitree_storage::{BufferPool, Disk, PageId, PoolError};
+use pbitree_storage::{BufferPool, Disk, FileId, PageBuf, PageId, PoolError, ScanOptions};
 
 fn xorshift(x: &mut u64) -> u64 {
     *x ^= *x << 13;
@@ -15,25 +15,54 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-/// Each of 8 pages carries a per-page counter in its first 8 bytes; threads
-/// repeatedly pick a page, increment its counter under the page's write
-/// latch, and record the increment locally. At the end every page counter
-/// must equal the number of increments applied to it — a lost write (torn
-/// eviction, stale reload, double-mapped frame) breaks the equality.
+/// A `frames`-frame pool over one file of `pages` zeroed pages, all on
+/// disk and none resident.
+fn cold_pool(frames: usize, pages: u32) -> (BufferPool, FileId) {
+    let pool = BufferPool::new(Disk::in_memory_free(), frames);
+    let file = pool.create_file();
+    for _ in 0..pages {
+        let (_, _g) = pool.new_page(file).unwrap();
+    }
+    pool.evict_all().unwrap();
+    (pool, file)
+}
+
+/// The counter a test keeps in a page's first 8 bytes.
+fn counter(page: &PageBuf) -> u64 {
+    u64::from_le_bytes(page[..8].try_into().unwrap())
+}
+
+/// Increments `pid`'s counter under its write latch, then records it.
+fn bump(pool: &BufferPool, pid: PageId, applied: &AtomicU64) {
+    let mut g = pool.write_page(pid).unwrap();
+    let v = counter(&g);
+    g[..8].copy_from_slice(&(v + 1).to_le_bytes());
+    drop(g);
+    applied.fetch_add(1, Ordering::SeqCst);
+}
+
+/// Every page's counter, read back from disk, equals the increments
+/// recorded for it — a lost write (torn eviction, stale reload,
+/// double-mapped frame, a flush that cleaned an unwritten frame) breaks
+/// the equality.
+fn assert_no_lost_writes(pool: &BufferPool, file: FileId, applied: &[AtomicU64]) {
+    pool.evict_all().unwrap();
+    for (page, n) in applied.iter().enumerate() {
+        let g = pool.read_page(PageId::new(file, page as u32)).unwrap();
+        let n = n.load(Ordering::SeqCst);
+        assert_eq!(counter(&g), n, "page {page} lost writes");
+    }
+}
+
+/// Each of 8 pages carries a per-page counter; threads repeatedly pick a
+/// page and either read it or [`bump`] it.
 #[test]
 fn no_lost_writes_under_tight_budget() {
     const THREADS: usize = 8;
     const PAGES: u32 = 8;
     const OPS: usize = 2_000;
     // 4 frames for 8 hot pages: constant eviction + reload traffic.
-    let pool = BufferPool::new(Disk::in_memory_free(), 4);
-    let file = pool.create_file();
-    for _ in 0..PAGES {
-        let (_, _g) = pool.new_page(file).unwrap();
-    }
-    pool.flush_all().unwrap();
-    pool.evict_all().unwrap();
-
+    let (pool, file) = cold_pool(4, PAGES);
     let applied: Vec<AtomicU64> = (0..PAGES).map(|_| AtomicU64::new(0)).collect();
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|s| {
@@ -52,30 +81,67 @@ fn no_lost_writes_under_tight_budget() {
                         // increments applied so far (reads of stale data
                         // would also show up in the final totals).
                         let g = pool.read_page(pid).unwrap();
-                        let v = u64::from_le_bytes(g[..8].try_into().unwrap());
+                        let v = counter(&g);
                         assert!(v <= applied[page as usize].load(Ordering::SeqCst) + OPS as u64);
                     } else {
-                        let mut g = pool.write_page(pid).unwrap();
-                        let v = u64::from_le_bytes(g[..8].try_into().unwrap());
-                        g[..8].copy_from_slice(&(v + 1).to_le_bytes());
-                        drop(g);
-                        applied[page as usize].fetch_add(1, Ordering::SeqCst);
+                        bump(pool, pid, &applied[page as usize]);
                     }
                 }
             });
         }
     });
+    assert_no_lost_writes(&pool, file, &applied);
+}
 
-    pool.flush_all().unwrap();
-    for page in 0..PAGES {
-        let g = pool.read_page(PageId::new(file, page)).unwrap();
-        let v = u64::from_le_bytes(g[..8].try_into().unwrap());
-        assert_eq!(
-            v,
-            applied[page as usize].load(Ordering::SeqCst),
-            "page {page} lost writes"
-        );
-    }
+/// Read-ahead and flushes interleave: sequential scans stage prefetch
+/// batches (claims holding their frames' write latches, dirty victims
+/// written back) while another thread loops `flush_all` (shared latches
+/// over page-contiguous runs) and writers keep re-dirtying pages. No write
+/// may be lost, every request counts once, and no pin outlives its guard.
+#[test]
+fn read_ahead_races_flushes_without_losing_writes() {
+    const PAGES: u32 = 24;
+    // Per thread: 100 sequential scans, or as many counter bumps.
+    const OPS: u64 = 100 * PAGES as u64;
+    let (pool, file) = cold_pool(8, PAGES);
+    let base = pool.pool_stats();
+    let applied: Vec<AtomicU64> = (0..PAGES).map(|_| AtomicU64::new(0)).collect();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (pool, applied, stop) = (&pool, &applied, &stop);
+        let flusher = s.spawn(move || {
+            let mut flushes = 0;
+            while !stop.load(Ordering::SeqCst) {
+                pool.flush_all().unwrap();
+                flushes += 1;
+            }
+            flushes
+        });
+        let workers: Vec<_> = (0..4u64)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut rng = 0x9E37_79B9 ^ (t + 1);
+                    for i in 0..OPS {
+                        if t % 2 == 0 {
+                            let pid = PageId::new(file, (i % u64::from(PAGES)) as u32);
+                            let g = pool.read_page_with(pid, ScanOptions::sequential(8));
+                            std::hint::black_box(g.unwrap()[0]);
+                        } else {
+                            let page = (xorshift(&mut rng) % u64::from(PAGES)) as u32;
+                            bump(pool, PageId::new(file, page), &applied[page as usize]);
+                        }
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().for_each(|w| w.join().unwrap());
+        stop.store(true, Ordering::SeqCst);
+        assert!(flusher.join().unwrap() > 0);
+    });
+    assert_eq!(pool.pool_stats().since(&base).requests(), 4 * OPS);
+    assert_eq!(pool.pinned_frames(), 0);
+    assert!(pool.prefetched() > 0, "the scans read ahead");
+    assert_no_lost_writes(&pool, file, &applied);
 }
 
 /// Accounting stays exactly-once under concurrency: every request is one
@@ -86,13 +152,7 @@ fn accounting_is_exactly_once() {
     const THREADS: usize = 6;
     const PAGES: u32 = 16;
     const OPS: usize = 1_500;
-    let pool = BufferPool::new(Disk::in_memory_free(), 8);
-    let file = pool.create_file();
-    for _ in 0..PAGES {
-        let (_, _g) = pool.new_page(file).unwrap();
-    }
-    pool.flush_all().unwrap();
-    pool.evict_all().unwrap();
+    let (pool, file) = cold_pool(8, PAGES);
     let base_io = pool.io_stats();
     let base_pool = pool.pool_stats();
 
@@ -139,13 +199,7 @@ fn accounting_is_exactly_once() {
 #[test]
 fn budget_bounds_total_pins_across_threads() {
     const B: usize = 6;
-    let pool = BufferPool::new(Disk::in_memory_free(), B);
-    let file = pool.create_file();
-    for _ in 0..B + 2 {
-        let (_, _g) = pool.new_page(file).unwrap();
-    }
-    pool.flush_all().unwrap();
-    pool.evict_all().unwrap();
+    let (pool, file) = cold_pool(B, B as u32 + 2);
 
     // Pin B distinct pages from several threads, holding all guards alive
     // at a rendezvous, then ask for one more.

@@ -200,3 +200,35 @@ fn load_fault_leaves_no_stale_mapping() {
         "retry must re-read from disk, not hit a stale frame"
     );
 }
+
+/// A flush that faults partway through a contiguous run cleans only the
+/// pages the device took: the failing page and the rest of the run stay
+/// dirty, so the next flush writes exactly those.
+#[test]
+fn partial_flush_fault_keeps_the_unwritten_run_dirty() {
+    use pbitree_storage::{PageId, PAGE_SIZE};
+    let (pool, handle) = fault_pool(8);
+    let f = pool.create_file();
+    for i in 0..4u8 {
+        pool.new_page(f).unwrap().1[0] = i + 1;
+    }
+    // One vectored run of four pages; the device fails the second.
+    handle.reset();
+    handle.set_config(FaultConfig::write_at(1));
+    let err = pool.flush_all().unwrap_err();
+    assert_eq!(err.failing_page(), Some(PageId::new(f, 1)), "{err}");
+    handle.set_config(FaultConfig::none());
+    let before = pool.io_stats().writes();
+    pool.flush_all().unwrap();
+    assert_eq!(
+        pool.io_stats().writes() - before,
+        3,
+        "pages 1..4 stayed dirty"
+    );
+    let mut img = [0u8; PAGE_SIZE];
+    for i in 0..4u8 {
+        pool.read_page_through(PageId::new(f, u32::from(i)), &mut img)
+            .unwrap();
+        assert_eq!(img[0], i + 1, "page {i} on disk");
+    }
+}

@@ -19,6 +19,8 @@
 //!   into a chain of containment joins, plus a naive in-memory evaluator
 //!   used as ground truth by the join tests.
 
+#![forbid(unsafe_code)]
+
 pub mod document;
 pub mod encode;
 pub mod parser;

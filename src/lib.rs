@@ -19,6 +19,8 @@
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system map.
 
+#![forbid(unsafe_code)]
+
 pub use pbitree_core as core;
 pub use pbitree_datagen as datagen;
 pub use pbitree_index as index;
