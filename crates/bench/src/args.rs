@@ -123,11 +123,14 @@ impl CommonArgs {
         }
     }
 
-    /// The experiment configuration implied by these arguments.
+    /// The experiment configuration implied by these arguments, with a
+    /// fresh tracer when `--trace` is set. Call once per binary and derive
+    /// per-panel variants from it, so every run records into that tracer.
     pub fn config(&self) -> ExpConfig {
         ExpConfig {
             buffer_pages: self.buffer,
             io: io_options(self.readahead),
+            tracer: self.trace.as_ref().map(|_| Default::default()),
             ..ExpConfig::default()
         }
     }
@@ -169,6 +172,7 @@ mod tests {
         assert_eq!(a.buffer, 128);
         assert_eq!(a.results_dir, std::path::PathBuf::from("/tmp/r"));
         assert_eq!(a.trace, Some(std::path::PathBuf::from("/tmp/t.jsonl")));
+        assert!(a.config().tracer.is_some());
         assert!(!a.help);
     }
 

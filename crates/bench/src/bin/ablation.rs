@@ -30,50 +30,30 @@
 
 use pbitree_bench::args::{io_options, CommonArgs};
 use pbitree_bench::harness::{run_algo, ExpConfig};
-use pbitree_bench::report::{fmt_secs, Table};
+use pbitree_bench::report::{clock_cells, fmt_secs, Table, CLOCK_COLS};
 use pbitree_bench::workloads::{
     dblp_workloads, synthetic_by_name, synthetic_multi, xmark_workloads,
 };
 use pbitree_joins::element::{element_file, element_file_with};
 use pbitree_joins::rollup::RollupOptions;
 use pbitree_joins::stacktree::{stack_tree_desc, SortPolicy};
-use pbitree_joins::{Algorithm, InputState};
-use pbitree_joins::{CollectSink, CountSink, Element, JoinCtx, MultiSink, QueryBatch};
+use pbitree_joins::{Algorithm, InputState, JoinStats};
+use pbitree_joins::{CollectSink, CountSink, Element, MultiSink, QueryBatch};
 use pbitree_storage::{BufferPool, Disk, MemBackend, SharedBackend, Wal};
 
-fn make_ctx(w: &pbitree_bench::Workload, args: &CommonArgs) -> JoinCtx {
-    let mut builder = JoinCtx::builder(
-        BufferPool::new(
-            Disk::new(
-                Box::new(MemBackend::new()),
-                pbitree_storage::CostModel::default(),
-            ),
-            args.buffer,
-        ),
-        w.shape,
-    )
-    .io(io_options(args.readahead));
-    if let Some(t) = pbitree_bench::harness::tracer() {
-        builder = builder.tracer(t);
-    }
-    builder.build()
+/// `keys`, then [`CLOCK_COLS`], then `more`.
+fn header<'a>(keys: &[&'a str], more: &[&'a str]) -> Vec<&'a str> {
+    [keys, &CLOCK_COLS, more].concat()
 }
 
-fn rollup_study(args: &CommonArgs) {
+fn rollup_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut t = Table::new(
         "Ablation: rollup anchor count (k) vs false hits and time",
-        &[
-            "dataset",
-            "k",
-            "false_hits",
-            "pairs",
-            "elapsed(s)",
-            "io_pages",
-        ],
+        &header(&["dataset", "k", "false_hits", "pairs"], &[]),
     );
     for w in synthetic_multi(args.scale) {
         for k in [1usize, 2, 3, 5, 9] {
-            let ctx = make_ctx(&w, args);
+            let ctx = cfg.ctx(w.shape);
             let af = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
             let df = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
             ctx.pool.evict_all().unwrap();
@@ -86,27 +66,26 @@ fn rollup_study(args: &CommonArgs) {
                 &mut sink,
             )
             .unwrap();
-            t.row(vec![
+            let mut row = vec![
                 w.name.clone(),
                 k.to_string(),
                 stats.false_hits.to_string(),
                 stats.pairs.to_string(),
-                fmt_secs(stats.elapsed_secs()),
-                stats.io.total().to_string(),
-            ]);
+            ];
+            row.extend(clock_cells(&stats));
+            t.row(row);
         }
     }
     t.emit(&args.results_dir, "ablation_rollup");
 }
 
-fn shcj_study(args: &CommonArgs) {
+fn shcj_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut t = Table::new(
         "Ablation: SHCJ in-memory vs Grace crossover (|A| vs buffer)",
-        &["|A|", "|D|", "buffer_pages", "elapsed(s)", "io_pages"],
+        &header(&["|A|", "|D|", "buffer_pages"], &[]),
     );
     let base = synthetic_by_name("SLLL", args.scale * 0.2).unwrap();
     for frac in [0.1, 0.25, 0.5, 1.0, 2.0, 4.0] {
-        let take_a = ((base.a.len() as f64 * frac) as usize).clamp(1, base.a.len());
         // Subsample A by stride to vary the build side only.
         let a: Vec<(u64, u32)> = if frac <= 1.0 {
             base.a
@@ -118,56 +97,59 @@ fn shcj_study(args: &CommonArgs) {
             base.a.clone()
         };
         let buffer = if frac > 1.0 {
-            (args.buffer as f64 / frac) as usize
+            (cfg.buffer_pages as f64 / frac) as usize
         } else {
-            args.buffer
+            cfg.buffer_pages
         }
         .max(8);
-        let _ = take_a;
-        let mut args_b = args.clone();
-        args_b.buffer = buffer;
-        let ctx = make_ctx(&base, &args_b);
+        let ctx = ExpConfig {
+            buffer_pages: buffer,
+            ..cfg.clone()
+        }
+        .ctx(base.shape);
         let af = element_file(&ctx.pool, a.iter().copied()).unwrap();
         let df = element_file(&ctx.pool, base.d.iter().copied()).unwrap();
         ctx.pool.evict_all().unwrap();
         let mut sink = CountSink::default();
         let stats = pbitree_joins::shcj::shcj(&ctx, &af, &df, &mut sink).unwrap();
-        t.row(vec![
+        let mut row = vec![
             a.len().to_string(),
             base.d.len().to_string(),
             buffer.to_string(),
-            fmt_secs(stats.elapsed_secs()),
-            stats.io.total().to_string(),
-        ]);
+        ];
+        row.extend(clock_cells(&stats));
+        t.row(row);
     }
     t.emit(&args.results_dir, "ablation_shcj");
 }
 
-fn vpj_study(args: &CommonArgs) {
+fn vpj_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut t = Table::new(
         "Ablation: VPJ partitioning behaviour",
-        &[
-            "dataset",
-            "partitions",
-            "purged",
-            "groups",
-            "recursions",
-            "fallbacks",
-            "replicated",
-            "elapsed(s)",
-        ],
+        &header(
+            &[
+                "dataset",
+                "partitions",
+                "purged",
+                "groups",
+                "recursions",
+                "fallbacks",
+                "replicated",
+            ],
+            &[],
+        ),
     );
     for name in ["SLLL", "SLSL", "MLLL", "MSLL", "MLSL"] {
         let Some(w) = synthetic_by_name(name, args.scale) else {
             continue;
         };
-        let ctx = make_ctx(&w, args);
+        let ctx = cfg.ctx(w.shape);
         let af = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
         let df = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
         ctx.pool.evict_all().unwrap();
         let mut sink = CountSink::default();
         let (stats, report) = pbitree_joins::vpj::vpj(&ctx, &af, &df, &mut sink).unwrap();
-        t.row(vec![
+        let mut row = vec![
             w.name.clone(),
             report.partitions.to_string(),
             report.purged.to_string(),
@@ -175,8 +157,9 @@ fn vpj_study(args: &CommonArgs) {
             report.recursions.to_string(),
             report.fallbacks.to_string(),
             report.replicated_tuples.to_string(),
-            fmt_secs(stats.elapsed_secs()),
-        ]);
+        ];
+        row.extend(clock_cells(&stats));
+        t.row(row);
     }
     t.emit(&args.results_dir, "ablation_vpj");
 }
@@ -185,20 +168,13 @@ fn vpj_study(args: &CommonArgs) {
 /// sweep of read-ahead depths on scan-heavy workloads. Result counts must
 /// be identical — read-ahead is a pure I/O-schedule change — while the
 /// simulated disk time drops as seeks amortize into sequential transfers.
-fn io_study(args: &CommonArgs) {
+fn io_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut t = Table::new(
         "Ablation: vectored I/O (read-ahead depth vs simulated disk time)",
-        &[
-            "dataset",
-            "algo",
-            "readahead",
-            "pairs",
-            "sim_disk(s)",
-            "seq_reads",
-            "rand_reads",
-            "seq_writes",
-            "rand_writes",
-        ],
+        &header(
+            &["dataset", "algo", "readahead", "pairs"],
+            &["seq_reads", "rand_reads", "seq_writes", "rand_writes"],
+        ),
     );
     for name in ["SLLL", "MLLL"] {
         let Some(w) = synthetic_by_name(name, args.scale) else {
@@ -208,9 +184,8 @@ fn io_study(args: &CommonArgs) {
             let mut base_pairs: Option<u64> = None;
             for depth in [1usize, 2, 4, 8, 16] {
                 let cfg = ExpConfig {
-                    buffer_pages: args.buffer,
                     io: io_options(depth),
-                    ..ExpConfig::default()
+                    ..cfg.clone()
                 };
                 let m = run_algo(w.shape, &w.a, &w.d, &cfg, algo);
                 match base_pairs {
@@ -221,17 +196,19 @@ fn io_study(args: &CommonArgs) {
                         algo
                     ),
                 }
-                t.row(vec![
+                let io = m.stats.io;
+                let mut row = vec![
                     w.name.clone(),
                     algo.to_string(),
                     depth.to_string(),
                     m.stats.pairs.to_string(),
-                    fmt_secs(m.stats.io.sim_secs()),
-                    m.stats.io.seq_reads.to_string(),
-                    m.stats.io.rand_reads.to_string(),
-                    m.stats.io.seq_writes.to_string(),
-                    m.stats.io.rand_writes.to_string(),
-                ]);
+                ];
+                row.extend(clock_cells(&m.stats));
+                row.extend(
+                    [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes]
+                        .map(|n| n.to_string()),
+                );
+                t.row(row);
             }
         }
     }
@@ -282,29 +259,28 @@ fn skewed_workload(scale: f64) -> SkewedWorkload {
 /// drop strictly: MHCJ/Rollup clip their `D` scans by each
 /// A-partition's zone, and VPJ clips both partitioning passes by the
 /// opposite side's envelope.
-fn prune_study(args: &CommonArgs) {
+fn prune_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut t = Table::new(
         "Ablation: zone-map scan pushdown (prune off vs on)",
-        &[
-            "algo",
-            "prune",
-            "pairs",
-            "reads",
-            "pages_skipped",
-            "records_filtered",
-            "sim_disk(s)",
-            "elapsed(s)",
-        ],
+        &header(
+            &[
+                "algo",
+                "prune",
+                "pairs",
+                "reads",
+                "pages_skipped",
+                "records_filtered",
+            ],
+            &[],
+        ),
     );
     let (shape, a, d) = skewed_workload(args.scale);
     for algo in [Algorithm::Mhcj, Algorithm::MhcjRollup, Algorithm::Vpj] {
         let mut baseline: Option<(u64, u64)> = None;
         for prune in [false, true] {
             let cfg = ExpConfig {
-                buffer_pages: args.buffer,
-                io: io_options(args.readahead),
                 prune,
-                ..ExpConfig::default()
+                ..cfg.clone()
             };
             let m = run_algo(shape, &a, &d, &cfg, algo);
             let reads = m.stats.io.reads();
@@ -318,16 +294,16 @@ fn prune_study(args: &CommonArgs) {
                     );
                 }
             }
-            t.row(vec![
+            let mut row = vec![
                 algo.to_string(),
                 prune.to_string(),
                 m.stats.pairs.to_string(),
                 reads.to_string(),
                 m.pool.pages_skipped.to_string(),
                 m.pool.records_filtered.to_string(),
-                fmt_secs(m.stats.io.sim_secs()),
-                fmt_secs(m.stats.elapsed_secs()),
-            ]);
+            ];
+            row.extend(clock_cells(&m.stats));
+            t.row(row);
         }
     }
     t.emit(&args.results_dir, "ablation_prune");
@@ -340,31 +316,31 @@ fn prune_study(args: &CommonArgs) {
 /// a pure layout change validated at decode — while page reads drop
 /// strictly (roughly 3x the records per page) and the on-disk footprint
 /// shrinks (`post_bytes < pre_bytes`).
-fn compress_study(args: &CommonArgs) {
+fn compress_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut t = Table::new(
         "Ablation: compressed element pages (packed off vs on, prune on)",
-        &[
-            "algo",
-            "compress",
-            "pairs",
-            "reads",
-            "pages_packed",
-            "pre_bytes",
-            "post_bytes",
-            "decodes",
-            "sim_disk(s)",
-            "elapsed(s)",
-        ],
+        &header(
+            &[
+                "algo",
+                "compress",
+                "pairs",
+                "reads",
+                "pages_packed",
+                "pre_bytes",
+                "post_bytes",
+                "decodes",
+            ],
+            &[],
+        ),
     );
     let (shape, a, d) = skewed_workload(args.scale);
     for algo in [Algorithm::Mhcj, Algorithm::MhcjRollup, Algorithm::Vpj] {
         let mut baseline: Option<(u64, u64)> = None;
         for compression in [false, true] {
             let cfg = ExpConfig {
-                buffer_pages: args.buffer,
-                io: io_options(args.readahead).with_compress(compression),
+                io: cfg.io.with_compress(compression),
                 prune: true,
-                ..ExpConfig::default()
+                ..cfg.clone()
             };
             let m = run_algo(shape, &a, &d, &cfg, algo);
             let reads = m.stats.io.reads();
@@ -388,7 +364,7 @@ fn compress_study(args: &CommonArgs) {
                     );
                 }
             }
-            t.row(vec![
+            let mut row = vec![
                 algo.to_string(),
                 compression.to_string(),
                 m.stats.pairs.to_string(),
@@ -397,15 +373,15 @@ fn compress_study(args: &CommonArgs) {
                 packed.packed_pre_bytes.to_string(),
                 packed.packed_post_bytes.to_string(),
                 packed.packed_decodes.to_string(),
-                fmt_secs(m.stats.io.sim_secs()),
-                fmt_secs(m.stats.elapsed_secs()),
-            ]);
+            ];
+            row.extend(clock_cells(&m.stats));
+            t.row(row);
         }
     }
     t.emit(&args.results_dir, "ablation_compress");
 }
 
-fn wal_study(args: &CommonArgs) {
+fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
     use pbitree_index::BPlusTree;
     use pbitree_storage::HeapFile;
     let mut t = Table::new(
@@ -415,7 +391,7 @@ fn wal_study(args: &CommonArgs) {
             "base",
             "inserts",
             "deletes",
-            "elapsed(s)",
+            "wall_s",
             "inserts_per_s",
             "requests_per_delete",
             "log_bytes_per_index_insert",
@@ -437,13 +413,10 @@ fn wal_study(args: &CommonArgs) {
     for compress in [false, true] {
         let backend = SharedBackend::new(MemBackend::new());
         let pool = BufferPool::new(
-            Disk::new(
-                Box::new(backend.clone()),
-                pbitree_storage::CostModel::default(),
-            ),
-            args.buffer,
+            Disk::new(Box::new(backend.clone()), cfg.cost),
+            cfg.buffer_pages,
         );
-        let opts = io_options(args.readahead).with_compress(compress);
+        let opts = cfg.io.with_compress(compress);
         // Deterministic base codes in document order (packs well).
         let mut rng = pbitree_storage::util::rng::Rng::seed_from_u64(42);
         let mut base = std::collections::BTreeSet::new();
@@ -478,7 +451,7 @@ fn wal_study(args: &CommonArgs) {
             }
         }
         wal.flush(&pool).unwrap();
-        let elapsed = start.elapsed().as_secs_f64();
+        let wall = start.elapsed().as_secs_f64();
         // Delete leg: every other inserted element (out of document order,
         // on the tail pages) and as many base elements (in order, on the
         // bulk pages); the pool requests of the heap delete alone.
@@ -514,10 +487,7 @@ fn wal_study(args: &CommonArgs) {
         // Crash-shaped restart: recovery at bench scale must reproduce
         // every committed insert and delete, in the heap and in the index.
         drop((heap, index, wal, pool));
-        let pool = BufferPool::new(
-            Disk::new(Box::new(backend), pbitree_storage::CostModel::default()),
-            args.buffer,
-        );
+        let pool = BufferPool::new(Disk::new(Box::new(backend), cfg.cost), cfg.buffer_pages);
         let (_wal, report) = pbitree_storage::recover(&pool, wal_file).unwrap();
         let reopened = HeapFile::<Element>::open(&pool, heap_file).unwrap();
         let reindexed = BPlusTree::<u64, u32>::open_logged(&pool, index_file).unwrap();
@@ -536,8 +506,8 @@ fn wal_study(args: &CommonArgs) {
             base_n.to_string(),
             inserts.to_string(),
             victims.len().to_string(),
-            fmt_secs(elapsed),
-            format!("{:.0}", inserts as f64 / elapsed.max(1e-9)),
+            fmt_secs(wall),
+            format!("{:.0}", inserts as f64 / wall.max(1e-9)),
             format!("{requests_per_delete:.2}"),
             format!("{bytes_per_insert:.0}"),
             ws.frames.to_string(),
@@ -558,18 +528,11 @@ fn wal_study(args: &CommonArgs) {
 /// read ~`k/2` times over, batched it is read about once. The panel
 /// asserts the batch returns identical pairs per query and, at `k = 16`,
 /// at least 4x fewer page reads than the serial runs.
-fn shared_study(args: &CommonArgs) {
+fn shared_study(args: &CommonArgs, cfg: &ExpConfig) {
     use std::collections::BTreeSet;
     let mut t = Table::new(
         "Ablation: shared multi-query scan (k serial passes vs one batch)",
-        &[
-            "batch_k",
-            "mode",
-            "pairs",
-            "reads",
-            "sim_disk(s)",
-            "elapsed(s)",
-        ],
+        &header(&["batch_k", "mode", "pairs", "reads"], &[]),
     );
     let h = 18u32;
     let shape = pbitree_core::PBiTreeShape::new(h).unwrap();
@@ -579,7 +542,10 @@ fn shared_study(args: &CommonArgs) {
     // side larger than the buffer pool, so each serial pass re-reads it.
     // With a pool big enough to cache the file, every mode reads it once
     // and there is nothing to share.
-    let buffer = args.buffer.min(16);
+    let cfg = ExpConfig {
+        buffer_pages: cfg.buffer_pages.min(16),
+        ..cfg.clone()
+    };
 
     // Document side: low nodes over the whole span, in document order.
     let mut x = 0x0D0C_5EED_u64;
@@ -616,27 +582,9 @@ fn shared_study(args: &CommonArgs) {
         })
         .collect();
 
-    let mk = || {
-        let mut builder = JoinCtx::builder(
-            BufferPool::new(
-                Disk::new(
-                    Box::new(MemBackend::new()),
-                    pbitree_storage::CostModel::default(),
-                ),
-                buffer,
-            ),
-            shape,
-        )
-        .io(io_options(args.readahead));
-        if let Some(tr) = pbitree_bench::harness::tracer() {
-            builder = builder.tracer(tr);
-        }
-        builder.build()
-    };
-
     for k in [1usize, 4, 16] {
         // Serial leg: k independent Stack-Tree passes, cold pool.
-        let ctx = mk();
+        let ctx = cfg.ctx(shape);
         let df = element_file(&ctx.pool, d_codes.iter().map(|&c| (c, 1))).unwrap();
         let afs: Vec<_> = queries[..k]
             .iter()
@@ -644,28 +592,29 @@ fn shared_study(args: &CommonArgs) {
             .collect();
         ctx.pool.evict_all().unwrap();
         let mut want: Vec<Vec<(u64, u64)>> = Vec::with_capacity(k);
-        let (mut s_pairs, mut s_reads, mut s_sim, mut s_secs) = (0u64, 0u64, 0.0f64, 0.0f64);
+        let io0 = ctx.pool.io_stats();
+        let mut serial = JoinStats::default();
         for af in &afs {
             let mut sink = CollectSink::default();
             let stats =
                 stack_tree_desc(&ctx, af, &df, SortPolicy::AssumeSorted, &mut sink).unwrap();
-            s_pairs += stats.pairs;
-            s_reads += stats.io.reads();
-            s_sim += stats.io.sim_secs();
-            s_secs += stats.elapsed_secs();
+            serial.pairs += stats.pairs;
+            serial.cpu_ns += stats.cpu_ns;
             want.push(sink.canonical());
         }
-        t.row(vec![
+        serial.io = ctx.pool.io_stats().since(&io0);
+        let s_reads = serial.io.reads();
+        let mut row = vec![
             k.to_string(),
             "serial".into(),
-            s_pairs.to_string(),
+            serial.pairs.to_string(),
             s_reads.to_string(),
-            fmt_secs(s_sim),
-            fmt_secs(s_secs),
-        ]);
+        ];
+        row.extend(clock_cells(&serial));
+        t.row(row);
 
         // Batched leg: the same k queries from one shared pass, cold pool.
-        let ctx = mk();
+        let ctx = cfg.ctx(shape);
         let df = element_file(&ctx.pool, d_codes.iter().map(|&c| (c, 1))).unwrap();
         let mut qb = QueryBatch::new();
         for qc in &queries[..k] {
@@ -688,14 +637,14 @@ fn shared_study(args: &CommonArgs) {
             );
         }
         let b_reads = stats.io.reads();
-        t.row(vec![
+        let mut row = vec![
             k.to_string(),
             "shared".into(),
             stats.pairs.to_string(),
             b_reads.to_string(),
-            fmt_secs(stats.io.sim_secs()),
-            fmt_secs(stats.elapsed_secs()),
-        ]);
+        ];
+        row.extend(clock_cells(&stats));
+        t.row(row);
         if k == 16 {
             assert!(
                 b_reads * 4 <= s_reads,
@@ -734,7 +683,7 @@ fn regret(chosen: f64, best: f64) -> f64 {
 /// single-height inputs; the XMark/DBLP single-height rows are printed,
 /// not asserted. The `rollup_*` columns price MHCJ+Rollup, the paper's
 /// other pick for the multi-height bottom row, the same way.
-fn regret_study(args: &CommonArgs) {
+fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
     const REPS: usize = 3;
     const SYNTHETIC: [&str; 5] = ["MSLH", "SLLL", "MLLL", "MLLH", "MLSH"];
     struct Run {
@@ -744,11 +693,7 @@ fn regret_study(args: &CommonArgs) {
         wall: f64,
     }
     let mut t = Table::new(
-        &format!(
-            "Ablation: planner regret, chosen / best; wall = min of 3 runs \
-             (command: cargo run --release -p pbitree-bench --bin ablation -- {})",
-            std::env::args().skip(1).collect::<Vec<_>>().join(" ")
-        ),
+        "Ablation: planner regret, chosen / best; wall = min of 3 runs",
         &[
             "dataset",
             "leg",
@@ -785,13 +730,11 @@ fn regret_study(args: &CommonArgs) {
             .collect();
         let mut b = cold_b;
         for leg in ["cold", "resident"] {
-            let ctx = make_ctx(
-                &w,
-                &CommonArgs {
-                    buffer: b,
-                    ..args.clone()
-                },
-            );
+            let ctx = ExpConfig {
+                buffer_pages: b,
+                ..cfg.clone()
+            }
+            .ctx(w.shape);
             let load = |items: &[(u64, u32)]| {
                 element_file_with(&ctx.pool, ctx.read_opts(), items.iter().copied()).unwrap()
             };
@@ -899,33 +842,23 @@ fn regret_study(args: &CommonArgs) {
 
 fn main() {
     let args = CommonArgs::parse("--study");
-    pbitree_bench::harness::init_trace(&args.trace);
-    if args.selected("rollup") {
-        rollup_study(&args);
+    let cfg = args.config();
+    type Study = fn(&CommonArgs, &ExpConfig);
+    let studies: [(&str, Study); 9] = [
+        ("rollup", rollup_study),
+        ("shcj", shcj_study),
+        ("vpj", vpj_study),
+        ("io", io_study),
+        ("prune", prune_study),
+        ("compress", compress_study),
+        ("wal", wal_study),
+        ("shared", shared_study),
+        ("regret", regret_study),
+    ];
+    for (name, study) in studies {
+        if args.selected(name) {
+            study(&args, &cfg);
+        }
     }
-    if args.selected("shcj") {
-        shcj_study(&args);
-    }
-    if args.selected("vpj") {
-        vpj_study(&args);
-    }
-    if args.selected("io") {
-        io_study(&args);
-    }
-    if args.selected("prune") {
-        prune_study(&args);
-    }
-    if args.selected("compress") {
-        compress_study(&args);
-    }
-    if args.selected("wal") {
-        wal_study(&args);
-    }
-    if args.selected("shared") {
-        shared_study(&args);
-    }
-    if args.selected("regret") {
-        regret_study(&args);
-    }
-    pbitree_bench::harness::finish_trace(&args.trace);
+    cfg.finish_trace(args.trace.as_deref());
 }

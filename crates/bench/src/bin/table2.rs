@@ -1,6 +1,6 @@
-//! Regenerates Table 2 of the paper: dataset statistics (a–d), elapsed
-//! times for the single-height synthetic datasets (e), and MHCJ+Rollup
-//! false hits (f).
+//! Regenerates Table 2 of the paper: dataset statistics (a–d), simulated
+//! disk time (with CPU time and pages beside it) for the single-height
+//! synthetic datasets (e), and MHCJ+Rollup false hits (f).
 //!
 //! ```text
 //! cargo run -p pbitree-bench --release --bin table2 -- --part a
@@ -10,8 +10,8 @@
 #![forbid(unsafe_code)]
 
 use pbitree_bench::args::CommonArgs;
-use pbitree_bench::harness::{min_rgn_secs, run_algo, run_competitors, RGN_BASELINES};
-use pbitree_bench::report::{fmt_secs, Table};
+use pbitree_bench::harness::{min_rgn, run_algo, run_competitors, RGN_BASELINES};
+use pbitree_bench::report::{clock_header, clock_row, Table};
 use pbitree_bench::workloads::{dblp_workloads, synthetic_multi, synthetic_single, Workload};
 use pbitree_joins::Algorithm;
 
@@ -36,7 +36,6 @@ fn stats_table(title: &str, file: &str, sets: &[Workload], args: &CommonArgs) {
 
 fn main() {
     let args = CommonArgs::parse("--part");
-    pbitree_bench::harness::init_trace(&args.trace);
     let cfg = args.config();
 
     if args.selected("a") {
@@ -67,35 +66,20 @@ fn main() {
     }
     if args.selected("e") {
         let sets = synthetic_single(args.scale);
-        // Phase columns only carry data under --trace; "-" otherwise.
         let mut t = Table::new(
-            "Table 2(e): elapsed time (s), single-height synthetic datasets",
-            &[
-                "dataset",
-                "MIN_RGN",
-                "SHCJ",
-                "VPJ",
-                "io_SHCJ",
-                "io_VPJ",
-                "phases_SHCJ",
-                "phases_VPJ",
-            ],
+            "Table 2(e): simulated disk time sim_s (s), single-height synthetic datasets; \
+             MIN_RGN is the region baseline with the least sim_s",
+            &clock_header(&["dataset"], &["MIN_RGN", "SHCJ", "VPJ"]),
         );
         for w in &sets {
             let base = run_competitors(w.shape, &w.a, &w.d, &cfg, &RGN_BASELINES);
-            let min_rgn = min_rgn_secs(&base).unwrap();
             let shcj = run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::Shcj);
             let vpj = run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::Vpj);
-            t.row(vec![
+            let rgn = min_rgn(&base).unwrap();
+            t.row(clock_row(
                 w.name.clone(),
-                fmt_secs(min_rgn),
-                fmt_secs(shcj.secs()),
-                fmt_secs(vpj.secs()),
-                shcj.stats.io.total().to_string(),
-                vpj.stats.io.total().to_string(),
-                shcj.stats.phase_summary(),
-                vpj.stats.phase_summary(),
-            ]);
+                &[&rgn.stats, &shcj.stats, &vpj.stats],
+            ));
         }
         t.emit(&args.results_dir, "table2e");
     }
@@ -115,5 +99,5 @@ fn main() {
         }
         t.emit(&args.results_dir, "table2f");
     }
-    pbitree_bench::harness::finish_trace(&args.trace);
+    cfg.finish_trace(args.trace.as_deref());
 }

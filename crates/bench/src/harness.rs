@@ -1,7 +1,8 @@
 //! Shared experiment machinery: cold-start algorithm runs over generated
 //! element sets.
 
-use std::sync::{Arc, OnceLock};
+use std::path::Path;
+use std::sync::Arc;
 
 use pbitree_core::PBiTreeShape;
 use pbitree_joins::element::element_file_with;
@@ -9,43 +10,7 @@ use pbitree_joins::planner::execute;
 use pbitree_joins::stacktree::SortPolicy;
 use pbitree_joins::trace::Tracer;
 use pbitree_joins::{Algorithm, CountSink, JoinCtx, JoinStats};
-use pbitree_storage::CostModel;
-
-/// Process-global tracer, installed once when a binary gets `--trace`;
-/// every subsequent [`run_algo`] context attaches to it automatically.
-static TRACER: OnceLock<Arc<Tracer>> = OnceLock::new();
-
-/// Installs (or returns) the process-global tracer.
-pub fn install_tracer() -> Arc<Tracer> {
-    TRACER.get_or_init(|| Arc::new(Tracer::default())).clone()
-}
-
-/// The global tracer, if one was installed.
-pub fn tracer() -> Option<Arc<Tracer>> {
-    TRACER.get().cloned()
-}
-
-/// Installs the global tracer when `--trace <path>` was given. Call once
-/// at binary startup, before any measured run.
-pub fn init_trace(path: &Option<std::path::PathBuf>) {
-    if path.is_some() {
-        install_tracer();
-    }
-}
-
-/// Writes the collected spans as JSONL to the `--trace` path, if tracing.
-/// Call once at binary exit.
-pub fn finish_trace(path: &Option<std::path::PathBuf>) {
-    if let (Some(p), Some(t)) = (path, tracer()) {
-        match t.save(p) {
-            Ok(()) => eprintln!("trace: {} spans -> {}", t.span_count(), p.display()),
-            Err(e) => {
-                eprintln!("error: cannot write trace {}: {e}", p.display());
-                std::process::exit(1);
-            }
-        }
-    }
-}
+use pbitree_storage::{BufferPool, CostModel, Disk, MemBackend};
 
 /// The three region-code baselines behind `MIN_RGN`.
 pub const RGN_BASELINES: [Algorithm; 3] = [
@@ -54,8 +19,9 @@ pub const RGN_BASELINES: [Algorithm; 3] = [
     Algorithm::AncDesBPlus,
 ];
 
-/// Experiment configuration.
-#[derive(Debug, Clone, Copy)]
+/// Experiment configuration: everything a measured run's context is built
+/// from ([`ExpConfig::ctx`]).
+#[derive(Clone)]
 pub struct ExpConfig {
     /// Buffer pool pages, the paper's `b` (500 in all experiments except
     /// the buffer sweep).
@@ -70,6 +36,9 @@ pub struct ExpConfig {
     /// Whether operators may push zone-map filters into their scans
     /// (on by default; the prune ablation turns it off for a baseline).
     pub prune: bool,
+    /// Span collector every context from [`ExpConfig::ctx`] records into
+    /// (`--trace`); `None` keeps tracing off.
+    pub tracer: Option<Arc<Tracer>>,
 }
 
 impl Default for ExpConfig {
@@ -79,6 +48,38 @@ impl Default for ExpConfig {
             cost: CostModel::default(),
             io: pbitree_storage::ScanOptions::default(),
             prune: true,
+            tracer: None,
+        }
+    }
+}
+
+impl ExpConfig {
+    /// A context over a fresh in-memory disk: `buffer_pages` frames, the
+    /// cost model, I/O options, pruning and tracer of this configuration.
+    /// The one way the experiment binaries build a [`JoinCtx`].
+    pub fn ctx(&self, shape: PBiTreeShape) -> JoinCtx {
+        let pool = BufferPool::new(
+            Disk::new(Box::new(MemBackend::new()), self.cost),
+            self.buffer_pages,
+        );
+        let mut builder = JoinCtx::builder(pool, shape).io(self.io).prune(self.prune);
+        if let Some(t) = &self.tracer {
+            builder = builder.tracer(Arc::clone(t));
+        }
+        builder.build()
+    }
+
+    /// Writes the collected spans as JSONL to `path`, if tracing. Call
+    /// once at binary exit.
+    pub fn finish_trace(&self, path: Option<&Path>) {
+        if let (Some(p), Some(t)) = (path, &self.tracer) {
+            match t.save(p) {
+                Ok(()) => eprintln!("trace: {} spans -> {}", t.span_count(), p.display()),
+                Err(e) => {
+                    eprintln!("error: cannot write trace {}: {e}", p.display());
+                    std::process::exit(1);
+                }
+            }
         }
     }
 }
@@ -88,7 +89,8 @@ impl Default for ExpConfig {
 pub struct Measured {
     /// Which algorithm ran.
     pub algo: Algorithm,
-    /// Its stats (pairs, false hits, I/O, time).
+    /// Its stats: pairs, false hits, pages and the simulated disk clock
+    /// (`io`), and the measured CPU clock (`cpu_ns`).
     pub stats: JoinStats,
     /// Buffer-pool delta over the run (hits/misses and the zone-map
     /// pushdown counters `pages_skipped` / `records_filtered`).
@@ -96,13 +98,6 @@ pub struct Measured {
     /// Buffer-pool delta over the *input load* that precedes the measured
     /// run — where the packing counters for the base A/D files land.
     pub load: pbitree_storage::PoolStats,
-}
-
-impl Measured {
-    /// Headline seconds.
-    pub fn secs(&self) -> f64 {
-        self.stats.elapsed_secs()
-    }
 }
 
 /// Runs one algorithm cold: fresh pool, data loaded to "disk", cache
@@ -114,19 +109,7 @@ pub fn run_algo(
     cfg: &ExpConfig,
     algo: Algorithm,
 ) -> Measured {
-    let mut builder = JoinCtx::builder(
-        pbitree_storage::BufferPool::new(
-            pbitree_storage::Disk::new(Box::new(pbitree_storage::MemBackend::new()), cfg.cost),
-            cfg.buffer_pages,
-        ),
-        shape,
-    )
-    .io(cfg.io)
-    .prune(cfg.prune);
-    if let Some(t) = tracer() {
-        builder = builder.tracer(t);
-    }
-    let ctx = builder.build();
+    let ctx = cfg.ctx(shape);
     let load0 = ctx.pool.pool_stats();
     let af = element_file_with(&ctx.pool, cfg.io, a.iter().copied()).expect("load A");
     let df = element_file_with(&ctx.pool, cfg.io, d.iter().copied()).expect("load D");
@@ -146,9 +129,7 @@ pub fn run_algo(
     }
 }
 
-/// Runs a list of algorithms cold and returns them with the `MIN_RGN`
-/// composite (minimum elapsed time among the region baselines) when all
-/// three baselines are present.
+/// Runs a list of algorithms cold, in order.
 pub fn run_competitors(
     shape: PBiTreeShape,
     a: &[(u64, u32)],
@@ -162,12 +143,17 @@ pub fn run_competitors(
         .collect()
 }
 
-/// The minimum elapsed time among the region-code baselines in `runs`.
-pub fn min_rgn_secs(runs: &[Measured]) -> Option<f64> {
+/// The paper's `MIN_RGN` composite: the region-code baseline in `runs`
+/// with the least simulated disk time (the first on a tie).
+pub fn min_rgn(runs: &[Measured]) -> Option<&Measured> {
     runs.iter()
         .filter(|m| RGN_BASELINES.contains(&m.algo))
-        .map(|m| m.secs())
-        .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.min(s))))
+        .min_by(|x, y| x.stats.io.sim_secs().total_cmp(&y.stats.io.sim_secs()))
+}
+
+/// `MIN_RGN`'s simulated disk seconds.
+pub fn min_rgn_secs(runs: &[Measured]) -> Option<f64> {
+    min_rgn(runs).map(|m| m.stats.io.sim_secs())
 }
 
 /// The paper's improvement ratio `(T_ref - T_x) / T_ref`.
@@ -190,7 +176,7 @@ mod tests {
         let ds = synthetic::generate(&spec);
         let cfg = ExpConfig {
             buffer_pages: 16,
-            cost: pbitree_storage::CostModel::free(),
+            cost: CostModel::free(),
             ..ExpConfig::default()
         };
         let algos = [
@@ -206,6 +192,35 @@ mod tests {
         assert!(pairs.windows(2).all(|w| w[0] == w[1]), "{pairs:?}");
         assert_eq!(pairs[0], spec.matches as u64);
         assert!(min_rgn_secs(&runs).is_some());
+    }
+
+    /// Zone-map pushdown never drops a Rollup false-hit candidate on the
+    /// paper's multi-height sets, so Table 2(f) counts what the paper
+    /// counts with pruning on: pairs and false hits match pruning off on
+    /// every row (as they do at full scale).
+    #[test]
+    fn pruning_keeps_rollup_pairs_and_false_hits() {
+        let mut false_hits = 0;
+        for w in crate::workloads::synthetic_multi(0.02) {
+            let run = |prune| {
+                let cfg = ExpConfig {
+                    buffer_pages: 16,
+                    cost: CostModel::free(),
+                    prune,
+                    ..ExpConfig::default()
+                };
+                run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::MhcjRollup).stats
+            };
+            let (off, on) = (run(false), run(true));
+            assert_eq!(
+                (on.pairs, on.false_hits),
+                (off.pairs, off.false_hits),
+                "{}: pruning changed (pairs, false hits)",
+                w.name
+            );
+            false_hits += off.false_hits;
+        }
+        assert!(false_hits > 0, "no row produced a false hit to compare");
     }
 
     #[test]

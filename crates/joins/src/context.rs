@@ -145,13 +145,6 @@ pub struct PhaseStat {
     pub pool: PoolStats,
 }
 
-impl PhaseStat {
-    /// Simulated I/O time plus measured CPU time of the phase, seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.io.sim_secs() + self.cpu_ns as f64 / 1e9
-    }
-}
-
 /// What a join run cost and produced.
 #[derive(Debug, Clone, Default)]
 pub struct JoinStats {
@@ -174,36 +167,15 @@ pub struct JoinStats {
     pub phases: Vec<PhaseStat>,
 }
 
-impl JoinStats {
-    /// The experiment headline number: simulated disk time plus measured
-    /// CPU time, in seconds. The paper's elapsed times are I/O-bound, and
-    /// so is this once inputs exceed the buffer pool.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.io.sim_secs() + self.cpu_ns as f64 / 1e9
-    }
-
-    /// Compact `name=secs` rendering of the phase breakdown for report
-    /// tables, `"-"` when no tracer was attached.
-    pub fn phase_summary(&self) -> String {
-        if self.phases.is_empty() {
-            return "-".to_string();
-        }
-        self.phases
-            .iter()
-            .map(|p| format!("{}={:.3}s", p.name, p.elapsed_secs()))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-}
-
 impl fmt::Display for JoinStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `IoStats` prints the simulated disk clock (`sim=`); the measured
+        // one follows it, never added to it.
         write!(
             f,
-            "pairs={} false_hits={} elapsed={:.3}s ({}; cpu {:.3}s)",
+            "pairs={} false_hits={} {}, cpu={:.3}s",
             self.pairs,
             self.false_hits,
-            self.elapsed_secs(),
             self.io,
             self.cpu_ns as f64 / 1e9
         )
@@ -557,7 +529,8 @@ mod tests {
             .unwrap();
         assert_eq!(stats.pairs, 2000);
         assert!(stats.io.total() > 0);
-        assert!(stats.elapsed_secs() > 0.0);
+        assert!(stats.io.sim_secs() > 0.0);
+        assert!(stats.cpu_ns > 0);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! There is one transfer primitive per direction, end to end:
 //! [`DiskBackend::read_pages`] / [`DiskBackend::write_pages`] move a run of
 //! consecutive pages of one file, and a single-page transfer is the run of
-//! length one. The file-backed backend issues one seek and streams the
-//! run, and the fault backend injects faults *inside* batches (a torn
+//! length one. The fault backend injects faults *inside* batches (a torn
 //! batch is a partial success: [`BatchError::done`] pages transferred, the
 //! rest untouched). [`Disk`] charges a successful batch as one head
 //! movement plus `N - 1` sequential transfers — each page is still counted
@@ -32,10 +31,6 @@
 //! deterministic faults for testing.
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
-
 use std::sync::{Arc, Mutex};
 
 use crate::page::{FileId, PageBuf, PageId, PAGE_SIZE};
@@ -329,146 +324,6 @@ impl<B: DiskBackend> DiskBackend for SharedBackend<B> {
     }
 }
 
-/// Real-file backend: each [`FileId`] maps to one file under a directory.
-/// Used to validate that the engine works against an actual filesystem;
-/// experiments default to [`MemBackend`] for determinism. Filesystem
-/// errors surface as non-transient [`IoError`]s.
-pub struct FileBackend {
-    dir: PathBuf,
-    files: Vec<Option<(File, u32)>>,
-}
-
-impl FileBackend {
-    /// Creates a backend storing page files under `dir` (created if absent).
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(FileBackend {
-            dir,
-            files: Vec::new(),
-        })
-    }
-
-    fn entry_mut(&mut self, f: FileId) -> &mut (File, u32) {
-        self.files
-            .get_mut(f.0 as usize)
-            .and_then(|o| o.as_mut())
-            .expect("unknown or deleted file")
-    }
-}
-
-impl DiskBackend for FileBackend {
-    fn create_file(&mut self) -> FileId {
-        let id = FileId(self.files.len() as u32);
-        let path = self.dir.join(format!("f{}.pages", id.0));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .expect("create page file");
-        self.files.push(Some((file, 0)));
-        id
-    }
-
-    fn delete_file(&mut self, file: FileId) {
-        if let Some(slot) = self.files.get_mut(file.0 as usize) {
-            if slot.take().is_some() {
-                let _ = std::fs::remove_file(self.dir.join(format!("f{}.pages", file.0)));
-            }
-        }
-    }
-
-    fn allocate_page(&mut self, file: FileId) -> Result<u32, IoError> {
-        let (f, n) = self.entry_mut(file);
-        let page = *n;
-        f.seek(SeekFrom::Start(page as u64 * PAGE_SIZE as u64))
-            .and_then(|_| f.write_all(&[0u8; PAGE_SIZE]))
-            .map_err(|_| IoError {
-                pid: PageId::new(file, page),
-                kind: IoErrorKind::Allocate,
-                transient: false,
-            })?;
-        *n += 1;
-        Ok(page)
-    }
-
-    fn num_pages(&self, file: FileId) -> u32 {
-        self.files
-            .get(file.0 as usize)
-            .and_then(|o| o.as_ref())
-            .map_or(0, |(_, n)| *n)
-    }
-
-    fn live_files(&self) -> Vec<FileId> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_some())
-            .map(|(i, _)| FileId(i as u32))
-            .collect()
-    }
-
-    /// Native batch: one seek, then the run streams with `read_exact` per
-    /// page — no per-page seek syscalls.
-    fn read_pages(
-        &mut self,
-        file: FileId,
-        start: u32,
-        bufs: &mut [&mut PageBuf],
-    ) -> Result<(), BatchError> {
-        let (f, n) = self.entry_mut(file);
-        assert!(
-            start as u64 + bufs.len() as u64 <= *n as u64,
-            "batch read past end of file {file:?}"
-        );
-        let err = |done: usize| BatchError {
-            done,
-            error: IoError {
-                pid: PageId::new(file, start + done as u32),
-                kind: IoErrorKind::Read,
-                transient: false,
-            },
-        };
-        f.seek(SeekFrom::Start(start as u64 * PAGE_SIZE as u64))
-            .map_err(|_| err(0))?;
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            f.read_exact(&mut buf[..]).map_err(|_| err(i))?;
-        }
-        Ok(())
-    }
-
-    /// Native batch: one seek, then the run streams with `write_all` per
-    /// page — no per-page seek syscalls.
-    fn write_pages(
-        &mut self,
-        file: FileId,
-        start: u32,
-        bufs: &[&PageBuf],
-    ) -> Result<(), BatchError> {
-        let (f, n) = self.entry_mut(file);
-        assert!(
-            start as u64 + bufs.len() as u64 <= *n as u64,
-            "batch write past end of file {file:?}"
-        );
-        let err = |done: usize| BatchError {
-            done,
-            error: IoError {
-                pid: PageId::new(file, start + done as u32),
-                kind: IoErrorKind::Write,
-                transient: false,
-            },
-        };
-        f.seek(SeekFrom::Start(start as u64 * PAGE_SIZE as u64))
-            .map_err(|_| err(0))?;
-        for (i, buf) in bufs.iter().enumerate() {
-            f.write_all(&buf[..]).map_err(|_| err(i))?;
-        }
-        Ok(())
-    }
-}
-
 /// How many times [`Disk`] re-attempts a transfer whose error is flagged
 /// transient before giving up. Three attempts after the first failure
 /// absorb any single-blip fault while keeping a persistently failing
@@ -715,13 +570,6 @@ mod tests {
     #[test]
     fn mem_backend_roundtrip() {
         roundtrip(Box::new(MemBackend::new()));
-    }
-
-    #[test]
-    fn file_backend_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("pbitree-disk-{}", std::process::id()));
-        roundtrip(Box::new(FileBackend::new(&dir).unwrap()));
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

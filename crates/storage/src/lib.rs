@@ -6,7 +6,8 @@
 //! that substrate in Rust:
 //!
 //! * [`disk`] — pluggable disk backends behind [`disk::DiskBackend`]:
-//!   a real-file backend and an in-memory backend. Every page transfer is
+//!   an in-memory backend, a shared handle to one, and a fault-injecting
+//!   wrapper ([`fault`]). Every page transfer is
 //!   classified sequential vs. random and charged against a configurable
 //!   [`stats::CostModel`], so experiments report deterministic simulated
 //!   I/O time next to raw page counts (the paper's numbers are I/O-bound;
@@ -54,9 +55,7 @@ pub use buffer::{
     BufferPool, LsnGate, PageMut, PageRef, PoolError, PoolStats, StatsSnapshot, TempFile,
 };
 pub use codec::records_per_page;
-pub use disk::{
-    BatchError, Disk, DiskBackend, FileBackend, IoError, IoErrorKind, MemBackend, SharedBackend,
-};
+pub use disk::{BatchError, Disk, DiskBackend, IoError, IoErrorKind, MemBackend, SharedBackend};
 pub use fault::{FaultBackend, FaultConfig, FaultHandle};
 pub use freelist::FreeList;
 pub use heap::{HeapFile, HeapScan, HeapWriter, ScanPos};

@@ -4,8 +4,8 @@
 //! machine, so elapsed times are dominated by page I/O. We make that regime
 //! reproducible on any hardware by *counting* page transfers, classifying
 //! them sequential vs. random, and charging a deterministic cost per
-//! transfer. Experiments report this simulated time alongside measured CPU
-//! time and the raw counters.
+//! transfer. Experiments report this simulated time in its own column,
+//! beside (never added to) the measured CPU time and the raw counters.
 
 /// Cost charged per page transfer, in nanoseconds.
 ///

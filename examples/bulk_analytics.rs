@@ -1,7 +1,7 @@
 //! A mini version of the paper's §4.1 experiment: generate the synthetic
 //! datasets (scaled down), run the partitioning joins against the best
-//! region-code baseline, and print improvement ratios — Figure 6(a)/(b)
-//! at example scale.
+//! region-code baseline, and print improvement ratios on simulated disk
+//! time (`sim_s`) — Figure 6(a)/(b) at example scale.
 //!
 //! ```text
 //! cargo run --release --example bulk_analytics
@@ -49,7 +49,7 @@ fn main() {
     use pbitree_containment::joins as j;
     println!(
         "{:<6} {:>9} {:>9} {:>9} {:>11} {:>11} {:>11} {:>9}",
-        "set", "|A|", "|D|", "#results", "MIN_RGN(s)", "PBi(s)", "VPJ(s)", "impr"
+        "set", "|A|", "|D|", "#results", "MIN_RGN sim", "PBi sim", "VPJ sim", "impr"
     );
     for spec in synthetic::paper_single_height()
         .iter()
@@ -69,9 +69,10 @@ fn main() {
             j::adb::anc_des_bplus(c, a, d, SortPolicy::SortOnTheFly, s)
         });
         let min_rgn = stack
-            .elapsed_secs()
-            .min(inl.elapsed_secs())
-            .min(adb.elapsed_secs());
+            .io
+            .sim_secs()
+            .min(inl.io.sim_secs())
+            .min(adb.io.sim_secs());
 
         // The paper's partitioning join for this dataset class.
         let pbi = if single {
@@ -85,7 +86,7 @@ fn main() {
             j::vpj::vpj(c, a, d, s).map(|(st, _)| st)
         });
 
-        let best = pbi.elapsed_secs().min(vpj.elapsed_secs());
+        let best = pbi.io.sim_secs().min(vpj.io.sim_secs());
         println!(
             "{:<6} {:>9} {:>9} {:>9} {:>11.3} {:>11.3} {:>11.3} {:>8.1}%",
             spec.name,
@@ -93,8 +94,8 @@ fn main() {
             ds.d.len(),
             pbi.pairs,
             min_rgn,
-            pbi.elapsed_secs(),
-            vpj.elapsed_secs(),
+            pbi.io.sim_secs(),
+            vpj.io.sim_secs(),
             (min_rgn - best) / min_rgn * 100.0
         );
     }

@@ -37,7 +37,9 @@ cargo run --release -q -p pbitree-bench --bin ablation -- --study rollup --fast 
     --readahead 0 --results /tmp/ab_off
 cargo run --release -q -p pbitree-bench --bin ablation -- --study rollup --fast \
     --readahead 8 --results /tmp/ab_on
-diff <(cut -f1-4 /tmp/ab_off/ablation_rollup.tsv) <(cut -f1-4 /tmp/ab_on/ablation_rollup.tsv) \
+# The `#` header lines name the command, which differs between the legs.
+diff <(grep -v '^#' /tmp/ab_off/ablation_rollup.tsv | cut -f1-4) \
+    <(grep -v '^#' /tmp/ab_on/ablation_rollup.tsv | cut -f1-4) \
     || { echo "ablation smoke failed: prefetch changed result counts"; exit 1; }
 # The depth panel additionally asserts (in-binary) that every read-ahead
 # depth produces the same pairs while the simulated disk time drops.
