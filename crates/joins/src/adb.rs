@@ -30,7 +30,7 @@ use pbitree_storage::{FileZones, HeapFile, HeapScan, ScanOptions, ScanPos};
 
 use std::sync::Arc;
 
-use crate::batch::ElementBatch;
+use crate::batch::{seek_page, ElementBatch};
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::sink::PairSink;
@@ -112,29 +112,6 @@ impl<'a> BatchCursor<'a> {
         (!self.batch.is_empty()).then(|| self.batch.pos_of(0).page())
     }
 
-    /// The page a seek to doc keys `>= lb` may restart from: the last page
-    /// whose first start is `<= lb`'s start, stepped back once on a tie —
-    /// elements sharing one region start are a chain of at most 64
-    /// ancestors, so a tied run never begins more than one page earlier.
-    fn seek_page(&self, lb: u128) -> Option<u32> {
-        let zones = self.zones.as_ref()?;
-        let s_lb = (lb >> 8) as u64;
-        let (mut lo, mut hi) = (0u32, zones.len() as u32);
-        // Largest page whose zone lo is <= s_lb (first page if none).
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            match zones.page(mid) {
-                Some(z) if z.lo <= s_lb => lo = mid,
-                Some(_) => hi = mid,
-                None => return None, // a hintless page breaks the order
-            }
-        }
-        Some(match zones.page(lo) {
-            Some(z) if z.lo == s_lb => lo.saturating_sub(1),
-            _ => lo,
-        })
-    }
-
     /// Bulk-drains the run of descendants covered by the open ancestor
     /// `stack`: emits every `(stack entry, d)` pair for descendants from
     /// the cursor up to the first doc key `>= limit` (the next pending
@@ -190,7 +167,8 @@ impl<'a> BatchCursor<'a> {
         if self.cur.is_none() {
             return Ok(None);
         }
-        if let (Some(target), Some(here)) = (self.seek_page(lb), self.page()) {
+        let target = self.zones.as_ref().and_then(|z| seek_page(z, lb));
+        if let (Some(target), Some(here)) = (target, self.page()) {
             if target > here {
                 self.scan =
                     self.file
@@ -228,7 +206,9 @@ pub fn anc_des_bplus(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("adb", || {
-        if a.is_empty() || d.is_empty() {
+        // Disjoint envelopes read nothing. Otherwise both cursors already
+        // seek: D's first skip goes to A's first start.
+        if ctx.clip(a, d).is_none() || a.is_empty() || d.is_empty() {
             return Ok((0, 0));
         }
         let sorted = sorted_inputs(ctx, a, d, policy)?;

@@ -14,10 +14,12 @@
 //! **unfiltered** scan: a pushdown filter drops records between the page
 //! offsets and the batch indices, so the mapping `batch[i] = (page,
 //! base_idx + i)` would no longer hold (debug-asserted in
-//! [`ElementBatch::refill`]).
+//! [`ElementBatch::refill`]). A batch-read stream therefore takes the
+//! envelope rule (`JoinCtx::clip`) as a seek (`seek_page`), never as a
+//! filter.
 
 use pbitree_core::PBiTreeShape;
-use pbitree_storage::{HeapScan, PoolError, ScanPos};
+use pbitree_storage::{FileZones, HeapScan, PoolError, ScanPos};
 
 use crate::element::Element;
 
@@ -199,21 +201,6 @@ impl ElementBatch {
         advance(mode, self.starts.len(), from, |i| self.starts[i] > target)
     }
 
-    /// Collects the distinct proper-ancestor codes of every element in the
-    /// batch into `out`, sorted ascending. This is the batched probe set
-    /// for index nested loops: one page of descendants shares most of its
-    /// high ancestors, so probing the deduplicated sorted set once beats
-    /// record-at-a-time enumeration both in probe count and in B+-tree
-    /// leaf locality.
-    pub fn ancestor_candidates(&self, shape: PBiTreeShape, out: &mut Vec<u64>) {
-        out.clear();
-        for e in &self.elems {
-            out.extend(shape.ancestors(e.code).map(|c| c.get()));
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
     /// Calls `f` for every element of `[lo, hi)` strictly contained in
     /// `anc`'s region, returning how many there were. The containment test
     /// (`start >= anc.start && end <= anc.end && code != anc.code` — by
@@ -253,13 +240,46 @@ impl ElementBatch {
     }
 }
 
-/// First index in `[from, len)` where the monotone predicate turns true
-/// (`len` if never): exponential probe doubling away from `from`, then a
-/// binary search of the bracketed gap. Cheap when the answer is near
-/// `from` — the common case for merge advances — and `O(log n)` worst
-/// case.
-/// [`gallop`] under an explicit [`AdvanceMode`]: identical answer, merge
-/// mode walks linearly instead of probing.
+/// Collects the distinct proper-ancestor codes of `elems` into `out`,
+/// sorted ascending. This is the batched probe set for index nested
+/// loops: one page of descendants shares most of its high ancestors, so
+/// probing the deduplicated sorted set once beats record-at-a-time
+/// enumeration both in probe count and in B+-tree leaf locality.
+pub(crate) fn ancestor_candidates(shape: PBiTreeShape, elems: &[Element], out: &mut Vec<u64>) {
+    out.clear();
+    for e in elems {
+        out.extend(shape.ancestors(e.code).map(|c| c.get()));
+    }
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// The page a seek to doc keys `>= lb` may open at in a doc-ordered file:
+/// the last page whose first region start is `<= lb`'s start, stepped back
+/// once on a tie — elements sharing one region start are a chain of at
+/// most 64 ancestors, so a tied run never begins more than one page
+/// earlier. In a doc-ordered file page `p`'s zone `lo` is its first
+/// element's start, non-decreasing across pages, so the zone map is a
+/// sparse clustered index and the search is a binary search over it.
+/// `None` when a page has no zone entry (the order is then unknown).
+pub(crate) fn seek_page(zones: &FileZones, lb: u128) -> Option<u32> {
+    let s_lb = (lb >> 8) as u64;
+    let (mut lo, mut hi) = (0u32, zones.len() as u32);
+    // Largest page whose zone lo is <= s_lb (first page if none).
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        match zones.page(mid) {
+            Some(z) if z.lo <= s_lb => lo = mid,
+            Some(_) => hi = mid,
+            None => return None, // a hintless page breaks the order
+        }
+    }
+    Some(match zones.page(lo) {
+        Some(z) if z.lo == s_lb => lo.saturating_sub(1),
+        _ => lo,
+    })
+}
+
 fn advance(mode: AdvanceMode, len: usize, from: usize, pred: impl Fn(usize) -> bool) -> usize {
     match mode {
         AdvanceMode::Gallop => gallop(len, from, pred),
@@ -385,22 +405,21 @@ mod tests {
         codes.sort_by_key(|&v| pbitree_core::Code::new(v).unwrap().doc_order_key());
         let f = element_file(&c.pool, codes.iter().map(|&v| (v, 0))).unwrap();
         let mut s = f.scan(&c.pool);
-        let mut b = ElementBatch::new();
+        let mut b = Vec::new();
         let mut cands = Vec::new();
-        while b.refill(&mut s).unwrap() {
-            b.ancestor_candidates(shape, &mut cands);
+        while s.next_batch(&mut b).unwrap() > 0 {
+            ancestor_candidates(shape, &b, &mut cands);
             assert!(cands.windows(2).all(|w| w[0] < w[1]));
             let mut expect = std::collections::BTreeSet::new();
-            for i in 0..b.len() {
-                expect.extend(shape.ancestors(b.get(i).code).map(|a| a.get()));
+            for e in &b {
+                expect.extend(shape.ancestors(e.code).map(|a| a.get()));
             }
             assert_eq!(cands, expect.into_iter().collect::<Vec<_>>());
             // Deduplication is the point: per-record enumeration visits
             // far more (mostly repeated) ancestors.
-            let raw: usize = (0..b.len())
-                .map(|i| shape.ancestors(b.get(i).code).count())
-                .sum();
+            let raw: usize = b.iter().map(|e| shape.ancestors(e.code).count()).sum();
             assert!(cands.len() < raw);
+            b.clear();
         }
     }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use pbitree_core::PBiTreeShape;
 use pbitree_storage::{
     records_per_page, BufferPool, FixedRecord, HeapFile, HeapScan, IoStats, PoolError, PoolStats,
-    ScanOptions, TempFile,
+    ScanFilter, ScanOptions, TempFile,
 };
 
 use crate::element::Element;
@@ -289,7 +289,7 @@ impl JoinCtx {
     /// it when pruning is disabled. The single gate every operator routes
     /// its derived filters through.
     #[inline]
-    pub fn pruned(&self, filter: pbitree_storage::ScanFilter) -> ScanOptions {
+    pub fn pruned(&self, filter: ScanFilter) -> ScanOptions {
         if self.prune {
             self.read_opts().with_filter(filter)
         } else {
@@ -297,20 +297,48 @@ impl JoinCtx {
         }
     }
 
-    /// Read options clipped by another operand's catalog envelope:
-    /// containment makes region overlap with the opposite side's
-    /// `(min start, max end)` necessary for every result pair, so any
-    /// scan feeding a join against that side may push the overlap filter
-    /// down. `None` (no bounds known) or pruning disabled falls back to
-    /// the plain read options.
-    #[inline]
-    pub fn overlap_opts(&self, other: Option<(u64, u64)>) -> ScanOptions {
-        match other {
-            Some((lo, hi)) => {
-                self.pruned(pbitree_storage::ScanFilter::RegionOverlap { start: lo, end: hi })
-            }
-            None => self.read_opts(),
+    /// The envelope rule, the first call of every join operator. By
+    /// Lemma 3 an ancestor's subtree is the code range `[start, end]`, so
+    /// a pair's descendant lies inside the ancestor side's catalog
+    /// envelope `(min start, max end)` and its ancestor overlaps the
+    /// descendant side's. Returns `None` when pruning is on and the two
+    /// envelopes are disjoint: no pair exists and the operator reads
+    /// nothing. Otherwise each side's read options carry a
+    /// `RegionOverlap` filter on the *other* side's envelope.
+    ///
+    /// Two consumers take less than the filters. A doc-ordered stream
+    /// read through [`crate::batch::ElementBatch`] must stay unfiltered
+    /// (its batches are page-aligned), so Stack-Tree seeks its
+    /// descendant side to [`Clipped::d_seek`] instead. MHCJ+Rollup keeps
+    /// its ancestor side unclipped: its false hits are rolled candidates
+    /// the clip would drop, and Table 2(f) counts them as the paper does.
+    ///
+    /// With pruning off nothing is clipped and nothing short-circuits.
+    pub(crate) fn clip(&self, a: &HeapFile<Element>, d: &HeapFile<Element>) -> Option<Clipped> {
+        self.clip_envelopes(a.bounds(), d.bounds())
+    }
+
+    /// [`clip`](JoinCtx::clip) over envelopes already in hand — VPJ's
+    /// merged group envelopes. `None` for an envelope means "unknown"
+    /// (never disjoint, nothing pushed down).
+    pub(crate) fn clip_envelopes(
+        &self,
+        a: Option<(u64, u64)>,
+        d: Option<(u64, u64)>,
+    ) -> Option<Clipped> {
+        if self.prune && envelopes_disjoint(a, d) {
+            return None;
         }
+        let overlap = |env: Option<(u64, u64)>| match env {
+            Some((start, end)) => self.pruned(ScanFilter::RegionOverlap { start, end }),
+            None => self.read_opts(),
+        };
+        Some(Clipped {
+            a: overlap(d),
+            d: overlap(a),
+            d_seek: a.filter(|_| self.prune).map(|(lo, _)| (lo as u128) << 8),
+            prune: self.prune,
+        })
     }
 
     /// The context's declared I/O options, clamped to its frame budget:
@@ -427,6 +455,44 @@ impl JoinCtx {
         F: FnOnce() -> Result<(u64, u64), JoinError>,
     {
         self.measure_op("join", op)
+    }
+}
+
+/// Whether two catalog region envelopes provably hold no (ancestor,
+/// descendant) pair: containment implies overlap, so disjoint envelopes
+/// prove the join empty. An unknown envelope (a file without bounds,
+/// never the case for a non-empty element file) counts as overlapping.
+pub(crate) fn envelopes_disjoint(a: Option<(u64, u64)>, d: Option<(u64, u64)>) -> bool {
+    match (a, d) {
+        (Some((alo, ahi)), Some((dlo, dhi))) => alo > dhi || ahi < dlo,
+        _ => false,
+    }
+}
+
+/// Both sides' scan inputs under the envelope rule (see
+/// [`JoinCtx::clip`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Clipped {
+    /// Ancestor-side read options, the descendant envelope pushed down.
+    pub a: ScanOptions,
+    /// Descendant-side read options, the ancestor envelope pushed down.
+    pub d: ScanOptions,
+    /// The least doc key a pair's descendant can have, `min start(A) <<
+    /// 8`: where a doc-ordered descendant stream may open. `None` with
+    /// pruning off or no ancestor bounds.
+    pub d_seek: Option<u128>,
+    prune: bool,
+}
+
+impl Clipped {
+    /// The descendant options with `filter` conjoined, when pruning is
+    /// on — how SHCJ and MHCJ+Rollup add their height window to the clip.
+    pub(crate) fn d_and(&self, filter: ScanFilter) -> ScanOptions {
+        if self.prune {
+            self.d.with_filter(filter)
+        } else {
+            self.d
+        }
     }
 }
 

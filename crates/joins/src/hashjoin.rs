@@ -35,8 +35,9 @@ const RESERVE: usize = 2;
 /// equal keys.
 ///
 /// The per-side [`ScanOptions`] carry pushdown
-/// [`pbitree_storage::ScanFilter`]s (SHCJ clips the descendant side by the
-/// ancestor set's zone; pass `ctx.read_opts()` for none). The filters must be
+/// [`pbitree_storage::ScanFilter`]s (SHCJ passes both sides of the
+/// envelope clip, `JoinCtx::clip`; pass `ctx.read_opts()` for none).
+/// The filters must be
 /// *necessary conditions* for the key extractors producing a match — the
 /// join assumes a record its side's filter rejects cannot pair with
 /// anything. They apply to the initial scans, including the first Grace

@@ -14,9 +14,9 @@
 //!   footnote of Table 1 made concrete.
 
 use pbitree_index::BPlusTree;
-use pbitree_storage::{external_sort_with, HeapFile, TempFile};
+use pbitree_storage::{external_sort_with, HeapFile, ScanOptions, TempFile};
 
-use crate::batch::ElementBatch;
+use crate::batch::ancestor_candidates;
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::sink::PairSink;
@@ -36,20 +36,19 @@ pub fn inljn(
     }
 }
 
-/// Builds a code-keyed B+-tree over an element file (sort + bulk load);
-/// the index file is deleted when the returned guard drops.
+/// Builds a code-keyed B+-tree over an element file (sort + bulk load),
+/// reading it through `opts` (the envelope clip, so the index holds only
+/// records the outer side can meet); the index file is deleted when the
+/// returned guard drops.
 fn build_code_index<'a>(
     ctx: &'a JoinCtx,
     f: &HeapFile<Element>,
+    opts: ScanOptions,
 ) -> Result<TempFile<'a, BPlusTree<u64, u32>>, JoinError> {
     let budget = ctx.budget().saturating_sub(2).max(3);
-    let sorted = ctx.temp(external_sort_with(
-        &ctx.pool,
-        f,
-        budget,
-        ctx.read_opts(),
-        |e| e.code.get(),
-    )?);
+    let sorted = ctx.temp(external_sort_with(&ctx.pool, f, budget, opts, |e| {
+        e.code.get()
+    })?);
     // Stream the sorted file straight into the bulk loader: one scan frame
     // plus the loader's output frame — no staging in memory.
     let tree = BPlusTree::bulk_load_fallible_with(
@@ -72,23 +71,21 @@ pub fn inljn_probe_descendants(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("inljn", || {
-        if a.is_empty() || d.is_empty() {
+        let Some(clip) = ctx.clip(a, d).filter(|_| !a.is_empty() && !d.is_empty()) else {
             return Ok((0, 0));
-        }
-        let index = ctx.phase("build", || build_code_index(ctx, d))?;
+        };
+        let index = ctx.phase("build", || build_code_index(ctx, d, clip.d))?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
             // Index range scans interleave with the outer scan: halve the
             // outer read-ahead so index leaves are not evicted mid-probe.
-            // The outer side reads through a columnar batch — one decode
-            // per page (packed pages go straight to the region columns)
-            // instead of one per record.
-            let mut scan = a.scan_with(&ctx.pool, ctx.read_opts().shared(2));
-            let mut batch = ElementBatch::new();
-            while batch.refill(&mut scan)? {
-                for i in 0..batch.len() {
-                    let ae = batch.get(i);
-                    let (start, end) = (batch.start(i), batch.end(i));
+            // The outer side is clipped by D's envelope and decodes one
+            // page per call instead of one record.
+            let mut scan = a.scan_with(&ctx.pool, clip.a.shared(2));
+            let mut batch: Vec<Element> = Vec::new();
+            while scan.next_batch(&mut batch)? > 0 {
+                for ae in batch.drain(..) {
+                    let (start, end) = ae.code.region();
                     let mut it = index.range_from(&ctx.pool, &start)?;
                     while let Some((code, tag)) = it.next_entry()? {
                         if code > end {
@@ -115,14 +112,14 @@ pub fn inljn_probe_ancestors(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("inljn", || {
-        if a.is_empty() || d.is_empty() {
+        let Some(clip) = ctx.clip(a, d).filter(|_| !a.is_empty() && !d.is_empty()) else {
             return Ok((0, 0));
-        }
-        let index = ctx.phase("build", || build_code_index(ctx, a))?;
+        };
+        let index = ctx.phase("build", || build_code_index(ctx, a, clip.a))?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
-            let mut scan = d.scan_with(&ctx.pool, ctx.read_opts().shared(2));
-            let mut batch = ElementBatch::new();
+            let mut scan = d.scan_with(&ctx.pool, clip.d.shared(2));
+            let mut batch: Vec<Element> = Vec::new();
             // Batched enumeration: one page of descendants shares most of
             // its high ancestors, so probe the page's deduplicated sorted
             // candidate set once (ascending keys walk B+-tree leaves in
@@ -130,16 +127,15 @@ pub fn inljn_probe_ancestors(
             // list. Emission order per record is unchanged.
             let mut cands: Vec<u64> = Vec::new();
             let mut hits: Vec<(u64, u32)> = Vec::new();
-            while batch.refill(&mut scan)? {
-                batch.ancestor_candidates(ctx.shape, &mut cands);
+            while scan.next_batch(&mut batch)? > 0 {
+                ancestor_candidates(ctx.shape, &batch, &mut cands);
                 hits.clear();
                 for &c in &cands {
                     if let Some(tag) = index.get(&ctx.pool, &c)? {
                         hits.push((c, tag));
                     }
                 }
-                for i in 0..batch.len() {
-                    let de = batch.get(i);
+                for de in batch.drain(..) {
                     for anc in ctx.shape.ancestors(de.code) {
                         if let Ok(j) = hits.binary_search_by_key(&anc.get(), |&(c, _)| c) {
                             pairs += 1;

@@ -156,21 +156,40 @@ pub(crate) fn mem_join_inner(
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<(u64, u64), JoinError> {
-    // Both the resident load and the streamed probe are clipped by the
-    // *other* side's envelope: records outside it can join nothing, so
-    // zone maps skip their pages and pruned records never enter the hash
-    // structures. (Filtering can only shrink the resident side, so the
-    // `pick_side` fit check stays conservative.)
-    let a_opts = ctx.overlap_opts(d.bounds());
-    let d_opts = ctx.overlap_opts(a.bounds());
+    // The envelope rule: both the resident load and the streamed probe
+    // are clipped by the *other* side's envelope, so zone maps skip
+    // pages no pair can come from and pruned records never enter the
+    // in-memory structures. (Filtering can only shrink the resident
+    // side, so the `pick_side` fit check stays conservative.)
+    let Some(clip) = ctx.clip(a, d) else {
+        return Ok((0, 0));
+    };
+    let (a_opts, d_opts) = (clip.a, clip.d);
     if pick_side(ctx, a.pages(), d.pages())? {
+        // An A no larger than the resident D fits as well. When the clip
+        // filters it, read it first: an A the clip leaves empty ends the
+        // join before D is read.
+        let a_first = if !a_opts.filter.is_all() && a.pages() <= d.pages() {
+            Some(ctx.phase("load", || Ok(a.read_all_with(&ctx.pool, a_opts)?))?)
+        } else {
+            None
+        };
+        if a_first.as_ref().is_some_and(Vec::is_empty) {
+            return Ok((0, 0));
+        }
         let dd = ctx.phase("load", || {
             Ok(SortedDescendants::new(d.read_all_with(&ctx.pool, d_opts)?))
         })?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
-            let mut scan = a.scan_with(&ctx.pool, a_opts);
-            while scan.next_batch_each(|ae| pairs += dd.probe(ae, sink))? > 0 {}
+            if let Some(resident) = a_first {
+                resident
+                    .into_iter()
+                    .for_each(|ae| pairs += dd.probe(ae, sink));
+            } else {
+                let mut scan = a.scan_with(&ctx.pool, a_opts);
+                while scan.next_batch_each(|ae| pairs += dd.probe(ae, sink))? > 0 {}
+            }
             Ok((pairs, 0))
         })
     } else {
@@ -358,5 +377,24 @@ mod tests {
             total
         );
         assert_eq!(stats.io.writes(), 0);
+    }
+
+    #[test]
+    fn ancestors_the_clip_empties_end_the_join_before_d_is_read() {
+        // A's envelope [1, 65535] holds D's leaf, but neither A leaf
+        // overlaps D's envelope [1001, 1001]: the clip empties A.
+        for prune in [true, false] {
+            let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(16).unwrap(), 8)
+                .prune(prune)
+                .build();
+            let a = element_file(&c.pool, [(1u64, 0), (65535u64, 0)]).unwrap();
+            let d = element_file(&c.pool, [(1001u64, 1)]).unwrap();
+            let before = c.pool.pool_stats();
+            let mut sink = CountSink::default();
+            let stats = memory_containment_join(&c, &a, &d, &mut sink).unwrap();
+            assert_eq!(stats.pairs, 0);
+            let requests = c.pool.pool_stats().since(&before).requests();
+            assert_eq!(requests, if prune { 1 } else { 2 }, "prune={prune}");
+        }
     }
 }

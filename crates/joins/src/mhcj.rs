@@ -6,7 +6,7 @@
 //! which is why the cost grows as `5‖A‖ + 3k‖D‖` with `k` height
 //! partitions, and why [`crate::rollup`] exists to shrink `k`.
 
-use pbitree_storage::{HeapFile, HeapWriter, TempFile};
+use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
@@ -14,17 +14,20 @@ use crate::shcj::shcj_inner;
 use crate::sink::PairSink;
 use crate::trace::for_each_task;
 
-/// Partitions `a` by node height. Returns the partitions in ascending
-/// height order; each deletes its file when dropped.
+/// Partitions `a` by node height, reading it through `opts` (MHCJ passes
+/// the envelope clip, so ancestors no descendant can meet never reach a
+/// partition). Returns the partitions in ascending height order; each
+/// deletes its file when dropped.
 pub(crate) fn partition_by_height<'a>(
     ctx: &'a JoinCtx,
     a: &HeapFile<Element>,
+    opts: ScanOptions,
 ) -> Result<Vec<TempFile<'a, HeapFile<Element>>>, JoinError> {
     // One writer slot per height (codes have at most 64), created on the
     // height's first element and finished in ascending height order.
     let mut writers: Vec<Option<HeapWriter<'_, Element>>> = (0..64).map(|_| None).collect();
     let wopts = ctx.write_opts();
-    let mut scan = a.scan_with(&ctx.pool, ctx.read_opts());
+    let mut scan = a.scan_with(&ctx.pool, opts);
     while let Some(e) = scan.next_record()? {
         let w = match &mut writers[e.code.height() as usize] {
             Some(w) => w,
@@ -59,9 +62,13 @@ pub fn mhcj(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("mhcj", || {
+        let Some(clip) = ctx.clip(a, d) else {
+            return Ok((0, 0));
+        };
         // Partitioning is one sequential input pass; the joins behind it
-        // dominate (`5‖A‖ + 3k‖D‖`).
-        let parts = ctx.phase("partition", || partition_by_height(ctx, a))?;
+        // dominate (`5‖A‖ + 3k‖D‖`). Each partition's SHCJ clips `D` by
+        // that partition's own envelope.
+        let parts = ctx.phase("partition", || partition_by_height(ctx, a, clip.a))?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
             for_each_task(parts.iter().map(|part| (ctx, part)), |ctx, part| {

@@ -320,4 +320,35 @@ mod tests {
             assert_eq!(stats.pairs, 6, "{algo}");
         }
     }
+
+    #[test]
+    fn disjoint_envelopes_read_nothing() {
+        // A: single-height ancestors in the left half of the H = 18 code
+        // space; D: leaves in the right half. Several pages a side, so
+        // every operator has real scans to skip.
+        let left = |i: u64| (1 + 2 * i) << 3; // height 3, codes < 2^17
+        let right = |i: u64| (1u64 << 17) + 2 * i + 1; // leaves > 2^17
+        for prune in [true, false] {
+            for algo in Algorithm::ALL {
+                let c = crate::JoinCtxBuilder::in_memory(PBiTreeShape::new(18).unwrap(), 8)
+                    .prune(prune)
+                    .build();
+                let a = element_file(&c.pool, (0..1500).map(|i| (left(i), 0))).unwrap();
+                let d = element_file(&c.pool, (0..3000).map(|i| (right(i), 1))).unwrap();
+                c.pool.flush_all().unwrap();
+                let before = c.pool.pool_stats();
+                let mut sink = crate::sink::CountSink::default();
+                let stats = execute(&c, algo, &a, &d, SortPolicy::SortOnTheFly, &mut sink)
+                    .unwrap_or_else(|e| panic!("{algo} prune={prune}: {e}"));
+                let requests = c.pool.pool_stats().since(&before).requests();
+                assert_eq!(stats.pairs, 0, "{algo} prune={prune}");
+                if prune {
+                    assert_eq!(stats.io.total(), 0, "{algo} read or wrote pages");
+                    assert_eq!(requests, 0, "{algo} asked the pool for pages");
+                } else {
+                    assert!(requests > 0, "{algo} skipped its scans with pruning off");
+                }
+            }
+        }
+    }
 }

@@ -25,7 +25,7 @@ use pbitree_storage::{HeapFile, HeapWriter};
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::hashjoin::hash_equijoin_with;
-use crate::shcj::d_side_filter;
+use crate::shcj::below_height;
 use crate::sink::PairSink;
 
 /// Tuning knobs for [`mhcj_rollup`]. `Default` is the paper's strategy:
@@ -64,6 +64,9 @@ pub fn mhcj_rollup(
 ) -> Result<JoinStats, JoinError> {
     assert!(opts.target_partitions >= 1);
     ctx.measure_op("mhcj_rollup", || {
+        if ctx.clip(a, d).is_none() {
+            return Ok((0, 0));
+        }
         // Pass 1: occupied-height histogram (one read of A).
         let heights = ctx.phase("plan", || {
             let mut occupied = [false; 64];
@@ -129,13 +132,17 @@ pub fn mhcj_rollup(
 /// One SHCJ-style equijoin on `F(·, anchor)`, building on the smaller
 /// side, with the Lemma-1 post filter. Returns `(pairs, false_hits)`.
 ///
-/// The descendant scan carries the same zone-map pushdown as SHCJ
-/// ([`d_side_filter`] over this anchor partition's bounds): a true pair's
-/// descendant lies inside some *real* ancestor's region, so the envelope
-/// overlap is a necessary condition for pairs. It is **not** necessary for
-/// false-hit candidates — a pruned page may have held candidates Lemma 1
-/// would have rejected — so pruning can only *lower* the reported false-hit
-/// count, never the pair count.
+/// The envelope rule ([`JoinCtx::clip`]) with one exception. Disjoint
+/// envelopes read nothing, and the descendant scan is clipped by this
+/// anchor partition's envelope with the [`below_height`] window conjoined,
+/// as in SHCJ: a true pair's descendant lies inside some *real* ancestor's
+/// region. The ancestor side stays **unclipped**. A rolled ancestor whose
+/// region misses `D`'s envelope can still meet rolled candidates that
+/// Lemma 1 rejects, and those are the false hits Table 2(f) counts;
+/// clipping `A` would hide them. Clipping `D` is not necessary for
+/// false-hit candidates either — a pruned page may have held candidates
+/// Lemma 1 would have rejected — so pruning can only *lower* the reported
+/// false-hit count, never the pair count.
 fn anchored_equijoin(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
@@ -143,7 +150,10 @@ fn anchored_equijoin(
     anchor: u32,
     sink: &mut dyn PairSink,
 ) -> Result<(u64, u64), JoinError> {
-    let d_opts = ctx.pruned(d_side_filter(a, anchor));
+    let Some(clip) = ctx.clip(a, d) else {
+        return Ok((0, 0));
+    };
+    let d_opts = clip.d_and(below_height(anchor));
     let a_opts = ctx.read_opts();
     let a_key = |e: &Element| {
         debug_assert!(e.code.height() <= anchor, "anchor below an ancestor");

@@ -11,25 +11,33 @@
 //! The probe key is therefore `None` (tuple skipped) for such descendants —
 //! the `shallow_descendants_do_not_match` test pins this down.
 
-use pbitree_storage::{HeapFile, ScanFilter};
+use pbitree_storage::{HeapFile, ScanFilter, ScanOptions};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::hashjoin::hash_equijoin_with;
 use crate::sink::PairSink;
 
-/// The ancestor height of a single-height set, by inspecting one record.
-/// Returns `None` for an empty set.
-pub fn single_height_of(ctx: &JoinCtx, a: &HeapFile<Element>) -> Result<Option<u32>, JoinError> {
+/// The ancestor height of a single-height set, by inspecting the first
+/// record `opts`' filter admits. SHCJ passes its clip, so the peek reads a
+/// page its build or probe scan reads anyway. Returns `None` when no
+/// record is admitted.
+pub fn single_height_of(
+    ctx: &JoinCtx,
+    a: &HeapFile<Element>,
+    opts: ScanOptions,
+) -> Result<Option<u32>, JoinError> {
     // A one-record peek: declare random access so no read-ahead fires.
-    let mut scan = a.scan_with(&ctx.pool, pbitree_storage::ScanOptions::random());
+    let mut scan = a.scan_with(&ctx.pool, ScanOptions::random().with_filter(opts.filter));
     Ok(scan.next_record()?.map(|e| e.code.height()))
 }
 
 /// SHCJ: containment join with a single-height ancestor set.
 ///
-/// Fails with [`JoinError::NotSingleHeight`] if `A` spans several heights
-/// (validated during the build scan — no extra pass).
+/// Fails with [`JoinError::NotSingleHeight`] if the ancestors its clipped
+/// scan reads span several heights (validated during the build scan — no
+/// extra pass). Ancestors the envelope rule skips pair with nothing, so
+/// their heights cannot change a result.
 pub fn shcj(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
@@ -39,21 +47,17 @@ pub fn shcj(
     ctx.measure_op("shcj", || shcj_inner(ctx, a, d, sink))
 }
 
-/// The pushdown filter SHCJ derives for its descendant side: a matching
-/// descendant lies strictly *inside* some ancestor's region (so its region
-/// overlaps the ancestor set's `(min start, max end)` envelope) and sits
-/// strictly *below* height `h` (the `d_key` guard). Both are necessary
-/// conditions — pruning by them cannot lose a pair. At `h = 0` the height
-/// window degenerates to `[0, 0]`, over-admitting height-0 descendants;
-/// they produce no pairs anyway (`d_key` yields `None`).
-pub(crate) fn d_side_filter(a: &HeapFile<Element>, h: u32) -> ScanFilter {
-    let height = ScanFilter::HeightRange {
+/// The height half of the descendant side's pushdown: a matching
+/// descendant sits strictly *below* height `h` (the `d_key` guard), so the
+/// window `[0, h - 1]` is a necessary condition and pruning by it cannot
+/// lose a pair. SHCJ and MHCJ+Rollup conjoin it onto the envelope clip
+/// ([`JoinCtx::clip`]). At `h = 0` the window degenerates to `[0, 0]`,
+/// over-admitting height-0 descendants; they produce no pairs anyway
+/// (`d_key` yields `None`).
+pub(crate) fn below_height(h: u32) -> ScanFilter {
+    ScanFilter::HeightRange {
         min: 0,
         max: h.saturating_sub(1),
-    };
-    match a.bounds() {
-        Some((lo, hi)) => ScanFilter::RegionOverlap { start: lo, end: hi }.and(height),
-        None => height,
     }
 }
 
@@ -61,22 +65,26 @@ pub(crate) fn d_side_filter(a: &HeapFile<Element>, h: u32) -> ScanFilter {
 /// `plan` (height inspection) and `probe` (the hash equijoin, including
 /// any Grace partitioning it decides to do).
 ///
-/// The descendant scan (whichever role it plays in the equijoin) carries a
-/// [`d_side_filter`] pushdown: when `A` is one height partition of a
-/// larger set — the MHCJ case — the partition's zone clips the shared `D`
-/// scan to the pages that can contain its descendants, a semi-join-style
-/// pruning at zero I/O per skipped page.
+/// Both scans follow the envelope rule ([`JoinCtx::clip`]): `A` is
+/// clipped by `D`'s envelope, and `D` by `A`'s with the [`below_height`]
+/// window conjoined. When `A` is one height partition of a larger set —
+/// the MHCJ case — the partition's zone clips the shared `D` scan to the
+/// pages that can contain its descendants, a semi-join-style pruning at
+/// zero I/O per skipped page.
 pub(crate) fn shcj_inner(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<(u64, u64), JoinError> {
-    let Some(h) = ctx.phase("plan", || single_height_of(ctx, a))? else {
+    let Some(clip) = ctx.clip(a, d) else {
         return Ok((0, 0));
     };
-    let d_opts = ctx.pruned(d_side_filter(a, h));
-    let a_opts = ctx.read_opts();
+    let Some(h) = ctx.phase("plan", || single_height_of(ctx, a, clip.a))? else {
+        return Ok((0, 0));
+    };
+    let d_opts = clip.d_and(below_height(h));
+    let a_opts = clip.a;
     // `Cell`: the A-key closure is `Fn` (shared by partitioning and build
     // passes) but must record a violation it encounters.
     let height_violation = std::cell::Cell::new(None::<u32>);

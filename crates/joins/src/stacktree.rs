@@ -10,9 +10,9 @@
 //! operator sorts them with the external merge sort first and its cost is
 //! charged to the join, exactly like the MIN_RGN baselines in the paper.
 
-use pbitree_storage::{external_sort_with, HeapFile, TempFile};
+use pbitree_storage::{external_sort_with, HeapFile, ScanPos, TempFile};
 
-use crate::batch::ElementBatch;
+use crate::batch::{seek_page, ElementBatch};
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::sink::PairSink;
@@ -67,25 +67,38 @@ pub fn stack_tree_desc(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("stack_tree_desc", || {
+        let Some(clip) = ctx.clip(a, d) else {
+            return Ok((0, 0));
+        };
         let sorted = sorted_inputs(ctx, a, d, policy)?;
         let (sa, sd) = sorted.as_ref().map_or((a, d), |(sa, sd)| (sa, sd));
         ctx.phase_counted("merge", || {
-            merge_with_stack(ctx, sa, sd, sink).map(|p| (p, 0))
+            merge_with_stack(ctx, sa, sd, clip.d_seek, sink).map(|p| (p, 0))
         })
     })
 }
 
+/// The merge. `d_seek` is the envelope rule for a doc-ordered stream: no
+/// descendant before A's first start can pair, so `D` opens at the page
+/// [`seek_page`] finds for that key instead of filtering; the merge
+/// gallops over the page's earlier records like any unmatched run. Past
+/// A's envelope it stops on its own, once `A` is exhausted and the stack
+/// is empty.
 fn merge_with_stack(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
     d: &HeapFile<Element>,
+    d_seek: Option<u128>,
     sink: &mut dyn PairSink,
 ) -> Result<u64, JoinError> {
     // Two concurrent merge streams: split the read-ahead depth so they do
     // not evict each other's prefetched frames.
     let opts = ctx.read_opts().shared(2);
     let mut sa = a.scan_with(&ctx.pool, opts);
-    let mut sd = d.scan_with(&ctx.pool, opts);
+    let d_page = d_seek
+        .and_then(|lb| seek_page(&*ctx.pool.file_zones(d.file_id())?, lb))
+        .unwrap_or(0);
+    let mut sd = d.scan_at_with(&ctx.pool, ScanPos::at(d_page, 0), opts);
     // Both streams decode page-at-a-time into columnar batches; merge
     // decisions gallop over the batch columns instead of branching per
     // record.
@@ -294,5 +307,42 @@ mod tests {
                 .pairs,
             0
         );
+    }
+
+    #[test]
+    fn sorted_descendants_seek_past_pages_before_the_ancestors() {
+        // D: 3000 leaves in document order. A: one height-11 ancestor,
+        // region [4097, 8191], so D's leaves below 4097 fill pages that
+        // end before A's envelope.
+        let per_page = pbitree_storage::records_per_page::<Element>();
+        let leaves: Vec<u64> = (0..3000u64).map(|i| 2 * i + 1).collect();
+        let anc = 3u64 << 11;
+        let k = leaves
+            .chunks(per_page)
+            .filter(|p| p[p.len() - 1] < 4097)
+            .count() as u64;
+        assert!(k >= 2, "fixture must put whole pages before A");
+        for prune in [true, false] {
+            let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(18).unwrap(), 8)
+                .prune(prune)
+                .build();
+            let a = element_file(&c.pool, [(anc, 0)]).unwrap();
+            let d = element_file(&c.pool, leaves.iter().map(|&v| (v, 1))).unwrap();
+            let before = c.pool.pool_stats();
+            let mut got = CollectSink::default();
+            stack_tree_desc(&c, &a, &d, SortPolicy::AssumeSorted, &mut got).unwrap();
+            let d_reads = c.pool.pool_stats().since(&before).requests() - a.pages() as u64;
+            let mut expect = CollectSink::default();
+            block_nested_loop(&c, &a, &d, &mut expect).unwrap();
+            assert_eq!(got.canonical(), expect.canonical(), "prune={prune}");
+            if prune {
+                assert!(
+                    d_reads <= d.pages() as u64 - k + 1,
+                    "read {d_reads} D pages"
+                );
+            } else {
+                assert_eq!(d_reads, d.pages() as u64);
+            }
+        }
     }
 }

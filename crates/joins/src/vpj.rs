@@ -192,14 +192,13 @@ fn vpj_rec<'a>(
 ) -> Result<((u64, u64), Vec<VpjTask<'a>>), JoinError> {
     let budget = ctx.budget().saturating_sub(RESERVE).max(1);
     let fits = |pa: u32, pd: u32| (pa as usize) <= budget || (pd as usize) <= budget;
-    // Zone short-circuit: a pair requires the descendant's region inside
-    // the ancestor's, so disjoint catalog envelopes prove the whole
-    // pairing empty — no scan, no partitioning pass. Counted as a purge
-    // (it is one, at subtree granularity).
-    if ctx.prune() && envelopes_disjoint(a, d) {
+    // The envelope rule: disjoint envelopes prove the whole pairing
+    // empty — no scan, no partitioning pass. Counted as a purge (it is
+    // one, at subtree granularity).
+    let Some(clip) = ctx.clip(a, d) else {
         report.purged += 1;
         return Ok(((0, 0), Vec::new()));
-    }
+    };
     // Base case (a): one side already fits -> I/O-optimal memory join. Its
     // own `load`/`probe` phases double as this operator's.
     if fits(a.pages(), d.pages()) {
@@ -278,19 +277,15 @@ fn vpj_rec<'a>(
     );
 
     // Each side's partitioning scan is clipped by the *other* side's
-    // catalog envelope: containment makes overlap with the opposite
-    // envelope necessary for every pair, so pages the zone map proves
-    // irrelevant are never read and their records never partitioned (or
-    // replicated) at all.
-    let a_popts = ctx.overlap_opts(d.bounds());
-    let d_popts = ctx.overlap_opts(a.bounds());
+    // envelope, so pages the zone map proves irrelevant are never read
+    // and their records never partitioned (or replicated) at all.
     let parts_a = ctx.phase("partition", || {
         let role = PartitionRole::Ancestor;
-        partition_pass(ctx, a, l, window, span, role, report, a_popts)
+        partition_pass(ctx, a, l, window, span, role, report, clip.a)
     })?;
     let parts_d = ctx.phase("partition", || {
         let role = PartitionRole::Descendant;
-        partition_pass(ctx, d, l, window, span, role, report, d_popts)
+        partition_pass(ctx, d, l, window, span, role, report, clip.d)
     })?;
 
     // Purge, then greedily merge into groups satisfying the memory-join
@@ -304,7 +299,7 @@ fn vpj_rec<'a>(
     let (mut sum_a, mut sum_d) = (0u32, 0u32); // pages of the open group
     for (idx, slot) in (span.0..).zip(parts_a.into_iter().zip(parts_d)) {
         let (fa, fd) = match slot {
-            (Some(fa), Some(fd)) if !(ctx.prune() && envelopes_disjoint(&fa, &fd)) => (fa, fd),
+            (Some(fa), Some(fd)) if ctx.clip(&fa, &fd).is_some() => (fa, fd),
             (None, None) => continue,
             _ => {
                 report.purged += 1;
@@ -347,18 +342,6 @@ fn vpj_rec<'a>(
         }
     }
     Ok(((0, 0), tasks))
-}
-
-/// Whether two element files' catalog region envelopes provably cannot
-/// contain a (ancestor, descendant) pair: containment implies overlap, so
-/// disjoint envelopes are a proof of emptiness. Files without bounds
-/// (never the case for non-empty element files) are conservatively
-/// considered overlapping.
-fn envelopes_disjoint(a: &HeapFile<Element>, d: &HeapFile<Element>) -> bool {
-    match (a.bounds(), d.bounds()) {
-        (Some((alo, ahi)), Some((dlo, dhi))) => alo > dhi || ahi < dlo,
-        _ => false,
-    }
 }
 
 /// The merged `(min start, max end)` envelope of a group's files, `None`
@@ -481,12 +464,14 @@ fn join_group(
     };
     // Group formation guarantees one side fits the budget, so
     // `sum_d > budget` implies A is the resident side. Each side's scans
-    // are clipped by the opposite side's envelope. A replica dropped by
-    // the filter is dropped from *every* member scan identically, so the
-    // keep() dedup stays consistent — a surviving replica is still kept in
-    // exactly one member.
-    let a_opts = ctx.overlap_opts(group_envelope(gd));
-    let d_opts = ctx.overlap_opts(group_envelope(ga));
+    // are clipped by the opposite side's merged envelope. A replica
+    // dropped by the filter is dropped from *every* member scan
+    // identically, so the keep() dedup stays consistent — a surviving
+    // replica is still kept in exactly one member.
+    let Some(clip) = ctx.clip_envelopes(group_envelope(ga), group_envelope(gd)) else {
+        return Ok((0, 0)); // the purge keeps only overlapping members
+    };
+    let (a_opts, d_opts) = (clip.a, clip.d);
     if (sum_d as usize) <= budget {
         // Load D (no replication on that side), stream deduped A.
         let mut dvec = Vec::new();

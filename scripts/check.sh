@@ -68,10 +68,10 @@ cargo run --release -q -p pbitree-bench --bin ablation -- --study wal --fast \
 echo "== planner-regret smoke (Table 1's pick against every operator)"
 # Runs every operator beside choose_algorithm's pick on the raw_join
 # datasets, XMark B1-B10 and DBLP D1-D10, cold and resident, and asserts
-# (in-binary) on every multi-height row: pages and simulated seconds
-# <= 1.25x the best operator's, and wall <= 1.5x where the best run takes
-# >= 5 ms; on the synthetic single-height row (SLLL): simulated seconds
-# <= 1.25x (the paper's SHCJ ~ VPJ).
+# (in-binary) on every row: pages <= 1.25x the best operator's; on every
+# multi-height row: simulated seconds <= 1.25x, and wall <= 1.5x where
+# the best run takes >= 5 ms; on the synthetic single-height row (SLLL):
+# simulated seconds <= 1.25x (the paper's SHCJ ~ VPJ).
 cargo run --release -q -p pbitree-bench --bin ablation -- --study regret --fast \
     --results /tmp/ab_regret
 
