@@ -3,10 +3,12 @@
 //! [`ElementBatch`] refills from a [`HeapScan`] one page at a time
 //! ([`HeapScan::next_batch`] is page-aligned), decoding each page **once**
 //! and splitting every element's Lemma-3 region into struct-of-arrays
-//! `starts` / `ends` columns. The merge operators (Stack-Tree, ADB+)
-//! then advance by *galloping* over the sorted `starts` column instead of
-//! branching per record, and test containment with a branch-free mask over
-//! the columns ([`ElementBatch::for_each_contained`]).
+//! `starts` / `ends` columns. The doc-ordered merge reads both sides
+//! through a `BatchCursor` — Stack-Tree-Desc with skips off, ADB+ with
+//! skips on — and advances by *galloping* over the sorted `starts` column
+//! instead of branching per record. The shared scan tests containment with
+//! a branch-free mask over the columns
+//! ([`ElementBatch::for_each_contained`]).
 //!
 //! Batches track the [`ScanPos`] of their first element so record-granular
 //! marks inside a batch ([`ElementBatch::pos_of`]) can seed a later rescan
@@ -18,10 +20,13 @@
 //! envelope rule (`JoinCtx::clip`) as a seek (`seek_page`), never as a
 //! filter.
 
+use std::sync::Arc;
+
 use pbitree_core::PBiTreeShape;
-use pbitree_storage::{FileZones, HeapScan, PoolError, ScanPos};
+use pbitree_storage::{BufferPool, FileZones, HeapFile, HeapScan, PoolError, ScanOptions, ScanPos};
 
 use crate::element::Element;
+use crate::sink::PairSink;
 
 /// How a boundary search advances through a batch: step linearly, or
 /// gallop (exponential probe + binary search).
@@ -63,7 +68,6 @@ pub struct ElementBatch {
     elems: Vec<Element>,
     starts: Vec<u64>,
     ends: Vec<u64>,
-    heights: Vec<u32>,
     base: ScanPos,
 }
 
@@ -80,7 +84,6 @@ impl ElementBatch {
             elems: Vec::new(),
             starts: Vec::new(),
             ends: Vec::new(),
-            heights: Vec::new(),
             base: ScanPos::START,
         }
     }
@@ -96,22 +99,15 @@ impl ElementBatch {
         self.elems.clear();
         self.starts.clear();
         self.ends.clear();
-        self.heights.clear();
         // UFCS: through a `&mut` receiver, plain `.position()` resolves to
         // `Iterator::position` via the `impl Iterator for &mut I` blanket.
         self.base = HeapScan::position(scan);
-        let (elems, starts, ends, heights) = (
-            &mut self.elems,
-            &mut self.starts,
-            &mut self.ends,
-            &mut self.heights,
-        );
+        let (elems, starts, ends) = (&mut self.elems, &mut self.starts, &mut self.ends);
         let n = scan.next_batch_each(|e| {
             let (s, t) = e.code.region();
             elems.push(e);
             starts.push(s);
             ends.push(t);
-            heights.push(e.code.height());
         })?;
         if n == 0 {
             return Ok(false);
@@ -157,12 +153,6 @@ impl ElementBatch {
         self.ends[i]
     }
 
-    /// The `i`-th element's node height.
-    #[inline]
-    pub fn height(&self, i: usize) -> u32 {
-        self.heights[i]
-    }
-
     /// The heap-file position of the `i`-th element, for marking a rescan
     /// point inside the batch.
     #[inline]
@@ -171,14 +161,9 @@ impl ElementBatch {
         ScanPos::at(self.base.page(), self.base.idx() + i)
     }
 
-    /// First index in `[from, len)` whose region start is `>= target`.
+    /// First index in `[from, len)` whose region start is `> target`.
     /// Requires document order (starts non-decreasing); galloping search,
     /// O(log distance).
-    pub fn lower_bound_start(&self, from: usize, target: u64) -> usize {
-        gallop(self.starts.len(), from, |i| self.starts[i] >= target)
-    }
-
-    /// First index in `[from, len)` whose region start is `> target`.
     pub fn upper_bound_start(&self, from: usize, target: u64) -> usize {
         gallop(self.starts.len(), from, |i| self.starts[i] > target)
     }
@@ -188,9 +173,9 @@ impl ElementBatch {
         gallop(self.elems.len(), from, |i| self.elems[i].doc_key() >= key)
     }
 
-    /// [`lower_bound_start`](ElementBatch::lower_bound_start) under an
-    /// explicit [`AdvanceMode`] — the shared multi-query scan picks the
-    /// mode once per batch from its probe density.
+    /// First index in `[from, len)` whose region start is `>= target`,
+    /// under an explicit [`AdvanceMode`] — the shared multi-query scan
+    /// picks the mode once per batch from its probe density.
     pub fn lower_bound_start_in(&self, mode: AdvanceMode, from: usize, target: u64) -> usize {
         advance(mode, self.starts.len(), from, |i| self.starts[i] >= target)
     }
@@ -262,7 +247,7 @@ pub(crate) fn ancestor_candidates(shape: PBiTreeShape, elems: &[Element], out: &
 /// element's start, non-decreasing across pages, so the zone map is a
 /// sparse clustered index and the search is a binary search over it.
 /// `None` when a page has no zone entry (the order is then unknown).
-pub(crate) fn seek_page(zones: &FileZones, lb: u128) -> Option<u32> {
+fn seek_page(zones: &FileZones, lb: u128) -> Option<u32> {
     let s_lb = (lb >> 8) as u64;
     let (mut lo, mut hi) = (0u32, zones.len() as u32);
     // Largest page whose zone lo is <= s_lb (first page if none).
@@ -278,6 +263,148 @@ pub(crate) fn seek_page(zones: &FileZones, lb: u128) -> Option<u32> {
         Some(z) if z.lo == s_lb => lo.saturating_sub(1),
         _ => lo,
     })
+}
+
+/// A forward-only cursor over a doc-order-sorted element heap file; the
+/// doc-ordered merge (`stacktree::merge`) reads `A` and `D` through one
+/// each. It opens at the page [`seek_page`] finds for a doc key (the
+/// envelope rule's `d_seek`), or at page 0. With skips on it keeps the
+/// file's zone map and a [`seek`](BatchCursor::seek) binary-searches the
+/// map's page `lo`s, jumps the scan to the chosen page and gallops within
+/// the decoded batch; with skips off it gallops through successive
+/// batches, reading every page. A target behind the cursor leaves it in
+/// place (see `adb::skip_ancestor_cursor`).
+pub(crate) struct BatchCursor<'a> {
+    pool: &'a BufferPool,
+    file: &'a HeapFile<Element>,
+    zones: Option<Arc<FileZones>>,
+    opts: ScanOptions,
+    scan: HeapScan<'a, Element>,
+    batch: ElementBatch,
+    i: usize,
+    cur: Option<Element>,
+}
+
+impl<'a> BatchCursor<'a> {
+    pub(crate) fn open(
+        pool: &'a BufferPool,
+        file: &'a HeapFile<Element>,
+        lb: Option<u128>,
+        skips: bool,
+        opts: ScanOptions,
+    ) -> Result<Self, PoolError> {
+        let zones = pool.file_zones(file.file_id());
+        let page = match (lb, &zones) {
+            (Some(lb), Some(z)) => seek_page(z, lb).unwrap_or(0),
+            _ => 0,
+        };
+        let mut c = BatchCursor {
+            pool,
+            file,
+            zones: zones.filter(|_| skips),
+            opts,
+            scan: file.scan_at_with(pool, ScanPos::at(page, 0), opts),
+            batch: ElementBatch::new(),
+            i: 0,
+            cur: None,
+        };
+        c.settle()?;
+        Ok(c)
+    }
+
+    /// The element under the cursor; `None` once the file is exhausted.
+    #[inline]
+    pub(crate) fn cur(&self) -> Option<Element> {
+        self.cur
+    }
+
+    /// Restores the `cur` invariant after `i` moved: refills forward until
+    /// `i` indexes a batch element, or the file ends (`cur = None`).
+    fn settle(&mut self) -> Result<(), PoolError> {
+        while self.i >= self.batch.len() {
+            if !self.batch.refill(&mut self.scan)? {
+                self.cur = None;
+                return Ok(());
+            }
+            self.i = 0;
+        }
+        self.land();
+        Ok(())
+    }
+
+    /// Makes batch element `i` current. Doc keys never decrease along the
+    /// cursor, so an unsorted input under `AssumeSorted` trips the check.
+    fn land(&mut self) -> Option<Element> {
+        let next = self.batch.get(self.i);
+        debug_assert!(
+            self.cur.is_none_or(|c| c.doc_key() <= next.doc_key()),
+            "input not in document order: {:?} after {:?}",
+            next.code,
+            self.cur.map(|c| c.code)
+        );
+        self.cur = Some(next);
+        self.cur
+    }
+
+    pub(crate) fn advance(&mut self) -> Result<(), PoolError> {
+        self.i += 1;
+        self.settle()
+    }
+
+    /// Emits `(s, d)` for every entry `s` of the open-ancestor `stack` and
+    /// every descendant `d` of the run at the cursor, in descendant order;
+    /// returns the pairs emitted. The run stays inside the stack top's
+    /// region (entries below the top are its ancestors, so each entry
+    /// contains each `d` but itself) and ends before the first doc key
+    /// `>= limit` (the next pending ancestor) or at the batch end. Leaves
+    /// the cursor on the first element after the run.
+    pub(crate) fn drain_contained(
+        &mut self,
+        stack: &[Element],
+        limit: Option<u128>,
+        sink: &mut dyn PairSink,
+    ) -> Result<u64, PoolError> {
+        let top = stack.last().expect("a run drains against an open ancestor");
+        let mut hi = self.batch.upper_bound_start(self.i, top.end());
+        if let Some(k) = limit {
+            hi = hi.min(self.batch.gallop_key_ge(self.i, k));
+        }
+        let mut pairs = 0u64;
+        for i in self.i..hi {
+            let d = self.batch.get(i);
+            for s in stack {
+                if s.code != d.code {
+                    pairs += 1;
+                    sink.emit(*s, d);
+                }
+            }
+        }
+        self.i = hi;
+        self.settle()?;
+        Ok(pairs)
+    }
+
+    /// Repositions to the first element with doc key `>= lb` (forward
+    /// only). Returns the element found (also the new [`cur`](Self::cur)).
+    pub(crate) fn seek(&mut self, lb: u128) -> Result<Option<Element>, PoolError> {
+        let jump = self.zones.as_ref().and_then(|z| seek_page(z, lb));
+        if let Some(target) =
+            jump.filter(|&t| self.cur.is_some() && t > self.batch.pos_of(0).page())
+        {
+            self.scan = self
+                .file
+                .scan_at_with(self.pool, ScanPos::at(target, 0), self.opts);
+            self.i = self.batch.len(); // the next settle refills from the target
+        }
+        while self.cur.is_some() {
+            self.i = self.batch.gallop_key_ge(self.i, lb);
+            if self.i < self.batch.len() {
+                return Ok(self.land());
+            }
+            self.settle()?;
+        }
+        Ok(None)
+    }
 }
 
 fn advance(mode: AdvanceMode, len: usize, from: usize, pred: impl Fn(usize) -> bool) -> usize {
@@ -381,10 +508,11 @@ mod tests {
         while b.refill(&mut s).unwrap() {
             for from in [0, b.len() / 3, b.len()] {
                 for target in [0u64, 5, 333, 1 << 18] {
+                    let first_ge = (from..b.len()).find(|&i| b.start(i) >= target);
                     for mode in [AdvanceMode::Merge, AdvanceMode::Gallop] {
                         assert_eq!(
                             b.lower_bound_start_in(mode, from, target),
-                            b.lower_bound_start(from, target)
+                            first_ge.unwrap_or(b.len())
                         );
                         assert_eq!(
                             b.upper_bound_start_in(mode, from, target),
@@ -474,7 +602,6 @@ mod tests {
             let mut b = ElementBatch::new();
             while b.refill(&mut s).unwrap() {
                 for i in 0..b.len() {
-                    assert_eq!(b.height(i), b.get(i).code.height());
                     assert_eq!((b.start(i), b.end(i)), b.get(i).code.region());
                     out.push(b.get(i));
                 }

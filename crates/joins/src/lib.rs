@@ -14,7 +14,7 @@
 //! | [`memjoin`] | Memory-Containment-Join | Alg. 6 | one side fits in memory |
 //! | [`inljn`] | index nested loop (B+-tree, built on the fly) | \[20\] adapted | index (built) |
 //! | [`stacktree`] | Stack-Tree-Desc (sorted on the fly) | \[1\] adapted | sorted inputs |
-//! | [`adb`] | Anc_Des_B+ with skip probes | \[4\] adapted | sorted + indexed |
+//! | [`adb`] | Anc_Des_B+: Stack-Tree's merge with skips on | \[4\] adapted | sorted + indexed |
 //! | [`planner`] | the Table-1 algorithm-selection framework | Table 1 | — |
 //! | [`sharded`] | one join task per region-range shard, each over its own pool | — | — |
 //!

@@ -3,6 +3,10 @@
 # Fails fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Every output lands in one private directory, so two checkouts can run
+# the gate at once.
+OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
@@ -34,36 +38,36 @@ CRASH_SWEEP_SEED=$RAND_SEED cargo test -q --test crash_recovery crash_sweep_rand
 
 echo "== vectored-I/O ablation smoke (prefetch off vs on: identical results)"
 cargo run --release -q -p pbitree-bench --bin ablation -- --study rollup --fast \
-    --readahead 0 --results /tmp/ab_off
+    --readahead 0 --results "$OUT/ab_off"
 cargo run --release -q -p pbitree-bench --bin ablation -- --study rollup --fast \
-    --readahead 8 --results /tmp/ab_on
+    --readahead 8 --results "$OUT/ab_on"
 # The `#` header lines name the command, which differs between the legs.
-diff <(grep -v '^#' /tmp/ab_off/ablation_rollup.tsv | cut -f1-4) \
-    <(grep -v '^#' /tmp/ab_on/ablation_rollup.tsv | cut -f1-4) \
+diff <(grep -v '^#' "$OUT/ab_off/ablation_rollup.tsv" | cut -f1-4) \
+    <(grep -v '^#' "$OUT/ab_on/ablation_rollup.tsv" | cut -f1-4) \
     || { echo "ablation smoke failed: prefetch changed result counts"; exit 1; }
 # The depth panel additionally asserts (in-binary) that every read-ahead
 # depth produces the same pairs while the simulated disk time drops.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study io --fast \
-    --results /tmp/ab_on
+    --results "$OUT/ab_on"
 
 echo "== zone-map pruning ablation smoke (identical pairs, strictly fewer reads)"
 # The panel asserts (in-binary) that pruned pair counts match the unpruned
 # baseline while MHCJ/MHCJ+Rollup/VPJ read strictly fewer pages.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study prune --fast \
-    --results /tmp/ab_prune
+    --results "$OUT/ab_prune"
 
 echo "== compressed-page ablation smoke (identical pairs, fewer reads, smaller bytes)"
 # The panel asserts (in-binary) that packed pair counts match the raw
 # baseline while MHCJ/MHCJ+Rollup/VPJ read strictly fewer pages and the
 # packed byte footprint shrinks, with pruning on.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study compress --fast \
-    --results /tmp/ab_compress
+    --results "$OUT/ab_compress"
 
 echo "== WAL ablation smoke (durable insert throughput, recovery check in-binary)"
 # The panel asserts (in-binary) that a crash-shaped restart recovers every
 # committed insert, with the base file packed off and on.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study wal --fast \
-    --results /tmp/ab_wal
+    --results "$OUT/ab_wal"
 
 echo "== planner-regret smoke (Table 1's pick against every operator)"
 # Runs every operator beside choose_algorithm's pick on the raw_join
@@ -73,48 +77,46 @@ echo "== planner-regret smoke (Table 1's pick against every operator)"
 # the best run takes >= 5 ms; on the synthetic single-height row (SLLL):
 # simulated seconds <= 1.25x (the paper's SHCJ ~ VPJ).
 cargo run --release -q -p pbitree-bench --bin ablation -- --study regret --fast \
-    --results /tmp/ab_regret
+    --results "$OUT/ab_regret"
 
 echo "== trace smoke (--trace writes schema-v1 JSONL)"
-TRACE=$(mktemp /tmp/pbitree-trace-XXXX.jsonl)
+TRACE="$OUT/trace.jsonl"
 cargo run --release -q -p pbitree-bench --bin table2 -- --part e --fast \
-    --results /tmp/results --trace "$TRACE"
+    --results "$OUT/results" --trace "$TRACE"
 head -1 "$TRACE" | grep -q '"v":1' || { echo "trace smoke failed: bad first line"; exit 1; }
-rm -f "$TRACE"
 
 echo "== query-service smoke (serve + loadgen over TCP, serial-equivalent responses)"
 # Starts the server on an OS-assigned port (discovered via --addr-file),
 # drives it with concurrent clients — the load generator exits non-zero on
 # any error or any response that differs from its serial baseline — then
 # shuts it down over the protocol and checks the per-query span trace.
-ADDR_FILE=$(mktemp -u /tmp/pbitree-serve-XXXX.addr)
-SRV_TRACE=$(mktemp /tmp/pbitree-serve-XXXX.jsonl)
+ADDR_FILE="$OUT/serve.addr"
+SRV_TRACE="$OUT/serve.jsonl"
 ./target/release/pbitree-serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" \
     --sf 0.005 --trace "$SRV_TRACE" &
 SRV_PID=$!
 for _ in $(seq 1 100); do [ -f "$ADDR_FILE" ] && break; sleep 0.1; done
 [ -f "$ADDR_FILE" ] || { echo "server smoke failed: server never published its address"; kill "$SRV_PID"; exit 1; }
 ./target/release/pbitree-loadgen --addr "$(cat "$ADDR_FILE")" --clients 25 --requests 4 \
-    --seed 11 --shutdown --out /tmp/loadgen_report.json
+    --seed 11 --shutdown --out "$OUT/loadgen_report.json"
 wait "$SRV_PID" || { echo "server smoke failed: server exited non-zero"; exit 1; }
-grep -q '"errors": 0' /tmp/loadgen_report.json || { echo "server smoke failed: loadgen errors"; exit 1; }
-grep -q '"p99_ms"' /tmp/loadgen_report.json || { echo "server smoke failed: report missing percentiles"; exit 1; }
+grep -q '"errors": 0' "$OUT/loadgen_report.json" || { echo "server smoke failed: loadgen errors"; exit 1; }
+grep -q '"p99_ms"' "$OUT/loadgen_report.json" || { echo "server smoke failed: report missing percentiles"; exit 1; }
 head -1 "$SRV_TRACE" | grep -q '"v":1' || { echo "server smoke failed: bad trace"; exit 1; }
-rm -f "$ADDR_FILE" "$SRV_TRACE"
 
 echo "== batched-query smoke (QUERYBATCH shared scan + loadgen byte-comparison)"
 # The shared-scan panel asserts (in-binary) that a batch of k queries
 # returns pair-identical results to k serial passes while a batch of 16
 # reads >= 4x fewer pages than 16 serial scans.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study shared --fast \
-    --results /tmp/ab_shared
+    --results "$OUT/ab_shared"
 # Embedded loadgen leg mixing QUERY and QUERYBATCH: exits non-zero on any
 # error or any sub-response that differs byte-for-byte from its serial
 # baseline.
 ./target/release/pbitree-loadgen --embedded --sf 0.005 --clients 8 --requests 6 \
-    --batch 4 --seed 3 --out /tmp/batch_report.json
-grep -q '"errors": 0' /tmp/batch_report.json || { echo "batch smoke failed: loadgen errors"; exit 1; }
-grep -q '"mismatches": 0' /tmp/batch_report.json || { echo "batch smoke failed: batched responses diverged"; exit 1; }
+    --batch 4 --seed 3 --out "$OUT/batch_report.json"
+grep -q '"errors": 0' "$OUT/batch_report.json" || { echo "batch smoke failed: loadgen errors"; exit 1; }
+grep -q '"mismatches": 0' "$OUT/batch_report.json" || { echo "batch smoke failed: batched responses diverged"; exit 1; }
 
 echo "== perf harness smoke (all four benchmark workloads at 5 % scale, oracles on)"
 # Builds the standalone perf/ package against the crates and runs each
