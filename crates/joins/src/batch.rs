@@ -10,15 +10,11 @@
 //! a branch-free mask over the columns
 //! ([`ElementBatch::for_each_contained`]).
 //!
-//! Batches track the [`ScanPos`] of their first element so record-granular
-//! marks inside a batch ([`ElementBatch::pos_of`]) can seed a later rescan
-//! or tell a seeking cursor which page it is on. Position tracking assumes an
-//! **unfiltered** scan: a pushdown filter drops records between the page
-//! offsets and the batch indices, so the mapping `batch[i] = (page,
-//! base_idx + i)` would no longer hold (debug-asserted in
-//! [`ElementBatch::refill`]). A batch-read stream therefore takes the
-//! envelope rule (`JoinCtx::clip`) as a seek (`seek_page`), never as a
-//! filter.
+//! A batch records the page it was decoded from ([`ElementBatch::page`]),
+//! which tells a seeking cursor where it stands. The page is read back
+//! from the scan after the refill, so it is right for filtered scans too:
+//! a scan whose pushdown filter skips pages (the shared scan's union
+//! envelope) lands on a later page, and the batch says which.
 
 use std::sync::Arc;
 
@@ -68,7 +64,7 @@ pub struct ElementBatch {
     elems: Vec<Element>,
     starts: Vec<u64>,
     ends: Vec<u64>,
-    base: ScanPos,
+    page: u32,
 }
 
 impl Default for ElementBatch {
@@ -84,7 +80,7 @@ impl ElementBatch {
             elems: Vec::new(),
             starts: Vec::new(),
             ends: Vec::new(),
-            base: ScanPos::START,
+            page: 0,
         }
     }
 
@@ -99,9 +95,6 @@ impl ElementBatch {
         self.elems.clear();
         self.starts.clear();
         self.ends.clear();
-        // UFCS: through a `&mut` receiver, plain `.position()` resolves to
-        // `Iterator::position` via the `impl Iterator for &mut I` blanket.
-        self.base = HeapScan::position(scan);
         let (elems, starts, ends) = (&mut self.elems, &mut self.starts, &mut self.ends);
         let n = scan.next_batch_each(|e| {
             let (s, t) = e.code.region();
@@ -112,14 +105,10 @@ impl ElementBatch {
         if n == 0 {
             return Ok(false);
         }
-        // Page alignment: the batch is exactly the remainder of the page
-        // `base` points into, so the scan now sits at the next page's first
-        // record. Holds for unfiltered scans over writer-produced files
-        // (no empty interior pages) — the precondition for `pos_of` marks.
-        debug_assert_eq!(
-            HeapScan::position(scan),
-            ScanPos::at(self.base.page() + 1, 0)
-        );
+        // A batch is the rest of one page, so the scan now sits at the
+        // start of the page after it. UFCS: through a `&mut` receiver,
+        // plain `.position()` resolves to `Iterator::position`.
+        self.page = HeapScan::position(scan).page() - 1;
         Ok(true)
     }
 
@@ -147,18 +136,10 @@ impl ElementBatch {
         self.starts[i]
     }
 
-    /// The `i`-th element's region end.
+    /// The heap-file page the batch was decoded from.
     #[inline]
-    pub fn end(&self, i: usize) -> u64 {
-        self.ends[i]
-    }
-
-    /// The heap-file position of the `i`-th element, for marking a rescan
-    /// point inside the batch.
-    #[inline]
-    pub fn pos_of(&self, i: usize) -> ScanPos {
-        debug_assert!(i < self.len());
-        ScanPos::at(self.base.page(), self.base.idx() + i)
+    pub fn page(&self) -> u32 {
+        self.page
     }
 
     /// First index in `[from, len)` whose region start is `> target`.
@@ -388,9 +369,7 @@ impl<'a> BatchCursor<'a> {
     /// only). Returns the element found (also the new [`cur`](Self::cur)).
     pub(crate) fn seek(&mut self, lb: u128) -> Result<Option<Element>, PoolError> {
         let jump = self.zones.as_ref().and_then(|z| seek_page(z, lb));
-        if let Some(target) =
-            jump.filter(|&t| self.cur.is_some() && t > self.batch.pos_of(0).page())
-        {
+        if let Some(target) = jump.filter(|&t| self.cur.is_some() && t > self.batch.page()) {
             self.scan = self
                 .file
                 .scan_at_with(self.pool, ScanPos::at(target, 0), self.opts);
@@ -566,7 +545,7 @@ mod tests {
         let mut b = ElementBatch::new();
         while b.refill(&mut s).unwrap() {
             for i in 0..b.len() {
-                assert_eq!((b.start(i), b.end(i)), b.get(i).code.region());
+                assert_eq!((b.start(i), b.get(i).end()), b.get(i).code.region());
                 batched.push(b.get(i));
             }
         }
@@ -602,7 +581,7 @@ mod tests {
             let mut b = ElementBatch::new();
             while b.refill(&mut s).unwrap() {
                 for i in 0..b.len() {
-                    assert_eq!((b.start(i), b.end(i)), b.get(i).code.region());
+                    assert_eq!((b.start(i), b.get(i).end()), b.get(i).code.region());
                     out.push(b.get(i));
                 }
             }
@@ -612,7 +591,8 @@ mod tests {
     }
 
     #[test]
-    fn pos_of_marks_resume_exactly() {
+    fn batch_page_names_the_page_it_was_decoded_from() {
+        use pbitree_storage::{ScanFilter, ScanOptions};
         let c = ctx(8);
         let per_page = records_per_page::<Element>();
         let n = per_page * 3 + 7; // several pages plus a partial tail
@@ -623,13 +603,21 @@ mod tests {
         // index, then resume there and check the stream lines up.
         let mut s = f.scan(&c.pool);
         let mut b = ElementBatch::new();
-        assert!(b.refill(&mut s).unwrap()); // page 0
-        assert!(b.refill(&mut s).unwrap()); // page 1
+        assert!(b.refill(&mut s).unwrap());
+        assert_eq!(b.page(), 0);
+        assert!(b.refill(&mut s).unwrap());
+        assert_eq!(b.page(), 1);
         let i = b.len() / 2;
-        let mark = b.pos_of(i);
-        let expect = b.get(i);
-        let mut resumed = f.scan_at_with(&c.pool, mark, pbitree_storage::ScanOptions::default());
-        assert_eq!(resumed.next_record().unwrap(), Some(expect));
+        let mark = ScanPos::at(b.page(), i);
+        let mut resumed = f.scan_at_with(&c.pool, mark, ScanOptions::default());
+        assert_eq!(resumed.next_record().unwrap(), Some(b.get(i)));
+        // A filter whose window starts on page 2 skips pages 0 and 1
+        // unread: the first batch comes from page 2.
+        let start = codes[2 * per_page];
+        let window = ScanFilter::RegionOverlap { start, end: start };
+        let mut s = f.scan_with(&c.pool, ScanOptions::default().with_filter(window));
+        assert!(b.refill(&mut s).unwrap());
+        assert_eq!((b.page(), b.get(0).code.get()), (2, start));
     }
 
     #[test]

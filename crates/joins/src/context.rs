@@ -306,10 +306,9 @@ impl JoinCtx {
     /// nothing. Otherwise each side's read options carry a
     /// `RegionOverlap` filter on the *other* side's envelope.
     ///
-    /// Two consumers take less than the filters. A doc-ordered stream
-    /// read through [`crate::batch::ElementBatch`] must stay unfiltered
-    /// (its batches are page-aligned), so Stack-Tree seeks its
-    /// descendant side to [`Clipped::d_seek`] instead. MHCJ+Rollup keeps
+    /// Two consumers take less than the filters. The doc-ordered merge
+    /// (Stack-Tree, ADB+) opens its descendant side at
+    /// [`Clipped::d_seek`] instead of filtering it. MHCJ+Rollup keeps
     /// its ancestor side unclipped: its false hits are rolled candidates
     /// the clip would drop, and Table 2(f) counts them as the paper does.
     ///
@@ -318,9 +317,9 @@ impl JoinCtx {
         self.clip_envelopes(a.bounds(), d.bounds())
     }
 
-    /// [`clip`](JoinCtx::clip) over envelopes already in hand — VPJ's
-    /// merged group envelopes. `None` for an envelope means "unknown"
-    /// (never disjoint, nothing pushed down).
+    /// [`clip`](JoinCtx::clip) over envelopes already in hand — the
+    /// memory join's folds over its member files. `None` for an envelope
+    /// means "unknown" (never disjoint, nothing pushed down).
     pub(crate) fn clip_envelopes(
         &self,
         a: Option<(u64, u64)>,
@@ -423,6 +422,16 @@ impl JoinCtx {
     #[inline]
     pub fn budget(&self) -> usize {
         self.budget
+    }
+
+    /// The residency rule: how many pages of one side an operator may hold
+    /// in memory, `b − 2` (at least 1), leaving a frame for the scan that
+    /// streams past it and one for output. Algorithm 6's side choice,
+    /// VPJ's fit test and partition fan-out, and the hash join's build
+    /// limit all read it.
+    #[inline]
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.budget.saturating_sub(2).max(1)
     }
 
     /// How many [`Element`]s fit in `pages` buffer pages — the sizing rule

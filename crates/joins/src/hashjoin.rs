@@ -24,9 +24,6 @@ use pbitree_storage::{FixedRecord, HeapFile, HeapWriter, ScanOptions, TempFile};
 
 use crate::context::{try_for_each, JoinCtx, JoinError};
 
-/// Pages reserved for the scan + output frames inside a budget.
-const RESERVE: usize = 2;
-
 /// Hash-equijoin `build ⋈ probe` on u64 keys.
 ///
 /// Either key extractor returning `None` drops its tuple (SHCJ uses this
@@ -99,7 +96,7 @@ where
     KP: Fn(&P) -> Option<u64>,
     M: FnMut(&B, &P),
 {
-    let budget_elems = ctx.elements_per_pages_of::<B>(ctx.budget().saturating_sub(RESERVE).max(1));
+    let budget_elems = ctx.elements_per_pages_of::<B>(ctx.resident_pages());
     if build.records() as usize <= budget_elems {
         probe_in_memory(
             ctx, build, probe, build_opts, probe_opts, build_key, probe_key, on_match,
@@ -157,8 +154,7 @@ const MAX_GRACE_DEPTH: u32 = 8;
 /// likely to fit, bounded by the writer buffers we can afford (`b - 1`,
 /// as in the textbook Grace join).
 fn partition_count(ctx: &JoinCtx, build_pages: u32) -> usize {
-    let b = ctx.budget().saturating_sub(RESERVE).max(1);
-    let want = (build_pages as usize).div_ceil(b) + 1;
+    let want = (build_pages as usize).div_ceil(ctx.resident_pages()) + 1;
     want.clamp(2, (ctx.budget().saturating_sub(1)).max(2))
 }
 

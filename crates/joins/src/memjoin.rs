@@ -1,7 +1,11 @@
 //! Memory-Containment-Join (Algorithm 6): one side fits in memory.
 //!
-//! The two I/O-optimal base cases VPJ reduces everything to
-//! (cost `‖A‖ + ‖D‖`):
+//! The I/O-optimal base case VPJ reduces everything to (cost `‖A‖ + ‖D‖`),
+//! and the crate's one in-memory containment join: VPJ's base case, each
+//! of VPJ's merged partition groups and [`memory_containment_join`] run
+//! the same body. Each side is a list of member files (a lone file is the
+//! one-member case), and one rule picks the resident side: the first of
+//! `D`, `A` within `JoinCtx::resident_pages` (`b − 2`).
 //!
 //! * **`D` fits** — load and sort the descendants by code; each ancestor's
 //!   subtree is the contiguous code range `[start, end]` (Lemma 3), so one
@@ -10,9 +14,16 @@
 //!   resident: roll every ancestor to the topmost occupied height, build a
 //!   hash multimap on the rolled code, stream `D`, filter false hits with
 //!   Lemma 1.
+//!
+//! VPJ replicates a spanning ancestor into every partition of its range,
+//! so a group's ancestor members can hold copies of one element; the
+//! caller's `keep` predicate admits exactly one of them (see
+//! [`crate::vpj`]).
+
+use std::ops::Deref;
 
 use pbitree_storage::util::FxHashMap;
-use pbitree_storage::HeapFile;
+use pbitree_storage::{HeapFile, ScanOptions};
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
@@ -25,7 +36,7 @@ use crate::sink::PairSink;
 /// bits: `dir[k]` is the first position whose `code >> shift` is at least
 /// `k`, and the search runs inside one bucket. `shift` leaves at most
 /// `n / 4` buckets, so `dir` costs at most about `n` bytes.
-pub(crate) struct SortedDescendants {
+struct SortedDescendants {
     sorted: Vec<Element>,
     dir: Vec<u32>,
     shift: u32,
@@ -33,7 +44,7 @@ pub(crate) struct SortedDescendants {
 
 impl SortedDescendants {
     /// Takes ownership of the loaded descendant tuples.
-    pub(crate) fn new(mut v: Vec<Element>) -> Self {
+    fn new(mut v: Vec<Element>) -> Self {
         v.sort_unstable_by_key(|e| e.code);
         let max = v.last().map_or(0, |e| e.code.get());
         let shift = (64 - max.leading_zeros())
@@ -55,7 +66,7 @@ impl SortedDescendants {
     }
 
     /// Emits all descendants of `a`; returns the pair count.
-    pub(crate) fn probe(&self, a: Element, sink: &mut dyn PairSink) -> u64 {
+    fn probe(&self, a: Element, sink: &mut dyn PairSink) -> u64 {
         let (start, end) = a.code.region();
         let k = (start >> self.shift) as usize;
         let lo = match self.dir.get(k..k + 2) {
@@ -81,13 +92,13 @@ impl SortedDescendants {
 
 /// Ancestors resident in memory, rolled up to their topmost occupied
 /// height (the in-memory MHCJ+Rollup of Algorithm 6's `else` branch).
-pub(crate) struct RolledAncestors {
+struct RolledAncestors {
     anchor: u32,
     map: FxHashMap<u64, Vec<Element>>,
 }
 
 impl RolledAncestors {
-    pub(crate) fn new(v: Vec<Element>) -> Self {
+    fn new(v: Vec<Element>) -> Self {
         let anchor = v.iter().map(|e| e.code.height()).max().unwrap_or(0);
         let mut map: FxHashMap<u64, Vec<Element>> =
             FxHashMap::with_capacity_and_hasher(v.len(), Default::default());
@@ -100,7 +111,7 @@ impl RolledAncestors {
     }
 
     /// Emits all ancestors of `d`; returns `(pairs, false_hits)`.
-    pub(crate) fn probe(&self, d: Element, sink: &mut dyn PairSink) -> (u64, u64) {
+    fn probe(&self, d: Element, sink: &mut dyn PairSink) -> (u64, u64) {
         if d.code.height() >= self.anchor {
             return (0, 0);
         }
@@ -120,9 +131,11 @@ impl RolledAncestors {
     }
 }
 
-/// Checks the fit precondition and says which side to load.
+/// Algorithm 6's side rule: `true` loads D, `false` loads A. The side
+/// that fits [`JoinCtx::resident_pages`] stays resident, D first. Errors
+/// with [`JoinError::NeitherSideFits`] when neither does.
 fn pick_side(ctx: &JoinCtx, a_pages: u32, d_pages: u32) -> Result<bool, JoinError> {
-    let budget = ctx.budget().saturating_sub(1).max(1);
+    let budget = ctx.resident_pages();
     if d_pages as usize <= budget {
         Ok(true) // load D
     } else if a_pages as usize <= budget {
@@ -144,33 +157,43 @@ pub fn memory_containment_join(
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
-    ctx.measure_op("memjoin", || mem_join_inner(ctx, a, d, sink))
+    ctx.measure_op("memjoin", || {
+        mem_join_inner(ctx, &[a], &[d], |_, _| true, sink)
+    })
 }
 
-/// The un-measured body, reused by VPJ as its base case. Phases: `load`
+/// The un-measured body. Each side is a list of member files, read in
+/// order; `keep(i, e)` says whether ancestor `e` of member `a[i]` takes
+/// part (VPJ's replica dedup, `|_, _| true` elsewhere). Phases: `load`
 /// (reading the resident side into its in-memory structure) and `probe`
 /// (streaming the other side against it).
-pub(crate) fn mem_join_inner(
+pub(crate) fn mem_join_inner<F: Deref<Target = HeapFile<Element>>>(
     ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
+    a: &[F],
+    d: &[F],
+    keep: impl Fn(usize, &Element) -> bool,
     sink: &mut dyn PairSink,
 ) -> Result<(u64, u64), JoinError> {
     // The envelope rule: both the resident load and the streamed probe
     // are clipped by the *other* side's envelope, so zone maps skip
     // pages no pair can come from and pruned records never enter the
     // in-memory structures. (Filtering can only shrink the resident
-    // side, so the `pick_side` fit check stays conservative.)
-    let Some(clip) = ctx.clip(a, d) else {
+    // side, so the `pick_side` fit check stays conservative.) A replica
+    // the filter drops is dropped from every member alike, so `keep`
+    // still admits each surviving ancestor exactly once.
+    let Some(clip) = ctx.clip_envelopes(envelope(a), envelope(d)) else {
         return Ok((0, 0));
     };
     let (a_opts, d_opts) = (clip.a, clip.d);
-    if pick_side(ctx, a.pages(), d.pages())? {
+    let pages = |side: &[F]| side.iter().map(|f| f.pages()).sum::<u32>();
+    let (a_pages, d_pages) = (pages(a), pages(d));
+    let all = |_: usize, _: &Element| true;
+    if pick_side(ctx, a_pages, d_pages)? {
         // An A no larger than the resident D fits as well. When the clip
         // filters it, read it first: an A the clip leaves empty ends the
         // join before D is read.
-        let a_first = if !a_opts.filter.is_all() && a.pages() <= d.pages() {
-            Some(ctx.phase("load", || Ok(a.read_all_with(&ctx.pool, a_opts)?))?)
+        let a_first = if !a_opts.filter.is_all() && a_pages <= d_pages {
+            Some(ctx.phase("load", || load_members(ctx, a, a_opts, &keep))?)
         } else {
             None
         };
@@ -178,36 +201,74 @@ pub(crate) fn mem_join_inner(
             return Ok((0, 0));
         }
         let dd = ctx.phase("load", || {
-            Ok(SortedDescendants::new(d.read_all_with(&ctx.pool, d_opts)?))
+            Ok(SortedDescendants::new(load_members(ctx, d, d_opts, &all)?))
         })?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
-            if let Some(resident) = a_first {
-                resident
+            match a_first {
+                Some(resident) => resident
                     .into_iter()
-                    .for_each(|ae| pairs += dd.probe(ae, sink));
-            } else {
-                let mut scan = a.scan_with(&ctx.pool, a_opts);
-                while scan.next_batch_each(|ae| pairs += dd.probe(ae, sink))? > 0 {}
+                    .for_each(|ae| pairs += dd.probe(ae, sink)),
+                None => scan_members(ctx, a, a_opts, &keep, |ae| pairs += dd.probe(ae, sink))?,
             }
             Ok((pairs, 0))
         })
     } else {
         let aa = ctx.phase("load", || {
-            Ok(RolledAncestors::new(a.read_all_with(&ctx.pool, a_opts)?))
+            Ok(RolledAncestors::new(load_members(ctx, a, a_opts, &keep)?))
         })?;
         ctx.phase_counted("probe", || {
             let (mut pairs, mut false_hits) = (0u64, 0u64);
-            let mut scan = d.scan_with(&ctx.pool, d_opts);
-            while scan.next_batch_each(|de| {
+            scan_members(ctx, d, d_opts, &all, |de| {
                 let (p, f) = aa.probe(de, sink);
                 pairs += p;
                 false_hits += f;
-            })? > 0
-            {}
+            })?;
             Ok((pairs, false_hits))
         })
     }
+}
+
+/// A side's catalog envelope: the fold of its members' bounds, `None`
+/// (unknown) when any member has none.
+fn envelope<F: Deref<Target = HeapFile<Element>>>(side: &[F]) -> Option<(u64, u64)> {
+    side.iter().map(|f| f.bounds()).reduce(|acc, b| {
+        let ((lo, hi), (b_lo, b_hi)) = (acc?, b?);
+        Some((lo.min(b_lo), hi.max(b_hi)))
+    })?
+}
+
+/// Reads every record of `side` that `opts` and `keep` admit into memory.
+fn load_members<F: Deref<Target = HeapFile<Element>>>(
+    ctx: &JoinCtx,
+    side: &[F],
+    opts: ScanOptions,
+    keep: &impl Fn(usize, &Element) -> bool,
+) -> Result<Vec<Element>, JoinError> {
+    let mut v = Vec::with_capacity(side.iter().map(|f| f.records() as usize).sum());
+    scan_members(ctx, side, opts, keep, |e| v.push(e))?;
+    Ok(v)
+}
+
+/// Streams every record of `side`'s members that `opts` and `keep`
+/// admit through `f`, member by member, one decoded page at a time.
+fn scan_members<F: Deref<Target = HeapFile<Element>>>(
+    ctx: &JoinCtx,
+    side: &[F],
+    opts: ScanOptions,
+    keep: &impl Fn(usize, &Element) -> bool,
+    mut f: impl FnMut(Element),
+) -> Result<(), JoinError> {
+    for (i, file) in side.iter().enumerate() {
+        let mut scan = file.scan_with(&ctx.pool, opts);
+        while scan.next_batch_each(|e| {
+            if keep(i, &e) {
+                f(e)
+            }
+        })? > 0
+        {}
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,48 +8,43 @@
 
 use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
 
-use crate::context::{JoinCtx, JoinError, JoinStats};
+use crate::context::{try_for_each, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::shcj::shcj_inner;
 use crate::sink::PairSink;
 use crate::trace::for_each_task;
 
-/// Partitions `a` by node height, reading it through `opts` (MHCJ passes
-/// the envelope clip, so ancestors no descendant can meet never reach a
-/// partition). Returns the partitions in ascending height order; each
-/// deletes its file when dropped.
-pub(crate) fn partition_by_height<'a>(
+/// One pass over `a` by node height, read through `opts`: an element of
+/// height `h` goes to the writer of slot `slot(h)` (below 64), created at
+/// the slot's first element, or to none when `slot` says `None`. Returns
+/// the written partitions in ascending slot order; each deletes its file
+/// when dropped. MHCJ partitions by height itself (`Some(h)`, through the
+/// envelope clip); MHCJ+Rollup runs its occupied-height histogram (every
+/// slot `None`) and its anchor partitioning through the same pass.
+pub(crate) fn height_pass<'a>(
     ctx: &'a JoinCtx,
     a: &HeapFile<Element>,
     opts: ScanOptions,
+    mut slot: impl FnMut(u32) -> Result<Option<usize>, JoinError>,
 ) -> Result<Vec<TempFile<'a, HeapFile<Element>>>, JoinError> {
-    // One writer slot per height (codes have at most 64), created on the
-    // height's first element and finished in ascending height order.
     let mut writers: Vec<Option<HeapWriter<'_, Element>>> = (0..64).map(|_| None).collect();
     let wopts = ctx.write_opts();
     let mut scan = a.scan_with(&ctx.pool, opts);
-    while let Some(e) = scan.next_record()? {
-        let w = match &mut writers[e.code.height() as usize] {
-            Some(w) => w,
-            slot @ None => slot.insert(HeapWriter::create_with(&ctx.pool, wopts)?),
+    try_for_each(&mut scan, |e| {
+        let Some(i) = slot(e.code.height())? else {
+            return Ok(());
         };
-        w.push(e)?;
-    }
+        let w = match &mut writers[i] {
+            Some(w) => w,
+            w @ None => w.insert(HeapWriter::create_with(&ctx.pool, wopts)?),
+        };
+        Ok(w.push(e)?)
+    })?;
     writers
         .into_iter()
         .flatten()
         .map(|w| Ok(ctx.temp(w.finish()?)))
         .collect()
-}
-
-/// The number of distinct ancestor heights (the `k` of the cost formula).
-pub fn height_count(ctx: &JoinCtx, a: &HeapFile<Element>) -> Result<usize, JoinError> {
-    let mut seen = [false; 64];
-    let mut scan = a.scan_with(&ctx.pool, ctx.read_opts());
-    while let Some(e) = scan.next_record()? {
-        seen[e.code.height() as usize] = true;
-    }
-    Ok(seen.iter().filter(|&&b| b).count())
 }
 
 /// MHCJ: horizontal (height) partitioning, then one SHCJ task per
@@ -68,7 +63,9 @@ pub fn mhcj(
         // Partitioning is one sequential input pass; the joins behind it
         // dominate (`5‖A‖ + 3k‖D‖`). Each partition's SHCJ clips `D` by
         // that partition's own envelope.
-        let parts = ctx.phase("partition", || partition_by_height(ctx, a, clip.a))?;
+        let parts = ctx.phase("partition", || {
+            height_pass(ctx, a, clip.a, |h| Ok(Some(h as usize)))
+        })?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
             for_each_task(parts.iter().map(|part| (ctx, part)), |ctx, part| {
@@ -176,11 +173,34 @@ mod tests {
     }
 
     #[test]
-    fn height_count_counts_distinct() {
+    fn height_pass_fills_occupied_slots_in_ascending_order() {
         let c = ctx(8);
-        let a = element_file(&c.pool, [(2u64, 0), (6, 0), (4, 0), (8, 0)]).unwrap();
-        // heights: 1, 1, 2, 3 => 3 distinct
-        assert_eq!(height_count(&c, &a).unwrap(), 3);
+        // Heights 1, 1, 2, 3, written high to low.
+        let a = element_file(&c.pool, [(8u64, 0), (4, 0), (6, 0), (2, 0)]).unwrap();
+        let live = c.pool.live_files().len();
+        let codes = |parts: &[TempFile<'_, HeapFile<Element>>]| -> Vec<Vec<u64>> {
+            let codes = |f: &HeapFile<Element>| {
+                let elems = f.read_all(&c.pool).unwrap();
+                elems.iter().map(|e| e.code.get()).collect()
+            };
+            parts.iter().map(|f| codes(f)).collect()
+        };
+        let by_height = height_pass(&c, &a, c.read_opts(), |h| Ok(Some(h as usize))).unwrap();
+        assert_eq!(codes(&by_height), [vec![6, 2], vec![4], vec![8]]);
+        // Writers open at a slot's first element: slots 1 to 8 write nothing.
+        let two = height_pass(&c, &a, c.read_opts(), |h| {
+            Ok(Some(if h < 3 { 0 } else { 9 }))
+        });
+        assert_eq!(codes(&two.unwrap()), [vec![4, 6, 2], vec![8]]);
+        let mut seen = Vec::new();
+        let none = height_pass(&c, &a, c.read_opts(), |h| {
+            seen.push(h);
+            Ok(None)
+        });
+        assert!(none.unwrap().is_empty());
+        assert_eq!(seen, [3, 2, 1, 1]);
+        drop(by_height);
+        assert_eq!(c.pool.live_files().len(), live, "partitions are freed");
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! materialized once, as plain elements, and each anchor's equijoin still
 //! computes keys on the fly. The ablation bench sweeps this knob.
 
-use pbitree_storage::{HeapFile, HeapWriter};
+use pbitree_storage::HeapFile;
 
 use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::hashjoin::hash_equijoin_with;
+use crate::mhcj::height_pass;
 use crate::shcj::below_height;
 use crate::sink::PairSink;
 
@@ -67,13 +68,13 @@ pub fn mhcj_rollup(
         if ctx.clip(a, d).is_none() {
             return Ok((0, 0));
         }
-        // Pass 1: occupied-height histogram (one read of A).
+        // Pass 1: occupied-height histogram (one read of A, no writer).
         let heights = ctx.phase("plan", || {
             let mut occupied = [false; 64];
-            let mut scan = a.scan_with(&ctx.pool, ctx.read_opts());
-            while let Some(e) = scan.next_record()? {
-                occupied[e.code.height() as usize] = true;
-            }
+            height_pass(ctx, a, ctx.read_opts(), |h| {
+                occupied[h as usize] = true;
+                Ok(None)
+            })?;
             Ok((0..64u32)
                 .filter(|&h| occupied[h as usize])
                 .collect::<Vec<u32>>())
@@ -92,29 +93,20 @@ pub fn mhcj_rollup(
         }
 
         // Several anchors: one partition pass over A (plain elements), one
-        // equijoin per anchor.
+        // equijoin per anchor. Every anchor is an occupied height, so
+        // every slot gets a writer; the histogram pass saw every height,
+        // so a height above every anchor, or an anchor left without a
+        // partition, means the file changed between the two passes.
         let parts = ctx.phase("partition", || {
-            let wopts = ctx.write_opts();
-            let mut writers: Vec<HeapWriter<'_, Element>> = anchors
-                .iter()
-                .map(|_| HeapWriter::create_with(&ctx.pool, wopts))
-                .collect::<Result<_, _>>()?;
-            let mut scan = a.scan_with(&ctx.pool, ctx.read_opts());
-            while let Some(e) = scan.next_record()? {
-                let h = e.code.height();
-                // The histogram pass saw every height, so an uncovered
-                // height here means the file changed (or decoded
-                // differently) between the two passes.
-                let idx = anchors
-                    .iter()
-                    .position(|&anchor| anchor >= h)
-                    .ok_or_else(|| JoinError::corrupt("ancestor height above every anchor"))?;
-                writers[idx].push(e)?;
+            let parts = height_pass(ctx, a, ctx.read_opts(), |h| {
+                let slot = anchors.iter().position(|&anchor| anchor >= h);
+                slot.map(Some)
+                    .ok_or_else(|| JoinError::corrupt("ancestor height above every anchor"))
+            })?;
+            if parts.len() != anchors.len() {
+                return Err(JoinError::corrupt("anchor height without ancestors"));
             }
-            writers
-                .into_iter()
-                .map(|w| Ok(ctx.temp(w.finish()?)))
-                .collect::<Result<Vec<_>, JoinError>>()
+            Ok(parts)
         })?;
 
         ctx.phase_counted("probe", || {

@@ -251,6 +251,28 @@ mod tests {
         check_against_serial(true);
     }
 
+    /// One narrow ancestor in the middle of the leaves: the union
+    /// envelope skips the pages before its region, so the shared scan's
+    /// first batch comes from a later page than the scan started on.
+    #[test]
+    fn narrow_query_skips_leading_pages() {
+        let c = ctx(8);
+        let d = element_file(&c.pool, (0..3000u64).map(|i| ((i << 1) | 1, 1))).unwrap();
+        let a = element_file(&c.pool, [(3u64 << 11, 0)]).unwrap();
+        let mut qb = QueryBatch::new();
+        qb.add_file(&c, &a).unwrap();
+        let mut got = CollectSink::default();
+        {
+            let mut sinks = MultiSink::new();
+            sinks.push(&mut got);
+            qb.execute(&c, &d, &mut sinks).unwrap();
+        }
+        let mut expect = CollectSink::default();
+        stack_tree_desc(&c, &a, &d, SortPolicy::AssumeSorted, &mut expect).unwrap();
+        assert!(!expect.pairs.is_empty());
+        assert_eq!(got.canonical(), expect.canonical());
+    }
+
     #[test]
     fn union_filter_envelopes_all_queries() {
         let mut qb = QueryBatch::new();

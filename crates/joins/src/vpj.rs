@@ -20,13 +20,17 @@
 //!
 //! **Merging and purging (skew adaptation).** Partitions where either side
 //! is empty are discarded outright. Surviving partitions are greedily
-//! merged into groups that still satisfy the memory-join precondition;
-//! replicated ancestors that would appear in several group members are
-//! deduplicated at read time (a replica is kept only in the first group
-//! member at or after its range start). A lone partition too dense for a
-//! memory join recurses with a strictly deeper level; if the level bottoms
-//! out (same-subtree skew), MHCJ+Rollup — which has no memory
-//! precondition — finishes the job.
+//! merged into groups that still satisfy the memory-join precondition:
+//! one side within `JoinCtx::resident_pages` (`b − 2`), the rule the
+//! memory join picks its resident side by. A group is joined by that one
+//! body ([`crate::memjoin`]), its member files as the two sides;
+//! replicated ancestors that would appear in several members are
+//! deduplicated at read time by its `keep` predicate (a replica is kept
+//! only in the first group member at or after its range start). The base
+//! case, a whole input that already fits, is the one-member call. A lone
+//! partition too dense for a memory join recurses with a strictly deeper
+//! level; if the level bottoms out (same-subtree skew), MHCJ+Rollup —
+//! which has no memory precondition — finishes the job.
 //!
 //! **Tasks.** A partitioning level never joins its groups itself: it
 //! returns them as `VpjTask`s, and the task loop
@@ -37,13 +41,10 @@ use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
 
 use crate::context::{try_for_each, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
-use crate::memjoin::{RolledAncestors, SortedDescendants};
+use crate::memjoin::mem_join_inner;
 use crate::rollup;
 use crate::sink::PairSink;
 use crate::trace::for_each_task;
-
-/// Frames reserved for scan/output while a memory join holds one side.
-const RESERVE: usize = 2;
 
 /// Diagnostics of one VPJ run (the paper's §3.3 discussion: replication is
 /// "usually negligible" — this makes that measurable).
@@ -103,7 +104,12 @@ fn execute_task(
     match task {
         VpjTask::Group { l, members, ga, gd } => {
             report.groups += 1;
-            join_group(ctx, l, &members, &ga, &gd, sink)
+            // A replica in member `i` is kept only when the previous
+            // member lies below its range start.
+            let h = ctx.shape.height();
+            let keep =
+                |i: usize, e: &Element| i == 0 || partition_range(e.code, h, l).0 > members[i - 1];
+            mem_join_inner(ctx, &ga, &gd, keep, sink)
         }
         VpjTask::Recurse {
             a,
@@ -190,7 +196,7 @@ fn vpj_rec<'a>(
     sink: &mut dyn PairSink,
     report: &mut VpjReport,
 ) -> Result<((u64, u64), Vec<VpjTask<'a>>), JoinError> {
-    let budget = ctx.budget().saturating_sub(RESERVE).max(1);
+    let budget = ctx.resident_pages();
     let fits = |pa: u32, pd: u32| (pa as usize) <= budget || (pd as usize) <= budget;
     // The envelope rule: disjoint envelopes prove the whole pairing
     // empty — no scan, no partitioning pass. Counted as a purge (it is
@@ -203,7 +209,7 @@ fn vpj_rec<'a>(
     // own `load`/`probe` phases double as this operator's.
     if fits(a.pages(), d.pages()) {
         report.groups += 1;
-        let counts = crate::memjoin::mem_join_inner(ctx, a, d, sink)?;
+        let counts = mem_join_inner(ctx, &[a], &[d], |_, _| true, sink)?;
         return Ok((counts, Vec::new()));
     }
 
@@ -211,34 +217,20 @@ fn vpj_rec<'a>(
     // Real documents concentrate their elements deep inside the code
     // space (a flat DBLP tree puts every record ~20 levels below the
     // root), so partitioning just below `min_level` would put everything
-    // into one partition and recurse once per level. One scan of the
-    // smaller side finds the deepest subtree containing all its data; the
-    // partitioning level starts below *that*. (The scan costs one read of
-    // the smaller side and collapses O(depth) recursion passes into one.)
-    // Element files carry their region bounds as free catalog statistics;
-    // scanning is only the fallback for files built elsewhere.
-    let scan_side = if a.pages() <= d.pages() { a } else { d };
-    let (lo, hi) = match scan_side.bounds() {
-        Some(b) => b,
-        None => {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            let mut scan = scan_side.scan_with(&ctx.pool, ctx.read_opts());
-            while let Some(e) = scan.next_record()? {
-                lo = lo.min(e.start());
-                hi = hi.max(e.end());
-            }
-            (lo, hi)
-        }
+    // into one partition and recurse once per level. The smaller side's
+    // catalog envelope (free: element files fold their region bounds as
+    // they are written) names the deepest subtree containing all its
+    // data, and the partitioning level starts below *that*, collapsing
+    // O(depth) recursion passes into one. A file without bounds never
+    // held an element: nothing joins.
+    let smaller = if a.pages() <= d.pages() { a } else { d };
+    let Some((lo, hi)) = smaller.bounds() else {
+        return Ok(((0, 0), Vec::new()));
     };
-    let lca_level = if lo > hi {
-        min_level
-    } else {
-        // The deepest aligned block containing [lo, hi] sits at height
-        // h* = bit length of (lo ^ hi); its level is H - 1 - h*.
-        let hstar = 64 - (lo ^ hi).leading_zeros();
-        (h.saturating_sub(1).saturating_sub(hstar)).max(min_level)
-    };
+    // The deepest aligned block containing [lo, hi] sits at height
+    // h* = bit length of (lo ^ hi); its level is H - 1 - h*.
+    let hstar = 64 - (lo ^ hi).leading_zeros();
+    let lca_level = h.saturating_sub(1).saturating_sub(hstar).max(min_level);
     // Partitioning level: deep enough to split the smaller side into
     // memory-sized chunks, bounded by the writer budget and the tree.
     // Over-partition 2x: partition boundaries rarely align with the data,
@@ -247,9 +239,7 @@ fn vpj_rec<'a>(
     let min_pages = a.pages().min(d.pages()) as usize;
     let k0 = (min_pages.div_ceil(budget) * 2).max(2);
     let wanted_delta = (k0 as u64).next_power_of_two().trailing_zeros();
-    let max_delta = (ctx.budget().saturating_sub(RESERVE).max(2) as u64)
-        .next_power_of_two()
-        .trailing_zeros();
+    let max_delta = (budget.max(2) as u64).next_power_of_two().trailing_zeros();
     let delta = wanted_delta.min(max_delta);
     let l = (lca_level + delta)
         .max(min_level + 1)
@@ -344,20 +334,6 @@ fn vpj_rec<'a>(
     Ok(((0, 0), tasks))
 }
 
-/// The merged `(min start, max end)` envelope of a group's files, `None`
-/// when any member lacks bounds (no pruning information).
-fn group_envelope(files: &[Part<'_>]) -> Option<(u64, u64)> {
-    let mut acc: Option<(u64, u64)> = None;
-    for f in files {
-        let (lo, hi) = f.bounds()?;
-        acc = Some(match acc {
-            None => (lo, hi),
-            Some((l0, h0)) => (l0.min(lo), h0.max(hi)),
-        });
-    }
-    acc
-}
-
 enum PartitionRole {
     /// Spanning nodes are replicated across their whole range.
     Ancestor,
@@ -433,95 +409,6 @@ fn partition_pass<'a>(
         .into_iter()
         .map(|w| w.map(|w| Ok(ctx.temp(w.finish()?))).transpose())
         .collect()
-}
-
-/// Joins one merged group. `members` are the group's partition indices in
-/// ascending order; `ga`/`gd` the corresponding files. Replicated
-/// ancestors are deduplicated: a replica in member `p` is kept only when
-/// the previous member is below its range start.
-fn join_group(
-    ctx: &JoinCtx,
-    l: u32,
-    members: &[u64],
-    ga: &[Part<'_>],
-    gd: &[Part<'_>],
-    sink: &mut dyn PairSink,
-) -> Result<(u64, u64), JoinError> {
-    let h = ctx.shape.height();
-    let budget = ctx.budget().saturating_sub(RESERVE).max(1);
-    let sum_d: u32 = gd.iter().map(|f| f.pages()).sum();
-    let keep = |member_pos: usize, e: &Element| -> bool {
-        let (lo, _) = partition_range(e.code, h, l);
-        let prev = if member_pos == 0 {
-            None
-        } else {
-            Some(members[member_pos - 1])
-        };
-        match prev {
-            None => true,
-            Some(p) => lo > p,
-        }
-    };
-    // Group formation guarantees one side fits the budget, so
-    // `sum_d > budget` implies A is the resident side. Each side's scans
-    // are clipped by the opposite side's merged envelope. A replica
-    // dropped by the filter is dropped from *every* member scan
-    // identically, so the keep() dedup stays consistent — a surviving
-    // replica is still kept in exactly one member.
-    let Some(clip) = ctx.clip_envelopes(group_envelope(ga), group_envelope(gd)) else {
-        return Ok((0, 0)); // the purge keeps only overlapping members
-    };
-    let (a_opts, d_opts) = (clip.a, clip.d);
-    if (sum_d as usize) <= budget {
-        // Load D (no replication on that side), stream deduped A.
-        let mut dvec = Vec::new();
-        for f in gd {
-            let mut scan = f.scan_with(&ctx.pool, d_opts);
-            while scan.next_batch(&mut dvec)? > 0 {}
-        }
-        let dd = SortedDescendants::new(dvec);
-        let mut pairs = 0u64;
-        for (pos, f) in ga.iter().enumerate() {
-            let mut scan = f.scan_with(&ctx.pool, a_opts);
-            while scan.next_batch_each(|ae| {
-                if keep(pos, &ae) {
-                    pairs += dd.probe(ae, sink);
-                }
-            })? > 0
-            {}
-        }
-        Ok((pairs, 0))
-    } else {
-        // Load deduped A, stream D (Algorithm 6's rollup branch, resident).
-        let mut avec = Vec::new();
-        for (pos, f) in ga.iter().enumerate() {
-            let mut scan = f.scan_with(&ctx.pool, a_opts);
-            while scan.next_batch_each(|ae| {
-                if keep(pos, &ae) {
-                    avec.push(ae);
-                }
-            })? > 0
-            {}
-        }
-        let aa = RolledAncestors::new(avec);
-        let (mut pairs, mut false_hits) = (0u64, 0u64);
-        let mut batch: Vec<Element> = Vec::new();
-        for f in gd {
-            let mut scan = f.scan_with(&ctx.pool, d_opts);
-            loop {
-                batch.clear();
-                if scan.next_batch(&mut batch)? == 0 {
-                    break;
-                }
-                for de in &batch {
-                    let (p, fh) = aa.probe(*de, sink);
-                    pairs += p;
-                    false_hits += fh;
-                }
-            }
-        }
-        Ok((pairs, false_hits))
-    }
 }
 
 /// Dense-subtree fallback: MHCJ+Rollup's inner body (unmeasured — VPJ's
@@ -690,7 +577,7 @@ mod tests {
                     // One partitioning pass per level: the top one plus one
                     // per recursion, each writing at most one file per slot
                     // and side.
-                    let slots = (b as u64 - RESERVE as u64).next_power_of_two();
+                    let slots = (c.resident_pages() as u64).next_power_of_two();
                     let passes = 1 + report.recursions;
                     assert!(report.partitions > 0, "{at}: no partitioning pass");
                     assert!(
@@ -806,6 +693,67 @@ mod tests {
         assert_eq!(sink.canonical(), [(16, 3)]);
         assert_eq!(report.groups, 1);
         assert_eq!(c.pool.live_files().len(), live, "group files are freed");
+    }
+
+    /// A merged group whose ancestor members hold replicas of spanning
+    /// ancestors, joined once with A resident (b = 6: D's 6 pages exceed
+    /// `b − 2`, A's 3 do not) and once with D resident (b = 64). Either
+    /// way each replica must pair exactly once.
+    #[test]
+    fn group_replicas_pair_once_with_either_side_resident() {
+        use pbitree_storage::TempFile;
+        // H = 12, level 2: partition index = code >> 10, members 0..=2.
+        // 2048 spans every partition, 1024 spans 0..=1, 3072 spans 2..=3;
+        // 512, 1536 and 2560 sit inside one partition each.
+        let ancestors: [&[u64]; 3] = [&[2048, 1024, 512], &[2048, 1024, 1536], &[2048, 3072, 2560]];
+        let leaves = |p: u64| (0..500u64).map(move |i| (p << 10) + 2 * i + 1);
+        for (b, a_resident) in [(6usize, true), (64, false)] {
+            let c = ctx(12, b);
+            let temp = |codes: Vec<(u64, u32)>| {
+                let f = element_file(&c.pool, codes).unwrap();
+                TempFile::new(&c.pool, f.file_id(), f)
+            };
+            let ga: Vec<_> = ancestors
+                .iter()
+                .map(|codes| temp(codes.iter().map(|&v| (v, 0)).collect()))
+                .collect();
+            let gd: Vec<_> = (0..3)
+                .map(|p| temp(leaves(p).map(|v| (v, 1)).collect()))
+                .collect();
+            let (pa, pd): (u32, u32) = (
+                ga.iter().map(|f| f.pages()).sum(),
+                gd.iter().map(|f| f.pages()).sum(),
+            );
+            assert_eq!(
+                (
+                    pd as usize > c.resident_pages(),
+                    pa as usize <= c.resident_pages()
+                ),
+                (a_resident, true),
+                "b = {b}: A {pa} pages, D {pd} pages"
+            );
+            let group = VpjTask::Group {
+                l: 2,
+                members: vec![0, 1, 2],
+                ga,
+                gd,
+            };
+            let mut got = CollectSink::default();
+            let mut report = VpjReport::default();
+            let (pairs, false_hits) =
+                run_tasks(&c, (0, 0), vec![group], &mut got, &mut report).unwrap();
+            assert_eq!(false_hits > 0, a_resident, "b = {b}: the rolled side is A");
+            let af = element_file(
+                &c.pool,
+                [2048u64, 1024, 512, 1536, 3072, 2560].map(|v| (v, 0)),
+            )
+            .unwrap();
+            let df = element_file(&c.pool, (0..3).flat_map(leaves).map(|v| (v, 1))).unwrap();
+            let mut expect = CollectSink::default();
+            block_nested_loop(&c, &af, &df, &mut expect).unwrap();
+            assert_eq!(got.canonical(), expect.canonical(), "b = {b}");
+            assert_eq!(pairs as usize, expect.pairs.len());
+        }
     }
 
     #[test]

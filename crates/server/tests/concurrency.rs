@@ -7,7 +7,8 @@
 //! deadlock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use pbitree_core::Code;
 use pbitree_joins::ElementStore;
@@ -77,8 +78,12 @@ fn concurrent_queries_match_serial_with_writer_churn() {
         let want = Arc::new(expected(&svc));
 
         let stop = Arc::new(AtomicBool::new(false));
+        // The writer signals its first committed operation; the queries
+        // start only then, so they always race a live writer.
+        let (tx, committed) = mpsc::channel();
         let writer = {
             let (svc, stop) = (Arc::clone(&svc), Arc::clone(&stop));
+            let mut first_commit = Some(tx);
             std::thread::spawn(move || {
                 let pool = svc.pool().clone();
                 let wal = Wal::create(&pool);
@@ -88,19 +93,30 @@ fn concurrent_queries_match_serial_with_writer_churn() {
                 let mut ops = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     match store.insert_under(&pool, &wal, root, 7) {
-                        Ok(c) => live.push(c),
+                        Ok(c) => {
+                            live.push(c);
+                            ops += 1;
+                        }
                         Err(pbitree_joins::StoreError::Update(_)) => {}
                         Err(e) => panic!("writer insert failed: {e:?}"),
                     }
                     if live.len() > 64 {
                         let c = live.remove(ops as usize % live.len());
                         assert!(store.remove(&pool, &wal, c, 7).unwrap());
+                        ops += 1;
                     }
-                    ops += 1;
+                    if ops > 0 {
+                        if let Some(tx) = first_commit.take() {
+                            tx.send(()).unwrap();
+                        }
+                    }
                 }
                 ops
             })
         };
+        committed
+            .recv_timeout(Duration::from_secs(60))
+            .expect("writer never committed an operation");
 
         for threads in [1usize, 4] {
             hammer(&svc, &want, threads, 3);
