@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use pbitree_core::PBiTreeShape;
 use pbitree_storage::{
-    records_per_page, BufferPool, FixedRecord, HeapFile, HeapScan, IoStats, PoolError, PoolStats,
-    ScanFilter, ScanOptions, TempFile,
+    records_per_page, BufferPool, FixedRecord, HeapFile, HeapScan, HeapWriter, IoStats, PoolError,
+    PoolStats, ScanFilter, ScanOptions, TempFile,
 };
 
 use crate::element::Element;
@@ -95,6 +95,52 @@ pub(crate) fn try_for_each<R: FixedRecord>(
         std::mem::replace(&mut failed, Ok(()))?;
     }
     Ok(())
+}
+
+/// A partition file: deleted when its owner — a partition map, a task, or
+/// an error unwinding past either — drops it.
+pub(crate) type Part<'a, R> = TempFile<'a, HeapFile<R>>;
+
+/// The one scatter pass of the partitioning joins: streams every record
+/// `opts` admits from `input` into the slots `route` names (none, one, or
+/// a range), of `slots` slots. A slot's writer opens at its first record
+/// and writes through [`JoinCtx::write_opts`]; an empty slot costs no
+/// I/O and no file. Returns the slots in order, `None` where no record
+/// landed. The first `Err` from `route` or a writer ends the pass, and
+/// every file it wrote is deleted, as is each returned file when dropped.
+///
+/// MHCJ routes by height, Rollup's histogram routes nowhere and its anchor
+/// pass to the nearest anchor above, VPJ routes an ancestor to its
+/// replica range and a descendant to its home slot, and the Grace hash
+/// join routes by key bucket.
+pub(crate) fn scatter<'a, R, S>(
+    ctx: &'a JoinCtx,
+    input: &HeapFile<R>,
+    opts: ScanOptions,
+    slots: usize,
+    mut route: impl FnMut(&R) -> Result<S, JoinError>,
+) -> Result<Vec<Option<Part<'a, R>>>, JoinError>
+where
+    R: FixedRecord,
+    S: IntoIterator<Item = usize>,
+{
+    let mut writers: Vec<Option<HeapWriter<'_, R>>> = (0..slots).map(|_| None).collect();
+    let wopts = ctx.write_opts();
+    let mut scan = input.scan_with(&ctx.pool, opts);
+    try_for_each(&mut scan, |r| {
+        for i in route(&r)? {
+            let w = match &mut writers[i] {
+                Some(w) => w,
+                w @ None => w.insert(HeapWriter::create_with(&ctx.pool, wopts)?),
+            };
+            w.push(r)?;
+        }
+        Ok(())
+    })?;
+    writers
+        .into_iter()
+        .map(|w| w.map(|w| Ok(ctx.temp(w.finish()?))).transpose())
+        .collect()
 }
 
 impl fmt::Display for JoinError {
@@ -301,9 +347,10 @@ impl JoinCtx {
     /// Lemma 3 an ancestor's subtree is the code range `[start, end]`, so
     /// a pair's descendant lies inside the ancestor side's catalog
     /// envelope `(min start, max end)` and its ancestor overlaps the
-    /// descendant side's. Returns `None` when pruning is on and the two
-    /// envelopes are disjoint: no pair exists and the operator reads
-    /// nothing. Otherwise each side's read options carry a
+    /// descendant side's. Returns `None` when no pair can exist, and the
+    /// operator then reads nothing: when either side holds no record
+    /// (whatever the pruning knob says), or when pruning is on and the two
+    /// envelopes are disjoint. Otherwise each side's read options carry a
     /// `RegionOverlap` filter on the *other* side's envelope.
     ///
     /// Two consumers take less than the filters. The doc-ordered merge
@@ -312,20 +359,18 @@ impl JoinCtx {
     /// its ancestor side unclipped: its false hits are rolled candidates
     /// the clip would drop, and Table 2(f) counts them as the paper does.
     ///
-    /// With pruning off nothing is clipped and nothing short-circuits.
+    /// With pruning off nothing is clipped, and only an empty side
+    /// short-circuits.
     pub(crate) fn clip(&self, a: &HeapFile<Element>, d: &HeapFile<Element>) -> Option<Clipped> {
-        self.clip_envelopes(a.bounds(), d.bounds())
+        self.clip_envelopes((a.records(), a.bounds()), (d.records(), d.bounds()))
     }
 
-    /// [`clip`](JoinCtx::clip) over envelopes already in hand — the
-    /// memory join's folds over its member files. `None` for an envelope
-    /// means "unknown" (never disjoint, nothing pushed down).
-    pub(crate) fn clip_envelopes(
-        &self,
-        a: Option<(u64, u64)>,
-        d: Option<(u64, u64)>,
-    ) -> Option<Clipped> {
-        if self.prune && envelopes_disjoint(a, d) {
+    /// [`clip`](JoinCtx::clip) over extents already in hand — the memory
+    /// join's folds over its member files. A `None` envelope means
+    /// "unknown" (never disjoint, nothing pushed down).
+    pub(crate) fn clip_envelopes(&self, a: Extent, d: Extent) -> Option<Clipped> {
+        let ((a_records, a), (d_records, d)) = (a, d);
+        if a_records == 0 || d_records == 0 || (self.prune && envelopes_disjoint(a, d)) {
             return None;
         }
         let overlap = |env: Option<(u64, u64)>| match env {
@@ -478,6 +523,10 @@ pub(crate) fn envelopes_disjoint(a: Option<(u64, u64)>, d: Option<(u64, u64)>) -
     }
 }
 
+/// One side as the envelope rule sees it: its record count and its
+/// catalog envelope (`None`: unknown).
+pub(crate) type Extent = (u64, Option<(u64, u64)>);
+
 /// Both sides' scan inputs under the envelope rule (see
 /// [`JoinCtx::clip`]).
 #[derive(Debug, Clone, Copy)]
@@ -606,6 +655,63 @@ mod tests {
         assert!(stats.io.total() > 0);
         assert!(stats.io.sim_secs() > 0.0);
         assert!(stats.cpu_ns > 0);
+    }
+
+    #[test]
+    fn scatter_routes_each_record_to_its_slots() {
+        let c = JoinCtx::in_memory_free(PBiTreeShape::new(10).unwrap(), 8);
+        // Heights 3, 2, 1, 1, in file order.
+        let a = crate::element::element_file(&c.pool, [(8u64, 0), (4, 0), (6, 0), (2, 0)]).unwrap();
+        let live = c.pool.live_files();
+        let codes = |parts: &[Option<Part<'_, Element>>]| -> Vec<Option<Vec<u64>>> {
+            let codes = |f: &HeapFile<Element>| {
+                let elems = f.read_all(&c.pool).unwrap();
+                elems.iter().map(|e| e.code.get()).collect()
+            };
+            parts.iter().map(|p| p.as_ref().map(|f| codes(f))).collect()
+        };
+        // One slot per record, in scan order; unrouted slots stay `None`.
+        let by_height = scatter(&c, &a, c.read_opts(), 5, |e| {
+            Ok(Some(e.code.height() as usize))
+        });
+        let by_height = by_height.unwrap();
+        let want = [None, Some(vec![6, 2]), Some(vec![4]), Some(vec![8]), None];
+        assert_eq!(codes(&by_height), want);
+        // Replica ranges: height h goes to slots 1..h, so height 3 lands
+        // twice and height 1 is dropped.
+        let replicas = scatter(
+            &c,
+            &a,
+            c.read_opts(),
+            4,
+            |e| Ok(1..e.code.height() as usize),
+        );
+        let replicas = replicas.unwrap();
+        assert_eq!(
+            codes(&replicas),
+            [None, Some(vec![8, 4]), Some(vec![8]), None]
+        );
+        // No slot at all (Rollup's histogram): every record is seen, no
+        // file is made and nothing is written.
+        let (mut seen, writes) = (Vec::new(), c.pool.io_stats().writes());
+        let none = scatter(&c, &a, c.read_opts(), 0, |e| {
+            seen.push(e.code.height());
+            Ok(None)
+        });
+        assert!(none.unwrap().is_empty());
+        assert_eq!(
+            (seen, c.pool.io_stats().writes()),
+            (vec![3, 2, 1, 1], writes)
+        );
+        drop((by_height, replicas));
+        assert_eq!(c.pool.live_files(), live, "partitions are freed on drop");
+        // A route error ends the pass and deletes what it wrote.
+        let failed = scatter(&c, &a, c.read_opts(), 1, |e| match e.code.get() {
+            6 => Err(JoinError::corrupt("route")),
+            _ => Ok(Some(0)),
+        });
+        assert_eq!(failed.err(), Some(JoinError::corrupt("route")));
+        assert_eq!(c.pool.live_files(), live, "a failed pass frees its files");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The hash-equijoin engine behind SHCJ, MHCJ and MHCJ+Rollup.
+//! The hash-equijoin engine behind the F-equijoin of SHCJ, MHCJ and
+//! MHCJ+Rollup (`shcj::anchored_equijoin`).
 //!
 //! The partitioning joins' core idea (§3.2) is that PBiTree codes turn the
 //! containment θ-join into an **equijoin** — `A.Code = F(D.Code, h)` — so
@@ -7,8 +8,10 @@
 //! * build side fits the memory budget → classic in-memory hash join,
 //!   I/O = `‖B‖ + ‖P‖`;
 //! * otherwise → Grace hash join: both sides are hash-partitioned on the
-//!   join key into `p` buckets, then each bucket pair is joined in memory,
-//!   I/O = `3(‖B‖ + ‖P‖)` — the constant the paper's cost formulas use;
+//!   join key into `p` buckets by the partitioning joins' one scatter pass
+//!   (`context::scatter`; a bucket no key lands in makes no file), then
+//!   each bucket pair is joined in memory, I/O = `3(‖B‖ + ‖P‖)` — the
+//!   constant the paper's cost formulas use;
 //! * a pathologically skewed bucket that still exceeds the budget falls
 //!   back to block-chunking the build side (repeated probe-side scans),
 //!   so the join never fails, it just degrades.
@@ -20,9 +23,9 @@ use std::hash::{BuildHasher, Hash};
 
 use pbitree_storage::util::FxBuildHasher;
 use pbitree_storage::util::FxHashMap;
-use pbitree_storage::{FixedRecord, HeapFile, HeapWriter, ScanOptions, TempFile};
+use pbitree_storage::{FixedRecord, HeapFile, ScanOptions};
 
-use crate::context::{try_for_each, JoinCtx, JoinError};
+use crate::context::{scatter, JoinCtx, JoinError};
 
 /// Hash-equijoin `build ⋈ probe` on u64 keys.
 ///
@@ -116,12 +119,16 @@ where
         )
     } else {
         let parts = partition_count(ctx, build.pages());
-        let build_parts = partition_file(ctx, build, build_opts, parts, depth, build_key)?;
-        let probe_parts = partition_file(ctx, probe, probe_opts, parts, depth, probe_key)?;
-        for (bp, pp) in build_parts.iter().zip(&probe_parts) {
-            if bp.is_empty() || pp.is_empty() {
+        let build_parts = scatter(ctx, build, build_opts, parts, |r| {
+            Ok(build_key(r).map(|k| bucket(k, depth, parts)))
+        })?;
+        let probe_parts = scatter(ctx, probe, probe_opts, parts, |r| {
+            Ok(probe_key(r).map(|k| bucket(k, depth, parts)))
+        })?;
+        for pair in build_parts.iter().zip(&probe_parts) {
+            let (Some(bp), Some(pp)) = pair else {
                 continue;
-            }
+            };
             // No progress (everything hashed into one bucket) forces the
             // chunked fallback via the depth limit.
             let next_depth = if bp.records() == build.records() {
@@ -158,48 +165,14 @@ fn partition_count(ctx: &JoinCtx, build_pages: u32) -> usize {
     want.clamp(2, (ctx.budget().saturating_sub(1)).max(2))
 }
 
-/// Hash-partitions `input` into `parts` heap files on the key's hash;
-/// tuples with `None` keys are dropped. `level` salts the hash so each
-/// recursion level splits differently.
-fn partition_file<'a, R, K>(
-    ctx: &'a JoinCtx,
-    input: &HeapFile<R>,
-    opts: ScanOptions,
-    parts: usize,
-    level: u32,
-    key: K,
-) -> Result<Vec<TempFile<'a, HeapFile<R>>>, JoinError>
-where
-    R: FixedRecord,
-    K: Fn(&R) -> Option<u64>,
-{
-    let hasher = FxBuildHasher::default();
-    let wopts = ctx.write_opts();
-    let mut writers: Vec<HeapWriter<'_, R>> = (0..parts)
-        .map(|_| HeapWriter::create_with(&ctx.pool, wopts))
-        .collect::<Result<_, _>>()?;
-    let mut scan = input.scan_with(&ctx.pool, opts);
-    try_for_each(&mut scan, |r| {
-        if let Some(k) = key(&r) {
-            let idx = (hash_u64(&hasher, k, level) as usize) % parts;
-            writers[idx].push(r)?;
-        }
-        Ok(())
-    })?;
-    writers
-        .into_iter()
-        .map(|w| Ok(ctx.temp(w.finish()?)))
-        .collect()
-}
-
-#[inline]
-fn hash_u64(hasher: &FxBuildHasher, k: u64, level: u32) -> u64 {
-    // Salt by level so recursive repartitioning uses an independent split;
-    // `% parts` reads the low bits, which the hasher's finalizer fills even
-    // for codes with many trailing zeros.
-    let mut h = hasher.build_hasher();
+/// The Grace bucket of key `k` among `parts` at recursion level `level`.
+/// Salted by level so recursive repartitioning uses an independent split;
+/// `% parts` reads the low bits, which the hasher's finalizer fills even
+/// for codes with many trailing zeros.
+fn bucket(k: u64, level: u32, parts: usize) -> usize {
+    let mut h = FxBuildHasher::default().build_hasher();
     (k ^ ((level as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))).hash(&mut h);
-    std::hash::Hasher::finish(&h)
+    (std::hash::Hasher::finish(&h) as usize) % parts
 }
 
 /// Streams `probe` through an in-memory table page-batch-at-a-time: each
@@ -440,6 +413,19 @@ mod tests {
         assert!(run_join(&c, &[1, 2, 3], &[]).is_empty());
     }
 
+    /// The join's level-0 Grace split of `f` into `parts` buckets,
+    /// replayed through the same scatter pass the join runs.
+    fn grace_split<'a>(
+        c: &'a JoinCtx,
+        f: &HeapFile<u64>,
+        parts: usize,
+    ) -> Vec<Option<crate::context::Part<'a, u64>>> {
+        scatter(c, f, c.read_opts(), parts, |k| {
+            Ok(Some(bucket(*k, 0, parts)))
+        })
+        .unwrap()
+    }
+
     #[test]
     fn grace_io_is_three_passes_with_one_seek_per_write_batch() {
         // Costed disk, one head: the fan-out writers interleave, so each
@@ -456,7 +442,7 @@ mod tests {
         assert!(depth > 1, "write depth {depth}");
         let mut batches = 0u64;
         for f in [&bf, &pf] {
-            for part in partition_file(&c, f, opts, parts, 0, key).unwrap() {
+            for part in grace_split(&c, f, parts).iter().flatten() {
                 batches += (part.pages() as u64).div_ceil(depth);
             }
         }
@@ -497,15 +483,11 @@ mod tests {
             let parts = partition_count(&c, bf.pages());
             assert_eq!(parts, 8, "height {h}: want a power-of-two fan-out");
             let fair = bf.records().div_ceil(parts as u64);
-            for (i, part) in partition_file(&c, &bf, opts, parts, 0, key)
-                .unwrap()
-                .iter()
-                .enumerate()
-            {
+            for (i, part) in grace_split(&c, &bf, parts).iter().enumerate() {
+                let records = part.as_ref().map_or(0, |p| p.records());
                 assert!(
-                    part.records() <= 2 * fair,
-                    "height {h}: partition {i} holds {} of {} records ({parts} parts)",
-                    part.records(),
+                    records <= 2 * fair,
+                    "height {h}: partition {i} holds {records} of {} records ({parts} parts)",
                     bf.records()
                 );
             }

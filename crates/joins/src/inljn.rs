@@ -71,7 +71,7 @@ pub fn inljn_probe_descendants(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("inljn", || {
-        let Some(clip) = ctx.clip(a, d).filter(|_| !a.is_empty() && !d.is_empty()) else {
+        let Some(clip) = ctx.clip(a, d) else {
             return Ok((0, 0));
         };
         let index = ctx.phase("build", || build_code_index(ctx, d, clip.d))?;
@@ -112,7 +112,7 @@ pub fn inljn_probe_ancestors(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("inljn", || {
-        let Some(clip) = ctx.clip(a, d).filter(|_| !a.is_empty() && !d.is_empty()) else {
+        let Some(clip) = ctx.clip(a, d) else {
             return Ok((0, 0));
         };
         let index = ctx.phase("build", || build_code_index(ctx, a, clip.a))?;

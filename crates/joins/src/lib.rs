@@ -18,7 +18,13 @@
 //! | [`planner`] | the Table-1 algorithm-selection framework | Table 1 | — |
 //! | [`sharded`] | one join task per region-range shard, each over its own pool | — | — |
 //!
-//! [`mhcj::mhcj`], [`vpj::vpj`] and sharded joins are unions of
+//! The partitioning joins are two ideas: split the inputs, then join each
+//! part as the equijoin `A.code = F(D.code, h)`. Every split is one
+//! scatter pass (by height in MHCJ, by anchor in MHCJ+Rollup, by tree
+//! level in VPJ, by hash bucket in the Grace hash join), and SHCJ,
+//! MHCJ's partitions and Rollup's anchors run one F-equijoin body
+//! (`shcj::anchored_equijoin`). [`mhcj::mhcj`], multi-anchor
+//! [`rollup::mhcj_rollup`], [`vpj::vpj`] and sharded joins are unions of
 //! independent sub-joins. They run them as tasks of one loop: in index
 //! order on the calling thread, each under a task span ([`trace`]),
 //! emitting straight into the caller's sink.
@@ -64,9 +70,6 @@ pub use planner::{
 };
 pub use sharded::{ShardRole, ShardedFile, ShardedStats, ShardedStore, Sharding};
 pub use shared::QueryBatch;
-pub use sink::{
-    CollectSink, CountSink, Counted, DistinctDescendants, HeapSink, MultiSink, PairSink,
-    ResultPair, SinkExt,
-};
+pub use sink::{CollectSink, CountSink, DistinctDescendants, MultiSink, PairSink};
 pub use stacktree::SortPolicy;
 pub use update::{ElementStore, StoreError};

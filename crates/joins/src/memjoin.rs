@@ -25,7 +25,7 @@ use std::ops::Deref;
 use pbitree_storage::util::FxHashMap;
 use pbitree_storage::{HeapFile, ScanOptions};
 
-use crate::context::{JoinCtx, JoinError, JoinStats};
+use crate::context::{Extent, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::sink::PairSink;
 
@@ -174,14 +174,15 @@ pub(crate) fn mem_join_inner<F: Deref<Target = HeapFile<Element>>>(
     keep: impl Fn(usize, &Element) -> bool,
     sink: &mut dyn PairSink,
 ) -> Result<(u64, u64), JoinError> {
-    // The envelope rule: both the resident load and the streamed probe
-    // are clipped by the *other* side's envelope, so zone maps skip
+    // The envelope rule: an empty side reads nothing, and both the
+    // resident load and the streamed probe are clipped by the *other*
+    // side's envelope, so zone maps skip
     // pages no pair can come from and pruned records never enter the
     // in-memory structures. (Filtering can only shrink the resident
     // side, so the `pick_side` fit check stays conservative.) A replica
     // the filter drops is dropped from every member alike, so `keep`
     // still admits each surviving ancestor exactly once.
-    let Some(clip) = ctx.clip_envelopes(envelope(a), envelope(d)) else {
+    let Some(clip) = ctx.clip_envelopes(extent(a), extent(d)) else {
         return Ok((0, 0));
     };
     let (a_opts, d_opts) = (clip.a, clip.d);
@@ -229,13 +230,15 @@ pub(crate) fn mem_join_inner<F: Deref<Target = HeapFile<Element>>>(
     }
 }
 
-/// A side's catalog envelope: the fold of its members' bounds, `None`
-/// (unknown) when any member has none.
-fn envelope<F: Deref<Target = HeapFile<Element>>>(side: &[F]) -> Option<(u64, u64)> {
-    side.iter().map(|f| f.bounds()).reduce(|acc, b| {
+/// A side's extent: its members' record count and the fold of their
+/// bounds, `None` (unknown) when any member has none.
+fn extent<F: Deref<Target = HeapFile<Element>>>(side: &[F]) -> Extent {
+    let records = side.iter().map(|f| f.records()).sum();
+    let envelope = side.iter().map(|f| f.bounds()).reduce(|acc, b| {
         let ((lo, hi), (b_lo, b_hi)) = (acc?, b?);
         Some((lo.min(b_lo), hi.max(b_hi)))
-    })?
+    });
+    (records, envelope.flatten())
 }
 
 /// Reads every record of `side` that `opts` and `keep` admit into memory.

@@ -5,47 +5,18 @@
 //! is a plain append. Each partition runs SHCJ against the *full* `D` —
 //! which is why the cost grows as `5‖A‖ + 3k‖D‖` with `k` height
 //! partitions, and why [`crate::rollup`] exists to shrink `k`.
+//!
+//! The split is the partitioning joins' one scatter pass
+//! (`context::scatter`, one slot per height), and each partition is one
+//! task running SHCJ's body, height peek included.
 
-use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
+use pbitree_storage::HeapFile;
 
-use crate::context::{try_for_each, JoinCtx, JoinError, JoinStats};
+use crate::context::{scatter, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::shcj::shcj_inner;
 use crate::sink::PairSink;
 use crate::trace::for_each_task;
-
-/// One pass over `a` by node height, read through `opts`: an element of
-/// height `h` goes to the writer of slot `slot(h)` (below 64), created at
-/// the slot's first element, or to none when `slot` says `None`. Returns
-/// the written partitions in ascending slot order; each deletes its file
-/// when dropped. MHCJ partitions by height itself (`Some(h)`, through the
-/// envelope clip); MHCJ+Rollup runs its occupied-height histogram (every
-/// slot `None`) and its anchor partitioning through the same pass.
-pub(crate) fn height_pass<'a>(
-    ctx: &'a JoinCtx,
-    a: &HeapFile<Element>,
-    opts: ScanOptions,
-    mut slot: impl FnMut(u32) -> Result<Option<usize>, JoinError>,
-) -> Result<Vec<TempFile<'a, HeapFile<Element>>>, JoinError> {
-    let mut writers: Vec<Option<HeapWriter<'_, Element>>> = (0..64).map(|_| None).collect();
-    let wopts = ctx.write_opts();
-    let mut scan = a.scan_with(&ctx.pool, opts);
-    try_for_each(&mut scan, |e| {
-        let Some(i) = slot(e.code.height())? else {
-            return Ok(());
-        };
-        let w = match &mut writers[i] {
-            Some(w) => w,
-            w @ None => w.insert(HeapWriter::create_with(&ctx.pool, wopts)?),
-        };
-        Ok(w.push(e)?)
-    })?;
-    writers
-        .into_iter()
-        .flatten()
-        .map(|w| Ok(ctx.temp(w.finish()?)))
-        .collect()
-}
 
 /// MHCJ: horizontal (height) partitioning, then one SHCJ task per
 /// partition in ascending height order (a single partition is Algorithm
@@ -64,11 +35,12 @@ pub fn mhcj(
         // dominate (`5‖A‖ + 3k‖D‖`). Each partition's SHCJ clips `D` by
         // that partition's own envelope.
         let parts = ctx.phase("partition", || {
-            height_pass(ctx, a, clip.a, |h| Ok(Some(h as usize)))
+            scatter(ctx, a, clip.a, 64, |e| Ok(Some(e.code.height() as usize)))
         })?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
-            for_each_task(parts.iter().map(|part| (ctx, part)), |ctx, part| {
+            let tasks = parts.iter().flatten().map(|part| (ctx, part));
+            for_each_task(tasks, |ctx, part| {
                 let (p, _) = shcj_inner(ctx, part, d, sink)?;
                 pairs += p;
                 Ok(p)
@@ -170,37 +142,6 @@ mod tests {
         let mut sink = CountSink::default();
         let stats = mhcj(&c, &a, &d, &mut sink).unwrap();
         assert_eq!(stats.pairs, 2);
-    }
-
-    #[test]
-    fn height_pass_fills_occupied_slots_in_ascending_order() {
-        let c = ctx(8);
-        // Heights 1, 1, 2, 3, written high to low.
-        let a = element_file(&c.pool, [(8u64, 0), (4, 0), (6, 0), (2, 0)]).unwrap();
-        let live = c.pool.live_files().len();
-        let codes = |parts: &[TempFile<'_, HeapFile<Element>>]| -> Vec<Vec<u64>> {
-            let codes = |f: &HeapFile<Element>| {
-                let elems = f.read_all(&c.pool).unwrap();
-                elems.iter().map(|e| e.code.get()).collect()
-            };
-            parts.iter().map(|f| codes(f)).collect()
-        };
-        let by_height = height_pass(&c, &a, c.read_opts(), |h| Ok(Some(h as usize))).unwrap();
-        assert_eq!(codes(&by_height), [vec![6, 2], vec![4], vec![8]]);
-        // Writers open at a slot's first element: slots 1 to 8 write nothing.
-        let two = height_pass(&c, &a, c.read_opts(), |h| {
-            Ok(Some(if h < 3 { 0 } else { 9 }))
-        });
-        assert_eq!(codes(&two.unwrap()), [vec![4, 6, 2], vec![8]]);
-        let mut seen = Vec::new();
-        let none = height_pass(&c, &a, c.read_opts(), |h| {
-            seen.push(h);
-            Ok(None)
-        });
-        assert!(none.unwrap().is_empty());
-        assert_eq!(seen, [3, 2, 1, 1]);
-        drop(by_height);
-        assert_eq!(c.pool.live_files().len(), live, "partitions are freed");
     }
 
     #[test]

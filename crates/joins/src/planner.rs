@@ -325,30 +325,54 @@ mod tests {
     fn disjoint_envelopes_read_nothing() {
         // A: single-height ancestors in the left half of the H = 18 code
         // space; D: leaves in the right half. Several pages a side, so
-        // every operator has real scans to skip.
+        // every operator has real scans to skip. Then each side alone is
+        // emptied: an empty side reads nothing whatever `prune` says.
         let left = |i: u64| (1 + 2 * i) << 3; // height 3, codes < 2^17
         let right = |i: u64| (1u64 << 17) + 2 * i + 1; // leaves > 2^17
-        for prune in [true, false] {
-            for algo in Algorithm::ALL {
-                let c = crate::JoinCtxBuilder::in_memory(PBiTreeShape::new(18).unwrap(), 8)
-                    .prune(prune)
-                    .build();
-                let a = element_file(&c.pool, (0..1500).map(|i| (left(i), 0))).unwrap();
-                let d = element_file(&c.pool, (0..3000).map(|i| (right(i), 1))).unwrap();
-                c.pool.flush_all().unwrap();
-                let before = c.pool.pool_stats();
-                let mut sink = crate::sink::CountSink::default();
-                let stats = execute(&c, algo, &a, &d, SortPolicy::SortOnTheFly, &mut sink)
-                    .unwrap_or_else(|e| panic!("{algo} prune={prune}: {e}"));
-                let requests = c.pool.pool_stats().since(&before).requests();
-                assert_eq!(stats.pairs, 0, "{algo} prune={prune}");
-                if prune {
-                    assert_eq!(stats.io.total(), 0, "{algo} read or wrote pages");
-                    assert_eq!(requests, 0, "{algo} asked the pool for pages");
-                } else {
-                    assert!(requests > 0, "{algo} skipped its scans with pruning off");
+        let cases = [
+            ("disjoint", 1500, 3000),
+            ("empty A", 0, 3000),
+            ("empty D", 1500, 0),
+        ];
+        for (case, a_len, d_len) in cases {
+            for prune in [true, false] {
+                let ops = Algorithm::ALL.map(|algo| {
+                    let op: Box<JoinOp> = Box::new(move |c, a, d, sink| {
+                        execute(c, algo, a, d, SortPolicy::SortOnTheFly, sink)
+                    });
+                    (algo.to_string(), op)
+                });
+                let memjoin: Box<JoinOp> = Box::new(crate::memjoin::memory_containment_join);
+                for (name, op) in ops.into_iter().chain([("memjoin".to_string(), memjoin)]) {
+                    let c = crate::JoinCtxBuilder::in_memory(PBiTreeShape::new(18).unwrap(), 8)
+                        .prune(prune)
+                        .build();
+                    let a = element_file(&c.pool, (0..a_len).map(|i| (left(i), 0))).unwrap();
+                    let d = element_file(&c.pool, (0..d_len).map(|i| (right(i), 1))).unwrap();
+                    c.pool.flush_all().unwrap();
+                    let before = c.pool.pool_stats();
+                    let mut sink = crate::sink::CountSink::default();
+                    let at = format!("{name} {case} prune={prune}");
+                    let result = op(&c, &a, &d, &mut sink);
+                    let requests = c.pool.pool_stats().since(&before).requests();
+                    let stats = result.unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert_eq!(stats.pairs, 0, "{at}");
+                    if prune || case != "disjoint" {
+                        assert_eq!(stats.io.total(), 0, "{at}: read or wrote pages");
+                        assert_eq!(requests, 0, "{at}: asked the pool for pages");
+                    } else {
+                        assert!(requests > 0, "{at}: skipped its scans with pruning off");
+                    }
                 }
             }
         }
     }
+
+    /// An operator as the test drives it.
+    type JoinOp = dyn Fn(
+        &JoinCtx,
+        &HeapFile<Element>,
+        &HeapFile<Element>,
+        &mut dyn PairSink,
+    ) -> Result<JoinStats, JoinError>;
 }

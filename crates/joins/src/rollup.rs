@@ -4,7 +4,8 @@
 //! CPU: ancestors below a chosen anchor height are treated as their
 //! ancestor at the anchor — the equijoin key becomes `F(a, anchor)` on one
 //! side and `F(d, anchor)` on the other — so several heights share one
-//! SHCJ-style equijoin. A rolled match only proves `d` is under the
+//! equijoin, SHCJ's own body (`shcj::anchored_equijoin`) with the
+//! ancestor side unclipped. A rolled match only proves `d` is under the
 //! *anchor ancestor* of `a`, not under `a` itself, so every candidate is
 //! re-checked with Lemma 1; rejects are the **false hits** of Table 2(f).
 //!
@@ -17,17 +18,19 @@
 //!
 //! `target_partitions > 1` keeps the top `k` heights as anchors (fewer
 //! false hits, one extra equijoin per anchor); partitions are then
-//! materialized once, as plain elements, and each anchor's equijoin still
-//! computes keys on the fly. The ablation bench sweeps this knob.
+//! materialized once, as plain elements, by the partitioning joins' one
+//! scatter pass (`context::scatter`, which also runs the histogram with no
+//! slot), and each anchor's equijoin is one task of the task loop
+//! (`trace::for_each_task`) that still computes keys on the fly. The
+//! ablation bench sweeps this knob.
 
 use pbitree_storage::HeapFile;
 
-use crate::context::{JoinCtx, JoinError, JoinStats};
+use crate::context::{scatter, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
-use crate::hashjoin::hash_equijoin_with;
-use crate::mhcj::height_pass;
-use crate::shcj::below_height;
+use crate::shcj::anchored_equijoin;
 use crate::sink::PairSink;
+use crate::trace::for_each_task;
 
 /// Tuning knobs for [`mhcj_rollup`]. `Default` is the paper's strategy:
 /// roll everything up to the single topmost occupied height.
@@ -65,114 +68,67 @@ pub fn mhcj_rollup(
 ) -> Result<JoinStats, JoinError> {
     assert!(opts.target_partitions >= 1);
     ctx.measure_op("mhcj_rollup", || {
-        if ctx.clip(a, d).is_none() {
+        let Some(clip) = ctx.clip(a, d) else {
             return Ok((0, 0));
-        }
-        // Pass 1: occupied-height histogram (one read of A, no writer).
+        };
+        // Pass 1: occupied-height histogram (one read of A, no slot).
         let heights = ctx.phase("plan", || {
             let mut occupied = [false; 64];
-            height_pass(ctx, a, ctx.read_opts(), |h| {
-                occupied[h as usize] = true;
+            scatter(ctx, a, ctx.read_opts(), 0, |e| {
+                occupied[e.code.height() as usize] = true;
                 Ok(None)
             })?;
             Ok((0..64u32)
                 .filter(|&h| occupied[h as usize])
                 .collect::<Vec<u32>>())
         })?;
-        if heights.is_empty() || d.is_empty() {
-            return Ok((0, 0));
-        }
         let k = opts.target_partitions.min(heights.len());
         let anchors: Vec<u32> = heights[heights.len() - k..].to_vec();
 
         if let [anchor] = anchors.as_slice() {
             // Default strategy: one equijoin, keys on the fly, no
             // materialization at all.
-            let anchor = *anchor;
-            return ctx.phase_counted("probe", || anchored_equijoin(ctx, a, d, anchor, sink));
+            return ctx.phase_counted("probe", || {
+                let (counts, _) =
+                    anchored_equijoin(ctx, a, d, &clip, *anchor, ctx.read_opts(), sink)?;
+                Ok(counts)
+            });
         }
 
         // Several anchors: one partition pass over A (plain elements), one
-        // equijoin per anchor. Every anchor is an occupied height, so
+        // equijoin task per anchor. Every anchor is an occupied height, so
         // every slot gets a writer; the histogram pass saw every height,
         // so a height above every anchor, or an anchor left without a
         // partition, means the file changed between the two passes.
         let parts = ctx.phase("partition", || {
-            let parts = height_pass(ctx, a, ctx.read_opts(), |h| {
+            let parts = scatter(ctx, a, ctx.read_opts(), anchors.len(), |e| {
+                let h = e.code.height();
                 let slot = anchors.iter().position(|&anchor| anchor >= h);
                 slot.map(Some)
                     .ok_or_else(|| JoinError::corrupt("ancestor height above every anchor"))
             })?;
-            if parts.len() != anchors.len() {
-                return Err(JoinError::corrupt("anchor height without ancestors"));
-            }
-            Ok(parts)
+            parts
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| JoinError::corrupt("anchor height without ancestors"))
         })?;
 
         ctx.phase_counted("probe", || {
             let (mut pairs, mut false_hits) = (0u64, 0u64);
-            for (anchor, part) in anchors.iter().copied().zip(&parts) {
-                let (p, f) = anchored_equijoin(ctx, part, d, anchor, sink)?;
+            let tasks = anchors.iter().zip(&parts).map(|task| (ctx, task));
+            for_each_task(tasks, |ctx, (&anchor, part)| {
+                let Some(clip) = ctx.clip(part, d) else {
+                    return Ok(0);
+                };
+                let ((p, f), _) =
+                    anchored_equijoin(ctx, part, d, &clip, anchor, ctx.read_opts(), sink)?;
                 pairs += p;
                 false_hits += f;
-            }
+                Ok(p)
+            })?;
             Ok((pairs, false_hits))
         })
     })
-}
-
-/// One SHCJ-style equijoin on `F(·, anchor)`, building on the smaller
-/// side, with the Lemma-1 post filter. Returns `(pairs, false_hits)`.
-///
-/// The envelope rule ([`JoinCtx::clip`]) with one exception. Disjoint
-/// envelopes read nothing, and the descendant scan is clipped by this
-/// anchor partition's envelope with the [`below_height`] window conjoined,
-/// as in SHCJ: a true pair's descendant lies inside some *real* ancestor's
-/// region. The ancestor side stays **unclipped**. A rolled ancestor whose
-/// region misses `D`'s envelope can still meet rolled candidates that
-/// Lemma 1 rejects, and those are the false hits Table 2(f) counts;
-/// clipping `A` would hide them. Clipping `D` is not necessary for
-/// false-hit candidates either — a pruned page may have held candidates
-/// Lemma 1 would have rejected — so pruning can only *lower* the reported
-/// false-hit count, never the pair count.
-fn anchored_equijoin(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    anchor: u32,
-    sink: &mut dyn PairSink,
-) -> Result<(u64, u64), JoinError> {
-    let Some(clip) = ctx.clip(a, d) else {
-        return Ok((0, 0));
-    };
-    let d_opts = clip.d_and(below_height(anchor));
-    let a_opts = ctx.read_opts();
-    let a_key = |e: &Element| {
-        debug_assert!(e.code.height() <= anchor, "anchor below an ancestor");
-        Some(e.code.ancestor_at_height(anchor).get())
-    };
-    let d_key = |e: &Element| {
-        if e.code.height() < anchor {
-            Some(e.code.ancestor_at_height(anchor).get())
-        } else {
-            None
-        }
-    };
-    let (mut pairs, mut false_hits) = (0u64, 0u64);
-    let mut check = |anc: &Element, desc: &Element| {
-        if anc.code.is_ancestor_of(desc.code) {
-            pairs += 1;
-            sink.emit(*anc, *desc);
-        } else {
-            false_hits += 1;
-        }
-    };
-    if a.records() <= d.records() {
-        hash_equijoin_with(ctx, a, d, a_opts, d_opts, a_key, d_key, |b, p| check(b, p))?;
-    } else {
-        hash_equijoin_with(ctx, d, a, d_opts, a_opts, d_key, a_key, |b, p| check(p, b))?;
-    }
-    Ok((pairs, false_hits))
 }
 
 #[cfg(test)]

@@ -10,10 +10,17 @@
 //! inside `d`'s own subtree, which may well be in `A` and must not match.
 //! The probe key is therefore `None` (tuple skipped) for such descendants —
 //! the `shallow_descendants_do_not_match` test pins this down.
+//!
+//! The equijoin is `anchored_equijoin`, the one F-equijoin body of the
+//! partitioning joins: SHCJ runs it at its peeked height, MHCJ through
+//! SHCJ per height partition, and MHCJ+Rollup at each anchor with lower
+//! ancestors rolled up. Its Lemma-1 check rejects nothing here, and the
+//! first ancestor height other than `h` it reports becomes
+//! [`JoinError::NotSingleHeight`].
 
 use pbitree_storage::{HeapFile, ScanFilter, ScanOptions};
 
-use crate::context::{JoinCtx, JoinError, JoinStats};
+use crate::context::{Clipped, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::hashjoin::hash_equijoin_with;
 use crate::sink::PairSink;
@@ -62,8 +69,8 @@ pub(crate) fn below_height(h: u32) -> ScanFilter {
 }
 
 /// The un-measured body, reused by MHCJ per height partition. Phases:
-/// `plan` (height inspection) and `probe` (the hash equijoin, including
-/// any Grace partitioning it decides to do).
+/// `plan` (height inspection) and `probe` (the F-equijoin at the peeked
+/// height, including any Grace partitioning it decides to do).
 ///
 /// Both scans follow the envelope rule ([`JoinCtx::clip`]): `A` is
 /// clipped by `D`'s envelope, and `D` by `A`'s with the [`below_height`]
@@ -83,45 +90,72 @@ pub(crate) fn shcj_inner(
     let Some(h) = ctx.phase("plan", || single_height_of(ctx, a, clip.a))? else {
         return Ok((0, 0));
     };
-    let d_opts = clip.d_and(below_height(h));
-    let a_opts = clip.a;
-    // `Cell`: the A-key closure is `Fn` (shared by partitioning and build
-    // passes) but must record a violation it encounters.
-    let height_violation = std::cell::Cell::new(None::<u32>);
-    let a_key = |b: &Element| {
-        if b.code.height() != h && height_violation.get().is_none() {
-            height_violation.set(Some(b.code.height()));
+    ctx.phase_counted("probe", || {
+        match anchored_equijoin(ctx, a, d, &clip, h, clip.a, sink)? {
+            (counts, None) => Ok(counts),
+            (_, Some(found)) => Err(JoinError::NotSingleHeight { expected: h, found }),
         }
-        Some(b.code.get())
+    })
+}
+
+/// The F-equijoin of the partitioning joins, `A.code = F(D.code, anchor)`:
+/// both sides are keyed on their ancestor at height `anchor`, the hash
+/// join builds on the smaller side, and every candidate passes Lemma 1's
+/// check before it is emitted. Returns `(pairs, false_hits)` and the first
+/// ancestor height other than `anchor` the A scan met.
+///
+/// `A` is read through `a_opts` and `D` through `clip.d` with the
+/// [`below_height`] window conjoined. SHCJ passes `clip.a` at its peeked
+/// height, where every candidate is a pair and any other height is an
+/// error. MHCJ+Rollup rolls lower ancestors up to `anchor` and passes
+/// `ctx.read_opts()`: a rolled ancestor whose own region misses `D`'s
+/// envelope still meets candidates that Lemma 1 rejects, and those are
+/// the false hits Table 2(f) counts, so its A side stays unclipped.
+/// Pruning `D` can drop a page holding such candidates, so pruning can
+/// lower the false-hit count, never the pair count.
+pub(crate) fn anchored_equijoin(
+    ctx: &JoinCtx,
+    a: &HeapFile<Element>,
+    d: &HeapFile<Element>,
+    clip: &Clipped,
+    anchor: u32,
+    a_opts: ScanOptions,
+    sink: &mut dyn PairSink,
+) -> Result<((u64, u64), Option<u32>), JoinError> {
+    let d_opts = clip.d_and(below_height(anchor));
+    // `Cell`: the A-key closure is `Fn` (shared by partitioning and build
+    // passes) but must record the first off-anchor height it meets.
+    let off_anchor = std::cell::Cell::new(None::<u32>);
+    let a_key = |e: &Element| {
+        if e.code.height() != anchor && off_anchor.get().is_none() {
+            off_anchor.set(Some(e.code.height()));
+        }
+        Some(e.code.ancestor_at_height(anchor).get())
     };
-    let d_key = |p: &Element| {
-        if p.code.height() < h {
-            Some(p.code.ancestor_at_height(h).get())
+    let d_key = |e: &Element| {
+        if e.code.height() < anchor {
+            Some(e.code.ancestor_at_height(anchor).get())
         } else {
             None
         }
     };
-    ctx.phase_counted("probe", || {
-        let mut pairs = 0u64;
-        // Build on the smaller side: the equijoin is symmetric, and the
-        // build side is what must fit in memory (or gets
-        // Grace-partitioned).
-        if a.records() <= d.records() {
-            hash_equijoin_with(ctx, a, d, a_opts, d_opts, a_key, d_key, |b, p| {
-                pairs += 1;
-                sink.emit(*b, *p);
-            })?;
+    let (mut pairs, mut false_hits) = (0u64, 0u64);
+    let mut check = |anc: &Element, desc: &Element| {
+        if anc.code.is_ancestor_of(desc.code) {
+            pairs += 1;
+            sink.emit(*anc, *desc);
         } else {
-            hash_equijoin_with(ctx, d, a, d_opts, a_opts, d_key, a_key, |b, p| {
-                pairs += 1;
-                sink.emit(*p, *b);
-            })?;
+            false_hits += 1;
         }
-        if let Some(found) = height_violation.get() {
-            return Err(JoinError::NotSingleHeight { expected: h, found });
-        }
-        Ok((pairs, 0))
-    })
+    };
+    // Build on the smaller side: the equijoin is symmetric, and the build
+    // side is what must fit in memory (or gets Grace-partitioned).
+    if a.records() <= d.records() {
+        hash_equijoin_with(ctx, a, d, a_opts, d_opts, a_key, d_key, |b, p| check(b, p))?;
+    } else {
+        hash_equijoin_with(ctx, d, a, d_opts, a_opts, d_key, a_key, |b, p| check(p, b))?;
+    }
+    Ok(((pairs, false_hits), off_anchor.get()))
 }
 
 #[cfg(test)]
@@ -207,6 +241,30 @@ mod tests {
         let mut expect = CollectSink::default();
         block_nested_loop(&big, &a2, &d2, &mut expect).unwrap();
         assert_eq!(got.canonical(), expect.canonical());
+    }
+
+    /// SHCJ and Rollup run one F-equijoin body: on a single-height A the
+    /// default Rollup's one anchor is SHCJ's height, so both emit one pair
+    /// sequence and Lemma 1 rejects nothing, in memory and through Grace.
+    #[test]
+    fn shcj_and_rollup_emit_the_same_sequence() {
+        use crate::rollup::{mhcj_rollup, RollupOptions};
+        let a_codes = codes_at_height(5, 4000, 3);
+        let d_codes = codes_at_height(0, 9000, 7);
+        for b in [64usize, 4] {
+            let c = ctx(b);
+            let a = element_file(&c.pool, a_codes.iter().map(|&v| (v, 0))).unwrap();
+            let d = element_file(&c.pool, d_codes.iter().map(|&v| (v, 1))).unwrap();
+            let grace = a.pages().min(d.pages()) as usize > c.resident_pages();
+            assert_eq!(grace, b == 4, "b = {b}: A {} pages", a.pages());
+            let (mut by_shcj, mut by_rollup) = (CollectSink::default(), CollectSink::default());
+            let s = shcj(&c, &a, &d, &mut by_shcj).unwrap();
+            let r = mhcj_rollup(&c, &a, &d, RollupOptions::default(), &mut by_rollup).unwrap();
+            assert!(s.pairs > 0, "b = {b}: the workload should join");
+            assert_eq!(by_shcj.pairs, by_rollup.pairs, "b = {b}");
+            assert_eq!((s.pairs, s.false_hits), (r.pairs, 0), "b = {b}");
+            assert_eq!(r.false_hits, 0, "b = {b}");
+        }
     }
 
     #[test]

@@ -3,15 +3,12 @@
 //! Operators emit `(ancestor, descendant)` pairs into a [`PairSink`];
 //! experiments count ([`CountSink`]), tests collect ([`CollectSink`]),
 //! path queries keep only the distinct descendants
-//! ([`DistinctDescendants`]), pipelines materialize to a heap file
-//! ([`HeapSink`]), and the shared
-//! multi-query scan routes each query's matches to its own sink through
-//! [`MultiSink`]. Sinks compose: any sink gains a pair counter via
-//! [`SinkExt::counted`], and `&mut S` is itself a sink, so one sink can
-//! be lent to several operator runs in sequence.
+//! ([`DistinctDescendants`]), and the shared multi-query scan routes each
+//! query's matches to its own sink through [`MultiSink`]. `&mut S` is
+//! itself a sink, so one sink can be lent to several operator runs in
+//! sequence.
 
 use crate::element::Element;
-use pbitree_storage::{BufferPool, FixedRecord, HeapFile, HeapWriter, PoolError, ScanOptions};
 
 /// Consumer of join result pairs.
 pub trait PairSink {
@@ -27,38 +24,6 @@ impl<S: PairSink + ?Sized> PairSink for &mut S {
     #[inline]
     fn emit(&mut self, a: Element, d: Element) {
         (**self).emit(a, d);
-    }
-}
-
-/// Extension adapters every sink gets for free.
-pub trait SinkExt: PairSink + Sized {
-    /// Wraps the sink with a pair counter — the unification of the ad-hoc
-    /// counting wrappers tests used to hand-roll around collecting sinks.
-    fn counted(self) -> Counted<Self> {
-        Counted {
-            inner: self,
-            count: 0,
-        }
-    }
-}
-
-impl<S: PairSink + Sized> SinkExt for S {}
-
-/// A sink wrapper that counts pairs on their way through (see
-/// [`SinkExt::counted`]).
-#[derive(Debug, Default)]
-pub struct Counted<S> {
-    /// The wrapped sink; every pair is forwarded to it.
-    pub inner: S,
-    /// Number of pairs seen.
-    pub count: u64,
-}
-
-impl<S: PairSink> PairSink for Counted<S> {
-    #[inline]
-    fn emit(&mut self, a: Element, d: Element) {
-        self.count += 1;
-        self.inner.emit(a, d);
     }
 }
 
@@ -216,90 +181,6 @@ impl PairSink for DistinctDescendants {
     }
 }
 
-/// One materialized join result: ancestor then descendant, 24 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResultPair {
-    /// The ancestor element.
-    pub a: Element,
-    /// The descendant element.
-    pub d: Element,
-}
-
-impl FixedRecord for ResultPair {
-    const SIZE: usize = 2 * Element::SIZE;
-
-    #[inline]
-    fn write(&self, out: &mut [u8]) {
-        self.a.write(&mut out[..Element::SIZE]);
-        self.d.write(&mut out[Element::SIZE..]);
-    }
-
-    #[inline]
-    fn read(buf: &[u8]) -> Self {
-        ResultPair {
-            a: Element::read(&buf[..Element::SIZE]),
-            d: Element::read(&buf[Element::SIZE..]),
-        }
-    }
-
-    #[inline]
-    fn validate(buf: &[u8]) -> Result<(), &'static str> {
-        Element::validate(&buf[..Element::SIZE])?;
-        Element::validate(&buf[Element::SIZE..])
-    }
-}
-
-/// Materializes result pairs into a heap file (write-once batched), for
-/// pipelines that feed one join's output into another operator.
-///
-/// [`PairSink::emit`] is infallible by contract, so a write error is
-/// latched on first occurrence — later pairs are counted but dropped —
-/// and surfaced by [`finish`](HeapSink::finish).
-pub struct HeapSink<'a> {
-    writer: Option<HeapWriter<'a, ResultPair>>,
-    error: Option<PoolError>,
-    /// Number of pairs emitted (including any dropped after an error).
-    pub count: u64,
-}
-
-impl<'a> HeapSink<'a> {
-    /// Starts a sink writing to a fresh heap file under explicit
-    /// [`ScanOptions`] — pass the operator's write options (e.g.
-    /// `ctx.write_opts()`) so the materialized output batches at the
-    /// declared depth.
-    pub fn create_with(pool: &'a BufferPool, opts: ScanOptions) -> Result<Self, PoolError> {
-        Ok(HeapSink {
-            writer: Some(HeapWriter::create_with(pool, opts)?),
-            error: None,
-            count: 0,
-        })
-    }
-
-    /// Seals the output file, surfacing any write error latched by
-    /// [`emit`](PairSink::emit).
-    pub fn finish(mut self) -> Result<HeapFile<ResultPair>, PoolError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.writer.take().expect("finish called once").finish()
-    }
-}
-
-impl PairSink for HeapSink<'_> {
-    #[inline]
-    fn emit(&mut self, a: Element, d: Element) {
-        self.count += 1;
-        if self.error.is_some() {
-            return;
-        }
-        if let Some(w) = &mut self.writer {
-            if let Err(e) = w.push(ResultPair { a, d }) {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,10 +200,10 @@ mod tests {
     }
 
     #[test]
-    fn counted_adapter_and_borrowed_sinks() {
+    fn borrowed_sinks_are_sinks() {
         let a = Element::new(16, 0);
         let d = Element::new(18, 1);
-        let mut c = CollectSink::default().counted();
+        let mut c = CollectSink::default();
         c.emit(a, d);
         // A `&mut` borrow of a sink is a sink too: lend it to a helper
         // that takes ownership of its sink argument.
@@ -330,8 +211,7 @@ mod tests {
             s.emit(a, d);
         }
         feed(&mut c, d, a);
-        assert_eq!(c.count, 2);
-        assert_eq!(c.inner.canonical(), vec![(16, 18), (18, 16)]);
+        assert_eq!(c.canonical(), vec![(16, 18), (18, 16)]);
     }
 
     #[test]
@@ -411,58 +291,5 @@ mod tests {
             "allocated {allocated} codes, bound {bound}"
         );
         assert_eq!(s.finish(), (1..=distinct).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn result_pair_record_round_trips() {
-        let p = ResultPair {
-            a: Element::new(16, 3),
-            d: Element::new(18, 7),
-        };
-        let mut buf = [0u8; ResultPair::SIZE];
-        p.write(&mut buf);
-        assert!(ResultPair::validate(&buf).is_ok());
-        assert_eq!(ResultPair::read(&buf), p);
-        // A zeroed half is a corrupt record, same as for Element.
-        buf[..Element::SIZE].fill(0);
-        assert!(ResultPair::validate(&buf).is_err());
-    }
-
-    /// A real join materialized through `HeapSink` scans back exactly the
-    /// pairs a `CollectSink` saw — including across the page boundary of
-    /// the 24-byte record and through write batching.
-    #[test]
-    fn heap_sink_round_trips_join_output() {
-        use crate::element::element_file;
-        use crate::JoinCtx;
-        use pbitree_core::PBiTreeShape;
-
-        let ctx = JoinCtx::in_memory_free(PBiTreeShape::new(12).unwrap(), 8);
-        let codes_a: Vec<(u64, u32)> = (0..32u64).map(|i| ((1 + 2 * i) << 4, 0)).collect();
-        let codes_d: Vec<(u64, u32)> = (1..1u64 << 11).map(|c| (c, 1)).collect();
-        let a = element_file(&ctx.pool, codes_a).unwrap();
-        let d = element_file(&ctx.pool, codes_d).unwrap();
-
-        let mut expect = CollectSink::default();
-        crate::naive::block_nested_loop(&ctx, &a, &d, &mut expect).unwrap();
-
-        let mut sink = HeapSink::create_with(&ctx.pool, ctx.write_opts()).unwrap();
-        crate::naive::block_nested_loop(&ctx, &a, &d, &mut sink).unwrap();
-        assert_eq!(sink.count, expect.pairs.len() as u64);
-        let file = sink.finish().unwrap();
-        assert_eq!(file.records(), sink_len(&expect));
-
-        let mut got = Vec::new();
-        let mut scan = file.scan(&ctx.pool);
-        while let Some(p) = scan.next_record().unwrap() {
-            got.push((p.a.code.get(), p.d.code.get()));
-        }
-        got.sort_unstable();
-        assert_eq!(got, expect.canonical());
-        file.drop_file(&ctx.pool);
-    }
-
-    fn sink_len(c: &CollectSink) -> u64 {
-        c.pairs.len() as u64
     }
 }

@@ -88,9 +88,6 @@ pub(crate) fn sort_merge(
     skips: bool,
     sink: &mut dyn PairSink,
 ) -> Result<(u64, u64), JoinError> {
-    if a.is_empty() || d.is_empty() {
-        return Ok((0, 0));
-    }
     let Some(clip) = ctx.clip(a, d) else {
         return Ok((0, 0));
     };

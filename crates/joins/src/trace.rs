@@ -23,8 +23,8 @@
 //!   sum *exactly* to the run's total I/O delta, because all snapshots
 //!   diff the same monotone counters on the run's thread.
 //! * **task** — one task of an operator's task loop (`for_each_task`):
-//!   an MHCJ height partition, a VPJ group or recursion, one shard of a
-//!   sharded join. Carries the task's CPU time and the pairs it emitted.
+//!   an MHCJ height partition, a Rollup anchor, a VPJ group or
+//!   recursion, one shard of a sharded join. Carries the task's CPU time and the pairs it emitted.
 //!   Tasks run inside their operator's `probe` phase, so task spans are
 //!   never tiled and never enter a [`JoinStats`] phase breakdown; they
 //!   break that phase down per task. A task loop nested inside a task
@@ -511,7 +511,8 @@ impl JoinCtx {
 /// captured, and returns the pairs it emitted. The first error stops the
 /// loop and is returned; tasks before it have delivered their pairs, and
 /// the tasks after it are dropped (with their files) unrun. MHCJ's height
-/// partitions, VPJ's groups and a sharded store's shards all run here.
+/// partitions, Rollup's anchors, VPJ's groups and a sharded store's
+/// shards all run here.
 pub(crate) fn for_each_task<'c, T>(
     tasks: impl IntoIterator<Item = (&'c JoinCtx, T)>,
     mut run: impl FnMut(&'c JoinCtx, T) -> Result<u64, JoinError>,

@@ -16,7 +16,10 @@
 //! partition: `d`'s home partition, which `a`'s range must cover (an
 //! ancestor's range contains its descendant's). The
 //! `replication_produces_no_duplicates` test and the cross-algorithm
-//! verification suite pin this down.
+//! verification suite pin this down. Both sides split in the partitioning
+//! joins' one scatter pass (`context::scatter`): an ancestor routes to its
+//! replica range, a descendant to its home slot or, outside the smaller
+//! side's span, nowhere.
 //!
 //! **Merging and purging (skew adaptation).** Partitions where either side
 //! is empty are discarded outright. Surviving partitions are greedily
@@ -37,9 +40,9 @@
 //! (`trace::for_each_task`) runs them in order, each under its task span.
 //! A recursing task runs its own level's tasks through the same loop.
 
-use pbitree_storage::{HeapFile, HeapWriter, ScanOptions, TempFile};
+use pbitree_storage::HeapFile;
 
-use crate::context::{try_for_each, JoinCtx, JoinError, JoinStats};
+use crate::context::{scatter, JoinCtx, JoinError, JoinStats, Part};
 use crate::element::Element;
 use crate::memjoin::mem_join_inner;
 use crate::rollup;
@@ -64,10 +67,6 @@ pub struct VpjReport {
     pub fallbacks: u64,
 }
 
-/// A partition file: deleted when its owner — a partition map, a task, or
-/// an error unwinding past either — drops it.
-type Part<'a> = TempFile<'a, HeapFile<Element>>;
-
 /// One unit of work a partitioning level leaves behind, in the order the
 /// plan executes them. Tasks own their files: a task that ran, failed or
 /// never ran deletes them all the same.
@@ -79,15 +78,15 @@ enum VpjTask<'a> {
         /// Member partition indices, ascending.
         members: Vec<u64>,
         /// Ancestor-side files, parallel to `members`.
-        ga: Vec<Part<'a>>,
+        ga: Vec<Part<'a, Element>>,
         /// Descendant-side files, parallel to `members`.
-        gd: Vec<Part<'a>>,
+        gd: Vec<Part<'a, Element>>,
     },
     /// A lone dense partition: recurse one level deeper, confined to the
     /// partition's subtree code range `window`.
     Recurse {
-        a: Part<'a>,
-        d: Part<'a>,
+        a: Part<'a, Element>,
+        d: Part<'a, Element>,
         window: (u64, u64),
         min_level: u32,
         depth: u32,
@@ -268,15 +267,42 @@ fn vpj_rec<'a>(
 
     // Each side's partitioning scan is clipped by the *other* side's
     // envelope, so pages the zone map proves irrelevant are never read
-    // and their records never partitioned (or replicated) at all.
+    // and their records never partitioned (or replicated) at all. An
+    // ancestor replicates over its range clipped to `span`; a descendant
+    // goes to its home slot, or nowhere when that lies outside `span` —
+    // either way only records of partitions the smaller side leaves
+    // empty, which the purge would discard.
+    let slots = span.1.saturating_add(1).saturating_sub(span.0) as usize;
+    let slot_range = |e: &Element| {
+        let (lo, hi) = partition_range(e.code, h, l);
+        // Clip spanning nodes to this subtree's index window: replicas
+        // outside it would pair only with descendants that live in sibling
+        // subtrees, which the parent level already handles. A recursion
+        // only ever sees elements inside its own subtree, so an empty
+        // clipped range means the file changed under us.
+        let (lo, hi) = (lo.max(wlo), hi.min(whi));
+        if lo > hi {
+            return Err(JoinError::corrupt("element outside its subtree window"));
+        }
+        Ok((lo, hi))
+    };
     let parts_a = ctx.phase("partition", || {
-        let role = PartitionRole::Ancestor;
-        partition_pass(ctx, a, l, window, span, role, report, clip.a)
+        scatter(ctx, a, clip.a, slots, |e| {
+            let (lo, hi) = slot_range(e)?;
+            let replicas = (lo.max(span.0) - span.0) as usize
+                ..(hi.min(span.1) + 1).saturating_sub(span.0) as usize;
+            report.replicated_tuples += replicas.len().saturating_sub(1) as u64;
+            Ok(replicas)
+        })
     })?;
     let parts_d = ctx.phase("partition", || {
-        let role = PartitionRole::Descendant;
-        partition_pass(ctx, d, l, window, span, role, report, clip.d)
+        scatter(ctx, d, clip.d, slots, |e| {
+            let (home, _) = slot_range(e)?;
+            let inside = (span.0..=span.1).contains(&home);
+            Ok(inside.then(|| (home - span.0) as usize))
+        })
     })?;
+    report.partitions += parts_a.iter().chain(&parts_d).flatten().count() as u64;
 
     // Purge, then greedily merge into groups satisfying the memory-join
     // precondition. A partition survives only where both sides are
@@ -332,83 +358,6 @@ fn vpj_rec<'a>(
         }
     }
     Ok(((0, 0), tasks))
-}
-
-enum PartitionRole {
-    /// Spanning nodes are replicated across their whole range.
-    Ancestor,
-    /// Spanning nodes go to the leftmost partition of their range only.
-    Descendant,
-}
-
-/// Splits `input` by partition index at level `l` into per-index heap
-/// files, one slot per index of `span` (the smaller side's index range at
-/// level `l`, already inside the window, at most
-/// `next_power_of_two(b − 2)` indices): the returned vector's entry `i`
-/// holds partition `span.0 + i`, `None` where no record landed. Writers
-/// open at their first record, so only occupied partitions materialize.
-/// An ancestor replicates over its range clipped to `span`; a descendant
-/// whose home index falls outside `span` is dropped — either way only
-/// records of partitions the smaller side leaves empty, which the purge
-/// would discard. `opts` carries the caller's pushdown filter (the
-/// opposite side's envelope), so pruned records never reach a writer.
-#[allow(clippy::too_many_arguments)]
-fn partition_pass<'a>(
-    ctx: &'a JoinCtx,
-    input: &HeapFile<Element>,
-    l: u32,
-    window: (u64, u64),
-    span: (u64, u64),
-    role: PartitionRole,
-    report: &mut VpjReport,
-    opts: ScanOptions,
-) -> Result<Vec<Option<Part<'a>>>, JoinError> {
-    let h = ctx.shape.height();
-    let shift = h - l; // hl + 1
-    let (wlo, whi) = (window.0 >> shift, window.1 >> shift);
-    let (s_lo, s_hi) = span;
-    let slots = s_hi.saturating_add(1).saturating_sub(s_lo) as usize;
-    let mut writers: Vec<Option<HeapWriter<'_, Element>>> = Vec::new();
-    writers.resize_with(slots, || None);
-    let wopts = ctx.write_opts();
-    let mut scan = input.scan_with(&ctx.pool, opts);
-    try_for_each(&mut scan, |e| {
-        let (lo, hi) = partition_range(e.code, h, l);
-        // Clip spanning nodes to this subtree's index window: replicas
-        // outside it would pair only with descendants that live in sibling
-        // subtrees, which the parent level already handles. A recursion
-        // only ever sees elements inside its own subtree, so an empty
-        // clipped range means the file changed under us.
-        let (lo, hi) = (lo.max(wlo), hi.min(whi));
-        if lo > hi {
-            return Err(JoinError::corrupt("element outside its subtree window"));
-        }
-        let targets = match role {
-            PartitionRole::Ancestor => lo.max(s_lo)..=hi.min(s_hi),
-            PartitionRole::Descendant if (s_lo..=s_hi).contains(&lo) => lo..=lo,
-            PartitionRole::Descendant => return Ok(()),
-        };
-        let mut first = true;
-        for idx in targets {
-            if !first {
-                report.replicated_tuples += 1;
-            }
-            first = false;
-            let slot = &mut writers[(idx - s_lo) as usize];
-            match slot {
-                Some(w) => w.push(e)?,
-                None => slot
-                    .insert(HeapWriter::create_with(&ctx.pool, wopts)?)
-                    .push(e)?,
-            }
-        }
-        Ok(())
-    })?;
-    report.partitions += writers.iter().flatten().count() as u64;
-    writers
-        .into_iter()
-        .map(|w| w.map(|w| Ok(ctx.temp(w.finish()?))).transpose())
-        .collect()
 }
 
 /// Dense-subtree fallback: MHCJ+Rollup's inner body (unmeasured — VPJ's

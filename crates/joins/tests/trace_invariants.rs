@@ -351,10 +351,16 @@ fn every_operator_tiles_exactly_sequential() {
 
 #[test]
 fn partitioned_runs_tile_exactly_with_task_spans() {
-    for (op, f, heights) in operators()
+    // MHCJ+Rollup with two anchors: one equijoin task per anchor.
+    let rollup2: JoinFn = |c, a, d, s| {
+        let opts = pbitree_joins::rollup::RollupOptions::partitions(2);
+        pbitree_joins::rollup::mhcj_rollup(c, a, d, opts, s)
+    };
+    let cases = operators()
         .into_iter()
         .filter(|(op, _, _)| matches!(*op, "mhcj" | "vpj"))
-    {
+        .chain([("mhcj_rollup k=2", rollup2, &[3, 5, 8][..])]);
+    for (op, f, heights) in cases {
         // MHCJ leaves one task per height; VPJ leaves its vertical groups
         // as tasks only when neither input fits the budget, so it gets
         // bigger inputs over a tiny buffer.
@@ -390,6 +396,12 @@ fn partitioned_runs_tile_exactly_with_task_spans() {
         assert_eq!(idx, (0..tasks.len() as u64).collect::<Vec<_>>(), "{op}");
         let in_tasks: u64 = tasks.iter().map(|t| t.pairs).sum();
         assert_eq!(in_tasks, stats.pairs, "{op}: task pairs");
+        if op == "mhcj_rollup k=2" {
+            // The anchors are heights 5 and 8; tasks change no phase.
+            assert_eq!(tasks.len(), 2, "{op}: one task per anchor");
+            let named: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
+            assert_eq!(named, ["plan", "partition", "probe", "other"], "{op}");
+        }
     }
 }
 
