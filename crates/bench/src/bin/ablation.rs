@@ -166,8 +166,9 @@ fn vpj_study(args: &CommonArgs, cfg: &ExpConfig) {
 
 /// The vectored-I/O ablation panel: prefetch off (depth 1) against a
 /// sweep of read-ahead depths on scan-heavy workloads. Result counts must
-/// be identical — read-ahead is a pure I/O-schedule change — while the
-/// simulated disk time drops as seeks amortize into sequential transfers.
+/// be identical — read-ahead is a pure I/O-schedule change — and the
+/// simulated disk time must not grow with the depth, as seeks amortize
+/// into sequential transfers. Both are asserted per (dataset, algo).
 fn io_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut t = Table::new(
         "Ablation: vectored I/O (read-ahead depth vs simulated disk time)",
@@ -182,6 +183,7 @@ fn io_study(args: &CommonArgs, cfg: &ExpConfig) {
         };
         for algo in [Algorithm::StackTree, Algorithm::MhcjRollup] {
             let mut base_pairs: Option<u64> = None;
+            let mut last_sim_ns = u64::MAX;
             for depth in [1usize, 2, 4, 8, 16] {
                 let cfg = ExpConfig {
                     io: io_options(depth),
@@ -197,6 +199,13 @@ fn io_study(args: &CommonArgs, cfg: &ExpConfig) {
                     ),
                 }
                 let io = m.stats.io;
+                assert!(
+                    io.sim_ns <= last_sim_ns,
+                    "{name}/{algo}: read-ahead depth {depth} raised the simulated disk time \
+                     ({} ns after {last_sim_ns} ns)",
+                    io.sim_ns
+                );
+                last_sim_ns = io.sim_ns;
                 let mut row = vec![
                     w.name.clone(),
                     algo.to_string(),

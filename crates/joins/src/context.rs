@@ -104,10 +104,12 @@ pub(crate) type Part<'a, R> = TempFile<'a, HeapFile<R>>;
 /// The one scatter pass of the partitioning joins: streams every record
 /// `opts` admits from `input` into the slots `route` names (none, one, or
 /// a range), of `slots` slots. A slot's writer opens at its first record
-/// and writes through [`JoinCtx::write_opts`]; an empty slot costs no
-/// I/O and no file. Returns the slots in order, `None` where no record
-/// landed. The first `Err` from `route` or a writer ends the pass, and
-/// every file it wrote is deleted, as is each returned file when dropped.
+/// and writes through [`JoinCtx::fan_out_write_opts`], so the slots share
+/// the resident pages as the paper's partition buffers share `b`; an
+/// empty slot costs no I/O and no file. Returns the slots in order,
+/// `None` where no record landed. The first `Err` from `route` or a
+/// writer ends the pass, and every file it wrote is deleted, as is each
+/// returned file when dropped.
 ///
 /// MHCJ routes by height, Rollup's histogram routes nowhere and its anchor
 /// pass to the nearest anchor above, VPJ routes an ancestor to its
@@ -125,7 +127,7 @@ where
     S: IntoIterator<Item = usize>,
 {
     let mut writers: Vec<Option<HeapWriter<'_, R>>> = (0..slots).map(|_| None).collect();
-    let wopts = ctx.write_opts();
+    let wopts = ctx.fan_out_write_opts(slots);
     let mut scan = input.scan_with(&ctx.pool, opts);
     try_for_each(&mut scan, |r| {
         for i in route(&r)? {
@@ -394,16 +396,31 @@ impl JoinCtx {
         self.io_opts.clamped(self.budget)
     }
 
-    /// Write-side options for every output writer — a lone sink or spool,
-    /// or each writer of a partition fan-out: the budget-clamped depth as
-    /// a write-once pattern. Fan-out writers are not split: a write batch
-    /// lives in writer-private memory ([`pbitree_storage::HeapWriter`]),
-    /// not in pool frames, so dividing the depth by the fan-out would save
-    /// no frame and only cost a seek per spilled page (DESIGN.md
-    /// "Substitutions", item 6, bounds that memory).
+    /// Write-side options for a lone output writer — a sink, a spool, a
+    /// sort run: the budget-clamped depth as a write-once pattern. The
+    /// writers of one partition fan-out batch their share of the resident
+    /// pages instead, with this depth as their floor. A write batch lives
+    /// in writer-private memory ([`pbitree_storage::HeapWriter`]), not in
+    /// pool frames (DESIGN.md "Substitutions", item 6, bounds that
+    /// memory).
     #[inline]
     pub fn write_opts(&self) -> ScanOptions {
         self.read_opts().as_write()
+    }
+
+    /// Write options for each of the `slots` writers of one scatter pass:
+    /// the writers split the resident pages (`b − 2`), as the paper's `k`
+    /// partition buffers split `b`, so a spill moves the head once per
+    /// `(b − 2) / slots` pages rather than once per
+    /// [`write_opts`](JoinCtx::write_opts) batch. That depth stays the
+    /// floor: a fan-out wider than `(b − 2) / depth` slots keeps it, and
+    /// together the writers hold at most `max(b − 2, slots × depth)`
+    /// pages. The batch depth decides only how many head movements a
+    /// spill costs, never which pages are written.
+    #[inline]
+    pub(crate) fn fan_out_write_opts(&self, slots: usize) -> ScanOptions {
+        let w = self.write_opts();
+        w.with_depth(w.depth().max(self.resident_pages() / slots.max(1)))
     }
 
     /// The attached tracer, if phase tracing is enabled.
@@ -712,6 +729,46 @@ mod tests {
         });
         assert_eq!(failed.err(), Some(JoinError::corrupt("route")));
         assert_eq!(c.pool.live_files(), live, "a failed pass frees its files");
+    }
+
+    #[test]
+    fn scatter_writers_share_the_resident_pages() {
+        // Costed disk, one head: the input scan and the slot writers
+        // interleave, so every write batch moves the head once. At b = 64
+        // the writers split 62 resident pages; the context's depth of 8
+        // is the floor.
+        let c = JoinCtx::in_memory(PBiTreeShape::new(10).unwrap(), 64);
+        assert_eq!(c.write_opts().depth(), 8);
+        let per_page = records_per_page::<u64>() as u64;
+        // (slots, batch depth): 2 slots share 31 pages each; 16 slots
+        // would get 3, below the floor, so they keep 8.
+        for (slots, depth) in [(2usize, 31u64), (16, 8)] {
+            // Round-robin over whole pages: every slot gets 40 full pages,
+            // so the pass writes exactly the input's pages.
+            let n = slots as u64 * 40 * per_page;
+            let input = HeapFile::from_iter(&c.pool, 0..n).unwrap();
+            c.pool.evict_all().unwrap();
+            let before = c.pool.io_stats();
+            let parts = scatter(&c, &input, c.read_opts(), slots, |k| {
+                Ok(Some((k % slots as u64) as usize))
+            })
+            .unwrap();
+            let io = c.pool.io_stats().since(&before);
+            let pages: Vec<u64> = parts.iter().flatten().map(|p| p.pages() as u64).collect();
+            assert_eq!(pages.len(), slots);
+            assert_eq!(io.writes(), pages.iter().sum::<u64>());
+            assert_eq!(io.writes(), input.pages() as u64, "{slots} slots");
+            let batches: u64 = pages.iter().map(|p| p.div_ceil(depth)).sum();
+            if depth > 8 {
+                assert!(
+                    io.rand_writes <= batches,
+                    "{slots} slots: {} seeking writes for {batches} batches of {depth}",
+                    io.rand_writes
+                );
+            } else {
+                assert_eq!(io.rand_writes, batches, "{slots} slots at the floor");
+            }
+        }
     }
 
     #[test]

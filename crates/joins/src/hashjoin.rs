@@ -430,16 +430,21 @@ mod tests {
     fn grace_io_is_three_passes_with_one_seek_per_write_batch() {
         // Costed disk, one head: the fan-out writers interleave, so each
         // partition's write batch (not each spilled page) moves the head.
-        let c = JoinCtx::in_memory(PBiTreeShape::new(30).unwrap(), 16);
-        let keys: Vec<u64> = (0..40_000).collect();
+        // The parts split the resident pages, a deeper batch than the
+        // context's write depth at this budget.
+        let c = JoinCtx::in_memory(PBiTreeShape::new(30).unwrap(), 128);
+        let keys: Vec<u64> = (0..200_000).collect();
         let bf = HeapFile::from_iter(&c.pool, keys.iter().copied()).unwrap();
         let pf = HeapFile::from_iter(&c.pool, keys.iter().copied()).unwrap();
         let (opts, key) = (c.read_opts(), |k: &u64| Some(*k));
         let parts = partition_count(&c, bf.pages());
         assert!(parts >= 4, "only {parts} Grace partitions");
         // Replay the join's level-0 split to learn each partition's size.
-        let depth = c.write_opts().depth() as u64;
-        assert!(depth > 1, "write depth {depth}");
+        let depth = c.fan_out_write_opts(parts).depth() as u64;
+        assert!(
+            depth > c.write_opts().depth() as u64,
+            "share {depth} of {parts} parts"
+        );
         let mut batches = 0u64;
         for f in [&bf, &pf] {
             for part in grace_split(&c, f, parts).iter().flatten() {
@@ -451,7 +456,7 @@ mod tests {
         let mut n = 0u64;
         hash_equijoin_with(&c, &bf, &pf, opts, opts, key, key, |_, _| n += 1).unwrap();
         let delta = c.pool.io_stats().since(&before);
-        assert_eq!(n, 40_000);
+        assert_eq!(n, 200_000);
         assert!(
             delta.rand_writes <= batches,
             "{} seeking writes for {batches} write batches ({} pages written)",

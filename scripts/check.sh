@@ -46,7 +46,8 @@ diff <(grep -v '^#' "$OUT/ab_off/ablation_rollup.tsv" | cut -f1-4) \
     <(grep -v '^#' "$OUT/ab_on/ablation_rollup.tsv" | cut -f1-4) \
     || { echo "ablation smoke failed: prefetch changed result counts"; exit 1; }
 # The depth panel additionally asserts (in-binary) that every read-ahead
-# depth produces the same pairs while the simulated disk time drops.
+# depth produces the same pairs and that the simulated disk time never grows
+# with the depth.
 cargo run --release -q -p pbitree-bench --bin ablation -- --study io --fast \
     --results "$OUT/ab_on"
 
