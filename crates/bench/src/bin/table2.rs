@@ -71,6 +71,7 @@ fn main() {
              MIN_RGN is the region baseline with the least sim_s",
             &clock_header(&["dataset"], &["MIN_RGN", "SHCJ", "VPJ"]),
         );
+        let mut apart = Vec::new();
         for w in &sets {
             let base = run_competitors(w.shape, &w.a, &w.d, &cfg, &RGN_BASELINES);
             let shcj = run_algo(w.shape, &w.a, &w.d, &cfg, Algorithm::Shcj);
@@ -80,8 +81,18 @@ fn main() {
                 w.name.clone(),
                 &[&rgn.stats, &shcj.stats, &vpj.stats],
             ));
+            let ratio = vpj.stats.io.sim_secs() / shcj.stats.io.sim_secs();
+            if ratio > 1.10 {
+                apart.push(format!("{}: VPJ/SHCJ sim_s {ratio:.2}", w.name));
+            }
         }
         t.emit(&args.results_dir, "table2e");
+        // §4: "SHCJ and VPJ perform similarly".
+        assert!(
+            apart.is_empty(),
+            "SHCJ and VPJ apart by more than 1.10x:\n{}",
+            apart.join("\n")
+        );
     }
     if args.selected("f") {
         let sets = synthetic_multi(args.scale);

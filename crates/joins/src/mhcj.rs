@@ -28,14 +28,18 @@ pub fn mhcj(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("mhcj", || {
-        let Some(clip) = ctx.clip(a, d) else {
+        let (Some(clip), Some(zone)) = (ctx.clip(a, d), a.zone()) else {
             return Ok((0, 0));
         };
         // Partitioning is one sequential input pass; the joins behind it
-        // dominate (`5‖A‖ + 3k‖D‖`). Each partition's SHCJ clips `D` by
-        // that partition's own envelope.
+        // dominate (`5‖A‖ + 3k‖D‖`). One slot per height in A's zone, so
+        // the writers split the resident pages among those heights only.
+        // Each partition's SHCJ clips `D` by that partition's own envelope.
+        let slots = (zone.max_h - zone.min_h + 1) as usize;
         let parts = ctx.phase("partition", || {
-            scatter(ctx, a, clip.a, 64, |e| Ok(Some(e.code.height() as usize)))
+            scatter(ctx, a, clip.a, slots, |e| {
+                Ok(Some((e.code.height() - zone.min_h) as usize))
+            })
         })?;
         ctx.phase_counted("probe", || {
             let mut pairs = 0u64;
@@ -142,6 +146,42 @@ mod tests {
         let mut sink = CountSink::default();
         let stats = mhcj(&c, &a, &d, &mut sink).unwrap();
         assert_eq!(stats.pairs, 2);
+    }
+
+    #[test]
+    fn height_writers_share_the_resident_pages() {
+        // Costed disk, b = 64: A holds heights 1 and 2 only, so its two
+        // height writers split the 62 resident pages, 31 each. D's leaves
+        // fit in memory: the partition pass is MHCJ's only writer. D's
+        // envelope spans the tree, so the clip keeps every record of A.
+        let c = JoinCtx::in_memory(PBiTreeShape::new(18).unwrap(), 64);
+        let a = mixed_codes(40_000, &[1, 2], 15);
+        let mut d = mixed_codes(5_000, &[0], 17);
+        d.extend([1, (1 << 18) - 1]);
+        d.sort_unstable();
+        d.dedup();
+        let af = element_file(&c.pool, a.iter().map(|&v| (v, 0))).unwrap();
+        let df = element_file(&c.pool, d.iter().map(|&v| (v, 1))).unwrap();
+        c.pool.flush_all().unwrap();
+        c.pool.evict_all().unwrap();
+        let per_page = pbitree_storage::records_per_page::<Element>();
+        let pages: Vec<u64> = [1, 2]
+            .map(|h| a.iter().filter(|&&v| v.trailing_zeros() == h).count())
+            .map(|n| n.div_ceil(per_page) as u64)
+            .into();
+        let mut sink = CollectSink::default();
+        let stats = mhcj(&c, &af, &df, &mut sink).unwrap();
+        assert_eq!(stats.io.writes(), pages.iter().sum::<u64>());
+        let batches: u64 = pages.iter().map(|p| p.div_ceil(31)).sum();
+        assert!(
+            stats.io.rand_writes <= batches,
+            "{} seeking writes for {pages:?} pages in 31-page batches",
+            stats.io.rand_writes
+        );
+        // Partitions still run in ascending height.
+        let heights: Vec<u32> = sink.pairs.iter().map(|(a, _)| a.code.height()).collect();
+        assert!(heights.windows(2).all(|w| w[0] <= w[1]), "{heights:?}");
+        assert_eq!(heights.first().zip(heights.last()), Some((&1, &2)));
     }
 
     #[test]

@@ -165,6 +165,15 @@ pub fn vpj(
     Ok((stats, report))
 }
 
+/// Headroom on the smaller side when sizing the level slots, as a
+/// fraction `(num, den)`: the slots are the fewest whose expected
+/// partition of 5/4 × the smaller side fits `b − 2`. Partitions are never
+/// even — a side of exactly `k × (b − 2)` pages split `k` ways overflows
+/// on any imbalance, and DBLP's D10 at b = 125 splits 65 : 35 — and an
+/// overflowing partition recurses, rewriting both its sides. D10 needs
+/// more than 1.21; `raw_join`'s sides at b = 500 keep 8 slots up to ≈ 1.3.
+const SLOT_HEADROOM: (usize, usize) = (5, 4);
+
 /// `(lo, hi)` global partition-index range of `code` at tree level `l`.
 #[inline]
 fn partition_range(code: pbitree_core::Code, shape_h: u32, l: u32) -> (u64, u64) {
@@ -226,17 +235,17 @@ fn vpj_rec<'a>(
     let Some((lo, hi)) = smaller.bounds() else {
         return Ok(((0, 0), Vec::new()));
     };
-    // The deepest aligned block containing [lo, hi] sits at height
-    // h* = bit length of (lo ^ hi); its level is H - 1 - h*.
-    let hstar = 64 - (lo ^ hi).leading_zeros();
+    // The subtree at height h holds the codes that agree above bit h, so
+    // the deepest one containing [lo, hi] sits at height
+    // h* = bit length of (lo ^ hi) - 1; its level is H - 1 - h*.
+    let hstar = (64 - (lo ^ hi).leading_zeros()).saturating_sub(1);
     let lca_level = h.saturating_sub(1).saturating_sub(hstar).max(min_level);
-    // Partitioning level: deep enough to split the smaller side into
-    // memory-sized chunks, bounded by the writer budget and the tree.
-    // Over-partition 2x: partition boundaries rarely align with the data,
-    // and merging small partitions back (below) is free, while an uneven
-    // minimal split forces a recursion that rewrites both inputs.
+    // Partitioning level: the fewest slots whose expected partition of the
+    // smaller side fits the resident pages, with `SLOT_HEADROOM`, bounded
+    // by the writer budget and the tree. The slots' writers share the
+    // resident pages, so every extra slot shortens each write batch.
     let min_pages = a.pages().min(d.pages()) as usize;
-    let k0 = (min_pages.div_ceil(budget) * 2).max(2);
+    let k0 = (min_pages * SLOT_HEADROOM.0).div_ceil(budget * SLOT_HEADROOM.1);
     let wanted_delta = (k0 as u64).next_power_of_two().trailing_zeros();
     let max_delta = (budget.max(2) as u64).next_power_of_two().trailing_zeros();
     let delta = wanted_delta.min(max_delta);
@@ -536,6 +545,68 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// VPJ on a costed disk at b = 64, H = 22, over uniform single-height
+    /// sets spread over the codes below `2^span_h`: A (height 3, the
+    /// smaller side) of exactly `a_pages` full pages, D (leaves) twice as
+    /// large. Returns the run's stats and report.
+    fn uniform_run(a_pages: usize, span_h: u32) -> (JoinStats, VpjReport) {
+        let c = JoinCtx::in_memory(PBiTreeShape::new(22).unwrap(), 64);
+        let n = a_pages * pbitree_storage::records_per_page::<Element>();
+        let a = mixed_codes(span_h, n, &[3], 151);
+        let d = mixed_codes(span_h, 2 * n, &[0], 153);
+        let af = element_file(&c.pool, a.iter().map(|&v| (v, 0))).unwrap();
+        let df = element_file(&c.pool, d.iter().map(|&v| (v, 1))).unwrap();
+        assert_eq!(af.pages() as usize, a_pages);
+        c.pool.flush_all().unwrap();
+        c.pool.evict_all().unwrap();
+        let mut sink = CountSink::default();
+        vpj(&c, &af, &df, &mut sink).unwrap()
+    }
+
+    #[test]
+    fn slots_are_the_fewest_that_fit() {
+        // A's 166 pages need ⌈166 × 5/4 / 62⌉ = 4 partitions of b − 2 =
+        // 62 pages (3 without the headroom): 4 level slots per side, whose
+        // writers batch 62 / 4 = 15 pages each. Twice the slots would
+        // batch at the 8-page floor.
+        let (stats, report) = uniform_run(166, 22);
+        let slots = 4u64;
+        assert_eq!(report.partitions, 2 * slots, "{report:?}");
+        assert_eq!((report.recursions, report.fallbacks), (0, 0), "{report:?}");
+        // Every write is a partition write; each partition's last batch
+        // may be short.
+        let batches = stats.io.writes().div_ceil(62 / slots) + report.partitions;
+        assert!(
+            stats.io.rand_writes <= batches,
+            "{} seeking writes for {} pages in 15-page batches",
+            stats.io.rand_writes,
+            stats.io.writes()
+        );
+    }
+
+    #[test]
+    fn slots_cover_the_subtree_the_smaller_side_fills() {
+        // Both sides fill the root's left subtree (codes below 2^21): the
+        // level is counted from that subtree, so A's 166 pages still
+        // spread over 4 slots. Counted from the root, 2 of the 4 would
+        // be empty and the other 2 overflow.
+        let (_, report) = uniform_run(166, 21);
+        assert_eq!(report.partitions, 2 * 4, "{report:?}");
+        assert_eq!((report.recursions, report.fallbacks), (0, 0), "{report:?}");
+    }
+
+    #[test]
+    fn a_smaller_side_at_the_slot_edge_does_not_recurse() {
+        // Exactly k × (b − 2) pages: k slots would fill every partition to
+        // the last record, and any imbalance overflows one of them.
+        for k in [2, 4] {
+            let (_, report) = uniform_run(k * 62, 22);
+            let at = format!("k = {k}: {report:?}");
+            assert_eq!((report.recursions, report.fallbacks), (0, 0), "{at}");
+            assert_eq!(report.partitions, 2 * 2 * k as u64, "{at}");
         }
     }
 
