@@ -4,7 +4,7 @@
 //! * `shcj`    — in-memory vs. Grace crossover as |A| grows past the
 //!   buffer budget;
 //! * `vpj`     — replication/purge/merge/recursion report across dataset
-//!   shapes;
+//!   shapes, and on Fig. 6(d)'s skewed DBLP D4, D9 and D10 at b = 125;
 //! * `io`      — read-ahead depth against simulated disk time;
 //! * `prune`   — zone-map scan pushdown off vs on: identical pairs,
 //!   strictly fewer page reads for the partition joins;
@@ -129,6 +129,7 @@ fn vpj_study(args: &CommonArgs, cfg: &ExpConfig) {
         &header(
             &[
                 "dataset",
+                "buffer",
                 "partitions",
                 "purged",
                 "groups",
@@ -139,11 +140,22 @@ fn vpj_study(args: &CommonArgs, cfg: &ExpConfig) {
             &[],
         ),
     );
-    for name in ["SLLL", "SLSL", "MLLL", "MSLL", "MLSL"] {
-        let Some(w) = synthetic_by_name(name, args.scale) else {
-            continue;
-        };
-        let ctx = cfg.ctx(w.shape);
+    let synthetic = ["SLLL", "SLSL", "MLLL", "MSLL", "MLSL"]
+        .into_iter()
+        .filter_map(|name| synthetic_by_name(name, args.scale))
+        .map(|w| (w, cfg.buffer_pages));
+    // Fig. 6(d)'s DBLP sets at its b = 125: skewed documents recurse
+    // where the synthetic sets fit in one level.
+    let dblp = dblp_workloads(args.sf, 0xD0)
+        .into_iter()
+        .filter(|w| matches!(w.name.as_str(), "D4" | "D9" | "D10"))
+        .map(|w| (w, 125));
+    for (w, buffer) in synthetic.chain(dblp) {
+        let ctx = ExpConfig {
+            buffer_pages: buffer,
+            ..cfg.clone()
+        }
+        .ctx(w.shape);
         let af = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
         let df = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
         ctx.pool.evict_all().unwrap();
@@ -151,6 +163,7 @@ fn vpj_study(args: &CommonArgs, cfg: &ExpConfig) {
         let (stats, report) = pbitree_joins::vpj::vpj(&ctx, &af, &df, &mut sink).unwrap();
         let mut row = vec![
             w.name.clone(),
+            buffer.to_string(),
             report.partitions.to_string(),
             report.purged.to_string(),
             report.groups.to_string(),

@@ -8,8 +8,8 @@
 //! |---|---|---|---|
 //! | [`naive`] | block nested loop | baseline | nothing |
 //! | [`shcj`] | single-height containment join (hash equijoin on `F(d,h)`) | Alg. 2 | single-height `A` |
-//! | [`mhcj`] | multiple-height containment join | Alg. 3 | nothing |
-//! | [`rollup`] | MHCJ + Rollup (false-hit filter) | Alg. 4 | nothing |
+//! | [`mhcj`] | multiple-height containment join: every height an anchor, `5‖A‖ + 3k‖D‖` | Alg. 3 | nothing |
+//! | [`rollup`] | MHCJ + Rollup: the top `k` heights anchors, false hits filtered; `3(‖A‖ + ‖D‖)` at `k = 1` | Alg. 4 | nothing |
 //! | [`vpj`] | vertical-partitioning join | Alg. 5 | nothing |
 //! | [`memjoin`] | Memory-Containment-Join | Alg. 6 | one side fits in memory |
 //! | [`inljn`] | index nested loop (B+-tree, built on the fly) | \[20\] adapted | index (built) |
@@ -20,10 +20,12 @@
 //!
 //! The partitioning joins are two ideas: split the inputs, then join each
 //! part as the equijoin `A.code = F(D.code, h)`. Every split is one
-//! scatter pass (by height in MHCJ, by anchor in MHCJ+Rollup, by tree
-//! level in VPJ, by hash bucket in the Grace hash join), and SHCJ,
-//! MHCJ's partitions and Rollup's anchors run one F-equijoin body
-//! (`shcj::anchored_equijoin`). [`mhcj::mhcj`], multi-anchor
+//! scatter pass (by anchor height in MHCJ and MHCJ+Rollup, by tree level
+//! in VPJ, by hash bucket in the Grace hash join). MHCJ and MHCJ+Rollup
+//! are one body over a set of anchor heights (`rollup::anchored_join`:
+//! every height in MHCJ, the top `k` in Rollup), and SHCJ and each of
+//! their anchors run one F-equijoin body (`shcj::anchored_equijoin`).
+//! Multi-height [`mhcj::mhcj`], multi-anchor
 //! [`rollup::mhcj_rollup`], [`vpj::vpj`] and sharded joins are unions of
 //! independent sub-joins. They run them as tasks of one loop: in index
 //! order on the calling thread, each under a task span ([`trace`]),

@@ -2,57 +2,31 @@
 //!
 //! General ancestor sets are horizontally partitioned by height:
 //! `A ⊲ D = ⋃_i (A_{h_i} ⊲ D)` with the partitions disjoint, so the union
-//! is a plain append. Each partition runs SHCJ against the *full* `D` —
-//! which is why the cost grows as `5‖A‖ + 3k‖D‖` with `k` height
-//! partitions, and why [`crate::rollup`] exists to shrink `k`.
+//! is a plain append. Each partition runs SHCJ's equijoin against the
+//! *full* `D` — which is why the cost grows as `5‖A‖ + 3k‖D‖` with `k`
+//! height partitions, and why [`crate::rollup`] exists to shrink `k`.
 //!
-//! The split is the partitioning joins' one scatter pass
-//! (`context::scatter`, one slot per height), and each partition is one
-//! task running SHCJ's body, height peek included.
+//! MHCJ is MHCJ+Rollup with every height of A's zone span an anchor
+//! (`rollup::anchored_join`): nothing rolls, so Lemma 1 rejects nothing
+//! and A is read clipped.
 
 use pbitree_storage::HeapFile;
 
-use crate::context::{scatter, JoinCtx, JoinError, JoinStats};
+use crate::context::{JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
-use crate::shcj::shcj_inner;
+use crate::rollup::{anchored_join, Anchors};
 use crate::sink::PairSink;
-use crate::trace::for_each_task;
 
-/// MHCJ: horizontal (height) partitioning, then one SHCJ task per
-/// partition in ascending height order (a single partition is Algorithm
-/// 3's line 2: SHCJ directly).
+/// MHCJ: horizontal (height) partitioning, then one equijoin task per
+/// occupied height in ascending order (a single height is Algorithm 3's
+/// line 2: SHCJ's equijoin over A in place).
 pub fn mhcj(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
-    ctx.measure_op("mhcj", || {
-        let (Some(clip), Some(zone)) = (ctx.clip(a, d), a.zone()) else {
-            return Ok((0, 0));
-        };
-        // Partitioning is one sequential input pass; the joins behind it
-        // dominate (`5‖A‖ + 3k‖D‖`). One slot per height in A's zone, so
-        // the writers split the resident pages among those heights only.
-        // Each partition's SHCJ clips `D` by that partition's own envelope.
-        let slots = (zone.max_h - zone.min_h + 1) as usize;
-        let parts = ctx.phase("partition", || {
-            scatter(ctx, a, clip.a, slots, |e| {
-                Ok(Some((e.code.height() - zone.min_h) as usize))
-            })
-        })?;
-        ctx.phase_counted("probe", || {
-            let mut pairs = 0u64;
-            let tasks = parts.iter().flatten().map(|part| (ctx, part));
-            for_each_task(tasks, |ctx, part| {
-                let (p, _) = shcj_inner(ctx, part, d, sink)?;
-                pairs += p;
-                Ok(p)
-            })?;
-            Ok((pairs, 0))
-        })
-        // `parts` drop here, after the last task, on success and error.
-    })
+    ctx.measure_op("mhcj", || anchored_join(ctx, a, d, Anchors::Every, sink))
 }
 
 #[cfg(test)]
@@ -109,6 +83,8 @@ mod tests {
         block_nested_loop(&c, &a, &d, &mut expect).unwrap();
         assert_eq!(got.canonical(), expect.canonical());
         assert!(stats.pairs > 0);
+        // Every height is an anchor: nothing rolls, so nothing is a false hit.
+        assert_eq!(stats.false_hits, 0);
     }
 
     #[test]
@@ -146,6 +122,8 @@ mod tests {
         let mut sink = CountSink::default();
         let stats = mhcj(&c, &a, &d, &mut sink).unwrap();
         assert_eq!(stats.pairs, 2);
+        // One anchor joins A in place: no partition is written.
+        assert_eq!(stats.io.writes(), 0);
     }
 
     #[test]

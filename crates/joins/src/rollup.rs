@@ -1,32 +1,30 @@
-//! MHCJ+Rollup (Algorithm 4): fewer height partitions, filtered false hits.
+//! MHCJ+Rollup (Algorithm 4), and MHCJ (Algorithm 3) as its other end.
 //!
 //! MHCJ scans `D` once per ancestor height. Rollup trades those scans for
 //! CPU: ancestors below a chosen anchor height are treated as their
 //! ancestor at the anchor — the equijoin key becomes `F(a, anchor)` on one
 //! side and `F(d, anchor)` on the other — so several heights share one
-//! equijoin, SHCJ's own body (`shcj::anchored_equijoin`) with the
-//! ancestor side unclipped. A rolled match only proves `d` is under the
-//! *anchor ancestor* of `a`, not under `a` itself, so every candidate is
-//! re-checked with Lemma 1; rejects are the **false hits** of Table 2(f).
+//! equijoin, SHCJ's own body (`shcj::anchored_equijoin`). A rolled match
+//! only proves `d` is under the *anchor ancestor* of `a`, so every
+//! candidate is re-checked with Lemma 1; rejects are the **false hits**
+//! of Table 2(f).
 //!
-//! Because `F` is two shift operations, the rolled key is computed **on
-//! the fly** during hashing — nothing is materialized for the default
-//! single-anchor strategy, and the join builds its hash table on the
-//! smaller side. Cost is therefore exactly SHCJ's (`‖A‖ + ‖D‖` in memory,
-//! `3(‖A‖ + ‖D‖)` Grace) plus one histogram scan of `A` to find the
-//! anchor — the `3(‖A‖+‖D‖)` the paper quotes for roll-up to the top.
-//!
-//! `target_partitions > 1` keeps the top `k` heights as anchors (fewer
-//! false hits, one extra equijoin per anchor); partitions are then
-//! materialized once, as plain elements, by the partitioning joins' one
-//! scatter pass (`context::scatter`, which also runs the histogram with no
-//! slot), and each anchor's equijoin is one task of the task loop
-//! (`trace::for_each_task`) that still computes keys on the fly. The
-//! ablation bench sweeps this knob.
+//! Both algorithms are `anchored_join` over a set of anchor heights, and
+//! the paper's cost formulas are the two ends of that set. With every
+//! height of A's zone span an anchor (MHCJ) nothing rolls: `5‖A‖ +
+//! 3k‖D‖`, A read clipped. With the top `k` occupied heights of a
+//! histogram scan (Rollup) A stays unclipped, so the false hits stay; at
+//! the default `k = 1` the cost is SHCJ's plus that scan, the `3(‖A‖ +
+//! ‖D‖)` the paper quotes for roll-up to the top. One anchor joins A in
+//! place, keys computed on the fly (MHCJ on a single-height A is
+//! Algorithm 3's line 2). Several anchors materialize A once, as plain
+//! elements, by the one scatter pass (`context::scatter`, which also runs
+//! the histogram with no slot), and each occupied anchor's equijoin is one
+//! task of the task loop (`trace::for_each_task`), in ascending order.
 
 use pbitree_storage::HeapFile;
 
-use crate::context::{scatter, JoinCtx, JoinError, JoinStats};
+use crate::context::{scatter, Clipped, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
 use crate::shcj::anchored_equijoin;
 use crate::sink::PairSink;
@@ -68,67 +66,104 @@ pub fn mhcj_rollup(
 ) -> Result<JoinStats, JoinError> {
     assert!(opts.target_partitions >= 1);
     ctx.measure_op("mhcj_rollup", || {
-        let Some(clip) = ctx.clip(a, d) else {
-            return Ok((0, 0));
-        };
-        // Pass 1: occupied-height histogram (one read of A, no slot).
-        let heights = ctx.phase("plan", || {
-            let mut occupied = [false; 64];
-            scatter(ctx, a, ctx.read_opts(), 0, |e| {
-                occupied[e.code.height() as usize] = true;
-                Ok(None)
-            })?;
-            Ok((0..64u32)
-                .filter(|&h| occupied[h as usize])
-                .collect::<Vec<u32>>())
-        })?;
-        let k = opts.target_partitions.min(heights.len());
-        let anchors: Vec<u32> = heights[heights.len() - k..].to_vec();
-
-        if let [anchor] = anchors.as_slice() {
-            // Default strategy: one equijoin, keys on the fly, no
-            // materialization at all.
-            return ctx.phase_counted("probe", || {
-                let (counts, _) =
-                    anchored_equijoin(ctx, a, d, &clip, *anchor, ctx.read_opts(), sink)?;
-                Ok(counts)
-            });
-        }
-
-        // Several anchors: one partition pass over A (plain elements), one
-        // equijoin task per anchor. Every anchor is an occupied height, so
-        // every slot gets a writer; the histogram pass saw every height,
-        // so a height above every anchor, or an anchor left without a
-        // partition, means the file changed between the two passes.
-        let parts = ctx.phase("partition", || {
-            let parts = scatter(ctx, a, ctx.read_opts(), anchors.len(), |e| {
-                let h = e.code.height();
-                let slot = anchors.iter().position(|&anchor| anchor >= h);
-                slot.map(Some)
-                    .ok_or_else(|| JoinError::corrupt("ancestor height above every anchor"))
-            })?;
-            parts
-                .into_iter()
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| JoinError::corrupt("anchor height without ancestors"))
-        })?;
-
-        ctx.phase_counted("probe", || {
-            let (mut pairs, mut false_hits) = (0u64, 0u64);
-            let tasks = anchors.iter().zip(&parts).map(|task| (ctx, task));
-            for_each_task(tasks, |ctx, (&anchor, part)| {
-                let Some(clip) = ctx.clip(part, d) else {
-                    return Ok(0);
-                };
-                let ((p, f), _) =
-                    anchored_equijoin(ctx, part, d, &clip, anchor, ctx.read_opts(), sink)?;
-                pairs += p;
-                false_hits += f;
-                Ok(p)
-            })?;
-            Ok((pairs, false_hits))
-        })
+        anchored_join(ctx, a, d, Anchors::Top(opts.target_partitions), sink)
     })
+}
+
+/// The anchor heights of [`anchored_join`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Anchors {
+    /// Every height in A's zone span (MHCJ): nothing rolls.
+    Every,
+    /// The top `k` occupied heights (MHCJ+Rollup); lower ones roll up.
+    Top(usize),
+}
+
+/// The one body of MHCJ and MHCJ+Rollup, unmeasured: `(pairs,
+/// false_hits)`. Phases: `plan` (`Top` only), `partition` (several
+/// anchors only) and `probe`.
+pub(crate) fn anchored_join(
+    ctx: &JoinCtx,
+    a: &HeapFile<Element>,
+    d: &HeapFile<Element>,
+    anchors: Anchors,
+    sink: &mut dyn PairSink,
+) -> Result<(u64, u64), JoinError> {
+    let Some(clip) = ctx.clip(a, d) else {
+        return Ok((0, 0));
+    };
+    // How A is read: with nothing rolled, clipping cannot drop a false
+    // hit; a rolled ancestor missing D's envelope still meets them.
+    let a_opts = |clip: &Clipped| match anchors {
+        Anchors::Every => clip.a,
+        Anchors::Top(_) => ctx.read_opts(),
+    };
+    let heights: Vec<u32> = match anchors {
+        Anchors::Every => {
+            let Some(zone) = a.zone() else {
+                return Ok((0, 0));
+            };
+            (zone.min_h..=zone.max_h).collect()
+        }
+        Anchors::Top(k) => {
+            // Occupied-height histogram: one read of A, no slot.
+            let mut seen = [false; 64];
+            ctx.phase("plan", || {
+                scatter(ctx, a, ctx.read_opts(), 0, |e| {
+                    seen[e.code.height() as usize] = true;
+                    Ok(None)
+                })
+            })?;
+            let occupied: Vec<u32> = (0..64).filter(|&h| seen[h as usize]).collect();
+            occupied[occupied.len() - k.min(occupied.len())..].to_vec()
+        }
+    };
+
+    if let [anchor] = heights[..] {
+        // One anchor: one equijoin over A in place, keys on the fly.
+        return ctx.phase_counted("probe", || {
+            let (counts, _) = anchored_equijoin(ctx, a, d, &clip, anchor, a_opts(&clip), sink)?;
+            Ok(counts)
+        });
+    }
+
+    // Several anchors: an ancestor goes to the lowest anchor at or above
+    // its height. The zone or the histogram saw every height, so a height
+    // above every anchor, or a `Top` anchor (an occupied height) left
+    // without ancestors, means the file changed under the join. Under
+    // `Every` an empty slot is a height A skips.
+    let parts = ctx.phase("partition", || {
+        scatter(ctx, a, a_opts(&clip), heights.len(), |e| {
+            let slot = heights.partition_point(|&anchor| anchor < e.code.height());
+            if slot < heights.len() {
+                Ok(Some(slot))
+            } else {
+                Err(JoinError::corrupt("ancestor height above every anchor"))
+            }
+        })
+    })?;
+    if matches!(anchors, Anchors::Top(_)) && parts.iter().any(Option::is_none) {
+        return Err(JoinError::corrupt("anchor height without ancestors"));
+    }
+
+    ctx.phase_counted("probe", || {
+        let (mut pairs, mut false_hits) = (0u64, 0u64);
+        let tasks = heights.iter().zip(&parts);
+        let tasks = tasks.filter_map(|(&anchor, part)| Some((ctx, (anchor, part.as_ref()?))));
+        for_each_task(tasks, |ctx, (anchor, part)| {
+            // The partition's own envelope clips the shared D scan to the
+            // pages that can hold its descendants.
+            let Some(clip) = ctx.clip(part, d) else {
+                return Ok(0);
+            };
+            let ((p, f), _) = anchored_equijoin(ctx, part, d, &clip, anchor, a_opts(&clip), sink)?;
+            pairs += p;
+            false_hits += f;
+            Ok(p)
+        })?;
+        Ok((pairs, false_hits))
+    })
+    // `parts` drop here, after the last task, on success and error.
 }
 
 #[cfg(test)]

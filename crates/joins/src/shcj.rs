@@ -12,9 +12,10 @@
 //! the `shallow_descendants_do_not_match` test pins this down.
 //!
 //! The equijoin is `anchored_equijoin`, the one F-equijoin body of the
-//! partitioning joins: SHCJ runs it at its peeked height, MHCJ through
-//! SHCJ per height partition, and MHCJ+Rollup at each anchor with lower
-//! ancestors rolled up. Its Lemma-1 check rejects nothing here, and the
+//! partitioning joins: SHCJ runs it at its peeked height, and MHCJ and
+//! MHCJ+Rollup at each anchor of their one body (`rollup::anchored_join`)
+//! — every height an anchor in MHCJ, lower ancestors rolled up to the
+//! top ones in Rollup. Its Lemma-1 check rejects nothing here, and the
 //! first ancestor height other than `h` it reports becomes
 //! [`JoinError::NotSingleHeight`].
 
@@ -29,7 +30,7 @@ use crate::sink::PairSink;
 /// record `opts`' filter admits. SHCJ passes its clip, so the peek reads a
 /// page its build or probe scan reads anyway. Returns `None` when no
 /// record is admitted.
-pub fn single_height_of(
+fn single_height_of(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
     opts: ScanOptions,
@@ -45,19 +46,38 @@ pub fn single_height_of(
 /// scan reads span several heights (validated during the build scan — no
 /// extra pass). Ancestors the envelope rule skips pair with nothing, so
 /// their heights cannot change a result.
+///
+/// Phases: `plan` (the height peek) and `probe` (the F-equijoin at the
+/// peeked height, including any Grace partitioning it decides to do).
+/// Both scans follow the envelope rule (`JoinCtx::clip`): `A` is
+/// clipped by `D`'s envelope, and `D` by `A`'s with the `below_height`
+/// window conjoined.
 pub fn shcj(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
-    ctx.measure_op("shcj", || shcj_inner(ctx, a, d, sink))
+    ctx.measure_op("shcj", || {
+        let Some(clip) = ctx.clip(a, d) else {
+            return Ok((0, 0));
+        };
+        let Some(h) = ctx.phase("plan", || single_height_of(ctx, a, clip.a))? else {
+            return Ok((0, 0));
+        };
+        ctx.phase_counted("probe", || {
+            match anchored_equijoin(ctx, a, d, &clip, h, clip.a, sink)? {
+                (counts, None) => Ok(counts),
+                (_, Some(found)) => Err(JoinError::NotSingleHeight { expected: h, found }),
+            }
+        })
+    })
 }
 
 /// The height half of the descendant side's pushdown: a matching
 /// descendant sits strictly *below* height `h` (the `d_key` guard), so the
 /// window `[0, h - 1]` is a necessary condition and pruning by it cannot
-/// lose a pair. SHCJ and MHCJ+Rollup conjoin it onto the envelope clip
+/// lose a pair. The F-equijoin conjoins it onto the envelope clip
 /// ([`JoinCtx::clip`]). At `h = 0` the window degenerates to `[0, 0]`,
 /// over-admitting height-0 descendants; they produce no pairs anyway
 /// (`d_key` yields `None`).
@@ -66,36 +86,6 @@ pub(crate) fn below_height(h: u32) -> ScanFilter {
         min: 0,
         max: h.saturating_sub(1),
     }
-}
-
-/// The un-measured body, reused by MHCJ per height partition. Phases:
-/// `plan` (height inspection) and `probe` (the F-equijoin at the peeked
-/// height, including any Grace partitioning it decides to do).
-///
-/// Both scans follow the envelope rule ([`JoinCtx::clip`]): `A` is
-/// clipped by `D`'s envelope, and `D` by `A`'s with the [`below_height`]
-/// window conjoined. When `A` is one height partition of a larger set —
-/// the MHCJ case — the partition's zone clips the shared `D` scan to the
-/// pages that can contain its descendants, a semi-join-style pruning at
-/// zero I/O per skipped page.
-pub(crate) fn shcj_inner(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    sink: &mut dyn PairSink,
-) -> Result<(u64, u64), JoinError> {
-    let Some(clip) = ctx.clip(a, d) else {
-        return Ok((0, 0));
-    };
-    let Some(h) = ctx.phase("plan", || single_height_of(ctx, a, clip.a))? else {
-        return Ok((0, 0));
-    };
-    ctx.phase_counted("probe", || {
-        match anchored_equijoin(ctx, a, d, &clip, h, clip.a, sink)? {
-            (counts, None) => Ok(counts),
-            (_, Some(found)) => Err(JoinError::NotSingleHeight { expected: h, found }),
-        }
-    })
 }
 
 /// The F-equijoin of the partitioning joins, `A.code = F(D.code, anchor)`:
@@ -107,10 +97,11 @@ pub(crate) fn shcj_inner(
 /// `A` is read through `a_opts` and `D` through `clip.d` with the
 /// [`below_height`] window conjoined. SHCJ passes `clip.a` at its peeked
 /// height, where every candidate is a pair and any other height is an
-/// error. MHCJ+Rollup rolls lower ancestors up to `anchor` and passes
-/// `ctx.read_opts()`: a rolled ancestor whose own region misses `D`'s
-/// envelope still meets candidates that Lemma 1 rejects, and those are
-/// the false hits Table 2(f) counts, so its A side stays unclipped.
+/// error; so does MHCJ, whose anchors are every height. MHCJ+Rollup
+/// rolls lower ancestors up to `anchor` and passes `ctx.read_opts()`: a
+/// rolled ancestor whose own region misses `D`'s envelope still meets
+/// candidates that Lemma 1 rejects, and those are the false hits
+/// Table 2(f) counts, so its A side stays unclipped.
 /// Pruning `D` can drop a page holding such candidates, so pruning can
 /// lower the false-hit count, never the pair count.
 pub(crate) fn anchored_equijoin(

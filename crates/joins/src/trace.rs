@@ -13,8 +13,9 @@
 //!
 //! * **run** — one operator invocation ([`JoinCtx::measure_op`]). Carries
 //!   the operator name, its total I/O / pool / CPU deltas, and the id of
-//!   the enclosing run when operators nest (VPJ's rollup fallback runs
-//!   MHCJ+Rollup as a sub-operator).
+//!   the enclosing run when one `measure_op` runs inside another (no
+//!   operator runs another as a sub-operator: VPJ's fallback runs
+//!   MHCJ+Rollup's body inside its own `fallback` phase).
 //! * **phase** — a named section of a run. Phases recorded directly under
 //!   the run (not inside a task, not nested in another phase) are
 //!   **tiled**: they are consecutive intervals of the run, and

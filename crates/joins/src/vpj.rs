@@ -45,7 +45,7 @@ use pbitree_storage::HeapFile;
 use crate::context::{scatter, JoinCtx, JoinError, JoinStats, Part};
 use crate::element::Element;
 use crate::memjoin::mem_join_inner;
-use crate::rollup;
+use crate::rollup::{anchored_join, Anchors};
 use crate::sink::PairSink;
 use crate::trace::for_each_task;
 
@@ -256,7 +256,9 @@ fn vpj_rec<'a>(
         // The subtree cannot be split further (or pathological recursion):
         // MHCJ+Rollup has no memory precondition.
         report.fallbacks += 1;
-        let counts = ctx.phase_counted("fallback", || rollup_fallback(ctx, a, d, sink))?;
+        let counts = ctx.phase_counted("fallback", || {
+            anchored_join(ctx, a, d, Anchors::Top(1), sink)
+        })?;
         return Ok((counts, Vec::new()));
     }
 
@@ -367,20 +369,6 @@ fn vpj_rec<'a>(
         }
     }
     Ok(((0, 0), tasks))
-}
-
-/// Dense-subtree fallback: MHCJ+Rollup's inner body (unmeasured — VPJ's
-/// own `measure` wraps the whole run).
-fn rollup_fallback(
-    ctx: &JoinCtx,
-    a: &HeapFile<Element>,
-    d: &HeapFile<Element>,
-    sink: &mut dyn PairSink,
-) -> Result<(u64, u64), JoinError> {
-    // Reuse the public entry but fold its (separately measured) stats into
-    // plain counts; I/O is captured by the pool counters either way.
-    let stats = rollup::mhcj_rollup(ctx, a, d, rollup::RollupOptions::default(), sink)?;
-    Ok((stats.pairs, stats.false_hits))
 }
 
 #[cfg(test)]
@@ -687,7 +675,7 @@ mod tests {
         let mut sink = CollectSink::default();
         let mut pairs = 0;
         for_each_task(parts.iter().map(|part| (&c, part)), |c, part| {
-            let (p, _) = crate::shcj::shcj_inner(c, part, &d, &mut sink)?;
+            let (p, _) = anchored_join(c, part, &d, Anchors::Every, &mut sink)?;
             pairs += p;
             Ok(p)
         })

@@ -361,7 +361,7 @@ fn partitioned_runs_tile_exactly_with_task_spans() {
         .filter(|(op, _, _)| matches!(*op, "mhcj" | "vpj"))
         .chain([("mhcj_rollup k=2", rollup2, &[3, 5, 8][..])]);
     for (op, f, heights) in cases {
-        // MHCJ leaves one task per height; VPJ leaves its vertical groups
+        // MHCJ leaves one task per occupied height; VPJ leaves its vertical groups
         // as tasks only when neither input fits the budget, so it gets
         // bigger inputs over a tiny buffer.
         let (a, d, buffer) = if op == "vpj" {
@@ -396,6 +396,13 @@ fn partitioned_runs_tile_exactly_with_task_spans() {
         assert_eq!(idx, (0..tasks.len() as u64).collect::<Vec<_>>(), "{op}");
         let in_tasks: u64 = tasks.iter().map(|t| t.pairs).sum();
         assert_eq!(in_tasks, stats.pairs, "{op}: task pairs");
+        if op == "mhcj" {
+            // Every height is an anchor: no histogram pass, and one task
+            // per occupied height (3, 5, 8) of the zone span 3..=8.
+            assert_eq!(tasks.len(), 3, "{op}: one task per occupied height");
+            let named: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
+            assert_eq!(named, ["partition", "probe", "other"], "{op}");
+        }
         if op == "mhcj_rollup k=2" {
             // The anchors are heights 5 and 8; tasks change no phase.
             assert_eq!(tasks.len(), 2, "{op}: one task per anchor");
