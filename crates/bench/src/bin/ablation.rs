@@ -422,6 +422,9 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
             "log_page_writes",
             "gate_flushes",
             "recovered_ops",
+            "recover_sim_s",
+            "recover_reads",
+            "recover_writes",
         ],
     );
     // Floors keep the two asserted costs meaningful at `--fast`: the base
@@ -430,6 +433,8 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
     // far enough that logging whole leaf prefixes could not stay under the
     // byte bound.
     let base_n = ((20_000.0 * args.scale) as usize).max(20_000);
+    // The restart's pool: smaller than the pages recovery redoes.
+    const RECOVERY_FRAMES: usize = 16;
     let inserts = ((4_000.0 * args.scale) as usize).max(2_000);
     let h = 24u32;
     for compress in [false, true] {
@@ -508,9 +513,32 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
         let (heap_file, index_file) = (heap.file_id(), index.file_id());
         // Crash-shaped restart: recovery at bench scale must reproduce
         // every committed insert and delete, in the heap and in the index.
+        // It restarts on fewer frames than the pages it redoes, and its
+        // page-ordered redo must still read each logged page once and
+        // write each redone page once (plus the log's tail page).
         drop((heap, index, wal, pool));
-        let pool = BufferPool::new(Disk::new(Box::new(backend), cfg.cost), cfg.buffer_pages);
+        let pool = BufferPool::new(Disk::new(Box::new(backend), cfg.cost), RECOVERY_FRAMES);
+        let log_pages = u64::from(pool.num_pages(wal_file));
         let (_wal, report) = pbitree_storage::recover(&pool, wal_file).unwrap();
+        let rio = pool.io_stats();
+        let data_pages =
+            u64::from(pool.num_pages(heap_file)) + u64::from(pool.num_pages(index_file));
+        assert!(
+            data_pages > RECOVERY_FRAMES as u64,
+            "compress {compress}: {data_pages} heap + index pages fit the recovery pool"
+        );
+        assert!(
+            rio.reads() <= log_pages + data_pages,
+            "compress {compress}: recovery read {} pages, over {log_pages} log + \
+             {data_pages} heap and index pages — redo re-reads evicted pages",
+            rio.reads()
+        );
+        assert!(
+            rio.writes() <= data_pages + 1,
+            "compress {compress}: recovery wrote {} pages, over {data_pages} heap and \
+             index pages + the log tail — redo writes pages back more than once",
+            rio.writes()
+        );
         let reopened = HeapFile::<Element>::open(&pool, heap_file).unwrap();
         let reindexed = BPlusTree::<u64, u32>::open_logged(&pool, index_file).unwrap();
         assert_eq!(
@@ -537,6 +565,9 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
             ws.page_writes.to_string(),
             ws.gate_flushes.to_string(),
             report.ops_applied.to_string(),
+            format!("{:.3}", rio.sim_ns as f64 / 1e9),
+            rio.reads().to_string(),
+            rio.writes().to_string(),
         ]);
     }
     t.emit(&args.results_dir, "ablation_wal");
