@@ -207,9 +207,9 @@ pub struct JoinStats {
     /// run inside this interval; the trace breaks it down per task (see
     /// [`crate::trace`]).
     pub cpu_ns: u64,
-    /// Per-phase breakdown, populated when a [`Tracer`] is attached to
-    /// the context; empty otherwise. The phases tile the run: their I/O
-    /// and CPU deltas sum exactly to [`io`](JoinStats::io) and
+    /// Per-phase breakdown, filled on every run, traced or not; empty
+    /// only when the operator marked no phase. The phases tile the run:
+    /// their I/O and CPU deltas sum exactly to [`io`](JoinStats::io) and
     /// [`cpu_ns`](JoinStats::cpu_ns) (a synthetic `"other"` entry holds
     /// whatever the named phases did not cover).
     pub phases: Vec<PhaseStat>,
@@ -247,7 +247,7 @@ pub struct JoinCtx {
     /// [`JoinCtxBuilder::budget`].
     budget: usize,
     /// Span collector, when phase tracing is enabled. `None` (the
-    /// default) keeps instrumentation at a single branch per site.
+    /// default) records no span; every run still reports its phases.
     tracer: Option<Arc<Tracer>>,
     /// Declared I/O access options: the read-ahead / write-batch depth
     /// operators thread into every scan and writer they open. Defaults to
@@ -425,7 +425,7 @@ impl JoinCtx {
 
     /// The attached tracer, if phase tracing is enabled.
     #[inline]
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
+    pub(crate) fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.tracer.as_ref()
     }
 
@@ -514,18 +514,6 @@ impl JoinCtx {
     /// the pool when the returned guard drops (see [`TempFile`]).
     pub(crate) fn temp<R: FixedRecord>(&self, f: HeapFile<R>) -> TempFile<'_, HeapFile<R>> {
         TempFile::new(&self.pool, f.file_id(), f)
-    }
-
-    /// Runs `op`, measuring its I/O delta and wall time into a
-    /// [`JoinStats`] (pairs/false hits are filled by the operator itself).
-    /// Equivalent to [`measure_op`](JoinCtx::measure_op) with the generic
-    /// name `"join"`; operators use `measure_op` so their trace runs are
-    /// identifiable.
-    pub fn measure<F>(&self, op: F) -> Result<JoinStats, JoinError>
-    where
-        F: FnOnce() -> Result<(u64, u64), JoinError>,
-    {
-        self.measure_op("join", op)
     }
 }
 
@@ -662,7 +650,7 @@ mod tests {
     fn measure_captures_io_and_pairs() {
         let ctx = JoinCtx::in_memory(PBiTreeShape::new(10).unwrap(), 4);
         let stats = ctx
-            .measure(|| {
+            .measure_op("scan", || {
                 let f = crate::element::element_file(&ctx.pool, (1u64..=2000).map(|c| (c, 0)))?;
                 let n = f.scan(&ctx.pool).count() as u64;
                 Ok((n, 0))

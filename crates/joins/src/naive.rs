@@ -18,7 +18,7 @@ pub fn block_nested_loop(
     d: &HeapFile<Element>,
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
-    ctx.measure(|| {
+    ctx.measure_op("block_nested_loop", || {
         let block_pages = ctx.budget().saturating_sub(2).max(1);
         let block_len = ctx.elements_per_pages(block_pages);
         let mut pairs = 0u64;

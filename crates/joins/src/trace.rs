@@ -3,9 +3,11 @@
 //! The paper's evaluation attributes elapsed time to the *phases* of each
 //! algorithm — partitioning, sorting, building, probing, merging — not just
 //! to whole runs. This module adds that attribution without any external
-//! dependency: a [`Tracer`] collects [`SpanRecord`]s, operators wrap their
-//! phases in [`JoinCtx::phase`] / [`JoinCtx::phase_counted`], and the task
-//! loop behind MHCJ, VPJ and sharded joins records one span per task.
+//! dependency: operators wrap their phases in [`JoinCtx::phase`] /
+//! [`JoinCtx::phase_counted`], every run returns its phase breakdown in
+//! [`JoinStats::phases`], and a [`Tracer`], when one is attached, records
+//! each run, phase and task (the task loop behind MHCJ, VPJ and sharded
+//! joins) as a [`SpanRecord`].
 //!
 //! # Span model
 //!
@@ -34,11 +36,12 @@
 //!
 //! # Overhead
 //!
-//! A context without a tracer takes one `Option` check per instrumentation
-//! point and records nothing — [`spans_recorded`] stays at zero, which the
-//! bench harness asserts. With a tracer attached, each span costs two
-//! counter snapshots (a handful of relaxed atomic loads), one `Instant`
-//! read pair, and one short mutex push.
+//! Every run, phase and task costs two counter snapshots (a handful of
+//! relaxed atomic loads) and one `Instant` read pair, traced or not: the
+//! breakdown is measured on every run. Only a tracer takes a mutex: once
+//! per run for its id and one short push per span. A context without one
+//! records nothing: [`spans_recorded`] stays at zero, which the bench
+//! harness asserts.
 //!
 //! # JSONL schema (version 1)
 //!
@@ -66,7 +69,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use pbitree_storage::{IoStats, PoolStats, StatsSnapshot};
+use pbitree_storage::{IoStats, PoolStats};
 
 use crate::context::{JoinCtx, JoinError, JoinStats, PhaseStat};
 
@@ -227,36 +230,6 @@ impl Tracer {
         self.state.lock().unwrap().spans.clone()
     }
 
-    /// The tiled phases of `run` recorded at index `from` onward,
-    /// aggregated by name in first-appearance order.
-    fn tiled_phases(&self, run: u64, from: usize) -> Vec<PhaseStat> {
-        let st = self.state.lock().unwrap();
-        let mut out: Vec<PhaseStat> = Vec::new();
-        for s in &st.spans[from..] {
-            if s.run != run || s.kind != SpanKind::Phase || !s.tiled {
-                continue;
-            }
-            match out.iter_mut().find(|p| p.name == s.name) {
-                Some(p) => {
-                    p.pairs += s.pairs;
-                    p.false_hits += s.false_hits;
-                    p.cpu_ns += s.cpu_ns;
-                    p.io = add_io(&p.io, &s.io);
-                    p.pool.absorb(&s.pool);
-                }
-                None => out.push(PhaseStat {
-                    name: s.name,
-                    pairs: s.pairs,
-                    false_hits: s.false_hits,
-                    cpu_ns: s.cpu_ns,
-                    io: s.io,
-                    pool: s.pool,
-                }),
-            }
-        }
-        out
-    }
-
     /// Writes every span as one JSON line. See the module docs for the
     /// schema.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
@@ -275,22 +248,30 @@ impl Tracer {
     }
 }
 
-fn add_io(a: &IoStats, b: &IoStats) -> IoStats {
-    IoStats {
-        seq_reads: a.seq_reads + b.seq_reads,
-        rand_reads: a.rand_reads + b.rand_reads,
-        seq_writes: a.seq_writes + b.seq_writes,
-        rand_writes: a.rand_writes + b.rand_writes,
-        sim_ns: a.sim_ns + b.sim_ns,
-    }
+/// Adds `s`'s counts, clock and deltas into `into` (names untouched).
+fn absorb(into: &mut PhaseStat, s: &PhaseStat) {
+    into.pairs += s.pairs;
+    into.false_hits += s.false_hits;
+    into.cpu_ns += s.cpu_ns;
+    into.io.seq_reads += s.io.seq_reads;
+    into.io.rand_reads += s.io.rand_reads;
+    into.io.seq_writes += s.io.seq_writes;
+    into.io.rand_writes += s.io.rand_writes;
+    into.io.sim_ns += s.io.sim_ns;
+    into.pool.absorb(&s.pool);
 }
 
 /// One level of the per-thread run/task nesting.
 struct Frame {
+    /// The run's tracer id; 0 on an untraced context, where no span
+    /// carries it.
     run: u64,
     task: Option<u64>,
-    /// Open phases on this frame; a phase inside a phase records untiled.
+    /// Open phases on this frame; a phase inside a phase is untiled.
     phase_depth: u32,
+    /// The frame's tiled phases so far, by name in first-appearance
+    /// order: the run's breakdown before its `"other"` remainder.
+    tiled: Vec<PhaseStat>,
 }
 
 thread_local! {
@@ -315,48 +296,111 @@ fn task_parent() -> Option<u64> {
     })
 }
 
-fn push_frame(run: u64, task: Option<u64>) {
-    FRAMES.with(|f| {
-        f.borrow_mut().push(Frame {
+/// Runs `f` inside a new innermost frame and returns its output with the
+/// tiled phases recorded directly under that frame.
+fn in_frame<T>(run: u64, task: Option<u64>, f: impl FnOnce() -> T) -> (T, Vec<PhaseStat>) {
+    FRAMES.with(|fr| {
+        fr.borrow_mut().push(Frame {
             run,
             task,
             phase_depth: 0,
+            tiled: Vec::new(),
         })
     });
+    let out = f();
+    let frame = FRAMES.with(|fr| fr.borrow_mut().pop().expect("unbalanced trace frame pop"));
+    (out, frame.tiled)
 }
 
-fn pop_frame() {
-    FRAMES.with(|f| {
-        f.borrow_mut().pop().expect("unbalanced trace frame pop");
-    });
-}
-
-/// Enters a phase on the innermost frame: returns `(run, task, was_depth)`
-/// or `None` when the thread is outside any run.
-fn enter_phase() -> Option<(u64, Option<u64>, u32)> {
+/// Enters a phase on the innermost frame: returns `(run, task)`, or
+/// `None` when the thread is outside any run.
+fn enter_phase() -> Option<(u64, Option<u64>)> {
     FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
         let fr = frames.last_mut()?;
-        let depth = fr.phase_depth;
         fr.phase_depth += 1;
-        Some((fr.run, fr.task, depth))
+        Some((fr.run, fr.task))
     })
 }
 
-fn exit_phase() {
+/// Leaves the innermost frame's open phase `stat`. A top-level phase
+/// outside any task tiles the run: it is folded into the frame's
+/// breakdown by name. Returns whether it was.
+fn exit_phase(stat: &PhaseStat) -> bool {
     FRAMES.with(|f| {
         let mut frames = f.borrow_mut();
         let fr = frames.last_mut().expect("phase exit outside any frame");
         fr.phase_depth -= 1;
-    });
+        let tiled = fr.task.is_none() && fr.phase_depth == 0;
+        if tiled {
+            match fr.tiled.iter_mut().find(|p| p.name == stat.name) {
+                Some(p) => absorb(p, stat),
+                None => fr.tiled.push(stat.clone()),
+            }
+        }
+        tiled
+    })
+}
+
+/// Runs `f`, measuring the stats delta and wall-clock it takes on this
+/// thread into a [`PhaseStat`] named `name` (counts left at 0).
+fn timed<T>(ctx: &JoinCtx, name: &'static str, f: impl FnOnce() -> T) -> (T, PhaseStat) {
+    let before = ctx.pool.stats_snapshot();
+    let t0 = Instant::now();
+    let out = f();
+    let cpu_ns = t0.elapsed().as_nanos() as u64;
+    let delta = ctx.pool.stats_snapshot().since(&before);
+    let stat = PhaseStat {
+        name,
+        cpu_ns,
+        io: delta.io,
+        pool: delta.pool,
+        ..PhaseStat::default()
+    };
+    (out, stat)
+}
+
+/// A fresh run id from `ctx`'s tracer (1-based per tracer), or 0.
+fn run_id(ctx: &JoinCtx) -> u64 {
+    ctx.tracer().map_or(0, |t| t.begin_run())
+}
+
+/// Passes one measured span to `ctx`'s tracer, when one is attached —
+/// the only step a traced run adds to an untraced one.
+fn record(
+    ctx: &JoinCtx,
+    kind: SpanKind,
+    (run, task): (u64, Option<u64>),
+    parent: Option<u64>,
+    tiled: bool,
+    s: &PhaseStat,
+) {
+    if let Some(tracer) = ctx.tracer() {
+        tracer.record(SpanRecord {
+            seq: 0,
+            kind,
+            run,
+            parent,
+            task,
+            tiled,
+            name: s.name,
+            pairs: s.pairs,
+            false_hits: s.false_hits,
+            cpu_ns: s.cpu_ns,
+            io: s.io,
+            pool: s.pool,
+        });
+    }
 }
 
 impl JoinCtx {
-    /// Runs `op` as a named operator span: like [`JoinCtx::measure`], plus
-    /// — when a tracer is attached — a run record, collection of the tiled
-    /// phases recorded inside into [`JoinStats::phases`], and a synthetic
-    /// `"other"` phase for whatever the named phases did not cover, so the
-    /// breakdown tiles the run exactly.
+    /// Runs `op` as a named operator run: measures its I/O delta and
+    /// wall time into a [`JoinStats`] (the pairs and false hits are the
+    /// operator's), collects the tiled phases recorded inside into
+    /// [`JoinStats::phases`], and adds a synthetic `"other"` phase for
+    /// whatever the named phases did not cover, so the breakdown tiles
+    /// the run exactly. An attached tracer records the run and its
+    /// phases as spans.
     ///
     /// `cpu_ns` of the result is the wall-clock of this call. The
     /// operator's tasks run inside that interval; their task spans break
@@ -365,94 +409,40 @@ impl JoinCtx {
     where
         F: FnOnce() -> Result<(u64, u64), JoinError>,
     {
-        let Some(tracer) = self.tracer() else {
-            // Untraced fast path: identical to the historical `measure`.
-            let io_before = self.pool.io_stats();
-            let t0 = Instant::now();
-            let (pairs, false_hits) = body()?;
-            let cpu_ns = t0.elapsed().as_nanos() as u64;
-            let io = self.pool.io_stats().since(&io_before);
-            return Ok(JoinStats {
-                pairs,
-                false_hits,
-                io,
-                cpu_ns,
-                phases: Vec::new(),
-            });
-        };
-        let run = tracer.begin_run();
+        let run = run_id(self);
         let parent = current_run();
-        let from = tracer.span_count();
-        push_frame(run, None);
-        let before = self.pool.stats_snapshot();
-        let t0 = Instant::now();
-        let result = body();
-        let cpu_ns = t0.elapsed().as_nanos() as u64;
-        let delta = self.pool.stats_snapshot().since(&before);
-        pop_frame();
-        let (pairs, false_hits) = result?;
-        let mut phases = tracer.tiled_phases(run, from);
+        let ((result, mut total), mut phases) = in_frame(run, None, || timed(self, op, body));
+        (total.pairs, total.false_hits) = result?;
         if !phases.is_empty() {
-            // Tiled phases are disjoint sub-intervals of [t0, now] on this
+            // Tiled phases are disjoint sub-intervals of the run on this
             // thread and all counters are monotone, so each remainder is
             // non-negative and `since` cannot underflow.
-            let mut covered = StatsSnapshot::default();
-            let mut covered_cpu = 0u64;
+            let mut covered = PhaseStat::default();
             for p in &phases {
-                covered.io = add_io(&covered.io, &p.io);
-                covered.pool.absorb(&p.pool);
-                covered_cpu += p.cpu_ns;
+                absorb(&mut covered, p);
             }
-            let rest = delta.since(&covered);
             let other = PhaseStat {
                 name: "other",
-                pairs: 0,
-                false_hits: 0,
-                cpu_ns: cpu_ns.saturating_sub(covered_cpu),
-                io: rest.io,
-                pool: rest.pool,
+                cpu_ns: total.cpu_ns.saturating_sub(covered.cpu_ns),
+                io: total.io.since(&covered.io),
+                pool: total.pool.since(&covered.pool),
+                ..PhaseStat::default()
             };
-            tracer.record(SpanRecord {
-                seq: 0,
-                kind: SpanKind::Phase,
-                run,
-                parent: None,
-                task: None,
-                tiled: true,
-                name: other.name,
-                pairs: other.pairs,
-                false_hits: other.false_hits,
-                cpu_ns: other.cpu_ns,
-                io: other.io,
-                pool: other.pool,
-            });
+            record(self, SpanKind::Phase, (run, None), None, true, &other);
             phases.push(other);
         }
-        tracer.record(SpanRecord {
-            seq: 0,
-            kind: SpanKind::Run,
-            run,
-            parent,
-            task: None,
-            tiled: false,
-            name: op,
-            pairs,
-            false_hits,
-            cpu_ns,
-            io: delta.io,
-            pool: delta.pool,
-        });
+        record(self, SpanKind::Run, (run, None), parent, false, &total);
         Ok(JoinStats {
-            pairs,
-            false_hits,
-            io: delta.io,
-            cpu_ns,
+            pairs: total.pairs,
+            false_hits: total.false_hits,
+            io: total.io,
+            cpu_ns: total.cpu_ns,
             phases,
         })
     }
 
-    /// Wraps a section of the current run in a named phase span. Without a
-    /// tracer (or outside any run) this is exactly `f()`.
+    /// Wraps a section of the current run in a named phase, measured on
+    /// every run. Outside any run this is exactly `f()`.
     pub fn phase<T, F>(&self, name: &'static str, f: F) -> Result<T, JoinError>
     where
         F: FnOnce() -> Result<T, JoinError>,
@@ -461,7 +451,7 @@ impl JoinCtx {
     }
 
     /// [`phase`](JoinCtx::phase) for sections that produce `(pairs,
-    /// false_hits)`, recording both counts on the span.
+    /// false_hits)`, recording both counts on the phase.
     pub fn phase_counted<F>(&self, name: &'static str, f: F) -> Result<(u64, u64), JoinError>
     where
         F: FnOnce() -> Result<(u64, u64), JoinError>,
@@ -474,35 +464,13 @@ impl JoinCtx {
         F: FnOnce() -> Result<T, JoinError>,
         P: FnOnce(&T) -> (u64, u64),
     {
-        let Some(tracer) = self.tracer() else {
+        let Some(frame) = enter_phase() else {
             return f();
         };
-        let Some((run, task, depth)) = enter_phase() else {
-            return f();
-        };
-        let before = self.pool.stats_snapshot();
-        let t0 = Instant::now();
-        let out = f();
-        let cpu_ns = t0.elapsed().as_nanos() as u64;
-        let delta = self.pool.stats_snapshot().since(&before);
-        exit_phase();
-        let (pairs, false_hits) = out.as_ref().ok().map(counts).unwrap_or((0, 0));
-        tracer.record(SpanRecord {
-            seq: 0,
-            kind: SpanKind::Phase,
-            run,
-            parent: None,
-            task,
-            // Only top-level phases outside any task tile the run; see
-            // the module docs.
-            tiled: task.is_none() && depth == 0,
-            name,
-            pairs,
-            false_hits,
-            cpu_ns,
-            io: delta.io,
-            pool: delta.pool,
-        });
+        let (out, mut stat) = timed(self, name, f);
+        (stat.pairs, stat.false_hits) = out.as_ref().ok().map(counts).unwrap_or((0, 0));
+        let tiled = exit_phase(&stat);
+        record(self, SpanKind::Phase, frame, None, tiled, &stat);
         out
     }
 }
@@ -525,41 +493,23 @@ pub(crate) fn for_each_task<'c, T>(
     Ok(())
 }
 
-/// Runs one task body under a task span attached to `parent` (see
-/// [`task_parent`]). Establishes the frame so spans recorded inside the
-/// task nest correctly, then records the task span with its time and the
-/// pair count the body returned. Untraced (or with no parent run) this is
-/// exactly `f()`.
+/// Runs one task body in its own frame under `parent` (see
+/// [`task_parent`]), so phases inside the task never tile the run, and
+/// measures it as a task span with the pair count the body returned.
+/// With no parent run (a sharded store's shard loop) this is exactly
+/// `f()`.
 fn in_task(
     ctx: &JoinCtx,
     parent: Option<u64>,
     task: u64,
     f: impl FnOnce() -> Result<u64, JoinError>,
 ) -> Result<u64, JoinError> {
-    let (Some(tracer), Some(run)) = (ctx.tracer(), parent) else {
+    let Some(run) = parent else {
         return f();
     };
-    push_frame(run, Some(task));
-    let before = ctx.pool.stats_snapshot();
-    let t0 = Instant::now();
-    let out = f();
-    let cpu_ns = t0.elapsed().as_nanos() as u64;
-    let delta = ctx.pool.stats_snapshot().since(&before);
-    pop_frame();
-    tracer.record(SpanRecord {
-        seq: 0,
-        kind: SpanKind::Task,
-        run,
-        parent: None,
-        task: Some(task),
-        tiled: false,
-        name: "task",
-        pairs: *out.as_ref().unwrap_or(&0),
-        false_hits: 0,
-        cpu_ns,
-        io: delta.io,
-        pool: delta.pool,
-    });
+    let ((out, mut stat), _) = in_frame(run, Some(task), || timed(ctx, "task", f));
+    stat.pairs = *out.as_ref().unwrap_or(&0);
+    record(ctx, SpanKind::Task, (run, Some(task)), None, false, &stat);
     out
 }
 
@@ -604,8 +554,11 @@ mod tests {
         ));
     }
 
+    /// The breakdown needs no tracer. That an untraced run records no
+    /// span is `tests/untraced_spans.rs`'s check: the span counter is
+    /// process-global, and this binary's traced tests run beside this one.
     #[test]
-    fn untraced_context_records_nothing() {
+    fn untraced_context_reports_phases() {
         let ctx = JoinCtx::in_memory_free(PBiTreeShape::new(10).unwrap(), 8);
         let stats = ctx
             .measure_op("noop", || {
@@ -613,7 +566,27 @@ mod tests {
                 Ok((1, 0))
             })
             .unwrap();
-        assert!(stats.phases.is_empty());
+        let names: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["a", "other"]);
+        assert_eq!(stats.pairs, 1);
+    }
+
+    /// A phase entered twice is one breakdown entry, at its first place,
+    /// holding both sections' counts.
+    #[test]
+    fn repeated_phases_fold_by_name() {
+        let ctx = JoinCtx::in_memory_free(PBiTreeShape::new(10).unwrap(), 8);
+        let stats = ctx
+            .measure_op("demo", || {
+                let a = ctx.phase_counted("a", || Ok((2, 1)))?;
+                ctx.phase("b", || Ok(()))?;
+                let b = ctx.phase_counted("a", || Ok((3, 0)))?;
+                Ok((a.0 + b.0, a.1 + b.1))
+            })
+            .unwrap();
+        let names: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["a", "b", "other"]);
+        assert_eq!((stats.phases[0].pairs, stats.phases[0].false_hits), (5, 1));
     }
 
     #[test]
@@ -643,11 +616,11 @@ mod tests {
         assert_eq!(stats.pairs, 5000);
         let names: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
         assert_eq!(names, ["write", "read", "other"]);
-        let mut sum = IoStats::default();
+        let mut sum = PhaseStat::default();
         for p in &stats.phases {
-            sum = add_io(&sum, &p.io);
+            absorb(&mut sum, p);
         }
-        assert_eq!(sum, stats.io);
+        assert_eq!(sum.io, stats.io);
         let run = tracer
             .spans()
             .into_iter()

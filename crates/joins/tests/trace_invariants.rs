@@ -44,21 +44,24 @@ fn mixed_codes(n: usize, heights: &[u32], seed: u64) -> Vec<u64> {
     out.into_iter().collect()
 }
 
-/// Runs one operator under a fresh tracer with the given I/O options and
-/// returns its stats, every span the tracer captured, and the pool's
-/// speculative-read counter so callers can assert prefetch really ran.
-fn run_traced_io(
+/// Runs one operator with the given I/O options, under a fresh tracer
+/// when `traced`, and returns its stats, every span the tracer captured
+/// (none untraced), and the pool's speculative-read counter so callers
+/// can assert prefetch really ran.
+fn run_io(
     f: JoinFn,
     a: &[u64],
     d: &[u64],
     buffer: usize,
     io: ScanOptions,
+    traced: bool,
 ) -> (JoinStats, Vec<SpanRecord>, u64) {
     let tracer = Arc::new(Tracer::new());
-    let ctx = JoinCtxBuilder::in_memory_free(PBiTreeShape::new(H).unwrap(), buffer)
-        .io(io)
-        .tracer(Arc::clone(&tracer))
-        .build();
+    let mut b = JoinCtxBuilder::in_memory_free(PBiTreeShape::new(H).unwrap(), buffer).io(io);
+    if traced {
+        b = b.tracer(Arc::clone(&tracer));
+    }
+    let ctx = b.build();
     // Inputs are built under the run's own options, so the page layout
     // it names governs the whole run.
     let af = element_file_with(&ctx.pool, ctx.read_opts(), a.iter().map(|&v| (v, 0))).unwrap();
@@ -146,14 +149,10 @@ fn operators() -> Vec<(&'static str, JoinFn, &'static [u32])> {
     ]
 }
 
-/// Asserts the core tiling invariant for one traced run: at least two
-/// named phases, and the field-wise sum of the tiled phase deltas equals
-/// the run's total delta exactly.
-fn assert_tiles_exactly(op: &str, stats: &JoinStats, spans: &[SpanRecord]) {
-    let run = top_run(spans);
-    assert_eq!(run.cpu_ns, stats.cpu_ns, "{op}: run cpu_ns");
-    assert_eq!(run.io, stats.io, "{op}: run io");
-    assert_eq!(run.pairs, stats.pairs, "{op}: run pairs");
+/// Asserts the core tiling invariant for one run, traced or not: at
+/// least two named phases, and the phases' I/O and clock sum exactly to
+/// the run's. Returns the phases' summed pool deltas.
+fn assert_phases_tile(op: &str, stats: &JoinStats) -> PoolStats {
     let named: Vec<_> = stats
         .phases
         .iter()
@@ -173,11 +172,22 @@ fn assert_tiles_exactly(op: &str, stats: &JoinStats, spans: &[SpanRecord]) {
         cpu += p.cpu_ns;
     }
     assert_eq!(io, stats.io, "{op}: phase io must tile the run");
-    // Field-wise over *all* pool counters, the packed-page ones included.
-    assert_eq!(pool, run.pool, "{op}: phase pool deltas must tile the run");
     // The synthetic "other" phase absorbs total - covered, so the
     // breakdown accounts for the whole run's clock as well.
     assert_eq!(cpu, stats.cpu_ns, "{op}: phase cpu_ns");
+    pool
+}
+
+/// [`assert_phases_tile`] for one traced run, checked against its run
+/// span: field-wise over the pool counters too.
+fn assert_tiles_exactly(op: &str, stats: &JoinStats, spans: &[SpanRecord]) {
+    let run = top_run(spans);
+    assert_eq!(run.cpu_ns, stats.cpu_ns, "{op}: run cpu_ns");
+    assert_eq!(run.io, stats.io, "{op}: run io");
+    assert_eq!(run.pairs, stats.pairs, "{op}: run pairs");
+    let pool = assert_phases_tile(op, stats);
+    // Field-wise over *all* pool counters, the packed-page ones included.
+    assert_eq!(pool, run.pool, "{op}: phase pool deltas must tile the run");
     // Phases recorded as tiled in the trace are exactly the breakdown's
     // source: none may carry a task id.
     for s in spans.iter().filter(|s| s.tiled) {
@@ -333,8 +343,18 @@ fn emitted_lines_keep_key_order() {
 
 /// Raw and packed pages alike: the packed-page pool counters (pages
 /// packed, decodes, bytes) must tile the run like every other field.
+/// Traced and untraced alike: a run without a tracer reports the traced
+/// run's breakdown, every deterministic field equal (only clocks differ),
+/// and it tiles its own run.
 #[test]
 fn every_operator_tiles_exactly_sequential() {
+    // Everything in a phase but its clock.
+    fn counted(stats: &JoinStats) -> Vec<(&'static str, u64, u64, IoStats, PoolStats)> {
+        let phases = stats.phases.iter();
+        phases
+            .map(|p| (p.name, p.pairs, p.false_hits, p.io, p.pool))
+            .collect()
+    }
     for compress in [false, true] {
         for (op, f, heights) in operators() {
             let a = mixed_codes(400, heights, 23);
@@ -343,8 +363,15 @@ fn every_operator_tiles_exactly_sequential() {
             // buffer small enough to force real partitioning/spill phases.
             let buffer = if op == "memjoin" { 256 } else { 12 };
             let io = ScanOptions::default().with_compress(compress);
-            let (stats, spans, _) = run_traced_io(f, &a, &d, buffer, io);
-            assert_tiles_exactly(&format!("{op} compress={compress}"), &stats, &spans);
+            let op = format!("{op} compress={compress}");
+            let (stats, spans, _) = run_io(f, &a, &d, buffer, io, true);
+            assert_tiles_exactly(&op, &stats, &spans);
+            let (plain, none, _) = run_io(f, &a, &d, buffer, io, false);
+            assert!(none.is_empty(), "{op}: untraced run recorded spans");
+            assert_eq!(plain.pairs, stats.pairs, "{op}: untraced pairs");
+            assert_eq!(plain.io, stats.io, "{op}: untraced io");
+            assert_eq!(counted(&plain), counted(&stats), "{op}: untraced phases");
+            assert_phases_tile(&format!("{op} untraced"), &plain);
         }
     }
 }
@@ -377,7 +404,7 @@ fn partitioned_runs_tile_exactly_with_task_spans() {
                 16,
             )
         };
-        let (stats, spans, _) = run_traced_io(f, &a, &d, buffer, ScanOptions::default());
+        let (stats, spans, _) = run_io(f, &a, &d, buffer, ScanOptions::default(), true);
         assert_tiles_exactly(op, &stats, &spans);
         let run = top_run(&spans);
         let tasks: Vec<_> = spans
@@ -426,13 +453,13 @@ fn readahead_runs_tile_exactly() {
     {
         let a = mixed_codes(700, heights, 41);
         let d = mixed_codes(2500, &[0, 1], 43);
-        let (stats, spans, prefetched) = run_traced_io(f, &a, &d, 64, ScanOptions::sequential(16));
+        let (stats, spans, prefetched) = run_io(f, &a, &d, 64, ScanOptions::sequential(16), true);
         assert!(prefetched > 0, "{op}: depth-16 run never prefetched");
         assert_tiles_exactly(op, &stats, &spans);
 
         // Prefetch must not change the answer: the same workload with
         // read-ahead pinned off yields identical pairs.
-        let (base, _, off_prefetched) = run_traced_io(f, &a, &d, 64, ScanOptions::sequential(1));
+        let (base, _, off_prefetched) = run_io(f, &a, &d, 64, ScanOptions::sequential(1), true);
         assert_eq!(off_prefetched, 0, "{op}: depth-1 run prefetched");
         assert_eq!(
             base.pairs, stats.pairs,
