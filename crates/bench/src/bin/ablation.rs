@@ -39,7 +39,10 @@ use pbitree_joins::rollup::RollupOptions;
 use pbitree_joins::stacktree::{stack_tree_desc, SortPolicy};
 use pbitree_joins::{Algorithm, InputState, JoinStats};
 use pbitree_joins::{CollectSink, CountSink, Element, MultiSink, QueryBatch};
-use pbitree_storage::{BufferPool, Disk, MemBackend, SharedBackend, Wal};
+use pbitree_storage::{
+    BatchError, BufferPool, Disk, DiskBackend, FileId, IoError, MemBackend, PageBuf, PageId,
+    SharedBackend, Wal,
+};
 
 /// `keys`, then [`CLOCK_COLS`], then `more`.
 fn header<'a>(keys: &[&'a str], more: &[&'a str]) -> Vec<&'a str> {
@@ -425,6 +428,9 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
             "recover_sim_s",
             "recover_reads",
             "recover_writes",
+            "scans",
+            "scan_own_writes",
+            "scan_other_writes",
         ],
     );
     // Floors keep the two asserted costs meaningful at `--fast`: the base
@@ -435,6 +441,8 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
     let base_n = ((20_000.0 * args.scale) as usize).max(20_000);
     // The restart's pool: smaller than the pages recovery redoes.
     const RECOVERY_FRAMES: usize = 16;
+    // Delete batches, each followed by a scan, on the restarted pool.
+    const SCAN_BATCHES: usize = 8;
     let inserts = ((4_000.0 * args.scale) as usize).max(2_000);
     let h = 24u32;
     for compress in [false, true] {
@@ -517,9 +525,13 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
         // page-ordered redo must still read each logged page once and
         // write each redone page once (plus the log's tail page).
         drop((heap, index, wal, pool));
-        let pool = BufferPool::new(Disk::new(Box::new(backend), cfg.cost), RECOVERY_FRAMES);
+        let written = WriteLog::default();
+        let pool = BufferPool::new(
+            Disk::new(Box::new(written.over(backend)), cfg.cost),
+            RECOVERY_FRAMES,
+        );
         let log_pages = u64::from(pool.num_pages(wal_file));
-        let (_wal, report) = pbitree_storage::recover(&pool, wal_file).unwrap();
+        let (wal, report) = pbitree_storage::recover(&pool, wal_file).unwrap();
         let rio = pool.io_stats();
         let data_pages =
             u64::from(pool.num_pages(heap_file)) + u64::from(pool.num_pages(index_file));
@@ -551,6 +563,50 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
             expect.1,
             "compress {compress}: recovered index chain disagrees with its meta record"
         );
+        // Scan leg, on the restarted pool: batches of deletes through the
+        // recovered log, each acknowledged and then followed by a full scan
+        // of the heap, which outgrows the pool. The scan recycles its own
+        // frames and writes back the heap's dirty pages as it meets them:
+        // it must write none of its own pages twice, and no other file's
+        // page — the index's dirty pages stay resident — except on its
+        // first load, if the pool then holds no clean frame.
+        let (mut heap, mut index) = (reopened, reindexed);
+        assert!(
+            heap.pages() as usize > RECOVERY_FRAMES,
+            "compress {compress}: the heap fits the recovery pool"
+        );
+        let remaining: Vec<Element> = added.iter().copied().skip(1).step_by(2).collect();
+        let (mut scans, mut own_writes, mut other_writes) = (0, 0, 0);
+        for batch in remaining.chunks(remaining.len().div_ceil(SCAN_BATCHES)) {
+            for e in batch {
+                assert!(heap.delete_logged(&pool, &wal, e).unwrap(), "{e:?} stored");
+                assert!(index.delete_logged(&pool, &wal, &e.code.get()).unwrap());
+            }
+            wal.flush(&pool).unwrap();
+            written.take();
+            let seen = heap.scan_with(&pool, opts).count() as u64;
+            assert_eq!(
+                seen,
+                heap.records(),
+                "compress {compress}: the scan lost records"
+            );
+            let (own, other): (Vec<PageId>, Vec<PageId>) = written
+                .take()
+                .into_iter()
+                .partition(|p| p.file == heap_file);
+            let mut distinct = own.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert!(
+                distinct.len() == own.len() && other.len() <= 1,
+                "compress {compress}: a scan of the heap wrote its own pages {own:?} \
+                 and other files' {other:?} — one of its own twice, or others' past its \
+                 first load"
+            );
+            scans += 1;
+            own_writes += own.len();
+            other_writes += other.len();
+        }
         t.row(vec![
             compress.to_string(),
             base_n.to_string(),
@@ -568,9 +624,76 @@ fn wal_study(args: &CommonArgs, cfg: &ExpConfig) {
             format!("{:.3}", rio.sim_ns as f64 / 1e9),
             rio.reads().to_string(),
             rio.writes().to_string(),
+            scans.to_string(),
+            own_writes.to_string(),
+            other_writes.to_string(),
         ]);
     }
     t.emit(&args.results_dir, "ablation_wal");
+}
+
+/// A disk backend that logs the pages writes reach, for the wal study's
+/// scan leg to check whose pages a scan wrote back.
+#[derive(Clone, Default)]
+struct WriteLog(std::sync::Arc<std::sync::Mutex<Vec<PageId>>>);
+
+impl WriteLog {
+    /// `backend`, with its writes logged here.
+    fn over<B: DiskBackend>(&self, backend: B) -> Logged<B> {
+        Logged(backend, self.clone())
+    }
+
+    /// The pages written since the last call, in write order.
+    fn take(&self) -> Vec<PageId> {
+        std::mem::take(&mut self.0.lock().unwrap())
+    }
+}
+
+/// A backend whose writes go to a [`WriteLog`].
+struct Logged<B>(B, WriteLog);
+
+impl<B: DiskBackend> DiskBackend for Logged<B> {
+    fn create_file(&mut self) -> FileId {
+        self.0.create_file()
+    }
+
+    fn delete_file(&mut self, file: FileId) {
+        self.0.delete_file(file)
+    }
+
+    fn allocate_page(&mut self, file: FileId) -> Result<u32, IoError> {
+        self.0.allocate_page(file)
+    }
+
+    fn num_pages(&self, file: FileId) -> u32 {
+        self.0.num_pages(file)
+    }
+
+    fn live_files(&self) -> Vec<FileId> {
+        self.0.live_files()
+    }
+
+    fn read_pages(
+        &mut self,
+        file: FileId,
+        start: u32,
+        bufs: &mut [&mut PageBuf],
+    ) -> Result<(), BatchError> {
+        self.0.read_pages(file, start, bufs)
+    }
+
+    fn write_pages(
+        &mut self,
+        file: FileId,
+        start: u32,
+        bufs: &[&PageBuf],
+    ) -> Result<(), BatchError> {
+        let res = self.0.write_pages(file, start, bufs);
+        let done = res.as_ref().map_or_else(|e| e.done, |()| bufs.len());
+        let mut log = (self.1).0.lock().unwrap();
+        log.extend((start..).take(done).map(|page| PageId::new(file, page)));
+        res
+    }
 }
 
 /// The shared-scan panel: `k` windowed queries against one document-side

@@ -65,6 +65,25 @@
 //! counts the speculative loads separately). Dirty victims evicted by a
 //! prefetch batch and by [`BufferPool::flush_all`] are themselves grouped
 //! into contiguous runs and written with vectored [`Disk::write_pages`].
+//!
+//! A heap scan of a file with more pages than the pool has frames (the
+//! pool's capacity, not the caller's budget) adds two rules, through the
+//! [`ScanRing`] it passes to [`BufferPool::read_page_with`]:
+//!
+//! * **It recycles its own frames.** Its misses and read-ahead take their
+//!   victims from a ring of the frames it loaded last, oldest first; the
+//!   ring holds read-ahead depth + 1 frames. While the ring fills, or when
+//!   its oldest frame is pinned, claimed or re-mapped, the victim is a
+//!   clean frame off the clock; failing that, read-ahead stops, and only a
+//!   miss goes on to the whole clock. So the scan
+//!   does not sweep the pool and write back other callers' dirty pages;
+//!   under the clock such a file gets no rescan hits anyway, and a file
+//!   that fits keeps its frames for the next scan.
+//! * **It cleans the dirty pages it passes.** When the scan pins a
+//!   resident dirty page it writes the page back on the spot, after the
+//!   WAL gate for the page's LSN. The scan has just read the page before
+//!   it, so the write costs no seek. Like read-ahead this is best effort:
+//!   a gate or device fault leaves the frame dirty and the scan goes on.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -279,13 +298,66 @@ impl FrameMeta {
     }
 }
 
-/// A frame claimed off the clock. The claim holds the frame's write latch
-/// until it is published or released, so its I/O never waits.
+/// A frame claimed off the clock or a scan's ring. The claim holds the
+/// frame's write latch until it is published or released, so its I/O never
+/// waits.
 struct ClaimedVictim<'a> {
     frame: usize,
     buf: RwLockWriteGuard<'a, Box<PageBuf>>,
     /// The evicted resident's `(pid, dirty, lsn)`, if the frame held one.
     old: Option<(PageId, bool, u64)>,
+    /// The ring slot the loaded page fills, when a ring scan claimed it.
+    slot: Option<usize>,
+}
+
+/// The frames a sequential scan larger than the pool recycles: one slot
+/// per frame it loaded last, oldest first. A ring scan's miss and
+/// read-ahead reuse the oldest slot's frame while it still holds the page
+/// the scan put there, unpinned and unclaimed. Otherwise (an empty slot
+/// included, so the first loads fill the ring) they take a clean frame off
+/// the clock; failing that, read-ahead stops and only a miss takes any
+/// frame. The frames stay in the page table, so other callers hit them as
+/// usual. Built by [`crate::heap::HeapScan`] only.
+#[derive(Debug)]
+pub struct ScanRing {
+    /// `(frame, page)` the scan last loaded into each slot.
+    slots: Vec<Option<(usize, PageId)>>,
+    /// The oldest slot: where the next victim comes from.
+    next: usize,
+}
+
+impl ScanRing {
+    /// The ring of a `pages`-page scan under `opts`: read-ahead depth + 1
+    /// slots (at most the pool's frames) for a sequential scan of a file
+    /// the pool cannot hold, `None` (the plain clock) otherwise. Under the
+    /// clock such a file gets no rescan hits anyway, while a file that fits
+    /// keeps its frames for the next scan.
+    pub(crate) fn for_scan(pool: &BufferPool, pages: u32, opts: ScanOptions) -> Option<ScanRing> {
+        match opts.pattern {
+            AccessPattern::Sequential { readahead } if pages as usize > pool.capacity() => {
+                Some(ScanRing {
+                    slots: vec![None; (readahead + 1).min(pool.capacity())],
+                    next: 0,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Moves past the oldest slot, emptying it: returns its index and what
+    /// it held.
+    fn advance(&mut self) -> (usize, Option<(usize, PageId)>) {
+        let slot = self.next;
+        self.next = (slot + 1) % self.slots.len();
+        (slot, self.slots[slot].take())
+    }
+
+    /// Records that `frame` now holds `pid` for `slot`'s claim.
+    fn fill(ring: Option<&mut ScanRing>, slot: Option<usize>, frame: usize, pid: PageId) {
+        if let (Some(ring), Some(slot)) = (ring, slot) {
+            ring.slots[slot] = Some((frame, pid));
+        }
+    }
 }
 
 /// The write-ahead log's side of the WAL-before-page protocol. The pool
@@ -547,7 +619,7 @@ impl BufferPool {
 
     /// Fetches an existing page for reading.
     pub fn read_page(&self, pid: PageId) -> Result<PageRef<'_>, PoolError> {
-        let (frame, _missed) = self.fetch(pid, false)?;
+        let (frame, _missed) = self.fetch(pid, false, None)?;
         Ok(PageRef::new(self, frame))
     }
 
@@ -557,25 +629,58 @@ impl BufferPool {
     /// [`AccessPattern::Sequential`]`{ readahead > 1 }` it additionally
     /// prefetches up to `readahead - 1` following pages with one vectored
     /// read (best-effort; see the module docs).
-    pub fn read_page_with(&self, pid: PageId, opts: ScanOptions) -> Result<PageRef<'_>, PoolError> {
-        let (frame, missed) = self.fetch(pid, false)?;
+    ///
+    /// `ring` is the caller's [`ScanRing`], if its scan is larger than the
+    /// pool: the miss and its read-ahead then recycle the ring's frames,
+    /// and a dirty page the request hits is written back on the spot.
+    /// `None` is the plain clock.
+    pub fn read_page_with(
+        &self,
+        pid: PageId,
+        opts: ScanOptions,
+        mut ring: Option<&mut ScanRing>,
+    ) -> Result<PageRef<'_>, PoolError> {
+        let (frame, missed) = self.fetch(pid, false, ring.as_deref_mut())?;
         let guard = PageRef::new(self, frame);
-        if missed {
-            if let AccessPattern::Sequential { readahead } = opts.pattern {
-                if readahead > 1 {
-                    // The guard pins `pid`, so the prefetch sweep cannot
-                    // evict the page it is reading ahead of.
-                    self.prefetch(pid, readahead - 1);
-                }
+        if !missed {
+            if ring.is_some() {
+                self.write_behind(frame, &guard);
+            }
+        } else if let AccessPattern::Sequential { readahead } = opts.pattern {
+            if readahead > 1 {
+                // The guard pins `pid`, so the prefetch sweep cannot
+                // evict the page it is reading ahead of.
+                self.prefetch(pid, readahead - 1, ring);
             }
         }
         Ok(guard)
     }
 
+    /// Write-behind: writes back the dirty page a ring scan just pinned,
+    /// while the disk head is beside it, after the WAL gate for its LSN.
+    /// Best effort: a gate or device fault leaves the frame dirty for a
+    /// later eviction or flush. The caller's pin and shared latch keep the
+    /// bytes still and the frame unclaimed; a writer that dirtied them
+    /// before the latch re-marks the frame at worst, which costs one more
+    /// write and loses nothing.
+    fn write_behind(&self, frame: usize, buf: &PageBuf) {
+        let m = *self.meta[frame].lock().unwrap();
+        let (true, Some(pid)) = (m.dirty, m.pid) else {
+            return;
+        };
+        let written =
+            self.gate_lsn(m.lsn).is_ok() && self.disk.lock().unwrap().write_page(pid, buf).is_ok();
+        if written {
+            let mut m = self.meta[frame].lock().unwrap();
+            m.dirty = false;
+            m.lsn = 0;
+        }
+    }
+
     /// Fetches an existing page for modification; the frame is marked dirty
     /// when the guard drops.
     pub fn write_page(&self, pid: PageId) -> Result<PageMut<'_>, PoolError> {
-        let (frame, _missed) = self.fetch(pid, false)?;
+        let (frame, _missed) = self.fetch(pid, false, None)?;
         Ok(PageMut::new(self, frame))
     }
 
@@ -641,7 +746,7 @@ impl BufferPool {
     pub fn new_page(&self, file: FileId) -> Result<(u32, PageMut<'_>), PoolError> {
         let page = self.disk.lock().unwrap().allocate_page(file)?;
         let pid = PageId::new(file, page);
-        let (frame, _missed) = self.fetch(pid, true)?;
+        let (frame, _missed) = self.fetch(pid, true, None)?;
         Ok((page, PageMut::new(self, frame)))
     }
 
@@ -767,9 +872,15 @@ impl BufferPool {
 
     /// Core fetch: returns the (pinned) frame index holding `pid` and
     /// whether the request missed (read from disk / claimed a fresh frame).
-    /// `fresh` skips the disk read for newly allocated pages. The caller
-    /// latches the frame through its guard (a writer's unpin marks it dirty).
-    fn fetch(&self, pid: PageId, fresh: bool) -> Result<(usize, bool), PoolError> {
+    /// `fresh` skips the disk read for newly allocated pages; a miss under a
+    /// `ring` takes its victim there first. The caller latches the frame
+    /// through its guard (a writer's unpin marks it dirty).
+    fn fetch(
+        &self,
+        pid: PageId,
+        fresh: bool,
+        mut ring: Option<&mut ScanRing>,
+    ) -> Result<(usize, bool), PoolError> {
         loop {
             // Hit path: resident and not mid-eviction.
             {
@@ -798,7 +909,8 @@ impl BufferPool {
                 frame,
                 mut buf,
                 old,
-            } = self.claim_victim()?;
+                slot,
+            } = self.claim_victim(ring.as_deref_mut())?;
             if let Some((old_pid, true, old_lsn)) = old {
                 // Write back BEFORE removing the table mapping: as long as
                 // the entry exists, a concurrent miss on the old page parks
@@ -860,6 +972,7 @@ impl BufferPool {
             }
 
             *self.meta[frame].lock().unwrap() = FrameMeta::loaded(pid, 1);
+            ScanRing::fill(ring, slot, frame, pid);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Ok((frame, true));
         }
@@ -869,8 +982,10 @@ impl BufferPool {
     /// following `after` into unpinned frames with one vectored read. Never
     /// blocks, never evicts pinned pages, stops at the first page already
     /// resident (the stream is cached ahead) and swallows faults — a failed
-    /// speculative read leaves its pages to the on-demand path.
-    fn prefetch(&self, after: PageId, count: usize) {
+    /// speculative read leaves its pages to the on-demand path. Under a
+    /// `ring` only [`BufferPool::ring_victim`] supplies victims: read-ahead
+    /// shrinks rather than write back another caller's page.
+    fn prefetch(&self, after: PageId, count: usize, mut ring: Option<&mut ScanRing>) {
         let file = after.file;
         let Some(start) = after.page.checked_add(1) else {
             return;
@@ -893,7 +1008,11 @@ impl BufferPool {
             if self.table.lock().unwrap().contains_key(&pid) {
                 break;
             }
-            match self.sweep().0 {
+            let claim = match self.ring_victim(ring.as_deref_mut()) {
+                (Some(_), claim) => claim,
+                (None, _) => self.sweep(false).0,
+            };
+            match claim {
                 Some(claim) => staged.push(claim),
                 None => break,
             }
@@ -995,6 +1114,7 @@ impl BufferPool {
         for (i, c) in staged.iter().enumerate() {
             let pid = PageId::new(file, start + i as u32);
             let meta = if i < done {
+                ScanRing::fill(ring.as_deref_mut(), c.slot, c.frame, pid);
                 FrameMeta::loaded(pid, 0)
             } else {
                 unmap(&mut self.table.lock().unwrap(), pid, c.frame);
@@ -1006,13 +1126,13 @@ impl BufferPool {
     }
 
     /// One second-chance clock sweep of up to `2n` steps: claims the first
-    /// unpinned, unreferenced frame, clearing reference bits on the way,
-    /// and takes its write latch. Frames held transiently by other callers
-    /// — claimed, or latched by a flush — are skipped, and the flag reports
-    /// whether the sweep passed one. The hand mutex is held for the whole
-    /// sweep, so selection is serialized (and deterministic when
-    /// single-threaded).
-    fn sweep(&self) -> (Option<ClaimedVictim<'_>>, bool) {
+    /// unpinned, unreferenced frame (and, if `clean`, not dirty), clearing
+    /// reference bits on the way, and takes its write latch. Frames held
+    /// transiently by other callers — claimed, or latched by a flush — are
+    /// skipped, and the flag reports whether the sweep passed one. The hand
+    /// mutex is held for the whole sweep, so selection is serialized (and
+    /// deterministic when single-threaded).
+    fn sweep(&self, clean: bool) -> (Option<ClaimedVictim<'_>>, bool) {
         let n = self.meta.len();
         let mut hand = self.hand.lock().unwrap();
         let mut saw_claimed = false;
@@ -1024,35 +1144,76 @@ impl BufferPool {
                 saw_claimed = true;
                 continue;
             }
-            if m.pin > 0 {
+            if m.pin > 0 || (clean && m.dirty) {
                 continue;
             }
             if m.referenced {
                 m.referenced = false;
                 continue;
             }
-            let buf = match self.data[i].try_write() {
-                Ok(buf) => buf,
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(TryLockError::WouldBlock) => {
-                    saw_claimed = true;
-                    continue;
-                }
-            };
-            m.claimed = true;
-            let old = m.pid.map(|p| (p, m.dirty, m.lsn));
-            return (Some(ClaimedVictim { frame: i, buf, old }), saw_claimed);
+            match self.try_claim(i, &mut m) {
+                Some(claim) => return (Some(claim), saw_claimed),
+                None => saw_claimed = true,
+            }
         }
         (None, saw_claimed)
     }
 
-    /// A miss's victim: sweeps until one is claimed. Frames other callers
-    /// hold are transient, so they get a bounded number of sweeps to free
-    /// up before the pool is declared exhausted.
-    fn claim_victim(&self) -> Result<ClaimedVictim<'_>, PoolError> {
+    /// Claims frame `i`, whose meta the caller holds, if its latch is free
+    /// right now.
+    fn try_claim(&self, i: usize, m: &mut FrameMeta) -> Option<ClaimedVictim<'_>> {
+        let buf = match self.data[i].try_write() {
+            Ok(buf) => buf,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        m.claimed = true;
+        let old = m.pid.map(|p| (p, m.dirty, m.lsn));
+        Some(ClaimedVictim {
+            frame: i,
+            buf,
+            old,
+            slot: None,
+        })
+    }
+
+    /// A ring scan's victim, without waiting and without writing back
+    /// another caller's page: moves past the ring's oldest slot and claims
+    /// its frame if that still holds the scan's page, unpinned and
+    /// unclaimed; else a clean frame off the clock (how the ring fills).
+    /// Returns the slot the load refills (`None` without a ring) and the
+    /// claim, if either choice had one. A miss then falls back to the
+    /// whole clock; read-ahead stops.
+    fn ring_victim(
+        &self,
+        ring: Option<&mut ScanRing>,
+    ) -> (Option<usize>, Option<ClaimedVictim<'_>>) {
+        let Some(ring) = ring else {
+            return (None, None);
+        };
+        let (slot, held) = ring.advance();
+        let oldest = held.and_then(|(frame, pid)| {
+            let mut m = self.meta[frame].lock().unwrap();
+            let free = m.pid == Some(pid) && m.pin == 0 && !m.claimed;
+            free.then(|| self.try_claim(frame, &mut m)).flatten()
+        });
+        let claim = oldest.or_else(|| self.sweep(true).0);
+        let slot = Some(slot);
+        (slot, claim.map(|c| ClaimedVictim { slot, ..c }))
+    }
+
+    /// A miss's victim: [`BufferPool::ring_victim`]'s under a ring, else
+    /// (and without a ring) sweeps until one is claimed. Frames other callers hold are
+    /// transient, so they get a bounded number of sweeps to free up before
+    /// the pool is declared exhausted.
+    fn claim_victim(&self, ring: Option<&mut ScanRing>) -> Result<ClaimedVictim<'_>, PoolError> {
+        let (slot, claim) = self.ring_victim(ring);
+        if let Some(claim) = claim {
+            return Ok(claim);
+        }
         for _ in 0..=1_000 {
-            match self.sweep() {
-                (Some(claim), _) => return Ok(claim),
+            match self.sweep(false) {
+                (Some(claim), _) => return Ok(ClaimedVictim { slot, ..claim }),
                 (None, false) => break,
                 (None, true) => std::thread::yield_now(),
             }
@@ -1413,7 +1574,7 @@ mod tests {
         p.evict_all().unwrap();
         let base = p.io_stats();
         let opts = ScanOptions::sequential(4);
-        let r = p.read_page_with(PageId::new(f, 0), opts).unwrap();
+        let r = p.read_page_with(PageId::new(f, 0), opts, None).unwrap();
         assert_eq!(r[0], 0);
         drop(r);
         // One demand read plus three prefetched pages, fetched as one
@@ -1425,7 +1586,7 @@ mod tests {
         // Pages 1..4 are resident: pure pool hits, no further disk reads.
         let before = p.pool_stats();
         for i in 1..4u32 {
-            let r = p.read_page_with(PageId::new(f, i), opts).unwrap();
+            let r = p.read_page_with(PageId::new(f, i), opts, None).unwrap();
             assert_eq!(r[0], i as u8);
         }
         let ps = p.pool_stats().since(&before);
@@ -1442,7 +1603,7 @@ mod tests {
         }
         p.evict_all().unwrap();
         let r = p
-            .read_page_with(PageId::new(f, 0), ScanOptions::sequential(8))
+            .read_page_with(PageId::new(f, 0), ScanOptions::sequential(8), None)
             .unwrap();
         drop(r);
         // Only one page exists past page 0; no read beyond the file end.
@@ -1461,7 +1622,7 @@ mod tests {
         // Page 0 stays pinned; read-ahead wants 3 more pages but only one
         // frame is free — it takes what it can get, without erroring.
         let g0 = p
-            .read_page_with(PageId::new(f, 0), ScanOptions::sequential(4))
+            .read_page_with(PageId::new(f, 0), ScanOptions::sequential(4), None)
             .unwrap();
         assert_eq!(p.prefetched(), 1);
         let r = p.read_page(PageId::new(f, 1)).unwrap(); // prefetched: a hit
@@ -1482,7 +1643,7 @@ mod tests {
         // prefetch staging evicts the other three (a contiguous dirty run,
         // written back with one vectored transfer). Nothing may be lost.
         let r = p
-            .read_page_with(PageId::new(f, 0), ScanOptions::sequential(4))
+            .read_page_with(PageId::new(f, 0), ScanOptions::sequential(4), None)
             .unwrap();
         assert_eq!(r[0], 0);
         drop(r);
@@ -1507,6 +1668,79 @@ mod tests {
         let d = p.io_stats().since(&base);
         assert_eq!(d.writes(), 4);
         assert_eq!((d.rand_writes, d.seq_writes), (1, 3));
+    }
+
+    /// Ring scans race writers and flushes: the scans recycle their
+    /// frames and write back the dirty pages they pin while other threads
+    /// re-dirty pages and flush. No write may be lost, every request counts
+    /// once, and no pin outlives its guard.
+    #[test]
+    fn ring_scans_race_writers_and_flushes_without_losing_writes() {
+        const PAGES: u32 = 24;
+        const SCANS: u64 = 100;
+        let p = pool(8);
+        let f = p.create_file();
+        for _ in 0..PAGES {
+            drop(p.new_page(f).unwrap());
+        }
+        p.evict_all().unwrap();
+        let counter = |g: &PageBuf| u64::from_le_bytes(g[..8].try_into().unwrap());
+        let applied: Vec<AtomicU64> = (0..PAGES).map(|_| AtomicU64::new(0)).collect();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let base = p.pool_stats();
+        std::thread::scope(|s| {
+            let (p, applied, stop) = (&p, &applied, &stop);
+            s.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    p.flush_all().unwrap();
+                }
+            });
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    s.spawn(move || {
+                        let opts = ScanOptions::sequential(3);
+                        let mut x = 0x9E37_79B9 ^ (t + 1);
+                        for _ in 0..SCANS {
+                            let mut ring = ScanRing::for_scan(p, PAGES, opts);
+                            assert!(ring.is_some());
+                            for pg in 0..PAGES {
+                                if t % 2 == 0 {
+                                    let g =
+                                        p.read_page_with(PageId::new(f, pg), opts, ring.as_mut());
+                                    std::hint::black_box(counter(&g.unwrap()));
+                                } else {
+                                    x ^= x << 13;
+                                    x ^= x >> 7;
+                                    x ^= x << 17;
+                                    let page = (x % u64::from(PAGES)) as u32;
+                                    let mut g = p.write_page(PageId::new(f, page)).unwrap();
+                                    let v = counter(&g) + 1;
+                                    g[..8].copy_from_slice(&v.to_le_bytes());
+                                    drop(g);
+                                    applied[page as usize].fetch_add(1, Ordering::SeqCst);
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().for_each(|w| w.join().unwrap());
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(
+            p.pool_stats().since(&base).requests(),
+            4 * SCANS * u64::from(PAGES)
+        );
+        assert_eq!(p.pinned_frames(), 0);
+        p.evict_all().unwrap();
+        for (pg, n) in applied.iter().enumerate() {
+            let g = p.read_page(PageId::new(f, pg as u32)).unwrap();
+            assert_eq!(
+                counter(&g),
+                n.load(Ordering::SeqCst),
+                "page {pg} lost writes"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::access::ScanOptions;
-use crate::buffer::{BufferPool, PageRef, PoolError, TempFile};
+use crate::buffer::{BufferPool, PageRef, PoolError, ScanRing, TempFile};
 use crate::codec::{
     corrupt, raw_count, raw_slot, records_per_page, Layout, PackedPageBuilder, COUNT,
 };
@@ -242,6 +242,7 @@ impl<R: FixedRecord> HeapFile<R> {
             cur: None,
             idx: pos.idx,
             skip_on_load: pos.idx,
+            ring: ScanRing::for_scan(pool, self.pages, opts),
             opts,
             zones,
             pending_filtered: 0,
@@ -666,7 +667,10 @@ impl ScanPos {
     }
 }
 
-/// Sequential scanner over a heap file. See [`HeapFile::scan`].
+/// Sequential scanner over a heap file. See [`HeapFile::scan`]. A
+/// sequential scan of a file with more pages than the pool has frames
+/// recycles a small ring of its own frames and writes back the dirty
+/// pages it passes ([`crate::buffer`]'s module docs).
 ///
 /// When its [`ScanOptions`] carry a [`crate::zone::ScanFilter`], the scan prunes at two
 /// granularities: whole pages whose zone map entry cannot satisfy the
@@ -686,6 +690,8 @@ pub struct HeapScan<'a, R: FixedRecord> {
     skip_on_load: usize,
     /// Declared access pattern, forwarded to the pool on every page fetch.
     opts: ScanOptions,
+    /// The frames the scan recycles when its file is larger than the pool.
+    ring: Option<ScanRing>,
     /// Zone map of the file, when the scan is filtered and one exists.
     zones: Option<Arc<FileZones>>,
     /// Records dropped by the record-level filter since the last flush to
@@ -874,7 +880,9 @@ impl<'a, R: FixedRecord> HeapScan<'a, R> {
             return Ok(false);
         }
         let pid = PageId::new(self.file, self.next_page);
-        let page = self.pool.read_page_with(pid, self.opts)?;
+        let page = self
+            .pool
+            .read_page_with(pid, self.opts, self.ring.as_mut())?;
         self.next_page += 1;
         self.layout = Layout::parse::<R>(&page[..], pid)?;
         self.cached = None;
@@ -2072,5 +2080,168 @@ mod tests {
             ScanOptions::default().with_filter(filter),
         );
         assert_eq!(s.next_record().unwrap(), Some(data[(2 * per) as usize]));
+    }
+
+    /// A heap file of `pages` full pages of `u64`s, written through (no
+    /// frame holds it), and its records.
+    fn heap_of_pages(p: &BufferPool, pages: usize) -> (HeapFile<u64>, Vec<u64>) {
+        let data: Vec<u64> = (0..(pages * records_per_page::<u64>()) as u64).collect();
+        let hf = HeapFile::from_iter(p, data.iter().copied()).unwrap();
+        assert_eq!(hf.pages() as usize, pages);
+        (hf, data)
+    }
+
+    /// Marks `pages` of `file` dirty, bytes untouched, stamping page `pg`
+    /// with WAL LSN `pg + 1`.
+    fn dirty(p: &BufferPool, file: FileId, pages: &[u32]) {
+        for &pg in pages {
+            p.write_page(PageId::new(file, pg))
+                .unwrap()
+                .stamp_lsn(u64::from(pg) + 1);
+        }
+    }
+
+    /// An [`crate::buffer::LsnGate`] that logs each call with the page
+    /// writes made before it.
+    #[derive(Default)]
+    struct GateLog(std::sync::Mutex<Vec<(u64, u64)>>);
+
+    impl crate::buffer::LsnGate for GateLog {
+        fn flush_up_to(&self, pool: &BufferPool, lsn: u64) -> Result<(), PoolError> {
+            let writes = pool.io_stats().writes();
+            self.0.lock().unwrap().push((lsn, writes));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn scan_larger_than_the_pool_spares_other_files_dirty_pages() {
+        let p = pool(16);
+        // A full pool: another file's 4 dirty pages first on the clock,
+        // then 12 clean pages of a third.
+        let other = p.create_file();
+        for _ in 0..4 {
+            drop(p.new_page(other).unwrap());
+        }
+        let (clean, _) = heap_of_pages(&p, 12);
+        assert_eq!(clean.scan(&p).count(), clean.records() as usize);
+        let (hf, data) = heap_of_pages(&p, 64);
+        let before = p.io_stats();
+        let back: Vec<u64> = hf.scan_with(&p, ScanOptions::sequential(4)).collect();
+        assert_eq!(back, data);
+        let d = p.io_stats().since(&before);
+        assert_eq!(
+            (d.reads(), d.writes()),
+            (64, 0),
+            "one read a page, no write-back"
+        );
+        // The other file's pages are still resident, and still dirty.
+        for pg in 0..4 {
+            drop(p.read_page(PageId::new(other, pg)).unwrap());
+        }
+        assert_eq!(p.io_stats().since(&before).reads(), 64);
+        p.flush_all().unwrap();
+        assert_eq!(p.io_stats().since(&before).writes(), 4);
+    }
+
+    #[test]
+    fn scan_larger_than_the_pool_writes_back_at_most_one_page_of_a_dirty_pool() {
+        // Every frame holds another file's dirty page: only the scan's
+        // first load has nothing clean or of its own to take.
+        let p = pool(16);
+        let other = p.create_file();
+        for _ in 0..16 {
+            drop(p.new_page(other).unwrap());
+        }
+        let (hf, data) = heap_of_pages(&p, 64);
+        let before = p.io_stats();
+        let back: Vec<u64> = hf.scan_with(&p, ScanOptions::sequential(4)).collect();
+        assert_eq!(back, data);
+        let d = p.io_stats().since(&before);
+        assert_eq!((d.reads(), d.writes()), (64, 1));
+        assert_eq!(d.rand_reads, 1, "one seek for the whole file");
+    }
+
+    #[test]
+    fn scan_larger_than_the_pool_writes_its_dirty_pages_once_behind_the_gate() {
+        let p = pool(16);
+        let (hf, data) = heap_of_pages(&p, 64);
+        let gate = Arc::new(GateLog::default());
+        p.set_lsn_gate(Some(gate.clone()));
+        let dirtied = [10, 11, 30, 50];
+        dirty(&p, hf.file_id(), &dirtied);
+        let before = p.io_stats();
+        let back: Vec<u64> = hf.scan_with(&p, ScanOptions::sequential(4)).collect();
+        assert_eq!(back, data);
+        // Each dirty page is written once, where the scan meets it: right
+        // behind the page before it, so with no seek.
+        let d = p.io_stats().since(&before);
+        assert_eq!((d.writes(), d.seq_writes), (4, 4));
+        // The gate was asked for each page's LSN before that page's write.
+        let w0 = before.writes();
+        let calls: Vec<(u64, u64)> = (0..4)
+            .map(|k| (dirtied[k] as u64 + 1, w0 + k as u64))
+            .collect();
+        assert_eq!(*gate.0.lock().unwrap(), calls);
+        p.flush_all().unwrap();
+        assert_eq!(p.io_stats().since(&before).writes(), 4, "left dirty");
+    }
+
+    #[test]
+    fn scan_larger_than_the_pool_counts_each_request_once() {
+        let p = pool(16);
+        let (hf, _) = heap_of_pages(&p, 64);
+        // Two resident pages: the scan hits them and misses the rest.
+        dirty(&p, hf.file_id(), &[20, 40]);
+        let before = p.pool_stats();
+        assert_eq!(
+            hf.scan_with(&p, ScanOptions::sequential(4)).count(),
+            hf.records() as usize
+        );
+        let s = p.pool_stats().since(&before);
+        assert_eq!(s.hits + s.misses, 64);
+        assert_eq!(s.misses + p.prefetched(), 62);
+        assert_eq!(p.pinned_frames(), 0);
+    }
+
+    #[test]
+    fn rescan_of_a_file_that_fits_keeps_its_hits() {
+        // As many pages as frames: the clock keeps them all.
+        let p = pool(16);
+        let (hf, _) = heap_of_pages(&p, 16);
+        let opts = ScanOptions::sequential(4);
+        assert_eq!(hf.scan_with(&p, opts).count(), hf.records() as usize);
+        let before = (p.pool_stats(), p.io_stats());
+        assert_eq!(hf.scan_with(&p, opts).count(), hf.records() as usize);
+        let s = p.pool_stats().since(&before.0);
+        assert_eq!((s.hits, s.misses), (16, 0));
+        assert_eq!(p.io_stats().since(&before.1).reads(), 0);
+    }
+
+    #[test]
+    fn write_behind_fault_leaves_the_page_dirty() {
+        let backend = crate::fault::FaultBackend::new(
+            crate::disk::MemBackend::new(),
+            crate::fault::FaultConfig::none(),
+        );
+        let faults = backend.handle();
+        let p = BufferPool::new(
+            Disk::new(Box::new(backend), crate::stats::CostModel::free()),
+            16,
+        );
+        let (hf, data) = heap_of_pages(&p, 64);
+        dirty(&p, hf.file_id(), &[10, 11]);
+        // The scan's first write — page 10's write-behind — fails.
+        faults.reset();
+        faults.set_config(crate::fault::FaultConfig::write_at(0));
+        let before = p.io_stats();
+        let back: Vec<u64> = hf.scan_with(&p, ScanOptions::sequential(4)).collect();
+        assert_eq!(back, data);
+        assert_eq!(faults.write_faults(), 1);
+        assert_eq!(p.io_stats().since(&before).writes(), 1, "page 11 only");
+        // Page 10 is still dirty: the next flush writes it.
+        p.flush_all().unwrap();
+        assert_eq!(p.io_stats().since(&before).writes(), 2);
+        assert_eq!(faults.writes(), 3);
     }
 }

@@ -13,7 +13,8 @@
 //!   I/O time next to raw page counts (the paper's numbers are I/O-bound;
 //!   see `DESIGN.md`, substitution 1).
 //! * [`buffer`] — a clock-replacement buffer pool with pin/unpin guards and
-//!   a hard frame budget `b`, the paper's `NumBufferPages`.
+//!   a hard frame budget `b`, the paper's `NumBufferPages`; a scan larger
+//!   than the pool recycles a small ring of its own frames instead.
 //! * [`heap`] — unordered files of fixed-width records
 //!   ([`record::FixedRecord`]) with append writers and sequential scanners.
 //! * [`sort`] — external multiway merge sort (run formation + k-way merge)

@@ -291,9 +291,13 @@ impl WalState {
     ) -> Result<(), PoolError> {
         if pageno >= self.disk_pages {
             debug_assert_eq!(pageno, self.disk_pages, "log pages flush in order");
-            let got = pool.append_page_through(self.file, img)?;
+            let res = pool.append_page_through(self.file, img);
+            // An append whose write faulted has still allocated its page:
+            // count it, so the retry rewrites that page in place instead of
+            // appending past it.
+            self.disk_pages = pool.num_pages(self.file);
+            let got = res?;
             debug_assert_eq!(got, pageno, "log file written by someone else");
-            self.disk_pages += 1;
         } else {
             pool.write_page_through(PageId::new(self.file, pageno), img)?;
         }
@@ -863,6 +867,29 @@ mod tests {
             .commit(&p, op_writing(pid, 0, &[0xAB; 8], false))
             .unwrap();
         assert_eq!(lsn, committed_lsn + 2);
+    }
+
+    #[test]
+    fn failed_log_append_is_retried_in_place() {
+        let backend = crate::fault::FaultBackend::new(MemBackend::new(), Default::default());
+        let faults = backend.handle();
+        let p = BufferPool::new(Disk::new(Box::new(backend), CostModel::free()), 8);
+        let wal = Wal::create(&p);
+        let wal_file = wal.file();
+        let pid = PageId::new(p.create_file(), 0);
+        wal.commit(&p, op_writing(pid, 0, &[3u8; 32], true))
+            .unwrap();
+        // The first append of the log's first page faults, after the disk
+        // allocated the page; the retry must write that page, not a second.
+        faults.reset();
+        faults.set_config(crate::fault::FaultConfig::write_at(0));
+        assert!(wal.flush(&p).is_err());
+        wal.flush(&p).unwrap();
+        assert_eq!(p.num_pages(wal_file), 1);
+        drop(wal);
+        p.set_lsn_gate(None);
+        let (_, report) = recover(&p, wal_file).unwrap();
+        assert_eq!(report.ops_applied, 1);
     }
 
     #[test]

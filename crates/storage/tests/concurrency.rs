@@ -124,7 +124,7 @@ fn read_ahead_races_flushes_without_losing_writes() {
                     for i in 0..OPS {
                         if t % 2 == 0 {
                             let pid = PageId::new(file, (i % u64::from(PAGES)) as u32);
-                            let g = pool.read_page_with(pid, ScanOptions::sequential(8));
+                            let g = pool.read_page_with(pid, ScanOptions::sequential(8), None);
                             std::hint::black_box(g.unwrap()[0]);
                         } else {
                             let page = (xorshift(&mut rng) % u64::from(PAGES)) as u32;

@@ -33,6 +33,11 @@
 //!    element-by-element and the store answers the containment self-join
 //!    identically.
 //!
+//! Every few steps the script also scans the whole heap and checks it
+//! against the model. A raw heap is larger than the 6-frame pool, so the
+//! scan recycles its own frames and writes back the dirty pages it meets
+//! (write-behind); those writes are kill indices of the sweep too.
+//!
 //! Sweeps run with page compression on and off (packed base pages
 //! exercise the decode/re-seal delete path). The index's leaf updates are logged as
 //! header + slot-suffix byte ranges, so every kill index also lands a
@@ -60,6 +65,8 @@ const H: u32 = 18;
 const BUDGET: usize = 6;
 const BASE_ELEMS: usize = 3000;
 const STEPS: usize = 150;
+/// Every this many steps, a full heap scan follows the step.
+const SCAN_EVERY: usize = 15;
 /// Script tags start here; base tags stay below. The code index holds
 /// exactly the elements tagged at or above it.
 const SCRIPT_TAG: u32 = 10_000;
@@ -84,6 +91,9 @@ struct Step {
     /// execution time (a deterministic function of store state).
     sel: u64,
     tag: u32,
+    /// Whether a full heap scan follows the step (every
+    /// [`SCAN_EVERY`]th step; draws no randomness).
+    scan: bool,
 }
 
 fn script(seed: u64) -> Vec<Step> {
@@ -101,6 +111,7 @@ fn script(seed: u64) -> Vec<Step> {
                 kind,
                 sel: rng.next_u64(),
                 tag: SCRIPT_TAG + i as u32,
+                scan: i % SCAN_EVERY == SCAN_EVERY - 1,
             }
         })
         .collect()
@@ -132,10 +143,36 @@ fn model_of(pool: &BufferPool, store: &ElementStore) -> Model {
 }
 
 /// Applies one step to the store and, for script-tagged elements, to the
-/// index after it. Returns the number of operations it committed (0 for
-/// flushes and deterministic allocator rejections, 2 for a mutation that
-/// also touches the index).
+/// index after it, then the step's scan if it has one. Returns the number
+/// of operations it committed (0 for flushes and deterministic allocator
+/// rejections, 2 for a mutation that also touches the index).
 fn apply_step(
+    pool: &BufferPool,
+    wal: &Wal,
+    store: &mut ElementStore,
+    index: &mut Index,
+    model: &mut Model,
+    shape: PBiTreeShape,
+    step: Step,
+) -> Result<u64, StoreError> {
+    let ops = apply_op(pool, wal, store, index, model, shape, step)?;
+    if step.scan {
+        let seen: Model = store
+            .heap()
+            .read_all_with(pool, io_opts(false))?
+            .into_iter()
+            .map(|e| (e.code.get(), e.tag))
+            .collect();
+        assert_eq!(
+            &seen, model,
+            "a scan between steps disagrees with the model"
+        );
+    }
+    Ok(ops)
+}
+
+/// The step's own operation: see [`apply_step`].
+fn apply_op(
     pool: &BufferPool,
     wal: &Wal,
     store: &mut ElementStore,
@@ -260,6 +297,12 @@ fn build(seed: u64, compress: bool) -> Setup {
     let index = Index::new_logged(&pool, &wal).unwrap();
     // The empty index belongs to the checkpointed base too.
     wal.flush(&pool).unwrap();
+    // Packed, the base fits the pool; raw, the scans recycle their own
+    // frames and write behind.
+    assert!(
+        compress || store.heap().pages() as usize > BUDGET,
+        "a raw heap's scans must outgrow the pool"
+    );
     let model = model_of(&pool, &store);
     handle.reset();
     Setup {
