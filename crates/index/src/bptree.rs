@@ -228,33 +228,54 @@ mod node {
         (LINK_OFF, next.to_le_bytes())
     }
 
-    /// A one-slot edit of the node in `page` as the `(offset, bytes)` page
-    /// writes it amounts to: the header with the new count and `link`, and
-    /// the occupied area from slot `pos` on — `insert`, if any, followed by
-    /// the old entries behind the `remove` dropped at `pos`. Entries before
-    /// `pos` keep their bytes, so nothing is decoded and only what moved
-    /// is logged.
+    /// A one-slot edit of a node as the page edits that make it, applied
+    /// and logged in this order: `shift` moves the entries behind the
+    /// edited slot, `entry` writes the inserted entry into its slot, and
+    /// `header` replaces the node header.
+    pub struct Splice {
+        /// `(from, to, len)`: the entries behind the slot move from `from`
+        /// to `to` (`len` 0 when there are none).
+        pub shift: (usize, usize, usize),
+        /// The inserted entry's offset and bytes.
+        pub entry: Option<(usize, Vec<u8>)>,
+        /// The new header: the new count and `link`.
+        pub header: [u8; HDR],
+    }
+
+    /// A one-slot edit of the node in `page`: `insert`, if any, goes into
+    /// slot `pos` after the `remove` entries there are dropped, and the
+    /// entries behind shift to make room or close the gap. Nothing is
+    /// decoded, entries before `pos` keep their bytes, and the shifted
+    /// ones are a move, not bytes, so the edit's size does not grow with
+    /// the node.
     pub fn splice<K: FixedRecord, P: FixedRecord>(
         page: &[u8],
         link: u32,
         pos: usize,
         remove: usize,
         insert: Option<(&K, &P)>,
-    ) -> [(usize, Vec<u8>); 2] {
+    ) -> Splice {
         let esz = K::SIZE + P::SIZE;
         let count = get_u16(page, COUNT_OFF) as usize;
-        let new_count = count - remove + usize::from(insert.is_some());
-        let mut header = page[..HDR].to_vec();
-        header[COUNT_OFF..COUNT_OFF + 2].copy_from_slice(&(new_count as u16).to_le_bytes());
+        let added = usize::from(insert.is_some());
+        let mut header = [0u8; HDR];
+        header.copy_from_slice(&page[..HDR]);
+        let new_count = (count - remove + added) as u16;
+        header[COUNT_OFF..COUNT_OFF + 2].copy_from_slice(&new_count.to_le_bytes());
         header[LINK_OFF..LINK_OFF + 4].copy_from_slice(&link.to_le_bytes());
-        let mut tail = Vec::with_capacity((new_count - pos) * esz);
-        if let Some((k, p)) = insert {
-            tail.resize(esz, 0);
-            k.write(&mut tail[..K::SIZE]);
-            p.write(&mut tail[K::SIZE..]);
+        let from = HDR + (pos + remove) * esz;
+        let shift = (from, HDR + (pos + added) * esz, HDR + count * esz - from);
+        let entry = insert.map(|(k, p)| {
+            let mut bytes = vec![0u8; esz];
+            k.write(&mut bytes[..K::SIZE]);
+            p.write(&mut bytes[K::SIZE..]);
+            (HDR + pos * esz, bytes)
+        });
+        Splice {
+            shift,
+            entry,
+            header,
         }
-        tail.extend_from_slice(&page[HDR + (pos + remove) * esz..HDR + count * esz]);
-        [(0, header), (HDR + pos * esz, tail)]
     }
 }
 
@@ -526,14 +547,18 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
     //
     // Every structural change — slot edits of leaves and internal nodes,
     // splits, root growth, the meta update — goes through one atomic
-    // [`WalOp`]. A node that keeps its page logs only the bytes the edit
-    // moves ([`node::splice`]: header + the occupied area from the touched
-    // slot on); pages a split or a new root creates log their whole
-    // occupied prefix. Either way a record is absolute bytes at an absolute
-    // offset, so replaying the log from its start any number of times
-    // lands every page in the same state. After a crash, `wal::recover`
-    // replays the committed operations and `open_logged` reconstructs the
-    // handle from the meta page; un-committed operations never happened.
+    // [`WalOp`]. Every node page is logged whole once when it is made (a
+    // new tree's root leaf, both halves of a split, a new root) as a page
+    // image of its occupied prefix, which zero-fills the rest of the page.
+    // A node that keeps its page logs only what the edit does
+    // ([`node::splice`]): a move of the entries behind the slot, the
+    // inserted entry and the 8-byte header, whatever the node holds. A
+    // move is not idempotent on its own; `wal::recover` rebuilds each page
+    // from its last logged image and redoes only the records after it, so
+    // recovery lands every page in the same state however often it runs.
+    // After a crash it replays the committed operations and `open_logged`
+    // reconstructs the handle from the meta page; un-committed operations
+    // never happened.
 
     /// Creates an empty *logged* tree: meta page plus an empty root leaf,
     /// committed as one operation through `wal`.
@@ -652,7 +677,7 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
                 let (next, pos) = (leaf.next(), leaf.upper_bound(key));
                 if leaf.count() < node::capacity::<K, V>() {
                     let edit = node::splice(&page[..], next, pos, 0, Some((key, value)));
-                    log_patches(op, self.pid(pno), edit);
+                    log_splice(op, self.pid(pno), edit);
                     return Ok(None);
                 }
                 let mut entries = leaf.entries();
@@ -677,7 +702,7 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         let child0 = n.child0();
         if n.count() < node::capacity::<K, u32>() {
             let edit = node::splice(&page[..], child0, branch, 0, Some((&sep, &right)));
-            log_patches(op, self.pid(pno), edit);
+            log_splice(op, self.pid(pno), edit);
             return Ok(None);
         }
         // Split: left keeps half the keys, the middle key moves up.
@@ -731,7 +756,7 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
                     // its root — and a non-empty leaf just closes the gap.
                     let edit = node::splice::<K, V>(&page[..], next, pos, 1, None);
                     drop(page);
-                    log_patches(&mut op, self.pid(pno), edit);
+                    log_splice(&mut op, self.pid(pno), edit);
                     (self.root, self.height)
                 };
                 self.commit(pool, wal, op, root, height, self.len - 1)?;
@@ -838,7 +863,7 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
                 return self.collapse_root(pool, op, parent, child0);
             }
             let edit = node::splice::<K, u32>(&page[..], child0, slot, 1, None);
-            log_patches(op, self.pid(parent), edit);
+            log_splice(op, self.pid(parent), edit);
             return Ok((self.root, self.height));
         }
         // Every ancestor up to the root was single-child. The root
@@ -920,16 +945,19 @@ fn alloc_tree_page(
     Ok(pg)
 }
 
-/// Logs the page writes of a one-slot node edit ([`node::splice`]).
-fn log_patches(op: &mut WalOp, pid: PageId, patches: [(usize, Vec<u8>); 2]) {
-    for (off, bytes) in patches {
+/// Logs a one-slot node edit ([`node::splice`]): the shift as a move, then
+/// the inserted entry and the header as writes.
+fn log_splice(op: &mut WalOp, pid: PageId, edit: node::Splice) {
+    let (from, to, len) = edit.shift;
+    op.page_move(pid, from, to, len);
+    if let Some((off, bytes)) = edit.entry {
         op.page_write(pid, off, &bytes);
     }
+    op.page_write(pid, 0, &edit.header);
 }
 
-/// Logs a whole leaf, for a page a split (or a new tree) creates: only the
-/// occupied prefix is logged (the entry count in the header bounds every
-/// read, so trailing stale bytes are unreachable).
+/// Logs a whole leaf, for a page a split (or a new tree) creates, as a
+/// page image of its occupied prefix: the rest of the page becomes zeros.
 fn log_leaf<K: FixedRecord, V: FixedRecord>(
     op: &mut WalOp,
     pid: PageId,
@@ -938,15 +966,15 @@ fn log_leaf<K: FixedRecord, V: FixedRecord>(
 ) {
     let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
     let used = node::encode_leaf(next, entries, &mut img[..]);
-    op.page_write(pid, 0, &img[..used]);
+    op.page_image(pid, &img[..used]);
 }
 
 /// Logs a whole internal node, for a page a split or a new root creates
-/// (occupied prefix only, as [`log_leaf`]).
+/// (an image of its occupied prefix, as [`log_leaf`]).
 fn log_internal<K: FixedRecord>(op: &mut WalOp, pid: PageId, child0: u32, entries: &[(K, u32)]) {
     let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
     let used = node::encode_internal(child0, entries, &mut img[..]);
-    op.page_write(pid, 0, &img[..used]);
+    op.page_image(pid, &img[..used]);
 }
 
 /// Forward iterator over leaf entries starting at a lower bound.
@@ -1109,9 +1137,10 @@ mod tests {
 
     #[test]
     fn logged_inserts_match_btreemap_model_across_splits() {
-        // Log bytes of one write frame around its payload, and of a commit
-        // marker (`storage::wal` frame format).
+        // Log bytes of one write frame around its payload, of a move frame
+        // and of a commit marker (`storage::wal` frame format).
         const WRITE_FRAME: u64 = 29;
+        const MOVE_FRAME: u64 = 31;
         const COMMIT_FRAME: u64 = 25;
         let p = pool(64);
         let wal = Wal::create(&p);
@@ -1168,15 +1197,15 @@ mod tests {
                 t.insert_logged(&p, &wal, k, i).unwrap();
                 model.entry(k).or_default().push(i);
                 if count < node::capacity::<u64, u64>() {
-                    // No split: the log holds the node header, the leaf
-                    // from the new slot on, the meta record and a commit
-                    // marker — not the leaf's whole prefix.
-                    let suffix = ((count - pos + 1) * 16) as u64;
+                    // No split: the log holds a move of the entries behind
+                    // the slot (none when it is the last), the new entry,
+                    // the node header, the meta record and a commit marker
+                    // — the same few bytes wherever the slot is.
+                    let shift = if pos < count { MOVE_FRAME } else { 0 };
                     let logged = wal.stats().bytes - before;
-                    let writes = 3 + suffix / pbitree_storage::wal::MAX_CHUNK as u64;
                     assert_eq!(
                         logged,
-                        8 + suffix + 28 + writes * WRITE_FRAME + COMMIT_FRAME,
+                        shift + 16 + 8 + 28 + 3 * WRITE_FRAME + COMMIT_FRAME,
                         "insert {i} at slot {pos} of {count}"
                     );
                     unsplit += 1;

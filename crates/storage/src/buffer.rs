@@ -41,6 +41,12 @@
 //!   takes them, then their metas, in ascending frame index. Claims never
 //!   wait on a latch, so misses and read-ahead cannot join a cycle with a
 //!   flush.
+//! * A miss that finds every frame pinned or claimed waits for one to free
+//!   up, holding no lock: it sleeps on a condition variable an unpin
+//!   signals (or yields while a claim is in flight), and reports
+//!   [`PoolError::NoFreeFrames`] only after a fixed deadline, so a
+//!   descheduled pin holder on a busy machine is not taken for a budget
+//!   overrun.
 //!
 //! A single caller — every join runs its tasks on one thread — sees
 //! exactly the classic sequential pool: the clock sweep, second-chance
@@ -88,8 +94,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{
+    Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
+use std::time::{Duration, Instant};
 
 use crate::access::{AccessPattern, ScanOptions};
 use crate::disk::{BatchError, Disk, IoError};
@@ -103,10 +112,17 @@ use crate::zone::FileZones;
 /// of those frames) can wait behind it.
 const FLUSH_RUN_MAX: usize = 64;
 
+/// How long a miss that finds every frame pinned or claimed waits for one
+/// to free up before it reports [`PoolError::NoFreeFrames`]. Other
+/// callers' pins are transient, so the wait only runs out when the pins
+/// are the caller's own (a budget overrun) or their holders stall.
+const CLAIM_PATIENCE: Duration = Duration::from_millis(200);
+
 /// Errors surfaced by the buffer pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
-    /// Every frame is pinned; the requesting operator exceeded its memory
+    /// Every frame stayed pinned (or claimed by other misses) for as long
+    /// as a miss waits; the requesting operator exceeded its memory
     /// budget. Algorithms are designed to pin at most their partition
     /// fan-out plus a constant, so hitting this is a logic error upstream.
     NoFreeFrames {
@@ -410,6 +426,37 @@ pub struct BufferPool {
     /// The registered WAL gate, if a write-ahead log is attached. Consulted
     /// before every write-back of a dirty frame whose `lsn` is non-zero.
     gate: Mutex<Option<Arc<dyn LsnGate>>>,
+    /// Wakes misses waiting for a frame when a pin is released.
+    unpinned: Unpinned,
+}
+
+/// The signal an unpin sends to misses that found every frame pinned:
+/// [`Pin`]'s drop bumps `epoch` and notifies, but only while a miss waits
+/// (`waiting > 0`), so the unpin path costs one atomic load otherwise.
+/// A miss registers before it sweeps and reads `epoch` before the sweep,
+/// so an unpin the sweep missed has bumped it by the time the miss waits.
+#[derive(Default)]
+struct Unpinned {
+    waiting: AtomicUsize,
+    epoch: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl Unpinned {
+    #[inline]
+    fn notify(&self) {
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            self.wake();
+        }
+    }
+
+    /// Kept out of line: the unpin path inlines only the load above.
+    #[cold]
+    #[inline(never)]
+    fn wake(&self) {
+        *self.epoch.lock().unwrap() += 1;
+        self.cv.notify_all();
+    }
 }
 
 impl BufferPool {
@@ -440,6 +487,7 @@ impl BufferPool {
             packed_decodes: AtomicU64::new(0),
             zones: Mutex::new(HashMap::new()),
             gate: Mutex::new(None),
+            unpinned: Unpinned::default(),
         }
     }
 
@@ -1203,24 +1251,57 @@ impl BufferPool {
     }
 
     /// A miss's victim: [`BufferPool::ring_victim`]'s under a ring, else
-    /// (and without a ring) sweeps until one is claimed. Frames other callers hold are
-    /// transient, so they get a bounded number of sweeps to free up before
-    /// the pool is declared exhausted.
+    /// (and without a ring) the clock's. When every frame is pinned or
+    /// claimed, the miss waits for one to free up ([`Self::await_victim`])
+    /// before the pool is declared exhausted.
     fn claim_victim(&self, ring: Option<&mut ScanRing>) -> Result<ClaimedVictim<'_>, PoolError> {
         let (slot, claim) = self.ring_victim(ring);
         if let Some(claim) = claim {
             return Ok(claim);
         }
-        for _ in 0..=1_000 {
-            match self.sweep(false) {
-                (Some(claim), _) => return Ok(ClaimedVictim { slot, ..claim }),
-                (None, false) => break,
-                (None, true) => std::thread::yield_now(),
+        let claim = match self.sweep(false) {
+            (Some(claim), _) => Some(claim),
+            (None, _) => {
+                self.unpinned.waiting.fetch_add(1, Ordering::SeqCst);
+                let claim = self.await_victim();
+                self.unpinned.waiting.fetch_sub(1, Ordering::SeqCst);
+                claim
+            }
+        };
+        claim
+            .map(|claim| ClaimedVictim { slot, ..claim })
+            .ok_or(PoolError::NoFreeFrames {
+                capacity: self.meta.len(),
+            })
+    }
+
+    /// Sweeps until a victim is claimed, for up to [`CLAIM_PATIENCE`]: a
+    /// claimed frame settles without an unpin (its load publishes it, or a
+    /// failure releases it), so the miss yields and sweeps again; when
+    /// every frame is pinned it sleeps until an unpin (see [`Unpinned`]).
+    /// The caller has registered as waiting.
+    fn await_victim(&self) -> Option<ClaimedVictim<'_>> {
+        let deadline = Instant::now() + CLAIM_PATIENCE;
+        loop {
+            let seen = *self.unpinned.epoch.lock().unwrap();
+            let saw_claimed = match self.sweep(false) {
+                (Some(claim), _) => return Some(claim),
+                (None, saw_claimed) => saw_claimed,
+            };
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            if saw_claimed {
+                std::thread::yield_now();
+                continue;
+            }
+            let unpinned = &self.unpinned;
+            let epoch = unpinned.epoch.lock().unwrap();
+            if *epoch == seen {
+                let _woken = unpinned.cv.wait_timeout(epoch, deadline - now).unwrap();
             }
         }
-        Err(PoolError::NoFreeFrames {
-            capacity: self.meta.len(),
-        })
     }
 }
 
@@ -1312,6 +1393,8 @@ impl<const WRITE: bool> Drop for Pin<'_, WRITE> {
         debug_assert!(m.pin > 0, "unpin of unpinned frame");
         m.pin -= 1;
         m.dirty |= WRITE;
+        drop(m);
+        self.pool.unpinned.notify();
     }
 }
 
@@ -1724,8 +1807,11 @@ mod tests {
                     })
                 })
                 .collect();
-            workers.into_iter().for_each(|w| w.join().unwrap());
+            // Stop the flusher before a worker's panic resurfaces, or the
+            // scope would wait on it forever.
+            let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
             stop.store(true, Ordering::SeqCst);
+            joined.into_iter().for_each(|w| w.unwrap());
         });
         assert_eq!(
             p.pool_stats().since(&base).requests(),

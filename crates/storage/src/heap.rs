@@ -435,7 +435,7 @@ impl<R: FixedRecord> HeapFile<R> {
                     b.push(parts);
                 }
                 b.seal_into(&mut img[..]);
-                op.page_image(pid, &img);
+                op.page_image(pid, &img[..]);
             } else {
                 // The page's last slot fills the hole, unless it was the hole.
                 recs.swap_remove(idx);

@@ -4,16 +4,16 @@
 //! # Protocol
 //!
 //! Every logical operation is a [`WalOp`]: an ordered list of page
-//! allocations, page frees, and byte-range page writes. [`Wal::commit`]
-//! first appends one log frame per record plus a commit marker to the
-//! in-memory log tail, *then* applies the page writes to buffer-pool
-//! frames, stamping each frame with the commit LSN
-//! ([`crate::buffer::PageMut::stamp_lsn`]). The pool's
+//! allocations, page frees, and page edits (byte-range writes, page
+//! images, in-page moves). [`Wal::commit`] first appends one log frame per
+//! record plus a commit marker to the in-memory log tail, *then* applies
+//! the edits to buffer-pool frames, stamping each frame with the commit
+//! LSN ([`crate::buffer::PageMut::stamp_lsn`]). The pool's
 //! [`crate::buffer::LsnGate`] guarantees the log reaches disk before any
 //! stamped page does — WAL-before-page — so the disk can only ever hold:
 //!
-//! * pages whose covering log records are durable (redo replays them
-//!   idempotently), and
+//! * pages whose covering log records are durable (redo rebuilds them),
+//!   and
 //! * no page effects of operations the log does not fully record
 //!   (nothing to undo — recovery is redo-only).
 //!
@@ -28,14 +28,27 @@
 //! ```text
 //! [0..4)    u32 LE  total frame length (header + payload + checksum)
 //! [4..12)   u64 LE  LSN — strictly consecutive from 1
-//! [12]      u8      kind: 1 write, 2 commit, 3 alloc, 4 free
+//! [12]      u8      kind: 1 write, 2 commit, 3 alloc, 4 free, 5 image, 6 move
 //! [13..L-4)         payload (kind-specific, below)
 //! [L-4..L)  u32 LE  FNV-1a checksum over bytes [0..L-4)
 //! ```
 //!
-//! Payloads: `write` = file u32, page u32, off u16, len u16, bytes (split
-//! into multiple frames when a range exceeds [`MAX_CHUNK`]); `alloc` /
-//! `free` = file u32, page u32; `commit` = operation id u64.
+//! Payloads, all little-endian:
+//!
+//! * `write` = file u32, page u32, off u16, len u16, bytes: the bytes
+//!   replace the page's from `off`;
+//! * `image` = file u32, page u32, len u16, bytes: the page becomes the
+//!   bytes followed by zeros;
+//! * `move` = file u32, page u32, from u16, to u16, len u16: the page's
+//!   `len` bytes at `from` are copied to `to` (`copy_within`);
+//! * `alloc` / `free` = file u32, page u32;
+//! * `commit` = operation id u64.
+//!
+//! A write or image longer than [`MAX_CHUNK`] splits into consecutive
+//! frames of the same operation (an image's first chunk, then writes).
+//! `Edit::apply` is the one definition of what a page record does; the
+//! forward path and the redo both go through it, so they land
+//! byte-identical pages.
 //!
 //! # Torn-tail detection
 //!
@@ -53,17 +66,33 @@
 //!
 //! Recovery runs in two phases. The *analysis scan* reads the log once,
 //! applies allocations and the free list in log order, and collects every
-//! committed `write` record into a redo list held outside the pool (a byte
-//! arena plus a `(page, commit LSN, arena offset, page range)` index, like
-//! the log tail). The *redo* then sorts that index stably by page and
-//! replays each page's records in LSN order under one
-//! [`BufferPool::write_page`], stamping the page with its last commit LSN.
-//! Every logged page is read once and written once, and a
-//! [`BufferPool::flush_all`] after every `capacity − 2` pages sends the
-//! dirty ones to disk in page-contiguous vectored runs instead of as
-//! single-page evictions.
+//! committed page edit into a redo list held outside the pool (a byte
+//! arena plus a `(page, commit LSN, edit)` index, like the log tail). The
+//! *redo* then sorts that index stably by page and replays each page's
+//! records in LSN order under one [`BufferPool::write_page`], stamping the
+//! page with its last commit LSN. Every logged page is read once and
+//! written once, and a [`BufferPool::flush_all`] after every
+//! `capacity − 2` pages sends the dirty ones to disk in page-contiguous
+//! vectored runs instead of as single-page evictions.
+//!
+//! **The redo rule.** A page's redo starts at its last image and skips the
+//! records before it: the image sets every byte, so nothing earlier can
+//! show. A page with no image (a heap page over the checkpointed base) is
+//! redone from its first record, over the disk's copy. A write or an image
+//! sets bytes outright, whatever the page held; a move does not — it
+//! copies bytes that are only right if the page is in the state the
+//! forward path saw. The rule makes it so: redo rebuilds each imaged page
+//! from its image, so the page's disk copy (stale, half redone by a crashed
+//! recovery, or torn) never matters, and recovery stays idempotent. A move
+//! on a page with no earlier image in the committed log has nothing to
+//! start from, and recovery fails with [`PoolError::Corrupt`].
+//!
+//! A log that is ever truncated must keep this true: it may drop a page's
+//! records only up to that page's last image, or after the page itself is
+//! flushed.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::buffer::{BufferPool, LsnGate, PageMut, PoolError};
@@ -73,16 +102,21 @@ use crate::stats::WalStats;
 
 const FRAME_HEADER: usize = 4 + 8 + 1;
 const FRAME_TRAILER: usize = 4;
-const WRITE_FIXED: usize = 4 + 4 + 2 + 2;
+const PID_FIXED: usize = 4 + 4;
+const WRITE_FIXED: usize = PID_FIXED + 2 + 2;
+const IMAGE_FIXED: usize = PID_FIXED + 2;
+const MOVE_FIXED: usize = PID_FIXED + 2 + 2 + 2;
 
 const KIND_WRITE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 const KIND_ALLOC: u8 = 3;
 const KIND_FREE: u8 = 4;
+const KIND_IMAGE: u8 = 5;
+const KIND_MOVE: u8 = 6;
 
-/// Largest byte range one `write` frame can carry; longer ranges (up to a
-/// full page image) are split across consecutive frames of the same
-/// operation, which replays atomically anyway.
+/// Largest byte range one `write` or `image` frame can carry; longer
+/// ranges (up to a full page image) are split across consecutive frames of
+/// the same operation, which replays atomically anyway.
 pub const MAX_CHUNK: usize = PAGE_SIZE - FRAME_HEADER - FRAME_TRAILER - WRITE_FIXED;
 
 /// FNV-1a folded to 32 bits — the same integrity idiom as the packed page
@@ -97,15 +131,76 @@ fn checksum(bytes: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
+/// What one page record does to its page. `B` holds the record's bytes:
+/// owned in a [`WalOp`], borrowed from a log page or the redo arena.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Edit<B> {
+    /// `bytes` replace the page's bytes from `off`.
+    Write { off: u16, bytes: B },
+    /// The page becomes `bytes` followed by zeros.
+    Image(B),
+    /// The page's `len` bytes at `from` are copied to `to`.
+    Move { from: u16, to: u16, len: u16 },
+}
+
+impl<B> Edit<B> {
+    fn map<C>(&self, f: impl FnOnce(&B) -> C) -> Edit<C> {
+        match self {
+            Edit::Write { off, bytes } => Edit::Write {
+                off: *off,
+                bytes: f(bytes),
+            },
+            Edit::Image(bytes) => Edit::Image(f(bytes)),
+            &Edit::Move { from, to, len } => Edit::Move { from, to, len },
+        }
+    }
+
+    fn is_image(&self) -> bool {
+        matches!(self, Edit::Image(_))
+    }
+
+    fn is_move(&self) -> bool {
+        matches!(self, Edit::Move { .. })
+    }
+}
+
+impl<B: AsRef<[u8]>> Edit<B> {
+    /// Whether every byte the edit reads or writes lies on the page.
+    fn fits(&self) -> bool {
+        match self {
+            Edit::Write { off, bytes } => *off as usize + bytes.as_ref().len() <= PAGE_SIZE,
+            Edit::Image(bytes) => bytes.as_ref().len() <= PAGE_SIZE,
+            Edit::Move { from, to, len } => {
+                usize::from(*from.max(to)) + usize::from(*len) <= PAGE_SIZE
+            }
+        }
+    }
+
+    /// Applies the edit to `page` — the forward path and the redo alike.
+    fn apply(&self, page: &mut [u8]) {
+        match self {
+            Edit::Write { off, bytes } => {
+                let (off, bytes) = (*off as usize, bytes.as_ref());
+                page[off..off + bytes.len()].copy_from_slice(bytes);
+            }
+            Edit::Image(bytes) => {
+                let bytes = bytes.as_ref();
+                page[..bytes.len()].copy_from_slice(bytes);
+                page[bytes.len()..].fill(0);
+            }
+            Edit::Move { from, to, len } => {
+                let from = *from as usize;
+                page.copy_within(from..from + *len as usize, *to as usize);
+            }
+        }
+    }
+}
+
 /// One logged record of a [`WalOp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WalRec {
-    /// `bytes` replace the page's contents at `off` (redo = reapply).
-    Write {
-        pid: PageId,
-        off: u16,
-        bytes: Vec<u8>,
-    },
+    /// An edit of `pid`'s bytes.
+    Page(PageId, Edit<Vec<u8>>),
     /// The operation brings `pid` into use: a fresh page at the file's
     /// end, or a reclaimed free-list page.
     Alloc(PageId),
@@ -142,18 +237,41 @@ impl WalOp {
         let mut at = 0;
         while at < bytes.len() {
             let n = (bytes.len() - at).min(MAX_CHUNK);
-            self.recs.push(WalRec::Write {
-                pid,
+            let edit = Edit::Write {
                 off: (off + at) as u16,
                 bytes: bytes[at..at + n].to_vec(),
-            });
+            };
+            self.recs.push(WalRec::Page(pid, edit));
             at += n;
         }
     }
 
-    /// Logs a full page image for `pid`.
-    pub fn page_image(&mut self, pid: PageId, buf: &PageBuf) {
-        self.page_write(pid, 0, buf);
+    /// Logs a page image for `pid`: the page becomes `prefix` followed by
+    /// zeros, whatever it held before. Redo starts a page at its last
+    /// image (see the module docs), and only a page with an image may
+    /// take a [`page_move`](Self::page_move).
+    pub fn page_image(&mut self, pid: PageId, prefix: &[u8]) {
+        assert!(prefix.len() <= PAGE_SIZE, "page image beyond page bounds");
+        let head = prefix.len().min(MAX_CHUNK);
+        self.recs
+            .push(WalRec::Page(pid, Edit::Image(prefix[..head].to_vec())));
+        self.page_write(pid, head, &prefix[head..]);
+    }
+
+    /// Logs a copy of `pid`'s `len` bytes at `from` to `to` (the ranges may
+    /// overlap), for an edit that shifts bytes already on the page. The
+    /// log must hold an image of `pid` before it (recovery rejects the
+    /// move otherwise). Moving nothing logs nothing.
+    pub fn page_move(&mut self, pid: PageId, from: usize, to: usize, len: usize) {
+        assert!(
+            from.max(to) + len <= PAGE_SIZE,
+            "page move beyond page bounds"
+        );
+        if len > 0 {
+            let (from, to, len) = (from as u16, to as u16, len as u16);
+            self.recs
+                .push(WalRec::Page(pid, Edit::Move { from, to, len }));
+        }
     }
 
     /// Logs that the operation brings `pid` into use.
@@ -236,28 +354,37 @@ impl WalState {
     }
 
     fn append_rec(&mut self, rec: &WalRec) -> u64 {
-        match rec {
-            WalRec::Write { pid, off, bytes } => {
-                let mut payload = Vec::with_capacity(WRITE_FIXED + bytes.len());
-                payload.extend_from_slice(&pid.file.0.to_le_bytes());
-                payload.extend_from_slice(&pid.page.to_le_bytes());
-                payload.extend_from_slice(&off.to_le_bytes());
-                payload.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-                payload.extend_from_slice(bytes);
-                self.append_frame(KIND_WRITE, &payload)
+        let (WalRec::Page(pid, _) | WalRec::Alloc(pid) | WalRec::Free(pid)) = rec;
+        let bytes = match rec {
+            WalRec::Page(_, Edit::Write { bytes, .. } | Edit::Image(bytes)) => bytes.len(),
+            _ => 0,
+        };
+        let mut payload = Vec::with_capacity(MOVE_FIXED + bytes);
+        payload.extend_from_slice(&pid.file.0.to_le_bytes());
+        payload.extend_from_slice(&pid.page.to_le_bytes());
+        let put = |payload: &mut Vec<u8>, fields: &[u16], bytes: &[u8]| {
+            fields
+                .iter()
+                .for_each(|x| payload.extend_from_slice(&x.to_le_bytes()));
+            payload.extend_from_slice(bytes);
+        };
+        let kind = match rec {
+            WalRec::Page(_, Edit::Write { off, bytes }) => {
+                put(&mut payload, &[*off, bytes.len() as u16], bytes);
+                KIND_WRITE
             }
-            WalRec::Alloc(pid) | WalRec::Free(pid) => {
-                let mut payload = [0u8; 8];
-                payload[..4].copy_from_slice(&pid.file.0.to_le_bytes());
-                payload[4..].copy_from_slice(&pid.page.to_le_bytes());
-                let kind = if matches!(rec, WalRec::Alloc(_)) {
-                    KIND_ALLOC
-                } else {
-                    KIND_FREE
-                };
-                self.append_frame(kind, &payload)
+            WalRec::Page(_, Edit::Image(bytes)) => {
+                put(&mut payload, &[bytes.len() as u16], bytes);
+                KIND_IMAGE
             }
-        }
+            &WalRec::Page(_, Edit::Move { from, to, len }) => {
+                put(&mut payload, &[from, to, len], &[]);
+                KIND_MOVE
+            }
+            WalRec::Alloc(_) => KIND_ALLOC,
+            WalRec::Free(_) => KIND_FREE,
+        };
+        self.append_frame(kind, &payload)
     }
 
     /// Writes every buffered log page to disk, in order. On an I/O error
@@ -420,7 +547,7 @@ impl Wal {
                         // if a replayed history freed it earlier.
                         st.freelist.reclaim(*pid);
                     }
-                    WalRec::Write { .. } => {}
+                    WalRec::Page(..) => {}
                 }
             }
             st.stats.commits += 1;
@@ -448,18 +575,17 @@ fn ensure_allocated(pool: &BufferPool, pid: PageId) -> Result<(), PoolError> {
 }
 
 /// Applies an operation's records to pool frames: allocations first reach
-/// the disk's page accounting, writes land in frames stamped with `lsn`.
-/// The forward path ([`Wal::commit`]); recovery redoes through a
-/// [`RedoList`] instead.
+/// the disk's page accounting, page edits land in frames stamped with
+/// `lsn`. The forward path ([`Wal::commit`]); recovery redoes through a
+/// [`RedoList`] instead, with the same [`Edit::apply`].
 fn apply_records(pool: &BufferPool, recs: &[WalRec], lsn: u64) -> Result<(), PoolError> {
     for rec in recs {
         match rec {
             WalRec::Alloc(pid) => ensure_allocated(pool, *pid)?,
             WalRec::Free(_) => {}
-            WalRec::Write { pid, off, bytes } => {
+            WalRec::Page(pid, edit) => {
                 let mut g: PageMut<'_> = pool.write_page(*pid)?;
-                let off = *off as usize;
-                g[off..off + bytes.len()].copy_from_slice(bytes);
+                edit.apply(&mut g[..]);
                 g.stamp_lsn(lsn);
             }
         }
@@ -484,40 +610,41 @@ pub struct RecoveryReport {
     pub discarded_tail: bool,
     /// Free pages tracked after the free-list rebuild.
     pub free_pages: usize,
+    /// Committed page edits the redo skipped: those before a later image
+    /// of their page (the redo rule in the module docs).
+    pub edits_skipped: u64,
 }
 
-/// Committed `write` records awaiting redo, held outside the pool: their
-/// bytes back to back in one arena, and one index entry per record.
+/// Committed page edits awaiting redo, held outside the pool: their bytes
+/// back to back in one arena, and one index entry per record.
 #[derive(Default)]
 struct RedoList {
     arena: Vec<u8>,
     index: Vec<Redo>,
-    /// Entries before this one belong to committed operations.
+    /// Entries before this one belong to committed operations...
     committed: usize,
+    /// ...and so do the arena bytes before this one.
+    committed_bytes: usize,
 }
 
-/// One `write` record of the redo list: `len` arena bytes from `at`
-/// replace the page's bytes from `off`.
+/// One page record of the redo list; a write's or an image's bytes are
+/// the arena's range.
 struct Redo {
     pid: PageId,
     lsn: u64,
-    at: usize,
-    off: u16,
-    len: u16,
+    edit: Edit<Range<usize>>,
 }
 
 impl RedoList {
     /// Adds a record of the operation being scanned (its commit LSN is
     /// not known yet).
-    fn push(&mut self, pid: PageId, off: u16, bytes: &[u8]) {
-        self.index.push(Redo {
-            pid,
-            lsn: 0,
-            at: self.arena.len(),
-            off,
-            len: bytes.len() as u16,
+    fn push(&mut self, pid: PageId, edit: Edit<&[u8]>) {
+        let edit = edit.map(|bytes| {
+            let at = self.arena.len();
+            self.arena.extend_from_slice(bytes);
+            at..self.arena.len()
         });
-        self.arena.extend_from_slice(bytes);
+        self.index.push(Redo { pid, lsn: 0, edit });
     }
 
     /// The operation's commit marker survived: its records redo under `lsn`.
@@ -526,40 +653,63 @@ impl RedoList {
             r.lsn = lsn;
         }
         self.committed = self.index.len();
+        self.committed_bytes = self.arena.len();
     }
 
     /// Drops the records of a trailing operation whose commit marker did
     /// not survive; returns whether there were any.
     fn discard_uncommitted(&mut self) -> bool {
-        let Some(first) = self.index.get(self.committed) else {
-            return false;
-        };
-        self.arena.truncate(first.at);
+        let had = self.index.len() > self.committed;
+        self.arena.truncate(self.committed_bytes);
         self.index.truncate(self.committed);
-        true
+        had
     }
 
     /// Replays the list page by page: a stable sort by page keeps each
-    /// page's records in LSN order, so the last logged write to every
+    /// page's records in LSN order, and each page is rebuilt from its last
+    /// image ([`redo_from_last_image`]), so the last logged edit of every
     /// byte wins, as in log-order replay. Dirty pages leave in
     /// page-contiguous flushes of `capacity − 2` pages, before clock
-    /// eviction would write them back one at a time.
-    fn apply(mut self, pool: &BufferPool) -> Result<(), PoolError> {
+    /// eviction would write them back one at a time. Returns how many
+    /// records the rule skipped.
+    fn apply(mut self, pool: &BufferPool) -> Result<u64, PoolError> {
         self.index.sort_by_key(|r| r.pid);
         let per_flush = pool.capacity().saturating_sub(2).max(1);
+        let mut skipped = 0;
         for (i, page) in self.index.chunk_by(|x, y| x.pid == y.pid).enumerate() {
+            let redo = redo_from_last_image(page)?;
+            skipped += (page.len() - redo.len()) as u64;
             if i > 0 && i % per_flush == 0 {
                 pool.flush_all()?;
             }
             let mut g: PageMut<'_> = pool.write_page(page[0].pid)?;
-            for r in page {
-                let (off, len) = (r.off as usize, r.len as usize);
-                g[off..off + len].copy_from_slice(&self.arena[r.at..r.at + len]);
+            for r in redo {
+                let edit = r.edit.map(|range| &self.arena[range.clone()]);
+                edit.apply(&mut g[..]);
             }
             g.stamp_lsn(page[page.len() - 1].lsn);
         }
-        Ok(())
+        Ok(skipped)
     }
+}
+
+/// The redo rule (module docs): of one page's records, in LSN order, the
+/// ones from its last image on, or all of them when it has none. A move
+/// before the page's first image has no image to start from: the log is
+/// [`PoolError::Corrupt`].
+fn redo_from_last_image(page: &[Redo]) -> Result<&[Redo], PoolError> {
+    let first = page
+        .iter()
+        .position(|r| r.edit.is_image())
+        .unwrap_or(page.len());
+    if page[..first].iter().any(|r| r.edit.is_move()) {
+        return Err(PoolError::Corrupt {
+            pid: page[0].pid,
+            reason: "WAL move on a page with no earlier image",
+        });
+    }
+    let last = page.iter().rposition(|r| r.edit.is_image()).unwrap_or(0);
+    Ok(&page[last..])
 }
 
 /// Replays the log in `wal_file` against `pool`: an analysis scan
@@ -581,6 +731,7 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
         torn_tail: false,
         discarded_tail: false,
         free_pages: 0,
+        edits_skipped: 0,
     };
     // The scanned operation's alloc/free records; its writes go straight
     // to the redo list.
@@ -627,16 +778,12 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
             let payload = &buf[off + FRAME_HEADER..off + len - FRAME_TRAILER];
             match decode_frame(kind, payload) {
                 None => break true,
-                Some(Decoded::Write {
-                    pid,
-                    off: at,
-                    bytes,
-                }) => redo.push(pid, at, bytes),
+                Some(Decoded::Page(pid, edit)) => redo.push(pid, edit),
                 Some(Decoded::Rec(rec)) => pending.push(rec),
                 Some(Decoded::Commit(op_id)) => {
                     // The operation is fully logged: its free-list and
                     // allocation effects apply now, in record order; its
-                    // writes wait for the page-ordered redo.
+                    // page edits wait for the page-ordered redo.
                     for rec in pending.drain(..) {
                         match rec {
                             WalRec::Free(pid) => {
@@ -646,7 +793,7 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
                                 st.freelist.reclaim(pid);
                                 ensure_allocated(pool, pid)?;
                             }
-                            WalRec::Write { .. } => unreachable!("writes go to the redo list"),
+                            WalRec::Page(..) => unreachable!("page edits go to the redo list"),
                         }
                     }
                     redo.commit(lsn);
@@ -673,7 +820,7 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
 
     let discarded = redo.discard_uncommitted();
     report.discarded_tail = discarded || !pending.is_empty();
-    redo.apply(pool)?;
+    report.edits_skipped = redo.apply(pool)?;
 
     // Truncate: rewrite the tail page as exactly its valid prefix and
     // zero-fill everything after it, so a future recovery (and the
@@ -708,61 +855,47 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
 }
 
 enum Decoded<'a> {
-    Write {
-        pid: PageId,
-        off: u16,
-        bytes: &'a [u8],
-    },
+    Page(PageId, Edit<&'a [u8]>),
     /// An alloc or free record.
     Rec(WalRec),
     Commit(u64),
 }
 
 fn decode_frame(kind: u8, payload: &[u8]) -> Option<Decoded<'_>> {
-    let pid_of = |p: &[u8]| {
-        PageId::new(
-            FileId(u32::from_le_bytes(p[..4].try_into().unwrap())),
-            u32::from_le_bytes(p[4..8].try_into().unwrap()),
-        )
-    };
-    match kind {
-        KIND_WRITE => {
-            if payload.len() < WRITE_FIXED {
-                return None;
-            }
-            let pid = pid_of(payload);
-            let off = u16::from_le_bytes(payload[8..10].try_into().unwrap());
-            let n = u16::from_le_bytes(payload[10..12].try_into().unwrap()) as usize;
-            if payload.len() != WRITE_FIXED + n || off as usize + n > PAGE_SIZE {
-                return None;
-            }
-            Some(Decoded::Write {
-                pid,
-                off,
-                bytes: &payload[WRITE_FIXED..],
-            })
-        }
-        KIND_ALLOC | KIND_FREE => {
-            if payload.len() != 8 {
-                return None;
-            }
-            let pid = pid_of(payload);
-            Some(Decoded::Rec(if kind == KIND_ALLOC {
-                WalRec::Alloc(pid)
-            } else {
-                WalRec::Free(pid)
-            }))
-        }
-        KIND_COMMIT => {
-            if payload.len() != 8 {
-                return None;
-            }
-            Some(Decoded::Commit(u64::from_le_bytes(
-                payload.try_into().unwrap(),
-            )))
-        }
-        _ => None,
+    if kind == KIND_COMMIT {
+        let op_id = payload.try_into().ok()?;
+        return Some(Decoded::Commit(u64::from_le_bytes(op_id)));
     }
+    if payload.len() < PID_FIXED {
+        return None;
+    }
+    let u16_at = |at: usize| u16::from_le_bytes(payload[at..at + 2].try_into().unwrap());
+    let pid = PageId::new(
+        FileId(u32::from_le_bytes(payload[..4].try_into().unwrap())),
+        u32::from_le_bytes(payload[4..8].try_into().unwrap()),
+    );
+    // A write's or an image's bytes: the rest of the payload after its
+    // `fixed` fields, the last of which counts them.
+    let bytes = |fixed: usize| {
+        let n = usize::from(u16_at(fixed - 2));
+        (payload.len() == fixed + n).then(|| &payload[fixed..])
+    };
+    let edit = match kind {
+        KIND_ALLOC if payload.len() == PID_FIXED => return Some(Decoded::Rec(WalRec::Alloc(pid))),
+        KIND_FREE if payload.len() == PID_FIXED => return Some(Decoded::Rec(WalRec::Free(pid))),
+        KIND_WRITE if payload.len() >= WRITE_FIXED => Edit::Write {
+            off: u16_at(PID_FIXED),
+            bytes: bytes(WRITE_FIXED)?,
+        },
+        KIND_IMAGE if payload.len() >= IMAGE_FIXED => Edit::Image(bytes(IMAGE_FIXED)?),
+        KIND_MOVE if payload.len() == MOVE_FIXED => Edit::Move {
+            from: u16_at(PID_FIXED),
+            to: u16_at(PID_FIXED + 2),
+            len: u16_at(PID_FIXED + 4),
+        },
+        _ => return None,
+    };
+    edit.fits().then_some(Decoded::Page(pid, edit))
 }
 
 #[cfg(test)]
@@ -1045,6 +1178,127 @@ mod tests {
         assert!(io.writes() <= u64::from(pages + 1), "{io:?}");
         let flushes = (pages as usize).div_ceil(FRAMES - 2) as u64;
         assert!(io.rand_writes <= flushes + 1, "{io:?}");
+    }
+
+    fn cold(backend: &SharedBackend<MemBackend>) -> BufferPool {
+        BufferPool::new(Disk::new(Box::new(backend.clone()), CostModel::free()), 8)
+    }
+
+    /// Crashes `p` (the log is durable, no dirty frame reaches the disk),
+    /// overwrites `garbage` on the disk with 0xEE bytes, and recovers into
+    /// a cold pool.
+    fn crash_over_garbage(
+        backend: &SharedBackend<MemBackend>,
+        wal: Wal,
+        p: BufferPool,
+        garbage: &[PageId],
+    ) -> Result<(BufferPool, RecoveryReport), PoolError> {
+        wal.flush(&p).unwrap();
+        let wal_file = wal.file();
+        drop((wal, p));
+        let p = cold(backend);
+        for &pid in garbage {
+            p.write_page_through(pid, &[0xEE; PAGE_SIZE]).unwrap();
+        }
+        let p = cold(backend);
+        let (_, report) = recover(&p, wal_file)?;
+        Ok((p, report))
+    }
+
+    fn page_bytes(p: &BufferPool, pid: PageId) -> Vec<u8> {
+        p.read_page(pid).unwrap().to_vec()
+    }
+
+    #[test]
+    fn move_without_an_earlier_image_is_corrupt() {
+        let backend = SharedBackend::new(MemBackend::new());
+        let p = cold(&backend);
+        let wal = Wal::create(&p);
+        let pid = PageId::new(p.create_file(), 0);
+        let mut op = op_writing(pid, 0, &[1u8; 64], true);
+        op.page_move(pid, 0, 64, 32);
+        wal.commit(&p, op).unwrap();
+        // An image after the move does not vouch for it.
+        let mut op = WalOp::new();
+        op.page_image(pid, &[2u8; 16]);
+        wal.commit(&p, op).unwrap();
+        let err = crash_over_garbage(&backend, wal, p, &[])
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, PoolError::Corrupt { pid: at, .. } if at == pid),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn records_before_a_pages_last_image_are_ignored_even_over_garbage() {
+        let backend = SharedBackend::new(MemBackend::new());
+        let p = cold(&backend);
+        let wal = Wal::create(&p);
+        let pid = PageId::new(p.create_file(), 0);
+        // Four edits before the last image: a write, an image, a move and
+        // a write.
+        let mut op = op_writing(pid, 0, &[1u8; 64], true);
+        op.page_image(pid, &[2u8; 100]);
+        wal.commit(&p, op).unwrap();
+        let mut op = WalOp::new();
+        op.page_move(pid, 0, 200, 50);
+        op.page_write(pid, 300, &[3u8; 10]);
+        wal.commit(&p, op).unwrap();
+        // The last image, and what follows it.
+        let mut op = WalOp::new();
+        op.page_image(pid, &[4u8; 40]);
+        op.page_move(pid, 0, 40, 40);
+        wal.commit(&p, op).unwrap();
+        wal.commit(&p, op_writing(pid, 1000, &[5u8; 8], false))
+            .unwrap();
+        let forward = page_bytes(&p, pid);
+        let mut want = vec![0u8; PAGE_SIZE];
+        want[..80].fill(4);
+        want[1000..1008].fill(5);
+        assert_eq!(forward, want);
+        let (p, report) = crash_over_garbage(&backend, wal, p, &[pid]).unwrap();
+        assert_eq!(report.ops_applied, 4);
+        assert_eq!(report.edits_skipped, 4, "the edits before the last image");
+        assert_eq!(page_bytes(&p, pid), forward);
+    }
+
+    #[test]
+    fn an_image_zero_fills_and_both_paths_land_the_same_bytes() {
+        let backend = SharedBackend::new(MemBackend::new());
+        let p = cold(&backend);
+        let wal = Wal::create(&p);
+        let data = p.create_file();
+        let (short, full) = (PageId::new(data, 0), PageId::new(data, 1));
+        // A page full of 0xFF takes a short image: the rest turns to zeros.
+        let mut op = op_writing(short, 0, &[0xFF; PAGE_SIZE], true);
+        op.page_image(short, &[7u8; 100]);
+        // A full-page image is an image frame plus a write frame.
+        let mut img = [0u8; PAGE_SIZE];
+        img.iter_mut()
+            .enumerate()
+            .for_each(|(i, b)| *b = i as u8 | 1);
+        op.alloc(full);
+        op.page_image(full, &img);
+        op.page_move(full, 0, PAGE_SIZE - 16, 16);
+        assert_eq!(
+            op.recs.len(),
+            8,
+            "alloc, 2 writes, image; alloc, image + write, move"
+        );
+        wal.commit(&p, op).unwrap();
+        let forward = [page_bytes(&p, short), page_bytes(&p, full)];
+        assert!(forward[0][..100].iter().all(|&b| b == 7));
+        assert!(
+            forward[0][100..].iter().all(|&b| b == 0),
+            "the image zero-fills"
+        );
+        img.copy_within(0..16, PAGE_SIZE - 16);
+        assert_eq!(forward[1], img);
+        let (p, report) = crash_over_garbage(&backend, wal, p, &[short, full]).unwrap();
+        assert_eq!(report.edits_skipped, 2);
+        assert_eq!([page_bytes(&p, short), page_bytes(&p, full)], forward);
     }
 
     #[test]

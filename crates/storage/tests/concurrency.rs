@@ -134,8 +134,11 @@ fn read_ahead_races_flushes_without_losing_writes() {
                 })
             })
             .collect();
-        workers.into_iter().for_each(|w| w.join().unwrap());
+        // Stop the flusher before a worker's panic resurfaces, or the scope
+        // would wait on it forever.
+        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
         stop.store(true, Ordering::SeqCst);
+        joined.into_iter().for_each(|w| w.unwrap());
         assert!(flusher.join().unwrap() > 0);
     });
     assert_eq!(pool.pool_stats().since(&base).requests(), 4 * OPS);
@@ -226,6 +229,34 @@ fn budget_bounds_total_pins_across_threads() {
         assert_eq!(err, PoolError::NoFreeFrames { capacity: B });
         release.wait();
     });
+}
+
+/// A miss that finds every frame pinned by another thread waits for an
+/// unpin instead of failing: the holder lets go of its `B` pins 50 ms
+/// after both threads are ready, and the miss gets its frame.
+#[test]
+fn miss_waits_for_pins_another_thread_releases() {
+    const B: usize = 4;
+    let (pool, file) = cold_pool(B, B as u32 + 1);
+    let pinned = Barrier::new(2);
+    let released = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (pool, pinned, released) = (&pool, &pinned, &released);
+        s.spawn(move || {
+            let guards: Vec<_> = (0..B as u32)
+                .map(|p| pool.read_page(PageId::new(file, p)).unwrap())
+                .collect();
+            pinned.wait();
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            released.store(true, Ordering::SeqCst);
+            drop(guards);
+        });
+        pinned.wait();
+        let g = pool.read_page(PageId::new(file, B as u32)).unwrap();
+        assert!(released.load(Ordering::SeqCst), "a frame was free");
+        assert_eq!(counter(&g), 0);
+    });
+    assert_eq!(pool.pinned_frames(), 0);
 }
 
 /// Heap files written from multiple worker threads into distinct files

@@ -38,10 +38,19 @@
 //! scan recycles its own frames and writes back the dirty pages it meets
 //! (write-behind); those writes are kill indices of the sweep too.
 //!
+//! Recovery itself is killed too. For crashes at write indices 0, W/4,
+//! W/2 and 3W/4 and after the whole script, a torn fault at every write
+//! index of `recover` (the redo's page flushes and the log-tail
+//! truncation) kills the first recovery, and a second one over the pages
+//! it left must reach the same state. The index's logging depends on it:
+//! a node that keeps its page logs a slot edit as a move of the entries
+//! behind the slot plus the new entry and header, and a move is not
+//! idempotent on its own; recovery rebuilds every node page from its last
+//! logged image, so a page half redone or torn by a killed recovery never
+//! shows.
+//!
 //! Sweeps run with page compression on and off (packed base pages
-//! exercise the decode/re-seal delete path). The index's leaf updates are logged as
-//! header + slot-suffix byte ranges, so every kill index also lands a
-//! torn write between, inside or after those ranges. The scripted sweep is pinned to seed 42;
+//! exercise the decode/re-seal delete path). The scripted sweep is pinned to seed 42;
 //! `CRASH_SWEEP_SEED` arms an extra randomized leg whose seed is printed
 //! on failure, and a seed-loop property test crashes at pseudo-random
 //! write indices under fresh random scripts.
@@ -386,10 +395,14 @@ fn run_twin(seed: u64, compress: bool) -> Twin {
     }
 }
 
-/// One crash at write index `k`: run until the armed fault kills the
-/// workload, restart over the surviving disk image, recover, resume, and
-/// compare against the twin.
-fn crash_at(seed: u64, compress: bool, k: u64, twin: &Twin) {
+/// One crash at write index `k` (at or past `twin.writes`: after the whole
+/// script, with no fault): run until the armed fault kills the workload,
+/// restart over the surviving disk image, recover, resume, and compare
+/// against the twin. With `recovery_kill` = `Some(j)` the first recovery
+/// is killed too, by a torn fault at its own write index `j`, and a
+/// second recovery over what it left must get the same state. Returns the
+/// writes of the recovery that succeeded.
+fn crash_at(seed: u64, compress: bool, k: u64, recovery_kill: Option<u64>, twin: &Twin) -> u64 {
     let mut s = build(seed, compress);
     s.handle.set_config(FaultConfig {
         torn_writes: true,
@@ -416,7 +429,7 @@ fn crash_at(seed: u64, compress: bool, k: u64, twin: &Twin) {
         }
     }
     assert!(
-        died || s.handle.write_faults() > 0,
+        died || s.handle.write_faults() > 0 || k >= twin.writes,
         "seed {seed} k {k}: armed write fault never fired"
     );
     // Crash: the pool and all its cached frames vanish; only the disk
@@ -431,9 +444,28 @@ fn crash_at(seed: u64, compress: bool, k: u64, twin: &Twin) {
         ..
     } = s;
     drop((pool, wal, store, index));
+    let restart = || {
+        BufferPool::new(
+            Disk::new(Box::new(backend.clone()), CostModel::free()),
+            BUDGET,
+        )
+    };
+    handle.reset();
+    if let Some(j) = recovery_kill {
+        handle.set_config(FaultConfig {
+            torn_writes: true,
+            ..FaultConfig::write_at(j)
+        });
+        assert!(
+            recover(&restart(), wal_file).is_err(),
+            "seed {seed} k {k} j {j}: the recovery's write fault never surfaced"
+        );
+        handle.reset();
+    }
     handle.set_config(FaultConfig::none());
-    let pool = BufferPool::new(Disk::new(Box::new(backend), CostModel::free()), BUDGET);
+    let pool = restart();
     let (wal, report) = recover(&pool, wal_file).expect("recovery must succeed");
+    let recovery_writes = handle.writes();
     let n = report.last_op;
     // Resume after the last step whose operations all survived.
     let resume_from = twin.cum_ops.partition_point(|&c| c <= n);
@@ -490,6 +522,7 @@ fn crash_at(seed: u64, compress: bool, k: u64, twin: &Twin) {
         pairs, twin.pairs,
         "seed {seed} k {k}: containment self-join diverges after recovery"
     );
+    recovery_writes
 }
 
 /// Kills the disk at every write index of the workload.
@@ -511,8 +544,22 @@ fn sweep(seed: u64, compress: bool) {
         "the script must leave index entries"
     );
     for k in 0..twin.writes {
-        crash_at(seed, compress, k, &twin);
+        crash_at(seed, compress, k, None, &twin);
     }
+    // Recovery must be idempotent: kill it at every write index of its own
+    // (the redo's flushes and the log-tail truncation), for crashes at the
+    // workload's write indices 0, W/4, W/2 and 3W/4 and after the whole
+    // script, and recover again.
+    let mut kills = 0;
+    for k in (0..=4).map(|q| twin.writes * q / 4) {
+        let writes = crash_at(seed, compress, k, None, &twin);
+        for j in 0..writes {
+            crash_at(seed, compress, k, Some(j), &twin);
+        }
+        kills += writes;
+    }
+    println!("  {kills} recovery write indices");
+    assert!(kills > 0, "recovery must write");
 }
 
 #[test]
@@ -556,7 +603,7 @@ fn random_interleavings_recover_to_logical_history() {
         // A handful of crash points per script, spread over the run.
         for _ in 0..4 {
             let k = pick.gen_range(0..twin.writes);
-            crash_at(seed, compress, k, &twin);
+            crash_at(seed, compress, k, None, &twin);
         }
     }
 }
