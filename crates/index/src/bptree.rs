@@ -1137,11 +1137,15 @@ mod tests {
 
     #[test]
     fn logged_inserts_match_btreemap_model_across_splits() {
-        // Log bytes of one write frame around its payload, of a move frame
-        // and of a commit marker (`storage::wal` frame format).
-        const WRITE_FRAME: u64 = 29;
-        const MOVE_FRAME: u64 = 31;
-        const COMMIT_FRAME: u64 = 25;
+        // Log bytes of a frame around its records, of a write record around
+        // its bytes (with its page id, or on the page of the record before
+        // it), of a move record, and of a page id (`storage::wal` frame
+        // format).
+        const FRAME: u64 = 17;
+        const WRITE: u64 = 13;
+        const SAME_PAGE_WRITE: u64 = 5;
+        const MOVE: u64 = 15;
+        const PID: u64 = 8;
         let p = pool(64);
         let wal = Wal::create(&p);
         let mut t = BPlusTree::<u64, u64>::new_logged(&p, &wal).unwrap();
@@ -1193,21 +1197,32 @@ mod tests {
                     let leaf = Node::<u64, u64>::leaf(&page[..]);
                     (leaf.count(), leaf.upper_bound(&k))
                 };
-                let before = wal.stats().bytes;
+                let before = wal.stats();
                 t.insert_logged(&p, &wal, k, i).unwrap();
                 model.entry(k).or_default().push(i);
                 if count < node::capacity::<u64, u64>() {
-                    // No split: the log holds a move of the entries behind
-                    // the slot (none when it is the last), the new entry,
-                    // the node header, the meta record and a commit marker
-                    // — the same few bytes wherever the slot is.
-                    let shift = if pos < count { MOVE_FRAME } else { 0 };
-                    let logged = wal.stats().bytes - before;
-                    assert_eq!(
-                        logged,
-                        shift + 16 + 8 + 28 + 3 * WRITE_FRAME + COMMIT_FRAME,
-                        "insert {i} at slot {pos} of {count}"
-                    );
+                    // No split: one COMMIT frame holds a move of the entries
+                    // behind the slot (none when it is the last), the new
+                    // entry and the node header on the leaf's page, then
+                    // the meta record — the same few bytes wherever the
+                    // slot is. An op that crosses a log page continues in
+                    // a second frame, whose first record spells out its
+                    // page id.
+                    let entry = if pos < count {
+                        MOVE + SAME_PAGE_WRITE + 16
+                    } else {
+                        WRITE + 16
+                    };
+                    let one_frame = FRAME + entry + SAME_PAGE_WRITE + 8 + WRITE + 28;
+                    let after = wal.stats();
+                    let (logged, frames) =
+                        (after.bytes - before.bytes, after.frames - before.frames);
+                    if frames == 1 {
+                        assert_eq!(logged, one_frame, "insert {i} at slot {pos} of {count}");
+                    } else {
+                        assert_eq!(frames, 2, "insert {i}");
+                        assert!(logged <= one_frame + FRAME + PID, "insert {i}: {logged} B");
+                    }
                     unsplit += 1;
                 }
             }

@@ -56,6 +56,30 @@ impl Catalog {
             self.heights = Some((l.min(ht), h.max(ht)));
         }
     }
+
+    /// Widens the bounds and heights to cover page zone `z`.
+    fn fold_zone(&mut self, z: &ZoneEntry) {
+        let (lo, hi) = self.bounds.unwrap_or((z.lo, z.hi));
+        self.bounds = Some((lo.min(z.lo), hi.max(z.hi)));
+        let (l, h) = self.heights.unwrap_or((z.min_h, z.max_h));
+        self.heights = Some((l.min(z.min_h), h.max(z.max_h)));
+    }
+
+    /// Whether dropping `r` from a page whose surviving records fold to
+    /// `page` may narrow the folded bounds or heights: `r` sat on one of
+    /// their edges, and the page no longer reaches it.
+    fn may_narrow<R: FixedRecord>(&self, r: &R, page: Option<ZoneEntry>) -> bool {
+        let (plo, phi, pmin, pmax) = page.map_or((None, None, None, None), |z| {
+            (Some(z.lo), Some(z.hi), Some(z.min_h), Some(z.max_h))
+        });
+        let bounds = (r.bounds_hint().zip(self.bounds)).is_some_and(|((lo, hi), (l, h))| {
+            (lo == l && plo != Some(l)) || (hi == h && phi != Some(h))
+        });
+        let heights = (r.height_hint().zip(self.heights)).is_some_and(|(ht, (l, h))| {
+            (ht == l && pmin != Some(l)) || (ht == h && pmax != Some(h))
+        });
+        bounds || heights
+    }
 }
 
 /// One page's zone, folded record by record. A record without hints makes
@@ -381,11 +405,13 @@ impl<R: FixedRecord> HeapFile<R> {
     /// Deletes the first record equal to `r`, through the write-ahead
     /// log. Raw pages compact by moving their own last slot into the
     /// hole; packed pages decode, drop the record, and re-seal (removal
-    /// always shrinks the encoding, so the re-sealed page fits). A page
-    /// emptied by the delete is released to `wal`'s free list — it stays
-    /// in the file with a zero record count until an insert recycles it.
-    /// The page's zone map entry is recomputed exactly from the surviving
-    /// records. Returns whether a record was found.
+    /// always shrinks the encoding, so the re-sealed page fits; the log
+    /// holds an image of its sealed prefix). A page emptied by the delete
+    /// is released to `wal`'s free list — it stays in the file with a zero
+    /// record count until an insert recycles it. The page's zone map entry
+    /// is recomputed exactly from the surviving records, and a record on
+    /// the edge of the file's bounds or heights refolds them from the page
+    /// zones. Returns whether a record was found.
     ///
     /// The file's zone map locates the record: a page whose entry does not
     /// cover `r`'s hints cannot hold it and is not read. Pages without an
@@ -434,8 +460,8 @@ impl<R: FixedRecord> HeapFile<R> {
                     debug_assert!(b.fits(&parts), "removal never grows a packed page");
                     b.push(parts);
                 }
-                b.seal_into(&mut img[..]);
-                op.page_image(pid, &img[..]);
+                let (_, used) = b.seal_into(&mut img[..]);
+                op.page_image(pid, &img[..used]);
             } else {
                 // The page's last slot fills the hole, unless it was the hole.
                 recs.swap_remove(idx);
@@ -450,9 +476,42 @@ impl<R: FixedRecord> HeapFile<R> {
             pool.edit_zones(self.file, exact.is_some(), |zones| {
                 zones.set_page(pg, exact)
             });
+            if self.stats.may_narrow(r, exact) {
+                self.refold_catalog(pool, wal);
+            }
             return Ok(true);
         }
         Ok(false)
+    }
+
+    /// Refolds the catalog's bounds and heights from the page zones, in
+    /// memory, so that a delete narrows them as [`open`](HeapFile::open)
+    /// would. Exact when every page holding records has a zone, as in a
+    /// file whose records all carry both hints; a page of records without
+    /// them has none, their hints are unknown here, and the catalog keeps
+    /// its wider fold.
+    fn refold_catalog(&mut self, pool: &BufferPool, wal: &Wal) {
+        let Some(zones) = pool.file_zones(self.file) else {
+            return;
+        };
+        let mut free = None;
+        let mut fold = Catalog {
+            records: self.stats.records,
+            ..Catalog::default()
+        };
+        for pg in 0..self.pages {
+            match zones.page(pg) {
+                Some(z) => fold.fold_zone(z),
+                // An emptied page is on the free list and holds nothing.
+                None => {
+                    let free = free.get_or_insert_with(|| wal.free_pages_of(self.file));
+                    if free.binary_search(&pg).is_err() {
+                        return;
+                    }
+                }
+            }
+        }
+        self.stats = fold;
     }
 }
 
@@ -1765,6 +1824,75 @@ mod tests {
         .unwrap();
         assert_eq!(hf.pages(), pages_before + 1);
         assert_eq!(hf.records(), expect.len() as u64 + 1);
+    }
+
+    #[test]
+    fn logged_packed_delete_logs_its_sealed_prefix_and_redoes_the_same_page() {
+        use crate::disk::{Disk, MemBackend, SharedBackend};
+        use crate::stats::CostModel;
+        use crate::wal::{recover, Wal};
+        let backend = SharedBackend::new(MemBackend::new());
+        let cold = || BufferPool::new(Disk::new(Box::new(backend.clone()), CostModel::free()), 8);
+        let p = cold();
+        let data = pspans(2_000);
+        let mut hf = HeapFile::from_iter_with(&p, compressed(), data.iter().copied()).unwrap();
+        p.flush_all().unwrap();
+        let wal = Wal::create(&p);
+        let wal_file = wal.file();
+        let pid = PageId::new(hf.file_id(), 0);
+        let sealed = |bytes: &[u8]| bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        // Thin page 0 out until its sealed prefix is a fraction of the page.
+        let mut victims = data[1..].iter();
+        while sealed(&p.read_page(pid).unwrap()[..]) >= 256 {
+            let r = victims.next().unwrap();
+            assert!(hf.delete_logged(&p, &wal, r).unwrap());
+        }
+        let before = wal.stats().bytes;
+        assert!(hf.delete_logged(&p, &wal, &data[0]).unwrap());
+        let forward = p.read_page(pid).unwrap().to_vec();
+        let logged = wal.stats().bytes - before;
+        assert!(
+            logged < sealed(&forward) as u64 + 64,
+            "{logged} log bytes for a {}-byte sealed page",
+            sealed(&forward)
+        );
+        // The crash: the log is durable, no data page is; the base page on
+        // disk is the bulk-loaded one.
+        wal.flush(&p).unwrap();
+        drop((wal, p));
+        let p = cold();
+        recover(&p, wal_file).unwrap();
+        assert_eq!(p.read_page(pid).unwrap().to_vec(), forward);
+    }
+
+    #[test]
+    fn deleting_the_only_record_at_an_edge_narrows_the_catalog_as_open_does() {
+        use crate::wal::Wal;
+        let p = pool(8);
+        let wal = Wal::create(&p);
+        let mut hf = HeapFile::<Span>::create(&p);
+        let data = spans(2 * records_per_page::<Span>() as u64 + 9);
+        for r in &data {
+            hf.insert_logged(&p, &wal, *r).unwrap();
+        }
+        let tall = Span { lo: 7, hi: 8, h: 9 };
+        hf.insert_logged(&p, &wal, tall).unwrap();
+        let zone = |f: &HeapFile<Span>| f.zone().unwrap();
+        assert_eq!(zone(&hf).max_h, 9);
+        assert!(hf.delete_logged(&p, &wal, &tall).unwrap());
+        assert_eq!(zone(&hf).max_h, 3, "the only record at max_h is gone");
+        let reopened = |hf: &HeapFile<Span>| HeapFile::<Span>::open(&p, hf.file_id()).unwrap();
+        assert_eq!(zone(&hf), zone(&reopened(&hf)));
+        // The bounds' edges narrow too, and a page emptied on the way (on
+        // the free list, without a zone) takes no part.
+        let per = records_per_page::<Span>();
+        for r in &data[..per] {
+            assert!(hf.delete_logged(&p, &wal, r).unwrap());
+        }
+        assert_eq!(wal.free_pages_of(hf.file_id()), vec![0]);
+        assert_eq!(zone(&hf).lo, data[per].lo);
+        assert_eq!(zone(&hf), zone(&reopened(&hf)));
+        assert_eq!(hf.bounds(), reopened(&hf).bounds());
     }
 
     #[test]

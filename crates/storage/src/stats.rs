@@ -60,9 +60,10 @@ impl CostModel {
 /// Activity counters of a [`crate::wal::Wal`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Log frames appended (record and commit-marker frames).
+    /// Log frames appended: one per operation, and one more wherever an
+    /// operation continues on the next log page.
     pub frames: u64,
-    /// Bytes those frames occupy in the log (headers, payloads, checksums;
+    /// Bytes those frames occupy in the log (headers, records, checksums;
     /// not end-of-page padding) — what a mutation costs in log space.
     pub bytes: u64,
     /// Logical operations committed.

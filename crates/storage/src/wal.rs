@@ -5,10 +5,11 @@
 //!
 //! Every logical operation is a [`WalOp`]: an ordered list of page
 //! allocations, page frees, and page edits (byte-range writes, page
-//! images, in-page moves). [`Wal::commit`] first appends one log frame per
-//! record plus a commit marker to the in-memory log tail, *then* applies
-//! the edits to buffer-pool frames, stamping each frame with the commit
-//! LSN ([`crate::buffer::PageMut::stamp_lsn`]). The pool's
+//! images, in-page moves). [`Wal::commit`] first appends the operation's
+//! records to the in-memory log tail, in one frame (or a few, where the
+//! operation crosses a log page) whose last frame is flagged COMMIT,
+//! *then* applies the edits to buffer-pool frames, stamping each frame
+//! with the commit LSN ([`crate::buffer::PageMut::stamp_lsn`]). The pool's
 //! [`crate::buffer::LsnGate`] guarantees the log reaches disk before any
 //! stamped page does — WAL-before-page — so the disk can only ever hold:
 //!
@@ -23,29 +24,35 @@
 //! # Frame format
 //!
 //! Frames are packed into 4 KiB log pages and never span pages; a zero
-//! length dword marks end-of-page padding.
+//! length dword marks end-of-page padding. A frame carries a run of one
+//! operation's records:
 //!
 //! ```text
-//! [0..4)    u32 LE  total frame length (header + payload + checksum)
+//! [0..4)    u32 LE  total frame length (header + records + checksum)
 //! [4..12)   u64 LE  LSN — strictly consecutive from 1
-//! [12]      u8      kind: 1 write, 2 commit, 3 alloc, 4 free, 5 image, 6 move
-//! [13..L-4)         payload (kind-specific, below)
+//! [12]      u8      flags: 1 COMMIT (the operation's last frame), else 0
+//! [13..L-4)         one or more records (below)
 //! [L-4..L)  u32 LE  FNV-1a checksum over bytes [0..L-4)
 //! ```
 //!
-//! Payloads, all little-endian:
+//! A record is a kind byte, the page's file u32 and page u32, then the
+//! kind's fields, all little-endian. Kind bit `0x80` (same page) marks a
+//! record on the page of the record before it in the same frame, and
+//! leaves the page id out; the first record of a frame always carries it.
 //!
-//! * `write` = file u32, page u32, off u16, len u16, bytes: the bytes
-//!   replace the page's from `off`;
-//! * `image` = file u32, page u32, len u16, bytes: the page becomes the
-//!   bytes followed by zeros;
-//! * `move` = file u32, page u32, from u16, to u16, len u16: the page's
-//!   `len` bytes at `from` are copied to `to` (`copy_within`);
-//! * `alloc` / `free` = file u32, page u32;
-//! * `commit` = operation id u64.
+//! * `1 write` = off u16, len u16, bytes: the bytes replace the page's
+//!   from `off`;
+//! * `2 image` = len u16, bytes: the page becomes the bytes followed by
+//!   zeros;
+//! * `3 move` = from u16, to u16, len u16: the page's `len` bytes at
+//!   `from` are copied to `to` (`copy_within`);
+//! * `4 alloc` / `5 free`: no fields.
 //!
-//! A write or image longer than [`MAX_CHUNK`] splits into consecutive
-//! frames of the same operation (an image's first chunk, then writes).
+//! An operation that does not fit the rest of the tail page continues in
+//! a frame on the next page; the COMMIT frame's LSN is the operation's
+//! commit LSN. A write or image longer than [`MAX_CHUNK`] splits into
+//! consecutive records of the same operation (an image's first chunk,
+//! then writes), so any one record fits an empty log page.
 //! `Edit::apply` is the one definition of what a page record does; the
 //! forward path and the redo both go through it, so they land
 //! byte-identical pages.
@@ -55,12 +62,14 @@
 //! The log tail page is rewritten in place as frames accumulate, so a
 //! crash can leave it half-new, half-stale. [`recover`] scans frames in
 //! order and stops at the first frame whose checksum fails, whose length
-//! is structurally impossible, or whose LSN is not exactly the
-//! predecessor's plus one — the strict LSN chain means a stale remnant of
-//! an earlier tail rewrite can never alias as fresh data. Complete frames
-//! of an operation whose commit marker did not survive are discarded
-//! (the operation never happened), the torn tail is zeroed, and the free
-//! list is rebuilt from the surviving alloc/free frames.
+//! or records are structurally impossible (a same-page record opening a
+//! frame among them: it has no page to be on), or whose LSN is not
+//! exactly the predecessor's plus one — the strict LSN chain means a
+//! stale remnant of an earlier tail rewrite can never alias as fresh
+//! data. Complete frames of an operation whose COMMIT frame did not
+//! survive are discarded (the operation never happened) and cut from the
+//! log with the torn tail, so a resumed log never appends to them; the
+//! free list is rebuilt from the surviving alloc/free records.
 //!
 //! # Page-ordered redo
 //!
@@ -103,21 +112,23 @@ use crate::stats::WalStats;
 const FRAME_HEADER: usize = 4 + 8 + 1;
 const FRAME_TRAILER: usize = 4;
 const PID_FIXED: usize = 4 + 4;
-const WRITE_FIXED: usize = PID_FIXED + 2 + 2;
-const IMAGE_FIXED: usize = PID_FIXED + 2;
-const MOVE_FIXED: usize = PID_FIXED + 2 + 2 + 2;
+
+/// Frame flag of an operation's last frame.
+const FLAG_COMMIT: u8 = 1;
 
 const KIND_WRITE: u8 = 1;
-const KIND_COMMIT: u8 = 2;
-const KIND_ALLOC: u8 = 3;
-const KIND_FREE: u8 = 4;
-const KIND_IMAGE: u8 = 5;
-const KIND_MOVE: u8 = 6;
+const KIND_IMAGE: u8 = 2;
+const KIND_MOVE: u8 = 3;
+const KIND_ALLOC: u8 = 4;
+const KIND_FREE: u8 = 5;
+/// Kind bit of a record on the page of the record before it in its frame;
+/// the record leaves the page id out.
+const SAME_PAGE: u8 = 0x80;
 
-/// Largest byte range one `write` or `image` frame can carry; longer
-/// ranges (up to a full page image) are split across consecutive frames of
-/// the same operation, which replays atomically anyway.
-pub const MAX_CHUNK: usize = PAGE_SIZE - FRAME_HEADER - FRAME_TRAILER - WRITE_FIXED;
+/// Largest byte range one `write` or `image` record can carry; longer
+/// ranges (up to a full page image) are split across consecutive records
+/// of the same operation, which replays atomically anyway.
+pub const MAX_CHUNK: usize = PAGE_SIZE - FRAME_HEADER - FRAME_TRAILER - (1 + PID_FIXED + 2 + 2);
 
 /// FNV-1a folded to 32 bits — the same integrity idiom as the packed page
 /// codec ([`crate::codec`]): torn and stale log bytes become detection,
@@ -208,6 +219,45 @@ enum WalRec {
     Free(PageId),
 }
 
+impl WalRec {
+    fn pid(&self) -> PageId {
+        let (WalRec::Page(pid, _) | WalRec::Alloc(pid) | WalRec::Free(pid)) = self;
+        *pid
+    }
+
+    /// Appends the record's log bytes to `out`: its kind, its page id
+    /// unless `same_page`, then its fields and bytes (module docs).
+    fn encode(&self, same_page: bool, out: &mut Vec<u8>) {
+        let kind = match self {
+            WalRec::Page(_, Edit::Write { .. }) => KIND_WRITE,
+            WalRec::Page(_, Edit::Image(_)) => KIND_IMAGE,
+            WalRec::Page(_, Edit::Move { .. }) => KIND_MOVE,
+            WalRec::Alloc(_) => KIND_ALLOC,
+            WalRec::Free(_) => KIND_FREE,
+        };
+        if same_page {
+            out.push(kind | SAME_PAGE);
+        } else {
+            let pid = self.pid();
+            out.push(kind);
+            out.extend_from_slice(&pid.file.0.to_le_bytes());
+            out.extend_from_slice(&pid.page.to_le_bytes());
+        }
+        let mut put = |fields: &[u16], bytes: &[u8]| {
+            fields
+                .iter()
+                .for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+            out.extend_from_slice(bytes);
+        };
+        match self {
+            WalRec::Page(_, Edit::Write { off, bytes }) => put(&[*off, bytes.len() as u16], bytes),
+            WalRec::Page(_, Edit::Image(bytes)) => put(&[bytes.len() as u16], bytes),
+            &WalRec::Page(_, Edit::Move { from, to, len }) => put(&[from, to, len], &[]),
+            WalRec::Alloc(_) | WalRec::Free(_) => {}
+        }
+    }
+}
+
 /// Builder for one atomic logical operation: records are logged and
 /// replayed in insertion order, so allocations must precede writes to the
 /// pages they introduce.
@@ -228,7 +278,7 @@ impl WalOp {
     }
 
     /// Logs `bytes` replacing `pid`'s contents at byte offset `off`.
-    /// Ranges longer than [`MAX_CHUNK`] split into consecutive frames.
+    /// Ranges longer than [`MAX_CHUNK`] split into consecutive records.
     pub fn page_write(&mut self, pid: PageId, off: usize, bytes: &[u8]) {
         assert!(
             off + bytes.len() <= PAGE_SIZE,
@@ -301,8 +351,6 @@ struct WalState {
     next_lsn: u64,
     /// Highest LSN durable on disk.
     durable_lsn: u64,
-    /// Operation id the next commit receives.
-    next_op: u64,
     freelist: FreeList,
     stats: WalStats,
 }
@@ -318,33 +366,38 @@ impl WalState {
             disk_pages: 0,
             next_lsn: 1,
             durable_lsn: 0,
-            next_op: 1,
             freelist: FreeList::new(),
             stats: WalStats::default(),
         }
     }
 
-    /// Appends one frame to the buffered tail, sealing the tail page first
-    /// if the frame does not fit. Returns the frame's LSN.
-    fn append_frame(&mut self, kind: u8, payload: &[u8]) -> u64 {
-        let need = FRAME_HEADER + payload.len() + FRAME_TRAILER;
-        debug_assert!(need <= PAGE_SIZE, "oversized WAL frame");
-        if PAGE_SIZE - self.used < need {
-            // Seal: bytes beyond `used` are already zero (end-of-page
-            // padding for the reader).
-            let full = std::mem::replace(&mut self.tail, Box::new([0u8; PAGE_SIZE]));
-            self.queue.push_back(full);
-            self.tail_page += 1;
-            self.used = 0;
-        }
+    /// Bytes of records a frame opened at the tail's end can carry.
+    fn room(&self) -> usize {
+        PAGE_SIZE.saturating_sub(self.used + FRAME_HEADER + FRAME_TRAILER)
+    }
+
+    /// Queues the tail page for flushing and starts an empty one. Bytes
+    /// beyond `used` are already zero: end-of-page padding for the reader.
+    fn seal_tail(&mut self) {
+        let full = std::mem::replace(&mut self.tail, Box::new([0u8; PAGE_SIZE]));
+        self.queue.push_back(full);
+        self.tail_page += 1;
+        self.used = 0;
+    }
+
+    /// Appends one frame of `records` to the buffered tail, which has room
+    /// for it. Returns the frame's LSN.
+    fn append_frame(&mut self, flags: u8, records: &[u8]) -> u64 {
+        let need = FRAME_HEADER + records.len() + FRAME_TRAILER;
+        debug_assert!(self.used + need <= PAGE_SIZE, "WAL frame past its log page");
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         let at = self.used;
         let buf = &mut self.tail[at..at + need];
         buf[0..4].copy_from_slice(&(need as u32).to_le_bytes());
         buf[4..12].copy_from_slice(&lsn.to_le_bytes());
-        buf[12] = kind;
-        buf[FRAME_HEADER..FRAME_HEADER + payload.len()].copy_from_slice(payload);
+        buf[12] = flags;
+        buf[FRAME_HEADER..FRAME_HEADER + records.len()].copy_from_slice(records);
         let sum = checksum(&buf[..need - FRAME_TRAILER]);
         buf[need - FRAME_TRAILER..].copy_from_slice(&sum.to_le_bytes());
         self.used += need;
@@ -353,38 +406,33 @@ impl WalState {
         lsn
     }
 
-    fn append_rec(&mut self, rec: &WalRec) -> u64 {
-        let (WalRec::Page(pid, _) | WalRec::Alloc(pid) | WalRec::Free(pid)) = rec;
-        let bytes = match rec {
-            WalRec::Page(_, Edit::Write { bytes, .. } | Edit::Image(bytes)) => bytes.len(),
-            _ => 0,
-        };
-        let mut payload = Vec::with_capacity(MOVE_FIXED + bytes);
-        payload.extend_from_slice(&pid.file.0.to_le_bytes());
-        payload.extend_from_slice(&pid.page.to_le_bytes());
-        let put = |payload: &mut Vec<u8>, fields: &[u16], bytes: &[u8]| {
-            fields
-                .iter()
-                .for_each(|x| payload.extend_from_slice(&x.to_le_bytes()));
-            payload.extend_from_slice(bytes);
-        };
-        let kind = match rec {
-            WalRec::Page(_, Edit::Write { off, bytes }) => {
-                put(&mut payload, &[*off, bytes.len() as u16], bytes);
-                KIND_WRITE
+    /// Appends one operation's records: as many as fit the rest of the
+    /// tail page go into a frame, the rest continue in frames on the next
+    /// pages, and the last frame carries the COMMIT flag. A record on the
+    /// page of the record before it in its frame leaves its page id out.
+    /// Returns the commit LSN.
+    fn append_op(&mut self, recs: &[WalRec]) -> u64 {
+        let mut frame = Vec::with_capacity(256);
+        let mut prev = None;
+        for rec in recs {
+            let pid = rec.pid();
+            let mark = frame.len();
+            rec.encode(mark > 0 && prev == Some(pid), &mut frame);
+            if frame.len() > self.room() && mark > 0 {
+                // The frame so far goes out; the record opens the next one,
+                // page id and all.
+                frame.truncate(mark);
+                self.append_frame(0, &frame);
+                frame.clear();
+                rec.encode(false, &mut frame);
             }
-            WalRec::Page(_, Edit::Image(bytes)) => {
-                put(&mut payload, &[bytes.len() as u16], bytes);
-                KIND_IMAGE
+            if frame.len() > self.room() {
+                // Not even the record alone fits the rest of the page.
+                self.seal_tail();
             }
-            &WalRec::Page(_, Edit::Move { from, to, len }) => {
-                put(&mut payload, &[from, to, len], &[]);
-                KIND_MOVE
-            }
-            WalRec::Alloc(_) => KIND_ALLOC,
-            WalRec::Free(_) => KIND_FREE,
-        };
-        self.append_frame(kind, &payload)
+            prev = Some(pid);
+        }
+        self.append_frame(FLAG_COMMIT, &frame)
     }
 
     /// Writes every buffered log page to disk, in order. On an I/O error
@@ -517,10 +565,11 @@ impl Wal {
         self.shared.state.lock().unwrap().freelist.len()
     }
 
-    /// Commits one logical operation: logs every record plus a commit
-    /// marker (buffered — durability comes from [`Wal::flush`] or the
-    /// pool's gate), updates the free list, then applies the page writes
-    /// to pool frames stamped with the commit LSN. Returns that LSN.
+    /// Commits one logical operation: logs its records in a frame flagged
+    /// COMMIT, or a few frames ending in one (buffered — durability comes
+    /// from [`Wal::flush`] or the pool's gate), updates the free list,
+    /// then applies the page writes to pool frames stamped with the commit
+    /// LSN. Returns that LSN.
     ///
     /// On an I/O error (allocation or page fetch) the operation is fully
     /// logged but possibly partially applied in memory; the caller must
@@ -530,12 +579,7 @@ impl Wal {
         assert!(!op.is_empty(), "committing an empty WAL operation");
         let commit_lsn = {
             let mut st = self.shared.state.lock().unwrap();
-            let op_id = st.next_op;
-            st.next_op += 1;
-            for rec in &op.recs {
-                st.append_rec(rec);
-            }
-            let lsn = st.append_frame(KIND_COMMIT, &op_id.to_le_bytes());
+            let lsn = st.append_op(&op.recs);
             for rec in &op.recs {
                 match rec {
                     WalRec::Free(pid) => {
@@ -596,9 +640,10 @@ fn apply_records(pool: &BufferPool, recs: &[WalRec], lsn: u64) -> Result<(), Poo
 /// What [`recover`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Operations replayed (commit marker present and intact).
+    /// Operations replayed (COMMIT frame present and intact).
     pub ops_applied: u64,
-    /// Id of the last committed operation (0 when none survived).
+    /// Ordinal of the last committed operation in the log, counting from
+    /// 1 (0 when none survived).
     pub last_op: u64,
     /// Valid frames scanned, committed or not.
     pub frames_scanned: u64,
@@ -647,7 +692,7 @@ impl RedoList {
         self.index.push(Redo { pid, lsn: 0, edit });
     }
 
-    /// The operation's commit marker survived: its records redo under `lsn`.
+    /// The operation's COMMIT frame survived: its records redo under `lsn`.
     fn commit(&mut self, lsn: u64) {
         for r in &mut self.index[self.committed..] {
             r.lsn = lsn;
@@ -656,7 +701,7 @@ impl RedoList {
         self.committed_bytes = self.arena.len();
     }
 
-    /// Drops the records of a trailing operation whose commit marker did
+    /// Drops the records of a trailing operation whose COMMIT frame did
     /// not survive; returns whether there were any.
     fn discard_uncommitted(&mut self) -> bool {
         let had = self.index.len() > self.committed;
@@ -716,9 +761,9 @@ fn redo_from_last_image(page: &[Redo]) -> Result<&[Redo], PoolError> {
 /// rebuilds the free list and redoes allocations in log order and
 /// collects the committed page writes; the redo applies those per page,
 /// in LSN order (idempotent redo, each page read and written once; see
-/// the module docs). The torn tail is truncated (zero-filled), every
-/// replayed page is flushed, and a ready-to-append [`Wal`] positioned
-/// after the last valid frame is returned with its gate registered.
+/// the module docs). The log is cut (zero-filled) after its last COMMIT
+/// frame, every replayed page is flushed, and a ready-to-append [`Wal`]
+/// positioned there is returned with its gate registered.
 pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryReport), PoolError> {
     let npages = pool.num_pages(wal_file);
     let mut st = WalState::fresh(wal_file);
@@ -733,15 +778,14 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
         free_pages: 0,
         edits_skipped: 0,
     };
-    // The scanned operation's alloc/free records; its writes go straight
-    // to the redo list.
+    // The scanned operation's alloc/free records; its page edits go
+    // straight to the redo list.
     let mut pending: Vec<WalRec> = Vec::new();
     let mut redo = RedoList::default();
     let mut last_lsn = 0u64;
-    // Position just past the last valid frame: page number, offset, and
-    // that page's valid prefix.
-    let mut tail_page = 0u32;
-    let mut tail_used = 0usize;
+    // Just past the last COMMIT frame: page number, offset, LSN, and that
+    // page's prefix up to the offset.
+    let (mut end_page, mut end_used, mut end_lsn) = (0u32, 0usize, 0u64);
     let mut tail_img = Box::new([0u8; PAGE_SIZE]);
 
     let mut buf = Box::new([0u8; PAGE_SIZE]);
@@ -774,43 +818,41 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
                 // holds but its LSN breaks the strict chain.
                 break true;
             }
-            let kind = buf[off + 12];
-            let payload = &buf[off + FRAME_HEADER..off + len - FRAME_TRAILER];
-            match decode_frame(kind, payload) {
-                None => break true,
-                Some(Decoded::Page(pid, edit)) => redo.push(pid, edit),
-                Some(Decoded::Rec(rec)) => pending.push(rec),
-                Some(Decoded::Commit(op_id)) => {
-                    // The operation is fully logged: its free-list and
-                    // allocation effects apply now, in record order; its
-                    // page edits wait for the page-ordered redo.
-                    for rec in pending.drain(..) {
-                        match rec {
-                            WalRec::Free(pid) => {
-                                st.freelist.release(pid);
-                            }
-                            WalRec::Alloc(pid) => {
-                                st.freelist.reclaim(pid);
-                                ensure_allocated(pool, pid)?;
-                            }
-                            WalRec::Page(..) => unreachable!("page edits go to the redo list"),
-                        }
-                    }
-                    redo.commit(lsn);
-                    report.ops_applied += 1;
-                    report.last_op = op_id;
-                }
+            let flags = buf[off + 12];
+            let records = &buf[off + FRAME_HEADER..off + len - FRAME_TRAILER];
+            if flags & !FLAG_COMMIT != 0 || decode_frame(records, &mut redo, &mut pending).is_none()
+            {
+                break true;
             }
             last_lsn = lsn;
             report.frames_scanned += 1;
             off += len;
+            if flags & FLAG_COMMIT != 0 {
+                // The operation is fully logged: its free-list and
+                // allocation effects apply now, in record order; its page
+                // edits wait for the page-ordered redo.
+                for rec in pending.drain(..) {
+                    match rec {
+                        WalRec::Free(pid) => {
+                            st.freelist.release(pid);
+                        }
+                        WalRec::Alloc(pid) => {
+                            st.freelist.reclaim(pid);
+                            ensure_allocated(pool, pid)?;
+                        }
+                        WalRec::Page(..) => unreachable!("page edits go to the redo list"),
+                    }
+                }
+                redo.commit(lsn);
+                report.ops_applied += 1;
+                (end_page, end_used, end_lsn) = (p, off, lsn);
+            }
         };
-        // The scan leaves this page: keep its valid prefix, if it has one.
-        if off > 0 {
-            tail_page = p;
-            tail_used = off;
-            tail_img[..off].copy_from_slice(&buf[..off]);
-            tail_img[off..].fill(0);
+        // The scan leaves this page: keep its committed prefix, if it has
+        // one.
+        if end_page == p && end_used > 0 {
+            tail_img[..end_used].copy_from_slice(&buf[..end_used]);
+            tail_img[end_used..].fill(0);
         }
         if torn {
             report.torn_tail = true;
@@ -820,15 +862,17 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
 
     let discarded = redo.discard_uncommitted();
     report.discarded_tail = discarded || !pending.is_empty();
+    report.last_op = report.ops_applied;
     report.edits_skipped = redo.apply(pool)?;
 
-    // Truncate: rewrite the tail page as exactly its valid prefix and
-    // zero-fill everything after it, so a future recovery (and the
-    // resumed log) never meets the torn bytes again.
+    // Cut the log: rewrite the page of the last COMMIT frame as exactly its
+    // prefix up to that frame and zero-fill everything after it, so a
+    // future recovery (and the resumed log) never meets the torn bytes or
+    // the uncommitted frames again.
     if npages > 0 {
-        pool.write_page_through(PageId::new(wal_file, tail_page), &tail_img)?;
+        pool.write_page_through(PageId::new(wal_file, end_page), &tail_img)?;
         let zero = [0u8; PAGE_SIZE];
-        for p in tail_page + 1..npages {
+        for p in end_page + 1..npages {
             pool.write_page_through(PageId::new(wal_file, p), &zero)?;
         }
     }
@@ -838,11 +882,10 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
     pool.flush_all()?;
 
     st.tail = tail_img;
-    st.used = tail_used;
-    st.tail_page = tail_page;
-    st.next_lsn = last_lsn + 1;
-    st.durable_lsn = last_lsn;
-    st.next_op = report.last_op + 1;
+    st.used = end_used;
+    st.tail_page = end_page;
+    st.next_lsn = end_lsn + 1;
+    st.durable_lsn = end_lsn;
     report.free_pages = st.freelist.len();
 
     let wal = Wal {
@@ -854,48 +897,77 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
     Ok((wal, report))
 }
 
-enum Decoded<'a> {
-    Page(PageId, Edit<&'a [u8]>),
-    /// An alloc or free record.
-    Rec(WalRec),
-    Commit(u64),
+/// Takes the next `n` bytes off `cur`.
+fn take<'a>(cur: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = cur.split_at_checked(n)?;
+    *cur = rest;
+    Some(head)
 }
 
-fn decode_frame(kind: u8, payload: &[u8]) -> Option<Decoded<'_>> {
-    if kind == KIND_COMMIT {
-        let op_id = payload.try_into().ok()?;
-        return Some(Decoded::Commit(u64::from_le_bytes(op_id)));
-    }
-    if payload.len() < PID_FIXED {
+fn take_u16(cur: &mut &[u8]) -> Option<u16> {
+    let (head, rest) = cur.split_first_chunk()?;
+    *cur = rest;
+    Some(u16::from_le_bytes(*head))
+}
+
+fn take_u32(cur: &mut &[u8]) -> Option<u32> {
+    let (head, rest) = cur.split_first_chunk()?;
+    *cur = rest;
+    Some(u32::from_le_bytes(*head))
+}
+
+/// Decodes one frame's records: page edits into the redo list, allocs and
+/// frees into `pending`. `None` when they do not parse — a frame with no
+/// record, an unknown kind, a short field, an edit off its page, or a
+/// same-page record that opens the frame and so has no page to be on.
+fn decode_frame(mut cur: &[u8], redo: &mut RedoList, pending: &mut Vec<WalRec>) -> Option<()> {
+    if cur.is_empty() {
         return None;
     }
-    let u16_at = |at: usize| u16::from_le_bytes(payload[at..at + 2].try_into().unwrap());
-    let pid = PageId::new(
-        FileId(u32::from_le_bytes(payload[..4].try_into().unwrap())),
-        u32::from_le_bytes(payload[4..8].try_into().unwrap()),
-    );
-    // A write's or an image's bytes: the rest of the payload after its
-    // `fixed` fields, the last of which counts them.
-    let bytes = |fixed: usize| {
-        let n = usize::from(u16_at(fixed - 2));
-        (payload.len() == fixed + n).then(|| &payload[fixed..])
-    };
-    let edit = match kind {
-        KIND_ALLOC if payload.len() == PID_FIXED => return Some(Decoded::Rec(WalRec::Alloc(pid))),
-        KIND_FREE if payload.len() == PID_FIXED => return Some(Decoded::Rec(WalRec::Free(pid))),
-        KIND_WRITE if payload.len() >= WRITE_FIXED => Edit::Write {
-            off: u16_at(PID_FIXED),
-            bytes: bytes(WRITE_FIXED)?,
-        },
-        KIND_IMAGE if payload.len() >= IMAGE_FIXED => Edit::Image(bytes(IMAGE_FIXED)?),
-        KIND_MOVE if payload.len() == MOVE_FIXED => Edit::Move {
-            from: u16_at(PID_FIXED),
-            to: u16_at(PID_FIXED + 2),
-            len: u16_at(PID_FIXED + 4),
-        },
-        _ => return None,
-    };
-    edit.fits().then_some(Decoded::Page(pid, edit))
+    let mut prev: Option<PageId> = None;
+    while let Some((&kind, rest)) = cur.split_first() {
+        cur = rest;
+        let pid = if kind & SAME_PAGE != 0 {
+            prev?
+        } else {
+            let file = FileId(take_u32(&mut cur)?);
+            PageId::new(file, take_u32(&mut cur)?)
+        };
+        prev = Some(pid);
+        let edit = match kind & !SAME_PAGE {
+            KIND_ALLOC => {
+                pending.push(WalRec::Alloc(pid));
+                continue;
+            }
+            KIND_FREE => {
+                pending.push(WalRec::Free(pid));
+                continue;
+            }
+            KIND_WRITE => {
+                let off = take_u16(&mut cur)?;
+                let n = take_u16(&mut cur)?;
+                Edit::Write {
+                    off,
+                    bytes: take(&mut cur, usize::from(n))?,
+                }
+            }
+            KIND_IMAGE => {
+                let n = take_u16(&mut cur)?;
+                Edit::Image(take(&mut cur, usize::from(n))?)
+            }
+            KIND_MOVE => Edit::Move {
+                from: take_u16(&mut cur)?,
+                to: take_u16(&mut cur)?,
+                len: take_u16(&mut cur)?,
+            },
+            _ => return None,
+        };
+        if !edit.fits() {
+            return None;
+        }
+        redo.push(pid, edit);
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -934,7 +1006,13 @@ mod tests {
         p.flush_all().unwrap();
         let stats = wal.stats();
         assert_eq!(stats.commits, 1);
-        assert!(stats.frames >= 3, "alloc + write + commit");
+        assert_eq!(
+            stats.frames, 1,
+            "the alloc and the write share a COMMIT frame"
+        );
+        // Frame header and checksum, the alloc, then the write on the same
+        // page without its page id.
+        assert_eq!(stats.bytes, 17 + 9 + (1 + 4 + 9));
     }
 
     #[test]
@@ -954,8 +1032,9 @@ mod tests {
         op.alloc(other);
         op.page_write(other, 0, &[9u8; 4]);
         wal.commit(&p, op).unwrap();
-        // The second commit's apply evicted page 0; the gate flushed.
-        assert!(wal.durable_lsn() >= 3, "gate flushed the log");
+        // The second commit's apply evicted page 0; the gate flushed the
+        // log through the second op's frame.
+        assert_eq!(wal.durable_lsn(), 2, "gate flushed the log");
         assert!(wal.stats().gate_flushes >= 1);
         let mut img = [0u8; PAGE_SIZE];
         p.read_page_through(pid, &mut img).unwrap();
@@ -994,12 +1073,12 @@ mod tests {
         p.read_page_through(PageId::new(data, 4), &mut img).unwrap();
         assert_eq!(img[0], 5, "replayed and flushed");
         // The recovered log accepts new commits and numbers them after
-        // the replayed history: one write frame plus the commit marker.
+        // the replayed history: one COMMIT frame.
         let pid = PageId::new(data, 0);
         let lsn = wal2
             .commit(&p, op_writing(pid, 0, &[0xAB; 8], false))
             .unwrap();
-        assert_eq!(lsn, committed_lsn + 2);
+        assert_eq!(lsn, committed_lsn + 1);
     }
 
     #[test]
@@ -1043,12 +1122,8 @@ mod tests {
         let mut img = [0u8; PAGE_SIZE];
         let tail = PageId::new(wal_file, 0);
         p.read_page_through(tail, &mut img).unwrap();
-        // Find the second op's first frame: scan past op 1's three frames.
-        let mut off = 0usize;
-        for _ in 0..3 {
-            let len = u32::from_le_bytes(img[off..off + 4].try_into().unwrap()) as usize;
-            off += len;
-        }
+        // The second op's frame follows op 1's one frame.
+        let off = u32::from_le_bytes(img[..4].try_into().unwrap()) as usize;
         img[off + FRAME_HEADER + 2] ^= 0xFF;
         p.write_page_through(tail, &img).unwrap();
         let (wal2, report) = recover(&p, wal_file).unwrap();
@@ -1324,5 +1399,182 @@ mod tests {
         let mut img = [0u8; PAGE_SIZE];
         p.read_page_through(PageId::new(data, 5), &mut img).unwrap();
         assert!(img.iter().all(|&b| b == 6));
+    }
+
+    /// Every frame of a log file, in order: its log page, offset and
+    /// length.
+    fn frames_of(p: &BufferPool, wal_file: FileId) -> Vec<(u32, usize, usize)> {
+        let mut out = Vec::new();
+        let mut img = [0u8; PAGE_SIZE];
+        for page in 0..p.num_pages(wal_file) {
+            p.read_page_through(PageId::new(wal_file, page), &mut img)
+                .unwrap();
+            let mut off = 0;
+            while off + FRAME_HEADER + FRAME_TRAILER <= PAGE_SIZE {
+                let len = u32::from_le_bytes(img[off..off + 4].try_into().unwrap()) as usize;
+                if len == 0 {
+                    break;
+                }
+                out.push((page, off, len));
+                off += len;
+            }
+        }
+        out
+    }
+
+    /// Small ops on data page 0 fill most of the first log page, then one
+    /// op writes 1,000 bytes to each of pages 1-3, in frames that cross to
+    /// the second log page. Returns the pool, the log, the data file, how
+    /// many ops precede the crossing op and how many frames it takes.
+    fn log_with_an_op_across_pages(
+        backend: &SharedBackend<MemBackend>,
+    ) -> (BufferPool, Wal, FileId, u64, usize) {
+        const SMALL: u64 = 70;
+        let p = cold(backend);
+        let wal = Wal::create(&p);
+        let data = p.create_file();
+        for i in 0..SMALL {
+            let pid = PageId::new(data, 0);
+            wal.commit(
+                &p,
+                op_writing(pid, i as usize * 8, &[i as u8 + 1; 8], i == 0),
+            )
+            .unwrap();
+        }
+        wal.flush(&p).unwrap();
+        let before = wal.stats().frames;
+        let mut op = WalOp::new();
+        for page in 1..4 {
+            op.alloc(PageId::new(data, page));
+            op.page_write(PageId::new(data, page), 0, &[0xA0 | page as u8; 1000]);
+        }
+        wal.commit(&p, op).unwrap();
+        wal.flush(&p).unwrap();
+        let frames = (wal.stats().frames - before) as usize;
+        (p, wal, data, SMALL, frames)
+    }
+
+    #[test]
+    fn an_op_across_log_pages_torn_at_any_frame_is_discarded_whole() {
+        let backend = SharedBackend::new(MemBackend::new());
+        let (p, wal, data, small, frames) = log_with_an_op_across_pages(&backend);
+        let wal_file = wal.file();
+        let all = frames_of(&p, wal_file);
+        let op_frames = &all[all.len() - frames..];
+        assert!(frames >= 2, "the op takes {frames} frame(s)");
+        assert_ne!(
+            op_frames[0].0,
+            op_frames[frames - 1].0,
+            "the op crosses pages"
+        );
+        let page0 = page_bytes(&p, PageId::new(data, 0));
+        drop((wal, p));
+        for (tear, &(page, off, _)) in op_frames.iter().enumerate() {
+            let backend = SharedBackend::new(MemBackend::new());
+            let (p, wal, data, ..) = log_with_an_op_across_pages(&backend);
+            drop(wal);
+            // The crash: the log is durable, no data page is; one byte of
+            // one of the op's frames is torn.
+            let mut img = [0u8; PAGE_SIZE];
+            let at = PageId::new(wal_file, page);
+            p.read_page_through(at, &mut img).unwrap();
+            img[off + FRAME_HEADER + 3] ^= 0xFF;
+            p.write_page_through(at, &img).unwrap();
+            drop(p);
+            let p = cold(&backend);
+            let (wal, report) = recover(&p, wal_file).unwrap();
+            assert_eq!(report.ops_applied, small, "tear at frame {tear}");
+            assert_eq!(report.last_op, small);
+            assert!(report.torn_tail);
+            assert_eq!(report.discarded_tail, tear > 0, "tear at frame {tear}");
+            let untouched = |p: &BufferPool| {
+                (1..4).all(|page| {
+                    let pid = PageId::new(data, page);
+                    pid.page >= p.num_pages(data) || page_bytes(p, pid).iter().all(|&b| b == 0)
+                })
+            };
+            assert_eq!(page_bytes(&p, PageId::new(data, 0)), page0);
+            assert!(
+                untouched(&p),
+                "tear at frame {tear}: the op's writes survived"
+            );
+            // The resumed log starts after the last COMMIT frame: the next
+            // op's COMMIT must not adopt the torn op's complete frames.
+            wal.commit(&p, op_writing(PageId::new(data, 0), 0, &[0xAB; 8], false))
+                .unwrap();
+            wal.flush(&p).unwrap();
+            drop((wal, p));
+            let p = cold(&backend);
+            let (_, report) = recover(&p, wal_file).unwrap();
+            assert_eq!(report.ops_applied, small + 1, "tear at frame {tear}");
+            assert!(!report.torn_tail && !report.discarded_tail);
+            assert_eq!(&page_bytes(&p, PageId::new(data, 0))[..8], &[0xAB; 8]);
+            assert!(
+                untouched(&p),
+                "tear at frame {tear}: a later commit adopted the op"
+            );
+        }
+        // Untorn, the op redoes whole.
+        let p = cold(&backend);
+        let (_, report) = recover(&p, wal_file).unwrap();
+        assert_eq!(report.ops_applied, small + 1);
+        for page in 1..4u32 {
+            let bytes = page_bytes(&p, PageId::new(data, page));
+            assert!(bytes[..1000].iter().all(|&b| b == 0xA0 | page as u8));
+        }
+    }
+
+    #[test]
+    fn a_same_page_record_opening_a_frame_is_torn_not_applied() {
+        for same_page in [true, false] {
+            let backend = SharedBackend::new(MemBackend::new());
+            let p = cold(&backend);
+            let wal = Wal::create(&p);
+            let wal_file = wal.file();
+            let pid = PageId::new(p.create_file(), 0);
+            wal.commit(&p, op_writing(pid, 0, &[1u8; 8], true)).unwrap();
+            wal.flush(&p).unwrap();
+            drop((wal, p));
+            // Hand-build the second frame: a write of four 0xCC bytes at
+            // offset 100, its page id left out behind the same-page bit (or,
+            // as the control, spelled out).
+            let mut frame = vec![0u8; FRAME_HEADER];
+            if same_page {
+                frame.push(KIND_WRITE | SAME_PAGE);
+            } else {
+                frame.push(KIND_WRITE);
+                frame.extend_from_slice(&pid.file.0.to_le_bytes());
+                frame.extend_from_slice(&pid.page.to_le_bytes());
+            }
+            frame.extend_from_slice(&100u16.to_le_bytes());
+            frame.extend_from_slice(&4u16.to_le_bytes());
+            frame.extend_from_slice(&[0xCC; 4]);
+            let len = frame.len() + FRAME_TRAILER;
+            frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+            frame[4..12].copy_from_slice(&2u64.to_le_bytes());
+            frame[12] = FLAG_COMMIT;
+            let sum = checksum(&frame);
+            frame.extend_from_slice(&sum.to_le_bytes());
+            let p = cold(&backend);
+            let at = PageId::new(wal_file, 0);
+            let mut img = [0u8; PAGE_SIZE];
+            p.read_page_through(at, &mut img).unwrap();
+            let off = u32::from_le_bytes(img[..4].try_into().unwrap()) as usize;
+            img[off..off + len].copy_from_slice(&frame);
+            p.write_page_through(at, &img).unwrap();
+            drop(p);
+            let p = cold(&backend);
+            let (_, report) = recover(&p, wal_file).unwrap();
+            let landed = &page_bytes(&p, pid)[100..104];
+            if same_page {
+                assert_eq!(report.ops_applied, 1, "the same-page frame committed");
+                assert!(report.torn_tail);
+                assert_eq!(landed, &[0; 4], "applied to a guessed page");
+            } else {
+                assert_eq!(report.ops_applied, 2, "the control frame is well formed");
+                assert!(!report.torn_tail);
+                assert_eq!(landed, &[0xCC; 4]);
+            }
+        }
     }
 }
