@@ -861,7 +861,8 @@ fn regret(chosen: f64, best: f64) -> f64 {
 }
 
 /// The planner-regret panel: every operator of `Algorithm::ALL` (SHCJ
-/// only on single-height ancestor sets) on the `raw_join` datasets, XMark
+/// only where A's catalog reads one height, `HeapFile::single_height`,
+/// which also feeds `choose_algorithm`) on the `raw_join` datasets, XMark
 /// B1–B10 and DBLP D1–D10 as raw inputs, each loaded once per leg and run
 /// cold (pool evicted before every run). The *cold* leg uses
 /// `b = 500 × --scale` (floor 8, `--buffer` is ignored), so the large
@@ -920,10 +921,6 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
     let mut failures = Vec::new();
     for w in sets {
         let (h_a, expected) = (w.h_a(), w.exact_results());
-        let algos: Vec<Algorithm> = Algorithm::ALL
-            .into_iter()
-            .filter(|&a| a != Algorithm::Shcj || h_a == 1)
-            .collect();
         let mut b = cold_b;
         for leg in ["cold", "resident"] {
             let ctx = ExpConfig {
@@ -935,7 +932,12 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
                 element_file_with(&ctx.pool, ctx.read_opts(), items.iter().copied()).unwrap()
             };
             let (af, df) = (load(&w.a), load(&w.d));
-            let chosen = pbitree_joins::choose_algorithm(&ctx, raw, raw, &af, &df, h_a == 1);
+            let one_height = af.single_height().is_some();
+            let algos: Vec<Algorithm> = Algorithm::ALL
+                .into_iter()
+                .filter(|&a| a != Algorithm::Shcj || one_height)
+                .collect();
+            let chosen = pbitree_joins::choose_algorithm(&ctx, raw, raw, &af, &df, one_height);
             let runs: Vec<Run> = algos
                 .iter()
                 .map(|&algo| {

@@ -125,10 +125,11 @@ impl std::fmt::Display for Algorithm {
 
 /// Table 1: the row is the weaker of the two inputs' states, and the
 /// neither-sorted-nor-indexed row picks SHCJ when the ancestor set is
-/// known to occupy one height (`single_height_a`, catalog knowledge) and
-/// VPJ otherwise, whatever the sizes. `_ctx`, `_a` and `_d` are not
-/// consulted; they stay because `perf/` calls this signature, and can go
-/// when it no longer does.
+/// known to occupy one height (`single_height_a`, catalog knowledge:
+/// [`HeapFile::single_height`] of A is `Some`) and VPJ otherwise,
+/// whatever the sizes. `_ctx`, `_a` and `_d` are not consulted; they
+/// stay because `perf/` calls this signature, and can go when it no
+/// longer does.
 pub fn choose_algorithm(
     _ctx: &JoinCtx,
     a_state: InputState,

@@ -153,11 +153,6 @@ impl ShardedStats {
             .fold(0.0, f64::max)
     }
 
-    /// Summed simulated disk time — what one spindle would have paid.
-    pub fn sim_disk_sum_secs(&self) -> f64 {
-        self.per_shard.iter().map(|s| s.io.sim_secs()).sum()
-    }
-
     /// Total pages read across all shards.
     pub fn reads(&self) -> u64 {
         self.per_shard.iter().map(|s| s.io.reads()).sum()

@@ -147,40 +147,22 @@ pub struct QueryOutcome {
     pub budget: usize,
 }
 
-/// A pre-extracted tag population: its heap file plus the catalog facts
-/// the planner consumes.
-struct TagSet {
-    file: HeapFile<Element>,
-    single_height: bool,
-}
-
 /// One join input in the step chain: a shared corpus tag file or a
 /// query-private intermediate/predicate file.
 enum StepInput<'a> {
-    Corpus(&'a TagSet),
-    Owned {
-        /// Deleted from the pool when the query lets go of it — on
-        /// success and on every error exit alike.
-        file: TempFile<'a, HeapFile<Element>>,
-        single_height: bool,
-    },
+    Corpus(&'a HeapFile<Element>),
+    /// Deleted from the pool when the query lets go of it — on success
+    /// and on every error exit alike.
+    Owned(TempFile<'a, HeapFile<Element>>),
     Empty,
 }
 
 impl StepInput<'_> {
     fn file(&self) -> Option<&HeapFile<Element>> {
         match self {
-            StepInput::Corpus(t) => Some(&t.file),
-            StepInput::Owned { file, .. } => Some(file),
+            StepInput::Corpus(file) => Some(file),
+            StepInput::Owned(file) => Some(file),
             StepInput::Empty => None,
-        }
-    }
-
-    fn single_height(&self) -> bool {
-        match self {
-            StepInput::Corpus(t) => t.single_height,
-            StepInput::Owned { single_height, .. } => *single_height,
-            StepInput::Empty => true,
         }
     }
 }
@@ -205,7 +187,7 @@ struct ShardedCorpus {
 pub struct QueryService {
     ctx: JoinCtx,
     doc: EncodedDocument,
-    tags: HashMap<String, TagSet>,
+    tags: HashMap<String, HeapFile<Element>>,
     sharded: Option<ShardedCorpus>,
     admission: Arc<AdmissionController>,
     default_budget: usize,
@@ -217,12 +199,6 @@ pub struct QueryService {
 /// input the service builds is stored in.
 fn sort_doc_order(items: &mut [(u64, u32)]) {
     items.sort_unstable_by_key(|&(c, _)| Code::from_raw_unchecked(c).doc_order_key());
-}
-
-fn all_same_height(items: &[(u64, u32)]) -> bool {
-    items.windows(2).all(|w| {
-        Code::from_raw_unchecked(w[0].0).height() == Code::from_raw_unchecked(w[1].0).height()
-    })
 }
 
 impl QueryService {
@@ -267,7 +243,6 @@ impl QueryService {
         };
         for (tag, mut items) in by_tag {
             sort_doc_order(&mut items);
-            let single_height = all_same_height(&items);
             let file = element_file_with(&ctx.pool, load_opts, items.iter().copied())?;
             let name = doc.document().tag_name(tag).to_owned();
             if let Some(sc) = &mut sharded {
@@ -285,13 +260,7 @@ impl QueryService {
                     })?;
                 sc.tags.insert(name.clone(), sf);
             }
-            tags.insert(
-                name,
-                TagSet {
-                    file,
-                    single_height,
-                },
-            );
+            tags.insert(name, file);
         }
 
         let grantable = cfg
@@ -471,7 +440,7 @@ impl QueryService {
             let BatchSlot::Pending(path) = &slots[i] else {
                 continue;
             };
-            let afile = &self.tags[&path.steps[0].tag].file;
+            let afile = &self.tags[&path.steps[0].tag];
             let n = afile.records() as usize;
             if held + n > cap {
                 continue; // falls back to the serial chain
@@ -501,7 +470,7 @@ impl QueryService {
                     for ancs in queries {
                         qb.add(ancs);
                     }
-                    qb.execute(ctx, &self.tags[dtag].file, &mut sinks).is_ok()
+                    qb.execute(ctx, &self.tags[dtag], &mut sinks).is_ok()
                 }
             };
             if !scanned {
@@ -547,7 +516,7 @@ impl QueryService {
                 state,
                 af,
                 df,
-                current.single_height(),
+                af.single_height().is_some(),
                 &mut sink,
             )?;
             algorithms.push(algo);
@@ -568,10 +537,9 @@ impl QueryService {
         }
         // Single-step path, or a chain that drained to empty: the result
         // is whatever `current` holds.
-        let codes = match &current {
-            StepInput::Empty => Vec::new(),
-            StepInput::Corpus(t) => file_codes(&self.ctx.pool, &t.file)?,
-            StepInput::Owned { file, .. } => file_codes(&self.ctx.pool, file)?,
+        let codes = match current.file() {
+            None => Vec::new(),
+            Some(file) => file_codes(&self.ctx.pool, file)?,
         };
         Ok(QueryOutcome {
             codes,
@@ -590,7 +558,7 @@ impl QueryService {
     ) -> Result<StepInput<'a>, ServiceError> {
         if path.steps[i].predicate.is_none() {
             return Ok(match self.tags.get(&path.steps[i].tag) {
-                Some(t) => StepInput::Corpus(t),
+                Some(file) => StepInput::Corpus(file),
                 None => StepInput::Empty,
             });
         }
@@ -606,12 +574,12 @@ impl QueryService {
     fn owned_input(&self, ctx: &JoinCtx, codes: Vec<u64>) -> Result<StepInput<'_>, ServiceError> {
         let mut items: Vec<(u64, u32)> = codes.into_iter().map(|c| (c, 0)).collect();
         sort_doc_order(&mut items);
-        let single_height = all_same_height(&items);
         let file = element_file_with(&ctx.pool, self.load_opts, items.iter().copied())?;
-        Ok(StepInput::Owned {
-            file: TempFile::new(&self.ctx.pool, file.file_id(), file),
-            single_height,
-        })
+        Ok(StepInput::Owned(TempFile::new(
+            &self.ctx.pool,
+            file.file_id(),
+            file,
+        )))
     }
 
     /// The service's counters as one JSON line (the `STATS` response).
@@ -721,6 +689,32 @@ mod tests {
             raw.algorithms
         );
         assert_eq!(sorted.codes, raw.codes);
+        // The raw row picks SHCJ exactly where a step's ancestors share one
+        // height, counted here by the in-memory evaluator, not the
+        // catalog: corpus tags, an owned intermediate, a predicate step.
+        let doc = svc.document();
+        for (q, want) in [
+            ("//person//creditcard", vec![Algorithm::Shcj]),
+            ("//item//keyword", vec![Algorithm::Vpj]),
+            ("//site//open_auction//bidder", vec![Algorithm::Shcj; 2]),
+            ("//person[name=p]//emailaddress", vec![Algorithm::Shcj]),
+        ] {
+            let path = DescendantPath::parse(q).unwrap();
+            let by_heights: Vec<Algorithm> = (1..path.steps.len())
+                .map(|i| {
+                    let steps = path.steps[..i].to_vec();
+                    let ancestors = DescendantPath { steps }.evaluate_naive(doc);
+                    let h = ancestors[0].height();
+                    if ancestors.iter().all(|c| c.height() == h) {
+                        Algorithm::Shcj
+                    } else {
+                        Algorithm::Vpj
+                    }
+                })
+                .collect();
+            assert_eq!(by_heights, want, "{q}: ancestor heights");
+            assert_eq!(svc.execute(q, true, None).unwrap().algorithms, want, "{q}");
+        }
     }
 
     #[test]

@@ -228,6 +228,13 @@ impl<R: FixedRecord> HeapFile<R> {
         }
     }
 
+    /// The one height every record occupies, by the catalog's folded
+    /// heights: `None` for an empty file, for records at several heights,
+    /// or for a record type without [`FixedRecord::height_hint`].
+    pub fn single_height(&self) -> Option<u32> {
+        self.stats.heights.and_then(|(l, h)| (l == h).then_some(l))
+    }
+
     /// Sequentially scans all records. The scan pins one page at a time and
     /// declares sequential access at the default read-ahead depth
     /// ([`crate::access::DEFAULT_IO_DEPTH`]); use
@@ -1230,6 +1237,13 @@ mod tests {
         let z0 = zones.page(0).unwrap();
         assert_eq!((z0.lo, z0.hi), (0, 10 * (per - 1) + 5));
         assert_eq!((z0.min_h, z0.max_h), (0, 3));
+        // The writer's handle and a reopened one read the same one height.
+        let flat = HeapFile::from_iter(&p, data.iter().map(|&s| Span { h: 2, ..s })).unwrap();
+        for f in [hf, flat] {
+            let reopened = HeapFile::<Span>::open(&p, f.file_id()).unwrap();
+            assert_eq!(f.single_height(), reopened.single_height());
+        }
+        assert_eq!((hf.single_height(), flat.single_height()), (None, Some(2)));
     }
 
     #[test]
@@ -1238,6 +1252,7 @@ mod tests {
         let hf = HeapFile::from_iter(&p, 0..5000u64).unwrap();
         assert!(p.file_zones(hf.file_id()).is_none());
         assert_eq!(hf.zone(), None);
+        assert_eq!(hf.single_height(), None);
     }
 
     #[test]
@@ -1893,6 +1908,17 @@ mod tests {
         assert_eq!(zone(&hf).lo, data[per].lo);
         assert_eq!(zone(&hf), zone(&reopened(&hf)));
         assert_eq!(hf.bounds(), reopened(&hf).bounds());
+        // A file with one record off its one height reads as one height
+        // once that record is deleted, as its reopened handle does.
+        let mut flat = HeapFile::<Span>::create(&p);
+        for r in &data {
+            flat.insert_logged(&p, &wal, Span { h: 1, ..*r }).unwrap();
+        }
+        flat.insert_logged(&p, &wal, tall).unwrap();
+        assert_eq!(flat.single_height(), None);
+        assert!(flat.delete_logged(&p, &wal, &tall).unwrap());
+        assert_eq!(flat.single_height(), Some(1));
+        assert_eq!(reopened(&flat).single_height(), Some(1));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   against the naive join, pairs and distinct descendants), a clean pool
 //!   afterwards (no pinned frame, no file but the two inputs), and the
 //!   planner under every [`InputState`] the case's order allows, with and
-//!   without `single_height_a` where A really is single-height.
+//!   without `single_height_a` where A really is single-height; the
+//!   catalog's `HeapFile::single_height` must say the same of A.
 //! * The fault axis sweeps every read index and every torn-write index of
 //!   every operator in [`Algorithm::ALL`], on raw and packed pages: each
 //!   must be one clean `Err` naming its page, a fault-free rerun must
@@ -242,6 +243,11 @@ type Outcome = (Result<JoinStats, JoinError>, Vec<(u64, u64)>);
 fn check_point(case: &Case, cfg: Config) {
     let at = format!("lattice {} {cfg:?}", case.label);
     let run = Run::new(case, cfg);
+    assert_eq!(
+        run.a.single_height().is_some(),
+        case.single_height_a(),
+        "{at}: the catalog's one height"
+    );
     let expect = match catch_unwind(AssertUnwindSafe(|| {
         check_all_agree(&run.ctx, &run.a, &run.d)
     })) {
