@@ -19,8 +19,10 @@
 //!   identical pairs, page reads near-flat in k instead of linear;
 //! * `regret`  — the Table-1 planner against every operator: chosen ÷ best
 //!   on pages, simulated seconds and wall, over the `raw_join` datasets,
-//!   XMark B1–B10 and DBLP D1–D10, cold and resident; multi-height rows
-//!   and the synthetic single-height row assert their regret in-binary.
+//!   XMark B1–B10 and DBLP D1–D10, cold and resident, with the chosen
+//!   operator's wall split into its load, probe and partition phases;
+//!   multi-height rows and the synthetic single-height row assert their
+//!   regret in-binary.
 //!
 //! ```text
 //! cargo run -p pbitree-bench --release --bin ablation -- --study rollup
@@ -877,17 +879,25 @@ fn regret(chosen: f64, best: f64) -> f64 {
 /// noise decides). The synthetic single-height row (SLLL) asserts
 /// simulated-seconds regret ≤ 1.25 too — the paper's SHCJ ≈ VPJ on
 /// single-height inputs; the XMark/DBLP single-height rows' seconds and
-/// wall are printed, not asserted. The `rollup_*` columns price
+/// wall are printed, not asserted. The `chosen_*_ms` columns say where
+/// the chosen operator's fastest run spent its wall: in total and in its
+/// top-level `load`, `probe` and `partition` phases (`JoinStats::phases`;
+/// a phase the operator does not run at top level reads 0, so VPJ's
+/// per-group memory joins count under `probe`). The `rollup_*` columns price
 /// MHCJ+Rollup, the paper's other pick for the multi-height bottom row,
 /// the same way.
 fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
     const REPS: usize = 3;
     const SYNTHETIC: [&str; 5] = ["MSLH", "SLLL", "MLLL", "MLLH", "MLSH"];
+    /// The phases whose wall the chosen operator's columns break out.
+    const PHASES: [&str; 3] = ["load", "probe", "partition"];
     struct Run {
         algo: Algorithm,
         pages: f64,
         sim: f64,
         wall: f64,
+        /// Wall seconds of each of `PHASES` in the fastest run.
+        phases: [f64; 3],
     }
     let mut t = Table::new(
         "Ablation: planner regret, chosen / best; wall = min of 3 runs",
@@ -907,6 +917,10 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
             "best_wall",
             "best_wall_ms",
             "wall_regret",
+            "chosen_wall_ms",
+            "chosen_load_ms",
+            "chosen_probe_ms",
+            "chosen_partition_ms",
             "rollup_pages_regret",
             "rollup_wall_regret",
         ],
@@ -941,7 +955,7 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
             let runs: Vec<Run> = algos
                 .iter()
                 .map(|&algo| {
-                    let mut wall = f64::INFINITY;
+                    let (mut wall, mut phases) = (f64::INFINITY, [0.0; 3]);
                     let mut first = None;
                     for _ in 0..REPS {
                         ctx.pool.evict_all().unwrap();
@@ -960,7 +974,14 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
                             "{}/{leg}: {algo} returned the wrong pairs",
                             w.name
                         );
-                        wall = wall.min(stats.cpu_ns as f64 / 1e9);
+                        let secs = |ns: u64| ns as f64 / 1e9;
+                        if secs(stats.cpu_ns) < wall {
+                            wall = secs(stats.cpu_ns);
+                            phases = PHASES.map(|name| {
+                                let of_name = stats.phases.iter().filter(|p| p.name == name);
+                                secs(of_name.map(|p| p.cpu_ns).sum())
+                            });
+                        }
                         first.get_or_insert(stats.io);
                     }
                     let io = first.unwrap();
@@ -969,6 +990,7 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
                         pages: io.total() as f64,
                         sim: io.sim_secs(),
                         wall,
+                        phases,
                     }
                 })
                 .collect();
@@ -1007,7 +1029,7 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
                     bw.wall * 1e3
                 ));
             }
-            t.row(vec![
+            let mut row = vec![
                 w.name.clone(),
                 leg.into(),
                 b.to_string(),
@@ -1023,9 +1045,14 @@ fn regret_study(args: &CommonArgs, cfg: &ExpConfig) {
                 bw.algo.to_string(),
                 format!("{:.2}", bw.wall * 1e3),
                 format!("{wall_regret:.2}"),
+                format!("{:.2}", c.wall * 1e3),
+            ];
+            row.extend(c.phases.iter().map(|s| format!("{:.2}", s * 1e3)));
+            row.extend([
                 format!("{:.2}", regret(rollup.pages, bp.pages)),
                 format!("{:.2}", regret(rollup.wall, bw.wall)),
             ]);
+            t.row(row);
             // Resident: every operator's working set fits beside both inputs.
             b = (af.pages() + df.pages()) as usize + 8;
         }

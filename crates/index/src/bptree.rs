@@ -28,6 +28,7 @@
 
 use std::marker::PhantomData;
 
+use pbitree_storage::util::fnv1a32;
 use pbitree_storage::{
     BufferPool, FileId, FixedRecord, PageBuf, PageId, PoolError, ScanOptions, TempFile, Wal, WalOp,
     PAGE_SIZE,
@@ -586,7 +587,7 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
         if get_u32(&page[..], 0) != META_MAGIC {
             return Err(corrupt("logged-tree meta page magic mismatch"));
         }
-        if get_u32(&page[..], META_LEN) != fnv32(&page[..META_LEN]) {
+        if get_u32(&page[..], META_LEN) != fnv1a32(&[&page[..META_LEN]]) {
             return Err(corrupt("logged-tree meta page checksum mismatch"));
         }
         if get_u16(&page[..], 20) as usize != K::SIZE || get_u16(&page[..], 22) as usize != V::SIZE
@@ -904,16 +905,6 @@ impl<K: FixedRecord + Ord, V: FixedRecord> BPlusTree<K, V> {
     }
 }
 
-/// FNV-1a folded to 32 bits, for the logged tree's meta record.
-fn fnv32(bytes: &[u8]) -> u32 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h ^ (h >> 32)) as u32
-}
-
 /// The meta page's payload: magic, root, height, len, key/value sizes,
 /// checksum — everything [`BPlusTree::open_logged`] needs.
 fn meta_record<K: FixedRecord, V: FixedRecord>(root: u32, height: u32, len: u64) -> [u8; 28] {
@@ -924,7 +915,7 @@ fn meta_record<K: FixedRecord, V: FixedRecord>(root: u32, height: u32, len: u64)
     b[12..20].copy_from_slice(&len.to_le_bytes());
     b[20..22].copy_from_slice(&(K::SIZE as u16).to_le_bytes());
     b[22..24].copy_from_slice(&(V::SIZE as u16).to_le_bytes());
-    let sum = fnv32(&b[..META_LEN]);
+    let sum = fnv1a32(&[&b[..META_LEN]]);
     b[24..28].copy_from_slice(&sum.to_le_bytes());
     b
 }
@@ -1268,6 +1259,12 @@ mod tests {
         let a: Vec<(u64, u64)> = t.iter(&p).unwrap().collect();
         let b: Vec<(u64, u64)> = reopened.iter(&p).unwrap().collect();
         assert_eq!(a, b);
+        // The meta record's FNV-1a checksum is part of the on-disk format.
+        let meta = meta_record::<u64, u64>(7, 2, 3_000);
+        assert_eq!(
+            u32::from_le_bytes(meta[24..28].try_into().unwrap()),
+            2_239_869_253
+        );
     }
 
     #[test]

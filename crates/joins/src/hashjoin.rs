@@ -12,18 +12,20 @@
 //!   (`context::scatter`; a bucket no key lands in makes no file), then
 //!   each bucket pair is joined in memory, I/O = `3(‖B‖ + ‖P‖)` — the
 //!   constant the paper's cost formulas use;
-//! * a pathologically skewed bucket that still exceeds the budget falls
-//!   back to block-chunking the build side (repeated probe-side scans),
-//!   so the join never fails, it just degrades.
+//! * a pathologically skewed bucket that still exceeds the budget is
+//!   joined in memory-sized chunks of the build side (one probe-side scan
+//!   per chunk), so the join never fails, it just degrades.
 //!
-//! The build side is a multimap: MHCJ+Rollup maps several original
-//! ancestors onto one rolled-up code.
+//! Both in-memory cases are one loop, `join_in_chunks`: a build side that
+//! fits is its one chunk. The build table is a multimap (`EquiTable`):
+//! MHCJ+Rollup maps several original ancestors onto one rolled-up code,
+//! and the memory join's `A`-resident branch builds the same table.
 
 use std::hash::{BuildHasher, Hash};
 
 use pbitree_storage::util::FxBuildHasher;
 use pbitree_storage::util::FxHashMap;
-use pbitree_storage::{FixedRecord, HeapFile, ScanOptions};
+use pbitree_storage::{records_per_page, FixedRecord, HeapFile, ScanOptions};
 
 use crate::context::{scatter, JoinCtx, JoinError};
 
@@ -100,13 +102,10 @@ where
     M: FnMut(&B, &P),
 {
     let budget_elems = ctx.elements_per_pages_of::<B>(ctx.resident_pages());
-    if build.records() as usize <= budget_elems {
-        probe_in_memory(
-            ctx, build, probe, build_opts, probe_opts, build_key, probe_key, on_match,
-        )
-    } else if depth >= MAX_GRACE_DEPTH {
-        // Same-key skew cannot be split by any hash: degrade gracefully.
-        chunked_join(
+    // A build side that fits is one chunk. Past the depth bound, same-key
+    // skew cannot be split by any hash: degrade gracefully to chunks.
+    if build.records() as usize <= budget_elems || depth >= MAX_GRACE_DEPTH {
+        join_in_chunks(
             ctx,
             build,
             probe,
@@ -175,75 +174,42 @@ fn bucket(k: u64, level: u32, parts: usize) -> usize {
     (std::hash::Hasher::finish(&h) as usize) % parts
 }
 
-/// Streams `probe` through an in-memory table page-batch-at-a-time: each
-/// page decodes once into a reusable buffer (unpinned before any matching
-/// runs), then the probe loop runs over the plain slice.
-fn probe_batched<B, P, KP, M>(
-    ctx: &JoinCtx,
-    table: &FxHashMap<u64, SmallGroup<B>>,
-    probe: &HeapFile<P>,
-    probe_opts: ScanOptions,
-    probe_key: &KP,
-    on_match: &mut M,
-) -> Result<(), JoinError>
-where
-    B: FixedRecord,
-    P: FixedRecord,
-    KP: Fn(&P) -> Option<u64>,
-    M: FnMut(&B, &P),
-{
-    let mut scan = probe.scan_with(&ctx.pool, probe_opts);
-    let mut batch: Vec<P> = Vec::with_capacity(pbitree_storage::records_per_page::<P>());
-    loop {
-        batch.clear();
-        if scan.next_batch(&mut batch)? == 0 {
-            return Ok(());
-        }
-        for p in &batch {
-            if let Some(k) = probe_key(p) {
-                if let Some(group) = table.get(&k) {
-                    group.for_each(|b| on_match(b, p));
-                }
-            }
+/// The in-memory side of every equal-key probe in the crate: a multimap
+/// from join key to build records. The hash join builds one per chunk,
+/// and the memory join's `A`-resident branch rolls its ancestors into one
+/// (`crate::memjoin`).
+pub(crate) struct EquiTable<B>(FxHashMap<u64, SmallGroup<B>>);
+
+impl<B: Copy> EquiTable<B> {
+    /// A table sized for `n` records (the map applies its own load factor).
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        EquiTable(FxHashMap::with_capacity_and_hasher(n, Default::default()))
+    }
+
+    /// Adds `b` under key `k`.
+    pub(crate) fn insert(&mut self, k: u64, b: B) {
+        self.0.entry(k).or_default().push(b);
+    }
+
+    /// Calls `f` on every record under key `k`.
+    pub(crate) fn for_each(&self, k: u64, f: impl FnMut(&B)) {
+        if let Some(group) = self.0.get(&k) {
+            group.for_each(f);
         }
     }
 }
 
-/// Build an in-memory multimap from `build` and stream `probe` through it.
+/// The one in-memory equijoin: builds at most `chunk_len` build records
+/// into an [`EquiTable`], streams `probe` through it a page batch at a
+/// time, and repeats only while build records remain. A build side that
+/// fits is one chunk, so `probe` is read once; a skewed Grace bucket is
+/// several, each a rescan of `probe`.
+///
+/// The build is read in page batches too, and a chunk is cut at a record:
+/// the rest of the last page read waits in a buffer for the next chunk,
+/// so no build page stays pinned while the probe streams.
 #[allow(clippy::too_many_arguments)]
-fn probe_in_memory<B, P, KB, KP, M>(
-    ctx: &JoinCtx,
-    build: &HeapFile<B>,
-    probe: &HeapFile<P>,
-    build_opts: ScanOptions,
-    probe_opts: ScanOptions,
-    build_key: &KB,
-    probe_key: &KP,
-    on_match: &mut M,
-) -> Result<(), JoinError>
-where
-    B: FixedRecord,
-    P: FixedRecord,
-    KB: Fn(&B) -> Option<u64>,
-    KP: Fn(&P) -> Option<u64>,
-    M: FnMut(&B, &P),
-{
-    let mut table: FxHashMap<u64, SmallGroup<B>> =
-        FxHashMap::with_capacity_and_hasher(build.records() as usize, Default::default());
-    let mut scan = build.scan_with(&ctx.pool, build_opts);
-    while scan.next_batch_each(|r| {
-        if let Some(k) = build_key(&r) {
-            table.entry(k).or_default().push(r);
-        }
-    })? > 0
-    {}
-    probe_batched(ctx, &table, probe, probe_opts, probe_key, on_match)
-}
-
-/// Build side exceeds memory even after partitioning: process it in
-/// memory-sized chunks, rescanning the probe side per chunk.
-#[allow(clippy::too_many_arguments)]
-fn chunked_join<B, P, KB, KP, M>(
+fn join_in_chunks<B, P, KB, KP, M>(
     ctx: &JoinCtx,
     build: &HeapFile<B>,
     probe: &HeapFile<P>,
@@ -261,29 +227,49 @@ where
     KP: Fn(&P) -> Option<u64>,
     M: FnMut(&B, &P),
 {
+    debug_assert!(chunk_len > 0, "a chunk holds at least one record");
+    let mut table = EquiTable::with_capacity(chunk_len.min(build.records() as usize));
     let mut build_scan = build.scan_with(&ctx.pool, build_opts);
+    // The last build page read; records from `taken` on are not built yet.
+    let mut page: Vec<B> = Vec::with_capacity(records_per_page::<B>());
+    let mut taken = 0;
+    // Whether build records remain, reading the next page when `page` is spent.
+    let mut remain = |page: &mut Vec<B>, taken: &mut usize| -> Result<bool, JoinError> {
+        if *taken == page.len() {
+            page.clear();
+            *taken = 0;
+            build_scan.next_batch(page)?;
+        }
+        Ok(*taken < page.len())
+    };
+    let mut batch: Vec<P> = Vec::with_capacity(records_per_page::<P>());
     loop {
-        let mut table: FxHashMap<u64, SmallGroup<B>> =
-            FxHashMap::with_capacity_and_hasher(chunk_len, Default::default());
-        let mut n = 0usize;
-        while n < chunk_len {
-            match build_scan.next_record()? {
-                Some(r) => {
-                    if let Some(k) = build_key(&r) {
-                        table.entry(k).or_default().push(r);
-                    }
-                    n += 1;
+        let mut n = 0;
+        while n < chunk_len && remain(&mut page, &mut taken)? {
+            let end = page.len().min(taken + chunk_len - n);
+            for r in &page[taken..end] {
+                if let Some(k) = build_key(r) {
+                    table.insert(k, *r);
                 }
-                None => break,
             }
+            n += end - taken;
+            taken = end;
         }
-        if n == 0 {
+        // Each probe page decodes once into `batch` and is unpinned
+        // before any matching runs.
+        let mut probe_scan = probe.scan_with(&ctx.pool, probe_opts);
+        while probe_scan.next_batch(&mut batch)? > 0 {
+            for p in &batch {
+                if let Some(k) = probe_key(p) {
+                    table.for_each(k, |b| on_match(b, p));
+                }
+            }
+            batch.clear();
+        }
+        if !remain(&mut page, &mut taken)? {
             return Ok(());
         }
-        probe_batched(ctx, &table, probe, probe_opts, probe_key, on_match)?;
-        if n < chunk_len {
-            return Ok(());
-        }
+        table.0.clear();
     }
 }
 
@@ -322,6 +308,7 @@ impl<B: Copy> SmallGroup<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::element_file_with;
     use pbitree_core::PBiTreeShape;
 
     fn ctx(b: usize) -> JoinCtx {
@@ -362,10 +349,21 @@ mod tests {
 
     #[test]
     fn in_memory_path() {
-        let c = ctx(16);
-        let build: Vec<u64> = (0..500).collect();
+        // A build side that fits is one chunk: the probe side is read once
+        // and nothing is partitioned. The second input is the exact fit,
+        // as many build records as one chunk holds.
         let probe: Vec<u64> = (0..2000).collect();
-        assert_eq!(run_join(&c, &build, &probe), expected(&build, &probe));
+        let fit = ctx(4);
+        let exact = fit.elements_per_pages_of::<u64>(fit.resident_pages());
+        for (c, n) in [(ctx(16), 500), (fit, exact)] {
+            let build: Vec<u64> = (0..n as u64).collect();
+            let bf = HeapFile::from_iter(&c.pool, build.iter().copied()).unwrap();
+            let pf = HeapFile::from_iter(&c.pool, probe.iter().copied()).unwrap();
+            let (mut got, probed) = traced_join(&c, &bf, &pf, |k| *k % 1000);
+            got.sort_unstable();
+            assert_eq!(got, expected(&build, &probe));
+            assert_eq!(probed, probe.len());
+        }
     }
 
     #[test]
@@ -376,14 +374,86 @@ mod tests {
         assert_eq!(run_join(&c, &build, &probe), expected(&build, &probe));
     }
 
+    /// Runs the join on `key` and returns its pairs in emission order and
+    /// how many probe records its scans read (the probe key's calls, Grace
+    /// passes included). Every match must be emitted with no page pinned.
+    fn traced_join<R: FixedRecord>(
+        c: &JoinCtx,
+        bf: &HeapFile<R>,
+        pf: &HeapFile<R>,
+        key: impl Fn(&R) -> u64,
+    ) -> (Vec<(R, R)>, usize) {
+        let probed = std::cell::Cell::new(0);
+        let mut out = Vec::new();
+        hash_equijoin_with(
+            c,
+            bf,
+            pf,
+            c.read_opts(),
+            c.read_opts(),
+            |b| Some(key(b)),
+            |p| {
+                probed.set(probed.get() + 1);
+                Some(key(p))
+            },
+            |b, p| {
+                assert_eq!(c.pool.pinned_frames(), 0, "a page stays pinned");
+                out.push((*b, *p));
+            },
+        )
+        .unwrap();
+        (out, probed.get())
+    }
+
     #[test]
     fn skewed_bucket_falls_back_to_chunks() {
-        // All build keys identical: one bucket gets everything.
+        // All build keys identical: one bucket gets everything, and the
+        // level-0 split makes no progress, so the bucket is joined in
+        // chunks. Each chunk holds `chunk_len` records (the last the rest)
+        // and reads the probe side once more. Raw u64 pages end chunks at
+        // a page boundary; packed Element pages hold more records than
+        // the raw-page sizing assumes, so there chunks end mid-page and
+        // the rest of the page carries over to the next chunk.
+        fn check<R: FixedRecord + PartialEq>(
+            c: &JoinCtx,
+            bf: &HeapFile<R>,
+            pf: &HeapFile<R>,
+            key: impl Fn(&R) -> u64,
+        ) {
+            let chunk_len = c.elements_per_pages_of::<R>(c.resident_pages());
+            let (got, probed) = traced_join(c, bf, pf, key);
+            assert_eq!(got.len() as u64, 2 * bf.records());
+            // A chunk's matches for the first probe record are one run.
+            let first = got[0].1;
+            let chunks: Vec<usize> = got
+                .chunk_by(|x, y| x.1 == y.1)
+                .filter(|run| run[0].1 == first)
+                .map(<[_]>::len)
+                .collect();
+            let (last, full) = chunks.split_last().unwrap();
+            assert!(
+                full.iter().all(|&n| n == chunk_len),
+                "{chunks:?} by {chunk_len}"
+            );
+            assert!(*last <= chunk_len && (full.len() * chunk_len + last) as u64 == bf.records());
+            // One scatter pass over the probe side, then one scan per
+            // chunk of its key-0 bucket (two records).
+            assert_eq!(probed, pf.records() as usize + 2 * chunks.len());
+        }
+        let keys = || (1..=30_000u64).map(|i| i * 1000); // key 0
+        let probe = [1000u64, 2000, 17]; // two match key 0
         let c = ctx(4);
-        let build: Vec<u64> = (0..30_000).map(|i| i * 1000).collect(); // key 0
-        let probe: Vec<u64> = vec![0, 1000, 17]; // two match key 0
-        let got = run_join(&c, &build, &probe);
-        assert_eq!(got.len(), 30_000 * 2);
+        let bf = HeapFile::from_iter(&c.pool, keys()).unwrap();
+        let pf = HeapFile::from_iter(&c.pool, probe).unwrap();
+        check(&c, &bf, &pf, |k| *k % 1000);
+        let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(30).unwrap(), 4)
+            .compression(true)
+            .build();
+        let elements = |codes: &mut dyn Iterator<Item = u64>| {
+            element_file_with(&c.pool, c.write_opts(), codes.map(|k| (k, 0))).unwrap()
+        };
+        let (bf, pf) = (elements(&mut keys()), elements(&mut probe.into_iter()));
+        check(&c, &bf, &pf, |e| e.code.get() % 1000);
     }
 
     #[test]

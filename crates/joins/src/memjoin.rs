@@ -11,9 +11,10 @@
 //!   subtree is the contiguous code range `[start, end]` (Lemma 3), so one
 //!   binary search per scanned ancestor yields its matches.
 //! * **`A` fits** — per the paper, run MHCJ+Rollup with the ancestor side
-//!   resident: roll every ancestor to the topmost occupied height, build a
-//!   hash multimap on the rolled code, stream `D`, filter false hits with
-//!   Lemma 1.
+//!   resident: that is the F-equijoin `A.Code = F(D.Code, h)` at `A`'s
+//!   topmost occupied height `h`, so every ancestor is rolled up to `h` in
+//!   the hash join's table (`hashjoin::EquiTable`), `D` streams through
+//!   it, and `shcj::check_candidate` filters false hits with Lemma 1.
 //!
 //! VPJ replicates a spanning ancestor into every partition of its range,
 //! so a group's ancestor members can hold copies of one element; the
@@ -22,11 +23,12 @@
 
 use std::ops::Deref;
 
-use pbitree_storage::util::FxHashMap;
 use pbitree_storage::{HeapFile, ScanOptions};
 
 use crate::context::{Extent, JoinCtx, JoinError, JoinStats};
 use crate::element::Element;
+use crate::hashjoin::EquiTable;
+use crate::shcj::{check_candidate, descendant_key};
 use crate::sink::PairSink;
 
 /// Descendants resident in memory, sorted by code for range probing.
@@ -87,47 +89,6 @@ impl SortedDescendants {
             }
         }
         n
-    }
-}
-
-/// Ancestors resident in memory, rolled up to their topmost occupied
-/// height (the in-memory MHCJ+Rollup of Algorithm 6's `else` branch).
-struct RolledAncestors {
-    anchor: u32,
-    map: FxHashMap<u64, Vec<Element>>,
-}
-
-impl RolledAncestors {
-    fn new(v: Vec<Element>) -> Self {
-        let anchor = v.iter().map(|e| e.code.height()).max().unwrap_or(0);
-        let mut map: FxHashMap<u64, Vec<Element>> =
-            FxHashMap::with_capacity_and_hasher(v.len(), Default::default());
-        for e in v {
-            map.entry(e.code.ancestor_at_height(anchor).get())
-                .or_default()
-                .push(e);
-        }
-        RolledAncestors { anchor, map }
-    }
-
-    /// Emits all ancestors of `d`; returns `(pairs, false_hits)`.
-    fn probe(&self, d: Element, sink: &mut dyn PairSink) -> (u64, u64) {
-        if d.code.height() >= self.anchor {
-            return (0, 0);
-        }
-        let key = d.code.ancestor_at_height(self.anchor).get();
-        let (mut pairs, mut false_hits) = (0u64, 0u64);
-        if let Some(group) = self.map.get(&key) {
-            for a in group {
-                if a.code.is_ancestor_of(d.code) {
-                    pairs += 1;
-                    sink.emit(*a, d);
-                } else {
-                    false_hits += 1;
-                }
-            }
-        }
-        (pairs, false_hits)
     }
 }
 
@@ -215,17 +176,25 @@ pub(crate) fn mem_join_inner<F: Deref<Target = HeapFile<Element>>>(
             Ok((pairs, 0))
         })
     } else {
-        let aa = ctx.phase("load", || {
-            Ok(RolledAncestors::new(load_members(ctx, a, a_opts, &keep)?))
+        // MHCJ+Rollup with A resident: the F-equijoin at A's topmost
+        // height, every ancestor rolled up to it in the hash join's table.
+        let (anchor, aa) = ctx.phase("load", || {
+            let v = load_members(ctx, a, a_opts, &keep)?;
+            let anchor = v.iter().map(|e| e.code.height()).max().unwrap_or(0);
+            let mut table = EquiTable::with_capacity(v.len());
+            for e in v {
+                table.insert(e.code.ancestor_at_height(anchor).get(), e);
+            }
+            Ok((anchor, table))
         })?;
         ctx.phase_counted("probe", || {
-            let (mut pairs, mut false_hits) = (0u64, 0u64);
+            let mut counts = (0u64, 0u64);
             scan_members(ctx, d, d_opts, &all, |de| {
-                let (p, f) = aa.probe(de, sink);
-                pairs += p;
-                false_hits += f;
+                if let Some(k) = descendant_key(&de, anchor) {
+                    aa.for_each(k, |ae| check_candidate(ae, &de, &mut counts, sink));
+                }
             })?;
-            Ok((pairs, false_hits))
+            Ok(counts)
         })
     }
 }
@@ -279,6 +248,7 @@ mod tests {
     use super::*;
     use crate::element::{element_file, element_file_with};
     use crate::naive::block_nested_loop;
+    use crate::rollup::{mhcj_rollup, RollupOptions};
     use crate::sink::{CollectSink, CountSink};
     use pbitree_core::PBiTreeShape;
 
@@ -363,38 +333,62 @@ mod tests {
     fn a_in_memory_path() {
         // Budget fits A (1 page) but not D: force the rollup branch by
         // making D larger than the pool. The branch choice depends on raw
-        // page geometry (packed D would fit the pool).
-        let c = ctx(3);
-        let a = element_file_with(
-            &c.pool,
-            c.read_opts(),
-            mixed_codes(100, &[4, 6], 61).into_iter().map(|v| (v, 0)),
-        )
-        .unwrap();
-        let d = element_file_with(
-            &c.pool,
-            c.read_opts(),
-            mixed_codes(4000, &[0, 1], 63).into_iter().map(|v| (v, 1)),
-        )
-        .unwrap();
-        assert!(d.pages() as usize > c.budget());
-        let mut got = CollectSink::default();
-        memory_containment_join(&c, &a, &d, &mut got).unwrap();
+        // page geometry (packed D would fit the pool). The second input,
+        // with pruning off, puts D records at A's top height above lower A
+        // records: only D strictly below that height may probe, so the
+        // branch's false hits equal the default MHCJ+Rollup's and a count
+        // of the rolled candidates Lemma 1 rejects.
+        for (d_heights, prune) in [(&[0, 1][..], true), (&[0, 1, 6][..], false)] {
+            let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(16).unwrap(), 3)
+                .prune(prune)
+                .build();
+            let a_items = || mixed_codes(100, &[4, 6], 61).into_iter().map(|v| (v, 0));
+            let d_items = || mixed_codes(4000, d_heights, 63).into_iter().map(|v| (v, 1));
+            let a = element_file_with(&c.pool, c.read_opts(), a_items()).unwrap();
+            let d = element_file_with(&c.pool, c.read_opts(), d_items()).unwrap();
+            assert!(d.pages() as usize > c.budget());
+            let mut got = CollectSink::default();
+            let stats = memory_containment_join(&c, &a, &d, &mut got).unwrap();
 
-        let big = ctx(64);
-        let a2 = element_file(
-            &big.pool,
-            mixed_codes(100, &[4, 6], 61).into_iter().map(|v| (v, 0)),
-        )
-        .unwrap();
-        let d2 = element_file(
-            &big.pool,
-            mixed_codes(4000, &[0, 1], 63).into_iter().map(|v| (v, 1)),
-        )
-        .unwrap();
-        let mut expect = CollectSink::default();
-        block_nested_loop(&big, &a2, &d2, &mut expect).unwrap();
-        assert_eq!(got.canonical(), expect.canonical());
+            let big = ctx(64);
+            let a2 = element_file(&big.pool, a_items()).unwrap();
+            let d2 = element_file(&big.pool, d_items()).unwrap();
+            let mut expect = CollectSink::default();
+            block_nested_loop(&big, &a2, &d2, &mut expect).unwrap();
+            assert_eq!(
+                got.canonical(),
+                expect.canonical(),
+                "D heights {d_heights:?}"
+            );
+            if !prune {
+                let rollup = mhcj_rollup(
+                    &c,
+                    &a,
+                    &d,
+                    RollupOptions::default(),
+                    &mut CountSink::default(),
+                )
+                .unwrap();
+                let top = |e: &Element| e.code.ancestor_at_height(6);
+                let d_all: Vec<Element> = d_items().map(|(v, t)| Element::new(v, t)).collect();
+                let false_hits: usize = a_items()
+                    .map(|(v, t)| {
+                        let ae = Element::new(v, t);
+                        d_all
+                            .iter()
+                            .filter(|de| de.code.height() < 6 && top(de) == top(&ae))
+                            .filter(|de| !ae.code.is_ancestor_of(de.code))
+                            .count()
+                    })
+                    .sum();
+                assert!(false_hits > 0, "the input should meet false hits");
+                assert_eq!(
+                    (stats.pairs, stats.false_hits),
+                    (rollup.pairs, false_hits as u64)
+                );
+                assert_eq!(rollup.false_hits, false_hits as u64);
+            }
+        }
     }
 
     #[test]

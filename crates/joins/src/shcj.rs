@@ -123,22 +123,9 @@ pub(crate) fn anchored_equijoin(
         }
         Some(e.code.ancestor_at_height(anchor).get())
     };
-    let d_key = |e: &Element| {
-        if e.code.height() < anchor {
-            Some(e.code.ancestor_at_height(anchor).get())
-        } else {
-            None
-        }
-    };
-    let (mut pairs, mut false_hits) = (0u64, 0u64);
-    let mut check = |anc: &Element, desc: &Element| {
-        if anc.code.is_ancestor_of(desc.code) {
-            pairs += 1;
-            sink.emit(*anc, *desc);
-        } else {
-            false_hits += 1;
-        }
-    };
+    let d_key = |e: &Element| descendant_key(e, anchor);
+    let mut counts = (0u64, 0u64);
+    let mut check = |anc: &Element, desc: &Element| check_candidate(anc, desc, &mut counts, sink);
     // Build on the smaller side: the equijoin is symmetric, and the build
     // side is what must fit in memory (or gets Grace-partitioned).
     if a.records() <= d.records() {
@@ -146,7 +133,31 @@ pub(crate) fn anchored_equijoin(
     } else {
         hash_equijoin_with(ctx, d, a, d_opts, a_opts, d_key, a_key, |b, p| check(p, b))?;
     }
-    Ok(((pairs, false_hits), off_anchor.get()))
+    Ok((counts, off_anchor.get()))
+}
+
+/// The F-equijoin's descendant key: `F(d, anchor)`, `d`'s ancestor at
+/// height `anchor`, for a `d` strictly below it; `None` otherwise (see the
+/// module doc's correction to the paper).
+pub(crate) fn descendant_key(d: &Element, anchor: u32) -> Option<u64> {
+    (d.code.height() < anchor).then(|| d.code.ancestor_at_height(anchor).get())
+}
+
+/// Lemma 1's check on an F-equijoin candidate: emits `(anc, desc)` and
+/// counts a pair into `counts.0` when `anc` contains `desc`, else counts a
+/// false hit into `counts.1`.
+pub(crate) fn check_candidate(
+    anc: &Element,
+    desc: &Element,
+    counts: &mut (u64, u64),
+    sink: &mut dyn PairSink,
+) {
+    if anc.code.is_ancestor_of(desc.code) {
+        counts.0 += 1;
+        sink.emit(*anc, *desc);
+    } else {
+        counts.1 += 1;
+    }
 }
 
 #[cfg(test)]

@@ -69,6 +69,7 @@ use std::ops::Range;
 use crate::buffer::PoolError;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::record::{FixedRecord, RecordParts};
+use crate::util::fnv1a32;
 
 /// High bit of the count dword: set on packed pages, never on raw pages.
 pub const PACKED_FLAG: u32 = 0x8000_0000;
@@ -149,25 +150,11 @@ fn get_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
     }
 }
 
-/// FNV-1a over `(n, base, payload)`, folded to 32 bits. Not cryptographic —
-/// it exists to turn torn writes and stray bit flips into
-/// [`PoolError::Corrupt`] instead of plausible-looking records.
+/// FNV-1a over `(n, base, payload)` ([`fnv1a32`]). It exists to turn torn
+/// writes and stray bit flips into [`PoolError::Corrupt`] instead of
+/// plausible-looking records.
 fn checksum(n: u32, base: u64, payload: &[u8]) -> u32 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for b in n.to_le_bytes() {
-        mix(b);
-    }
-    for b in base.to_le_bytes() {
-        mix(b);
-    }
-    for &b in payload {
-        mix(b);
-    }
-    (h ^ (h >> 32)) as u32
+    fnv1a32(&[&n.to_le_bytes(), &base.to_le_bytes(), payload])
 }
 
 #[inline]

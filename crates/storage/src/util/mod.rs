@@ -3,5 +3,5 @@
 pub mod hash;
 pub mod rng;
 
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fnv1a32, FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::Rng;

@@ -32,7 +32,7 @@
 //! [4..12)   u64 LE  LSN — strictly consecutive from 1
 //! [12]      u8      flags: 1 COMMIT (the operation's last frame), else 0
 //! [13..L-4)         one or more records (below)
-//! [L-4..L)  u32 LE  FNV-1a checksum over bytes [0..L-4)
+//! [L-4..L)  u32 LE  FNV-1a checksum over bytes [0..L-4) (`util::fnv1a32`)
 //! ```
 //!
 //! A record is a kind byte, the page's file u32 and page u32, then the
@@ -108,6 +108,7 @@ use crate::buffer::{BufferPool, LsnGate, PageMut, PoolError};
 use crate::freelist::FreeList;
 use crate::page::{FileId, PageBuf, PageId, PAGE_SIZE};
 use crate::stats::WalStats;
+use crate::util::fnv1a32;
 
 const FRAME_HEADER: usize = 4 + 8 + 1;
 const FRAME_TRAILER: usize = 4;
@@ -129,18 +130,6 @@ const SAME_PAGE: u8 = 0x80;
 /// ranges (up to a full page image) are split across consecutive records
 /// of the same operation, which replays atomically anyway.
 pub const MAX_CHUNK: usize = PAGE_SIZE - FRAME_HEADER - FRAME_TRAILER - (1 + PID_FIXED + 2 + 2);
-
-/// FNV-1a folded to 32 bits — the same integrity idiom as the packed page
-/// codec ([`crate::codec`]): torn and stale log bytes become detection,
-/// never silently wrong replay.
-fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h ^ (h >> 32)) as u32
-}
 
 /// What one page record does to its page. `B` holds the record's bytes:
 /// owned in a [`WalOp`], borrowed from a log page or the redo arena.
@@ -398,7 +387,7 @@ impl WalState {
         buf[4..12].copy_from_slice(&lsn.to_le_bytes());
         buf[12] = flags;
         buf[FRAME_HEADER..FRAME_HEADER + records.len()].copy_from_slice(records);
-        let sum = checksum(&buf[..need - FRAME_TRAILER]);
+        let sum = fnv1a32(&[&buf[..need - FRAME_TRAILER]]);
         buf[need - FRAME_TRAILER..].copy_from_slice(&sum.to_le_bytes());
         self.used += need;
         self.stats.frames += 1;
@@ -809,7 +798,7 @@ pub fn recover(pool: &BufferPool, wal_file: FileId) -> Result<(Wal, RecoveryRepo
                     .try_into()
                     .unwrap(),
             );
-            if stored != checksum(&buf[off..off + len - FRAME_TRAILER]) {
+            if stored != fnv1a32(&[&buf[off..off + len - FRAME_TRAILER]]) {
                 break true;
             }
             let lsn = u64::from_le_bytes(buf[off + 4..off + 12].try_into().unwrap());
@@ -1553,7 +1542,16 @@ mod tests {
             frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
             frame[4..12].copy_from_slice(&2u64.to_le_bytes());
             frame[12] = FLAG_COMMIT;
-            let sum = checksum(&frame);
+            let sum = fnv1a32(&[&frame]);
+            // The frame checksum is part of the log format.
+            assert_eq!(
+                sum,
+                if same_page {
+                    2_634_524_949
+                } else {
+                    4_249_498_895
+                }
+            );
             frame.extend_from_slice(&sum.to_le_bytes());
             let p = cold(&backend);
             let at = PageId::new(wal_file, 0);
