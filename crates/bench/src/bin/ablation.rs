@@ -5,6 +5,8 @@
 //!   buffer budget;
 //! * `vpj`     — replication/purge/merge/recursion report across dataset
 //!   shapes, and on Fig. 6(d)'s skewed DBLP D4, D9 and D10 at b = 125;
+//!   asserts that a row whose sides the page-cost rule chunks makes no
+//!   partition and writes no page, and that no DBLP row recurses;
 //! * `io`      — read-ahead depth against simulated disk time;
 //! * `prune`   — zone-map scan pushdown off vs on: identical pairs,
 //!   strictly fewer page reads for the partition joins;
@@ -36,6 +38,7 @@ use pbitree_bench::report::{clock_cells, fmt_secs, Table, CLOCK_COLS};
 use pbitree_bench::workloads::{
     dblp_workloads, synthetic_by_name, synthetic_multi, xmark_workloads,
 };
+use pbitree_joins::context::Footprint;
 use pbitree_joins::element::{element_file, element_file_with};
 use pbitree_joins::rollup::RollupOptions;
 use pbitree_joins::stacktree::{stack_tree_desc, SortPolicy};
@@ -164,8 +167,24 @@ fn vpj_study(args: &CommonArgs, cfg: &ExpConfig) {
         let af = element_file(&ctx.pool, w.a.iter().copied()).unwrap();
         let df = element_file(&ctx.pool, w.d.iter().copied()).unwrap();
         ctx.pool.evict_all().unwrap();
+        let chunked = ctx
+            .resident_side(Footprint::of([&af]), Footprint::of([&df]))
+            .is_some();
         let mut sink = CountSink::default();
         let (stats, report) = pbitree_joins::vpj::vpj(&ctx, &af, &df, &mut sink).unwrap();
+        assert!(
+            !chunked || (report.partitions, stats.io.writes()) == (0, 0),
+            "{}: the page-cost rule chunks it, yet VPJ made {} partitions and wrote {} pages",
+            w.name,
+            report.partitions,
+            stats.io.writes()
+        );
+        assert!(
+            !w.name.starts_with('D') || report.recursions == 0,
+            "{} at b = {buffer}: {} recursions",
+            w.name,
+            report.recursions
+        );
         let mut row = vec![
             w.name.clone(),
             buffer.to_string(),

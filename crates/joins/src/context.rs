@@ -488,12 +488,71 @@ impl JoinCtx {
 
     /// The residency rule: how many pages of one side an operator may hold
     /// in memory, `b − 2` (at least 1), leaving a frame for the scan that
-    /// streams past it and one for output. Algorithm 6's side choice,
-    /// VPJ's fit test and partition fan-out, and the hash join's build
-    /// limit all read it.
+    /// streams past it and one for output. The page-cost rule
+    /// ([`loads`](JoinCtx::loads)) sizes a memory load by it, and VPJ's
+    /// group fit and partition fan-out and Grace's bucket count read it.
     #[inline]
     pub(crate) fn resident_pages(&self) -> usize {
         self.budget.saturating_sub(2).max(1)
+    }
+
+    /// The most records of type `R` one memory load holds:
+    /// [`resident_pages`](JoinCtx::resident_pages) worth. Every chunk of
+    /// a memory join or an in-memory equijoin is bounded by it.
+    #[inline]
+    pub(crate) fn chunk_len<R: FixedRecord>(&self) -> usize {
+        self.elements_per_pages_of::<R>(self.resident_pages())
+    }
+
+    /// The memory loads of [`chunk_len`](JoinCtx::chunk_len) records that
+    /// hold side `r`: `⌈records / chunk_len⌉`, at least 1.
+    fn load_count<R: FixedRecord>(&self, r: Footprint) -> u64 {
+        r.records.div_ceil(self.chunk_len::<R>() as u64).max(1)
+    }
+
+    /// The page-cost rule for holding `r` resident: it takes `k` memory
+    /// loads of [`chunk_len`](JoinCtx::chunk_len) records, and the other
+    /// side's `t_pages` stream once per load, `R + k·T` pages. Returns `k`
+    /// when that reads fewer pages than a partition pass, `3(R + T)`
+    /// (Grace, VPJ: read, write, read back), and `None` otherwise. `k =
+    /// 1` is Algorithm 6's fit; a side needing up to 3 loads always
+    /// chunks, 4 loads only while `T < 2R`.
+    pub(crate) fn loads<R: FixedRecord>(&self, r: Footprint, t_pages: u64) -> Option<u64> {
+        let k = self.load_count::<R>(r);
+        (r.pages + k * t_pages < 3 * (r.pages + t_pages)).then_some(k)
+    }
+
+    /// The side of a containment join whose chunked memory join reads
+    /// fewer pages, `R + k·T`, `D` on a tie (so where both fit one load,
+    /// `D` does, as in Algorithm 6), with its `k` loads. The memory join
+    /// holds this side whatever a partition pass would cost: whether to
+    /// partition is its caller's choice.
+    pub(crate) fn chunk_plan(&self, a: Footprint, d: Footprint) -> (Resident, u64) {
+        let cost = |r: Footprint, t: Footprint| {
+            let k = self.load_count::<Element>(r);
+            (r.pages + k * t.pages, k)
+        };
+        let ((d_cost, d_loads), (a_cost, a_loads)) = (cost(d, a), cost(a, d));
+        if d_cost <= a_cost {
+            (Resident::D, d_loads)
+        } else {
+            (Resident::A, a_loads)
+        }
+    }
+
+    /// The page-cost rule over both sides of a containment join, the one
+    /// choice between a memory join and a partition pass (VPJ's base
+    /// case): the `chunk_plan` side and its `k` when holding it reads
+    /// fewer pages than a partition pass (`loads`), `None` otherwise. The
+    /// other side's chunked join reads no fewer pages, so it could not
+    /// beat the pass either.
+    pub fn resident_side(&self, a: Footprint, d: Footprint) -> Option<(Resident, u64)> {
+        let (side, _) = self.chunk_plan(a, d);
+        let (r, t) = match side {
+            Resident::D => (d, a),
+            Resident::A => (a, d),
+        };
+        self.loads::<Element>(r, t.pages).map(|k| (side, k))
     }
 
     /// How many [`Element`]s fit in `pages` buffer pages — the sizing rule
@@ -531,6 +590,37 @@ pub(crate) fn envelopes_disjoint(a: Option<(u64, u64)>, d: Option<(u64, u64)>) -
 /// One side as the envelope rule sees it: its record count and its
 /// catalog envelope (`None`: unknown).
 pub(crate) type Extent = (u64, Option<(u64, u64)>);
+
+/// One side as the page-cost rule ([`JoinCtx::resident_side`]) sees it:
+/// its catalog pages and records, summed over its member files.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Pages on disk: what one scan of the side reads.
+    pub pages: u64,
+    /// Records: what its memory loads must hold.
+    pub records: u64,
+}
+
+impl Footprint {
+    /// The footprint of `members` read as one side.
+    pub fn of<'f, R: FixedRecord + 'f>(members: impl IntoIterator<Item = &'f HeapFile<R>>) -> Self {
+        members
+            .into_iter()
+            .fold(Footprint::default(), |acc, f| Footprint {
+                pages: acc.pages + u64::from(f.pages()),
+                records: acc.records + f.records(),
+            })
+    }
+}
+
+/// The side a memory join holds in memory; the other streams past it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resident {
+    /// The ancestors, rolled into an equijoin table.
+    A,
+    /// The descendants, sorted for range probes.
+    D,
+}
 
 /// Both sides' scan inputs under the envelope rule (see
 /// [`JoinCtx::clip`]).
@@ -757,6 +847,67 @@ mod tests {
                 assert_eq!(io.rand_writes, batches, "{slots} slots at the floor");
             }
         }
+    }
+
+    #[test]
+    fn page_cost_rule_at_its_edges() {
+        // b = 64: a load holds 62 raw pages' worth of records.
+        let c = JoinCtx::in_memory_free(PBiTreeShape::new(10).unwrap(), 64);
+        let per_page = records_per_page::<Element>() as u64;
+        let side = |pages: u64| Footprint {
+            pages,
+            records: pages * per_page,
+        };
+        let loads = |r: u64, t: u64| c.loads::<Element>(side(r), t);
+        // k = 1 (Algorithm 6's fit) and k = 3 chunk whatever T is.
+        assert_eq!(loads(62, 1_000_000), Some(1));
+        assert_eq!(loads(186, 1_000_000), Some(3));
+        // k = 4 only while T < 2R: R + 4T < 3(R + T).
+        assert_eq!(loads(187, 373), Some(4));
+        assert_eq!(loads(187, 374), None, "T = 2R reads as many pages");
+        assert_eq!(loads(187, 1_000), None);
+        // k = 5 only while T < R.
+        assert_eq!(loads(249, 248), Some(5));
+        assert_eq!(loads(249, 249), None);
+        // The load count is the records' own: 3 loads to the record, and
+        // one record more is a fourth load.
+        let loads_of = |records| {
+            c.loads::<Element>(
+                Footprint {
+                    pages: 186,
+                    records,
+                },
+                1_000_000,
+            )
+        };
+        let per_load = c.chunk_len::<Element>() as u64;
+        assert_eq!(per_load, 62 * per_page);
+        assert_eq!(loads_of(3 * per_load), Some(3));
+        assert_eq!(loads_of(3 * per_load + 1), None);
+    }
+
+    #[test]
+    fn resident_side_prefers_d_on_a_tie() {
+        let c = JoinCtx::in_memory_free(PBiTreeShape::new(10).unwrap(), 64);
+        let per_page = records_per_page::<Element>() as u64;
+        let side = |pages: u64| Footprint {
+            pages,
+            records: pages * per_page,
+        };
+        let pick = |a: u64, d: u64| c.resident_side(side(a), side(d));
+        // Both fit one load, and both need two equal loads: D.
+        assert_eq!(pick(62, 62), Some((Resident::D, 1)));
+        assert_eq!(pick(100, 100), Some((Resident::D, 2)));
+        // Only A fits: A, as Algorithm 6 has it.
+        assert_eq!(pick(62, 63), Some((Resident::A, 1)));
+        // Two loads either way: the larger side stays, so the smaller one
+        // is the one streamed twice (`120 + 2 × 70` over `70 + 2 × 120`).
+        assert_eq!(pick(120, 70), Some((Resident::A, 2)));
+        assert_eq!(pick(70, 120), Some((Resident::D, 2)));
+        // Neither side beats a partition pass; the memory join, made to
+        // run anyway (a VPJ group), still holds D, in 17 loads.
+        assert_eq!(pick(1_000, 1_000), None);
+        assert_eq!(c.chunk_plan(side(1_000), side(1_000)), (Resident::D, 17));
     }
 
     #[test]

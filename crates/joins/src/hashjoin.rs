@@ -3,31 +3,37 @@
 //!
 //! The partitioning joins' core idea (§3.2) is that PBiTree codes turn the
 //! containment θ-join into an **equijoin** — `A.Code = F(D.Code, h)` — so
-//! mature equijoin machinery applies. This module is that machinery:
+//! mature equijoin machinery applies. This module is that machinery. With
+//! `k` the memory loads the build side needs (`JoinCtx::chunk_len`
+//! records each), the page-cost rule (`JoinCtx::loads`) picks the cheaper
+//! of:
 //!
-//! * build side fits the memory budget → classic in-memory hash join,
-//!   I/O = `‖B‖ + ‖P‖`;
-//! * otherwise → Grace hash join: both sides are hash-partitioned on the
-//!   join key into `p` buckets by the partitioning joins' one scatter pass
+//! * an in-memory hash join in `k` chunks, the probe side streamed once
+//!   per chunk: I/O = `‖B‖ + k‖P‖`; a build side that fits (`k = 1`) is
+//!   the classic `‖B‖ + ‖P‖`, and every `k ≤ 3` beats a partition pass;
+//! * a Grace hash join: both sides are hash-partitioned on the join key
+//!   into `p` buckets by the partitioning joins' one scatter pass
 //!   (`context::scatter`; a bucket no key lands in makes no file), then
-//!   each bucket pair is joined in memory, I/O = `3(‖B‖ + ‖P‖)` — the
-//!   constant the paper's cost formulas use;
-//! * a pathologically skewed bucket that still exceeds the budget is
-//!   joined in memory-sized chunks of the build side (one probe-side scan
-//!   per chunk), so the join never fails, it just degrades.
+//!   each bucket pair is joined by the same rule, I/O = `3(‖B‖ + ‖P‖)` —
+//!   the constant the paper's cost formulas use;
+//! * past the Grace depth bound (a pathologically skewed bucket that no
+//!   hash splits) the bucket is chunked whatever it costs, so the join
+//!   never fails, it just degrades.
 //!
-//! Both in-memory cases are one loop, `join_in_chunks`: a build side that
-//! fits is its one chunk. The build table is a multimap (`EquiTable`):
+//! Every in-memory case is one loop, `join_in_chunks`, whose build side
+//! is cut by the one chunk reader (`Chunks`, which the memory join's
+//! chunks share). The build table is a multimap (`EquiTable`):
 //! MHCJ+Rollup maps several original ancestors onto one rolled-up code,
 //! and the memory join's `A`-resident branch builds the same table.
 
 use std::hash::{BuildHasher, Hash};
+use std::ops::Deref;
 
 use pbitree_storage::util::FxBuildHasher;
 use pbitree_storage::util::FxHashMap;
-use pbitree_storage::{records_per_page, FixedRecord, HeapFile, ScanOptions};
+use pbitree_storage::{records_per_page, FixedRecord, HeapFile, HeapScan, ScanOptions};
 
-use crate::context::{scatter, JoinCtx, JoinError};
+use crate::context::{scatter, Footprint, JoinCtx, JoinError};
 
 /// Hash-equijoin `build ⋈ probe` on u64 keys.
 ///
@@ -79,9 +85,11 @@ where
     )
 }
 
-/// Recursion driver: in-memory when the build side fits, otherwise one
-/// Grace partitioning level and recurse per bucket (with a fresh hash seed
-/// per level so repartitioning actually splits).
+/// Recursion driver: the build side is held in memory, in as many chunks
+/// as it needs, while the page-cost rule ([`JoinCtx::loads`]) says that
+/// reads fewer pages than a Grace level; otherwise one Grace partitioning
+/// level (phase `partition`) and recurse per bucket (with a fresh hash
+/// seed per level so repartitioning actually splits).
 #[allow(clippy::too_many_arguments)]
 fn equijoin_rec<B, P, KB, KP, M>(
     ctx: &JoinCtx,
@@ -101,28 +109,23 @@ where
     KP: Fn(&P) -> Option<u64>,
     M: FnMut(&B, &P),
 {
-    let budget_elems = ctx.elements_per_pages_of::<B>(ctx.resident_pages());
-    // A build side that fits is one chunk. Past the depth bound, same-key
-    // skew cannot be split by any hash: degrade gracefully to chunks.
-    if build.records() as usize <= budget_elems || depth >= MAX_GRACE_DEPTH {
+    // Past the depth bound, same-key skew cannot be split by any hash:
+    // degrade gracefully to chunks whatever they cost.
+    let chunked = ctx.loads::<B>(Footprint::of([build]), u64::from(probe.pages()));
+    if chunked.is_some() || depth >= MAX_GRACE_DEPTH {
         join_in_chunks(
-            ctx,
-            build,
-            probe,
-            build_opts,
-            probe_opts,
-            budget_elems,
-            build_key,
-            probe_key,
-            on_match,
+            ctx, build, probe, build_opts, probe_opts, build_key, probe_key, on_match,
         )
     } else {
         let parts = partition_count(ctx, build.pages());
-        let build_parts = scatter(ctx, build, build_opts, parts, |r| {
-            Ok(build_key(r).map(|k| bucket(k, depth, parts)))
-        })?;
-        let probe_parts = scatter(ctx, probe, probe_opts, parts, |r| {
-            Ok(probe_key(r).map(|k| bucket(k, depth, parts)))
+        let (build_parts, probe_parts) = ctx.phase("partition", || {
+            let build_parts = scatter(ctx, build, build_opts, parts, |r| {
+                Ok(build_key(r).map(|k| bucket(k, depth, parts)))
+            })?;
+            let probe_parts = scatter(ctx, probe, probe_opts, parts, |r| {
+                Ok(probe_key(r).map(|k| bucket(k, depth, parts)))
+            })?;
+            Ok((build_parts, probe_parts))
         })?;
         for pair in build_parts.iter().zip(&probe_parts) {
             let (Some(bp), Some(pp)) = pair else {
@@ -199,15 +202,14 @@ impl<B: Copy> EquiTable<B> {
     }
 }
 
-/// The one in-memory equijoin: builds at most `chunk_len` build records
-/// into an [`EquiTable`], streams `probe` through it a page batch at a
-/// time, and repeats only while build records remain. A build side that
-/// fits is one chunk, so `probe` is read once; a skewed Grace bucket is
-/// several, each a rescan of `probe`.
-///
-/// The build is read in page batches too, and a chunk is cut at a record:
-/// the rest of the last page read waits in a buffer for the next chunk,
-/// so no build page stays pinned while the probe streams.
+/// The one in-memory equijoin: builds at most
+/// [`JoinCtx::chunk_len`] build records into an [`EquiTable`] (phase
+/// `load`), streams `probe` through it a page batch at a time (phase
+/// `probe`), and repeats only while build records remain. A build side
+/// that fits is one chunk, so `probe` is read once; a side the page-cost
+/// rule chunks, or a skewed Grace bucket, is several, each a rescan of
+/// `probe`. The build is cut by [`Chunks`], so no build page stays
+/// pinned while the probe streams.
 #[allow(clippy::too_many_arguments)]
 fn join_in_chunks<B, P, KB, KP, M>(
     ctx: &JoinCtx,
@@ -215,7 +217,6 @@ fn join_in_chunks<B, P, KB, KP, M>(
     probe: &HeapFile<P>,
     build_opts: ScanOptions,
     probe_opts: ScanOptions,
-    chunk_len: usize,
     build_key: &KB,
     probe_key: &KP,
     on_match: &mut M,
@@ -227,49 +228,108 @@ where
     KP: Fn(&P) -> Option<u64>,
     M: FnMut(&B, &P),
 {
-    debug_assert!(chunk_len > 0, "a chunk holds at least one record");
+    let chunk_len = ctx.chunk_len::<B>();
     let mut table = EquiTable::with_capacity(chunk_len.min(build.records() as usize));
-    let mut build_scan = build.scan_with(&ctx.pool, build_opts);
-    // The last build page read; records from `taken` on are not built yet.
-    let mut page: Vec<B> = Vec::with_capacity(records_per_page::<B>());
-    let mut taken = 0;
-    // Whether build records remain, reading the next page when `page` is spent.
-    let mut remain = |page: &mut Vec<B>, taken: &mut usize| -> Result<bool, JoinError> {
-        if *taken == page.len() {
-            page.clear();
-            *taken = 0;
-            build_scan.next_batch(page)?;
-        }
-        Ok(*taken < page.len())
-    };
+    let members = [build];
+    let mut chunks = Chunks::new(ctx, &members, build_opts);
     let mut batch: Vec<P> = Vec::with_capacity(records_per_page::<P>());
     loop {
-        let mut n = 0;
-        while n < chunk_len && remain(&mut page, &mut taken)? {
-            let end = page.len().min(taken + chunk_len - n);
-            for r in &page[taken..end] {
+        ctx.phase("load", || {
+            chunks.next_chunk(chunk_len, |_, r| {
                 if let Some(k) = build_key(r) {
                     table.insert(k, *r);
                 }
-            }
-            n += end - taken;
-            taken = end;
-        }
+            })
+        })?;
         // Each probe page decodes once into `batch` and is unpinned
         // before any matching runs.
-        let mut probe_scan = probe.scan_with(&ctx.pool, probe_opts);
-        while probe_scan.next_batch(&mut batch)? > 0 {
-            for p in &batch {
-                if let Some(k) = probe_key(p) {
-                    table.for_each(k, |b| on_match(b, p));
+        ctx.phase("probe", || {
+            let mut probe_scan = probe.scan_with(&ctx.pool, probe_opts);
+            while probe_scan.next_batch(&mut batch)? > 0 {
+                for p in &batch {
+                    if let Some(k) = probe_key(p) {
+                        table.for_each(k, |b| on_match(b, p));
+                    }
                 }
+                batch.clear();
             }
-            batch.clear();
-        }
-        if !remain(&mut page, &mut taken)? {
+            Ok(())
+        })?;
+        if !chunks.remain()? {
             return Ok(());
         }
         table.0.clear();
+    }
+}
+
+/// The record-granular chunk reader of every chunked join: reads one
+/// side's member files in order, a page batch at a time, and hands out
+/// chunks of at most a given number of records. A chunk is cut at a
+/// record: the rest of the last page read waits in a buffer for the next
+/// chunk, so no page of the side stays pinned between chunks.
+pub(crate) struct Chunks<'a, R: FixedRecord, F> {
+    ctx: &'a JoinCtx,
+    members: &'a [F],
+    opts: ScanOptions,
+    /// The member being read, and its scan once opened.
+    member: usize,
+    scan: Option<HeapScan<'a, R>>,
+    /// The last page read; records from `taken` on are not handed out.
+    page: Vec<R>,
+    taken: usize,
+}
+
+impl<'a, R: FixedRecord, F: Deref<Target = HeapFile<R>>> Chunks<'a, R, F> {
+    /// A reader over `members`, each scanned through `opts`.
+    pub(crate) fn new(ctx: &'a JoinCtx, members: &'a [F], opts: ScanOptions) -> Self {
+        Chunks {
+            ctx,
+            members,
+            opts,
+            member: 0,
+            scan: None,
+            page: Vec::with_capacity(records_per_page::<R>()),
+            taken: 0,
+        }
+    }
+
+    /// Whether records remain, reading the next page (of the next member,
+    /// at a member's end) when the buffered one is spent.
+    pub(crate) fn remain(&mut self) -> Result<bool, JoinError> {
+        while self.taken == self.page.len() {
+            let Some(file) = self.members.get(self.member) else {
+                return Ok(false);
+            };
+            let (pool, opts) = (&self.ctx.pool, self.opts);
+            let scan = self.scan.get_or_insert_with(|| file.scan_with(pool, opts));
+            self.page.clear();
+            self.taken = 0;
+            if scan.next_batch(&mut self.page)? == 0 {
+                self.scan = None;
+                self.member += 1;
+            }
+        }
+        Ok(true)
+    }
+
+    /// Hands the next at most `len` records to `f`, each with its
+    /// member's index; returns how many it handed out (0: none remain).
+    pub(crate) fn next_chunk(
+        &mut self,
+        len: usize,
+        mut f: impl FnMut(usize, &R),
+    ) -> Result<usize, JoinError> {
+        debug_assert!(len > 0, "a chunk holds at least one record");
+        let mut n = 0;
+        while n < len && self.remain()? {
+            let end = self.page.len().min(self.taken + len - n);
+            for r in &self.page[self.taken..end] {
+                f(self.member, r);
+            }
+            n += end - self.taken;
+            self.taken = end;
+        }
+        Ok(n)
     }
 }
 
@@ -308,7 +368,7 @@ impl<B: Copy> SmallGroup<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::element_file_with;
+    use crate::element::{element_file_with, Element};
     use pbitree_core::PBiTreeShape;
 
     fn ctx(b: usize) -> JoinCtx {
@@ -413,13 +473,16 @@ mod tests {
         // and reads the probe side once more. Raw u64 pages end chunks at
         // a page boundary; packed Element pages hold more records than
         // the raw-page sizing assumes, so there chunks end mid-page and
-        // the rest of the page carries over to the next chunk.
+        // the rest of the page carries over to the next chunk. The probe
+        // side is large enough that the page-cost rule runs Grace first.
         fn check<R: FixedRecord + PartialEq>(
             c: &JoinCtx,
             bf: &HeapFile<R>,
             pf: &HeapFile<R>,
             key: impl Fn(&R) -> u64,
         ) {
+            let probe_pages = u64::from(pf.pages());
+            assert_eq!(c.loads::<R>(Footprint::of([bf]), probe_pages), None);
             let chunk_len = c.elements_per_pages_of::<R>(c.resident_pages());
             let (got, probed) = traced_join(c, bf, pf, key);
             assert_eq!(got.len() as u64, 2 * bf.records());
@@ -440,11 +503,18 @@ mod tests {
             // chunk of its key-0 bucket (two records).
             assert_eq!(probed, pf.records() as usize + 2 * chunks.len());
         }
-        let keys = || (1..=30_000u64).map(|i| i * 1000); // key 0
-        let probe = [1000u64, 2000, 17]; // two match key 0
+        // Every build key is 0. Two probe records match it; the rest
+        // share key 17, whose bucket is not key 0's.
+        let keys = || (1..=30_000u64).map(|i| i * 1000);
+        let probe: Vec<u64> = [1000u64, 2000]
+            .into_iter()
+            .chain((0..3000).map(|i| i * 1000 + 17))
+            .collect();
         let c = ctx(4);
         let bf = HeapFile::from_iter(&c.pool, keys()).unwrap();
-        let pf = HeapFile::from_iter(&c.pool, probe).unwrap();
+        let pf = HeapFile::from_iter(&c.pool, probe.iter().copied()).unwrap();
+        let parts = partition_count(&c, bf.pages());
+        assert_ne!(bucket(0, 0, parts), bucket(17, 0, parts));
         check(&c, &bf, &pf, |k| *k % 1000);
         let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(30).unwrap(), 4)
             .compression(true)
@@ -453,7 +523,53 @@ mod tests {
             element_file_with(&c.pool, c.write_opts(), codes.map(|k| (k, 0))).unwrap()
         };
         let (bf, pf) = (elements(&mut keys()), elements(&mut probe.into_iter()));
+        assert_eq!(partition_count(&c, bf.pages()), parts);
         check(&c, &bf, &pf, |e| e.code.get() % 1000);
+    }
+
+    #[test]
+    fn chunks_hold_at_most_one_load() {
+        // Three members (one empty) read as one side: every chunk but the
+        // last holds exactly one load of `resident_pages()` worth, cut
+        // mid-page and across members, and the records come out in order
+        // with their member's index. Packed pages hold more records than
+        // a raw page, so there a load ends mid-page too.
+        for compress in [false, true] {
+            let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(30).unwrap(), 4)
+                .compression(compress)
+                .build();
+            let len = c.chunk_len::<Element>();
+            assert_eq!(len, c.elements_per_pages(c.resident_pages()));
+            let sizes = [1000u64, 0, 1500];
+            let members: Vec<HeapFile<Element>> = (0u64..)
+                .zip(sizes)
+                .map(|(m, n)| {
+                    let codes = (0..n).map(|i| (2 * (m * 10_000 + i) + 1, 0));
+                    element_file_with(&c.pool, c.write_opts(), codes).unwrap()
+                })
+                .collect();
+            let members: Vec<&HeapFile<Element>> = members.iter().collect();
+            let mut chunks = Chunks::new(&c, &members, c.read_opts());
+            let (mut seen, mut lens) = (Vec::new(), Vec::new());
+            loop {
+                let n = chunks.next_chunk(len, |m, e| seen.push((m, e.code.get())));
+                let n = n.unwrap();
+                lens.push(n);
+                assert_eq!(c.pool.pinned_frames(), 0, "a page stays pinned");
+                if !chunks.remain().unwrap() {
+                    break;
+                }
+            }
+            let total = sizes.iter().sum::<u64>() as usize;
+            assert!(lens.iter().all(|&n| n <= len), "{lens:?} by {len}");
+            assert_eq!(lens.len(), total.div_ceil(len), "{lens:?}");
+            assert_eq!(lens.iter().sum::<usize>(), total);
+            let want: Vec<(usize, u64)> = (0..)
+                .zip(sizes)
+                .flat_map(|(m, n)| (0..n).map(move |i| (m, 2 * (m as u64 * 10_000 + i) + 1)))
+                .collect();
+            assert_eq!(seen, want, "compress = {compress}");
+        }
     }
 
     #[test]

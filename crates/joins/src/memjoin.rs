@@ -1,20 +1,29 @@
-//! Memory-Containment-Join (Algorithm 6): one side fits in memory.
+//! Memory-Containment-Join (Algorithm 6), in as many memory loads as the
+//! resident side needs.
 //!
 //! The I/O-optimal base case VPJ reduces everything to (cost `‖A‖ + ‖D‖`),
 //! and the crate's one in-memory containment join: VPJ's base case, each
 //! of VPJ's merged partition groups and [`memory_containment_join`] run
 //! the same body. Each side is a list of member files (a lone file is the
-//! one-member case), and one rule picks the resident side: the first of
-//! `D`, `A` within `JoinCtx::resident_pages` (`b − 2`).
+//! one-member case). The page-cost rule (`JoinCtx::chunk_plan`) picks
+//! the resident side and its `k` memory loads of `b − 2` pages' worth of
+//! records: the side is read in `k` chunks (`hashjoin::Chunks`, the one
+//! chunk reader), and the other side streams past each, `R + k·T` pages.
+//! `k = 1` is Algorithm 6's fit, `D` resident first; the public
+//! [`memory_containment_join`] accepts nothing else. Whether a memory
+//! join beats a partition pass is the caller's choice (VPJ's base case
+//! asks `JoinCtx::resident_side`); given the join, it always runs.
 //!
-//! * **`D` fits** — load and sort the descendants by code; each ancestor's
-//!   subtree is the contiguous code range `[start, end]` (Lemma 3), so one
-//!   binary search per scanned ancestor yields its matches.
-//! * **`A` fits** — per the paper, run MHCJ+Rollup with the ancestor side
-//!   resident: that is the F-equijoin `A.Code = F(D.Code, h)` at `A`'s
-//!   topmost occupied height `h`, so every ancestor is rolled up to `h` in
-//!   the hash join's table (`hashjoin::EquiTable`), `D` streams through
-//!   it, and `shcj::check_candidate` filters false hits with Lemma 1.
+//! * **`D` resident** — load and sort a chunk of descendants by code;
+//!   each ancestor's subtree is the contiguous code range `[start, end]`
+//!   (Lemma 3), so one binary search per scanned ancestor yields its
+//!   matches in the chunk.
+//! * **`A` resident** — per the paper, run MHCJ+Rollup with the ancestor
+//!   side resident: that is the F-equijoin `A.Code = F(D.Code, h)` at the
+//!   chunk's topmost occupied height `h`, so each of its ancestors is
+//!   rolled up to `h` in the hash join's table (`hashjoin::EquiTable`),
+//!   `D` streams through it, and `shcj::check_candidate` filters false
+//!   hits with Lemma 1.
 //!
 //! VPJ replicates a spanning ancestor into every partition of its range,
 //! so a group's ancestor members can hold copies of one element; the
@@ -25,9 +34,9 @@ use std::ops::Deref;
 
 use pbitree_storage::{HeapFile, ScanOptions};
 
-use crate::context::{Extent, JoinCtx, JoinError, JoinStats};
+use crate::context::{Extent, Footprint, JoinCtx, JoinError, JoinStats, Resident};
 use crate::element::Element;
-use crate::hashjoin::EquiTable;
+use crate::hashjoin::{Chunks, EquiTable};
 use crate::shcj::{check_candidate, descendant_key};
 use crate::sink::PairSink;
 
@@ -92,26 +101,9 @@ impl SortedDescendants {
     }
 }
 
-/// Algorithm 6's side rule: `true` loads D, `false` loads A. The side
-/// that fits [`JoinCtx::resident_pages`] stays resident, D first. Errors
-/// with [`JoinError::NeitherSideFits`] when neither does.
-fn pick_side(ctx: &JoinCtx, a_pages: u32, d_pages: u32) -> Result<bool, JoinError> {
-    let budget = ctx.resident_pages();
-    if d_pages as usize <= budget {
-        Ok(true) // load D
-    } else if a_pages as usize <= budget {
-        Ok(false) // load A
-    } else {
-        Err(JoinError::NeitherSideFits {
-            a_pages,
-            d_pages,
-            budget,
-        })
-    }
-}
-
 /// Algorithm 6 over heap files. Errors with
-/// [`JoinError::NeitherSideFits`] when the precondition does not hold.
+/// [`JoinError::NeitherSideFits`] when neither side fits one memory load
+/// (the page-cost rule's `k = 1`); it never chunks.
 pub fn memory_containment_join(
     ctx: &JoinCtx,
     a: &HeapFile<Element>,
@@ -119,15 +111,27 @@ pub fn memory_containment_join(
     sink: &mut dyn PairSink,
 ) -> Result<JoinStats, JoinError> {
     ctx.measure_op("memjoin", || {
-        mem_join_inner(ctx, &[a], &[d], |_, _| true, sink)
+        match ctx.chunk_plan(Footprint::of([a]), Footprint::of([d])) {
+            (_, 1) => mem_join_inner(ctx, &[a], &[d], |_, _| true, sink),
+            _ if ctx.clip(a, d).is_none() => Ok((0, 0)),
+            _ => Err(JoinError::NeitherSideFits {
+                a_pages: a.pages(),
+                d_pages: d.pages(),
+                budget: ctx.resident_pages(),
+            }),
+        }
     })
 }
 
 /// The un-measured body. Each side is a list of member files, read in
 /// order; `keep(i, e)` says whether ancestor `e` of member `a[i]` takes
-/// part (VPJ's replica dedup, `|_, _| true` elsewhere). Phases: `load`
-/// (reading the resident side into its in-memory structure) and `probe`
-/// (streaming the other side against it).
+/// part (VPJ's replica dedup, `|_, _| true` elsewhere). The page-cost
+/// rule ([`JoinCtx::chunk_plan`]) picks the resident side and its chunk
+/// count `k`; each chunk, at most [`JoinCtx::chunk_len`] records, is read
+/// into its in-memory structure (phase `load`) and the other side streams
+/// past it (phase `probe`), `k` times in all. It runs whatever a
+/// partition pass would cost: a VPJ group fits one load by pages, and
+/// its packed pages may hold several loads of records.
 pub(crate) fn mem_join_inner<F: Deref<Target = HeapFile<Element>>>(
     ctx: &JoinCtx,
     a: &[F],
@@ -140,63 +144,103 @@ pub(crate) fn mem_join_inner<F: Deref<Target = HeapFile<Element>>>(
     // side's envelope, so zone maps skip
     // pages no pair can come from and pruned records never enter the
     // in-memory structures. (Filtering can only shrink the resident
-    // side, so the `pick_side` fit check stays conservative.) A replica
+    // side, so the rule's load count is an upper bound.) A replica
     // the filter drops is dropped from every member alike, so `keep`
     // still admits each surviving ancestor exactly once.
     let Some(clip) = ctx.clip_envelopes(extent(a), extent(d)) else {
         return Ok((0, 0));
     };
     let (a_opts, d_opts) = (clip.a, clip.d);
-    let pages = |side: &[F]| side.iter().map(|f| f.pages()).sum::<u32>();
-    let (a_pages, d_pages) = (pages(a), pages(d));
+    let footprint = |side: &[F]| Footprint::of(side.iter().map(|f| &**f));
+    let (a_size, d_size) = (footprint(a), footprint(d));
+    let (side, loads) = ctx.chunk_plan(a_size, d_size);
     let all = |_: usize, _: &Element| true;
-    if pick_side(ctx, a_pages, d_pages)? {
-        // An A no larger than the resident D fits as well. When the clip
-        // filters it, read it first: an A the clip leaves empty ends the
-        // join before D is read.
-        let a_first = if !a_opts.filter.is_all() && a_pages <= d_pages {
-            Some(ctx.phase("load", || load_members(ctx, a, a_opts, &keep))?)
-        } else {
-            None
-        };
-        if a_first.as_ref().is_some_and(Vec::is_empty) {
-            return Ok((0, 0));
+    match side {
+        Resident::D => {
+            // An A no larger than a D of one load fits one as well (its
+            // records within one load too, on packed pages). When the
+            // clip filters it, read it first: an A the clip leaves empty
+            // ends the join before D is read.
+            let fits =
+                a_size.pages <= d_size.pages && a_size.records <= ctx.chunk_len::<Element>() as u64;
+            let a_first = if loads == 1 && fits && !a_opts.filter.is_all() {
+                Some(ctx.phase("load", || load_members(ctx, a, a_opts, &keep))?)
+            } else {
+                None
+            };
+            if a_first.as_ref().is_some_and(Vec::is_empty) {
+                return Ok((0, 0));
+            }
+            join_chunks(ctx, d, d_opts, &all, SortedDescendants::new, |dd| {
+                let mut pairs = 0u64;
+                match &a_first {
+                    Some(resident) => resident.iter().for_each(|&ae| pairs += dd.probe(ae, sink)),
+                    None => scan_members(ctx, a, a_opts, &keep, |ae| pairs += dd.probe(ae, sink))?,
+                }
+                Ok((pairs, 0))
+            })
         }
-        let dd = ctx.phase("load", || {
-            Ok(SortedDescendants::new(load_members(ctx, d, d_opts, &all)?))
-        })?;
-        ctx.phase_counted("probe", || {
-            let mut pairs = 0u64;
-            match a_first {
-                Some(resident) => resident
-                    .into_iter()
-                    .for_each(|ae| pairs += dd.probe(ae, sink)),
-                None => scan_members(ctx, a, a_opts, &keep, |ae| pairs += dd.probe(ae, sink))?,
-            }
-            Ok((pairs, 0))
-        })
-    } else {
-        // MHCJ+Rollup with A resident: the F-equijoin at A's topmost
-        // height, every ancestor rolled up to it in the hash join's table.
-        let (anchor, aa) = ctx.phase("load", || {
-            let v = load_members(ctx, a, a_opts, &keep)?;
-            let anchor = v.iter().map(|e| e.code.height()).max().unwrap_or(0);
-            let mut table = EquiTable::with_capacity(v.len());
-            for e in v {
-                table.insert(e.code.ancestor_at_height(anchor).get(), e);
-            }
-            Ok((anchor, table))
-        })?;
-        ctx.phase_counted("probe", || {
+        // MHCJ+Rollup with A resident: the F-equijoin at the chunk's
+        // topmost height, each of its ancestors rolled up to it in the
+        // hash join's table. A pair's ancestor at that height is an
+        // ancestor of its descendant too, so every chunk finds its own
+        // pairs whatever the other chunks' heights.
+        Resident::A => join_chunks(ctx, a, a_opts, &keep, roll_up, |(anchor, aa)| {
             let mut counts = (0u64, 0u64);
             scan_members(ctx, d, d_opts, &all, |de| {
-                if let Some(k) = descendant_key(&de, anchor) {
+                if let Some(k) = descendant_key(&de, *anchor) {
                     aa.for_each(k, |ae| check_candidate(ae, &de, &mut counts, sink));
                 }
             })?;
             Ok(counts)
-        })
+        }),
     }
+}
+
+/// The chunk loop of [`mem_join_inner`]: reads `side` in chunks of at
+/// most [`JoinCtx::chunk_len`] records, builds the records `keep` admits
+/// into a chunk's in-memory structure with `build` (phase `load`),
+/// streams the other side past it with `probe` (phase `probe`), and sums
+/// the `(pairs, false_hits)` each probe counts.
+fn join_chunks<F: Deref<Target = HeapFile<Element>>, T>(
+    ctx: &JoinCtx,
+    side: &[F],
+    opts: ScanOptions,
+    keep: &impl Fn(usize, &Element) -> bool,
+    build: impl Fn(Vec<Element>) -> T,
+    mut probe: impl FnMut(&T) -> Result<(u64, u64), JoinError>,
+) -> Result<(u64, u64), JoinError> {
+    let len = ctx.chunk_len::<Element>();
+    let records = side.iter().map(|f| f.records()).sum::<u64>();
+    let mut chunks = Chunks::new(ctx, side, opts);
+    let mut counts = (0u64, 0u64);
+    loop {
+        let resident = ctx.phase("load", || {
+            let mut v = Vec::with_capacity(len.min(records as usize));
+            chunks.next_chunk(len, |i, e| {
+                if keep(i, e) {
+                    v.push(*e)
+                }
+            })?;
+            Ok(build(v))
+        })?;
+        let (pairs, false_hits) = ctx.phase_counted("probe", || probe(&resident))?;
+        counts = (counts.0 + pairs, counts.1 + false_hits);
+        if !chunks.remain()? {
+            return Ok(counts);
+        }
+    }
+}
+
+/// A chunk of ancestors rolled up to its topmost height, in the hash
+/// join's table: that height and the table.
+fn roll_up(chunk: Vec<Element>) -> (u32, EquiTable<Element>) {
+    let anchor = chunk.iter().map(|e| e.code.height()).max().unwrap_or(0);
+    let mut table = EquiTable::with_capacity(chunk.len());
+    for e in chunk {
+        table.insert(e.code.ancestor_at_height(anchor).get(), e);
+    }
+    (anchor, table)
 }
 
 /// A side's extent: its members' record count and the fold of their
@@ -250,7 +294,7 @@ mod tests {
     use crate::naive::block_nested_loop;
     use crate::rollup::{mhcj_rollup, RollupOptions};
     use crate::sink::{CollectSink, CountSink};
-    use pbitree_core::PBiTreeShape;
+    use pbitree_core::{Code, PBiTreeShape};
 
     fn ctx(b: usize) -> JoinCtx {
         JoinCtx::in_memory_free(PBiTreeShape::new(16).unwrap(), b)
@@ -389,6 +433,53 @@ mod tests {
                 assert_eq!(rollup.false_hits, false_hits as u64);
             }
         }
+    }
+
+    #[test]
+    fn a_resident_chunks_roll_to_their_own_anchor() {
+        // b = 8: a load holds 6 pages (2,046 records). A is 10 pages in
+        // file order: a load's worth and 54 more at height 2, then 1,000
+        // at height 4; D (leaves and height 1) is 59 pages, so A stays
+        // resident in 2 chunks. The first chunk's anchor is height 2 and
+        // it rolls nothing; the second's is 4, and its height-2
+        // ancestors meet false hits there.
+        let c = ctx(8);
+        let len = c.chunk_len::<Element>();
+        let low = mixed_codes(len + 54, &[2], 91);
+        let high = mixed_codes(1000, &[4], 93);
+        let a_codes: Vec<u64> = low.iter().chain(&high).copied().collect();
+        let d_codes = mixed_codes(20_000, &[0, 1], 95);
+        let a = element_file(&c.pool, a_codes.iter().map(|&v| (v, 0))).unwrap();
+        let d = element_file(&c.pool, d_codes.iter().map(|&v| (v, 1))).unwrap();
+        let plan = c.resident_side(Footprint::of([&a]), Footprint::of([&d]));
+        assert_eq!(
+            plan,
+            Some((Resident::A, 2)),
+            "A {} D {}",
+            a.pages(),
+            d.pages()
+        );
+        let mut got = CollectSink::default();
+        let (pairs, false_hits) = mem_join_inner(&c, &[&a], &[&d], |_, _| true, &mut got).unwrap();
+        let mut expect = CollectSink::default();
+        block_nested_loop(&c, &a, &d, &mut expect).unwrap();
+        assert_eq!(got.canonical(), expect.canonical());
+        assert_eq!(pairs as usize, expect.pairs.len());
+        // Rolled to height 4, only the second chunk's height-2 ancestors.
+        let top = |v: u64| Code::new(v).unwrap().ancestor_at_height(4);
+        let rolled = &low[len..];
+        let want: usize = rolled
+            .iter()
+            .map(|&av| {
+                let anc = Code::new(av).unwrap();
+                let d_below = d_codes.iter().filter(|&&dv| top(dv) == top(av));
+                d_below
+                    .filter(|&&dv| !anc.is_ancestor_of(Code::new(dv).unwrap()))
+                    .count()
+            })
+            .sum();
+        assert!(want > 0, "the second chunk should meet false hits");
+        assert_eq!(false_hits, want as u64);
     }
 
     #[test]

@@ -47,8 +47,10 @@ fn single_height_of(
 /// extra pass). Ancestors the envelope rule skips pair with nothing, so
 /// their heights cannot change a result.
 ///
-/// Phases: `plan` (the height peek) and `probe` (the F-equijoin at the
-/// peeked height, including any Grace partitioning it decides to do).
+/// Phases: `plan` (the height peek), then the F-equijoin's own at the
+/// peeked height: `partition` (a Grace scatter, where the page-cost rule
+/// partitions), `load` (each build chunk) and `probe` (each stream of
+/// the probe side).
 /// Both scans follow the envelope rule (`JoinCtx::clip`): `A` is
 /// clipped by `D`'s envelope, and `D` by `A`'s with the `below_height`
 /// window conjoined.
@@ -65,12 +67,10 @@ pub fn shcj(
         let Some(h) = ctx.phase("plan", || single_height_of(ctx, a, clip.a))? else {
             return Ok((0, 0));
         };
-        ctx.phase_counted("probe", || {
-            match anchored_equijoin(ctx, a, d, &clip, h, clip.a, sink)? {
-                (counts, None) => Ok(counts),
-                (_, Some(found)) => Err(JoinError::NotSingleHeight { expected: h, found }),
-            }
-        })
+        match anchored_equijoin(ctx, a, d, &clip, h, clip.a, sink)? {
+            (counts, None) => Ok(counts),
+            (_, Some(found)) => Err(JoinError::NotSingleHeight { expected: h, found }),
+        }
     })
 }
 
@@ -243,6 +243,53 @@ mod tests {
         let mut expect = CollectSink::default();
         block_nested_loop(&big, &a2, &d2, &mut expect).unwrap();
         assert_eq!(got.canonical(), expect.canonical());
+    }
+
+    /// SHCJ at b = 8 (a load holds 6 pages) over a cold pool: A of
+    /// `a_pages` at height 3 and D of `d_pages` of leaves. Checks the
+    /// pairs against the naive join and returns the stats.
+    fn cold_run(a_pages: usize, d_pages: usize) -> JoinStats {
+        let c = ctx(8);
+        let per_page = pbitree_storage::records_per_page::<Element>();
+        let a = codes_at_height(3, a_pages * per_page, 17);
+        let d = codes_at_height(0, d_pages * per_page, 19);
+        let af = element_file(&c.pool, a.iter().map(|&v| (v, 0))).unwrap();
+        let df = element_file(&c.pool, d.iter().map(|&v| (v, 1))).unwrap();
+        assert_eq!(
+            (af.pages() as usize, df.pages() as usize),
+            (a_pages, d_pages)
+        );
+        c.pool.flush_all().unwrap();
+        c.pool.evict_all().unwrap();
+        let mut got = CollectSink::default();
+        let stats = shcj(&c, &af, &df, &mut got).unwrap();
+        let mut expect = CollectSink::default();
+        block_nested_loop(&c, &af, &df, &mut expect).unwrap();
+        assert_eq!(got.canonical(), expect.canonical());
+        assert!(stats.pairs > 0);
+        stats
+    }
+
+    #[test]
+    fn a_build_side_of_two_loads_is_chunked_not_partitioned() {
+        // A's 10 pages build in 2 chunks of 6 pages; D's 25 stream past
+        // each: 10 + 2 × 25 pages read, nothing written. The phases show
+        // it: two loads, no partition.
+        let stats = cold_run(10, 25);
+        assert_eq!(stats.io.writes(), 0);
+        assert_eq!(stats.io.reads(), 10 + 2 * 25);
+        let names: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["plan", "load", "probe", "other"]);
+    }
+
+    #[test]
+    fn a_build_side_of_five_loads_still_partitions() {
+        // 25 pages of A take 5 loads; D's 40 pages streamed 5 times read
+        // more than a Grace pass.
+        let stats = cold_run(25, 40);
+        assert!(stats.io.writes() > 0);
+        let names: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["plan", "partition", "load", "probe", "other"]);
     }
 
     /// SHCJ and Rollup run one F-equijoin body: on a single-height A the

@@ -21,19 +21,27 @@
 //! replica range, a descendant to its home slot or, outside the smaller
 //! side's span, nowhere.
 //!
+//! **The base case.** The page-cost rule (`JoinCtx::resident_side`)
+//! decides whether an input pair is partitioned at all: a side that
+//! needs `k` memory loads of `b − 2` pages is joined by the memory join
+//! ([`crate::memjoin`]) in `k` chunks when that reads fewer pages than a
+//! partition pass, `R + k·T < 3(R + T)` — every `k ≤ 3`. The whole input
+//! and every recursing partition meet the rule first, so a partition
+//! only slightly too large is chunked, not rewritten.
+//!
 //! **Merging and purging (skew adaptation).** Partitions where either side
 //! is empty are discarded outright. Surviving partitions are greedily
-//! merged into groups that still satisfy the memory-join precondition:
-//! one side within `JoinCtx::resident_pages` (`b − 2`), the rule the
-//! memory join picks its resident side by. A group is joined by that one
-//! body ([`crate::memjoin`]), its member files as the two sides;
-//! replicated ancestors that would appear in several members are
-//! deduplicated at read time by its `keep` predicate (a replica is kept
-//! only in the first group member at or after its range start). The base
-//! case, a whole input that already fits, is the one-member call. A lone
-//! partition too dense for a memory join recurses with a strictly deeper
-//! level; if the level bottoms out (same-subtree skew), MHCJ+Rollup —
-//! which has no memory precondition — finishes the job.
+//! merged into groups that fit one memory load: one side within
+//! `JoinCtx::resident_pages` (`b − 2`). Groups keep that strict fit
+//! rather than the chunk rule: a merged group that chunked would re-read
+//! partitions that separate groups read once. A group is joined by the
+//! memory join, its member files as the two sides; replicated ancestors
+//! that would appear in several members are deduplicated at read time by
+//! its `keep` predicate (a replica is kept only in the first group member
+//! at or after its range start). A lone partition too dense for one load
+//! recurses: the base case above chunks it or partitions it at a
+//! strictly deeper level; if the level bottoms out (same-subtree skew),
+//! MHCJ+Rollup — which has no memory precondition — finishes the job.
 //!
 //! **Tasks.** A partitioning level never joins its groups itself: it
 //! returns them as `VpjTask`s, and the task loop
@@ -42,7 +50,7 @@
 
 use pbitree_storage::HeapFile;
 
-use crate::context::{scatter, JoinCtx, JoinError, JoinStats, Part};
+use crate::context::{scatter, Footprint, JoinCtx, JoinError, JoinStats, Part};
 use crate::element::Element;
 use crate::memjoin::mem_join_inner;
 use crate::rollup::{anchored_join, Anchors};
@@ -117,7 +125,6 @@ fn execute_task(
             min_level,
             depth,
         } => {
-            report.recursions += 1;
             let (base, tasks) = vpj_rec(ctx, &a, &d, window, min_level, depth, sink, report)?;
             // The partition is spent once its own partitions exist.
             drop((a, d));
@@ -189,7 +196,7 @@ fn partition_range(code: pbitree_core::Code, shape_h: u32, l: u32) -> (u64, u64)
 }
 
 /// One partitioning level over `a ⊲ d`. Base cases (a zone-map proof of
-/// emptiness, a memory-join fit, the rollup fallback) join inline into
+/// emptiness, a chunked memory join, the rollup fallback) join inline into
 /// `sink` and return their `(pairs, false_hits)` with no tasks; otherwise
 /// both inputs are partitioned at a level below `min_level` and the
 /// surviving partitions come back as tasks. Never deletes `a` or `d`.
@@ -205,6 +212,7 @@ fn vpj_rec<'a>(
     report: &mut VpjReport,
 ) -> Result<((u64, u64), Vec<VpjTask<'a>>), JoinError> {
     let budget = ctx.resident_pages();
+    // The group fit: one side within one memory load.
     let fits = |pa: u32, pd: u32| (pa as usize) <= budget || (pd as usize) <= budget;
     // The envelope rule: disjoint envelopes prove the whole pairing
     // empty — no scan, no partitioning pass. Counted as a purge (it is
@@ -213,12 +221,21 @@ fn vpj_rec<'a>(
         report.purged += 1;
         return Ok(((0, 0), Vec::new()));
     };
-    // Base case (a): one side already fits -> I/O-optimal memory join. Its
+    // Base case (a): the page-cost rule holds one side in memory, in as
+    // many chunks as it needs, for fewer pages than a partition pass. Its
     // own `load`/`probe` phases double as this operator's.
-    if fits(a.pages(), d.pages()) {
+    if ctx
+        .resident_side(Footprint::of([a]), Footprint::of([d]))
+        .is_some()
+    {
         report.groups += 1;
         let counts = mem_join_inner(ctx, &[a], &[d], |_, _| true, sink)?;
         return Ok((counts, Vec::new()));
+    }
+    // A dense partition the rule will not chunk is rewritten one level
+    // deeper (or, below, handed to the fallback).
+    if depth > 0 {
+        report.recursions += 1;
     }
 
     let h = ctx.shape.height();
@@ -315,13 +332,14 @@ fn vpj_rec<'a>(
     })?;
     report.partitions += parts_a.iter().chain(&parts_d).flatten().count() as u64;
 
-    // Purge, then greedily merge into groups satisfying the memory-join
-    // precondition. A partition survives only where both sides are
+    // Purge, then greedily merge into groups that fit one memory load. A
+    // partition survives only where both sides are
     // non-empty — and, with pruning on, where the two sides' catalog
     // envelopes overlap (an ancestor partition whose regions all end
     // before the descendant partition's begin provably joins to nothing).
     // A survivor joins the open group while the group still fits; one too
-    // dense to fit even alone recurses alone.
+    // dense to fit even alone recurses alone (and is chunked there, where
+    // the page-cost rule says so).
     let mut tasks: Vec<VpjTask<'a>> = Vec::new();
     let (mut sum_a, mut sum_d) = (0u32, 0u32); // pages of the open group
     for (idx, slot) in (span.0..).zip(parts_a.into_iter().zip(parts_d)) {
@@ -374,6 +392,7 @@ fn vpj_rec<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::Resident;
     use crate::element::{element_file, element_file_with};
     use crate::naive::block_nested_loop;
     use crate::sink::{CollectSink, CountSink};
@@ -382,6 +401,10 @@ mod tests {
 
     fn ctx(h: u32, b: usize) -> JoinCtx {
         JoinCtx::in_memory_free(PBiTreeShape::new(h).unwrap(), b)
+    }
+
+    fn size(f: &HeapFile<Element>) -> Footprint {
+        Footprint::of([f])
     }
 
     fn mixed_codes(h_tree: u32, n: usize, heights: &[u32], seed: u64) -> Vec<u64> {
@@ -449,19 +472,21 @@ mod tests {
     fn replication_produces_no_duplicates() {
         // Ancestors high in the tree (heavily replicated) with descendants
         // spread across partitions; both sides also share spanning nodes.
-        // Tiny budget forces real partitioning.
+        // Tiny budget forces real partitioning: A needs 6 loads of b − 2
+        // pages, too many to chunk.
         let c = ctx(18, 4);
         // The root and its children sit at/above any partition level, so
         // they are guaranteed to span partitions and be replicated.
         let mut high: Vec<u64> = vec![1 << 17, 1 << 16, 3 << 16];
         high.extend(mixed_codes(18, 40, &[11, 13, 14], 101));
-        let mid: Vec<u64> = mixed_codes(18, 3000, &[4, 6], 103);
+        let mid: Vec<u64> = mixed_codes(18, 5000, &[4, 6], 103);
         let low: Vec<u64> = mixed_codes(18, 6000, &[0, 1, 2], 105);
         // A: high + mid nodes; D: mid + low nodes (overlap heights too).
-        let a: Vec<u64> = high.iter().chain(mid.iter().take(1500)).copied().collect();
-        let d: Vec<u64> = mid.iter().skip(1500).chain(low.iter()).copied().collect();
+        let a: Vec<u64> = high.iter().chain(mid.iter().take(3500)).copied().collect();
+        let d: Vec<u64> = mid.iter().skip(3500).chain(low.iter()).copied().collect();
         let af = element_file_with(&c.pool, c.read_opts(), a.iter().map(|&v| (v, 0))).unwrap();
         let df = element_file_with(&c.pool, c.read_opts(), d.iter().map(|&v| (v, 1))).unwrap();
+        assert_eq!(c.resident_side(size(&af), size(&df)), None);
         let mut got = CollectSink::default();
         let (stats, report) = vpj(&c, &af, &df, &mut got).unwrap();
         // No duplicates: the multiset of emitted pairs is a set.
@@ -482,19 +507,21 @@ mod tests {
 
     #[test]
     fn partition_slots_stay_within_the_smaller_side() {
-        // H = 20; the smaller side lives in the level-5 subtree covering
-        // codes [5·2^15, 6·2^15), the larger side spans the whole tree,
+        // H = 20; the smaller side lives in the level-4 subtree covering
+        // codes [2·2^16, 3·2^16), the larger side spans the whole tree,
         // its highest nodes included (spanning replicas on the A side,
-        // spanning descendants on the D side).
+        // spanning descendants on the D side). The smaller side needs 4
+        // loads of b − 2 pages at b = 8 and the larger one is over twice
+        // its size, so the page-cost rule partitions at both budgets.
         let shape = PBiTreeShape::new(20).unwrap();
         let dense = |heights: &[u32], seed| -> Vec<u64> {
-            let base = 5u64 << 15;
-            let codes = mixed_codes(15, 2500, heights, seed);
+            let base = 2u64 << 16;
+            let codes = mixed_codes(16, 8000, heights, seed);
             codes.into_iter().map(|v| base + v).collect()
         };
         let wide = |heights: &[u32], seed| -> Vec<u64> {
             let mut codes = vec![1 << 19, 1 << 18, 3 << 18, 5 << 17];
-            codes.extend(mixed_codes(20, 8000, heights, seed));
+            codes.extend(mixed_codes(20, 20_000, heights, seed));
             codes
         };
         let cases = [
@@ -516,9 +543,10 @@ mod tests {
                         .build();
                     let af = element_file(&c.pool, a.iter().map(|&v| (v, 0))).unwrap();
                     let df = element_file(&c.pool, d.iter().map(|&v| (v, 1))).unwrap();
+                    let at = format!("{name}, b = {b}, prune = {prune}");
+                    assert_eq!(c.resident_side(size(&af), size(&df)), None, "{at}");
                     let mut got = CollectSink::default();
                     let (_, report) = vpj(&c, &af, &df, &mut got).unwrap();
-                    let at = format!("{name}, b = {b}, prune = {prune}");
                     assert_eq!(got.canonical(), expect, "{at}");
                     // One partitioning pass per level: the top one plus one
                     // per recursion, each writing at most one file per slot
@@ -538,29 +566,41 @@ mod tests {
 
     /// VPJ on a costed disk at b = 64, H = 22, over uniform single-height
     /// sets spread over the codes below `2^span_h`: A (height 3, the
-    /// smaller side) of exactly `a_pages` full pages, D (leaves) twice as
-    /// large. Returns the run's stats and report.
+    /// smaller side) of exactly `a_pages` full pages, D (leaves) three
+    /// times as large. Returns the run's stats and report. From 4 loads
+    /// of A (`a_pages > 3 × 62`) the page-cost rule partitions: D streamed
+    /// 4 times reads more than a partition pass once `D ≥ 2A`.
     fn uniform_run(a_pages: usize, span_h: u32) -> (JoinStats, VpjReport) {
         let c = JoinCtx::in_memory(PBiTreeShape::new(22).unwrap(), 64);
         let n = a_pages * pbitree_storage::records_per_page::<Element>();
         let a = mixed_codes(span_h, n, &[3], 151);
-        let d = mixed_codes(span_h, 2 * n, &[0], 153);
+        let d = mixed_codes(span_h, 3 * n, &[0], 153);
         let af = element_file(&c.pool, a.iter().map(|&v| (v, 0))).unwrap();
         let df = element_file(&c.pool, d.iter().map(|&v| (v, 1))).unwrap();
         assert_eq!(af.pages() as usize, a_pages);
+        assert_eq!(c.resident_side(size(&af), size(&df)), None);
         c.pool.flush_all().unwrap();
         c.pool.evict_all().unwrap();
         let mut sink = CountSink::default();
-        vpj(&c, &af, &df, &mut sink).unwrap()
+        let (stats, report) = vpj(&c, &af, &df, &mut sink).unwrap();
+        // Every partition is read back once: a group of partitions is
+        // never chunked (the group merge keeps the one-load fit).
+        let inputs = u64::from(af.pages() + df.pages());
+        assert!(
+            stats.io.reads() <= inputs + stats.io.writes(),
+            "{} reads of {inputs} input and {} written pages",
+            stats.io.reads(),
+            stats.io.writes()
+        );
+        (stats, report)
     }
 
     #[test]
     fn slots_are_the_fewest_that_fit() {
-        // A's 166 pages need ⌈166 × 5/4 / 62⌉ = 4 partitions of b − 2 =
-        // 62 pages (3 without the headroom): 4 level slots per side, whose
-        // writers batch 62 / 4 = 15 pages each. Twice the slots would
-        // batch at the 8-page floor.
-        let (stats, report) = uniform_run(166, 22);
+        // A's 190 pages need ⌈190 × 5/4 / 62⌉ = 4 partitions of b − 2 =
+        // 62 pages: 4 level slots per side, whose writers batch 62 / 4 =
+        // 15 pages each. Twice the slots would batch at the 8-page floor.
+        let (stats, report) = uniform_run(190, 22);
         let slots = 4u64;
         assert_eq!(report.partitions, 2 * slots, "{report:?}");
         assert_eq!((report.recursions, report.fallbacks), (0, 0), "{report:?}");
@@ -578,10 +618,10 @@ mod tests {
     #[test]
     fn slots_cover_the_subtree_the_smaller_side_fills() {
         // Both sides fill the root's left subtree (codes below 2^21): the
-        // level is counted from that subtree, so A's 166 pages still
+        // level is counted from that subtree, so A's 190 pages still
         // spread over 4 slots. Counted from the root, 2 of the 4 would
         // be empty and the other 2 overflow.
-        let (_, report) = uniform_run(166, 21);
+        let (_, report) = uniform_run(190, 21);
         assert_eq!(report.partitions, 2 * 4, "{report:?}");
         assert_eq!((report.recursions, report.fallbacks), (0, 0), "{report:?}");
     }
@@ -590,7 +630,7 @@ mod tests {
     fn a_smaller_side_at_the_slot_edge_does_not_recurse() {
         // Exactly k × (b − 2) pages: k slots would fill every partition to
         // the last record, and any imbalance overflows one of them.
-        for k in [2, 4] {
+        for k in [4, 8] {
             let (_, report) = uniform_run(k * 62, 22);
             let at = format!("k = {k}: {report:?}");
             assert_eq!((report.recursions, report.fallbacks), (0, 0), "{at}");
@@ -602,11 +642,13 @@ mod tests {
     fn dense_partition_recurses() {
         // All data concentrated under one level-1 subtree: the first
         // partitioning is useless, recursion must go deeper (on raw pages:
-        // packed partitions would fit the budget without recursing).
+        // packed partitions would fit the budget without recursing). A
+        // half of A needs 5 loads of b − 2 pages and D's halves are twice
+        // A's, so halves are partitioned again, not chunked.
         let c = ctx(18, 4);
         // Confine everything to the leftmost quarter of the code space.
-        let a: Vec<u64> = mixed_codes(16, 2500, &[2, 4], 111); // codes < 2^16
-        let d: Vec<u64> = mixed_codes(16, 2500, &[0, 1], 113);
+        let a: Vec<u64> = mixed_codes(16, 5500, &[2, 4], 111); // codes < 2^16
+        let d: Vec<u64> = mixed_codes(16, 12_000, &[0, 1], 113);
         let af = element_file_with(&c.pool, c.read_opts(), a.iter().map(|&v| (v, 0))).unwrap();
         let df = element_file_with(&c.pool, c.read_opts(), d.iter().map(|&v| (v, 1))).unwrap();
         let mut got = CollectSink::default();
@@ -762,6 +804,78 @@ mod tests {
             assert_eq!(got.canonical(), expect.canonical(), "b = {b}");
             assert_eq!(pairs as usize, expect.pairs.len());
         }
+    }
+
+    /// VPJ at b = 8 (a load holds 6 pages) over a cold pool: A of
+    /// `a_pages` (heights 3 and 5) and D of `d_pages` (leaves), both
+    /// spread over the whole tree so the clip skips no page. Checks the
+    /// pairs against the naive join; returns the stats, the report and
+    /// the page-cost rule's plan.
+    fn cold_run(a_pages: usize, d_pages: usize) -> (JoinStats, VpjReport, Option<(Resident, u64)>) {
+        let c = ctx(20, 8);
+        let per_page = pbitree_storage::records_per_page::<Element>();
+        let a = mixed_codes(20, a_pages * per_page, &[3, 5], 161);
+        let d = mixed_codes(20, d_pages * per_page, &[0], 163);
+        let af = element_file(&c.pool, a.iter().map(|&v| (v, 0))).unwrap();
+        let df = element_file(&c.pool, d.iter().map(|&v| (v, 1))).unwrap();
+        assert_eq!(
+            (af.pages() as usize, df.pages() as usize),
+            (a_pages, d_pages)
+        );
+        let plan = c.resident_side(size(&af), size(&df));
+        c.pool.flush_all().unwrap();
+        c.pool.evict_all().unwrap();
+        let mut got = CollectSink::default();
+        let (stats, report) = vpj(&c, &af, &df, &mut got).unwrap();
+        let mut expect = CollectSink::default();
+        block_nested_loop(&c, &af, &df, &mut expect).unwrap();
+        assert_eq!(got.canonical(), expect.canonical());
+        assert!(stats.pairs > 0);
+        (stats, report, plan)
+    }
+
+    #[test]
+    fn a_side_of_two_loads_is_chunked_not_partitioned() {
+        // D's 10 pages take 2 loads of 6; A's 25 pages stream past each
+        // chunk: 10 + 2 × 25 pages read (less than 3 × 35 for a partition
+        // pass), nothing written, no partition.
+        let (stats, report, plan) = cold_run(25, 10);
+        assert_eq!(plan, Some((Resident::D, 2)));
+        assert_eq!(stats.io.writes(), 0);
+        assert_eq!(stats.io.reads(), 10 + 2 * 25);
+        assert_eq!((report.partitions, report.groups), (0, 1), "{report:?}");
+    }
+
+    #[test]
+    fn sides_of_five_loads_still_partition() {
+        // A's 25 pages take 5 loads and D's 40 take 7: streaming the other
+        // side that often reads more than a partition pass.
+        let (stats, report, plan) = cold_run(25, 40);
+        assert_eq!(plan, None);
+        assert!(report.partitions > 0, "{report:?}");
+        assert!(stats.io.writes() > 0);
+    }
+
+    #[test]
+    fn packed_groups_of_several_loads_still_join() {
+        // Packed pages of dense, sorted codes hold about 3 raw pages'
+        // worth of records each. VPJ partitions these sides at b = 4, and
+        // a group whose A side fits one load by pages (b − 2 = 2) can hold
+        // 4 loads of records, where the page-cost rule would partition:
+        // the group's memory join must still run, in chunks.
+        let c = crate::JoinCtxBuilder::in_memory_free(PBiTreeShape::new(20).unwrap(), 4)
+            .compression(true)
+            .build();
+        let a: Vec<u64> = (0..3000).map(|i| (1 + 2 * i) << 2).collect();
+        let d: Vec<u64> = (0..20_000).map(|i| 1 + 2 * i).collect();
+        let af = element_file_with(&c.pool, c.write_opts(), a.iter().map(|&v| (v, 0))).unwrap();
+        let df = element_file_with(&c.pool, c.write_opts(), d.iter().map(|&v| (v, 1))).unwrap();
+        let mut got = CollectSink::default();
+        let (_, report) = vpj(&c, &af, &df, &mut got).unwrap();
+        assert!(report.partitions > 0, "{report:?}");
+        let mut expect = CollectSink::default();
+        block_nested_loop(&c, &af, &df, &mut expect).unwrap();
+        assert_eq!(got.canonical(), expect.canonical());
     }
 
     #[test]

@@ -389,13 +389,14 @@ fn partitioned_runs_tile_exactly_with_task_spans() {
         .chain([("mhcj_rollup k=2", rollup2, &[3, 5, 8][..])]);
     for (op, f, heights) in cases {
         // MHCJ leaves one task per occupied height; VPJ leaves its vertical groups
-        // as tasks only when neither input fits the budget, so it gets
-        // bigger inputs over a tiny buffer.
+        // as tasks only when the page-cost rule partitions (here A needs
+        // 5 loads of the one resident page), so it gets bigger inputs
+        // over the smallest buffer.
         let (a, d, buffer) = if op == "vpj" {
             (
                 mixed_codes(1500, &[2, 4], 61),
                 mixed_codes(3000, &[0, 1], 63),
-                4,
+                3,
             )
         } else {
             (

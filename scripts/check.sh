@@ -80,6 +80,13 @@ echo "== planner-regret smoke (Table 1's pick against every operator)"
 cargo run --release -q -p pbitree-bench --bin ablation -- --study regret --fast \
     --results "$OUT/ab_regret"
 
+echo "== VPJ study at full scale (the page-cost rule: chunked rows never partition)"
+# Asserts (in-binary) that a row whose sides the page-cost rule holds in
+# memory chunks makes 0 partitions and writes 0 pages, and that no DBLP
+# row at b = 125 recurses (~12 s on 2 vCPU).
+cargo run --release -q -p pbitree-bench --bin ablation -- --study vpj \
+    --results "$OUT/ab_vpj"
+
 echo "== trace smoke (--trace writes schema-v1 JSONL)"
 TRACE="$OUT/trace.jsonl"
 cargo run --release -q -p pbitree-bench --bin table2 -- --part e --fast \

@@ -35,23 +35,31 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-/// Deterministic mixed-height ancestor codes.
-fn ancestors() -> Vec<u64> {
-    let mut x = 0xA5A5_5A5Au64;
+/// Deterministic mixed-height codes: `draws` xorshift draws from `seed`,
+/// deduplicated.
+fn codes(seed: u64, draws: usize) -> Vec<u64> {
+    let mut x = seed;
     let mut out = std::collections::BTreeSet::new();
-    for _ in 0..4000 {
+    for _ in 0..draws {
         out.insert(1 + xorshift(&mut x) % ((1 << H) - 1));
     }
     out.into_iter().collect()
 }
 
+/// Deterministic mixed-height ancestor codes.
+fn ancestors() -> Vec<u64> {
+    codes(0xA5A5_5A5A, 4000)
+}
+
 fn descendants() -> Vec<u64> {
-    let mut x = 0x1234_5678u64;
-    let mut out = std::collections::BTreeSet::new();
-    for _ in 0..8000 {
-        out.insert(1 + xorshift(&mut x) % ((1 << H) - 1));
-    }
-    out.into_iter().collect()
+    codes(0x1234_5678, 8000)
+}
+
+/// The sharded leg's workload: the same streams drawn half as long again,
+/// so each shard's slice needs 5 loads of its one resident page and the
+/// page-cost rule partitions rather than chunks.
+fn sharded_workload() -> (Vec<u64>, Vec<u64>) {
+    (codes(0xA5A5_5A5A, 6000), codes(0x1234_5678, 12_000))
 }
 
 /// What every run — faulted or not — must leave behind: no pinned frame
@@ -162,9 +170,9 @@ const SHARDS: usize = 4;
 /// A sharded store over `SHARDS` fault-instrumented in-memory disks,
 /// loaded with the sweep's mixed-height workload (ancestors replicated on
 /// overlap, descendants stored once) and reset to a cold start. Shard
-/// pools are squeezed to 4 frames so every shard's slice exceeds its pool
+/// pools are squeezed to 3 frames so every shard's slice exceeds its pool
 /// and the join both reads and spills — write faults need write attempts
-/// (on raw pages: packed slices would fit the 4 frames).
+/// (on raw pages: packed slices would fit the 3 frames).
 fn sharded_build() -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>) {
     let proto = JoinCtx::builder(
         BufferPool::new(
@@ -174,7 +182,7 @@ fn sharded_build() -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>)
         PBiTreeShape::new(H).unwrap(),
     )
     .io(strict_io())
-    .sharding(Sharding::new(SHARDS).frames_per_shard(4))
+    .sharding(Sharding::new(SHARDS).frames_per_shard(3))
     .build();
     let mut handles = Vec::with_capacity(SHARDS);
     let disks = (0..SHARDS)
@@ -185,16 +193,17 @@ fn sharded_build() -> (ShardedStore, ShardedFile, ShardedFile, Vec<FaultHandle>)
         })
         .collect();
     let store = ShardedStore::with_disks(&proto, disks);
+    let (ancestors, descendants) = sharded_workload();
     let a = store
         .load(
             ShardRole::Ancestor,
-            ancestors().into_iter().map(|c| Element::new(c, 0)),
+            ancestors.into_iter().map(|c| Element::new(c, 0)),
         )
         .unwrap();
     let d = store
         .load(
             ShardRole::Descendant,
-            descendants().into_iter().map(|c| Element::new(c, 1)),
+            descendants.into_iter().map(|c| Element::new(c, 1)),
         )
         .unwrap();
     store.evict_all().unwrap();
@@ -251,8 +260,9 @@ fn fault_sweep_sharded_fork_join() {
     // Fault-free baseline: the sharded result must equal the single-pool
     // run of the same algorithm on the same workload.
     let ctx = JoinCtx::in_memory_free(PBiTreeShape::new(H).unwrap(), BUDGET);
-    let a = element_file(&ctx.pool, ancestors().into_iter().map(|c| (c, 0))).unwrap();
-    let d = element_file(&ctx.pool, descendants().into_iter().map(|c| (c, 1))).unwrap();
+    let (ancestors, descendants) = sharded_workload();
+    let a = element_file(&ctx.pool, ancestors.into_iter().map(|c| (c, 0))).unwrap();
+    let d = element_file(&ctx.pool, descendants.into_iter().map(|c| (c, 1))).unwrap();
     let mut sink = CollectSink::default();
     execute(
         &ctx,
