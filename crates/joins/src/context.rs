@@ -496,11 +496,13 @@ impl JoinCtx {
         self.budget.saturating_sub(2).max(1)
     }
 
-    /// The most records of type `R` one memory load holds:
-    /// [`resident_pages`](JoinCtx::resident_pages) worth. Every chunk of
-    /// a memory join or an in-memory equijoin is bounded by it.
+    /// The most records of type `R` one memory load holds: `b − 2` raw
+    /// pages' worth (the residency rule, at least one page). Every chunk
+    /// of a memory join or an in-memory equijoin is bounded by it; the
+    /// query service keeps an intermediate of at most this many records
+    /// in the pool.
     #[inline]
-    pub(crate) fn chunk_len<R: FixedRecord>(&self) -> usize {
+    pub fn chunk_len<R: FixedRecord>(&self) -> usize {
         self.elements_per_pages_of::<R>(self.resident_pages())
     }
 

@@ -152,7 +152,11 @@ where
                 next_depth,
             )?;
         }
-        Ok(())
+        // The bucket files die in the phase that wrote them.
+        ctx.phase("partition", || {
+            drop((build_parts, probe_parts));
+            Ok(())
+        })
     }
 }
 
@@ -204,7 +208,7 @@ impl<B: Copy> EquiTable<B> {
 
 /// The one in-memory equijoin: builds at most
 /// [`JoinCtx::chunk_len`] build records into an [`EquiTable`] (phase
-/// `load`), streams `probe` through it a page batch at a time (phase
+/// `load`, the table's allocation and free included), streams `probe` through it a page batch at a time (phase
 /// `probe`), and repeats only while build records remain. A build side
 /// that fits is one chunk, so `probe` is read once; a side the page-cost
 /// rule chunks, or a skewed Grace bucket, is several, each a rescan of
@@ -229,7 +233,11 @@ where
     M: FnMut(&B, &P),
 {
     let chunk_len = ctx.chunk_len::<B>();
-    let mut table = EquiTable::with_capacity(chunk_len.min(build.records() as usize));
+    let mut table = ctx.phase("load", || {
+        Ok(EquiTable::with_capacity(
+            chunk_len.min(build.records() as usize),
+        ))
+    })?;
     let members = [build];
     let mut chunks = Chunks::new(ctx, &members, build_opts);
     let mut batch: Vec<P> = Vec::with_capacity(records_per_page::<P>());
@@ -256,7 +264,10 @@ where
             Ok(())
         })?;
         if !chunks.remain()? {
-            return Ok(());
+            return ctx.phase("load", || {
+                drop(table);
+                Ok(())
+            });
         }
         table.0.clear();
     }

@@ -34,7 +34,8 @@ use pbitree_joins::{
     MultiSink, QueryBatch, ShardRole, ShardedFile, ShardedStore, Sharding,
 };
 use pbitree_storage::{
-    BufferPool, CostModel, Disk, HeapFile, MemBackend, PoolError, ScanOptions, TempFile,
+    BufferPool, CostModel, Disk, HeapFile, HeapWriter, MemBackend, PoolError, ScanOptions,
+    StatsSnapshot, TempFile,
 };
 use pbitree_xml::{DescendantPath, EncodedDocument};
 
@@ -571,10 +572,19 @@ impl QueryService {
 
     /// Writes `codes` as a query-private join input, in document order
     /// like every corpus file. The file lives as long as the input does.
+    /// An input that fits one memory load of the grant, which the next
+    /// join holds whole anyway, is born in the pool: its pages are read
+    /// back as hits and discarded unwritten with the file. A larger one
+    /// is written through.
     fn owned_input(&self, ctx: &JoinCtx, codes: Vec<u64>) -> Result<StepInput<'_>, ServiceError> {
+        let in_pool = codes.len() <= ctx.chunk_len::<Element>();
         let mut items: Vec<(u64, u32)> = codes.into_iter().map(|c| (c, 0)).collect();
         sort_doc_order(&mut items);
-        let file = element_file_with(&ctx.pool, self.load_opts, items.iter().copied())?;
+        let mut w = HeapWriter::create_with(&ctx.pool, self.load_opts)?.in_pool(in_pool);
+        for &(c, tag) in &items {
+            w.push(Element::new(c, tag))?;
+        }
+        let file = w.finish()?;
         Ok(StepInput::Owned(TempFile::new(
             &self.ctx.pool,
             file.file_id(),
@@ -582,15 +592,16 @@ impl QueryService {
         )))
     }
 
-    /// The service's counters as one JSON line (the `STATS` response).
-    /// A sharded service appends a `"shards"` array: one object per
-    /// region-range shard with its own pool hit/miss counters, page I/O,
-    /// and independent simulated disk clock.
+    /// The service's counters as one JSON line (the `STATS` response):
+    /// admission counters, then a `"pool"` object with the shared pool's
+    /// hit/miss counters, page I/O and simulated disk clock. A sharded
+    /// service appends a `"shards"` array: one such object per
+    /// region-range shard, each with its own pool and disk clock.
     pub fn stats_json(&self) -> String {
         let a = self.admission.stats();
         let mut s = format!(
             "{{\"queries\":{},\"capacity\":{},\"in_use\":{},\"waiting\":{},\
-             \"peak_waiting\":{},\"admitted\":{},\"rejected\":{}",
+             \"peak_waiting\":{},\"admitted\":{},\"rejected\":{},\"pool\":",
             self.queries_served(),
             self.admission.capacity(),
             a.in_use,
@@ -599,26 +610,33 @@ impl QueryService {
             a.admitted,
             a.rejected,
         );
+        push_pool_json(&mut s, &self.ctx.pool.stats_snapshot());
         if let Some(sc) = &self.sharded {
             s.push_str(",\"shards\":[");
             for (i, snap) in sc.store.snapshots().iter().enumerate() {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!(
-                    "{{\"hits\":{},\"misses\":{},\"reads\":{},\"writes\":{},\"sim_s\":{:.6}}}",
-                    snap.pool.hits,
-                    snap.pool.misses,
-                    snap.io.reads(),
-                    snap.io.writes(),
-                    snap.io.sim_secs(),
-                ));
+                push_pool_json(&mut s, snap);
             }
             s.push(']');
         }
         s.push('}');
         s
     }
+}
+
+/// One pool's `STATS` object: hits, misses, page reads and writes, and
+/// simulated disk seconds.
+fn push_pool_json(s: &mut String, snap: &StatsSnapshot) {
+    s.push_str(&format!(
+        "{{\"hits\":{},\"misses\":{},\"reads\":{},\"writes\":{},\"sim_s\":{:.6}}}",
+        snap.pool.hits,
+        snap.pool.misses,
+        snap.io.reads(),
+        snap.io.writes(),
+        snap.io.sim_secs(),
+    ));
 }
 
 /// Ascending, deduplicated codes of a whole element file (single-step
@@ -641,6 +659,7 @@ fn file_codes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbitree_storage::{records_per_page, IoStats};
 
     fn tiny() -> QueryService {
         QueryService::new(ServiceConfig {
@@ -828,9 +847,143 @@ mod tests {
             .unwrap();
         let stats = svc.stats_json();
         assert!(stats.contains("\"shards\":[{"), "{stats}");
-        assert_eq!(stats.matches("\"sim_s\"").count(), 2, "{stats}");
+        // One object per shard, and the shared pool's.
+        assert_eq!(stats.matches("\"sim_s\"").count(), 2 + 1, "{stats}");
         // Unsharded services keep the flat schema.
         assert!(!tiny().stats_json().contains("shards"));
+    }
+
+    #[test]
+    fn stats_report_the_shared_pool() {
+        let svc = tiny();
+        svc.execute("//site//open_auction//bidder", true, None)
+            .unwrap();
+        let stats = svc.stats_json();
+        let io = svc.pool().stats_snapshot();
+        let pool = format!(
+            "\"rejected\":0,\"pool\":{{\"hits\":{},\"misses\":{},\"reads\":{},\"writes\":{},\"sim_s\":",
+            io.pool.hits,
+            io.pool.misses,
+            io.io.reads(),
+            io.io.writes()
+        );
+        assert!(stats.contains(&pool), "{stats}");
+        assert!(io.pool.misses > 0 && io.io.reads() > 0, "{stats}");
+        assert_eq!(stats.matches("\"sim_s\"").count(), 1, "{stats}");
+        assert!(stats.ends_with("}}"), "{stats}");
+    }
+
+    /// A service whose pool holds its whole corpus (97 pages at sf 0.01),
+    /// so once the corpus is resident a query's disk I/O is all its
+    /// intermediates'.
+    fn roomy(compression: bool) -> QueryService {
+        QueryService::new(ServiceConfig {
+            sf: 0.01,
+            buffer_pages: 256,
+            reserve_frames: 8,
+            default_budget: 64,
+            cost: CostModel::default(),
+            compression,
+            ..ServiceConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// The disk I/O of `path`'s second run (the first makes the corpus
+    /// resident), each run checked against `evaluate_naive` and for
+    /// leaving no pin and no file behind.
+    fn warm_io(svc: &QueryService, path: &str, raw: bool, budget: Option<usize>) -> IoStats {
+        let want: Vec<u64> = DescendantPath::parse(path)
+            .unwrap()
+            .evaluate_naive(svc.document())
+            .into_iter()
+            .map(|c| c.get())
+            .collect();
+        assert!(!want.is_empty(), "{path}");
+        let corpus = svc.pool().live_files();
+        let mut io = IoStats::default();
+        for _ in 0..2 {
+            let before = svc.pool().io_stats();
+            let got = svc.execute(path, raw, budget).unwrap();
+            io = svc.pool().io_stats().since(&before);
+            assert_eq!(got.codes, want, "{path} raw={raw} budget={budget:?}");
+            assert_eq!(svc.pool().pinned_frames(), 0);
+            assert_eq!(svc.pool().live_files(), corpus);
+        }
+        io
+    }
+
+    /// A chain whose intermediate, the corpus's 901 `text` elements, is 3
+    /// raw pages: one load of the default grant, three of the smallest.
+    const CHAIN: &str = "//site//text//keyword";
+
+    #[test]
+    fn corpus_loading_and_operator_spills_write_through() {
+        // 269 corpus pages in a pool that could hold them all.
+        let svc = QueryService::new(ServiceConfig {
+            sf: 0.05,
+            buffer_pages: 1024,
+            reserve_frames: 8,
+            default_budget: 64,
+            cost: CostModel::default(),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let pool = svc.pool();
+        let pages: u64 = pool
+            .live_files()
+            .iter()
+            .map(|&f| u64::from(pool.num_pages(f)))
+            .sum();
+        let load = pool.stats_snapshot();
+        assert_eq!(load.io.writes(), pages);
+        assert_eq!((load.pool.hits, load.pool.misses), (0, 0), "no frame taken");
+        // A one-step raw join owns no intermediate; at the smallest grant
+        // VPJ partitions, and its partitions are written through even
+        // though the pool has room for them.
+        let io = warm_io(&svc, "//listitem//text", true, Some(MIN_QUERY_FRAMES));
+        assert!(io.writes() > 0 && io.rand_writes < io.writes(), "{io:?}");
+    }
+
+    #[test]
+    fn an_intermediate_that_fits_its_grant_is_born_in_the_pool() {
+        for compression in [false, true] {
+            let svc = roomy(compression);
+            for raw in [false, true] {
+                // The predicate step's extraction is an owned input too.
+                for path in [CHAIN, "//site//person[name=p]//emailaddress"] {
+                    let io = warm_io(&svc, path, raw, None);
+                    let at = format!("{path} raw={raw} compression={compression}");
+                    assert_eq!((io.reads(), io.writes()), (0, 0), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_intermediate_larger_than_one_load_is_written_through() {
+        for compression in [false, true] {
+            let svc = roomy(compression);
+            let load = svc.ctx.worker(MIN_QUERY_FRAMES).chunk_len::<Element>();
+            assert!(svc.document().element_set("text").len() > load);
+            for raw in [false, true] {
+                let io = warm_io(&svc, CHAIN, raw, Some(MIN_QUERY_FRAMES));
+                let at = format!("raw={raw} compression={compression}");
+                // Written out, then missed back in.
+                assert!(io.writes() > 0 && io.reads() >= io.writes(), "{at}: {io:?}");
+            }
+        }
+        // On raw pages a sorted step writes nothing of its own: the writes
+        // are the intermediate's pages, appended as today, one seek per
+        // write batch, and each is read back once.
+        let svc = roomy(false);
+        let texts = svc.document().element_set("text").len();
+        let pages = texts.div_ceil(records_per_page::<Element>()) as u64;
+        let depth = ScanOptions::default().as_write().depth() as u64;
+        let io = warm_io(&svc, CHAIN, false, Some(MIN_QUERY_FRAMES));
+        assert_eq!(io.writes(), pages, "{io:?}");
+        assert_eq!(io.rand_writes, pages.div_ceil(depth), "{io:?}");
+        assert_eq!(io.reads(), pages, "{io:?}");
     }
 
     #[test]

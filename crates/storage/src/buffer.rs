@@ -740,7 +740,10 @@ impl BufferPool {
     /// would only pollute the pool — and deferring the write until clock
     /// eviction would turn a sequential output stream into random
     /// write-back, which is exactly the pathology real engines avoid by
-    /// bypassing the buffer pool for bulk output.
+    /// bypassing the buffer pool for bulk output. The one exception is a
+    /// [`HeapWriter::in_pool`](crate::HeapWriter::in_pool) file, read back
+    /// at once and then deleted: the query service's intermediates that
+    /// fit one memory load are born in frames instead.
     pub fn append_page_through(&self, file: FileId, buf: &PageBuf) -> Result<u32, PoolError> {
         self.append_pages_through(file, &[buf])
     }

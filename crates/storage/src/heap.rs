@@ -550,11 +550,13 @@ fn read_page_records<R: FixedRecord>(
 /// Append writer for a heap file. Buffers page images in its own memory
 /// (no pool frames consumed) and appends them with vectored write-through,
 /// coalescing up to the declared [`AccessPattern::WriteOnce`] batch depth
-/// per disk-arm movement. A writer dropped before [`finish`] deletes its
+/// per disk-arm movement — or, [`in_pool`], places each sealed page in a
+/// pool frame instead. A writer dropped before [`finish`] deletes its
 /// half-written file.
 ///
 /// [`AccessPattern::WriteOnce`]: crate::access::AccessPattern::WriteOnce
 /// [`finish`]: HeapWriter::finish
+/// [`in_pool`]: HeapWriter::in_pool
 pub struct HeapWriter<'a, R: FixedRecord> {
     pool: &'a BufferPool,
     file: FileId,
@@ -568,6 +570,8 @@ pub struct HeapWriter<'a, R: FixedRecord> {
     in_buf: usize,
     /// Sealed page images awaiting one vectored append.
     pending: Vec<Box<PageBuf>>,
+    /// Where sealed pages go: pool frames (`true`) or write-through.
+    in_pool: bool,
     /// Pages coalesced per append batch (the write-once depth).
     batch: usize,
     /// Zone of the page being filled.
@@ -598,12 +602,25 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
             buf: vec![0u8; PAGE_SIZE],
             in_buf: 0,
             pending: Vec::new(),
+            in_pool: false,
             batch: opts.as_write().depth(),
             page_zone: PageZone::Empty,
             zones: FileZones::default(),
             packer: (R::PACKABLE && opts.compress).then(PackedPageBuilder::default),
             _marker: PhantomData,
         })
+    }
+
+    /// Chooses where sealed pages go. `true` places each one in a pool
+    /// frame as a dirty page ([`BufferPool::new_page`]) instead of
+    /// appending it through: for a file that is read back at once and
+    /// then deleted, such as a query's intermediate that fits one memory
+    /// load, the reads are hits and the delete discards the frames
+    /// unwritten. A page the clock evicts first is written back then, and
+    /// counted. The bytes, zones and catalog are the same either way.
+    pub fn in_pool(mut self, in_pool: bool) -> Self {
+        self.in_pool = in_pool;
+        self
     }
 
     /// Appends one record.
@@ -656,12 +673,17 @@ impl<'a, R: FixedRecord> HeapWriter<'a, R> {
             }
             None => self.buf[..COUNT].copy_from_slice(&raw_count(self.in_buf)),
         }
-        // Seal the page image; the actual write-through happens in batches
-        // (bulk output bypasses the pool, see
-        // `BufferPool::append_pages_through`).
-        let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
-        img.copy_from_slice(&self.buf);
-        self.pending.push(img);
+        if self.in_pool {
+            let (_, mut frame) = self.pool.new_page(self.file)?;
+            frame.copy_from_slice(&self.buf);
+        } else {
+            // Seal the page image; the actual write-through happens in
+            // batches (bulk output bypasses the pool, see
+            // `BufferPool::append_pages_through`).
+            let mut img: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
+            img.copy_from_slice(&self.buf);
+            self.pending.push(img);
+        }
         self.pages += 1;
         self.in_buf = 0;
         self.zones.push(std::mem::take(&mut self.page_zone).entry());
@@ -2397,5 +2419,99 @@ mod tests {
         p.flush_all().unwrap();
         assert_eq!(p.io_stats().since(&before).writes(), 2);
         assert_eq!(faults.writes(), 3);
+    }
+
+    /// `data` written under `opts`, in pool frames or through.
+    fn written<R: FixedRecord>(
+        p: &BufferPool,
+        opts: ScanOptions,
+        data: &[R],
+        in_pool: bool,
+    ) -> Result<HeapFile<R>, PoolError> {
+        let mut w = HeapWriter::create_with(p, opts)?.in_pool(in_pool);
+        for r in data {
+            w.push(*r)?;
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn pool_placed_file_reads_back_from_its_frames_and_drops_unwritten() {
+        let p = pool(32);
+        for (opts, data) in [
+            (ScanOptions::default(), pspans(2_000)),
+            (compressed(), pspans(8_000)),
+        ] {
+            let through = written(&p, opts, &data, false).unwrap();
+            let placed = written(&p, opts, &data, true).unwrap();
+            // The same bytes, zones and catalog either way.
+            let catalog =
+                |f: &HeapFile<PSpan>| (f.pages(), f.records(), f.zone(), f.single_height());
+            assert_eq!(catalog(&placed), catalog(&through));
+            assert!(placed.pages() > 1 && placed.pages() < 16);
+            let (zt, zp) = (
+                p.file_zones(through.file_id()).unwrap(),
+                p.file_zones(placed.file_id()).unwrap(),
+            );
+            for pg in 0..placed.pages() {
+                assert_eq!(zp.page(pg), zt.page(pg), "zone of page {pg}");
+                let t = *p.read_page(PageId::new(through.file_id(), pg)).unwrap();
+                let b = *p.read_page(PageId::new(placed.file_id(), pg)).unwrap();
+                assert!(t == b, "page {pg} differs");
+            }
+            through.drop_file(&p);
+            placed.drop_file(&p);
+            p.evict_all().unwrap();
+            let files = p.live_files();
+
+            let before = (p.io_stats(), p.pool_stats());
+            let placed = written(&p, opts, &data, true).unwrap();
+            assert_eq!(placed.read_all(&p).unwrap(), data);
+            let io = p.io_stats().since(&before.0);
+            assert_eq!(
+                (io.reads(), io.writes()),
+                (0, 0),
+                "placed, read from frames"
+            );
+            let hits = p.pool_stats().since(&before.1).hits;
+            assert_eq!(hits, u64::from(placed.pages()));
+            // Deleting the file discards its dirty frames unwritten.
+            placed.drop_file(&p);
+            p.flush_all().unwrap();
+            assert_eq!(p.io_stats().since(&before.0).writes(), 0);
+            assert_eq!(p.live_files(), files);
+            assert_eq!(p.pinned_frames(), 0);
+        }
+    }
+
+    #[test]
+    fn placement_fault_on_a_dirty_victim_leaves_no_file_and_no_pin() {
+        let backend = crate::fault::FaultBackend::new(
+            crate::disk::MemBackend::new(),
+            crate::fault::FaultConfig::none(),
+        );
+        let faults = backend.handle();
+        let p = BufferPool::new(
+            Disk::new(Box::new(backend), crate::stats::CostModel::free()),
+            4,
+        );
+        // Every frame holds a dirty page, so `new_page`'s victim must be
+        // written back first: the one failure point placement adds.
+        let (hf, data) = heap_of_pages(&p, 4);
+        dirty(&p, hf.file_id(), &[0, 1, 2, 3]);
+        let files = p.live_files();
+        faults.reset();
+        faults.set_config(crate::fault::FaultConfig::write_at(0));
+        let placed = written(&p, ScanOptions::default(), &data[..600], true);
+        assert!(matches!(placed, Err(PoolError::Io(_))), "{placed:?}");
+        assert_eq!(faults.write_faults(), 1);
+        assert_eq!(p.live_files(), files);
+        assert_eq!(p.pinned_frames(), 0);
+        // The victim stayed dirty: the next flush writes all four pages.
+        faults.set_config(crate::fault::FaultConfig::none());
+        let before = p.io_stats();
+        p.evict_all().unwrap();
+        assert_eq!(p.io_stats().since(&before).writes(), 4);
+        assert_eq!(hf.read_all(&p).unwrap(), data);
     }
 }

@@ -97,11 +97,13 @@ echo "== query-service smoke (serve + loadgen over TCP, serial-equivalent respon
 # Starts the server on an OS-assigned port (discovered via --addr-file),
 # drives it with concurrent clients — the load generator exits non-zero on
 # any error or any response that differs from its serial baseline — then
-# shuts it down over the protocol and checks the per-query span trace.
+# shuts it down over the protocol and checks the per-query span trace and
+# the closing STATS line's shared-pool I/O object.
 ADDR_FILE="$OUT/serve.addr"
 SRV_TRACE="$OUT/serve.jsonl"
+SRV_OUT="$OUT/serve.out"
 ./target/release/pbitree-serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" \
-    --sf 0.005 --trace "$SRV_TRACE" &
+    --sf 0.005 --trace "$SRV_TRACE" > "$SRV_OUT" &
 SRV_PID=$!
 for _ in $(seq 1 100); do [ -f "$ADDR_FILE" ] && break; sleep 0.1; done
 [ -f "$ADDR_FILE" ] || { echo "server smoke failed: server never published its address"; kill "$SRV_PID"; exit 1; }
@@ -111,6 +113,8 @@ wait "$SRV_PID" || { echo "server smoke failed: server exited non-zero"; exit 1;
 grep -q '"errors": 0' "$OUT/loadgen_report.json" || { echo "server smoke failed: loadgen errors"; exit 1; }
 grep -q '"p99_ms"' "$OUT/loadgen_report.json" || { echo "server smoke failed: report missing percentiles"; exit 1; }
 head -1 "$SRV_TRACE" | grep -q '"v":1' || { echo "server smoke failed: bad trace"; exit 1; }
+grep '^STATS ' "$SRV_OUT" | tail -1 | grep -q '"pool":{"hits":[0-9]*,"misses":[0-9]*,"reads":[0-9]*,"writes":[0-9]*,"sim_s":' \
+    || { echo "server smoke failed: closing STATS line has no pool object"; exit 1; }
 
 echo "== batched-query smoke (QUERYBATCH shared scan + loadgen byte-comparison)"
 # The shared-scan panel asserts (in-binary) that a batch of k queries
